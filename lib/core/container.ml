@@ -240,23 +240,31 @@ let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) 
       (KSM-private state, page tables, a private kernel image).
 
    A frozen template cannot be destroyed while clones still reference
-   its frames — the shared-frame scan refuses first, so a mistake
-   cannot strand clones over freed memory. *)
+   its frames — [has_live_clones] refuses first, so a mistake cannot
+   strand clones over freed memory. *)
+
+(* Does any frame this container (or its KSM) owns carry a clone
+   reference?  Shared read-only frames with a positive refcount are
+   exactly the frames live CoW children still point at. *)
+let has_live_clones t =
+  let mem = Hw.Machine.mem (Host.machine t.host) in
+  let check pfn =
+    if Hw.Phys_mem.is_shared_ro mem pfn && Hw.Phys_mem.refcount mem pfn > 0 then raise Exit
+  in
+  match
+    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container t.container_id) check;
+    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Ksm t.container_id) check
+  with
+  | () -> false
+  | exception Exit -> true
+
 let destroy t =
   let machine = Host.machine t.host in
   let mem = Hw.Machine.mem machine in
   let id = t.container_id in
-  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-    match Hw.Phys_mem.owner mem pfn with
-    | (Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k) when k = id ->
-        if Hw.Phys_mem.is_shared_ro mem pfn && Hw.Phys_mem.refcount mem pfn > 0 then
-          invalid_arg
-            (Printf.sprintf
-               "Container.destroy: container %d is a frozen template with live clones (frame %d \
-                still referenced)"
-               id pfn)
-    | _ -> ()
-  done;
+  if has_live_clones t then
+    invalid_arg
+      (Printf.sprintf "Container.destroy: container %d is a frozen template with live clones" id);
   (* 1. Release CoW references on foreign shared frames. *)
   let visited : (Hw.Addr.pfn, unit) Hashtbl.t = Hashtbl.create 256 in
   let rec walk lvl pfn =

@@ -44,14 +44,18 @@ val create : ?env:Virt.Env.t -> ?cfg:Config.t -> Host.t -> t
     ({!Hw.Cost.guest_kernel_boot}) — the cost that snapshot restore and
     warm clones amortize away. *)
 
+val has_live_clones : t -> bool
+(** [true] while any frame the container or its KSM owns is shared
+    read-only with a positive refcount, i.e. while a CoW clone of this
+    frozen template is still alive. O(frames owned). *)
+
 val destroy : t -> unit
 (** Tear the container down completely: drop the CoW references it
     holds on other containers' frozen template frames (found by walking
     its live page tables), reclaim its delegated segments, and free
     every frame it or its KSM owns.  The operation behind fleet
     scale-in and create/destroy churn.
-    @raise Invalid_argument on a frozen template whose frames clones
-    still reference. *)
+    @raise Invalid_argument if {!has_live_clones}. *)
 
 val assemble :
   ?env:Virt.Env.t ->

@@ -641,13 +641,12 @@ let roots t = Hashtbl.fold (fun pfn info acc -> (pfn, info.copies) :: acc) t.roo
    dropped this container's own CoW references to foreign frames. *)
 let scrub_owned t =
   let mem = t.mem in
-  let id = t.container_id in
-  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-    match Hw.Phys_mem.owner mem pfn with
-    | (Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k) when k = id ->
-        if Hw.Phys_mem.is_shared_ro mem pfn then Hw.Phys_mem.set_shared_ro mem pfn false;
-        Hw.Phys_mem.free mem pfn
-    | _ -> ()
-  done
+  let scrub pfn =
+    if Hw.Phys_mem.is_shared_ro mem pfn then Hw.Phys_mem.set_shared_ro mem pfn false;
+    Hw.Phys_mem.free mem pfn
+  in
+  Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container t.container_id) scrub;
+  Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Ksm t.container_id) scrub
+
 let template_slots t = List.map fst t.template
 let kernel_exec_frozen t = t.kernel_exec_frozen

@@ -21,7 +21,17 @@
    [alloc_contiguous] skip fully-allocated or fully-free words a whole
    word at a time — while reproducing the exact allocation order of
    the previous per-frame scans, so snapshot images stay byte-for-byte
-   reproducible. *)
+   reproducible.
+
+   Ownership is also indexed: every non-[Free] owner has a doubly-linked
+   list of its frames, threaded through one [int32] Bigarray of
+   2 x frames ([2*pfn] = prev, [2*pfn+1] = next) plus a head and a count
+   per encoded owner.  The lists change only where ownership changes
+   ([claim], [free], [set_owner]), so [iter_owned] and [owned_count]
+   cost O(frames owned) and O(1) instead of a sweep of the machine.
+   The link array is never initialised: a pair is written only when its
+   frame is linked, so pages of it covering never-allocated frames are
+   never faulted in (eager arrays cost every fresh 512 MiB host 2 MiB). *)
 
 type owner =
   | Free
@@ -89,6 +99,7 @@ let bit_mask = 31
 let full_word = 0xFFFFFFFF
 
 type arena = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type links = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
   mem_id : int;  (** process-unique instance id; tags trace events *)
@@ -108,6 +119,9 @@ type t = {
   free_bits : int array;  (** bit set = frame free *)
   mutable free_count : int;
   mutable next_free : int;  (** rotating hint for the next-fit [alloc] *)
+  links : links;  (** owner lists: [2*pfn] = prev, [2*pfn+1] = next; uninitialised *)
+  mutable owner_head : int array;  (** encoded owner -> first frame, [nil] = none *)
+  mutable owner_count : int array;  (** encoded owner -> frames owned *)
 }
 
 exception Out_of_memory
@@ -156,6 +170,9 @@ let create ~frames:n =
       free_bits = Array.make nwords 0;
       free_count = n;
       next_free = 0;
+      links = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (2 * n);
+      owner_head = Array.make 64 (-1);
+      owner_count = Array.make 64 0;
     }
   in
   (* Invariant: unattached slots are fully zero, and attached slots
@@ -253,6 +270,53 @@ let ensure_slot t pfn =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Owner index                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let nil = -1
+let[@inline] prev t pfn = Int32.to_int (Bigarray.Array1.get t.links (2 * pfn))
+let[@inline] next t pfn = Int32.to_int (Bigarray.Array1.get t.links ((2 * pfn) + 1))
+let[@inline] set_prev t pfn p = Bigarray.Array1.set t.links (2 * pfn) (Int32.of_int p)
+let[@inline] set_next t pfn n = Bigarray.Array1.set t.links ((2 * pfn) + 1) (Int32.of_int n)
+
+(* Push [pfn] on the list of encoded owner [code] ([Free] has none). *)
+let link t pfn code =
+  if code <> 0 then begin
+    let cap = Array.length t.owner_head in
+    if code >= cap then begin
+      let cap' = max (2 * cap) (code + 1) in
+      let head = Array.make cap' nil and count = Array.make cap' 0 in
+      Array.blit t.owner_head 0 head 0 cap;
+      Array.blit t.owner_count 0 count 0 cap;
+      t.owner_head <- head;
+      t.owner_count <- count
+    end;
+    let h = t.owner_head.(code) in
+    set_prev t pfn nil;
+    set_next t pfn h;
+    if h <> nil then set_prev t h pfn;
+    t.owner_head.(code) <- pfn;
+    t.owner_count.(code) <- t.owner_count.(code) + 1
+  end
+
+let unlink t pfn code =
+  if code <> 0 then begin
+    let p = prev t pfn and n = next t pfn in
+    if p = nil then t.owner_head.(code) <- n else set_next t p n;
+    if n <> nil then set_prev t n p;
+    t.owner_count.(code) <- t.owner_count.(code) - 1
+  end
+
+(* Move [pfn] to encoded owner [code], keeping the index in step. *)
+let reown t pfn code =
+  let old = t.owner_of.(pfn) in
+  if old <> code then begin
+    unlink t pfn old;
+    t.owner_of.(pfn) <- code;
+    link t pfn code
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -300,7 +364,7 @@ let find_free_from t start =
    stale table slot from the frame's previous life is recycled. *)
 let claim t pfn ~owner ~kind =
   trace_write t pfn;
-  t.owner_of.(pfn) <- encode_owner owner;
+  reown t pfn (encode_owner owner);
   t.kind_of.(pfn) <- encode_kind kind;
   t.refcnt.(pfn) <- 0;
   Bytes.set t.shared pfn '\000';
@@ -367,7 +431,7 @@ let free t pfn =
   if t.owner_of.(pfn) = 0 then invalid_arg "Phys_mem.free: double free";
   if Bytes.get t.shared pfn <> '\000' && t.refcnt.(pfn) > 0 then
     invalid_arg "Phys_mem.free: shared frame still referenced";
-  t.owner_of.(pfn) <- 0;
+  reown t pfn 0;
   t.kind_of.(pfn) <- 0;
   t.refcnt.(pfn) <- 0;
   Bytes.set t.shared pfn '\000';
@@ -388,7 +452,7 @@ let set_kind t pfn kind =
 let set_owner t pfn owner =
   check_pfn t pfn;
   trace_write t pfn;
-  t.owner_of.(pfn) <- encode_owner owner
+  reown t pfn (encode_owner owner)
 
 let incr_ref t pfn =
   check_pfn t pfn;
@@ -454,3 +518,21 @@ let count_owned t owner_pred =
   !c
 
 let free_frames t = t.free_count
+
+let owned_count t owner =
+  match encode_owner owner with
+  | 0 -> t.free_count
+  | code -> if code < Array.length t.owner_count then t.owner_count.(code) else 0
+
+(* The successor is read before [f] runs, so [f] may free or re-own the
+   frame it is given. *)
+let iter_owned t owner f =
+  let code = encode_owner owner in
+  if code = 0 then invalid_arg "Phys_mem.iter_owned: Free frames are not indexed";
+  let pfn = ref (if code < Array.length t.owner_head then t.owner_head.(code) else nil) in
+  while !pfn <> nil do
+    let p = !pfn in
+    pfn := next t p;
+    trace_read t p;
+    f p
+  done

@@ -10,7 +10,12 @@
     frames are tracked in a bitmap with a rotating next-fit hint and a
     running count, making {!alloc} and {!free_frames} effectively
     O(1). Allocation order is identical to the earlier per-frame
-    scans, so snapshot images remain byte-for-byte reproducible. *)
+    scans, so snapshot images remain byte-for-byte reproducible.
+
+    Ownership is indexed per owner (a frame list maintained by
+    {!alloc}, {!alloc_contiguous}, {!free} and {!set_owner}), so
+    {!iter_owned} and {!owned_count} cost O(frames owned) and O(1)
+    rather than a sweep of the whole machine. *)
 
 type owner =
   | Free
@@ -91,4 +96,18 @@ val write_entry : t -> pfn:Addr.pfn -> index:int -> int64 -> unit
 val clear_table : t -> Addr.pfn -> unit
 
 val count_owned : t -> (owner -> bool) -> int
+(** Brute-force count over every frame; for tests and statistics. Use
+    {!owned_count} for a single owner. *)
+
 val free_frames : t -> int
+
+val owned_count : t -> owner -> int
+(** Frames currently owned by [owner], in O(1). [owned_count t Free]
+    is {!free_frames}. *)
+
+val iter_owned : t -> owner -> (Addr.pfn -> unit) -> unit
+(** [iter_owned t owner f] calls [f] on every frame [owner] holds, in
+    no particular order, in O(frames owned). [f] may free or re-own the
+    frame it is visiting but no other frame of [owner]. Each visit is a
+    traced read when {!Probe.set_mem_trace} is on.
+    @raise Invalid_argument for [Free], whose frames are not indexed. *)

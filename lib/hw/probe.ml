@@ -4,15 +4,10 @@
    analysis library installs a sink around a scenario and lints the
    stream afterwards.
 
-   Two sink shapes exist:
-
-   - [Fn]: a callback receiving boxed [event] values (fault-injection
-     tests, ad-hoc recorders, and the bench's pre-overhaul-equivalent
-     configuration);
-   - [Ring]: a flat preallocated ring of int-encoded event words.  An
-     emit through one of the specialized [emit_*] entry points costs a
-     handful of array stores — no allocation, no closure call — and the
-     ring is decoded back into [event] values lazily at lint time.
+   The sink is a flat preallocated ring of int-encoded event words.
+   An emit through one of the specialized [emit_*] entry points costs
+   a handful of array stores — no allocation, no closure call — and
+   the ring is decoded back into [event] values lazily at lint time.
 
    The installed sink is *per-domain* state held in domain-local
    storage: each domain of the sharded engine records into its own
@@ -378,7 +373,7 @@ let ring_iter_tagged r g =
 (* Per-domain sinks                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type sink = Off | Fn of (event -> unit) | Ring of ring
+type sink = Off | Ring of ring
 
 (* Each domain owns its sink: the sharded engine gives every worker
    domain its own ring, and a recorder attached on one domain never
@@ -394,11 +389,11 @@ let sink_key : slot Domain.DLS.key =
 let current () = Domain.DLS.get sink_key
 let self_dom () = (current ()).dom
 
-let active () = match (current ()).sink with Off -> false | Fn _ | Ring _ -> true
+let active () = match (current ()).sink with Off -> false | Ring _ -> true
 
 let emit ev =
   let st = current () in
-  match st.sink with Off -> () | Fn f -> f ev | Ring r -> ring_record_tagged r ~dom:st.dom ev
+  match st.sink with Off -> () | Ring r -> ring_record_tagged r ~dom:st.dom ev
 
 (* Replay path: deliver [ev] to the calling domain's sink but tag it
    as having been emitted by domain [dom] — merging a worker ring into
@@ -407,11 +402,9 @@ let emit ev =
 let emit_tagged ~dom ev =
   match (current ()).sink with
   | Off -> ()
-  | Fn f -> f ev
   | Ring r -> ring_record_tagged r ~dom ev
 
 let ring_record r ev = ring_record_tagged r ~dom:(self_dom ()) ev
-let set_sink f = (current ()).sink <- Fn f
 let set_ring r = (current ()).sink <- Ring r
 let clear_sink () = (current ()).sink <- Off
 
@@ -444,39 +437,34 @@ let mem_trace () = Atomic.get mem_trace_flag
 
 (* The engine's steady-state emit sites: with a ring sink installed
    these are a tag dispatch plus a handful of int stores — no event
-   boxing, no closure call.  The [Fn] arm boxes, matching [emit]. *)
+   boxing, no closure call. *)
 
 let emit_tlb_fill ~cpu ~pcid ~vpn ~level ~pfn =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store6 r st.dom tag_tlb_fill cpu pcid vpn level pfn
-  | Fn f -> f (Tlb_fill { cpu; pcid; vpn; level; pfn })
 
 let emit_io_doorbell ~queue ~avail_idx ~in_flight =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store4 r st.dom tag_io_doorbell (intern r queue) avail_idx in_flight
-  | Fn f -> f (Io_doorbell { queue; avail_idx; in_flight })
 
 let emit_io_completion ~queue ~used_idx ~serviced =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store4 r st.dom tag_io_completion (intern r queue) used_idx serviced
-  | Fn f -> f (Io_completion { queue; used_idx; serviced })
 
 let emit_mem_read ~mem ~pfn =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store4 r st.dom tag_mem_read mem pfn 0
-  | Fn f -> f (Mem_read { mem; pfn })
 
 let emit_mem_write ~mem ~pfn =
   let st = current () in
   match st.sink with
   | Off -> ()
   | Ring r -> store4 r st.dom tag_mem_write mem pfn 0
-  | Fn f -> f (Mem_write { mem; pfn })

@@ -147,10 +147,6 @@ val emit_tagged : dom:int -> event -> unit
     emitted by domain [dom].  Used when replaying a worker ring into
     the parent's sink: the merged stream keeps the original owners. *)
 
-val set_sink : (event -> unit) -> unit
-(** Install a callback sink (boxed events) on the calling domain.
-    Replaces any previous sink. *)
-
 val set_ring : ring -> unit
 (** Install a ring sink on the calling domain. Replaces any previous
     sink. *)

@@ -198,10 +198,5 @@ let unfreeze t ~name =
    must account for exactly zero. *)
 let owned_frames t ~hid ~container =
   let mem = Hw.Machine.mem (node t hid).machine in
-  let n = ref 0 in
-  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-    match Hw.Phys_mem.owner mem pfn with
-    | (Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k) when k = container -> incr n
-    | _ -> ()
-  done;
-  !n
+  Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Container container)
+  + Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm container)

@@ -165,15 +165,12 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     if Hw.Pte.is_present direct_link then collect_direct 3 (Hw.Pte.pfn direct_link);
     (* Completeness: every frame this container owns outside its
        segments must be in the auxiliary table by now. *)
-    for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-      match Hw.Phys_mem.owner mem pfn with
-      | Hw.Phys_mem.Ksm k when k = id ->
-          if not (Hashtbl.mem aux_ids pfn || Hashtbl.mem direct_tables pfn) then
-            raise (Fail (Unreachable_frame pfn))
-      | Hw.Phys_mem.Container k when k = id && not (Cki.Ksm.owns_frame ksm pfn) ->
-          if not (Hashtbl.mem aux_ids pfn) then raise (Fail (Unreachable_frame pfn))
-      | _ -> ()
-    done;
+    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Ksm id) (fun pfn ->
+        if not (Hashtbl.mem aux_ids pfn || Hashtbl.mem direct_tables pfn) then
+          raise (Fail (Unreachable_frame pfn)));
+    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container id) (fun pfn ->
+        if not (Cki.Ksm.owns_frame ksm pfn || Hashtbl.mem aux_ids pfn) then
+          raise (Fail (Unreachable_frame pfn)));
     (* Monitor metadata.  The direct-map template slot is omitted along
        with its subtree. *)
     let ptps =

@@ -54,12 +54,8 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
   let rollback () =
     List.iter (fun pfn -> Hw.Phys_mem.decr_ref mem pfn) !taken;
     Cki.Host.reclaim_segment host ~container:container_id;
-    for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-      match Hw.Phys_mem.owner mem pfn with
-      | (Hw.Phys_mem.Ksm k | Hw.Phys_mem.Container k) when k = container_id ->
-          Hw.Phys_mem.free mem pfn
-      | _ -> ()
-    done
+    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Ksm container_id) (Hw.Phys_mem.free mem);
+    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container container_id) (Hw.Phys_mem.free mem)
   in
   try
   let pcid = Hw.Machine.fresh_pcid machine in
@@ -280,14 +276,11 @@ let clone_of ?(verify = true) host image ~orig_seg_bases ~orig_aux =
 let materialized_frames (c : Cki.Container.t) =
   let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
   let id = c.Cki.Container.container_id in
-  let meta = ref 0 in
-  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-    match (Hw.Phys_mem.owner mem pfn, Hw.Phys_mem.kind mem pfn) with
-    | Hw.Phys_mem.Ksm k, _ when k = id -> incr meta
-    | Hw.Phys_mem.Container k, (Hw.Phys_mem.Page_table _ | Hw.Phys_mem.Kernel_code) when k = id ->
-        incr meta
-    | _ -> ()
-  done;
+  let meta = ref (Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm id)) in
+  Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container id) (fun pfn ->
+      match Hw.Phys_mem.kind mem pfn with
+      | Hw.Phys_mem.Page_table _ | Hw.Phys_mem.Kernel_code -> incr meta
+      | _ -> ());
   let kernel = c.Cki.Container.backend.Virt.Backend.kernel in
   List.fold_left
     (fun acc (task : Kernel_model.Task.t) ->

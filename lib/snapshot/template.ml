@@ -95,22 +95,7 @@ let container t = t.container
 let image t = t.image
 let map t = t.map
 
-(* Does any of this template's shared frames still carry a clone
-   reference?  The scan mirrors [Container.destroy]'s own pre-check:
-   shared_ro frames owned by the template container with refcount > 0
-   are exactly the frames live CoW children still point at. *)
-let in_use t =
-  let c = t.container in
-  let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
-  let id = c.Cki.Container.container_id in
-  let used = ref false in
-  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do
-    match Hw.Phys_mem.owner mem pfn with
-    | (Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k) when k = id ->
-        if Hw.Phys_mem.is_shared_ro mem pfn && Hw.Phys_mem.refcount mem pfn > 0 then used := true
-    | _ -> ()
-  done;
-  !used
+let in_use t = Cki.Container.has_live_clones t.container
 
 (* Tear a template down.  The refcount assertion is the point: freeing
    a frame a CoW child still references would hand the child's memory

@@ -36,9 +36,9 @@ val image : t -> Image.t
 val map : t -> Capture.map
 
 val in_use : t -> bool
-(** [true] while any CoW child still references one of the template's
-    shared frames (refcount > 0) — destroying it then would hand a live
-    clone's memory to the next allocation. *)
+(** {!Cki.Container.has_live_clones} of the template's container:
+    destroying it then would hand a live clone's memory to the next
+    allocation. *)
 
 val destroy : t -> unit
 (** Tear the template's container down and free its frames.

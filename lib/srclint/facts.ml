@@ -3,9 +3,10 @@
    One [Ast_iterator] pass collects everything the rule families need:
    cross-library module references, raw-memory write-sink mentions,
    [Gate_enter]/[Gate_exit] constructions, [Obj.magic] / [assert false]
-   occurrences; a separate shallow walk over structure items inventories
-   module-toplevel mutable state (the domain-sharding race hazards),
-   honouring the [@@single_domain "reason"] escape hatch. *)
+   occurrences, whole-machine frame sweeps; a separate shallow walk
+   over structure items inventories module-toplevel mutable state (the
+   domain-sharding race hazards), honouring the [@@single_domain
+   "reason"] escape hatch. *)
 
 open Asttypes
 open Parsetree
@@ -33,6 +34,9 @@ type t = {
   gate_exits : int list;
   obj_magics : int list;
   assert_falses : int list;
+  frame_sweeps : int list;
+      (** lines of [for _ = 0 to ... Phys_mem.total_frames ... - 1]
+          loops: an O(machine) scan where an owner index would do *)
 }
 
 let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
@@ -74,6 +78,7 @@ type acc = {
   mutable exits : int list;
   mutable magics : int list;
   mutable asserts : int list;
+  mutable sweeps : int list;
 }
 
 let add_ref acc head line =
@@ -103,8 +108,27 @@ let module_path acc lid loc =
       end
   | [] -> ()
 
+(* Does [e] mention [Phys_mem.total_frames] anywhere? *)
+let mentions_total_frames e =
+  let found = ref false in
+  let open Ast_iterator in
+  let expr sub e =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> (
+        match List.rev (Longident.flatten txt) with
+        | "total_frames" :: m :: _ when m = sink_module -> found := true
+        | _ -> ())
+    | _ -> ());
+    default_iterator.expr sub e
+  in
+  let iter = { default_iterator with expr } in
+  iter.expr iter e;
+  !found
+
 let iterate_structure str =
-  let acc = { refs = []; sinks = []; enters = []; exits = []; magics = []; asserts = [] } in
+  let acc =
+    { refs = []; sinks = []; enters = []; exits = []; magics = []; asserts = []; sweeps = [] }
+  in
   let open Ast_iterator in
   let expr sub e =
     (match e.pexp_desc with
@@ -126,6 +150,9 @@ let iterate_structure str =
     | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
       ->
         acc.asserts <- line_of e.pexp_loc :: acc.asserts
+    | Pexp_for (_, { pexp_desc = Pexp_constant (Pconst_integer ("0", None)); _ }, hi, Upto, _)
+      when mentions_total_frames hi ->
+        acc.sweeps <- line_of e.pexp_loc :: acc.sweeps
     | _ -> ());
     default_iterator.expr sub e
   in
@@ -333,4 +360,5 @@ let extract (str : Parsetree.structure) : t =
     gate_exits = List.rev acc.exits;
     obj_magics = List.rev acc.magics;
     assert_falses = List.rev acc.asserts;
+    frame_sweeps = List.rev acc.sweeps;
   }

@@ -25,6 +25,9 @@ type t = {
   gate_exits : int list;
   obj_magics : int list;
   assert_falses : int list;
+  frame_sweeps : int list;
+      (** lines of [for _ = 0 to ... Phys_mem.total_frames ... - 1]
+          loops: an O(machine) scan where an owner index would do *)
 }
 
 val write_sinks : string list

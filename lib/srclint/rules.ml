@@ -229,6 +229,17 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
                  "assert false inside a TCB file; make the impossible case a typed error"))
           facts.Facts.assert_falses
       end;
+      (* Ownership questions go through [Phys_mem]'s owner index
+         ([iter_owned]/[owned_count]); only the hardware model itself
+         may walk every frame. *)
+      if (not exe) && not (String.starts_with ~prefix:"lib/hw/" path) then
+        List.iter
+          (fun line ->
+            emit
+              (mk "frame-sweep" warn path line "Phys_mem.total_frames"
+                 "loop over every physical frame outside lib/hw; use \
+                  Hw.Phys_mem.iter_owned or owned_count, which cost O(frames owned)"))
+          facts.Facts.frame_sweeps;
       let n_enter = List.length facts.Facts.gate_enters
       and n_exit = List.length facts.Facts.gate_exits in
       if n_enter <> n_exit && not exe then

@@ -8,8 +8,9 @@
    packed-array + Bigarray-arena representation must be byte-for-byte
    identical, proving the swap changed raw speed only.  Around it:
    allocator free-count bookkeeping, allocation-order preservation,
-   arena slot recycling, and the translation fast path's
-   subset-of-the-TLB invalidation discipline. *)
+   arena slot recycling, the per-owner frame index against a brute-force
+   scan, and the translation fast path's subset-of-the-TLB invalidation
+   discipline. *)
 
 open Alcotest
 
@@ -178,6 +179,166 @@ let test_table_entries_snapshot () =
   snap.(3) <- 0L;
   check bool "mutating the snapshot does not write memory" true
     (Hw.Phys_mem.read_entry m ~pfn:f ~index:3 = 99L)
+
+(* ------------------------------------------------------------------ *)
+(* Owner index                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Container 40 encodes past the index's initial table, so runs also
+   exercise its growth. *)
+let index_owners =
+  Hw.Phys_mem.[| Host; Container 1; Ksm 1; Container 2; Ksm 2; Container 40; Ksm 40 |]
+
+let delegated_ids = [| 1; 2; 40 |]
+
+type owner_op =
+  | Alloc of int  (** owner index *)
+  | Alloc_contiguous of int * int  (** owner index, count *)
+  | Free of int  (** index into the owned frames, modulo *)
+  | Set_owner of int * int  (** owned-frame index, owner index *)
+  | Delegate of int * int  (** delegated-id index, frames (scatter; may roll back) *)
+  | Reclaim of int  (** delegated-id index *)
+
+let show_owner_op = function
+  | Alloc o -> Printf.sprintf "alloc %d" o
+  | Alloc_contiguous (o, n) -> Printf.sprintf "alloc_contiguous %d x%d" o n
+  | Free i -> Printf.sprintf "free #%d" i
+  | Set_owner (i, o) -> Printf.sprintf "set_owner #%d %d" i o
+  | Delegate (c, n) -> Printf.sprintf "delegate %d x%d" delegated_ids.(c) n
+  | Reclaim c -> Printf.sprintf "reclaim %d" delegated_ids.(c)
+
+let owner_ops =
+  let open QCheck.Gen in
+  let o = int_bound (Array.length index_owners - 1) in
+  let c = int_bound (Array.length delegated_ids - 1) in
+  let op =
+    frequency
+      [
+        (4, map (fun o -> Alloc o) o);
+        (2, map2 (fun o n -> Alloc_contiguous (o, n)) o (int_range 1 40));
+        (4, map (fun i -> Free i) nat);
+        (2, map2 (fun i o -> Set_owner (i, o)) nat o);
+        (1, map2 (fun c n -> Delegate (c, n)) c (int_range 64 200));
+        (1, map (fun c -> Reclaim c) c);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_owner_op ops))
+    (list_size (int_range 1 120) op)
+
+(* After every step, for every owner: [iter_owned] yields exactly the
+   frames a brute-force scan finds, each once, and [owned_count] and
+   [count_owned] agree with it. *)
+let prop_owner_index =
+  QCheck.Test.make ~name:"iter_owned/owned_count match a brute-force scan" ~count:200 owner_ops
+    (fun ops ->
+      (* 1 MiB = 256 frames: several bitmap words, small enough for
+         scatter delegation to fail and roll back. *)
+      let machine = Hw.Machine.create ~mem_mib:1 () in
+      let host = Cki.Host.create ~policy:Cki.Host.Scatter machine in
+      let m = Hw.Machine.mem machine in
+      let frames = List.init (Hw.Phys_mem.total_frames m) Fun.id in
+      let owned () = List.filter (fun pfn -> not (Hw.Phys_mem.is_free m pfn)) frames in
+      let nth_owned i k = match owned () with [] -> () | l -> k (List.nth l (i mod List.length l)) in
+      let step = function
+        | Alloc o -> (
+            try ignore (Hw.Phys_mem.alloc m ~owner:index_owners.(o) ~kind:Hw.Phys_mem.Data)
+            with Hw.Phys_mem.Out_of_memory -> ())
+        | Alloc_contiguous (o, count) -> (
+            try
+              ignore
+                (Hw.Phys_mem.alloc_contiguous m ~owner:index_owners.(o) ~kind:Hw.Phys_mem.Data ~count)
+            with Hw.Phys_mem.Out_of_memory -> ())
+        | Free i -> nth_owned i (Hw.Phys_mem.free m)
+        | Set_owner (i, o) -> nth_owned i (fun pfn -> Hw.Phys_mem.set_owner m pfn index_owners.(o))
+        | Delegate (c, frames) -> (
+            try ignore (Cki.Host.delegate host ~container:delegated_ids.(c) ~frames)
+            with Hw.Phys_mem.Out_of_memory -> ())
+        | Reclaim c -> Cki.Host.reclaim_segment host ~container:delegated_ids.(c)
+      in
+      let consistent op =
+        Array.iter
+          (fun owner ->
+            let scan = List.filter (fun pfn -> Hw.Phys_mem.owner m pfn = owner) frames in
+            let seen = ref [] in
+            Hw.Phys_mem.iter_owned m owner (fun pfn -> seen := pfn :: !seen);
+            let fail_on what =
+              QCheck.Test.fail_reportf "after %s: %s for %s" (show_owner_op op) what
+                (Hw.Phys_mem.show_owner owner)
+            in
+            if List.sort compare !seen <> scan then fail_on "iter_owned differs from the scan";
+            if Hw.Phys_mem.owned_count m owner <> List.length scan then
+              fail_on "owned_count differs from the scan";
+            if Hw.Phys_mem.count_owned m (Hw.Phys_mem.equal_owner owner) <> List.length scan then
+              fail_on "count_owned differs from the scan")
+          index_owners;
+        if Hw.Phys_mem.owned_count m Hw.Phys_mem.Free <> Hw.Phys_mem.free_frames m then
+          QCheck.Test.fail_reportf "after %s: owned_count Free <> free_frames" (show_owner_op op)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          consistent op)
+        ops;
+      true)
+
+(* Under mem tracing, every frame [iter_owned] visits is one traced
+   read. *)
+let test_iter_owned_traced () =
+  let m = Hw.Phys_mem.create ~frames:64 in
+  let owner = Hw.Phys_mem.Container 3 in
+  ignore (Hw.Phys_mem.alloc_contiguous m ~owner ~kind:Hw.Phys_mem.Data ~count:5);
+  ignore (Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data);
+  let visited = ref [] in
+  let (), trace =
+    Hw.Probe.set_mem_trace true;
+    Fun.protect
+      ~finally:(fun () -> Hw.Probe.set_mem_trace false)
+      (fun () ->
+        Analysis.Trace.with_recorder (fun () ->
+            Hw.Phys_mem.iter_owned m owner (fun pfn -> visited := pfn :: !visited)))
+  in
+  let reads =
+    List.filter_map
+      (function
+        | Hw.Probe.Mem_read { mem; pfn } when mem = Hw.Phys_mem.mem_id m -> Some pfn | _ -> None)
+      (Analysis.Trace.events trace)
+  in
+  check int "five frames visited" 5 (List.length !visited);
+  check (list int) "one Mem_read per visited frame" (List.sort compare !visited)
+    (List.sort compare reads)
+
+(* Destroying a warm clone on a full-size (512 MiB) host leaves nothing
+   in the owner index for its container or its KSM, and unpins the
+   template. *)
+let test_destroyed_clone_owns_nothing () =
+  let host = Cki.Host.create (Hw.Machine.create ~mem_mib:512 ()) in
+  let mem = Hw.Machine.mem (Cki.Host.machine host) in
+  let c = Cki.Container.create host in
+  init_workload c;
+  let tpl =
+    match Snapshot.Template.create c with
+    | Ok t -> t
+    | Error e -> fail ("template: " ^ Snapshot.Template.show_error e)
+  in
+  let clone =
+    match Snapshot.Template.clone tpl with
+    | Ok c -> c
+    | Error e -> fail ("clone: " ^ Snapshot.Template.show_error e)
+  in
+  (* Break CoW on one page so the clone owns a private data frame. *)
+  (match Kernel_model.Kernel.tasks clone.Cki.Container.backend.Virt.Backend.kernel with
+  | task :: _ -> Kernel_model.Mm.touch task.Kernel_model.Task.mm Kernel_model.Mm.user_mmap_base ~write:true
+  | [] -> fail "clone has no task");
+  let id = clone.Cki.Container.container_id in
+  check bool "template pinned by the clone" true (Snapshot.Template.in_use tpl);
+  check bool "clone owns KSM frames" true (Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm id) > 0);
+  check bool "clone owns data frames" true
+    (Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Container id) > 0);
+  Cki.Container.destroy clone;
+  check int "Container id owns nothing" 0 (Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Container id));
+  check int "Ksm id owns nothing" 0 (Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm id));
+  check bool "template unpinned" false (Snapshot.Template.in_use tpl)
 
 (* ------------------------------------------------------------------ *)
 (* Translation fast path                                               *)
@@ -396,6 +557,12 @@ let suite =
         test_case "contiguous runs across bitmap words" `Quick test_contiguous_across_words;
         test_case "arena slots are recycled zeroed" `Quick test_arena_slot_recycling;
         test_case "table_entries is a snapshot" `Quick test_table_entries_snapshot;
+      ] );
+    ( "engine-owner-index",
+      [
+        QCheck_alcotest.to_alcotest prop_owner_index;
+        test_case "iter_owned traces one read per frame" `Quick test_iter_owned_traced;
+        test_case "destroyed clone owns no frames" `Quick test_destroyed_clone_owns_nothing;
       ] );
     ( "engine-tcache",
       [ test_case "fast path observationally invisible" `Quick test_tcache_invisible ] );

@@ -306,6 +306,42 @@ let test_hygiene_probe_pairing () =
   in
   silent "paired emissions" "probe-pairing" findings
 
+let test_hygiene_frame_sweep () =
+  let sweep =
+    "let count mem =\n\
+    \  let n = ref 0 in\n\
+    \  for pfn = 0 to Hw.Phys_mem.total_frames mem - 1 do\n\
+    \    if Hw.Phys_mem.owner mem pfn = Hw.Phys_mem.Host then incr n\n\
+    \  done;\n\
+    \  !n\n"
+  in
+  let findings =
+    scan ~arch:app_arch
+      [
+        ("lib/app/dune", lib_dune "app");
+        ("lib/app/sweep.ml", sweep);
+        ("lib/app/sweep.mli", "val count : 'a -> int\n");
+      ]
+  in
+  fires "whole-machine loop outside lib/hw" "frame-sweep" ~file:"lib/app/sweep.ml" ~line:3 findings;
+  (* the hardware model itself may walk every frame, and the owner
+     index is the sanctioned replacement elsewhere *)
+  let findings =
+    scan ~arch:[ ("hw", []); ("app", []) ]
+      [
+        ("lib/hw/dune", lib_dune "hw");
+        ("lib/hw/sweep.ml", sweep);
+        ("lib/hw/sweep.mli", "val count : 'a -> int\n");
+        ("lib/app/dune", lib_dune "app");
+        ( "lib/app/owned.ml",
+          "let count mem = Hw.Phys_mem.owned_count mem Hw.Phys_mem.Host\n\
+           let each mem f = for i = 0 to 7 do f i done; Hw.Phys_mem.iter_owned mem Hw.Phys_mem.Host f\n"
+        );
+        ("lib/app/owned.mli", "val count : 'a -> int\nval each : 'a -> (int -> unit) -> unit\n");
+      ]
+  in
+  silent "lib/hw sweep and owner-index calls" "frame-sweep" findings
+
 let test_parse_error_reported () =
   let findings =
     scan ~arch:app_arch
@@ -635,7 +671,9 @@ let test_golden_repo_clean () =
       fail
         (Printf.sprintf "repo must scan clean modulo baseline, got:\n%s"
            (Report.Findings.render ~title:"srclint" (Srclint.to_findings fs))));
-  check int "no stale baseline entries" 0 (List.length chk.Srclint.stale)
+  check int "no stale baseline entries" 0 (List.length chk.Srclint.stale);
+  check_bool "baseline accepts no frame-sweep" true
+    (not (List.exists (fun (e : Srclint.Baseline.entry) -> e.Srclint.Baseline.rule = "frame-sweep") entries))
 
 let test_golden_domain_safety_core_empty () =
   (* The satellite fixes promise: no domain-safety debt — baselined or
@@ -691,6 +729,7 @@ let suite =
         test_case "missing mli fires" `Quick test_hygiene_missing_mli;
         test_case "Obj.magic / assert false in TCB fire" `Quick test_hygiene_tcb_unsafe;
         test_case "unpaired gate probes fire" `Quick test_hygiene_probe_pairing;
+        test_case "whole-machine frame sweep fires" `Quick test_hygiene_frame_sweep;
         test_case "parse errors become findings" `Quick test_parse_error_reported;
       ] );
     ( "srclint-escape",
