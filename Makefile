@@ -18,6 +18,8 @@ check: test examples lint-src race-check
 	dune exec bin/cki_demo.exe -- attack --check
 	dune exec bin/cki_demo.exe -- kv --check --clients 8
 	dune exec bin/cki_demo.exe -- serve --check --containers 2 --requests 50
+	dune exec bin/cki_demo.exe -- snapshot --check -o _build/demo.ckisnap
+	dune exec bin/cki_demo.exe -- restore --check -i _build/demo.ckisnap
 	dune exec bin/cki_demo.exe -- clone --check
 	dune exec bin/cki_demo.exe -- fleet --check --tenants 2 --rate 45000 -r 2000
 	dune exec bin/cki_demo.exe -- migrate --check --chaos

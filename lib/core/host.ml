@@ -170,96 +170,3 @@ let injected_virqs t = t.injected_virqs
 let hw_interrupt_count t = t.hw_interrupts
 let doorbell_count t = t.doorbells
 
-(* ------------------------------------------------------------------ *)
-(* Warm pool: pre-booted clone templates for instant scale-out         *)
-(* ------------------------------------------------------------------ *)
-
-(* Polymorphic so lib/core need not depend on lib/snapshot: the host
-   manages the pool discipline (pre-boot N, rotate, refill on miss);
-   the snapshot layer supplies the template type and the clone step. *)
-module Warm_pool = struct
-  type 'a t = {
-    make : unit -> 'a;
-    target : int;
-    low_water : int;
-    ready : 'a Queue.t;
-    mutable prebooted : int;  (** templates ever built (pre-boot + misses + refills) *)
-    mutable served : int;  (** take requests served *)
-    mutable hits : int;  (** takes served from a ready template *)
-    mutable misses : int;  (** takes that had to build inline (cold path) *)
-    mutable refills : int;  (** templates built by refill_low_water *)
-  }
-
-  let refill_to p n =
-    let built = ref 0 in
-    while Queue.length p.ready < n do
-      Queue.add (p.make ()) p.ready;
-      p.prebooted <- p.prebooted + 1;
-      incr built
-    done;
-    !built
-
-  let create ?(low_water = 0) ~target ~make () =
-    if target < 0 || low_water < 0 || low_water > target then invalid_arg "Warm_pool.create";
-    let p =
-      {
-        make;
-        target;
-        low_water;
-        ready = Queue.create ();
-        prebooted = 0;
-        served = 0;
-        hits = 0;
-        misses = 0;
-        refills = 0;
-      }
-    in
-    ignore (refill_to p target);
-    p
-
-  (* Templates are immutable once frozen, so a take rotates rather than
-     consumes: the same template serves an unbounded number of clones.
-     An empty pool is a miss — the cold build happens inline, which is
-     exactly what [refill_low_water] exists to get ahead of. *)
-  let take p =
-    p.served <- p.served + 1;
-    match Queue.take_opt p.ready with
-    | Some x ->
-        p.hits <- p.hits + 1;
-        Queue.add x p.ready;
-        x
-    | None ->
-        let x = p.make () in
-        p.prebooted <- p.prebooted + 1;
-        p.misses <- p.misses + 1;
-        Queue.add x p.ready;
-        x
-
-  (* The background-refill hook: called from the host's idle path (the
-     fleet controller runs it between event-loop rounds), it tops the
-     pool back to target once the ready count dips below the low-water
-     mark, so a scale-out burst keeps hitting warm templates instead of
-     collapsing to the cold build silently. *)
-  let refill_low_water p =
-    if Queue.length p.ready < p.low_water then begin
-      let built = refill_to p p.target in
-      p.refills <- p.refills + built;
-      built
-    end
-    else 0
-
-  (* Hand the drained templates back to the caller: only the snapshot
-     layer knows whether a template still backs live CoW clones and may
-     be destroyed or must be retired until its refcounts drop. *)
-  let drain p =
-    let items = List.of_seq (Queue.to_seq p.ready) in
-    Queue.clear p.ready;
-    items
-
-  let size p = Queue.length p.ready
-  let prebooted p = p.prebooted
-  let served p = p.served
-  let hits p = p.hits
-  let misses p = p.misses
-  let refills p = p.refills
-end

@@ -65,38 +65,3 @@ val hw_interrupt_count : t -> int
 val doorbell_count : t -> int
 (** Device-doorbell hypercalls (Net/Blk kinds) handled. *)
 
-(** Warm pool of pre-booted clone templates. Polymorphic in the
-    template type so lib/core does not depend on lib/snapshot; the
-    snapshot layer instantiates it with frozen templates and serves
-    [spawn_fast] from it. Templates are immutable once frozen, so
-    {!Warm_pool.take} rotates rather than consumes. *)
-module Warm_pool : sig
-  type 'a t
-
-  val create : ?low_water:int -> target:int -> make:(unit -> 'a) -> unit -> 'a t
-  (** Pre-boot [target] templates with [make]. [low_water] (default 0)
-      arms {!refill_low_water}. *)
-
-  val take : 'a t -> 'a
-  (** Next ready template (round-robin); falls back to [make] — and
-      keeps the new template in the pool — when empty. A take from a
-      ready template counts as a hit, an inline build as a miss. *)
-
-  val refill_low_water : 'a t -> int
-  (** Background-refill hook: when the ready count has dipped below the
-      low-water mark, rebuild up to target; returns templates built. *)
-
-  val drain : 'a t -> 'a list
-  (** Empty the ready queue (simulating template eviction); returns the
-      drained templates so the caller can decide their fate — only the
-      snapshot layer knows whether one still backs live CoW clones and
-      must be retired rather than destroyed. The next {!take} is a miss
-      unless {!refill_low_water} runs first. *)
-
-  val size : 'a t -> int
-  val prebooted : 'a t -> int
-  val served : 'a t -> int
-  val hits : 'a t -> int
-  val misses : 'a t -> int
-  val refills : 'a t -> int
-end

@@ -5,117 +5,81 @@
    assertions ("a PVM page fault performs 6 context switches") and the
    benches can print breakdowns.
 
-   Two tiers of accounting:
-
-   - the general string-keyed path ([charge]/[count]) backed by
-     hashtables — fine for cold events (boots, snapshots, gate
-     crossings);
-   - a fast path for the engine's per-access hot events: a handful of
-     well-known event names are pre-interned at fixed integer ids
-     ([id_tlb_hit] &c.), charged through flat arrays ([charge_id]) with
-     no hashing or boxing.  Every query ([occurrences], [spent_on],
-     [events], [pp]) merges both tiers, so callers cannot observe which
-     tier an event was charged through. *)
-
-(* Well-known hot events, interned at fixed ids.  Ids are part of the
-   accounting format; append only. *)
-let id_tlb_hit = 0
-let id_tlb_miss_walk = 1
-let id_virtio_copy = 2
-let id_virtio_post = 3
-let id_virtio_service = 4
-let id_virtio_event_idx = 5
-let id_virtio_doorbell = 6
-let num_ids = 7
-
-let id_name = function
-  | 0 -> "tlb_hit"
-  | 1 -> "tlb_miss_walk"
-  | 2 -> "virtio_copy"
-  | 3 -> "virtio_post"
-  | 4 -> "virtio_service"
-  | 5 -> "virtio_event_idx"
-  | 6 -> "virtio_doorbell"
-  | _ -> invalid_arg "Clock.id_name"
+   One storage, keyed by event name: a per-clock hashtable maps each
+   name to a slot in flat [names]/[counts]/[spent] arrays, which grow by
+   doubling.  A charge is one [Hashtbl.find] plus two array updates;
+   queries never create a slot.  Names rather than fixed ids are the
+   key because the name set is open: some are built at run time
+   ("sys_" ^ syscall), and tests and benches charge and look up ad-hoc
+   ones. *)
 
 type t = {
   mutable now_ns : float;
-  counters : (string, int) Hashtbl.t;
-  spent : (string, float) Hashtbl.t;
-  id_counts : int array;  (** well-known tier, indexed by id *)
-  id_spent : float array;
+  slots : (string, int) Hashtbl.t;  (** event name -> index into the arrays *)
+  mutable names : string array;
+  mutable counts : int array;
+  mutable spent : float array;
 }
+
+let initial_slots = 64
 
 let create () =
   {
     now_ns = 0.0;
-    counters = Hashtbl.create 64;
-    spent = Hashtbl.create 64;
-    id_counts = Array.make num_ids 0;
-    id_spent = Array.make num_ids 0.0;
+    slots = Hashtbl.create initial_slots;
+    names = Array.make initial_slots "";
+    counts = Array.make initial_slots 0;
+    spent = Array.make initial_slots 0.0;
   }
 
 let now t = t.now_ns
 
-(* Charge [ns] of simulated time attributed to the pre-interned event
-   [id]: two array stores, no hashing, no allocation. *)
-let charge_id t id ns =
-  t.now_ns <- t.now_ns +. ns;
-  t.id_counts.(id) <- t.id_counts.(id) + 1;
-  t.id_spent.(id) <- t.id_spent.(id) +. ns
+let grow t =
+  let n = Array.length t.names in
+  let extend a fill = Array.append a (Array.make n fill) in
+  t.names <- extend t.names "";
+  t.counts <- extend t.counts 0;
+  t.spent <- extend t.spent 0.0
 
-let count_id t id = t.id_counts.(id) <- t.id_counts.(id) + 1
+(* The slot of [event], created (zeroed) on first use. *)
+let slot t event =
+  match Hashtbl.find t.slots event with
+  | i -> i
+  | exception Not_found ->
+      let i = Hashtbl.length t.slots in
+      if i = Array.length t.names then grow t;
+      t.names.(i) <- event;
+      t.counts.(i) <- 0;
+      t.spent.(i) <- 0.0;
+      Hashtbl.add t.slots event i;
+      i
 
-(* Resolve a string event name to its well-known id, if any.  Only used
-   on cold paths (queries, and the string [charge] below). *)
-let id_of_name = function
-  | "tlb_hit" -> 0
-  | "tlb_miss_walk" -> 1
-  | "virtio_copy" -> 2
-  | "virtio_post" -> 3
-  | "virtio_service" -> 4
-  | "virtio_event_idx" -> 5
-  | "virtio_doorbell" -> 6
-  | _ -> -1
-
-(* Charge [ns] of simulated time attributed to [event].  Well-known
-   names are redirected to the fast tier so both charge paths feed the
-   same counters. *)
+(* Charge [ns] of simulated time attributed to [event]. *)
 let charge t event ns =
-  let id = id_of_name event in
-  if id >= 0 then charge_id t id ns
-  else begin
-    t.now_ns <- t.now_ns +. ns;
-    Hashtbl.replace t.counters event (1 + Option.value ~default:0 (Hashtbl.find_opt t.counters event));
-    Hashtbl.replace t.spent event (ns +. Option.value ~default:0.0 (Hashtbl.find_opt t.spent event))
-  end
+  let i = slot t event in
+  t.now_ns <- t.now_ns +. ns;
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.spent.(i) <- t.spent.(i) +. ns
 
 (* Record an event occurrence without advancing time. *)
 let count t event =
-  let id = id_of_name event in
-  if id >= 0 then count_id t id
-  else
-    Hashtbl.replace t.counters event (1 + Option.value ~default:0 (Hashtbl.find_opt t.counters event))
+  let i = slot t event in
+  t.counts.(i) <- t.counts.(i) + 1
 
 (* Advance time without attributing it to a named event (pure compute). *)
 let advance t ns = t.now_ns <- t.now_ns +. ns
 
 let occurrences t event =
-  let id = id_of_name event in
-  if id >= 0 then t.id_counts.(id)
-  else Option.value ~default:0 (Hashtbl.find_opt t.counters event)
+  match Hashtbl.find_opt t.slots event with Some i -> t.counts.(i) | None -> 0
 
 let spent_on t event =
-  let id = id_of_name event in
-  if id >= 0 then t.id_spent.(id)
-  else Option.value ~default:0.0 (Hashtbl.find_opt t.spent event)
+  match Hashtbl.find_opt t.slots event with Some i -> t.spent.(i) | None -> 0.0
 
+(* Slots are zeroed again when re-created, so dropping the index is
+   enough. *)
 let reset t =
   t.now_ns <- 0.0;
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.spent;
-  Array.fill t.id_counts 0 num_ids 0;
-  Array.fill t.id_spent 0 num_ids 0.0
+  Hashtbl.reset t.slots
 
 (* Run [f] and return its result together with the simulated time it
    consumed. *)
@@ -125,32 +89,21 @@ let timed t f =
   (r, t.now_ns -. t0)
 
 let events t =
-  let acc = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters [] in
-  let acc = ref acc in
-  for i = 0 to num_ids - 1 do
-    if t.id_counts.(i) > 0 then acc := (id_name i, t.id_counts.(i)) :: !acc
-  done;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun name i acc -> (name, t.counts.(i)) :: acc) t.slots [])
 
 (* Ordered reduction support for the domain-sharded engine: fold [src]'s
-   elapsed time and every counter into [into].  Callers reduce per-lane
-   clocks in a fixed lane order, so merged totals are deterministic
-   (float additions happen in the same order every run). *)
+   elapsed time and every counter into [into], slot by slot.  Callers
+   reduce per-lane clocks in a fixed lane order, so merged totals are
+   deterministic (float additions happen in the same order every run). *)
 let add_into ~into src =
   into.now_ns <- into.now_ns +. src.now_ns;
-  for i = 0 to num_ids - 1 do
-    into.id_counts.(i) <- into.id_counts.(i) + src.id_counts.(i);
-    into.id_spent.(i) <- into.id_spent.(i) +. src.id_spent.(i)
-  done;
-  List.iter
-    (fun (e, n) ->
-      if id_of_name e < 0 then begin
-        Hashtbl.replace into.counters e (n + Option.value ~default:0 (Hashtbl.find_opt into.counters e));
-        let ns = Option.value ~default:0.0 (Hashtbl.find_opt src.spent e) in
-        Hashtbl.replace into.spent e (ns +. Option.value ~default:0.0 (Hashtbl.find_opt into.spent e))
-      end)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b)
-       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.counters []))
+  for i = 0 to Hashtbl.length src.slots - 1 do
+    let j = slot into src.names.(i) in
+    into.counts.(j) <- into.counts.(j) + src.counts.(i);
+    into.spent.(j) <- into.spent.(j) +. src.spent.(i)
+  done
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>clock: %.0f ns@," t.now_ns;

@@ -3,7 +3,10 @@
     Every latency the simulator charges flows through a {!t}; named
     event counters record {e why} time was spent, so tests can make
     structural assertions ("a PVM page fault performs 6 context
-    switches") and benches can print breakdowns. *)
+    switches") and benches can print breakdowns.
+
+    Event names are the only key: one per-clock table maps each name to
+    a counter slot, and every charge and query goes through it. *)
 
 type t
 
@@ -15,29 +18,6 @@ val now : t -> float
 val charge : t -> string -> float -> unit
 (** [charge t event ns] advances simulated time by [ns], attributed to
     [event] (occurrence count and total ns are both recorded). *)
-
-(** {1 Pre-interned hot events}
-
-    The engine's per-access costs are charged through fixed integer
-    ids backed by flat arrays — no hashing, no allocation.  The two
-    tiers feed the same counters: [occurrences t "tlb_hit"] sees
-    charges made through [charge_id t id_tlb_hit]. *)
-
-val id_tlb_hit : int
-val id_tlb_miss_walk : int
-val id_virtio_copy : int
-val id_virtio_post : int
-val id_virtio_service : int
-val id_virtio_event_idx : int
-val id_virtio_doorbell : int
-
-val id_name : int -> string
-(** The event name a well-known id stands for. *)
-
-val charge_id : t -> int -> float -> unit
-(** [charge t (id_name id) ns], without the hashing. *)
-
-val count_id : t -> int -> unit
 
 val add_into : into:t -> t -> unit
 (** [add_into ~into src] folds [src]'s elapsed time and every event
@@ -53,7 +33,8 @@ val advance : t -> float -> unit
     application compute). *)
 
 val occurrences : t -> string -> int
-(** How many times [event] was charged/counted. *)
+(** How many times [event] was charged/counted; 0 for a name never
+    seen, and the query does not record it. *)
 
 val spent_on : t -> string -> float
 (** Total nanoseconds attributed to [event]. *)

@@ -271,7 +271,7 @@ let access t (pt : Page_table.t) ~va ~(access_kind : Pks.access) ?(exec = false)
   in
   if slot >= 0 then begin
     Tlb.note_hit t.tlb;
-    Clock.charge_id t.clock Clock.id_tlb_hit Cost.tlb_hit;
+    Clock.charge t.clock "tlb_hit" Cost.tlb_hit;
     let meta = t.tc_meta.(slot) in
     match tc_check t ~va ~access:access_kind ~exec meta with
     | Some f -> Error f
@@ -305,19 +305,19 @@ let access t (pt : Page_table.t) ~va ~(access_kind : Pks.access) ?(exec = false)
     in
     match Tlb.lookup t.tlb ~pcid:t.pcid va with
     | Some e ->
-        Clock.charge_id t.clock Clock.id_tlb_hit Cost.tlb_hit;
+        Clock.charge t.clock "tlb_hit" Cost.tlb_hit;
         fill_tc ~pfn:e.Tlb.pfn ~flags:e.Tlb.flags ~level:e.Tlb.level;
         let pte = Pte.make ~pfn:e.Tlb.pfn ~flags:e.Tlb.flags in
         finish pte e.Tlb.level
     | None -> (
         match Page_table.walk pt va with
         | exception Page_table.Translation_fault _ ->
-            Clock.charge_id t.clock Clock.id_tlb_miss_walk
+            Clock.charge t.clock "tlb_miss_walk"
               (float_of_int Cost.walk_refs_native *. Cost.walk_mem_ref);
             Error (Not_present va)
         | w ->
             let refs = w.Page_table.refs in
-            Clock.charge_id t.clock Clock.id_tlb_miss_walk (float_of_int refs *. Cost.walk_mem_ref);
+            Clock.charge t.clock "tlb_miss_walk" (float_of_int refs *. Cost.walk_mem_ref);
             let flags = Pte.flags_of w.pte in
             let pfn = Pte.pfn w.pte in
             Tlb.insert t.tlb ~pcid:t.pcid ~va { Tlb.pfn; flags; level = w.leaf_level };

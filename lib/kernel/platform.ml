@@ -95,7 +95,3 @@ let bare ?(name = "native") (machine : Hw.Machine.t) : t =
     guest_read_word = (fun pfn index -> Hw.Phys_mem.read_entry mem ~pfn ~index);
     guest_write_word = (fun pfn index v -> Hw.Phys_mem.write_entry mem ~pfn ~index v);
   }
-
-(* Look up the simulated page table behind a bare aspace — only exposed
-   for tests; virtualized platforms keep theirs private. *)
-let charge t event ns = Hw.Clock.charge t.clock event ns

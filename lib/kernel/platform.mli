@@ -49,5 +49,3 @@ type t = {
 val bare : ?name:string -> Hw.Machine.t -> t
 (** Bare-hardware platform for the host kernel / RunC: direct paging,
     native syscalls, no hypercalls. *)
-
-val charge : t -> string -> float -> unit

@@ -268,7 +268,7 @@ let reclaim t =
       if Bytes.get t.head_writes head <> '\000' && len > 0 then begin
         let data = Bytes.create len in
         chain_copy_out t head data ~limit:len;
-        Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_copy (float_of_int len *. Hw.Cost.copy_byte);
+        Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte);
         out := data :: !out
       end;
       chain_free t head;
@@ -293,7 +293,7 @@ let post_chain t ~data ~capacity ~write =
       if not write then begin
         (* Frontend copies the payload into the DMA buffers. *)
         chain_copy_in t head data;
-        Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_copy (float_of_int len *. Hw.Cost.copy_byte)
+        Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte)
       end;
       if t.head_ndesc.(head) < 0 then t.n_heads <- t.n_heads + 1;
       t.head_ndesc.(head) <- npages;
@@ -302,7 +302,7 @@ let post_chain t ~data ~capacity ~write =
       wr t t.avail_page (ring_word t t.avail_idx) (Int64.of_int head);
       t.avail_idx <- t.avail_idx + 1;
       wr t t.avail_page idx_word (Int64.of_int t.avail_idx);
-      Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_post Hw.Cost.virtio_frontend_work;
+      Hw.Clock.charge t.clock "virtio_post" Hw.Cost.virtio_frontend_work;
       true
     end
   in
@@ -324,7 +324,7 @@ let kick t ~doorbell =
     if t.avail_idx = t.kick_old then false  (* nothing new was posted *)
     else if t.window = 0 then true
     else begin
-      Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_event_idx Hw.Cost.event_idx_check;
+      Hw.Clock.charge t.clock "virtio_event_idx" Hw.Cost.event_idx_check;
       let ev = Int64.to_int (rd t t.used_page (event_word t)) in
       ev >= t.kick_old && ev < t.avail_idx
     end
@@ -333,7 +333,7 @@ let kick t ~doorbell =
   t.kick_old <- t.avail_idx;
   if rang then begin
     t.kicks <- t.kicks + 1;
-    Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_doorbell Hw.Cost.doorbell_write;
+    Hw.Clock.charge t.clock "virtio_doorbell" Hw.Cost.doorbell_write;
     Hw.Probe.emit_io_doorbell ~queue:t.name ~avail_idx:t.avail_idx ~in_flight:(in_flight t);
     doorbell ()
   end
@@ -361,13 +361,13 @@ let service t ~handle =
   let avail = Int64.to_int (rd t t.avail_page idx_word) in
   let n = avail - t.last_avail_seen in
   if n > 0 then begin
-    Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_service Hw.Cost.virtio_backend_service;
+    Hw.Clock.charge t.clock "virtio_service" Hw.Cost.virtio_backend_service;
     while t.last_avail_seen < avail do
       let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
       let total = chain_len t head in
       let data = Bytes.create total in
       chain_copy_out t head data ~limit:total;
-      Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_copy
+      Hw.Clock.charge t.clock "virtio_copy"
         (float_of_int total *. Hw.Cost.copy_byte);
       publish_used t ~head ~len:total;
       t.last_avail_seen <- t.last_avail_seen + 1;
@@ -386,7 +386,7 @@ let fill t ~data =
     let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
     let len = Bytes.length data in
     chain_copy_in t head data;
-    Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_copy (float_of_int len *. Hw.Cost.copy_byte);
+    Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte);
     publish_used t ~head ~len;
     t.last_avail_seen <- t.last_avail_seen + 1;
     rearm_avail_event t;
@@ -402,7 +402,7 @@ let complete ?(force = false) t ~inject =
     let should =
       if force || t.window = 0 then true
       else begin
-        Hw.Clock.charge_id t.clock Hw.Clock.id_virtio_event_idx Hw.Cost.event_idx_check;
+        Hw.Clock.charge t.clock "virtio_event_idx" Hw.Cost.event_idx_check;
         let ev = Int64.to_int (rd t t.avail_page (event_word t)) in
         ev >= t.complete_old && ev < t.used_idx
       end

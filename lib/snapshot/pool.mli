@@ -1,12 +1,11 @@
 (** Warm pool of frozen templates serving instant scale-out.
 
-    {!Cki.Host.Warm_pool} instantiated at {!Template.t}: [create]
-    pre-boots and freezes [target] templates; {!spawn_fast} rotates to
-    the next one and warm-clones it, paying neither guest-kernel boot
-    nor full-image copy.  A take from a ready template is a hit; a take
-    from an empty pool builds a template inline (the cold path) and is
-    counted as a miss — {!refill_low_water} is the background hook that
-    keeps bursts ahead of that cliff. *)
+    [create] pre-boots and freezes [target] templates; {!spawn_fast}
+    rotates to the next one and warm-clones it, paying neither
+    guest-kernel boot nor full-image copy.  A take from a ready template
+    is a hit; a take from an empty pool builds a template inline (the
+    cold path) and is counted as a miss — {!refill_low_water} is the
+    background hook that keeps bursts ahead of that cliff. *)
 
 type t
 

@@ -141,7 +141,7 @@ let pat_names p =
   iter.pat iter p;
   !acc
 
-let count_ident name e =
+let ident_uses name e =
   let n = ref 0 in
   let open Ast_iterator in
   let expr sub ex =
@@ -577,8 +577,8 @@ let analyze (tree : Source.tree) : result =
             lc.lc_direct
             && (not lc.lc_site.sp_rep)
             && capturing_sites lc.lc_name lc.lc_line = 1
-            && count_ident lc.lc_name lc.lc_scope
-               = count_ident lc.lc_name lc.lc_site.sp_closure
+            && ident_uses lc.lc_name lc.lc_scope
+               = ident_uses lc.lc_name lc.lc_site.sp_closure
           in
           if not sole_transfer then
             escapes :=

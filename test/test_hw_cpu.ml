@@ -306,6 +306,62 @@ let test_clock_accounting () =
   Hw.Clock.reset c;
   check_bool "reset" true (Hw.Clock.now c = 0.0 && Hw.Clock.occurrences c "x" = 0)
 
+let check_events = check (list (pair string int))
+
+(* More names than the initial slot capacity: every name keeps its own
+   count and time across the growth. *)
+let test_clock_many_names () =
+  let c = Hw.Clock.create () in
+  let n = 200 in
+  for round = 1 to 2 do
+    for i = 0 to n - 1 do
+      Hw.Clock.charge c (Printf.sprintf "ev%03d" i) (float_of_int (i * round))
+    done
+  done;
+  Hw.Clock.count c "ev000";
+  check_int "distinct events" n (List.length (Hw.Clock.events c));
+  check_int "first name" 3 (Hw.Clock.occurrences c "ev000");
+  check_int "last name" 2 (Hw.Clock.occurrences c "ev199");
+  check_bool "spent after growth" true (Hw.Clock.spent_on c "ev150" = 450.0);
+  check_bool "now" true (Hw.Clock.now c = float_of_int (3 * n * (n - 1) / 2))
+
+(* Reducing two clocks that saw the same names in different orders
+   gives the same ledger as making every charge on one clock. *)
+let test_clock_add_into () =
+  let a = Hw.Clock.create () and b = Hw.Clock.create () and one = Hw.Clock.create () in
+  let charges_a = [ ("tlb_hit", 1.0); ("sys_read", 40.0); ("virtio_copy", 2.5) ] in
+  let charges_b = [ ("virtio_copy", 7.0); ("only_b", 3.0); ("tlb_hit", 1.0); ("sys_read", 8.0) ] in
+  List.iter (fun (e, ns) -> Hw.Clock.charge a e ns) charges_a;
+  List.iter (fun (e, ns) -> Hw.Clock.charge b e ns) charges_b;
+  Hw.Clock.count b "sys_read";
+  List.iter (fun (e, ns) -> Hw.Clock.charge one e ns) (charges_a @ charges_b);
+  Hw.Clock.count one "sys_read";
+  let into = Hw.Clock.create () in
+  Hw.Clock.add_into ~into a;
+  Hw.Clock.add_into ~into b;
+  check_events "events" (Hw.Clock.events one) (Hw.Clock.events into);
+  List.iter
+    (fun (e, _) ->
+      check_bool ("spent_on " ^ e) true (Hw.Clock.spent_on into e = Hw.Clock.spent_on one e))
+    (Hw.Clock.events one);
+  check_bool "now" true (Hw.Clock.now into = Hw.Clock.now one)
+
+(* Queries never create a slot, and a reset clock starts every name
+   from zero. *)
+let test_clock_reset_and_queries () =
+  let c = Hw.Clock.create () in
+  Hw.Clock.charge c "a" 4.0;
+  check_int "unseen occurrences" 0 (Hw.Clock.occurrences c "never");
+  check_bool "unseen spent" true (Hw.Clock.spent_on c "never" = 0.0);
+  check_events "query adds nothing" [ ("a", 1) ] (Hw.Clock.events c);
+  Hw.Clock.reset c;
+  check_events "reset empties events" [] (Hw.Clock.events c);
+  Hw.Clock.charge c "b" 1.0;
+  Hw.Clock.charge c "a" 2.0;
+  check_events "re-charged" [ ("a", 1); ("b", 1) ] (Hw.Clock.events c);
+  check_bool "spent restarts" true (Hw.Clock.spent_on c "a" = 2.0);
+  check_bool "now restarts" true (Hw.Clock.now c = 3.0)
+
 (* ---------------------------- Machine ----------------------------- *)
 
 let test_machine_irq_queue () =
@@ -366,6 +422,12 @@ let suite =
         test_case "huge mappings" `Quick test_ept_huge;
       ] );
     ("hw/vmcs", [ test_case "exit accounting" `Quick test_vmcs_exits ]);
-    ("hw/clock", [ test_case "accounting" `Quick test_clock_accounting ]);
+    ( "hw/clock",
+      [
+        test_case "accounting" `Quick test_clock_accounting;
+        test_case "slot growth past 64 names" `Quick test_clock_many_names;
+        test_case "add_into folds by name" `Quick test_clock_add_into;
+        test_case "reset + unseen queries" `Quick test_clock_reset_and_queries;
+      ] );
     ("hw/machine", [ test_case "irq queue + pcids" `Quick test_machine_irq_queue ]);
   ]
