@@ -1,77 +1,85 @@
 (* cki_demo: command-line driver for poking at the CKI reproduction.
 
-     cki_demo micro    [--backend cki|runc|hvm|pvm] [--nested]
+     cki_demo micro       [--backend cki|runc|hvm|pvm] [--nested]
      cki_demo attack
      cki_demo policy
-     cki_demo kv       [--clients N] [--redis] [--backend ...] [--nested]
-     cki_demo serve    [--containers N] [--requests M] [--window W] [--backend ...]
-     cki_demo fleet    [--tenants N] [--rate R] [--requests M] [--slo US] [--quota PCT]
-     cki_demo migrate  [--rounds N] [--chaos]
-     cki_demo snapshot [--out FILE]
-     cki_demo restore  [--in FILE]
-     cki_demo clone    [--clones N] [--warm K]
+     cki_demo kv          [--clients N] [--redis] [--backend B] [--nested]
+     cki_demo serve       [--containers N] [--requests M] [--window W] [--backend B]
+                          [--nested] [--workload memcached|redis|nginx|httpd]
+                          [--rate R] [--sched] [--fsync-every N]
+     cki_demo fleet       [--tenants N] [--rate R] [--requests M] [--slo US]
+                          [--max-replicas K] [--quota PCT] [--admission R] [--domains D]
+     cki_demo migrate     [--rounds N] [--chaos]
+     cki_demo snapshot    [--out FILE]
+     cki_demo restore     [--in FILE]
+     cki_demo clone       [--clones N] [--warm K]
      cki_demo model-check [--depth N] [--nest N] [--mutants]
-     cki_demo lint-src [--root DIR] [--baseline FILE] [--write-baseline]
+     cki_demo lint-src    [--root DIR] [--baseline FILE] [--write-baseline]
+     cki_demo race-check  [--root DIR] [--inject]
 
-   Exit codes: 0 success; 1 usage/command-line errors, an unreadable
-   or corrupt snapshot image, or a surviving mutant; 2 when --check
-   finds invariant violations or lint findings, or when model-check
-   finds a counterexample.
+   Every subcommand but policy, model-check, lint-src and race-check
+   also takes --check.  Each subcommand is a scenario: it prints its own
+   output and returns the CKI containers it booted plus its own
+   findings, or an error.  [run] turns that into one report and the
+   exit code documented in [exits]: 0 ok, 1 usage or scenario error,
+   2 findings in a gated run.
 
    (The full table/figure regeneration lives in bench/main.exe.) *)
 
 open Cmdliner
 
-(* CKI containers booted during the run; `--check` sanitizes them. *)
-let cki_containers : Cki.Container.t list ref = ref []
+let ( let* ) = Result.bind
 
-let track c =
-  cki_containers := c :: !cki_containers;
-  c
+(* A scenario's result: the CKI containers it booted (what --check
+   scans) and its own findings, or why it could not run. *)
+type outcome = (Cki.Container.t list * Report.Findings.t list, string) result
 
+let critical ~rule ~subject detail =
+  Report.Findings.make ~severity:Report.Findings.Critical ~rule ~subject ~detail
+
+(* The one place a scenario becomes output and an exit code.  [check]
+   runs it under Analysis.run (probe recorder, then a scan of the
+   containers it returned and a lint of the trace); the analysis rows
+   and the scenario's own rows render as one report.  A [gate]d run
+   exits 2 on any row that is not Info, the rule Analysis.is_clean
+   applies to its own rows. *)
+let run ~title ~check ~gate (scenario : unit -> outcome) =
+  let outcome, analysis =
+    if check then
+      let outcome, r =
+        Analysis.run (fun () ->
+            match scenario () with
+            | Ok (containers, findings) -> (Ok findings, containers)
+            | Error msg -> (Error msg, []))
+      in
+      (outcome, Analysis.findings r)
+    else (Result.map snd (scenario ()), [])
+  in
+  match outcome with
+  | Error msg ->
+      prerr_endline ("cki_demo: " ^ msg);
+      1
+  | Ok findings ->
+      let rows = analysis @ findings in
+      if gate || rows <> [] then Printf.printf "\n%s" (Report.Findings.render ~title rows);
+      if gate && List.exists (fun f -> f.Report.Findings.severity <> Report.Findings.Info) rows
+      then 2
+      else 0
+
+(* [name] is one of the four names [backend_arg] admits. *)
 let mk_backend name nested =
   let env = if nested then Virt.Env.Nested else Virt.Env.Bare_metal in
+  let machine () = Hw.Machine.create ~mem_mib:256 () in
   match name with
-  | "runc" -> Virt.Runc.create ~env (Hw.Machine.create ~mem_mib:256 ())
-  | "hvm" -> Virt.Hvm.create ~env (Hw.Machine.create ~mem_mib:256 ())
-  | "pvm" -> Virt.Pvm.create ~env (Hw.Machine.create ~mem_mib:256 ())
-  | "cki" -> Cki.Container.backend (track (Cki.Container.create_standalone ~env ~mem_mib:256 ()))
-  | other -> failwith ("unknown backend: " ^ other)
+  | "runc" -> (Virt.Runc.create ~env (machine ()), [])
+  | "hvm" -> (Virt.Hvm.create ~env (machine ()), [])
+  | "pvm" -> (Virt.Pvm.create ~env (machine ()), [])
+  | _ ->
+      let c = Cki.Container.create_standalone ~env ~mem_mib:256 () in
+      (Cki.Container.backend c, [ c ])
 
-let backend_arg =
-  Arg.(value & opt string "cki" & info [ "b"; "backend" ] ~doc:"Backend: cki, runc, hvm, pvm.")
-
-let nested_arg = Arg.(value & flag & info [ "nested" ] ~doc:"Deploy in a nested (IaaS VM) cloud.")
-
-let check_arg =
-  Arg.(
-    value & flag
-    & info [ "check" ]
-        ~doc:
-          "After the run, re-walk every booted CKI container's live page tables from raw \
-           physical memory, cross-check against the monitor's claimed state, and lint the \
-           recorded probe-event trace.  Exits 2 on any finding.")
-
-(* Run [f] under a probe recorder when [check] is set; afterwards scan
-   every container booted during the run and lint the trace.  Findings
-   exit with code 2 — distinct from usage errors (1). *)
-let with_check check f =
-  if not check then f ()
-  else begin
-    let (), trace = Analysis.Trace.with_recorder f in
-    let r =
-      {
-        Analysis.violations = Analysis.check_machine ~containers:!cki_containers;
-        lints = Analysis.lint_trace trace;
-      }
-    in
-    Printf.printf "\n%s" (Analysis.report r);
-    if not (Analysis.is_clean r) then exit 2
-  end
-
-let micro backend nested check =
-  with_check check @@ fun () ->
-  let b = mk_backend backend nested in
+let micro backend nested () =
+  let b, booted = mk_backend backend nested in
   let task = Virt.Backend.spawn b in
   let getpid =
     Virt.Backend.mean_latency b ~n:1000 (fun () ->
@@ -96,16 +104,17 @@ let micro backend nested check =
     let t0 = Hw.Clock.now b.Virt.Backend.clock in
     b.Virt.Backend.empty_hypercall ();
     Printf.printf "  hypercall%8.0f ns\n" (Hw.Clock.now b.Virt.Backend.clock -. t0)
-  end
+  end;
+  Ok (booted, [])
 
-let attack check =
-  with_check check @@ fun () ->
-  let c = track (Cki.Container.create_standalone ~mem_mib:256 ()) in
+let attack () =
+  let c = Cki.Container.create_standalone ~mem_mib:256 () in
   List.iter
     (fun (name, o) ->
       Printf.printf "%-28s %s\n" name
         (match o with Cki.Attacks.Blocked m -> "blocked: " ^ m | Cki.Attacks.Succeeded -> "ESCAPED"))
-    (Cki.Attacks.all c)
+    (Cki.Attacks.all c);
+  Ok ([ c ], [])
 
 let policy () =
   List.iter
@@ -113,23 +122,18 @@ let policy () =
       Printf.printf "%-14s blocked=%-5b %s\n" (Hw.Priv.mnemonic inst)
         (Hw.Priv.blocked_in_guest inst)
         (Hw.Priv.show_virtualization (Hw.Priv.virtualized_as inst)))
-    Hw.Priv.all_examples
+    Hw.Priv.all_examples;
+  Ok ([], [])
 
-let kv backend nested clients redis check =
-  with_check check @@ fun () ->
-  let b = mk_backend backend nested in
+let kv backend nested clients redis () =
+  let b, booted = mk_backend backend nested in
   let flavor = if redis then Workloads.Kv.Redis else Workloads.Kv.Memcached in
   let thr = Workloads.Kv.run_memtier b ~flavor ~clients ~requests:2000 in
   Printf.printf "%s %s with %d clients: %.1f k ops/s\n" b.Virt.Backend.label
-    (Workloads.Kv.show_flavor flavor) clients (thr /. 1e3)
+    (Workloads.Kv.show_flavor flavor) clients (thr /. 1e3);
+  Ok (booted, [])
 
-let serve backend nested containers requests window workload rate sched fsync check =
-  let workload =
-    match Ioplane.Serve.workload_of_string workload with
-    | Some w -> w
-    | None -> failwith ("unknown workload: " ^ workload ^ " (memcached|redis|nginx|httpd)")
-  in
-  with_check check @@ fun () ->
+let serve backend nested containers requests window workload rate sched fsync () =
   let cfg =
     {
       Ioplane.Serve.default_config with
@@ -145,17 +149,15 @@ let serve backend nested containers requests window workload rate sched fsync ch
     }
   in
   let r, booted = Ioplane.Serve.run cfg in
-  cki_containers := booted @ !cki_containers;
-  Format.printf "%a@." Ioplane.Serve.pp_result r
+  Format.printf "%a@." Ioplane.Serve.pp_result r;
+  Ok (booted, [])
 
 (* The fleet controller: per-tenant serving slices with admission
    control, pick-two load balancing and SLO-driven autoscaling over
    warm clones.  Every scale-out clone is re-verified by the analysis
-   scanner inside the controller; a verification refusal is a --check
-   finding (exit 2) like any other. *)
-let fleet tenants rate requests slo max_replicas quota_pct admission domains check =
-  if tenants < 1 then failwith "need at least one tenant";
-  with_check check @@ fun () ->
+   scanner inside the controller; a verification refusal is a finding
+   like any other. *)
+let fleet tenants rate requests slo max_replicas quota_pct admission domains () =
   let mk i =
     {
       Fleet.Controller.default_tenant with
@@ -183,85 +185,81 @@ let fleet tenants rate requests slo max_replicas quota_pct admission domains che
   let r = Fleet.Controller.run ~domains cfg in
   List.iter (fun tr -> Format.printf "%a@." Fleet.Controller.pp_tenant_result tr) r.Fleet.Controller.tenants;
   Format.printf "makespan %.1f ms (simulated)@." (r.Fleet.Controller.makespan_ns /. 1e6);
-  let vf =
-    List.fold_left
-      (fun a tr -> a + tr.Fleet.Controller.tr_verify_failures)
-      0 r.Fleet.Controller.tenants
+  let refused (tr : Fleet.Controller.tenant_result) =
+    if tr.tr_verify_failures = 0 then None
+    else
+      Some
+        (critical ~rule:"clone-verify" ~subject:tr.tr_name
+           (Printf.sprintf "%d scale-out clones failed re-verification" tr.tr_verify_failures))
   in
-  if vf > 0 then begin
-    Printf.eprintf "%d scale-out clones failed re-verification\n" vf;
-    if check then exit 2
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Live migration                                                      *)
-(* ------------------------------------------------------------------ *)
+  Ok ([], List.filter_map refused r.Fleet.Controller.tenants)
 
 (* One pre-copy migration across a fresh 2-host fabric, then (with
    --chaos) the three failure scenarios plus the leak-injection
    self-test.  A migration must leave exactly one analysis-clean live
-   copy and zero frames of the losing copy on the losing host —
-   --check turns any departure from that into exit 2. *)
-let migrate_cmd_impl rounds chaos check =
-  let violations = ref 0 in
-  with_check check @@ fun () ->
+   copy and zero frames of the losing copy on the losing host; any
+   departure from that is a finding. *)
+let migrate rounds chaos () =
   let fab = Migrate.Fabric.create ~hosts:2 () in
   let a = Migrate.Chaos.boot_app fab ~hid:0 in
   ignore (Migrate.Fabric.expose fab ~name:"svc" ~home:0);
   let opts = { Migrate.Engine.default_opts with Migrate.Engine.rounds_max = rounds } in
-  (match
-     Migrate.Engine.migrate fab ~src:0 ~dst:1 ~name:"svc" a.Migrate.Chaos.container
-       ~work:(Migrate.Chaos.work_of a) opts
-   with
-  | Error e ->
-      Printf.eprintf "migration failed: %s\n" (Migrate.Engine.show_error e);
-      exit 1
-  | Ok st ->
-      let open Migrate.Engine in
-      ignore (track st.live);
-      Printf.printf
-        "migrated 'svc' host 0 -> host %d: downtime %.0f ns (total %.0f ns)\n\
-        \  %d pre-copy rounds (%s), %d full + %d resent frames, %d buffered frames replayed\n"
-        st.live_hid st.downtime_ns st.total_ns (List.length st.rounds)
-        (if st.converged then "converged" else "round cap")
-        st.frames_full st.frames_resent st.replayed;
-      let leaked =
-        Migrate.Fabric.owned_frames fab ~hid:st.loser_hid ~container:st.loser_container
+  let* st =
+    Migrate.Engine.migrate fab ~src:0 ~dst:1 ~name:"svc" a.Migrate.Chaos.container
+      ~work:(Migrate.Chaos.work_of a) opts
+    |> Result.map_error (fun e -> "migration failed: " ^ Migrate.Engine.show_error e)
+  in
+  let open Migrate.Engine in
+  Printf.printf
+    "migrated 'svc' host 0 -> host %d: downtime %.0f ns (total %.0f ns)\n\
+    \  %d pre-copy rounds (%s), %d full + %d resent frames, %d buffered frames replayed\n"
+    st.live_hid st.downtime_ns st.total_ns (List.length st.rounds)
+    (if st.converged then "converged" else "round cap")
+    st.frames_full st.frames_resent st.replayed;
+  let leaked = Migrate.Fabric.owned_frames fab ~hid:st.loser_hid ~container:st.loser_container in
+  Printf.printf "  source frames left behind: %d\n" leaked;
+  let leaks =
+    if leaked = 0 then []
+    else
+      [
+        critical ~rule:"migration-leak" ~subject:"svc"
+          (Printf.sprintf "%d frames of the source copy left on host %d" leaked st.loser_hid);
+      ]
+  in
+  let chaos_findings =
+    if not chaos then []
+    else begin
+      Printf.printf "\nchaos scenarios:\n";
+      let judge (v : Migrate.Chaos.verdict) =
+        let name = Migrate.Chaos.scenario_name v.scenario in
+        Printf.printf "  %-12s -> host %d live, %d findings, %d leaked, split brain %s: %s\n" name
+          v.live_hid v.analysis_findings v.leaked_frames
+          (if v.split_brain then "YES" else "no")
+          (if v.ok then "ok" else "VIOLATION");
+        if v.ok then None
+        else
+          Some
+            (critical ~rule:"chaos-verdict" ~subject:name
+               (Printf.sprintf "%d findings, %d leaked frames, split brain %b" v.analysis_findings
+                  v.leaked_frames v.split_brain))
       in
-      Printf.printf "  source frames left behind: %d\n" leaked;
-      if leaked > 0 then incr violations);
-  if chaos then begin
-    Printf.printf "\nchaos scenarios:\n";
-    List.iter
-      (fun (v : Migrate.Chaos.verdict) ->
-        Printf.printf "  %-12s -> host %d live, %d findings, %d leaked, split brain %s: %s\n"
-          (Migrate.Chaos.scenario_name v.Migrate.Chaos.scenario)
-          v.Migrate.Chaos.live_hid v.Migrate.Chaos.analysis_findings v.Migrate.Chaos.leaked_frames
-          (if v.Migrate.Chaos.split_brain then "YES" else "no")
-          (if v.Migrate.Chaos.ok then "ok" else "VIOLATION");
-        if not v.Migrate.Chaos.ok then incr violations)
-      (Migrate.Chaos.all ());
-    (* The leak checker must catch a planted frame on a surviving
-       loser host (the dead source of Source_crash has nothing left
-       to leak). *)
-    let caught =
-      List.for_all
-        (fun (v : Migrate.Chaos.verdict) ->
-          if Migrate.Chaos.(v.scenario = Source_crash) then v.Migrate.Chaos.ok
-          else (not v.Migrate.Chaos.ok) && v.Migrate.Chaos.leaked_frames > 0)
-        (Migrate.Chaos.all ~leak_inject:true ())
-    in
-    Printf.printf "  leak injection caught: %s\n" (if caught then "ok" else "VIOLATION");
-    if not caught then incr violations
-  end;
-  if !violations > 0 then begin
-    Printf.eprintf "%d migration invariant violation(s)\n" !violations;
-    if check then exit 2
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot / restore / clone                                          *)
-(* ------------------------------------------------------------------ *)
+      let violations = List.filter_map judge (Migrate.Chaos.all ()) in
+      (* The leak checker must catch a planted frame on a surviving
+         loser host (the dead source of Source_crash has nothing left
+         to leak). *)
+      let caught =
+        List.for_all
+          (fun (v : Migrate.Chaos.verdict) ->
+            if v.scenario = Migrate.Chaos.Source_crash then v.ok
+            else (not v.ok) && v.leaked_frames > 0)
+          (Migrate.Chaos.all ~leak_inject:true ())
+      in
+      Printf.printf "  leak injection caught: %s\n" (if caught then "ok" else "VIOLATION");
+      if caught then violations
+      else violations @ [ critical ~rule:"leak-injection" ~subject:"chaos" "a planted frame went uncaught" ]
+    end
+  in
+  Ok ([ st.live ], leaks @ chaos_findings)
 
 (* A little state worth snapshotting: a task with a dirty heap and a
    config file. *)
@@ -275,161 +273,162 @@ let init_workload (c : Cki.Container.t) =
   | Kernel_model.Syscall.Rint base ->
       ignore (Kernel_model.Mm.touch_range task.Kernel_model.Task.mm ~start:base ~pages:256 ~write:true)
   | _ -> assert false);
-  (match
-     Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Open { path = "/app.conf"; create = true })
-   with
+  match
+    Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Open { path = "/app.conf"; create = true })
+  with
   | Kernel_model.Syscall.Rint fd ->
       ignore
         (Virt.Backend.syscall_exn b task
            (Kernel_model.Syscall.Write { fd; data = Bytes.of_string "threads=4\n" }))
-  | _ -> assert false)
+  | _ -> assert false
 
-let snapshot out check =
-  with_check check @@ fun () ->
-  let c = track (Cki.Container.create_standalone ~mem_mib:256 ()) in
+let snapshot out () =
+  let c = Cki.Container.create_standalone ~mem_mib:256 () in
   init_workload c;
-  match Snapshot.Capture.capture c with
-  | Error e ->
-      Printf.eprintf "capture failed: %s\n" (Snapshot.Capture.show_error e);
-      exit 1
-  | Ok image ->
-      Snapshot.Image.write_file out image;
-      Printf.printf "captured container to %s: %d tables, %d aux frames, %d tasks\n" out
-        (List.length image.Snapshot.Image.tables)
-        (Array.length image.Snapshot.Image.aux)
-        (List.length image.Snapshot.Image.tasks)
+  let* image =
+    Snapshot.Capture.capture c
+    |> Result.map_error (fun e -> "capture failed: " ^ Snapshot.Capture.show_error e)
+  in
+  Snapshot.Image.write_file out image;
+  Printf.printf "captured container to %s: %d tables, %d aux frames, %d tasks\n" out
+    (List.length image.Snapshot.Image.tables)
+    (Array.length image.Snapshot.Image.aux)
+    (List.length image.Snapshot.Image.tasks);
+  Ok ([ c ], [])
 
-let restore_cmd_impl input check =
-  with_check check @@ fun () ->
-  match Snapshot.Image.read_file input with
-  | Error e ->
-      Printf.eprintf "cannot load %s: %s\n" input (Snapshot.Image.show_decode_error e);
-      exit 1
-  | Ok image -> (
-      let host = Cki.Host.create (Hw.Machine.create ~mem_mib:256 ()) in
-      let clock = Hw.Machine.clock (Cki.Host.machine host) in
-      match Hw.Clock.timed clock (fun () -> Snapshot.Restore.restore host image) with
-      | Ok c, ns ->
-          let c = track c in
-          let kernel = c.Cki.Container.backend.Virt.Backend.kernel in
-          Printf.printf "restored %s in %.0f simulated ns: %d tasks, %d materialized frames\n"
-            input ns
-            (List.length (Kernel_model.Kernel.tasks kernel))
-            (Snapshot.Restore.materialized_frames c)
-      | Error e, _ ->
-          Printf.eprintf "restore failed: %s\n" (Snapshot.Restore.show_error e);
-          exit 1)
+let restore input () =
+  let* image =
+    Snapshot.Image.read_file input
+    |> Result.map_error (fun e ->
+           Printf.sprintf "cannot load %s: %s" input (Snapshot.Image.show_decode_error e))
+  in
+  let host = Cki.Host.create (Hw.Machine.create ~mem_mib:256 ()) in
+  let clock = Hw.Machine.clock (Cki.Host.machine host) in
+  match Hw.Clock.timed clock (fun () -> Snapshot.Restore.restore host image) with
+  | Error e, _ -> Error ("restore failed: " ^ Snapshot.Restore.show_error e)
+  | Ok c, ns ->
+      let kernel = c.Cki.Container.backend.Virt.Backend.kernel in
+      Printf.printf "restored %s in %.0f simulated ns: %d tasks, %d materialized frames\n" input ns
+        (List.length (Kernel_model.Kernel.tasks kernel))
+        (Snapshot.Restore.materialized_frames c);
+      Ok ([ c ], [])
 
-let clone_cmd_impl clones warm check =
-  with_check check @@ fun () ->
+let clone clones warm () =
   let host = Cki.Host.create (Hw.Machine.create ~mem_mib:512 ()) in
   let clock = Hw.Machine.clock (Cki.Host.machine host) in
   let cfg = { Cki.Config.default with Cki.Config.segment_frames = 16384 } in
+  let booted = ref [] in
   let make () =
-    let c = track (Cki.Container.create ~cfg host) in
+    let c = Cki.Container.create ~cfg host in
+    booted := c :: !booted;
     init_workload c;
     match Snapshot.Template.create c with
     | Ok t -> t
     | Error e -> failwith (Snapshot.Template.show_error e)
   in
   let pool = Snapshot.Pool.create ~target:warm ~make () in
-  let total = ref 0.0 in
-  for _ = 1 to clones do
-    match Hw.Clock.timed clock (fun () -> Snapshot.Pool.spawn_fast pool) with
-    | Ok c, ns ->
-        ignore (track c);
-        total := !total +. ns
-    | Error e, _ ->
-        Printf.eprintf "clone failed: %s\n" (Snapshot.Template.show_error e);
-        exit 1
-  done;
+  let rec spawn n total =
+    if n = 0 then Ok total
+    else
+      match Hw.Clock.timed clock (fun () -> Snapshot.Pool.spawn_fast pool) with
+      | Ok c, ns ->
+          booted := c :: !booted;
+          spawn (n - 1) (total +. ns)
+      | Error e, _ -> Error ("clone failed: " ^ Snapshot.Template.show_error e)
+  in
+  let* total = spawn clones 0.0 in
   Printf.printf "warm pool: %d templates prebooted, %d clones served, %.0f simulated ns/clone\n"
     (Snapshot.Pool.prebooted pool) (Snapshot.Pool.served pool)
-    (!total /. float_of_int (max 1 clones))
+    (total /. float_of_int clones);
+  Ok (!booted, [])
 
 (* ------------------------------------------------------------------ *)
-(* Source auditing                                                     *)
+(* Model checking                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let lint_src root baseline write_baseline =
-  let root =
+let model_check depth nest mutants () =
+  let config = { Modelcheck.Transition.default_config with depth; nest_bound = nest } in
+  let r = Modelcheck.Explore.run_standalone ~config () in
+  let s = r.Modelcheck.Explore.stats in
+  Printf.printf "explored %d states / %d transitions to depth %d (peak frontier %d) in %.2f s\n"
+    s.Modelcheck.Explore.states s.Modelcheck.Explore.transitions
+    s.Modelcheck.Explore.depth_reached s.Modelcheck.Explore.peak_frontier
+    s.Modelcheck.Explore.elapsed_s;
+  List.iter
+    (fun cex -> Printf.printf "\n%s" (Modelcheck.Cex.render cex))
+    r.Modelcheck.Explore.violations;
+  let* () =
+    if not mutants then Ok ()
+    else begin
+      let verdicts = Modelcheck.Mutants.run_all () in
+      Printf.printf "\n%s\n" (Modelcheck.Mutants.summary verdicts);
+      List.iter
+        (fun (v : Modelcheck.Mutants.verdict) ->
+          match v.Modelcheck.Mutants.cex with
+          | Some cex -> Printf.printf "\n[%s]\n%s" v.Modelcheck.Mutants.mutant.Modelcheck.Mutants.id (Modelcheck.Cex.render cex)
+          | None -> ())
+        verdicts;
+      if Modelcheck.Mutants.all_killed verdicts then Ok ()
+      else Error "a seeded mutant survived the model checker"
+    end
+  in
+  Ok ([], Modelcheck.Cex.findings r)
+
+(* ------------------------------------------------------------------ *)
+(* Source audits                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The repo root ([--root], or discovered above the current directory)
+   and its baseline file ([--baseline], or ROOT/srclint.baseline). *)
+let repo_paths root baseline =
+  let* root =
     match root with
-    | Some r -> r
-    | None -> (
-        match Srclint.find_root () with
-        | Some r -> r
-        | None ->
-            Printf.eprintf "lint-src: no repo root (dune-project + lib/) above %s\n" (Sys.getcwd ());
-            exit 1)
+    | Some r when Sys.file_exists (Filename.concat r "lib") -> Ok r
+    | Some r -> Error (r ^ " is not a repo root (no lib/)")
+    | None ->
+        Option.to_result (Srclint.find_root ())
+          ~none:(Printf.sprintf "no repo root (dune-project + lib/) above %s" (Sys.getcwd ()))
   in
-  let baseline_path =
-    match baseline with Some b -> b | None -> Filename.concat root "srclint.baseline"
-  in
+  Ok (root, Option.value baseline ~default:(Filename.concat root "srclint.baseline"))
+
+(* Scan the repo and match the findings [keep] selects against the
+   baseline. *)
+let audit ?(keep = fun _ -> true) (root, baseline) =
+  let* entries = Srclint.Baseline.load baseline in
   let scan = Srclint.scan ~root () in
+  Ok (scan, Srclint.check ~baseline:entries (List.filter keep scan.Srclint.findings))
+
+let lint_src root baseline write_baseline () =
+  let* ((root, baseline_path) as paths) = repo_paths root baseline in
   if write_baseline then begin
+    let scan = Srclint.scan ~root () in
     Srclint.Baseline.save baseline_path scan.Srclint.findings;
     Printf.printf "%s: wrote %d accepted finding(s) (%s)\n" baseline_path
       (List.length scan.Srclint.findings)
-      (Format.asprintf "%a" Srclint.pp_stats scan.Srclint.stats)
+      (Format.asprintf "%a" Srclint.pp_stats scan.Srclint.stats);
+    Ok ([], [])
   end
-  else begin
-    let entries =
-      match Srclint.Baseline.load baseline_path with
-      | Ok e -> e
-      | Error msg ->
-          Printf.eprintf "lint-src: %s\n" msg;
-          exit 1
-    in
-    let chk = Srclint.check ~baseline:entries scan.Srclint.findings in
-    Report.Findings.print ~title:"srclint" (Srclint.to_findings chk.Srclint.fresh);
+  else
+    let* scan, chk = audit paths in
     Format.printf "%a; %d baselined, %d new@." Srclint.pp_stats scan.Srclint.stats
       (List.length chk.Srclint.baselined)
       (List.length chk.Srclint.fresh);
-    List.iter
-      (fun e ->
-        Printf.printf "stale baseline entry (fires nothing, delete it): %s\n"
-          (Srclint.Baseline.fingerprint_of_entry e))
-      chk.Srclint.stale;
-    if chk.Srclint.fresh <> [] then exit 2
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Domain-race sanitizer                                               *)
-(* ------------------------------------------------------------------ *)
+    let stale e =
+      Report.Findings.make ~severity:Report.Findings.Info ~rule:"stale-baseline"
+        ~subject:(Srclint.Baseline.fingerprint_of_entry e) ~detail:"fires nothing; delete it"
+    in
+    Ok ([], Srclint.to_findings chk.Srclint.fresh @ List.map stale chk.Srclint.stale)
 
 (* The static escape-analysis rule family race-check gates on. *)
 let escape_family = [ "domain-escape"; "stale-annotation"; "undocumented-annotation" ]
 
-let race_check root inject =
-  let root =
-    match root with
-    | Some r -> r
-    | None -> (
-        match Srclint.find_root () with
-        | Some r -> r
-        | None ->
-            Printf.eprintf "race-check: no repo root (dune-project + lib/) above %s\n"
-              (Sys.getcwd ());
-            exit 1)
-  in
+let race_check root inject () =
   (* Static half: the interprocedural sharing analysis, gated on the
      same baseline file as lint-src. *)
-  let scan = Srclint.scan ~root () in
-  let fam =
-    List.filter
-      (fun (f : Srclint.Rules.finding) -> List.mem f.Srclint.Rules.rule escape_family)
-      scan.Srclint.findings
+  let* paths = repo_paths root None in
+  let* scan, chk =
+    audit ~keep:(fun (f : Srclint.Rules.finding) -> List.mem f.Srclint.Rules.rule escape_family) paths
   in
-  let entries =
-    match Srclint.Baseline.load (Filename.concat root "srclint.baseline") with
-    | Ok e -> e
-    | Error msg ->
-        Printf.eprintf "race-check: %s\n" msg;
-        exit 1
-  in
-  let chk = Srclint.check ~baseline:entries fam in
-  Report.Findings.print ~title:"race-check: static escape analysis"
-    (Srclint.to_findings chk.Srclint.fresh);
   Printf.printf "static: %d file(s) scanned, %d escape-family finding(s) (%d baselined)\n"
     scan.Srclint.stats.Srclint.files (List.length chk.Srclint.fresh)
     (List.length chk.Srclint.baselined);
@@ -445,83 +444,36 @@ let race_check root inject =
           Analysis.Racecheck.of_trace trace)
     in
     Format.printf "dynamic (%s): %a@." label Analysis.Racecheck.pp_report report;
-    Report.Findings.print
-      ~title:(Printf.sprintf "race-check: dynamic (%s)" label)
-      (Analysis.Racecheck.findings report);
     report
   in
   let cfg =
-    {
-      Ioplane.Serve.default_config with
-      Ioplane.Serve.backend = "cki";
-      containers = 4;
-      requests_per_container = 25;
-    }
+    { Ioplane.Serve.default_config with containers = 4; requests_per_container = 25 }
   in
   let serve_report =
     run_traced "sharded serve, 2 domains" (fun () -> ignore (Ioplane.Serve.run ~domains:2 cfg))
   in
-  let inject_report =
-    if not inject then None
+  let* injected =
+    if not inject then Ok []
     else begin
       (* Self-test: two lanes on two domains mutate one shared machine;
          the checker MUST flag it, or it is broken. *)
       let mem = Hw.Phys_mem.create ~frames:64 in
-      Some
-        (run_traced "injected shared machine" (fun () ->
-             Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun i ->
-                 Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i))))
+      let r =
+        run_traced "injected shared machine" (fun () ->
+            Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun i ->
+                Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i)))
+      in
+      if Analysis.Racecheck.is_clean r then
+        Error "race-check: injected cross-domain race was NOT caught — checker broken"
+      else begin
+        Printf.printf "inject: seeded cross-domain race caught, as it must be\n";
+        Ok (Analysis.Racecheck.findings r)
+      end
     end
   in
-  (match inject_report with
-  | Some r when Analysis.Racecheck.is_clean r ->
-      Printf.eprintf "race-check: injected cross-domain race was NOT caught — checker broken\n";
-      exit 1
-  | Some _ -> Printf.printf "inject: seeded cross-domain race caught, as it must be\n"
-  | None -> ());
-  let dynamic_bad =
-    (not (Analysis.Racecheck.is_clean serve_report))
-    || match inject_report with Some r -> not (Analysis.Racecheck.is_clean r) | None -> false
-  in
-  if chk.Srclint.fresh <> [] || dynamic_bad then exit 2;
-  Printf.printf "race-check: clean (static + dynamic)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Model checking                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let model_check depth nest mutants =
-  let config =
-    {
-      Modelcheck.Transition.default_config with
-      Modelcheck.Transition.depth;
-      nest_bound = nest;
-    }
-  in
-  let r = Modelcheck.Explore.run_standalone ~config () in
-  let s = r.Modelcheck.Explore.stats in
-  Printf.printf
-    "explored %d states / %d transitions to depth %d (peak frontier %d) in %.2f s\n\n"
-    s.Modelcheck.Explore.states s.Modelcheck.Explore.transitions
-    s.Modelcheck.Explore.depth_reached s.Modelcheck.Explore.peak_frontier
-    s.Modelcheck.Explore.elapsed_s;
-  print_string (Modelcheck.Cex.report r);
-  let survivors =
-    if not mutants then false
-    else begin
-      let verdicts = Modelcheck.Mutants.run_all () in
-      Printf.printf "\n%s\n" (Modelcheck.Mutants.summary verdicts);
-      List.iter
-        (fun (v : Modelcheck.Mutants.verdict) ->
-          match v.Modelcheck.Mutants.cex with
-          | Some cex -> Printf.printf "\n[%s]\n%s" v.Modelcheck.Mutants.mutant.Modelcheck.Mutants.id (Modelcheck.Cex.render cex)
-          | None -> ())
-        verdicts;
-      not (Modelcheck.Mutants.all_killed verdicts)
-    end
-  in
-  if not (Modelcheck.Explore.ok r) then exit 2;
-  if survivors then exit 1
+  Ok
+    ( [],
+      Srclint.to_findings chk.Srclint.fresh @ Analysis.Racecheck.findings serve_report @ injected )
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -531,34 +483,78 @@ let exits =
   [
     Cmd.Exit.info 0 ~doc:"on success.";
     Cmd.Exit.info 1
-      ~doc:"on usage or command-line errors, or an unreadable or corrupt snapshot image.";
-    Cmd.Exit.info 2 ~doc:"when $(b,--check) finds invariant violations or lint findings.";
+      ~doc:
+        "on a command-line error, or when the scenario cannot run: an unreadable or corrupt \
+         snapshot image, a failed capture, restore, clone or migration, no repo root, an \
+         unreadable baseline, a surviving mutant, or an uncaught injected race.";
+    Cmd.Exit.info 2
+      ~doc:
+        "when a gated run ($(b,--check); always for $(b,model-check), $(b,lint-src) and \
+         $(b,race-check)) reports a finding that is not informational.";
   ]
 
+let check_arg =
+  Arg.(
+    value & flag
+    & info [ "check" ]
+        ~doc:
+          "After the run, re-walk every booted CKI container's live page tables from raw \
+           physical memory, cross-check against the monitor's claimed state, and lint the \
+           recorded probe-event trace.  Exits 2 on any finding.")
+
+(* How a subcommand is judged, as (check, gate): a scenario scans and
+   gates under --check; an audit always gates on its own findings. *)
+let scanned = Term.(const (fun check -> (check, check)) $ check_arg)
+let gated = Term.const (false, true)
+let ungated = Term.const (false, false)
+
+let subcommand name ~doc judge scenario =
+  let judged (check, gate) =
+    run ~title:(if check then "CKI invariant check" else name) ~check ~gate
+  in
+  Cmd.v (Cmd.info name ~exits ~doc) Term.(const judged $ judge $ scenario)
+
+(* An integer of at least [lo]. *)
+let at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let backend_arg =
+  Arg.(
+    value
+    & opt (enum (List.map (fun b -> (b, b)) [ "cki"; "runc"; "hvm"; "pvm" ])) "cki"
+    & info [ "b"; "backend" ] ~doc:"Backend: cki, runc, hvm, pvm.")
+
+let nested_arg = Arg.(value & flag & info [ "nested" ] ~doc:"Deploy in a nested (IaaS VM) cloud.")
+
 let micro_cmd =
-  Cmd.v (Cmd.info "micro" ~exits ~doc:"Run the syscall/pgfault/hypercall microbenchmarks.")
-    Term.(const micro $ backend_arg $ nested_arg $ check_arg)
+  subcommand "micro" ~doc:"Run the syscall/pgfault/hypercall microbenchmarks." scanned
+    Term.(const micro $ backend_arg $ nested_arg)
 
 let attack_cmd =
-  Cmd.v (Cmd.info "attack" ~exits ~doc:"Run the container-escape attack suite against CKI.")
-    Term.(const attack $ check_arg)
+  subcommand "attack" ~doc:"Run the container-escape attack suite against CKI." scanned
+    (Term.const attack)
 
 let policy_cmd =
-  Cmd.v (Cmd.info "policy" ~exits ~doc:"Print the Table 3 privileged-instruction policy.")
-    Term.(const policy $ const ())
+  subcommand "policy" ~doc:"Print the Table 3 privileged-instruction policy." ungated
+    (Term.const policy)
 
 let kv_cmd =
   let clients = Arg.(value & opt int 32 & info [ "c"; "clients" ] ~doc:"Concurrent clients.") in
   let redis = Arg.(value & flag & info [ "redis" ] ~doc:"Redis-like server (default memcached).") in
-  Cmd.v (Cmd.info "kv" ~exits ~doc:"Run the key-value serving workload.")
-    Term.(const kv $ backend_arg $ nested_arg $ clients $ redis $ check_arg)
+  subcommand "kv" ~doc:"Run the key-value serving workload." scanned
+    Term.(const kv $ backend_arg $ nested_arg $ clients $ redis)
 
 let serve_cmd =
   let containers =
-    Arg.(value & opt int 4 & info [ "n"; "containers" ] ~doc:"Containers in the fleet.")
+    Arg.(value & opt (at_least 1) 4 & info [ "n"; "containers" ] ~doc:"Containers in the fleet.")
   in
   let requests =
-    Arg.(value & opt int 100 & info [ "r"; "requests" ] ~doc:"Requests per container.")
+    Arg.(value & opt (at_least 1) 100 & info [ "r"; "requests" ] ~doc:"Requests per container.")
   in
   let window =
     Arg.(
@@ -567,9 +563,9 @@ let serve_cmd =
       & info [ "w"; "window" ] ~doc:"EVENT_IDX coalescing window (0 = naive notification).")
   in
   let workload =
-    Arg.(
-      value & opt string "memcached"
-      & info [ "workload" ] ~doc:"Workload: memcached, redis, nginx, httpd.")
+    let open Ioplane.Serve in
+    let names = [ ("memcached", Kv_memcached); ("redis", Kv_redis); ("nginx", Web_static); ("httpd", Web_httpd) ] in
+    Arg.(value & opt (enum names) Kv_memcached & info [ "workload" ] ~doc:"Workload: memcached, redis, nginx, httpd.")
   in
   let rate =
     Arg.(
@@ -588,19 +584,20 @@ let serve_cmd =
       value & opt int 0
       & info [ "fsync-every" ] ~doc:"kv: append + fsync the log every Nth SET (0 = off).")
   in
-  Cmd.v
-    (Cmd.info "serve" ~exits
-       ~doc:
-         "Drive a multi-container fleet through the host I/O plane with an open-loop load \
-          generator; reports throughput, p50/p95/p99 latency, and per-request doorbell / \
-          interrupt / exit counts.")
+  subcommand "serve"
+    ~doc:
+      "Drive a multi-container fleet through the host I/O plane with an open-loop load \
+       generator; reports throughput, p50/p95/p99 latency, and per-request doorbell / \
+       interrupt / exit counts."
+    scanned
     Term.(
       const serve $ backend_arg $ nested_arg $ containers $ requests $ window $ workload $ rate
-      $ sched $ fsync $ check_arg)
+      $ sched $ fsync)
 
 let fleet_cmd =
   let tenants =
-    Arg.(value & opt int 2 & info [ "n"; "tenants" ] ~doc:"Tenants, each an isolated slice.")
+    Arg.(
+      value & opt (at_least 1) 2 & info [ "n"; "tenants" ] ~doc:"Tenants, each an isolated slice.")
   in
   let rate =
     Arg.(value & opt float 30_000.0 & info [ "rate" ] ~doc:"Open-loop arrival rate per tenant (req/s).")
@@ -630,18 +627,17 @@ let fleet_cmd =
   in
   let domains =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "domains" ] ~doc:"Shard tenants across OCaml domains (0 = inline).")
   in
-  Cmd.v
-    (Cmd.info "fleet" ~exits
-       ~doc:
-         "Serve an open-loop multi-tenant fleet through the fleet controller: pick-two load \
-          balancing, token-bucket admission control, and SLO-driven autoscaling that \
-          scales out with analysis-verified warm clones and scales idle replicas back in.")
+  subcommand "fleet"
+    ~doc:
+      "Serve an open-loop multi-tenant fleet through the fleet controller: pick-two load \
+       balancing, token-bucket admission control, and SLO-driven autoscaling that scales out \
+       with analysis-verified warm clones and scales idle replicas back in."
+    scanned
     Term.(
-      const fleet $ tenants $ rate $ requests $ slo $ max_replicas $ quota $ admission $ domains
-      $ check_arg)
+      const fleet $ tenants $ rate $ requests $ slo $ max_replicas $ quota $ admission $ domains)
 
 let migrate_cmd =
   let rounds =
@@ -659,97 +655,40 @@ let migrate_cmd =
              cutover, fabric partition — plus the frame-leak-injection self-test; each must \
              leave exactly one analysis-clean live copy.")
   in
-  Cmd.v
-    (Cmd.info "migrate" ~exits
-       ~doc:
-         "Live-migrate a container between two fabric hosts with iterative pre-copy dirty \
-          tracking: rounds of dirty-frame sends while the source serves, a bounded \
-          stop-and-copy, analysis re-verification before cutover, and atomic endpoint \
-          re-homing with buffered-traffic replay.")
-    Term.(const migrate_cmd_impl $ rounds $ chaos $ check_arg)
+  subcommand "migrate"
+    ~doc:
+      "Live-migrate a container between two fabric hosts with iterative pre-copy dirty \
+       tracking: rounds of dirty-frame sends while the source serves, a bounded stop-and-copy, \
+       analysis re-verification before cutover, and atomic endpoint re-homing with \
+       buffered-traffic replay."
+    scanned
+    Term.(const migrate $ rounds $ chaos)
 
 let snapshot_cmd =
   let out =
     Arg.(value & opt string "container.ckisnap" & info [ "o"; "out" ] ~doc:"Output image file.")
   in
-  Cmd.v
-    (Cmd.info "snapshot" ~exits
-       ~doc:"Boot a container, run an init workload, and capture it to an image file.")
-    Term.(const snapshot $ out $ check_arg)
+  subcommand "snapshot"
+    ~doc:"Boot a container, run an init workload, and capture it to an image file." scanned
+    Term.(const snapshot $ out)
 
 let restore_cmd =
   let input =
     Arg.(value & opt string "container.ckisnap" & info [ "i"; "in" ] ~doc:"Input image file.")
   in
-  Cmd.v
-    (Cmd.info "restore" ~exits
-       ~doc:
-         "Restore a container from an image file onto a fresh machine, relocating its hPA \
-          segment; the result is re-verified with the invariant scanner.")
-    Term.(const restore_cmd_impl $ input $ check_arg)
+  subcommand "restore"
+    ~doc:
+      "Restore a container from an image file onto a fresh machine, relocating its hPA segment; \
+       the result is re-verified with the invariant scanner."
+    scanned
+    Term.(const restore $ input)
 
 let clone_cmd =
-  let clones = Arg.(value & opt int 4 & info [ "n"; "clones" ] ~doc:"Clones to spawn.") in
+  let clones = Arg.(value & opt (at_least 1) 4 & info [ "n"; "clones" ] ~doc:"Clones to spawn.") in
   let warm = Arg.(value & opt int 1 & info [ "w"; "warm" ] ~doc:"Templates to pre-boot.") in
-  Cmd.v
-    (Cmd.info "clone" ~exits
-       ~doc:"Pre-boot frozen templates into a warm pool and serve CoW clones from it.")
-    Term.(const clone_cmd_impl $ clones $ warm $ check_arg)
-
-let lint_src_cmd =
-  let root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "root" ] ~doc:"Repo root to audit (default: discovered from the current directory).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ] ~doc:"Baseline file of accepted findings (default: ROOT/srclint.baseline).")
-  in
-  let write =
-    Arg.(
-      value & flag
-      & info [ "write-baseline" ]
-          ~doc:"Regenerate the baseline accepting every current finding, then exit 0.")
-  in
-  Cmd.v
-    (Cmd.info "lint-src" ~exits
-       ~doc:
-         "Statically audit the repo's own OCaml sources: raw memory write sinks outside the \
-          TCB allowlist, inter-library layering violations, module-toplevel mutable state \
-          (domain-sharding race hazards), and hygiene (missing .mli, Obj.magic / assert \
-          false in TCB files, unpaired gate probes).  Exits 2 on any finding not covered by \
-          the baseline.")
-    Term.(const lint_src $ root $ baseline $ write)
-
-let race_check_cmd =
-  let root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "root" ] ~doc:"Repo root to audit (default: discovered from the current directory).")
-  in
-  let inject =
-    Arg.(
-      value & flag
-      & info [ "inject" ]
-          ~doc:
-            "Also run the checker self-test: two lanes on two domains deliberately mutate one \
-             shared machine; the seeded race must be caught (and makes the command exit 2).")
-  in
-  Cmd.v
-    (Cmd.info "race-check" ~exits
-       ~doc:
-         "Run the two-layer domain-race sanitizer.  Static: the interprocedural sharing \
-          analysis over every Domain.spawn closure (domain-escape, stale-annotation, \
-          undocumented-annotation), gated on srclint.baseline.  Dynamic: a bounded sharded \
-          serve run with Phys_mem access tracing on, its merged replay checked for \
-          cross-domain accesses with no spawn/join happens-before edge.  Exits 2 on any \
-          finding.")
-    Term.(const race_check $ root $ inject)
+  subcommand "clone"
+    ~doc:"Pre-boot frozen templates into a warm pool and serve CoW clones from it." scanned
+    Term.(const clone $ clones $ warm)
 
 let model_check_cmd =
   let depth =
@@ -772,31 +711,84 @@ let model_check_cmd =
             "Also run the mutation harness: each seeded policy mutant must be killed with a \
              counterexample; a survivor exits 1.")
   in
-  Cmd.v
-    (Cmd.info "model-check" ~exits
-       ~doc:
-         "Exhaustively explore the bounded privilege state space of a CKI container, checking \
-          the E1-E4/gate safety properties on every reachable state and edge.  Exits 2 when a \
-          counterexample is found (rendered as a shortest violating trace).")
+  subcommand "model-check"
+    ~doc:
+      "Exhaustively explore the bounded privilege state space of a CKI container, checking the \
+       E1-E4/gate safety properties on every reachable state and edge.  Exits 2 when a \
+       counterexample is found (rendered as a shortest violating trace)."
+    gated
     Term.(const model_check $ depth $ nest $ mutants)
+
+let root_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "root" ] ~doc:"Repo root to audit (default: discovered from the current directory).")
+
+let lint_src_cmd =
+  let baseline =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "baseline" ] ~doc:"Baseline file of accepted findings (default: ROOT/srclint.baseline).")
+  in
+  let write =
+    Arg.(
+      value & flag
+      & info [ "write-baseline" ]
+          ~doc:"Regenerate the baseline accepting every current finding, then exit 0.")
+  in
+  subcommand "lint-src"
+    ~doc:
+      "Statically audit the repo's own OCaml sources: raw memory write sinks outside the TCB \
+       allowlist, inter-library layering violations, module-toplevel mutable state \
+       (domain-sharding race hazards), and hygiene (missing .mli, Obj.magic / assert false in \
+       TCB files, unpaired gate probes).  Exits 2 on any finding not covered by the baseline."
+    gated
+    Term.(const lint_src $ root_arg $ baseline $ write)
+
+let race_check_cmd =
+  let inject =
+    Arg.(
+      value & flag
+      & info [ "inject" ]
+          ~doc:
+            "Also run the checker self-test: two lanes on two domains deliberately mutate one \
+             shared machine; the seeded race must be caught (and makes the command exit 2).")
+  in
+  subcommand "race-check"
+    ~doc:
+      "Run the two-layer domain-race sanitizer.  Static: the interprocedural sharing analysis \
+       over every Domain.spawn closure (domain-escape, stale-annotation, \
+       undocumented-annotation), gated on srclint.baseline.  Dynamic: a bounded sharded serve \
+       run with Phys_mem access tracing on, its merged replay checked for cross-domain \
+       accesses with no spawn/join happens-before edge.  Exits 2 on any finding."
+    gated
+    Term.(const race_check $ root_arg $ inject)
 
 let () =
   let doc = "CKI (EuroSys'25) reproduction demo driver" in
+  let cmd =
+    Cmd.group (Cmd.info "cki_demo" ~doc ~exits)
+      [
+        micro_cmd;
+        attack_cmd;
+        policy_cmd;
+        kv_cmd;
+        serve_cmd;
+        fleet_cmd;
+        migrate_cmd;
+        snapshot_cmd;
+        restore_cmd;
+        clone_cmd;
+        model_check_cmd;
+        lint_src_cmd;
+        race_check_cmd;
+      ]
+  in
   exit
-    (Cmd.eval ~term_err:1
-       (Cmd.group (Cmd.info "cki_demo" ~doc ~exits)
-          [
-            micro_cmd;
-            attack_cmd;
-            policy_cmd;
-            kv_cmd;
-            serve_cmd;
-            fleet_cmd;
-            migrate_cmd;
-            snapshot_cmd;
-            restore_cmd;
-            clone_cmd;
-            model_check_cmd;
-            lint_src_cmd;
-            race_check_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 1
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -4,10 +4,10 @@
 
      dune exec examples/kv_serving.exe *)
 
-let cki_containers : Cki.Container.t list ref = ref []
+let booted : Cki.Container.t list ref = ref []
 
 let track c =
-  cki_containers := c :: !cki_containers;
+  booted := c :: !booted;
   Cki.Container.backend c
 
 let () =
@@ -47,6 +47,6 @@ let () =
      PVM: MMIO emulation; CKI: 390 ns hypercall gate) and a completion\n\
      interrupt (HVM: exit + inject + EOI exit).  That is the whole story\n\
      of Figure 16.\n";
-  ((), !cki_containers));
+  ((), !booted));
   Printf.printf "[analysis] %d CKI containers scanned + trace linted: clean\n"
-    (List.length !cki_containers)
+    (List.length !booted)

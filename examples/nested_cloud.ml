@@ -8,10 +8,10 @@
 let machine () = Hw.Machine.create ~cpus:4 ~mem_mib:256 ()
 
 (* CKI containers created along the way, sanitized at the end. *)
-let cki_containers : Cki.Container.t list ref = ref []
+let booted : Cki.Container.t list ref = ref []
 
 let track c =
-  cki_containers := c :: !cki_containers;
+  booted := c :: !booted;
   Cki.Container.backend c
 
 let backends =
@@ -76,8 +76,8 @@ let () =
   Printf.printf
     "\nCKI's exits never involve L0: its nested numbers track bare-metal, while\n\
      HVM's nested I/O collapses and PVM keeps paying syscall redirection.\n";
-  ((), !cki_containers)
+  ((), !booted)
 
 let () =
   Printf.printf "[analysis] %d CKI containers scanned + trace linted: clean\n"
-    (List.length !cki_containers)
+    (List.length !booted)

@@ -4,10 +4,10 @@
 
      dune exec examples/sqlite_tmpfs.exe *)
 
-let cki_containers : Cki.Container.t list ref = ref []
+let booted : Cki.Container.t list ref = ref []
 
 let track c =
-  cki_containers := c :: !cki_containers;
+  booted := c :: !booted;
   Cki.Container.backend c
 
 let () =
@@ -40,6 +40,6 @@ let () =
     "\nWrite patterns are syscall-dense (journal create/write/fsync/unlink per\n\
      txn), so PVM's redirected syscalls cost ~20-30%% of throughput; batched\n\
      and read patterns amortize; CKI's native syscalls track RunC everywhere.\n";
-  ((), !cki_containers));
+  ((), !booted));
   Printf.printf "[analysis] %d CKI containers scanned + trace linted: clean\n"
-    (List.length !cki_containers)
+    (List.length !booted)

@@ -56,19 +56,14 @@ let report ?(title = "CKI invariant check") r = Report.Findings.render ~title (f
 let assert_clean ?(label = "analysis") r =
   if not (is_clean r) then failwith (label ^ ": " ^ report ~title:label r)
 
-(* Run [f] with a recorder attached, then sanitize the machine state
-   and lint the captured trace. *)
-let run ~containers f =
-  let x, trace = Trace.with_recorder f in
-  let r = { violations = check_machine ~containers; lints = lint_trace trace } in
-  (x, r)
-
-(* Scenario wrapper for code that boots its containers inside [f]:
-   [f] returns its result alongside the containers to check; the
-   machine is sanitized and the trace linted afterwards, failing on
-   any finding. *)
-let checked ?label (f : unit -> 'a * Cki.Container.t list) : 'a =
+(* Run [f] with a recorder attached; [f] boots its containers and
+   returns them beside its result.  Afterwards sanitize those
+   containers' machine state and lint the captured trace. *)
+let run (f : unit -> 'a * Cki.Container.t list) : 'a * result =
   let (x, containers), trace = Trace.with_recorder f in
-  let r = { violations = check_machine ~containers; lints = lint_trace trace } in
+  (x, { violations = check_machine ~containers; lints = lint_trace trace })
+
+let checked ?label f =
+  let x, r = run f in
   assert_clean ?label r;
   x

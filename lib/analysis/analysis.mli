@@ -48,11 +48,10 @@ val report : ?title:string -> result -> string
 val assert_clean : ?label:string -> result -> unit
 (** @raise Failure with the rendered report on any finding. *)
 
-val run : containers:Cki.Container.t list -> (unit -> 'a) -> 'a * result
-(** Run [f] with a recorder attached, then sanitize the machine state
-    and lint the captured trace. *)
+val run : (unit -> 'a * Cki.Container.t list) -> 'a * result
+(** Run a scenario [f] with a recorder attached.  [f] boots its
+    containers and returns them beside its result; afterwards their
+    machine state is sanitized and the captured trace linted. *)
 
 val checked : ?label:string -> (unit -> 'a * Cki.Container.t list) -> 'a
-(** Scenario wrapper for code that boots its containers inside [f]:
-    sanitizes the machine and lints the trace afterwards, failing on
-    any finding. *)
+(** {!run} followed by {!assert_clean}: fails on any finding. *)

@@ -48,10 +48,3 @@ let pick t ~load ~n =
 
 let picks t = t.picks
 let policy t = t.policy
-
-let policy_of_string = function
-  | "rr" | "round-robin" | "round_robin" -> Some Round_robin
-  | "p2" | "pick2" | "pick2-least-loaded" -> Some Pick2_least_loaded
-  | _ -> None
-
-let policy_name = function Round_robin -> "round-robin" | Pick2_least_loaded -> "pick2"

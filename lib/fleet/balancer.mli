@@ -7,8 +7,6 @@ type policy = Round_robin | Pick2_least_loaded
 val pp_policy : Format.formatter -> policy -> unit
 val show_policy : policy -> string
 val equal_policy : policy -> policy -> bool
-val policy_of_string : string -> policy option
-val policy_name : policy -> string
 
 type t
 

@@ -510,21 +510,10 @@ let run ?(domains = 0) (cfg : config) =
   Hw.Domain_shard.run ~domains ~lanes (fun i ->
       outs.(i) <- Some (run_tenant cfg tenants.(i) ~seed:(tenant_seed cfg.seed i)));
   let out i = match outs.(i) with Some o -> o | None -> failwith "Fleet: tenant did not run" in
-  (* Simulated makespan under the fixed tenant->domain assignment. *)
-  let eff_domains = if domains <= 1 then 1 else domains in
-  let makespan = ref 0.0 in
-  for d = 0 to min eff_domains lanes - 1 do
-    let span = ref 0.0 in
-    let i = ref d in
-    while !i < lanes do
-      span := !span +. (out !i).tr_elapsed_ns;
-      i := !i + eff_domains
-    done;
-    if !span > !makespan then makespan := !span
-  done;
   {
     tenants = List.init lanes out;
-    makespan_ns = !makespan;
+    makespan_ns =
+      Hw.Domain_shard.makespan ~domains (Array.init lanes (fun i -> (out i).tr_elapsed_ns));
     domains;
   }
 

@@ -79,3 +79,12 @@ let run ?(domains = 1) ~lanes f =
   Array.iter
     (fun child -> Probe.emit_tagged ~dom:parent (Probe.Domain_join { parent; child }))
     children
+
+(* Each domain's span is the sum of its lanes' times under [run]'s
+   round-robin map (lane [i] on domain [i mod domains]), summed in lane
+   order; the makespan is the longest span. *)
+let makespan ~domains elapsed =
+  let domains = max 1 domains in
+  let spans = Array.make domains 0.0 in
+  Array.iteri (fun i ns -> spans.(i mod domains) <- spans.(i mod domains) +. ns) elapsed;
+  Array.fold_left Float.max 0.0 spans

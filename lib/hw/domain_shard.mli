@@ -18,3 +18,10 @@
     domain-race sanitizer exists to enforce. *)
 
 val run : ?domains:int -> lanes:int -> (int -> unit) -> unit
+
+val makespan : domains:int -> float array -> float
+(** [makespan ~domains elapsed] is the simulated parallel makespan of
+    [run ~domains] over lanes whose simulated times are [elapsed]: the
+    max over domains of the sum of their lanes' times under [run]'s
+    fixed round-robin lane->domain map ([domains <= 1] sums every
+    lane). *)

@@ -24,13 +24,6 @@ let workload_name = function
   | Web_static -> "nginx-static"
   | Web_httpd -> "httpd"
 
-let workload_of_string = function
-  | "memcached" | "kv" -> Some Kv_memcached
-  | "redis" -> Some Kv_redis
-  | "nginx" | "static" | "nginx-static" | "web" -> Some Web_static
-  | "httpd" -> Some Web_httpd
-  | _ -> None
-
 (* Exit-accounting events per backend: every guest/host privilege
    crossing the paper counts in Figure 16. *)
 let exit_events = function
@@ -285,7 +278,7 @@ let run_core ?(seed = default_seed) cfg =
   let mem_mib = 256 + (128 * cfg.containers) in
   let machine = Hw.Machine.create ~cpus:4 ~mem_mib () in
   let clock = Hw.Machine.clock machine in
-  let cki_containers = ref [] in
+  let booted = ref [] in
   let host =
     match cfg.backend with "cki" -> Some (Cki.Host.create machine) | _ -> None
   in
@@ -296,7 +289,7 @@ let run_core ?(seed = default_seed) cfg =
     | "pvm", _ -> Virt.Pvm.create ~env machine
     | "cki", Some h ->
         let c = Cki.Container.create ~env h in
-        cki_containers := c :: !cki_containers;
+        booted := c :: !booted;
         Cki.Container.backend c
     | other, _ -> invalid_arg ("Serve: unknown backend " ^ other)
   in
@@ -331,7 +324,7 @@ let run_core ?(seed = default_seed) cfg =
      preempted timeslices, device service in the after-slice window. *)
   let sched =
     if cfg.use_sched then
-      match (host, !cki_containers) with
+      match (host, !booted) with
       | Some h, cs when cs <> [] ->
           let s = Cki.Vcpu_sched.create h in
           let entries =
@@ -473,7 +466,7 @@ let run_core ?(seed = default_seed) cfg =
       r_domains = 0;
     }
   in
-  (result, List.rev !cki_containers, lat_us, elapsed_ns)
+  (result, List.rev !booted, lat_us, elapsed_ns)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-sharded execution                                            *)
@@ -511,18 +504,9 @@ let run_sharded ~domains cfg =
     done;
     !acc
   in
-  (* Simulated parallel makespan under the fixed lane->domain map. *)
-  let makespan = ref 0.0 in
-  for d = 0 to min domains lanes - 1 do
-    let span = ref 0.0 in
-    let i = ref d in
-    while !i < lanes do
-      let _, _, _, elapsed = out !i in
-      span := !span +. elapsed;
-      i := !i + domains
-    done;
-    if !span > !makespan then makespan := !span
-  done;
+  let makespan =
+    Hw.Domain_shard.makespan ~domains (Array.init lanes (fun i -> let _, _, _, e = out i in e))
+  in
   let lat_us = List.concat (List.init lanes (fun i -> let _, _, l, _ = out i in l)) in
   let containers = List.concat (List.init lanes (fun i -> let _, cs, _, _ = out i in cs)) in
   let r0, _, _, _ = out 0 in
@@ -536,7 +520,7 @@ let run_sharded ~domains cfg =
       r0 with
       r_containers = lanes;
       r_requests = total;
-      r_throughput_rps = fl /. (!makespan /. 1e9);
+      r_throughput_rps = fl /. (makespan /. 1e9);
       r_mean_us = Report.Stats.mean lat_us;
       r_p50_us = Report.Stats.percentile lat_us ~p:50.0;
       r_p95_us = Report.Stats.percentile lat_us ~p:95.0;
@@ -553,7 +537,7 @@ let run_sharded ~domains cfg =
       r_switch_forwarded = sum_i (fun r -> r.r_switch_forwarded);
       r_blk_writes = sum_i (fun r -> r.r_blk_writes);
       r_service_passes = sum_i (fun r -> r.r_service_passes);
-      r_wall_ns = !makespan;
+      r_wall_ns = makespan;
       r_domains = domains;
     }
   in

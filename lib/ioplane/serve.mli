@@ -12,7 +12,6 @@ val pp_workload : Format.formatter -> workload -> unit
 val show_workload : workload -> string
 val equal_workload : workload -> workload -> bool
 val workload_name : workload -> string
-val workload_of_string : string -> workload option
 
 (** One container's lane through the I/O plane: a backend wired to the
     event loop, its client switch port, a workload-specific request

@@ -46,11 +46,10 @@ type chaos =
 type opts = {
   rounds_max : int;
   converge_frames : int;
-  verify : bool;
   chaos : chaos option;
 }
 
-let default_opts = { rounds_max = 8; converge_frames = 8; verify = true; chaos = None }
+let default_opts = { rounds_max = 8; converge_frames = 8; chaos = None }
 
 type outcome = Completed | Failed_over | Aborted
 
@@ -135,11 +134,22 @@ let transfer_exn fab ~src ~dst ~bytes =
   | Ok ns -> ns
   | Error s -> raise (Fail (Link_down s))
 
-let restore_exn ~verify host image =
-  match Snapshot.Restore.restore ~verify host image with
-  | Ok c -> c
-  | Error (Snapshot.Restore.Verify_failed s) -> raise (Fail (Verify_failed s))
-  | Error e -> raise (Fail (Restore_failed (Snapshot.Restore.show_error e)))
+(* Rebuild [image] on [host] and re-verify it before it can go live: a
+   copy that fails the sanitizer never serves, whatever the restore
+   path claimed.  This is the copy's one verification, so Restore runs
+   without its own.  [restored] learns the copy before the check, so
+   the caller's failure handler can tear it down. *)
+let restore_verified_exn ~restored ~what host image =
+  let target =
+    match Snapshot.Restore.restore ~verify:false host image with
+    | Ok c -> c
+    | Error e -> raise (Fail (Restore_failed (Snapshot.Restore.show_error e)))
+  in
+  restored := Some target;
+  match Analysis.check_machine ~containers:[ target ] with
+  | [] -> target
+  | vs ->
+      raise (Fail (Verify_failed (Printf.sprintf "%d invariant findings %s" (List.length vs) what)))
 
 let page = Hw.Addr.page_size
 
@@ -194,107 +204,66 @@ let migrate fab ~src ~dst ~name c ~work opts =
        with Exit -> ())
     end;
     let rounds = List.rev !rounds in
-    if !crashed then begin
-      (* ---------- failover: source host died mid-migration ---------- *)
-      let t0 = Hw.Clock.now (Fabric.clock fab dst) in
-      Fabric.freeze fab ~name;
-      let target = restore_exn ~verify:opts.verify (Fabric.host fab dst) image0 in
-      (match Analysis.check_machine ~containers:[ target ] with
-      | [] -> ()
-      | vs ->
-          raise (Fail (Verify_failed (Printf.sprintf "%d invariant findings on failover copy" (List.length vs)))));
-      Fabric.rehome fab ~name ~to_:dst;
-      let replayed = Fabric.unfreeze fab ~name in
-      let downtime = Hw.Clock.now (Fabric.clock fab dst) -. t0 in
-      Ok
-        {
-          outcome = Failed_over;
-          live = target;
-          live_hid = dst;
-          loser_hid = src;
-          loser_container = src_id;
-          downtime_ns = downtime;
-          total_ns = Hw.Clock.now (Fabric.clock fab dst) -. started_ns;
-          rounds;
-          frames_full;
-          frames_resent = !frames_resent;
-          final_dirty = 0;
-          converged = false;
-          replayed;
-          final_image = None;
-        }
-    end
-    else begin
-      (* ---------------- stop-and-copy + cutover ---------------------- *)
-      Fabric.freeze fab ~name;
-      let t0 = global_now fab ~src ~dst in
-      let final_dirty = if precopy then track_finish c else frames_full in
-      quiesce c;
-      let final_image = capture_exn c in
-      ignore (transfer_exn fab ~src ~dst ~bytes:(final_dirty * page));
-      frames_resent := !frames_resent + (if precopy then final_dirty else 0);
-      let target = restore_exn ~verify:opts.verify (Fabric.host fab dst) final_image in
-      (* Re-verify before cutover: a copy that fails the sanitizer never
-         goes live, whatever the restore path claimed. *)
-      (match Analysis.check_machine ~containers:[ target ] with
-      | [] -> ()
-      | vs ->
-          Cki.Container.destroy target;
-          Fabric.unfreeze fab ~name |> ignore;
-          raise
-            (Fail (Verify_failed (Printf.sprintf "%d invariant findings before cutover" (List.length vs)))));
-      let abort () =
-        (* The target copy must not go live without the cutover ack: no
-           split brain.  Tear it down, leak-checkably, and let the
-           source resume serving. *)
-        let dst_id = target.Cki.Container.container_id in
-        Cki.Container.destroy target;
+    (* From here on client frames buffer.  Every failure goes through
+       the one handler at the bottom: it destroys the restored copy, if
+       there is one yet, and unfreezes — an endpoint left frozen would
+       buffer every later frame forever. *)
+    Fabric.freeze fab ~name;
+    let restored = ref None in
+    try
+      if !crashed then begin
+        (* ---------- failover: source host died mid-migration ---------- *)
+        let t0 = Hw.Clock.now (Fabric.clock fab dst) in
+        let target =
+          restore_verified_exn ~restored ~what:"on failover copy" (Fabric.host fab dst) image0
+        in
+        Fabric.rehome fab ~name ~to_:dst;
         let replayed = Fabric.unfreeze fab ~name in
-        let now = global_now fab ~src ~dst in
+        let downtime = Hw.Clock.now (Fabric.clock fab dst) -. t0 in
         Ok
           {
-            outcome = Aborted;
-            live = c;
-            live_hid = src;
-            loser_hid = dst;
-            loser_container = dst_id;
-            downtime_ns = now -. t0;
-            total_ns = now -. started_ns;
+            outcome = Failed_over;
+            live = target;
+            live_hid = dst;
+            loser_hid = src;
+            loser_container = src_id;
+            downtime_ns = downtime;
+            total_ns = Hw.Clock.now (Fabric.clock fab dst) -. started_ns;
             rounds;
             frames_full;
             frames_resent = !frames_resent;
-            final_dirty;
-            converged = !converged;
+            final_dirty = 0;
+            converged = false;
             replayed;
-            final_image = Some final_image;
+            final_image = None;
           }
-      in
-      match opts.chaos with
-      | Some Target_crash_before_cutover ->
-          (* The target's migration daemon dies before the ack; its
-             crash-recovery must tear the restored copy down. *)
-          abort ()
-      | Some Partition_before_cutover ->
-          Fabric.partition fab src dst;
-          (* The cutover ack cannot cross a partitioned link. *)
-          (match Fabric.transfer fab ~src ~dst ~bytes:64 with
-          | Ok _ -> assert false
-          | Error _ -> ());
-          abort ()
-      | _ ->
-          (* Cutover ack (a tiny control message), then the switchover. *)
-          ignore (transfer_exn fab ~src ~dst ~bytes:64);
-          Fabric.rehome fab ~name ~to_:dst;
+      end
+      else begin
+        (* ---------------- stop-and-copy + cutover ---------------------- *)
+        let t0 = global_now fab ~src ~dst in
+        let final_dirty = if precopy then track_finish c else frames_full in
+        quiesce c;
+        let final_image = capture_exn c in
+        ignore (transfer_exn fab ~src ~dst ~bytes:(final_dirty * page));
+        frames_resent := !frames_resent + (if precopy then final_dirty else 0);
+        let target =
+          restore_verified_exn ~restored ~what:"before cutover" (Fabric.host fab dst) final_image
+        in
+        let abort () =
+          (* The target copy must not go live without the cutover ack: no
+             split brain.  Tear it down, leak-checkably, and let the
+             source resume serving. *)
+          let dst_id = target.Cki.Container.container_id in
+          Cki.Container.destroy target;
           let replayed = Fabric.unfreeze fab ~name in
-          Cki.Container.destroy c;
           let now = global_now fab ~src ~dst in
           Ok
             {
-              outcome = Completed;
-              live = target;
-              live_hid = dst;
-              loser_hid = src;
-              loser_container = src_id;
+              outcome = Aborted;
+              live = c;
+              live_hid = src;
+              loser_hid = dst;
+              loser_container = dst_id;
               downtime_ns = now -. t0;
               total_ns = now -. started_ns;
               rounds;
@@ -305,5 +274,46 @@ let migrate fab ~src ~dst ~name c ~work opts =
               replayed;
               final_image = Some final_image;
             }
-    end
+        in
+        match opts.chaos with
+        | Some Target_crash_before_cutover ->
+            (* The target's migration daemon dies before the ack; its
+               crash-recovery must tear the restored copy down. *)
+            abort ()
+        | Some Partition_before_cutover ->
+            Fabric.partition fab src dst;
+            (* The cutover ack cannot cross a partitioned link. *)
+            (match Fabric.transfer fab ~src ~dst ~bytes:64 with
+            | Ok _ -> assert false
+            | Error _ -> ());
+            abort ()
+        | _ ->
+            (* Cutover ack (a tiny control message), then the switchover. *)
+            ignore (transfer_exn fab ~src ~dst ~bytes:64);
+            Fabric.rehome fab ~name ~to_:dst;
+            let replayed = Fabric.unfreeze fab ~name in
+            Cki.Container.destroy c;
+            let now = global_now fab ~src ~dst in
+            Ok
+              {
+                outcome = Completed;
+                live = target;
+                live_hid = dst;
+                loser_hid = src;
+                loser_container = src_id;
+                downtime_ns = now -. t0;
+                total_ns = now -. started_ns;
+                rounds;
+                frames_full;
+                frames_resent = !frames_resent;
+                final_dirty;
+                converged = !converged;
+                replayed;
+                final_image = Some final_image;
+              }
+      end
+    with Fail e ->
+      Option.iter Cki.Container.destroy !restored;
+      ignore (Fabric.unfreeze fab ~name);
+      Error e
   with Fail e -> Error e

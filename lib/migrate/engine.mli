@@ -38,12 +38,11 @@ type chaos =
 type opts = {
   rounds_max : int;  (** round cap; 0 = pure stop-and-copy *)
   converge_frames : int;  (** stop pre-copy once a round's dirty set is this small *)
-  verify : bool;  (** run the analysis scanner inside restore *)
   chaos : chaos option;
 }
 
 val default_opts : opts
-(** 8 rounds max, converge at <= 8 frames, verify on, no chaos. *)
+(** 8 rounds max, converge at <= 8 frames, no chaos. *)
 
 type outcome =
   | Completed  (** normal cutover; the target serves, the source is destroyed *)

@@ -45,5 +45,3 @@ let render ~title findings =
                f.rule w_subj f.subject f.detail))
         fs);
   Buffer.contents buf
-
-let print ~title findings = print_string (render ~title findings)

@@ -18,7 +18,5 @@ val make : severity:severity -> rule:string -> subject:string -> detail:string -
 val render : title:string -> t list -> string
 (** An aligned report block; an empty list renders a clean-bill line. *)
 
-val print : title:string -> t list -> unit
-
 val summary : t list -> string
 (** One line: "3 findings (2 critical, 1 warning)" or "clean". *)

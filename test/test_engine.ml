@@ -477,6 +477,15 @@ let test_sharding_scales () =
   check bool "throughput scales" true
     (r4.Ioplane.Serve.r_throughput_rps > 2.0 *. r1.Ioplane.Serve.r_throughput_rps)
 
+(* The makespan follows [Domain_shard.run]'s lane->domain map: lanes
+   i, i + d, i + 2d, ... share domain i. *)
+let test_makespan () =
+  let makespan domains = Hw.Domain_shard.makespan ~domains [| 1.; 2.; 3.; 4.; 5. |] in
+  check (float 0.0) "0 domains run every lane inline" 15.0 (makespan 0);
+  check (float 0.0) "1 domain runs every lane" 15.0 (makespan 1);
+  check (float 0.0) "2 domains: lanes 0, 2, 4 are the longest span" 9.0 (makespan 2);
+  check (float 0.0) "8 domains: the longest lane" 5.0 (makespan 8)
+
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip: the parser added for artifact validation must
    accept exactly what the emitter produces.                           *)
@@ -575,5 +584,6 @@ let suite =
       [
         test_case "domains 1/2/4 merge identically" `Slow test_sharding_deterministic;
         test_case "makespan accounting scales" `Slow test_sharding_scales;
+        test_case "makespan follows the lane->domain map" `Quick test_makespan;
       ] );
   ]

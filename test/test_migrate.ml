@@ -199,6 +199,27 @@ let test_round_cap_fires () =
       check bool "cap, not convergence" false st.Migrate.Engine.converged;
       check bool "still completes" true (st.Migrate.Engine.outcome = Migrate.Engine.Completed)
 
+(* A failure after the endpoint froze must leave it serving.  With
+   [rounds_max = 0] the first transfer is the final one, which comes
+   after the freeze; a partitioned link fails it. *)
+let test_failed_migration_unfreezes () =
+  let fab = Migrate.Fabric.create ~hosts:2 () in
+  let a = Migrate.Chaos.boot_app ~heap_pages:64 fab ~hid:0 in
+  ignore (Migrate.Fabric.expose fab ~name:"svc" ~home:0);
+  Migrate.Fabric.partition fab 0 1;
+  (match
+     Migrate.Engine.migrate fab ~src:0 ~dst:1 ~name:"svc" a.Migrate.Chaos.container
+       ~work:(Migrate.Chaos.work_of a)
+       { Migrate.Engine.default_opts with Migrate.Engine.rounds_max = 0 }
+   with
+  | Error (Migrate.Engine.Link_down _) -> ()
+  | Error e -> fail ("expected a link failure, got " ^ Migrate.Engine.show_error e)
+  | Ok _ -> fail "a migration over a partitioned link must fail");
+  check bool "endpoint unfrozen" false (Migrate.Fabric.endpoint fab "svc").Migrate.Fabric.ep_frozen;
+  Migrate.Fabric.deliver fab ~name:"svc" (Bytes.of_string "after");
+  check int "a later frame is delivered" 1 (Migrate.Fabric.delivered fab "svc");
+  check int "and not buffered" 0 (Migrate.Fabric.buffered fab "svc")
+
 (* ------------------------------------------------------------------ *)
 (* Chaos                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -299,11 +320,7 @@ let test_concurrent_migrations_racecheck_clean () =
         let (), trace =
           Analysis.Trace.with_recorder ~capacity:400_000 (fun () ->
               Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun _ ->
-                  let _fab, st =
-                    migrate_app ~heap_pages:64
-                      ~opts:{ Migrate.Engine.default_opts with Migrate.Engine.verify = false }
-                      ()
-                  in
+                  let _fab, st = migrate_app ~heap_pages:64 () in
                   assert (st.Migrate.Engine.outcome = Migrate.Engine.Completed)))
         in
         Analysis.Racecheck.of_trace trace)
@@ -325,6 +342,8 @@ let suite =
         test_case "engine: pre-copy converges, beats stop-and-copy" `Quick
           test_precopy_converges_and_beats_stop_and_copy;
         test_case "engine: round cap bounds a non-converging writer" `Quick test_round_cap_fires;
+        test_case "engine: a failed migration unfreezes the endpoint" `Quick
+          test_failed_migration_unfreezes;
         test_case "chaos: every scenario leaves one clean copy" `Quick test_chaos_scenarios;
         test_case "chaos: leak injection is caught" `Quick test_chaos_leak_injection_flips;
         test_case "pool: drain spares live clones (regression)" `Quick
