@@ -46,13 +46,14 @@ race-check: build
 	dune exec bin/cki_demo.exe -- race-check --inject; test $$? -eq 2
 
 # Regenerate every checked-in benchmark artifact (BENCH_*.json) in the
-# repo root.  Each bench writes its file into the current directory.
+# repo root, then validate them: a false gate fails here, after all nine
+# files are written.
 bench-json: build
 	dune exec bench/main.exe -- --json snapshot modelcheck ioplane fleet migration srclint racecheck engine micro
 	$(MAKE) validate-bench
 
-# Parse every checked-in BENCH_*.json with the in-repo JSON parser
-# (Report.Json.parse); exit non-zero if any artifact is malformed.
+# Check every BENCH_*.json against the artifact schema; exit non-zero
+# if any is malformed, breaks the schema or has a false gate.
 validate-bench: build
 	dune exec bench/main.exe -- validate
 

@@ -1,0 +1,167 @@
+(* The one reporting path of the artifact benches.  A bench returns its
+   metrics and gates; this module prints them, writes them as
+   BENCH_<bench>.json, and validates the written artifacts.
+
+   A metric names its clock: [Sim] values come from the simulation
+   (simulated time or a deterministic count) and must be bit-identical
+   across runs; [Wall] values are host wall-clock and carry the host's
+   noise.  [n] is the number of observations behind the value: the
+   samples a mean, median or percentile was taken over, 1 for a single
+   count.  A gate is an acceptance check; [validate] fails on any
+   false gate, so a bench never exits on its own. *)
+
+type clock = Sim | Wall
+type metric = { name : string; unit : string; clock : clock; value : float; n : int }
+type gate = { gate : string; ok : bool; detail : string }
+type t = { bench : string; metrics : metric list; gates : gate list }
+
+let sim ?(n = 1) name unit value = { name; unit; clock = Sim; value; n }
+let wall ?(n = 1) name unit value = { name; unit; clock = Wall; value; n }
+let count ?n name unit v = sim ?n name unit (float_of_int v)
+let gate gate ok detail = { gate; ok; detail }
+let section title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+let clock_name = function Sim -> "sim" | Wall -> "wall"
+
+let print t =
+  let tbl =
+    Report.Table.create ~title:("bench " ^ t.bench) ~header:[ "metric"; "value"; "unit"; "clock"; "n" ]
+  in
+  List.iter
+    (fun m ->
+      Report.Table.add_row tbl
+        [ m.name; Printf.sprintf "%.6g" m.value; m.unit; clock_name m.clock; string_of_int m.n ])
+    t.metrics;
+  Report.Table.print tbl;
+  List.iter
+    (fun g -> Printf.printf "  %-4s %s: %s\n" (if g.ok then "OK" else "FAIL") g.gate g.detail)
+    t.gates
+
+let to_json t =
+  let open Report.Json in
+  Obj
+    [
+      ("bench", String t.bench);
+      ( "metrics",
+        List
+          (List.map
+             (fun m ->
+               Obj
+                 [
+                   ("name", String m.name);
+                   ("unit", String m.unit);
+                   ("clock", String (clock_name m.clock));
+                   ("value", Float m.value);
+                   ("n", Int m.n);
+                 ])
+             t.metrics) );
+      ( "gates",
+        List
+          (List.map
+             (fun g -> Obj [ ("gate", String g.gate); ("ok", Bool g.ok); ("detail", String g.detail) ])
+             t.gates) );
+    ]
+
+let write t =
+  let file = "BENCH_" ^ t.bench ^ ".json" in
+  Report.Json.write_file file (to_json t);
+  Printf.printf "wrote %s\n" file
+
+(* ---------------- validation ---------------- *)
+
+exception Invalid of string
+
+(* Decode one artifact, raising [Invalid] on anything but exactly the
+   shape [to_json] writes. *)
+let of_json j =
+  let invalid fmt = Printf.ksprintf (fun msg -> raise (Invalid msg)) fmt in
+  (* An object with exactly [keys], in order, as a field lookup. *)
+  let fields what keys = function
+    | Report.Json.Obj kvs when List.map fst kvs = keys -> fun k -> List.assoc k kvs
+    | _ -> invalid "%s must be an object with fields %s" what (String.concat ", " keys)
+  in
+  let str what = function Report.Json.String s -> s | _ -> invalid "%s must be a string" what in
+  let list what = function Report.Json.List l -> l | _ -> invalid "%s must be a list" what in
+  let metric j =
+    let f = fields "a metric" [ "name"; "unit"; "clock"; "value"; "n" ] j in
+    let name = str "metric name" (f "name") in
+    let clock =
+      match f "clock" with
+      | Report.Json.String "sim" -> Sim
+      | Report.Json.String "wall" -> Wall
+      | _ -> invalid "metric %S: clock must be \"sim\" or \"wall\"" name
+    in
+    let value =
+      match f "value" with
+      | Report.Json.Float v when Float.is_finite v -> v
+      | Report.Json.Int v -> float_of_int v
+      | _ -> invalid "metric %S: value is not a finite number" name
+    in
+    let n =
+      match f "n" with
+      | Report.Json.Int n when n >= 1 -> n
+      | _ -> invalid "metric %S: n must be an integer >= 1" name
+    in
+    { name; unit = str "metric unit" (f "unit"); clock; value; n }
+  in
+  let gate j =
+    let f = fields "a gate" [ "gate"; "ok"; "detail" ] j in
+    let ok = match f "ok" with Report.Json.Bool b -> b | _ -> invalid "gate ok must be a boolean" in
+    { gate = str "gate name" (f "gate"); ok; detail = str "gate detail" (f "detail") }
+  in
+  let f = fields "the artifact" [ "bench"; "metrics"; "gates" ] j in
+  let t =
+    {
+      bench = str "bench" (f "bench");
+      metrics = List.map metric (list "metrics" (f "metrics"));
+      gates = List.map gate (list "gates" (f "gates"));
+    }
+  in
+  if t.metrics = [] then invalid "no metrics";
+  let rec dup = function a :: (b :: _ as rest) -> if a = b then Some a else dup rest | _ -> None in
+  let names = List.sort compare (List.map (fun m -> m.name) t.metrics) in
+  Option.iter (invalid "duplicate metric %S") (dup names);
+  t
+
+(* Validate [files] (every BENCH_*.json in the current directory when
+   empty): each must parse, have exactly the artifact shape, at least
+   one metric, unique metric names, finite values, n >= 1 and no false
+   gate.  Prints one line per file and per failing gate; true iff every
+   file passes. *)
+let validate files =
+  let files =
+    if files <> [] then files
+    else
+      Sys.readdir "."
+      |> Array.to_list
+      |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+      |> List.sort compare
+  in
+  if files = [] then Printf.printf "validate: no BENCH_*.json in the current directory\n";
+  files <> []
+  && List.fold_left
+       (fun all_ok f ->
+         let ok =
+           match Report.Json.parse_file f with
+           | exception Sys_error e ->
+               Printf.printf "  %s: unreadable: %s\n" f e;
+               false
+           | Error e ->
+               Printf.printf "  %s: malformed JSON: %s\n" f e;
+               false
+           | Ok j -> (
+               match of_json j with
+               | exception Invalid msg ->
+                   Printf.printf "  %s: %s\n" f msg;
+                   false
+               | t ->
+                   let failed = List.filter (fun g -> not g.ok) t.gates in
+                   List.iter
+                     (fun g -> Printf.printf "  %s: gate FAILED: %s: %s\n" f g.gate g.detail)
+                     failed;
+                   if failed = [] then
+                     Printf.printf "  %s: ok (bench %s, %d metrics, %d gates)\n" f t.bench
+                       (List.length t.metrics) (List.length t.gates);
+                   failed = [])
+         in
+         all_ok && ok)
+       true files

@@ -2,14 +2,12 @@
    against the simulated machine.  See DESIGN.md section 4 for the
    experiment index and EXPERIMENTS.md for paper-vs-measured. *)
 
-let section title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
 (* ------------------------------------------------------------------ *)
 (* Table 2: container performance on microbenchmarks (ns)              *)
 (* ------------------------------------------------------------------ *)
 
 let table2 () =
-  section "Table 2: container performance on microbenchmarks (ns)";
+  Artifact.section "Table 2: container performance on microbenchmarks (ns)";
   let tbl =
     Report.Table.create ~title:"Table 2 (+ CKI column; paper: RunC 93/1000/-, HVM-BM 91/4347/1088, PVM-BM 336/6727/466, HVM-NST 91/34050/6746, PVM-NST 336/7346/486)"
       ~header:[ "benchmark"; "RunC"; "HVM-BM"; "PVM-BM"; "HVM-NST"; "PVM-NST"; "CKI" ]
@@ -29,7 +27,7 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 
 let table3 () =
-  section "Table 3: privileged instructions in the CKI guest kernel";
+  Artifact.section "Table 3: privileged instructions in the CKI guest kernel";
   let c = Cki.Container.create_standalone () in
   let cpu = Cki.Container.cpu c 0 in
   let tbl =
@@ -61,7 +59,7 @@ let table3 () =
 (* ------------------------------------------------------------------ *)
 
 let table4 () =
-  section "Table 4: finish time of TLB-miss-intensive applications (s)";
+  Artifact.section "Table 4: finish time of TLB-miss-intensive applications (s)";
   (* Sampled runs scaled to the paper's working-set sizes: the sampled
      loop runs [updates] accesses through a real TLB; the scale factor
      maps to the full-size run (45 GB working sets). *)
@@ -120,7 +118,7 @@ let cve_classes =
   ]
 
 let fig2 () =
-  section "Figure 2: Linux kernel CVEs exploitable by containers (2022-2023, n=209)";
+  Artifact.section "Figure 2: Linux kernel CVEs exploitable by containers (2022-2023, n=209)";
   let tbl =
     Report.Table.create ~title:"Figure 2 (DoS-capable classes motivate kernel separation)"
       ~header:[ "class"; "share %"; "DoS-capable" ]
@@ -173,7 +171,7 @@ let normalize_to_worst results =
   List.map (fun (l, v) -> (l, v /. worst)) results
 
 let fig4 () =
-  section "Figure 4: memory-intensive applications, motivation (normalized latency)";
+  Artifact.section "Figure 4: memory-intensive applications, motivation (normalized latency)";
   let backends =
     [ Backends.hvm_nst; Backends.pvm_nst; Backends.runc; (fun () -> Backends.hvm_bm ()); Backends.pvm_bm ]
   in
@@ -183,7 +181,7 @@ let fig4 () =
     (Report.Figure.grouped_bars ~title:"Figure 4" ~value_label:"latency normalized to worst" ~groups)
 
 let fig12 () =
-  section "Figure 12: memory-intensive applications with CKI (normalized latency)";
+  Artifact.section "Figure 12: memory-intensive applications with CKI (normalized latency)";
   let backends =
     [
       Backends.hvm_nst;
@@ -269,7 +267,7 @@ let run_io_apps ~backends ~normalize_best =
     (io_apps ())
 
 let fig5 () =
-  section "Figure 5: I/O-intensive applications, motivation (normalized throughput)";
+  Artifact.section "Figure 5: I/O-intensive applications, motivation (normalized throughput)";
   let backends =
     [ Backends.hvm_nst; Backends.pvm_nst; Backends.runc; (fun () -> Backends.hvm_bm ()); Backends.pvm_bm ]
   in
@@ -282,7 +280,7 @@ let fig5 () =
 (* ------------------------------------------------------------------ *)
 
 let fig10 () =
-  section "Figure 10a: page fault latency breakdown (ns)";
+  Artifact.section "Figure 10a: page fault latency breakdown (ns)";
   let cases =
     [
       ("HVM-NST", Backends.hvm_nst ());
@@ -300,7 +298,7 @@ let fig10 () =
       in
       Printf.printf "  %-8s %8.0f ns  [%s]\n" name total comps_str)
     cases;
-  section "Figure 10b: system call latency and CKI optimizations (ns)";
+  Artifact.section "Figure 10b: system call latency and CKI optimizations (ns)";
   let cases =
     [
       ("RunC", Backends.runc ());
@@ -318,7 +316,7 @@ let fig10 () =
 (* ------------------------------------------------------------------ *)
 
 let fig11 () =
-  section "Figure 11: container performance on lmbench (latency, normalized to worst)";
+  Artifact.section "Figure 11: container performance on lmbench (latency, normalized to worst)";
   let backends =
     [ ("RunC", Backends.runc ()); ("HVM", Backends.hvm_bm ()); ("CKI", Backends.cki_bm ()); ("PVM", Backends.pvm_bm ()) ]
   in
@@ -351,7 +349,7 @@ let fig11 () =
 (* ------------------------------------------------------------------ *)
 
 let fig13 () =
-  section "Figure 13: overhead of secure containers vs RunC (%)";
+  Artifact.section "Figure 13: overhead of secure containers vs RunC (%)";
   let backend_mks =
     [
       ("HVM-NST", Backends.hvm_nst);
@@ -412,7 +410,7 @@ let fig13 () =
 (* ------------------------------------------------------------------ *)
 
 let fig14 () =
-  section "Figure 14: SQLite benchmark (throughput normalized to best; syscall frequency)";
+  Artifact.section "Figure 14: SQLite benchmark (throughput normalized to best; syscall frequency)";
   let backends =
     [
       ("PVM", Backends.pvm_bm);
@@ -446,7 +444,7 @@ let fig14 () =
     (Report.Figure.grouped_bars ~title:"Figure 14" ~value_label:"throughput normalized to best" ~groups)
 
 let fig15 () =
-  section "Figure 15: syscall optimizations in CKI, SQLite overhead vs RunC (%)";
+  Artifact.section "Figure 15: syscall optimizations in CKI, SQLite overhead vs RunC (%)";
   let ops = 2_000 in
   let tbl =
     Report.Table.create ~title:"Figure 15 (paper: PVM up to 24%, CKI-wo-OPT2 up to 15%, CKI-wo-OPT3 up to 9%, CKI ~0%)"
@@ -476,7 +474,7 @@ let fig15 () =
 (* ------------------------------------------------------------------ *)
 
 let fig16 () =
-  section "Figure 16: key-value store throughput vs clients (k ops/s)";
+  Artifact.section "Figure 16: key-value store throughput vs clients (k ops/s)";
   let clients = [ 4; 8; 16; 32; 64; 128 ] in
   let backends =
     [
@@ -519,7 +517,7 @@ let fig16 () =
 (* ------------------------------------------------------------------ *)
 
 let security () =
-  section "Security: container-escape / DoS attack suite (Sections 4 & 6)";
+  Artifact.section "Security: container-escape / DoS attack suite (Sections 4 & 6)";
   let c = Cki.Container.create_standalone () in
   let results = Cki.Attacks.all c in
   List.iter
@@ -546,7 +544,7 @@ let security () =
    aggressive quotas on latency-sensitive containers, and the signal
    the fleet autoscaler keys on. *)
 let quota () =
-  section "CPU quotas (cgroup cpu.max): p99 vs per-replica budget";
+  Artifact.section "CPU quotas (cgroup cpu.max): p99 vs per-replica budget";
   let run_budget budget =
     let tenant =
       {
@@ -609,7 +607,7 @@ let quota () =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  section "Ablation 1: Design-PKS vs Design-PKU (Section 3.1)";
+  Artifact.section "Ablation 1: Design-PKS vs Design-PKU (Section 3.1)";
   let pf cfg =
     let b = Backends.cki ~cfg () in
     Micro.pgfault_ns ~pages:1024 b
@@ -619,13 +617,13 @@ let ablation () =
   Printf.printf "  page fault: Design-PKS %.0f ns, Design-PKU %.0f ns (+%.0f ns ring-crossing injection)\n"
     pks pku (pku -. pks);
 
-  section "Ablation 2: eliding PTI/IBRS from the KSM gate (Section 3.3)";
+  Artifact.section "Ablation 2: eliding PTI/IBRS from the KSM gate (Section 3.3)";
   let without = pf Cki.Config.default in
   let with_pti = pf { Cki.Config.default with Cki.Config.pti_in_gates = true } in
   Printf.printf "  page fault: no-PTI gate %.0f ns, PTI+IBRS gate %.0f ns (saving %.0f ns/fault)\n"
     without with_pti (with_pti -. without);
 
-  section "Ablation 3: emulating PVM syscall latency on CKI (Section 7.3)";
+  Artifact.section "Ablation 3: emulating PVM syscall latency on CKI (Section 7.3)";
   let thr cfg =
     let b = Backends.cki ~cfg () in
     Workloads.Kv.run_memtier b ~flavor:Workloads.Kv.Memcached ~clients:32 ~requests:2_000
@@ -636,7 +634,7 @@ let ablation () =
     (native /. 1e3) (emul /. 1e3)
     (100.0 *. (1.0 -. (emul /. native)));
 
-  section "Extension 1: ring-0 driver sandboxing vs microkernel IPC (Section 9)";
+  Artifact.section "Extension 1: ring-0 driver sandboxing vs microkernel IPC (Section 9)";
   let machine = Hw.Machine.create ~mem_mib:64 () in
   let registry = Cki.Driver_sandbox.create_registry machine in
   let drv = Cki.Driver_sandbox.load registry ~name:"e1000" ~heap_pages:16 in
@@ -657,7 +655,7 @@ let ablation () =
   Printf.printf "  driver call: PKS domain gate %.1f ns vs ring-3 IPC %.1f ns (%.1fx)\n" pks_gate ipc
     (ipc /. pks_gate);
 
-  section "Extension 2: kernel-level syscall elision (Section 9)";
+  Artifact.section "Extension 2: kernel-level syscall elision (Section 9)";
   let normal = Backends.cki () in
   let inkernel = Cki.Kernel_app.wrap_backend (Backends.cki ()) in
   let ops = 2_000 in

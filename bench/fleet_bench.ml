@@ -17,58 +17,19 @@
      left); scatter delegation completes >= 500 cycles on the same
      pattern, and rescues the very host first-fit wedged.
 
-   ISSUE acceptance: pool-hit spawn >= 100x faster than cold boot;
-   shed rate > 0 only for the over-subscribed tenant; scale-out on an
-   induced p99 breach; >= 500-cycle churn where first-fit demonstrably
-   fails.
+   Gates: >= 1M requests offered; scale-out on an induced p99 breach;
+   shedding only for the over-subscribed tenant; every clone verified;
+   pool-hit spawn >= 100x faster than cold boot; first-fit fails under
+   churn while scatter completes >= 500 cycles; >= 100 containers per
+   host; churn survivors analysis-clean. *)
 
-   --json writes BENCH_fleet.json. *)
-
-let section title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 let cfg_of frames = { Cki.Config.default with Cki.Config.segment_frames = frames; vcpus = 1 }
-
-let mean = function
-  | [] -> 0.0
-  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* Serving                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let tenant_json (tr : Fleet.Controller.tenant_result) =
-  let open Fleet.Controller in
-  let hit_spawns, miss_spawns = List.partition (fun s -> s.s_pool_hit) tr.tr_spawns in
-  Report.Json.Obj
-    [
-      ("name", Report.Json.String tr.tr_name);
-      ("offered", Report.Json.Int tr.tr_offered);
-      ("admitted", Report.Json.Int tr.tr_admitted);
-      ("shed", Report.Json.Int tr.tr_shed);
-      ("shed_rate", Report.Json.Int tr.tr_shed_rate);
-      ("shed_inflight", Report.Json.Int tr.tr_shed_inflight);
-      ("completed", Report.Json.Int tr.tr_completed);
-      ("mean_us", Report.Json.Float tr.tr_mean_us);
-      ("p50_us", Report.Json.Float tr.tr_p50_us);
-      ("p95_us", Report.Json.Float tr.tr_p95_us);
-      ("p99_us", Report.Json.Float tr.tr_p99_us);
-      ("windows", Report.Json.Int tr.tr_windows);
-      ("breaches", Report.Json.Int tr.tr_breaches);
-      ("scale_outs", Report.Json.Int tr.tr_scale_outs);
-      ("scale_ins", Report.Json.Int tr.tr_scale_ins);
-      ("verify_failures", Report.Json.Int tr.tr_verify_failures);
-      ("peak_replicas", Report.Json.Int tr.tr_peak_replicas);
-      ("final_replicas", Report.Json.Int tr.tr_final_replicas);
-      ("throttle_events", Report.Json.Int tr.tr_throttle_events);
-      ("pool_hits", Report.Json.Int tr.tr_pool.Snapshot.Pool.hits);
-      ("pool_misses", Report.Json.Int tr.tr_pool.Snapshot.Pool.misses);
-      ("pool_refills", Report.Json.Int tr.tr_pool.Snapshot.Pool.refills);
-      ("spawn_pool_hit_ns", Report.Json.Float (mean (List.map (fun s -> s.s_ns) hit_spawns)));
-      ("spawn_pool_miss_ns", Report.Json.Float (mean (List.map (fun s -> s.s_ns) miss_spawns)));
-      ("elapsed_ns", Report.Json.Float tr.tr_elapsed_ns);
-    ]
-
 let run_serving () =
-  section "Fleet: 8 tenants, >= 1M open-loop requests, SLO-driven autoscaling";
   let open Fleet.Controller in
   let bulk i =
     {
@@ -110,48 +71,56 @@ let run_serving () =
     }
   in
   let r = run cfg in
-  List.iter (fun tr -> Format.printf "  %a@." pp_tenant_result tr) r.tenants;
+  let sum f = List.fold_left (fun a tr -> a + f tr) 0 r.tenants in
+  let offered = sum (fun tr -> tr.tr_offered) in
+  let verify_failures = sum (fun tr -> tr.tr_verify_failures) in
   let find name = List.find (fun tr -> tr.tr_name = name) r.tenants in
-  let offered = List.fold_left (fun a tr -> a + tr.tr_offered) 0 r.tenants in
-  let completed = List.fold_left (fun a tr -> a + tr.tr_completed) 0 r.tenants in
-  let shed = List.fold_left (fun a tr -> a + tr.tr_shed) 0 r.tenants in
-  let verify_failures = List.fold_left (fun a tr -> a + tr.tr_verify_failures) 0 r.tenants in
   let sg = find "surge" and gr = find "greedy" in
-  let shed_only_greedy =
-    List.for_all (fun tr -> tr.tr_shed = 0 || tr.tr_name = "greedy") r.tenants && gr.tr_shed > 0
+  let shedders = List.filter (fun tr -> tr.tr_shed > 0) r.tenants in
+  let tenant tr =
+    let m name unit v = Artifact.count (tr.tr_name ^ "." ^ name) unit v in
+    let lat name v = Artifact.sim ~n:tr.tr_completed (tr.tr_name ^ "." ^ name) "us" v in
+    [
+      m "offered" "requests" tr.tr_offered;
+      m "completed" "requests" tr.tr_completed;
+      m "shed" "requests" tr.tr_shed;
+      lat "p50" tr.tr_p50_us;
+      lat "p99" tr.tr_p99_us;
+      m "breaches" "windows" tr.tr_breaches;
+      m "scale_outs" "replicas" tr.tr_scale_outs;
+      m "peak_replicas" "replicas" tr.tr_peak_replicas;
+    ]
   in
-  Printf.printf "\n  offered=%d completed=%d shed=%d makespan=%.1f ms (simulated)\n" offered
-    completed shed (r.makespan_ns /. 1e6);
-  Printf.printf "  acceptance: >=1M requests %s, scale-out on p99 breach %s, shed only greedy %s,\n"
-    (if offered >= 1_000_000 then "OK" else "FAIL")
-    (if sg.tr_breaches > 0 && sg.tr_scale_outs > 0 && sg.tr_peak_replicas > 1 then "OK" else "FAIL")
-    (if shed_only_greedy then "OK" else "FAIL");
-  Printf.printf "              every clone verified %s (%d verify failures)\n"
-    (if verify_failures = 0 then "OK" else "FAIL")
-    verify_failures;
-  r
+  ( Artifact.count "serving.offered" "requests" offered
+    :: Artifact.count "serving.completed" "requests" (sum (fun tr -> tr.tr_completed))
+    :: Artifact.count "serving.shed" "requests" (sum (fun tr -> tr.tr_shed))
+    :: Artifact.sim "serving.makespan" "ns" r.makespan_ns
+    :: List.concat_map tenant r.tenants,
+    [
+      Artifact.gate ">= 1M requests offered" (offered >= 1_000_000) (string_of_int offered);
+      Artifact.gate "surge tenant scales out on a p99 breach"
+        (sg.tr_breaches > 0 && sg.tr_scale_outs > 0 && sg.tr_peak_replicas > 1)
+        (Printf.sprintf "%d breaches, %d scale-outs, peak %d replicas" sg.tr_breaches
+           sg.tr_scale_outs sg.tr_peak_replicas);
+      Artifact.gate "only the over-subscribed tenant sheds"
+        (List.map (fun tr -> tr.tr_name) shedders = [ "greedy" ])
+        (Printf.sprintf "greedy shed %d of %d; %d tenants shed" gr.tr_shed gr.tr_offered
+           (List.length shedders));
+      Artifact.gate "every clone verified" (verify_failures = 0)
+        (Printf.sprintf "%d verify failures" verify_failures);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* Scale-out latency                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type scaleout = {
-  so_cold_ns : float;
-  so_hit_ns : float;
-  so_miss_ns : float;
-  so_refilled : int;
-  so_post_refill_hit_ns : float;
-  so_pool : Snapshot.Pool.stats;
-}
-
 let run_scaleout () =
-  section "Fleet: scale-out latency — pool hit vs pool miss vs cold boot";
   let machine = Hw.Machine.create ~cpus:2 ~mem_mib:512 () in
   let host = Cki.Host.create machine in
   let clock = Hw.Machine.clock machine in
   let ccfg = cfg_of 1024 in
   let cold_ns =
-    mean
+    Report.Stats.mean
       (List.init 4 (fun _ ->
            let c, ns = Hw.Clock.timed clock (fun () -> Cki.Container.create ~cfg:ccfg host) in
            Cki.Container.destroy c;
@@ -174,11 +143,11 @@ let run_scaleout () =
         ns
     | Error e -> failwith ("fleet bench: spawn failed: " ^ Snapshot.Template.show_error e)
   in
-  let hit_ns = mean (List.init 8 (fun _ -> spawn ())) in
+  let hit_ns = Report.Stats.mean (List.init 8 (fun _ -> spawn ())) in
   (* Template eviction: the drained pool must rebuild inline (cold
      boot + capture + freeze) — the cliff the low-water refill avoids. *)
   let miss_ns =
-    mean
+    Report.Stats.mean
       (List.init 2 (fun _ ->
            ignore (Snapshot.Pool.drain pool);
            spawn ()))
@@ -188,35 +157,22 @@ let run_scaleout () =
   let post_refill_hit_ns = spawn () in
   List.iter Cki.Container.destroy !clones;
   let st = Snapshot.Pool.stats pool in
-  let tbl =
-    Report.Table.create ~title:"Time to a ready replica (simulated)"
-      ~header:[ "path"; "ns"; "vs cold" ]
-  in
-  Report.Table.add_row tbl [ "cold boot"; Printf.sprintf "%.0f" cold_ns; "1.0x" ];
-  Report.Table.add_row tbl
-    [ "pool miss (evicted)"; Printf.sprintf "%.0f" miss_ns; Printf.sprintf "%.1fx" (cold_ns /. miss_ns) ];
-  Report.Table.add_row tbl
-    [ "pool hit (warm clone)"; Printf.sprintf "%.0f" hit_ns; Printf.sprintf "%.0fx" (cold_ns /. hit_ns) ];
-  Report.Table.add_row tbl
+  let hit_speedup = cold_ns /. hit_ns in
+  ( [
+      Artifact.sim ~n:4 "scale_out.cold_boot" "ns" cold_ns;
+      Artifact.sim ~n:8 "scale_out.pool_hit" "ns" hit_ns;
+      Artifact.sim ~n:2 "scale_out.pool_miss" "ns" miss_ns;
+      Artifact.sim "scale_out.post_refill_hit" "ns" post_refill_hit_ns;
+      Artifact.sim ~n:8 "scale_out.hit_speedup" "x" hit_speedup;
+      Artifact.count "scale_out.low_water_refilled" "templates" refilled;
+      Artifact.count "scale_out.pool_hits" "spawns" st.Snapshot.Pool.hits;
+      Artifact.count "scale_out.pool_misses" "spawns" st.Snapshot.Pool.misses;
+      Artifact.count "scale_out.pool_refills" "templates" st.Snapshot.Pool.refills;
+    ],
     [
-      "pool hit after refill";
-      Printf.sprintf "%.0f" post_refill_hit_ns;
-      Printf.sprintf "%.0fx" (cold_ns /. post_refill_hit_ns);
-    ];
-  Report.Table.print tbl;
-  Printf.printf "  pool: %d hits, %d misses, %d refills (%d rebuilt by the low-water hook)\n"
-    st.Snapshot.Pool.hits st.Snapshot.Pool.misses st.Snapshot.Pool.refills refilled;
-  Printf.printf "  acceptance: pool-hit >= 100x faster than cold boot %s (%.0fx)\n"
-    (if cold_ns >= 100.0 *. hit_ns then "OK" else "FAIL")
-    (cold_ns /. hit_ns);
-  {
-    so_cold_ns = cold_ns;
-    so_hit_ns = hit_ns;
-    so_miss_ns = miss_ns;
-    so_refilled = refilled;
-    so_post_refill_hit_ns = post_refill_hit_ns;
-    so_pool = st;
-  }
+      Artifact.gate "pool hit >= 100x faster than cold boot" (hit_speedup >= 100.0)
+        (Printf.sprintf "%.0fx" hit_speedup);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* Churn + containers per host                                         *)
@@ -243,7 +199,6 @@ let max_free_run mem =
   !best
 
 type churn_out = {
-  ch_policy : string;
   ch_cycles_done : int;
   ch_created : int;
   ch_failed : bool;
@@ -292,7 +247,6 @@ let churn ~policy ~cycles =
     @ List.filter_map Fun.id (Array.to_list slots)
   in
   {
-    ch_policy = (match policy with Cki.Host.First_fit -> "first_fit" | Cki.Host.Scatter -> "scatter");
     ch_cycles_done = !done_cycles;
     ch_created = !created;
     ch_failed = !failed;
@@ -312,108 +266,52 @@ let pack host =
    with Hw.Phys_mem.Out_of_memory -> ());
   !packed
 
-type churn_summary = {
-  cs_first_fit : churn_out;
-  cs_scatter : churn_out;
-  cs_rescue_packed : int;
-  cs_containers_per_host : int;
-  cs_churn_findings : int;
-}
-
 let run_churn () =
-  section "Fleet: container churn — first-fit fragmentation vs scatter delegation";
   let cycles = 600 in
   let ff = churn ~policy:Cki.Host.First_fit ~cycles in
-  Printf.printf "  first-fit: %s after %d cycles (%d containers); free %.0f%%, largest run %d frames\n"
-    (if ff.ch_failed then "FAILED" else "completed")
-    ff.ch_cycles_done ff.ch_created (100.0 *. ff.ch_free_fraction) ff.ch_max_run;
   (* The same wedged host, switched to scatter: delegation resumes. *)
   Cki.Host.set_policy ff.ch_host Cki.Host.Scatter;
-  let rescued = pack ff.ch_host in
-  Printf.printf "  ... switched to scatter, same fragmented host: %d more replicas packed\n"
-    (List.length rescued);
+  let rescued = List.length (pack ff.ch_host) in
   let sc = churn ~policy:Cki.Host.Scatter ~cycles in
-  Printf.printf "  scatter:   %s after %d cycles (%d containers); free %.0f%%, largest run %d frames\n"
-    (if sc.ch_failed then "FAILED" else "completed")
-    sc.ch_cycles_done sc.ch_created (100.0 *. sc.ch_free_fraction) sc.ch_max_run;
   (* Live churn survivors must still satisfy the whole-machine
      invariants (delegation exclusivity, PTE reach, CoW refcounts). *)
-  let findings = Analysis.check_machine ~containers:sc.ch_live in
-  Printf.printf "  analysis on %d live churn survivors: %d findings\n" (List.length sc.ch_live)
-    (List.length findings);
+  let findings = List.length (Analysis.check_machine ~containers:sc.ch_live) in
   (* Containers per host: pack a fresh 512 MiB host with 4 MiB replicas. *)
-  let fresh = Cki.Host.create (Hw.Machine.create ~cpus:2 ~mem_mib:512 ()) in
-  let packed = pack fresh in
-  Printf.printf "  containers per host (fresh 512 MiB, 4 MiB segments): %d\n" (List.length packed);
-  Printf.printf "  acceptance: first-fit fails %s, scatter >= 500 cycles %s, >= 100 containers/host %s\n"
-    (if ff.ch_failed then "OK" else "FAIL")
-    (if (not sc.ch_failed) && sc.ch_cycles_done >= 500 then "OK" else "FAIL")
-    (if List.length packed >= 100 then "OK" else "FAIL");
-  {
-    cs_first_fit = ff;
-    cs_scatter = sc;
-    cs_rescue_packed = List.length rescued;
-    cs_containers_per_host = List.length packed;
-    cs_churn_findings = List.length findings;
-  }
-
-(* ------------------------------------------------------------------ *)
-
-let churn_json (c : churn_out) =
-  Report.Json.Obj
+  let per_host = List.length (pack (Cki.Host.create (Hw.Machine.create ~cpus:2 ~mem_mib:512 ()))) in
+  let outcome c =
+    Printf.sprintf "%d cycles, %s" c.ch_cycles_done
+      (if c.ch_failed then "then out of memory" else "completed")
+  in
+  let policy name c =
     [
-      ("policy", Report.Json.String c.ch_policy);
-      ("cycles_done", Report.Json.Int c.ch_cycles_done);
-      ("containers_created", Report.Json.Int c.ch_created);
-      ("failed", Report.Json.String (if c.ch_failed then "yes" else "no"));
-      ("free_fraction", Report.Json.Float c.ch_free_fraction);
-      ("largest_free_run_frames", Report.Json.Int c.ch_max_run);
+      Artifact.count ("churn." ^ name ^ ".cycles") "cycles" c.ch_cycles_done;
+      Artifact.count ("churn." ^ name ^ ".containers") "containers" c.ch_created;
+      Artifact.sim ("churn." ^ name ^ ".free_fraction") "ratio" c.ch_free_fraction;
+      Artifact.count ("churn." ^ name ^ ".largest_free_run") "frames" c.ch_max_run;
     ]
+  in
+  ( policy "first_fit" ff @ policy "scatter" sc
+    @ [
+        Artifact.count "churn.rescue_packed" "containers" rescued;
+        Artifact.count "containers_per_host" "containers" per_host;
+      ],
+    [
+      Artifact.gate "first-fit fails under churn" ff.ch_failed (outcome ff);
+      Artifact.gate "scatter completes >= 500 churn cycles"
+        ((not sc.ch_failed) && sc.ch_cycles_done >= 500)
+        (outcome sc);
+      Artifact.gate ">= 100 containers per host" (per_host >= 100) (string_of_int per_host);
+      Artifact.gate "churn survivors analysis-clean" (findings = 0)
+        (Printf.sprintf "%d findings on %d containers" findings (List.length sc.ch_live));
+    ] )
 
-let run ?(json = false) () =
+let run () =
   let serving = run_serving () in
-  let so = run_scaleout () in
-  let cs = run_churn () in
-  if json then begin
-    Report.Json.write_file "BENCH_fleet.json"
-      (Report.Json.Obj
-         [
-           ("bench", Report.Json.String "fleet");
-           ( "serving",
-             Report.Json.Obj
-               [
-                 ( "offered",
-                   Report.Json.Int
-                     (List.fold_left
-                        (fun a (tr : Fleet.Controller.tenant_result) -> a + tr.Fleet.Controller.tr_offered)
-                        0 serving.Fleet.Controller.tenants) );
-                 ("makespan_ns", Report.Json.Float serving.Fleet.Controller.makespan_ns);
-                 ( "tenants",
-                   Report.Json.List (List.map tenant_json serving.Fleet.Controller.tenants) );
-               ] );
-           ( "scale_out",
-             Report.Json.Obj
-               [
-                 ("cold_boot_ns", Report.Json.Float so.so_cold_ns);
-                 ("pool_hit_ns", Report.Json.Float so.so_hit_ns);
-                 ("pool_miss_ns", Report.Json.Float so.so_miss_ns);
-                 ("hit_speedup_vs_cold", Report.Json.Float (so.so_cold_ns /. so.so_hit_ns));
-                 ("miss_speedup_vs_cold", Report.Json.Float (so.so_cold_ns /. so.so_miss_ns));
-                 ("low_water_refilled", Report.Json.Int so.so_refilled);
-                 ("post_refill_hit_ns", Report.Json.Float so.so_post_refill_hit_ns);
-                 ("pool_hits", Report.Json.Int so.so_pool.Snapshot.Pool.hits);
-                 ("pool_misses", Report.Json.Int so.so_pool.Snapshot.Pool.misses);
-                 ("pool_refills", Report.Json.Int so.so_pool.Snapshot.Pool.refills);
-               ] );
-           ( "churn",
-             Report.Json.Obj
-               [
-                 ("first_fit", churn_json cs.cs_first_fit);
-                 ("scatter", churn_json cs.cs_scatter);
-                 ("fragmented_host_rescue_packed", Report.Json.Int cs.cs_rescue_packed);
-                 ("containers_per_host", Report.Json.Int cs.cs_containers_per_host);
-                 ("analysis_findings", Report.Json.Int cs.cs_churn_findings);
-               ] );
-         ]);
-    Printf.printf "\nwrote BENCH_fleet.json\n"
-  end
+  let scale_out = run_scaleout () in
+  let churn = run_churn () in
+  let parts = [ serving; scale_out; churn ] in
+  {
+    Artifact.bench = "fleet";
+    metrics = List.concat_map fst parts;
+    gates = List.concat_map snd parts;
+  }

@@ -6,55 +6,18 @@
      PVM / CKI fleets with naive notification (window 0), reporting
      per-request doorbell / interrupt / exit counts — the Figure 16
      exit-count ordering with CKI below HVM;
-   - coalescing sweep: CKI at EVENT_IDX windows 0/1/4/8 — coalescing
-     strictly reduces doorbells and interrupts, bounded by the batch
-     window;
-   - fleet latency: an 8-container CKI run reporting throughput and
-     p50/p95/p99 under open-loop arrivals.
+   - coalescing sweep: CKI at EVENT_IDX windows 1/4/8 beside the
+     sweep's window 0 — coalescing strictly reduces doorbells and
+     interrupts, bounded by the batch window;
+   - fleet latency: 8-container CKI kv (fsync every 8th SET) and
+     static-web runs reporting throughput and p50/p95/p99 under
+     open-loop arrivals.
 
-   Every scenario runs under Analysis.checked — the counts only count
-   if the whole-machine sanitizer and the trace lint come back clean.
+   Every run is under Analysis.run: the counts only count if the
+   whole-machine sanitizer and the trace lint come back clean, which is
+   the second gate beside the exit ordering. *)
 
-   --json writes BENCH_ioplane.json. *)
-
-let section title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-let serve_checked cfg =
-  Analysis.checked
-    ~label:(Printf.sprintf "ioplane/%s-w%d" cfg.Ioplane.Serve.backend cfg.Ioplane.Serve.window)
-    (fun () -> Ioplane.Serve.run cfg)
-
-let row_json (r : Ioplane.Serve.result) =
-  Report.Json.Obj
-    [
-      ("backend", Report.Json.String r.r_backend);
-      ("label", Report.Json.String r.r_label);
-      ("workload", Report.Json.String r.r_workload);
-      ("containers", Report.Json.Int r.r_containers);
-      ("requests", Report.Json.Int r.r_requests);
-      ("window", Report.Json.Int r.r_window);
-      ("throughput_rps", Report.Json.Float r.r_throughput_rps);
-      ("mean_us", Report.Json.Float r.r_mean_us);
-      ("p50_us", Report.Json.Float r.r_p50_us);
-      ("p95_us", Report.Json.Float r.r_p95_us);
-      ("p99_us", Report.Json.Float r.r_p99_us);
-      ("doorbells", Report.Json.Int r.r_doorbells);
-      ("suppressed_kicks", Report.Json.Int r.r_suppressed_kicks);
-      ("interrupts", Report.Json.Int r.r_interrupts);
-      ("suppressed_interrupts", Report.Json.Int r.r_suppressed_interrupts);
-      ("exits", Report.Json.Int r.r_exits);
-      ("doorbells_per_req", Report.Json.Float r.r_doorbells_per_req);
-      ("interrupts_per_req", Report.Json.Float r.r_interrupts_per_req);
-      ("exits_per_req", Report.Json.Float r.r_exits_per_req);
-      ("tx_stalls", Report.Json.Int r.r_tx_stalls);
-      ("blk_writes", Report.Json.Int r.r_blk_writes);
-      ("service_passes", Report.Json.Int r.r_service_passes);
-    ]
-
-let print_row (r : Ioplane.Serve.result) = Format.printf "%a@." Ioplane.Serve.pp_result r
-
-let run ?(json = false) () =
-  section "I/O plane: per-request notification cost by backend (naive, window 0)";
+let run () =
   let base =
     {
       Ioplane.Serve.default_config with
@@ -64,67 +27,75 @@ let run ?(json = false) () =
       workload = Ioplane.Serve.Kv_memcached;
     }
   in
+  let unclean = ref 0 in
+  let serve label cfg =
+    let r, ar = Analysis.run (fun () -> Ioplane.Serve.run cfg) in
+    if not (Analysis.is_clean ar) then begin
+      incr unclean;
+      print_string (Analysis.report ~title:("ioplane/" ^ label) ar)
+    end;
+    (label, r)
+  in
   let sweep =
     List.map
-      (fun backend -> serve_checked { base with Ioplane.Serve.backend })
+      (fun backend -> serve (backend ^ ".w0") { base with Ioplane.Serve.backend })
       [ "runc"; "hvm"; "pvm"; "cki" ]
   in
-  List.iter print_row sweep;
-  let exits_of name =
-    match List.find_opt (fun (r : Ioplane.Serve.result) -> r.r_backend = name) sweep with
-    | Some r -> r.r_exits_per_req
-    | None -> nan
-  in
-  section "I/O plane: CKI EVENT_IDX coalescing sweep";
   let coalesce =
     List.map
-      (fun window -> serve_checked { base with Ioplane.Serve.backend = "cki"; window })
-      [ 0; 1; 4; 8 ]
+      (fun window ->
+        serve (Printf.sprintf "cki.w%d" window) { base with Ioplane.Serve.backend = "cki"; window })
+      [ 1; 4; 8 ]
   in
-  List.iter print_row coalesce;
-  let cki_naive = List.hd coalesce in
-  let cki_coalesced = List.nth coalesce 2 in
-  Printf.printf "\nexit ordering: cki(w4) %.2f < cki(w0) %.2f < hvm %.2f  %s\n"
-    cki_coalesced.Ioplane.Serve.r_exits_per_req cki_naive.Ioplane.Serve.r_exits_per_req
-    (exits_of "hvm")
-    (if
-       cki_coalesced.Ioplane.Serve.r_exits_per_req < cki_naive.Ioplane.Serve.r_exits_per_req
-       && cki_naive.Ioplane.Serve.r_exits_per_req < exits_of "hvm"
-     then "OK"
-     else "VIOLATED");
-  section "I/O plane: 8-container CKI fleet, open-loop latency";
   let fleet =
-    serve_checked
-      {
-        base with
-        Ioplane.Serve.backend = "cki";
-        containers = 8;
-        requests_per_container = 100;
-        window = 4;
-        fsync_every = 8;
-      }
+    [
+      serve "fleet.kv"
+        {
+          base with
+          Ioplane.Serve.backend = "cki";
+          containers = 8;
+          requests_per_container = 100;
+          window = 4;
+          fsync_every = 8;
+        };
+      serve "fleet.web"
+        {
+          base with
+          Ioplane.Serve.backend = "cki";
+          containers = 8;
+          requests_per_container = 50;
+          window = 4;
+          workload = Ioplane.Serve.Web_static;
+        };
+    ]
   in
-  print_row fleet;
-  let web =
-    serve_checked
-      {
-        base with
-        Ioplane.Serve.backend = "cki";
-        containers = 8;
-        requests_per_container = 50;
-        window = 4;
-        workload = Ioplane.Serve.Web_static;
-      }
+  let runs = sweep @ coalesce @ fleet in
+  let metrics (label, (r : Ioplane.Serve.result)) =
+    let n = r.r_requests in
+    List.map
+      (fun (name, unit, v) -> Artifact.sim ~n (label ^ "." ^ name) unit v)
+      [
+        ("throughput", "req/s", r.r_throughput_rps);
+        ("mean", "us", r.r_mean_us);
+        ("p50", "us", r.r_p50_us);
+        ("p95", "us", r.r_p95_us);
+        ("p99", "us", r.r_p99_us);
+        ("doorbells_per_req", "1/req", r.r_doorbells_per_req);
+        ("interrupts_per_req", "1/req", r.r_interrupts_per_req);
+        ("exits_per_req", "1/req", r.r_exits_per_req);
+      ]
   in
-  print_row web;
-  if json then begin
-    Report.Json.write_file "BENCH_ioplane.json"
-      (Report.Json.Obj
-         [
-           ("bench", Report.Json.String "ioplane");
-           ("backend_sweep", Report.Json.List (List.map row_json sweep));
-           ("coalescing_sweep", Report.Json.List (List.map row_json coalesce));
-           ("fleet", Report.Json.List (List.map row_json [ fleet; web ]));
-         ]);
-    Printf.printf "wrote BENCH_ioplane.json\n"
-  end
+  let exits label = (List.assoc label runs).Ioplane.Serve.r_exits_per_req in
+  let w4 = exits "cki.w4" and w0 = exits "cki.w0" and hvm = exits "hvm.w0" and runc = exits "runc.w0" in
+  {
+    Artifact.bench = "ioplane";
+    metrics = List.concat_map metrics runs;
+    gates =
+      [
+        Artifact.gate "exit ordering: cki(w4) < cki(w0) < hvm, runc at zero"
+          (w4 < w0 && w0 < hvm && runc = 0.0)
+          (Printf.sprintf "%.2f < %.2f < %.2f, runc %.2f exits/req" w4 w0 hvm runc);
+        Artifact.gate "every run analysis-clean" (!unclean = 0)
+          (Printf.sprintf "%d of %d runs with findings" !unclean (List.length runs));
+      ];
+  }

@@ -1,56 +1,45 @@
-(* Model-checker throughput benchmark (wall-clock, not simulated ns:
-   exploration is tooling, not a workload the paper times).
+(* Model-checker throughput benchmark.  Exploration is tooling, not a
+   workload the paper times, so its speed is host wall-clock; the state
+   space itself is deterministic.
 
-   Reports the exhaustive run at the default configuration —
-   states/sec, transitions/sec, depth reached, peak frontier — and the
-   mutation harness (kill count and total time), then optionally
-   writes BENCH_modelcheck.json.
+   Reports the exhaustive run at the default configuration — states,
+   transitions, depth reached, peak frontier, states/sec — and the
+   mutation harness (kill count and total time).
 
-   ISSUE acceptance: >= 10k distinct states at the default depth on
-   the 2-vCPU config, zero violations, every seeded mutant killed. *)
+   Gates: >= 10k distinct states at the default depth on the 2-vCPU
+   config, zero violations, every seeded mutant killed. *)
 
-let section title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-let run ?(json = false) () =
-  section "Privilege-state model checker: exhaustive exploration";
+let run () =
   let r = Modelcheck.Explore.run_standalone () in
   let s = r.Modelcheck.Explore.stats in
-  let per_sec v = float_of_int v /. (max 1e-9 s.Modelcheck.Explore.elapsed_s) in
-  Printf.printf "  distinct states   %8d\n" s.Modelcheck.Explore.states;
-  Printf.printf "  transitions       %8d\n" s.Modelcheck.Explore.transitions;
-  Printf.printf "  depth reached     %8d (bound %d)\n" s.Modelcheck.Explore.depth_reached
-    r.Modelcheck.Explore.config.Modelcheck.Transition.depth;
-  Printf.printf "  peak frontier     %8d\n" s.Modelcheck.Explore.peak_frontier;
-  Printf.printf "  elapsed           %8.2f s  (%.0f states/s, %.0f transitions/s)\n"
-    s.Modelcheck.Explore.elapsed_s (per_sec s.Modelcheck.Explore.states)
-    (per_sec s.Modelcheck.Explore.transitions);
-  Printf.printf "  violations        %8d\n" (List.length r.Modelcheck.Explore.violations);
-  if not (Modelcheck.Explore.ok r) then print_string (Modelcheck.Cex.report r);
-
+  let violations = List.length r.Modelcheck.Explore.violations in
+  if violations > 0 then print_string (Modelcheck.Cex.report r);
   let t0 = Sys.time () in
   let verdicts = Modelcheck.Mutants.run_all () in
   let mutants_s = Sys.time () -. t0 in
-  let killed =
-    List.length (List.filter (fun v -> v.Modelcheck.Mutants.killed) verdicts)
-  in
-  Printf.printf "  mutants killed    %5d/%-3d in %.2f s\n" killed (List.length verdicts) mutants_s;
-
-  if json then begin
-    Report.Json.write_file "BENCH_modelcheck.json"
-      (Report.Json.Obj
-         [
-           ("bench", Report.Json.String "modelcheck");
-           ("states", Report.Json.Int s.Modelcheck.Explore.states);
-           ("transitions", Report.Json.Int s.Modelcheck.Explore.transitions);
-           ("depth_bound", Report.Json.Int r.Modelcheck.Explore.config.Modelcheck.Transition.depth);
-           ("depth_reached", Report.Json.Int s.Modelcheck.Explore.depth_reached);
-           ("peak_frontier", Report.Json.Int s.Modelcheck.Explore.peak_frontier);
-           ("elapsed_s", Report.Json.Float s.Modelcheck.Explore.elapsed_s);
-           ("states_per_sec", Report.Json.Float (per_sec s.Modelcheck.Explore.states));
-           ("violations", Report.Json.Int (List.length r.Modelcheck.Explore.violations));
-           ("mutants_total", Report.Json.Int (List.length verdicts));
-           ("mutants_killed", Report.Json.Int killed);
-           ("mutants_elapsed_s", Report.Json.Float mutants_s);
-         ]);
-    Printf.printf "wrote BENCH_modelcheck.json\n"
-  end
+  let mutants = List.length verdicts in
+  let killed = List.length (List.filter (fun v -> v.Modelcheck.Mutants.killed) verdicts) in
+  let states = s.Modelcheck.Explore.states in
+  {
+    Artifact.bench = "modelcheck";
+    metrics =
+      [
+        Artifact.count "states" "states" states;
+        Artifact.count "transitions" "transitions" s.Modelcheck.Explore.transitions;
+        Artifact.count "depth_bound" "steps" r.Modelcheck.Explore.config.Modelcheck.Transition.depth;
+        Artifact.count "depth_reached" "steps" s.Modelcheck.Explore.depth_reached;
+        Artifact.count "peak_frontier" "states" s.Modelcheck.Explore.peak_frontier;
+        Artifact.wall "explore_time" "s" s.Modelcheck.Explore.elapsed_s;
+        Artifact.wall ~n:states "explore_rate" "states/s"
+          (float_of_int states /. max 1e-9 s.Modelcheck.Explore.elapsed_s);
+        Artifact.count ~n:mutants "mutants_killed" "mutants" killed;
+        Artifact.wall ~n:mutants "mutants_time" "s" mutants_s;
+      ];
+    gates =
+      [
+        Artifact.gate ">= 10k distinct states" (states >= 10_000) (string_of_int states);
+        Artifact.gate "no violations" (violations = 0) (string_of_int violations);
+        Artifact.gate "every seeded mutant killed" (killed = mutants)
+          (Printf.sprintf "%d/%d" killed mutants);
+      ];
+  }

@@ -12,32 +12,23 @@
    - storm: a serving tenant on a 2-host fleet slice while one host is
      drained mid-run — every replica evacuated to the survivor via
      warm clones, spawned *before* the doomed replicas are fenced.
-     The tenant's p99 during and after the storm must stay within 5x
-     of the steady-state p99 before it;
+     The tenant's max latency over the first millisecond after the
+     drain trigger, and its p99 once the host is empty, must stay
+     within 5x of the steady-state p99 before it, each over >= 10
+     completions;
    - chaos: source-crash mid-round, target crash before cutover, and a
      fabric partition — each must end with exactly one live,
      analysis-clean copy, no split brain and no leaked frames; a
      leak-injection run proves the frame-leak checker catches what it
      claims to.
 
-   ISSUE acceptance: pre-copy downtime < 10% of stop-and-copy;
-   dirty rounds converge; storm p99 within 5x steady-state; all three
-   chaos scenarios leave one clean copy.
-
-   --json writes BENCH_migration.json. *)
-
-let section title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+   Gates: pre-copy downtime < 10% of stop-and-copy; dirty rounds
+   converge; storm latency within 5x steady state; each chaos scenario
+   leaves one clean copy; the leak injection is caught. *)
 
 (* ------------------------------------------------------------------ *)
 (* Downtime: pre-copy vs stop-and-copy                                  *)
 (* ------------------------------------------------------------------ *)
-
-type downtime = {
-  dt_precopy : Migrate.Engine.stats;
-  dt_stopcopy : Migrate.Engine.stats;
-  dt_ratio : float;
-  dt_rounds_converge : bool;
-}
 
 (* One migration of the shared chaos-harness app on a fresh 2-host
    fabric.  [rounds_max = 0] is the stop-and-copy baseline. *)
@@ -62,37 +53,49 @@ let rounds_converge (st : Migrate.Engine.stats) =
   in
   st.Migrate.Engine.converged || decreasing dirties
 
+let stats_metrics name (st : Migrate.Engine.stats) =
+  let open Migrate.Engine in
+  let m = Printf.sprintf "%s.%s" name in
+  [
+    Artifact.sim (m "downtime") "ns" st.downtime_ns;
+    Artifact.sim (m "total") "ns" st.total_ns;
+    Artifact.count (m "frames_full") "frames" st.frames_full;
+    Artifact.count (m "frames_resent") "frames" st.frames_resent;
+    Artifact.count (m "final_dirty") "frames" st.final_dirty;
+    Artifact.count (m "rounds") "rounds" (List.length st.rounds);
+  ]
+  @ List.concat_map
+      (fun r ->
+        let m = Printf.sprintf "%s.round%d.%s" name r.r_round in
+        [
+          Artifact.count (m "dirty") "frames" r.r_dirty;
+          Artifact.sim (m "budget") "ns" r.r_budget_ns;
+          Artifact.sim (m "transfer") "ns" r.r_transfer_ns;
+        ])
+      st.rounds
+
 let run_downtime () =
-  section "Migration: pre-copy downtime vs stop-and-copy";
   let open Migrate.Engine in
   let pre = migrate_once default_opts in
   let sc = migrate_once { default_opts with rounds_max = 0 } in
-  List.iter
-    (fun r ->
-      Printf.printf "  round %d: %d dirty frames (budget %.0f ns, wire %.0f ns)\n"
-        r.r_round r.r_dirty r.r_budget_ns r.r_transfer_ns)
-    pre.rounds;
   let ratio = pre.downtime_ns /. sc.downtime_ns in
-  Printf.printf "  pre-copy:     downtime %.0f ns (%d rounds, %d full + %d resent frames, %s)\n"
-    pre.downtime_ns (List.length pre.rounds) pre.frames_full pre.frames_resent
-    (if pre.converged then "converged" else "round cap");
-  Printf.printf "  stop-and-copy: downtime %.0f ns (%d frames inside the blackout)\n" sc.downtime_ns
-    sc.frames_full;
-  let converge = rounds_converge pre in
-  Printf.printf "  acceptance: downtime < 10%% of stop-and-copy %s (%.1f%%), rounds converge %s\n"
-    (if ratio < 0.1 then "OK" else "FAIL")
-    (100.0 *. ratio)
-    (if converge then "OK" else "FAIL");
-  { dt_precopy = pre; dt_stopcopy = sc; dt_ratio = ratio; dt_rounds_converge = converge }
+  let dirties = List.map (fun r -> string_of_int r.r_dirty) pre.rounds in
+  ( stats_metrics "precopy" pre
+    @ stats_metrics "stop_and_copy" sc
+    @ [ Artifact.sim "precopy_over_stopcopy" "ratio" ratio ],
+    [
+      Artifact.gate "pre-copy downtime < 10% of stop-and-copy" (ratio < 0.1)
+        (Printf.sprintf "%.1f%%" (100.0 *. ratio));
+      Artifact.gate "dirty rounds converge" (rounds_converge pre)
+        (Printf.sprintf "dirty frames per round: %s%s" (String.concat ", " dirties)
+           (if pre.converged then "" else " (round cap)"));
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* Migration storm: drain a host under live tenant traffic             *)
 (* ------------------------------------------------------------------ *)
 
-type storm = { st_tr : Fleet.Controller.tenant_result; st_ok : bool }
-
 let run_storm () =
-  section "Migration storm: drain one fleet host under open-loop load";
   let open Fleet.Controller in
   let tenant =
     { default_tenant with name = "storm"; rate_rps = 30_000.0; requests = 24_000 }
@@ -110,134 +113,71 @@ let run_storm () =
     }
   in
   let tr = run_tenant cfg tenant ~seed:(tenant_seed cfg.seed 0) in
-  Printf.printf "  %s\n" (Format.asprintf "%a" pp_tenant_result tr);
-  Printf.printf "  drain: %d replicas evacuated in %.0f ns\n" tr.tr_evacuated tr.tr_drain_ns;
-  Printf.printf "  p99 (us): before %.1f, during %.1f, after %.1f\n" tr.tr_p99_before_us
-    tr.tr_p99_during_us tr.tr_p99_after_us;
-  let within5x p = p = 0.0 || p <= 5.0 *. tr.tr_p99_before_us in
+  let bound = 5.0 *. tr.tr_p99_before_us in
   let ok =
     tr.tr_evacuated > 0 && tr.tr_completed = tr.tr_admitted
-    && tr.tr_p99_before_us > 0.0
-    && within5x tr.tr_p99_during_us && within5x tr.tr_p99_after_us
+    && tr.tr_n_before >= 10 && tr.tr_p99_before_us > 0.0
+    && tr.tr_n_during >= 10 && tr.tr_max_during_us <= bound
+    && tr.tr_n_after >= 10 && tr.tr_p99_after_us <= bound
   in
-  Printf.printf "  acceptance: storm p99 within 5x steady state %s\n" (if ok then "OK" else "FAIL");
-  { st_tr = tr; st_ok = ok }
+  ( [
+      Artifact.count "storm.offered" "requests" tr.tr_offered;
+      Artifact.count "storm.completed" "requests" tr.tr_completed;
+      Artifact.count "storm.evacuated" "replicas" tr.tr_evacuated;
+      Artifact.sim "storm.drain" "ns" tr.tr_drain_ns;
+      Artifact.sim ~n:tr.tr_n_before "storm.p99_before" "us" tr.tr_p99_before_us;
+      Artifact.sim ~n:tr.tr_n_during "storm.max_during" "us" tr.tr_max_during_us;
+      Artifact.sim ~n:tr.tr_n_after "storm.p99_after" "us" tr.tr_p99_after_us;
+    ],
+    [
+      Artifact.gate "storm latency within 5x steady state, each phase n >= 10" ok
+        (Printf.sprintf
+           "p99 before %.1f us (n=%d), max in the 1 ms after the trigger %.1f us (n=%d), p99 \
+            after %.1f us (n=%d); %d evacuated, %d/%d admitted completed"
+           tr.tr_p99_before_us tr.tr_n_before tr.tr_max_during_us tr.tr_n_during
+           tr.tr_p99_after_us tr.tr_n_after tr.tr_evacuated tr.tr_completed tr.tr_admitted);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* Chaos                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type chaos_out = { co_verdicts : Migrate.Chaos.verdict list; co_leak_caught : bool }
-
 let run_chaos () =
-  section "Migration chaos: one clean live copy per scenario";
-  let vs = Migrate.Chaos.all () in
-  List.iter
-    (fun (v : Migrate.Chaos.verdict) ->
-      Printf.printf "  %-12s -> host %d live, %d findings, %d leaked, split brain %s: %s\n"
-        (Migrate.Chaos.scenario_name v.Migrate.Chaos.scenario)
-        v.Migrate.Chaos.live_hid v.Migrate.Chaos.analysis_findings v.Migrate.Chaos.leaked_frames
-        (if v.Migrate.Chaos.split_brain then "YES" else "no")
-        (if v.Migrate.Chaos.ok then "OK" else "FAIL"))
-    vs;
+  let open Migrate.Chaos in
+  let vs = all () in
   (* Fault-inject the leak checker: plant a losing-copy frame on a
      surviving loser host and demand the verdict flips. *)
-  let inj = Migrate.Chaos.all ~leak_inject:true () in
+  let inj = all ~leak_inject:true () in
   let caught =
     List.for_all
-      (fun (v : Migrate.Chaos.verdict) ->
-        if Migrate.Chaos.(v.scenario = Source_crash) then v.Migrate.Chaos.ok
+      (fun v ->
+        if v.scenario = Source_crash then v.ok
           (* the loser host is dead: nothing survives to leak *)
-        else (not v.Migrate.Chaos.ok) && v.Migrate.Chaos.leaked_frames > 0)
+        else (not v.ok) && v.leaked_frames > 0)
       inj
   in
-  Printf.printf "  leak injection caught on live loser hosts: %s\n" (if caught then "OK" else "FAIL");
-  { co_verdicts = vs; co_leak_caught = caught }
+  let name v = "chaos." ^ scenario_name v.scenario in
+  ( List.map (fun v -> Artifact.sim (name v ^ ".downtime") "ns" v.downtime_ns) vs,
+    List.map
+      (fun v ->
+        Artifact.gate
+          (name v ^ ": one clean live copy")
+          v.ok
+          (Printf.sprintf "host %d live, %d findings, %d leaked frames, split brain %b" v.live_hid
+             v.analysis_findings v.leaked_frames v.split_brain))
+      vs
+    @ [
+        Artifact.gate "leak injection caught on live loser hosts" caught
+          (Printf.sprintf "%d injected scenarios" (List.length inj));
+      ] )
 
-(* ------------------------------------------------------------------ *)
-
-let stats_json (st : Migrate.Engine.stats) =
-  let open Migrate.Engine in
-  Report.Json.Obj
-    [
-      ( "outcome",
-        Report.Json.String
-          (match st.outcome with
-          | Completed -> "completed"
-          | Failed_over -> "failed_over"
-          | Aborted -> "aborted") );
-      ("downtime_ns", Report.Json.Float st.downtime_ns);
-      ("total_ns", Report.Json.Float st.total_ns);
-      ("frames_full", Report.Json.Int st.frames_full);
-      ("frames_resent", Report.Json.Int st.frames_resent);
-      ("final_dirty", Report.Json.Int st.final_dirty);
-      ("converged", Report.Json.String (if st.converged then "yes" else "no"));
-      ("replayed", Report.Json.Int st.replayed);
-      ( "rounds",
-        Report.Json.List
-          (List.map
-             (fun r ->
-               Report.Json.Obj
-                 [
-                   ("round", Report.Json.Int r.r_round);
-                   ("dirty", Report.Json.Int r.r_dirty);
-                   ("budget_ns", Report.Json.Float r.r_budget_ns);
-                   ("transfer_ns", Report.Json.Float r.r_transfer_ns);
-                 ])
-             st.rounds) );
-    ]
-
-let verdict_json (v : Migrate.Chaos.verdict) =
-  let open Migrate.Chaos in
-  Report.Json.Obj
-    [
-      ("scenario", Report.Json.String (scenario_name v.scenario));
-      ("live_hid", Report.Json.Int v.live_hid);
-      ("analysis_findings", Report.Json.Int v.analysis_findings);
-      ("leaked_frames", Report.Json.Int v.leaked_frames);
-      ("split_brain", Report.Json.String (if v.split_brain then "yes" else "no"));
-      ("downtime_ns", Report.Json.Float v.downtime_ns);
-      ("ok", Report.Json.String (if v.ok then "yes" else "no"));
-    ]
-
-let run ?(json = false) () =
-  let dt = run_downtime () in
+let run () =
+  let downtime = run_downtime () in
   let storm = run_storm () in
   let chaos = run_chaos () in
-  if json then begin
-    let tr = storm.st_tr in
-    Report.Json.write_file "BENCH_migration.json"
-      (Report.Json.Obj
-         [
-           ("bench", Report.Json.String "migration");
-           ( "downtime",
-             Report.Json.Obj
-               [
-                 ("precopy", stats_json dt.dt_precopy);
-                 ("stop_and_copy", stats_json dt.dt_stopcopy);
-                 ("precopy_over_stopcopy", Report.Json.Float dt.dt_ratio);
-                 ( "rounds_converge",
-                   Report.Json.String (if dt.dt_rounds_converge then "yes" else "no") );
-               ] );
-           ( "storm",
-             Report.Json.Obj
-               [
-                 ("offered", Report.Json.Int tr.Fleet.Controller.tr_offered);
-                 ("completed", Report.Json.Int tr.Fleet.Controller.tr_completed);
-                 ("evacuated", Report.Json.Int tr.Fleet.Controller.tr_evacuated);
-                 ("drain_ns", Report.Json.Float tr.Fleet.Controller.tr_drain_ns);
-                 ("p99_before_us", Report.Json.Float tr.Fleet.Controller.tr_p99_before_us);
-                 ("p99_during_us", Report.Json.Float tr.Fleet.Controller.tr_p99_during_us);
-                 ("p99_after_us", Report.Json.Float tr.Fleet.Controller.tr_p99_after_us);
-                 ("within_5x", Report.Json.String (if storm.st_ok then "yes" else "no"));
-               ] );
-           ( "chaos",
-             Report.Json.Obj
-               [
-                 ("scenarios", Report.Json.List (List.map verdict_json chaos.co_verdicts));
-                 ( "leak_injection_caught",
-                   Report.Json.String (if chaos.co_leak_caught then "yes" else "no") );
-               ] );
-         ]);
-    Printf.printf "\nwrote BENCH_migration.json\n"
-  end
+  let parts = [ downtime; storm; chaos ] in
+  {
+    Artifact.bench = "migration";
+    metrics = List.concat_map fst parts;
+    gates = List.concat_map snd parts;
+  }

@@ -11,10 +11,9 @@
    template's, and runs the analysis scanner over every restored and
    cloned container — the numbers only count if the results are clean.
 
-   ISSUE acceptance: restore and clone each >= 10x faster than cold
-   boot; clone materializes < 25% of the template's frames. *)
-
-let section title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+   Gates: restore and clone each >= 10x faster than cold boot; clone
+   materializes < 25% of the template's frames; every restored and
+   cloned container is analysis-clean. *)
 
 (* Boot-time init: a task with a dirty heap and a tmpfs file, so the
    image has real state to carry. *)
@@ -44,15 +43,7 @@ let init_workload (c : Cki.Container.t) =
   | Kernel_model.Syscall.Rint _ -> ()
   | _ -> failwith "write")
 
-let check_clean label c =
-  match Analysis.check_machine ~containers:[ c ] with
-  | [] -> 0
-  | vs ->
-      Printf.printf "  !! %s: %d invariant findings\n" label (List.length vs);
-      List.length vs
-
-let run ?(json = false) () =
-  section "Snapshot/restore + warm clone: time-to-ready container";
+let run () =
   let machine = Hw.Machine.create ~cpus:2 ~mem_mib:512 () in
   let host = Cki.Host.create machine in
   let clock = Hw.Machine.clock machine in
@@ -71,7 +62,7 @@ let run ?(json = false) () =
     | Error e -> failwith (Snapshot.Template.show_error e)
   in
   let image = Snapshot.Template.image tpl in
-  let encoded = Snapshot.Image.encode image in
+  let image_bytes = String.length (Snapshot.Image.encode image) in
   (* Full restore from the image (fresh segment, full copy). *)
   let restored, restore_ns =
     Hw.Clock.timed clock (fun () ->
@@ -97,62 +88,35 @@ let run ?(json = false) () =
   (* Every restored/cloned container must pass the analysis scanner.
      (spawn_fast already verified each; this re-checks explicitly.) *)
   let findings =
-    check_clean "restored" restored
-    + List.fold_left (fun acc c -> acc + check_clean "clone" c) 0 clones
+    List.fold_left
+      (fun acc c -> acc + List.length (Analysis.check_machine ~containers:[ c ]))
+      0 (restored :: clones)
   in
   let speedup_restore = cold_ns /. restore_ns in
   let speedup_clone = cold_ns /. clone_ns in
-  let tbl =
-    Report.Table.create ~title:"Time to a ready container (simulated)"
-      ~header:[ "path"; "ns"; "speedup vs cold"; "frames" ]
-  in
-  Report.Table.add_row tbl
-    [ "cold boot + init"; Printf.sprintf "%.0f" cold_ns; "1.0x"; string_of_int tpl_frames ];
-  Report.Table.add_row tbl
-    [
-      "restore (image)";
-      Printf.sprintf "%.0f" restore_ns;
-      Printf.sprintf "%.0fx" speedup_restore;
-      string_of_int (Snapshot.Restore.materialized_frames restored);
-    ];
-  Report.Table.add_row tbl
-    [
-      "warm clone (CoW)";
-      Printf.sprintf "%.0f" clone_ns;
-      Printf.sprintf "%.0fx" speedup_clone;
-      string_of_int clone_frames;
-    ];
-  Report.Table.print tbl;
-  Printf.printf "  image: %d bytes (%d tables, %d aux frames)\n" (String.length encoded)
-    (List.length image.Snapshot.Image.tables)
-    (Array.length image.Snapshot.Image.aux);
-  Printf.printf "  clone incremental memory: %d/%d frames = %.1f%% of template\n" clone_frames
-    tpl_frames (100.0 *. mem_ratio);
-  Printf.printf "  warm pool: %d prebooted, %d served\n" (Snapshot.Pool.prebooted pool)
-    (Snapshot.Pool.served pool);
-  Printf.printf "  analysis findings on restored/cloned containers: %d\n" findings;
-  Printf.printf "  acceptance: restore %s, clone %s, memory %s\n"
-    (if speedup_restore >= 10.0 then ">=10x OK" else "FAIL <10x")
-    (if speedup_clone >= 10.0 then ">=10x OK" else "FAIL <10x")
-    (if mem_ratio < 0.25 then "<25% OK" else "FAIL >=25%");
-  if json then begin
-    let j =
-      Report.Json.Obj
-        [
-          ("bench", Report.Json.String "snapshot");
-          ("cold_boot_ns", Report.Json.Float cold_ns);
-          ("restore_ns", Report.Json.Float restore_ns);
-          ("clone_ns", Report.Json.Float clone_ns);
-          ("speedup_restore", Report.Json.Float speedup_restore);
-          ("speedup_clone", Report.Json.Float speedup_clone);
-          ("template_frames", Report.Json.Int tpl_frames);
-          ("clone_frames", Report.Json.Int clone_frames);
-          ("clone_mem_ratio", Report.Json.Float mem_ratio);
-          ("image_bytes", Report.Json.Int (String.length encoded));
-          ("clones", Report.Json.Int n_clones);
-          ("analysis_findings", Report.Json.Int findings);
-        ]
-    in
-    Report.Json.write_file "BENCH_snapshot.json" j;
-    Printf.printf "  wrote BENCH_snapshot.json\n"
-  end
+  {
+    Artifact.bench = "snapshot";
+    metrics =
+      [
+        Artifact.sim "cold_boot" "ns" cold_ns;
+        Artifact.sim "restore" "ns" restore_ns;
+        Artifact.sim ~n:n_clones "clone" "ns" clone_ns;
+        Artifact.sim "restore_speedup" "x" speedup_restore;
+        Artifact.sim ~n:n_clones "clone_speedup" "x" speedup_clone;
+        Artifact.count "template_frames" "frames" tpl_frames;
+        Artifact.count "clone_frames" "frames" clone_frames;
+        Artifact.sim "clone_mem_ratio" "ratio" mem_ratio;
+        Artifact.count "image_bytes" "bytes" image_bytes;
+      ];
+    gates =
+      [
+        Artifact.gate "restore >= 10x faster than cold boot" (speedup_restore >= 10.0)
+          (Printf.sprintf "%.0fx" speedup_restore);
+        Artifact.gate "warm clone >= 10x faster than cold boot" (speedup_clone >= 10.0)
+          (Printf.sprintf "%.0fx" speedup_clone);
+        Artifact.gate "clone memory < 25% of the template" (mem_ratio < 0.25)
+          (Printf.sprintf "%d/%d frames" clone_frames tpl_frames);
+        Artifact.gate "restored and cloned containers analysis-clean" (findings = 0)
+          (Printf.sprintf "%d findings on %d containers" findings (1 + n_clones));
+      ];
+  }

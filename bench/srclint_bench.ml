@@ -1,10 +1,8 @@
 (* Source-auditor bench: scan the repo's own tree and track scan wall
    time and finding counts, so the perf trajectory catches both a
-   slowing scanner and creeping baselined debt.
+   slowing scanner and creeping baselined debt. *)
 
-   --json -> BENCH_srclint.json *)
-
-let run ~json () =
+let run () =
   let root = Srclint.find_root_exn () in
   let scan = Srclint.scan ~root () in
   let s = scan.Srclint.stats in
@@ -14,27 +12,20 @@ let run ~json () =
     | Error msg -> failwith msg
   in
   let chk = Srclint.check ~baseline:entries scan.Srclint.findings in
-  Printf.printf "\nsrclint: %s; %d baselined, %d new, %d stale baseline entr%s\n"
-    (Format.asprintf "%a" Srclint.pp_stats s)
-    (List.length chk.Srclint.baselined)
-    (List.length chk.Srclint.fresh)
-    (List.length chk.Srclint.stale)
-    (if List.length chk.Srclint.stale = 1 then "y" else "ies");
-  if json then begin
-    Report.Json.write_file "BENCH_srclint.json"
-      (Report.Json.Obj
-         [
-           ("bench", Report.Json.String "srclint");
-           ("files", Report.Json.Int s.Srclint.files);
-           ("loc", Report.Json.Int s.Srclint.loc);
-           ("libraries", Report.Json.Int s.Srclint.libraries);
-           ("scan_ms", Report.Json.Float s.Srclint.wall_ms);
-           ( "findings_by_rule",
-             Report.Json.Obj
-               (List.map (fun (rule, n) -> (rule, Report.Json.Int n)) s.Srclint.by_rule) );
-           ("baselined", Report.Json.Int (List.length chk.Srclint.baselined));
-           ("new", Report.Json.Int (List.length chk.Srclint.fresh));
-           ("stale_baseline", Report.Json.Int (List.length chk.Srclint.stale));
-         ]);
-    Printf.printf "wrote BENCH_srclint.json\n"
-  end
+  {
+    Artifact.bench = "srclint";
+    metrics =
+      [
+        Artifact.count "files" "files" s.Srclint.files;
+        Artifact.count "loc" "lines" s.Srclint.loc;
+        Artifact.count "libraries" "libraries" s.Srclint.libraries;
+        Artifact.wall "scan" "ms" s.Srclint.wall_ms;
+      ]
+      @ List.map (fun (rule, n) -> Artifact.count ("findings." ^ rule) "findings" n) s.Srclint.by_rule
+      @ [
+          Artifact.count "baselined" "findings" (List.length chk.Srclint.baselined);
+          Artifact.count "new" "findings" (List.length chk.Srclint.fresh);
+          Artifact.count "stale_baseline" "entries" (List.length chk.Srclint.stale);
+        ];
+    gates = [];
+  }

@@ -98,6 +98,9 @@ let default_config =
 
 type spawn_sample = { s_ns : float; s_pool_hit : bool }
 
+(* The drain phase whose latency the storm gate bounds. *)
+let storm_window_ns = 1e6
+
 type tenant_result = {
   tr_name : string;
   tr_offered : int;
@@ -124,9 +127,12 @@ type tenant_result = {
   tr_elapsed_ns : float;
   tr_evacuated : int;  (** draining-host replicas destroyed after going idle *)
   tr_drain_ns : float;  (** drain trigger -> last evacuee destroyed; 0 without drain *)
-  tr_p99_before_us : float;  (** phase p99s around the drain window; 0 without drain *)
-  tr_p99_during_us : float;
+  tr_p99_before_us : float;  (** phase latencies around the drain; 0 without drain *)
+  tr_n_before : int;
+  tr_max_during_us : float;
+  tr_n_during : int;
   tr_p99_after_us : float;
+  tr_n_after : int;
 }
 
 type result = { tenants : tenant_result list; makespan_ns : float; domains : int }
@@ -432,20 +438,23 @@ let run_tenant cfg tenant ~seed =
     end
   done;
   let elapsed_ns = Hw.Clock.now clock -. start_ns in
-  (* Phase p99s bracket the drain window: completions before the
-     trigger, during the evacuation, and after the host emptied. *)
-  let drain_ns, p99_before, p99_during, p99_after =
-    if !drain_start_ns = 0.0 then (0.0, 0.0, 0.0, 0.0)
+  (* Phase latencies bracket the drain: the p99 of completions before
+     the trigger, the max over the [storm_window_ns] after it (the
+     evacuation itself ends in tens of microseconds, too soon to carry
+     traffic), and the p99 after the host emptied. *)
+  let drain_ns, (p99_before, n_before), (max_during, n_during), (p99_after, n_after) =
+    if !drain_start_ns = 0.0 then (0.0, (0.0, 0), (0.0, 0), (0.0, 0))
     else begin
       let d_end = if !drain_end_ns = 0.0 then Hw.Clock.now clock else !drain_end_ns in
-      let phase lo hi =
-        List.filter_map (fun (t, l) -> if t >= lo && t < hi then Some l else None) !stamped
+      let phase stat lo hi =
+        let in_phase (t, l) = if t >= lo && t < hi then Some l else None in
+        match List.filter_map in_phase !stamped with [] -> (0.0, 0) | l -> (stat l, List.length l)
       in
-      let p99 = function [] -> 0.0 | l -> Report.Stats.percentile l ~p:99.0 in
+      let p99 l = Report.Stats.percentile l ~p:99.0 in
       ( d_end -. !drain_start_ns,
-        p99 (phase neg_infinity !drain_start_ns),
-        p99 (phase !drain_start_ns d_end),
-        p99 (phase d_end infinity) )
+        phase p99 neg_infinity !drain_start_ns,
+        phase Report.Stats.maximum !drain_start_ns (!drain_start_ns +. storm_window_ns),
+        phase p99 d_end infinity )
     end
   in
   let merge_pool_stats () =
@@ -490,8 +499,11 @@ let run_tenant cfg tenant ~seed =
     tr_evacuated = !evacuated;
     tr_drain_ns = drain_ns;
     tr_p99_before_us = p99_before;
-    tr_p99_during_us = p99_during;
+    tr_n_before = n_before;
+    tr_max_during_us = max_during;
+    tr_n_during = n_during;
     tr_p99_after_us = p99_after;
+    tr_n_after = n_after;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -80,9 +80,12 @@ type tenant_result = {
   tr_elapsed_ns : float;
   tr_evacuated : int;  (** draining-host replicas destroyed after going idle *)
   tr_drain_ns : float;  (** drain trigger -> host empty; 0 without drain *)
-  tr_p99_before_us : float;  (** phase p99s bracketing the drain window; 0 without drain *)
-  tr_p99_during_us : float;
-  tr_p99_after_us : float;
+  tr_p99_before_us : float;  (** p99 of completions before the drain trigger *)
+  tr_n_before : int;
+  tr_max_during_us : float;  (** max latency over [trigger, trigger + 1 ms) *)
+  tr_n_during : int;
+  tr_p99_after_us : float;  (** p99 of completions after the draining host emptied *)
+  tr_n_after : int;  (** each phase's completion count; all phase fields are 0 without drain *)
 }
 
 type result = { tenants : tenant_result list; makespan_ns : float; domains : int }
