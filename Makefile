@@ -49,7 +49,7 @@ race-check: build
 # repo root, then validate them: a false gate fails here, after all nine
 # files are written.
 bench-json: build
-	dune exec bench/main.exe -- --json snapshot modelcheck ioplane fleet migration srclint racecheck engine micro
+	dune exec bench/main.exe -- --json snapshot modelcheck ioplane fleet migration srclint racecheck engine paper
 	$(MAKE) validate-bench
 
 # Check every BENCH_*.json against the artifact schema; exit non-zero

@@ -19,7 +19,6 @@ let sim ?(n = 1) name unit value = { name; unit; clock = Sim; value; n }
 let wall ?(n = 1) name unit value = { name; unit; clock = Wall; value; n }
 let count ?n name unit v = sim ?n name unit (float_of_int v)
 let gate gate ok detail = { gate; ok; detail }
-let section title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 let clock_name = function Sim -> "sim" | Wall -> "wall"
 
 let print t =

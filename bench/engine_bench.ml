@@ -14,7 +14,9 @@
    - clock charging: [Clock.charge] of named events;
    - translation: the memoized per-CPU fast path, also timed with
      [Cpu.set_tcache] off (the TLB-hashtable front end) — both are the
-     real engine.
+     real engine;
+   - the primitives under every experiment: a page-table walk, a TLB
+     lookup, a buddy alloc+free, a CKI getpid and a PKS rights check.
 
    The sharding section reports the [Serve.run ~domains:{1,4}]
    simulated-makespan ratio: on a single-CPU host the lanes do not run
@@ -126,6 +128,52 @@ let bench_translate ~ops =
   Hw.Cpu.set_tcache cpu true;
   [ on; off ]
 
+(* The simulator primitives an experiment leans on: a 4-level
+   page-table walk, a TLB lookup, a buddy alloc+free, a CKI getpid
+   (gate entry, dispatch and exit) and a PKS rights check. *)
+let bench_primitives () =
+  let mem = Hw.Phys_mem.create ~frames:65536 in
+  let pt = Hw.Page_table.create mem ~owner:Hw.Phys_mem.Host in
+  for i = 0 to 511 do
+    ignore (Hw.Page_table.map pt ~va:(0x1000_0000 + (i * 4096)) ~pfn:(i + 100) ~flags:Hw.Pte.default_flags ())
+  done;
+  let walk =
+    time "pt_walk" ~ops:500_000 (fun () ->
+        for i = 1 to 500_000 do
+          ignore (Sys.opaque_identity (Hw.Page_table.walk pt (0x1000_0000 + ((i land 511) * 4096))))
+        done)
+  in
+  let tlb = Hw.Tlb.create () in
+  Hw.Tlb.insert tlb ~pcid:1 ~va:0x5000 { Hw.Tlb.pfn = 5; flags = Hw.Pte.default_flags; level = 1 };
+  let tlb_lookup =
+    time "tlb_lookup" ~ops:2_000_000 (fun () ->
+        for _ = 1 to 2_000_000 do
+          ignore (Sys.opaque_identity (Hw.Tlb.lookup tlb ~pcid:1 0x5000))
+        done)
+  in
+  let buddy = Kernel_model.Buddy.create ~base:0 ~frames:4096 in
+  let buddy_cycle =
+    time "buddy_alloc_free" ~ops:1_000_000 (fun () ->
+        for _ = 1 to 1_000_000 do
+          Kernel_model.Buddy.free buddy (Kernel_model.Buddy.alloc buddy)
+        done)
+  in
+  let b = Cki.Container.backend (Cki.Container.create_standalone ~mem_mib:256 ()) in
+  let task = Virt.Backend.spawn b in
+  let getpid =
+    time "cki_getpid" ~ops:200_000 (fun () ->
+        for _ = 1 to 200_000 do
+          ignore (Virt.Backend.syscall_exn b task Kernel_model.Syscall.Getpid)
+        done)
+  in
+  let pks =
+    time "pks_allows" ~ops:5_000_000 (fun () ->
+        for _ = 1 to 5_000_000 do
+          ignore (Sys.opaque_identity (Hw.Pks.allows Hw.Pks.pkrs_guest ~key:Hw.Pks.pkey_ptp Hw.Pks.Write))
+        done)
+  in
+  [ walk; tlb_lookup; buddy_cycle; getpid; pks ]
+
 let run () =
   let alloc = bench_alloc ~ops:400_000 in
   let arena = bench_arena ~ops:100_000 in
@@ -147,6 +195,7 @@ let run () =
   in
   let r1, findings1 = serve 1 in
   let r4, findings4 = serve 4 in
+  let primitives = bench_primitives () in
   let ratio = r1.Ioplane.Serve.r_wall_ns /. r4.Ioplane.Serve.r_wall_ns in
   let serve_metrics (r : Ioplane.Serve.result) =
     let m = Printf.sprintf "serve.d%d.%s" r.r_domains in
@@ -159,7 +208,7 @@ let run () =
   {
     Artifact.bench = "engine";
     metrics =
-      [ alloc; arena ] @ translate @ [ probe; clock ] @ serve_metrics r1 @ serve_metrics r4
+      [ alloc; arena ] @ translate @ [ probe; clock ] @ primitives @ serve_metrics r1 @ serve_metrics r4
       @ [ Artifact.sim "sim_makespan_ratio" "x" ratio ];
     gates =
       [

@@ -1,70 +1,61 @@
-(* CKI reproduction benchmark harness.
-
-   Regenerates every table and figure of the paper's evaluation (see
-   DESIGN.md section 4) plus the attack suite, the artifact benches and
-   Bechamel benches of the simulator primitives.
+(* CKI reproduction benchmark harness: the artifact benches.
 
    Usage:
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe fig12      # one experiment
-     dune exec bench/main.exe snapshot   # one artifact bench
-     dune exec bench/main.exe list       # list experiment and bench ids
+     dune exec bench/main.exe              # every bench
+     dune exec bench/main.exe paper        # the paper's evaluation
+     dune exec bench/main.exe fig12        # one paper experiment
+     dune exec bench/main.exe list         # list bench and experiment ids
 
-   Each artifact bench returns its metrics and gates, which are printed
-   as one table; --json also writes them to BENCH_<bench>.json in the
-   current directory.
+   Each bench returns its metrics and gates, which Artifact prints as
+   one table plus one OK/FAIL line per gate; --json also writes each
+   whole bench to BENCH_<bench>.json in the current directory.  A
+   single paper experiment (`table2` ... `ablation`) only prints: it
+   is one part of BENCH_paper.json, which is written whole or not at
+   all.
 
    `validate [FILE...]` checks the given artifacts (default: every
    BENCH_*.json in the current directory) with Artifact.validate and
    exits 1 if any is malformed, breaks the schema or has a false gate —
    the one place a failed gate fails the build. *)
 
-let benches =
-  [
-    ("snapshot", Snap_bench.run);
-    ("modelcheck", Mc_bench.run);
-    ("ioplane", Ioplane_bench.run);
-    ("fleet", Fleet_bench.run);
-    ("migration", Migration_bench.run);
-    ("srclint", Srclint_bench.run);
-    ("racecheck", Racecheck_bench.run);
-    ("engine", Engine_bench.run);
-    ("micro", Micro.run);
-  ]
+(* Every id, with its run and whether --json writes it. *)
+let registry =
+  List.map
+    (fun (id, run) -> (id, (run, true)))
+    [
+      ("snapshot", Snap_bench.run);
+      ("modelcheck", Mc_bench.run);
+      ("ioplane", Ioplane_bench.run);
+      ("fleet", Fleet_bench.run);
+      ("migration", Migration_bench.run);
+      ("srclint", Srclint_bench.run);
+      ("racecheck", Racecheck_bench.run);
+      ("engine", Engine_bench.run);
+      ("paper", Paper.run);
+    ]
+  @ List.map (fun (id, run) -> (id, ((fun () -> Paper.artifact id [ run () ]), false))) Paper.experiments
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let json = List.mem "--json" args in
   let args = List.filter (fun a -> a <> "--json") args in
-  let bench run =
+  let bench (run, writable) =
     let a = run () in
     Artifact.print a;
-    if json then Artifact.write a;
+    if json && writable then Artifact.write a
+    else if json then Printf.printf "not written: %s is one part of BENCH_paper.json (run `paper`)\n" a.Artifact.bench;
     flush stdout
   in
   match args with
-  | [ "list" ] ->
-      List.iter print_endline
-        (List.map fst Experiments.all @ List.map fst benches @ [ "simbench"; "validate" ])
+  | [ "list" ] -> List.iter print_endline (List.map fst registry @ [ "validate" ])
   | "validate" :: files -> if not (Artifact.validate files) then exit 1
-  | [] ->
-      Printf.printf "CKI (EuroSys'25) reproduction — full benchmark run\n";
-      Printf.printf "===================================================\n";
-      List.iter
-        (fun (_, f) ->
-          f ();
-          flush stdout)
-        Experiments.all;
-      List.iter (fun (_, run) -> bench run) benches;
-      Simbench.run ()
+  | [] -> List.iter (fun (_, (run, writable)) -> if writable then bench (run, writable)) registry
   | names ->
       List.iter
         (fun name ->
-          match (List.assoc_opt name benches, List.assoc_opt name Experiments.all) with
-          | Some run, _ -> bench run
-          | None, Some f -> f ()
-          | None, None when name = "simbench" -> Simbench.run ()
-          | None, None ->
-              Printf.eprintf "unknown experiment %S (try: dune exec bench/main.exe list)\n" name;
+          match List.assoc_opt name registry with
+          | Some b -> bench b
+          | None ->
+              Printf.eprintf "unknown bench %S (try: dune exec bench/main.exe list)\n" name;
               exit 1)
         names

@@ -148,13 +148,18 @@ let run_chaos () =
   (* Fault-inject the leak checker: plant a losing-copy frame on a
      surviving loser host and demand the verdict flips. *)
   let inj = all ~leak_inject:true () in
+  (* One injected verdict per scenario, and at least one scenario whose
+     loser host survives to hold the planted frame. *)
+  let per_scenario = List.map (fun v -> v.scenario) inj = List.map (fun v -> v.scenario) vs in
+  let live_losers = List.length (List.filter (fun v -> v.scenario <> Source_crash) inj) in
   let caught =
-    List.for_all
-      (fun v ->
-        if v.scenario = Source_crash then v.ok
-          (* the loser host is dead: nothing survives to leak *)
-        else (not v.ok) && v.leaked_frames > 0)
-      inj
+    per_scenario && live_losers >= 1
+    && List.for_all
+         (fun v ->
+           if v.scenario = Source_crash then v.ok
+             (* the loser host is dead: nothing survives to leak *)
+           else (not v.ok) && v.leaked_frames > 0)
+         inj
   in
   let name v = "chaos." ^ scenario_name v.scenario in
   ( List.map (fun v -> Artifact.sim (name v ^ ".downtime") "ns" v.downtime_ns) vs,
@@ -168,7 +173,8 @@ let run_chaos () =
       vs
     @ [
         Artifact.gate "leak injection caught on live loser hosts" caught
-          (Printf.sprintf "%d injected scenarios" (List.length inj));
+          (Printf.sprintf "%d injected verdicts for %d scenarios, %d with a live loser host" (List.length inj)
+             (List.length vs) live_losers);
       ] )
 
 let run () =

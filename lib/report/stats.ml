@@ -5,14 +5,6 @@ let mean xs =
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let geomean xs =
-  match xs with
-  | [] -> nan
-  | _ ->
-      let logs = List.map log xs in
-      exp (mean logs)
-
-let minimum xs = List.fold_left min infinity xs
 let maximum xs = List.fold_left max neg_infinity xs
 
 (* Nearest-rank percentile (p in [0,100]) of an unsorted sample. *)
@@ -25,26 +17,8 @@ let percentile xs ~p =
       let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
       List.nth sorted (max 0 (min (n - 1) (rank - 1)))
 
-(* Normalize each value to [baseline] (baseline becomes 1.0). *)
-let normalize ~baseline xs = List.map (fun x -> x /. baseline) xs
-
 (* Percentage overhead of [x] relative to [baseline]. *)
 let overhead_pct ~baseline x = 100.0 *. ((x /. baseline) -. 1.0)
 
 (* Percentage reduction from [from_] to [to_]: positive = improvement. *)
 let reduction_pct ~from_ ~to_ = 100.0 *. (1.0 -. (to_ /. from_))
-
-(* Speedup of [x] over [baseline] (throughput ratio). *)
-let speedup ~baseline x = x /. baseline
-
-let pp_ns fmt v =
-  if v >= 1e9 then Format.fprintf fmt "%.2f s" (v /. 1e9)
-  else if v >= 1e6 then Format.fprintf fmt "%.2f ms" (v /. 1e6)
-  else if v >= 1e3 then Format.fprintf fmt "%.2f us" (v /. 1e3)
-  else Format.fprintf fmt "%.0f ns" v
-
-let si v =
-  if Float.abs v >= 1e9 then Printf.sprintf "%.2fG" (v /. 1e9)
-  else if Float.abs v >= 1e6 then Printf.sprintf "%.2fM" (v /. 1e6)
-  else if Float.abs v >= 1e3 then Printf.sprintf "%.1fk" (v /. 1e3)
-  else Printf.sprintf "%.1f" v

@@ -10,9 +10,6 @@ let create ~title ~header = { title; header; rows = [] }
 
 let add_row t row = t.rows <- t.rows @ [ row ]
 
-let add_floats t ~label ?(fmt = Printf.sprintf "%.1f") values =
-  add_row t (label :: List.map fmt values)
-
 let widths t =
   let all = t.header :: t.rows in
   let cols = List.length t.header in

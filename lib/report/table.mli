@@ -4,6 +4,5 @@ type t
 
 val create : title:string -> header:string list -> t
 val add_row : t -> string list -> unit
-val add_floats : t -> label:string -> ?fmt:(float -> string) -> float list -> unit
 val render : t -> string
 val print : t -> unit

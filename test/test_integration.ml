@@ -145,8 +145,8 @@ let test_gate_stress () =
   check_int "secure stack balanced" 0 area.Cki.Pervcpu.stack_depth;
   ((), [ c ])
 
-(* End-to-end shape invariant: on every memory-intensive app, the
-   normalized ordering of the paper's Figure 12 holds. *)
+(* End-to-end shape invariant: on a memory-intensive app, the
+   orderings of the paper's Figures 4 and 12 hold. *)
 let test_fig12_ordering () =
   Analysis.checked ~label:"fig12" @@ fun () ->
   let machine () = Hw.Machine.create ~cpus:2 ~mem_mib:512 () in
@@ -161,10 +161,11 @@ let test_fig12_ordering () =
   let hvm = app (Virt.Hvm.create (machine ())) in
   let pvm = app (Virt.Pvm.create (machine ())) in
   let hvm_nst = app (Virt.Hvm.create ~env:Virt.Env.Nested (machine ())) in
+  let pvm_nst = app (Virt.Pvm.create ~env:Virt.Env.Nested (machine ())) in
   check_bool "RunC <= CKI" true (runc <= cki);
   check_bool "CKI < HVM-BM" true (cki < hvm);
   check_bool "CKI < PVM" true (cki < pvm);
-  check_bool "everything < HVM-NST" true (max (max hvm pvm) cki < hvm_nst);
+  check_bool "everything < HVM-NST" true (List.for_all (fun v -> v < hvm_nst) [ runc; hvm; pvm; pvm_nst; cki ]);
   check_bool "CKI within 3% of RunC" true ((cki -. runc) /. runc < 0.03);
   ((), [ cki_container ])
 
