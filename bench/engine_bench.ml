@@ -16,7 +16,9 @@
      [Cpu.set_tcache] off (the TLB-hashtable front end) — both are the
      real engine;
    - the primitives under every experiment: a page-table walk, a TLB
-     lookup, a buddy alloc+free, a CKI getpid and a PKS rights check.
+     lookup, a buddy alloc+free, a CKI getpid and a PKS rights check;
+   - the VirtIO copy path: one 32 KiB chain posted and serviced on a
+     CKI container, 8 payload pages copied in and out.
 
    The sharding section reports the [Serve.run ~domains:{1,4}]
    simulated-makespan ratio: on a single-CPU host the lanes do not run
@@ -174,6 +176,28 @@ let bench_primitives () =
   in
   [ walk; tlb_lookup; buddy_cycle; getpid; pks ]
 
+(* The VirtIO copy path on a CKI container: each op posts one 32 KiB
+   TX chain (8 page copies in), services it (8 page copies out) and
+   reclaims its descriptors. *)
+let bench_virtio_copy ~ops =
+  let p = (Cki.Container.backend (Cki.Container.create_standalone ~mem_mib:128 ())).Virt.Backend.platform in
+  let q =
+    Kernel_model.Virtio.create ~size:16 ~name:"bench"
+      {
+        Kernel_model.Virtio.mem = p.Kernel_model.Platform.mem;
+        frame = p.Kernel_model.Platform.guest_frame;
+        alloc_frame = p.Kernel_model.Platform.alloc_frame;
+      }
+      p.Kernel_model.Platform.clock
+  in
+  let data = Bytes.init 32768 (fun i -> Char.chr (i land 0xFF)) in
+  time "virtio_copy_32k" ~ops (fun () ->
+      for _ = 1 to ops do
+        if Kernel_model.Virtio.post q ~data <> `Posted then failwith "engine bench: ring full";
+        ignore (Kernel_model.Virtio.service q ~handle:ignore);
+        ignore (Kernel_model.Virtio.reclaim q)
+      done)
+
 let run () =
   let alloc = bench_alloc ~ops:400_000 in
   let arena = bench_arena ~ops:100_000 in
@@ -196,6 +220,7 @@ let run () =
   let r1, findings1 = serve 1 in
   let r4, findings4 = serve 4 in
   let primitives = bench_primitives () in
+  let virtio_copy = bench_virtio_copy ~ops:20_000 in
   let ratio = r1.Ioplane.Serve.r_wall_ns /. r4.Ioplane.Serve.r_wall_ns in
   let serve_metrics (r : Ioplane.Serve.result) =
     let m = Printf.sprintf "serve.d%d.%s" r.r_domains in
@@ -208,7 +233,8 @@ let run () =
   {
     Artifact.bench = "engine";
     metrics =
-      [ alloc; arena ] @ translate @ [ probe; clock ] @ primitives @ serve_metrics r1 @ serve_metrics r4
+      [ alloc; arena ] @ translate @ [ probe; clock ] @ primitives @ [ virtio_copy ]
+      @ serve_metrics r1 @ serve_metrics r4
       @ [ Artifact.sim "sim_makespan_ratio" "x" ratio ];
     gates =
       [

@@ -12,6 +12,12 @@ let run () =
     | Error msg -> failwith msg
   in
   let chk = Srclint.check ~baseline:entries scan.Srclint.findings in
+  (* trusted-sink is the TCB debt this bench tracks: report it at 0
+     rather than let the metric vanish from the artifact. *)
+  let by_rule =
+    if List.mem_assoc "trusted-sink" s.Srclint.by_rule then s.Srclint.by_rule
+    else List.sort compare (("trusted-sink", 0) :: s.Srclint.by_rule)
+  in
   {
     Artifact.bench = "srclint";
     metrics =
@@ -21,7 +27,7 @@ let run () =
         Artifact.count "libraries" "libraries" s.Srclint.libraries;
         Artifact.wall "scan" "ms" s.Srclint.wall_ms;
       ]
-      @ List.map (fun (rule, n) -> Artifact.count ("findings." ^ rule) "findings" n) s.Srclint.by_rule
+      @ List.map (fun (rule, n) -> Artifact.count ("findings." ^ rule) "findings" n) by_rule
       @ [
           Artifact.count "baselined" "findings" (List.length chk.Srclint.baselined);
           Artifact.count "new" "findings" (List.length chk.Srclint.fresh);

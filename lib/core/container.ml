@@ -159,8 +159,8 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
       (* Single-stage: the buddy hands out real hPA frames inside the
          delegated segment, so ring bytes are directly addressable (and
          the Analysis sanitizer audits them like any guest page). *)
-      guest_read_word = Ksm.guest_read_word ksm;
-      guest_write_word = Ksm.guest_write_word ksm;
+      mem = Hw.Machine.mem machine;
+      guest_frame = Fun.id;
     }
   in
   let kernel = Kernel_model.Kernel.create platform in

@@ -79,12 +79,6 @@ let alloc_ksm_frame t kind = Hw.Phys_mem.alloc t.mem ~owner:(Hw.Phys_mem.Ksm t.c
 let write_raw t ~pfn ~index v = Hw.Phys_mem.write_entry t.mem ~pfn ~index v
 let read_raw t ~pfn ~index = Hw.Phys_mem.read_entry t.mem ~pfn ~index
 
-(* The platform's guest-word hooks (VirtIO ring and payload words in
-   buddy-allocated hPA frames), built here so the raw write sink stays
-   inside the monitor. *)
-let guest_read_word t pfn index = read_raw t ~pfn ~index
-let guest_write_word t pfn index v = write_raw t ~pfn ~index v
-
 (* Build a subtree mapping [pages] 4-KiB pages starting at [va_base]
    backed by [frame_of i], with [pkey]; returns the L3 root to splice
    at L4.  Only supports regions within one L4 slot. *)

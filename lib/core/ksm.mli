@@ -136,11 +136,6 @@ val read_top_pte : t -> root:Hw.Addr.pfn -> idx:int -> (int64, error) result
 val iret : t -> unit
 (** [iret] executed by the KSM on the guest's behalf (Table 3). *)
 
-val guest_read_word : t -> Hw.Addr.pfn -> int -> int64
-val guest_write_word : t -> Hw.Addr.pfn -> int -> int64 -> unit
-(** The container platform's guest-word hooks: one 64-bit word of a
-    buddy-allocated hPA frame (VirtIO rings and payload buffers). *)
-
 val release_root :
   t -> root:Hw.Addr.pfn -> free_ptp:(Hw.Addr.pfn -> unit) -> (unit, error) result
 (** Tear down a process address space: undeclare and return its

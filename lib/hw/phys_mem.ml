@@ -503,6 +503,63 @@ let write_entry t ~pfn ~index value =
   if index < t.dirty_lo.(s) then t.dirty_lo.(s) <- index;
   if index > t.dirty_hi.(s) then t.dirty_hi.(s) <- index
 
+(* Page copies: a frame's first [len] bytes are its words in
+   little-endian order, the last partial word zero-padded above [len]
+   -- exactly what packing the bytes one [write_entry] per word stores.
+   One call is one traced access and one dirty-range update; [len = 0]
+   touches nothing. *)
+let page_bytes = entries * 8
+
+let check_copy name t pfn buf ~off ~len =
+  check_pfn t pfn;
+  if len < 0 || len > page_bytes || off < 0 || off > Bytes.length buf - len then invalid_arg name
+
+let read_bytes t ~pfn dst ~off ~len =
+  check_copy "Phys_mem.read_bytes" t pfn dst ~off ~len;
+  if len > 0 then begin
+    trace_read t pfn;
+    let s = t.table_slot.(pfn) in
+    if s < 0 then Bytes.fill dst off len '\000'
+    else begin
+      let base = s * entries and full = len lsr 3 in
+      for w = 0 to full - 1 do
+        Bytes.set_int64_le dst (off + (w lsl 3)) (Bigarray.Array1.get t.arena (base + w))
+      done;
+      let tail = off + (full lsl 3) in
+      if tail < off + len then begin
+        let v = Int64.to_int (Bigarray.Array1.get t.arena (base + full)) in
+        for i = tail to off + len - 1 do
+          Bytes.set dst i (Char.chr ((v lsr (8 * (i - tail))) land 0xFF))
+        done
+      end
+    end
+  end
+
+let write_bytes t ~pfn src ~off ~len =
+  check_copy "Phys_mem.write_bytes" t pfn src ~off ~len;
+  if len > 0 then begin
+    trace_write t pfn;
+    let s = ensure_slot t pfn in
+    let base = s * entries and full = len lsr 3 in
+    for w = 0 to full - 1 do
+      Bigarray.Array1.set t.arena (base + w) (Bytes.get_int64_le src (off + (w lsl 3)))
+    done;
+    let tail = off + (full lsl 3) in
+    let last =
+      if tail < off + len then begin
+        let v = ref 0 in
+        for i = off + len - 1 downto tail do
+          v := (!v lsl 8) lor Char.code (Bytes.get src i)
+        done;
+        Bigarray.Array1.set t.arena (base + full) (Int64.of_int !v);
+        full
+      end
+      else full - 1
+    in
+    t.dirty_lo.(s) <- 0;
+    if last > t.dirty_hi.(s) then t.dirty_hi.(s) <- last
+  end
+
 let clear_table t pfn =
   check_pfn t pfn;
   trace_write t pfn;
@@ -518,6 +575,7 @@ let count_owned t owner_pred =
   !c
 
 let free_frames t = t.free_count
+let table_slots t = t.used_slots - t.n_free_slots
 
 let owned_count t owner =
   match encode_owner owner with

@@ -95,11 +95,31 @@ val read_entry : t -> pfn:Addr.pfn -> index:int -> int64
 val write_entry : t -> pfn:Addr.pfn -> index:int -> int64 -> unit
 val clear_table : t -> Addr.pfn -> unit
 
+val read_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
+(** [read_bytes t ~pfn dst ~off ~len] copies the frame's first [len]
+    bytes (its words, little-endian) into [dst] at [off]; a slot-less
+    frame reads as zeros. One traced read per call; [len = 0] touches
+    nothing.
+    @raise Invalid_argument unless [0 <= len <= 4096] and the range
+    fits [dst]. *)
+
+val write_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
+(** [write_bytes t ~pfn src ~off ~len] stores [src.[off .. off+len-1]]
+    as the frame's first [len] bytes, zero-padding the last partial
+    word -- what one {!write_entry} per packed word would store. One
+    traced write and one dirty-range update per call; [len = 0] touches
+    nothing (no slot is acquired).
+    @raise Invalid_argument as {!read_bytes}. *)
+
 val count_owned : t -> (owner -> bool) -> int
 (** Brute-force count over every frame; for tests and statistics. Use
     {!owned_count} for a single owner. *)
 
 val free_frames : t -> int
+
+val table_slots : t -> int
+(** Frames holding a slot in the entry arena (table pages and written
+    payload pages), in O(1); for tests and statistics. *)
 
 val owned_count : t -> owner -> int
 (** Frames currently owned by [owner], in O(1). [owned_count t Free]

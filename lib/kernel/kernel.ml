@@ -88,8 +88,8 @@ let ensure_io t =
   | None ->
       let access =
         {
-          Virtio.read_word = t.platform.Platform.guest_read_word;
-          write_word = t.platform.Platform.guest_write_word;
+          Virtio.mem = t.platform.Platform.mem;
+          frame = t.platform.Platform.guest_frame;
           alloc_frame = t.platform.Platform.alloc_frame;
         }
       in

@@ -43,13 +43,14 @@ type t = {
   virtualized_io : bool;
       (** I/O goes through VirtIO (doorbell exits + backend service);
           false for OS-level containers, which use host devices natively *)
-  (* -------- guest-memory word access -------- *)
-  guest_read_word : Hw.Addr.pfn -> int -> int64;
-      (** read one 64-bit word of a frame returned by [alloc_frame] —
-          the shared-memory path VirtIO rings live on.  The pfn is in
-          the allocator's own namespace (a gfn under HVM/PVM, an hPA
-          frame under RunC/CKI); backends translate as needed. *)
-  guest_write_word : Hw.Addr.pfn -> int -> int64 -> unit;
+  (* -------- guest-memory access -------- *)
+  mem : Hw.Phys_mem.t;  (** the machine's physical memory *)
+  guest_frame : Hw.Addr.pfn -> Hw.Addr.pfn;
+      (** the host frame behind a frame returned by [alloc_frame] —
+          how the shared-memory path VirtIO rings live on reaches
+          guest bytes.  The pfn is in the allocator's own namespace (a
+          gfn under HVM/PVM, an hPA frame under RunC/CKI): the identity
+          under RunC/CKI, the second-stage translation under HVM/PVM. *)
 }
 
 (* A bare-hardware platform for the host kernel / RunC: direct paging,
@@ -92,6 +93,6 @@ let bare ?(name = "native") (machine : Hw.Machine.t) : t =
     hypercall = (fun _ -> ());
     deliver_irq = (fun () -> Hw.Clock.charge clock "irq" Hw.Cost.irq_delivery);
     virtualized_io = false;
-    guest_read_word = (fun pfn index -> Hw.Phys_mem.read_entry mem ~pfn ~index);
-    guest_write_word = (fun pfn index v -> Hw.Phys_mem.write_entry mem ~pfn ~index v);
+    mem;
+    guest_frame = Fun.id;
   }

@@ -38,12 +38,12 @@ type t = {
   virtualized_io : bool;
       (** I/O rides VirtIO (doorbell exits + backend service); false for
           OS-level containers using host devices natively *)
-  guest_read_word : Hw.Addr.pfn -> int -> int64;
-      (** read one 64-bit word of an [alloc_frame] frame (VirtIO rings
-          and payload buffers are real bytes in these pages); the pfn
-          is in the allocator's namespace — a gfn under HVM/PVM, an hPA
-          frame under RunC/CKI *)
-  guest_write_word : Hw.Addr.pfn -> int -> int64 -> unit;
+  mem : Hw.Phys_mem.t;  (** the machine's physical memory *)
+  guest_frame : Hw.Addr.pfn -> Hw.Addr.pfn;
+      (** the host frame behind an [alloc_frame] frame (VirtIO rings
+          and payload buffers are real bytes in these pages): the
+          identity under RunC/CKI, whose allocator hands out hPA
+          frames; the gPA -> hPA translation under HVM/PVM *)
 }
 
 val bare : ?name:string -> Hw.Machine.t -> t

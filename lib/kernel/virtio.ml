@@ -31,8 +31,8 @@
    backpressure path runs a host service pass and retries. *)
 
 type access = {
-  read_word : Hw.Addr.pfn -> int -> int64;
-  write_word : Hw.Addr.pfn -> int -> int64 -> unit;
+  mem : Hw.Phys_mem.t;
+  frame : Hw.Addr.pfn -> Hw.Addr.pfn;
   alloc_frame : unit -> Hw.Addr.pfn;
 }
 
@@ -84,8 +84,8 @@ let idx_word = 1
 let ring_word t i = 2 + (i mod t.size)
 let event_word t = 2 + t.size
 
-let rd t pfn i = t.access.read_word pfn i
-let wr t pfn i v = t.access.write_word pfn i v
+let rd t pfn i = Hw.Phys_mem.read_entry t.access.mem ~pfn:(t.access.frame pfn) ~index:i
+let wr t pfn i v = Hw.Phys_mem.write_entry t.access.mem ~pfn:(t.access.frame pfn) ~index:i v
 
 let create ?(size = 64) ?(window = 1) ~name (access : access) clock =
   if size < 2 || size > max_size then invalid_arg "Virtio.create: size must be in 2..256";
@@ -141,34 +141,20 @@ let in_flight t = t.avail_idx - t.last_avail_seen
 let unreclaimed t = t.n_heads
 let free_descs t = t.n_free
 
-(* ---------------- payload bytes <-> page words ---------------- *)
+(* ---------------- payload bytes <-> pages ---------------- *)
 
+(* Move the page-sized piece of [data] at [off] into (out of) payload
+   page [pfn] with one page copy; returns the bytes moved.  Callers
+   only ask for non-empty pieces: translating a frame can back it
+   (PVM's lazy gPA->hPA map), so an empty piece must not reach it. *)
 let copy_into_page t pfn data ~off =
   let len = min bytes_per_page (Bytes.length data - off) in
-  let words = (len + 7) / 8 in
-  for w = 0 to words - 1 do
-    let v = ref 0L in
-    for b = 0 to 7 do
-      let i = off + (w * 8) + b in
-      if i < Bytes.length data then
-        v := Int64.logor !v (Int64.shift_left (Int64.of_int (Char.code (Bytes.get data i))) (8 * b))
-    done;
-    wr t pfn w !v
-  done;
+  Hw.Phys_mem.write_bytes t.access.mem ~pfn:(t.access.frame pfn) data ~off ~len;
   len
 
 let copy_from_page t pfn data ~off =
   let len = min bytes_per_page (Bytes.length data - off) in
-  let words = (len + 7) / 8 in
-  for w = 0 to words - 1 do
-    let v = rd t pfn w in
-    for b = 0 to 7 do
-      let i = off + (w * 8) + b in
-      if i < Bytes.length data then
-        Bytes.set data i
-          (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * b)) 0xFFL)))
-    done
-  done;
+  Hw.Phys_mem.read_bytes t.access.mem ~pfn:(t.access.frame pfn) data ~off ~len;
   len
 
 (* ---------------- descriptor chains ---------------- *)
@@ -195,8 +181,9 @@ let read_desc t id =
    [t.bufs] as a shadow so the walk need not re-read it): the hot
    service/reclaim/fill paths allocate no closures.
 
-   Copy the chain's payload out into [data] (up to [limit] bytes). *)
-let chain_copy_out t head data ~limit =
+   Copy the chain's payload out into [data]. *)
+let chain_copy_out t head data =
+  let limit = Bytes.length data in
   let id = ref head and off = ref 0 and more = ref true in
   while !more do
     let _, flags, next = read_desc t !id in
@@ -267,7 +254,7 @@ let reclaim t =
          used entry: nothing to free *)
       if Bytes.get t.head_writes head <> '\000' && len > 0 then begin
         let data = Bytes.create len in
-        chain_copy_out t head data ~limit:len;
+        chain_copy_out t head data;
         Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte);
         out := data :: !out
       end;
@@ -366,7 +353,7 @@ let service t ~handle =
       let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
       let total = chain_len t head in
       let data = Bytes.create total in
-      chain_copy_out t head data ~limit:total;
+      chain_copy_out t head data;
       Hw.Clock.charge t.clock "virtio_copy"
         (float_of_int total *. Hw.Cost.copy_byte);
       publish_used t ~head ~len:total;

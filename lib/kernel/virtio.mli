@@ -14,12 +14,16 @@
     ([`Full]), never an exception. *)
 
 type access = {
-  read_word : Hw.Addr.pfn -> int -> int64;
-  write_word : Hw.Addr.pfn -> int -> int64 -> unit;
+  mem : Hw.Phys_mem.t;
+  frame : Hw.Addr.pfn -> Hw.Addr.pfn;
+      (** allocator pfn -> the host frame behind it *)
   alloc_frame : unit -> Hw.Addr.pfn;
 }
-(** Guest-memory word access in the allocator's own pfn namespace
-    (backends translate gfns underneath). *)
+(** Guest-memory access: frames come from [alloc_frame] in the
+    allocator's own pfn namespace and are reached through [frame].
+    Ring words go through {!Hw.Phys_mem.read_entry}/[write_entry];
+    payloads move a page per {!Hw.Phys_mem.read_bytes}/[write_bytes]
+    call. *)
 
 type t
 

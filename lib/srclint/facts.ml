@@ -45,7 +45,8 @@ let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
    anywhere (the invariant checker depends on them); these change frame
    contents or frame metadata and are the operations the CKI security
    argument says only the TCB may reach. *)
-let write_sinks = [ "write_entry"; "clear_table"; "set_kind"; "set_owner"; "set_shared_ro" ]
+let write_sinks =
+  [ "write_entry"; "write_bytes"; "clear_table"; "set_kind"; "set_owner"; "set_shared_ro" ]
 
 let sink_module = "Phys_mem"
 

@@ -67,7 +67,7 @@ let default_arch =
 (* Files allowed to reach the raw physical-memory write sinks: the
    hardware model itself, the security monitor (KSM) and its per-vCPU
    root copies, the snapshot restore/freeze paths, and the VirtIO data
-   path (guest-word access + ring layout).  Everything else must
+   path (ring words + page copies).  Everything else must
    mutate memory through a KSM call.  Entries ending in '/' cover a
    directory. *)
 let default_tcb =
@@ -77,7 +77,6 @@ let default_tcb =
     "lib/core/pervcpu.ml";
     "lib/snapshot/restore.ml";
     "lib/snapshot/template.ml";
-    "lib/kernel/platform.ml";
     "lib/kernel/virtio.ml";
   ]
 

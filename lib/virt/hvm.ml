@@ -164,14 +164,9 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
       virtualized_io = true;
       (* VirtIO rings live at gPAs; the host walks the EPT to reach the
          backing host frame (second-stage translation, no exit). *)
-      guest_read_word =
-        (fun gfn index ->
-          let hpa = Hw.Ept.translate st.ept (Hw.Addr.pa_of_pfn gfn) in
-          Hw.Phys_mem.read_entry mem ~pfn:(Hw.Addr.pfn_of_pa hpa) ~index);
-      guest_write_word =
-        (fun gfn index v ->
-          let hpa = Hw.Ept.translate st.ept (Hw.Addr.pa_of_pfn gfn) in
-          Hw.Phys_mem.write_entry mem ~pfn:(Hw.Addr.pfn_of_pa hpa) ~index v);
+      mem;
+      guest_frame =
+        (fun gfn -> Hw.Addr.pfn_of_pa (Hw.Ept.translate st.ept (Hw.Addr.pa_of_pfn gfn)));
     }
   in
   let kernel = Kernel_model.Kernel.create platform in

@@ -205,10 +205,8 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
       virtualized_io = true;
       (* VirtIO rings live at gPAs; the host reaches them through the
          gPA->hPA association (backing lazily, like any guest frame). *)
-      guest_read_word =
-        (fun gfn index -> Hw.Phys_mem.read_entry mem ~pfn:(hfn_of_gfn gfn) ~index);
-      guest_write_word =
-        (fun gfn index v -> Hw.Phys_mem.write_entry mem ~pfn:(hfn_of_gfn gfn) ~index v);
+      mem;
+      guest_frame = hfn_of_gfn;
     }
   in
   let kernel = Kernel_model.Kernel.create platform in

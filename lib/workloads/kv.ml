@@ -58,7 +58,7 @@ let create_server (b : Virt.Backend.t) flavor =
     task;
     sock_fd;
     sock_id;
-    store = Hashtbl.create 65536;
+    store = Hashtbl.create 64;
     value_size = 500;
     requests = 0;
   }

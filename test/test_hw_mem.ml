@@ -140,6 +140,120 @@ let test_phys_refcount () =
   check_raises "underflow" (Invalid_argument "Phys_mem.decr_ref: refcount underflow") (fun () ->
       Hw.Phys_mem.decr_ref m f)
 
+(* Word-at-a-time reference for the page copies: [len] bytes of [buf]
+   at [off] packed little-endian, one [write_entry] per word with the
+   tail word zero-padded, and unpacked one [read_entry] per byte. *)
+let ref_write_bytes m ~pfn src ~off ~len =
+  for w = 0 to ((len + 7) / 8) - 1 do
+    let v = ref 0L in
+    for b = 0 to min 7 (len - (w * 8) - 1) do
+      let byte = Int64.of_int (Char.code (Bytes.get src (off + (w * 8) + b))) in
+      v := Int64.logor !v (Int64.shift_left byte (8 * b))
+    done;
+    Hw.Phys_mem.write_entry m ~pfn ~index:w !v
+  done
+
+let ref_read_bytes m ~pfn dst ~off ~len =
+  for i = 0 to len - 1 do
+    let v = Hw.Phys_mem.read_entry m ~pfn ~index:(i / 8) in
+    Bytes.set dst (off + i)
+      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * (i mod 8))) 0xFFL)))
+  done
+
+(* Page copy and reference agree on a frame pre-filled with random
+   words: the same 512 entries after the write (so the zero-padded tail
+   word and the untouched words match), the same bytes read back, and
+   those bytes are the source's. *)
+let page_copy_matches_reference ~len ~off ~seed =
+  let rng = Random.State.make [| seed |] in
+  let frame () =
+    let m = Hw.Phys_mem.create ~frames:1 in
+    (m, Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data)
+  in
+  let (m, f), (r, g) = (frame (), frame ()) in
+  for index = 0 to 511 do
+    let v = Random.State.bits64 rng in
+    Hw.Phys_mem.write_entry m ~pfn:f ~index v;
+    Hw.Phys_mem.write_entry r ~pfn:g ~index v
+  done;
+  let src = Bytes.init (off + len + 3) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  Hw.Phys_mem.write_bytes m ~pfn:f src ~off ~len;
+  ref_write_bytes r ~pfn:g src ~off ~len;
+  let got = Bytes.make (off + len + 3) '?' and want = Bytes.make (off + len + 3) '?' in
+  Hw.Phys_mem.read_bytes m ~pfn:f got ~off ~len;
+  ref_read_bytes r ~pfn:g want ~off ~len;
+  Hw.Phys_mem.table_entries m f = Hw.Phys_mem.table_entries r g
+  && Bytes.equal got want
+  && Bytes.sub got off len = Bytes.sub src off len
+
+let edge_lengths = [ 0; 1; 7; 8; 9; 4095; 4096 ]
+
+let prop_page_copy =
+  QCheck.Test.make ~name:"page copy = word-at-a-time reference" ~count:200
+    QCheck.(triple (oneof [ oneofl edge_lengths; int_bound 4096 ]) (int_bound 16) int)
+    (fun (len, off, seed) -> page_copy_matches_reference ~len ~off ~seed)
+
+let test_phys_bytes_edge_lengths () =
+  List.iter
+    (fun len ->
+      List.iter
+        (fun off ->
+          check_bool
+            (Printf.sprintf "len %d off %d" len off)
+            true
+            (page_copy_matches_reference ~len ~off ~seed:(len + off)))
+        [ 0; 3 ])
+    edge_lengths
+
+(* Count the Mem_read/Mem_write events [f] emits. *)
+let mem_events f =
+  let ring = Hw.Probe.ring_create () in
+  Hw.Probe.set_ring ring;
+  Hw.Probe.set_mem_trace true;
+  Fun.protect
+    ~finally:(fun () ->
+      Hw.Probe.set_mem_trace false;
+      Hw.Probe.clear_sink ())
+    f;
+  List.length
+    (List.filter
+       (function Hw.Probe.Mem_read _ | Hw.Probe.Mem_write _ -> true | _ -> false)
+       (Hw.Probe.ring_events ring))
+
+let test_phys_bytes_cases () =
+  let m = Hw.Phys_mem.create ~frames:1 in
+  let f = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
+  let buf = Bytes.make 4096 'x' in
+  let zeros () = Bytes.for_all (fun c -> c = '\000') buf in
+  Hw.Phys_mem.read_bytes m ~pfn:f buf ~off:0 ~len:4096;
+  check_bool "slot-less frame reads zeros" true (zeros ());
+  check_int "len 0 emits no event" 0
+    (mem_events (fun () ->
+         Hw.Phys_mem.write_bytes m ~pfn:f buf ~off:0 ~len:0;
+         Hw.Phys_mem.read_bytes m ~pfn:f buf ~off:0 ~len:0));
+  check_int "len 0 acquires no slot" 0 (Hw.Phys_mem.table_slots m);
+  check_int "one event per page copy" 2
+    (mem_events (fun () ->
+         Hw.Phys_mem.write_bytes m ~pfn:f (Bytes.make 4096 'y') ~off:0 ~len:4096;
+         Hw.Phys_mem.read_bytes m ~pfn:f buf ~off:0 ~len:4096));
+  check_int "written frame holds a slot" 1 (Hw.Phys_mem.table_slots m);
+  Hw.Phys_mem.free m f;
+  let f' = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
+  check_int "same frame back" f f';
+  Bytes.fill buf 0 4096 'x';
+  Hw.Phys_mem.read_bytes m ~pfn:f' buf ~off:0 ~len:4096;
+  check_bool "re-allocated frame reads zeros" true (zeros ());
+  let big = Bytes.make 8192 'z' in
+  List.iter
+    (fun (what, len) ->
+      check_raises ("write " ^ what) (Invalid_argument "Phys_mem.write_bytes") (fun () ->
+          Hw.Phys_mem.write_bytes m ~pfn:f big ~off:0 ~len);
+      check_raises ("read " ^ what) (Invalid_argument "Phys_mem.read_bytes") (fun () ->
+          Hw.Phys_mem.read_bytes m ~pfn:f big ~off:0 ~len))
+    [ ("len > 4096", 4097); ("negative len", -1) ];
+  check_raises "range past the buffer" (Invalid_argument "Phys_mem.write_bytes") (fun () ->
+      Hw.Phys_mem.write_bytes m ~pfn:f (Bytes.make 8 'z') ~off:4 ~len:8)
+
 (* --------------------------- Page_table --------------------------- *)
 
 let mk_pt () =
@@ -244,6 +358,9 @@ let suite =
         test_case "out of memory" `Quick test_phys_oom;
         test_case "table entries" `Quick test_phys_table_entries;
         test_case "refcount" `Quick test_phys_refcount;
+        test_case "page copy at edge lengths" `Quick test_phys_bytes_edge_lengths;
+        test_case "page copy cases" `Quick test_phys_bytes_cases;
+        QCheck_alcotest.to_alcotest prop_page_copy;
       ] );
     ( "hw/page_table",
       [

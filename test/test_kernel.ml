@@ -263,16 +263,17 @@ let test_pipe_roundtrip () =
 
 (* ----------------------------- Virtio ----------------------------- *)
 
-let mk_virtio ?(size = 4) ?(window = 1) () =
-  let p = bare_platform () in
+let virtio_on ?(size = 4) ?(window = 1) (p : Kernel_model.Platform.t) =
   let access =
     {
-      Kernel_model.Virtio.read_word = p.Kernel_model.Platform.guest_read_word;
-      write_word = p.Kernel_model.Platform.guest_write_word;
+      Kernel_model.Virtio.mem = p.Kernel_model.Platform.mem;
+      frame = p.Kernel_model.Platform.guest_frame;
       alloc_frame = p.Kernel_model.Platform.alloc_frame;
     }
   in
   Kernel_model.Virtio.create ~size ~window ~name:"test" access p.Kernel_model.Platform.clock
+
+let mk_virtio ?size ?window () = virtio_on ?size ?window (bare_platform ())
 
 let test_virtio_queue () =
   let q = mk_virtio () in
@@ -341,6 +342,42 @@ let test_virtio_event_idx () =
     ignore (Kernel_model.Virtio.kick q0 ~doorbell:(fun () -> incr rings0))
   done;
   check_int "naive rings every time" 3 !rings0
+
+let test_virtio_roundtrip_backends () =
+  (* Payloads cross page boundaries (4095/4097) and fill a 9-page chain
+     (32769) on every platform, so each [guest_frame] translation --
+     identity (bare, CKI), EPT (HVM), gPA->hPA map (PVM) -- carries
+     real bytes both ways. *)
+  let platforms =
+    [
+      ("bare", bare_platform ());
+      ( "cki",
+        (Cki.Container.backend (Cki.Container.create_standalone ~mem_mib:128 ()))
+          .Virt.Backend.platform );
+      ("hvm", (Virt.Hvm.create (Hw.Machine.create ~mem_mib:64 ())).Virt.Backend.platform);
+      ("pvm", (Virt.Pvm.create (Hw.Machine.create ~mem_mib:64 ())).Virt.Backend.platform);
+    ]
+  in
+  List.iter
+    (fun (name, p) ->
+      let q = virtio_on ~size:16 p in
+      List.iter
+        (fun n ->
+          let label what = Printf.sprintf "%s %s %d B" name what n in
+          let data = Bytes.init n (fun i -> Char.chr (((i * 131) + n) land 0xFF)) in
+          check_bool (label "tx post") true (Kernel_model.Virtio.post q ~data = `Posted);
+          let seen = ref [] in
+          check_int (label "tx serviced") 1
+            (Kernel_model.Virtio.service q ~handle:(fun d -> seen := d :: !seen));
+          check_bool (label "tx bytes") true (!seen = [ data ]);
+          check_bool (label "tx reclaim") true (Kernel_model.Virtio.reclaim q = []);
+          check_bool (label "rx post") true
+            (Kernel_model.Virtio.post_buffer q ~capacity:n = `Posted);
+          check_bool (label "rx fill") true (Kernel_model.Virtio.fill q ~data);
+          check_bool (label "rx bytes") true (Kernel_model.Virtio.reclaim q = [ data ]);
+          check_int (label "descriptors back") 16 (Kernel_model.Virtio.free_descs q))
+        [ 1; 9; 4095; 4097; 32769 ])
+    platforms
 
 (* ------------------------------- Net ------------------------------ *)
 
@@ -492,6 +529,7 @@ let suite =
         test_case "post/kick/service/complete" `Quick test_virtio_queue;
         test_case "full ring backpressure" `Quick test_virtio_backpressure;
         test_case "EVENT_IDX suppression" `Quick test_virtio_event_idx;
+        test_case "payload round trip on every backend" `Quick test_virtio_roundtrip_backends;
       ] );
     ("kernel/net", [ test_case "endpoints" `Quick test_net_endpoints ]);
     ( "kernel/syscalls",

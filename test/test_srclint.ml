@@ -86,6 +86,18 @@ let test_sink_fires () =
   in
   fires "raw write outside TCB" "trusted-sink" ~file:"lib/app/evil.ml" ~line:3 findings
 
+let test_sink_page_copy_fires () =
+  let findings =
+    scan ~arch:app_arch
+      [
+        ("lib/app/dune", lib_dune "app");
+        ( "lib/app/evil.ml",
+          "let scribble mem buf = Hw.Phys_mem.write_bytes mem ~pfn:0 buf ~off:0 ~len:8\n" );
+        ("lib/app/evil.mli", "val scribble : 'a -> 'b -> unit\n");
+      ]
+  in
+  fires "raw page copy outside TCB" "trusted-sink" ~file:"lib/app/evil.ml" ~line:1 findings
+
 let test_sink_open_fires () =
   let findings =
     scan ~arch:app_arch
@@ -706,6 +718,7 @@ let suite =
     ( "srclint-sink",
       [
         test_case "raw write outside TCB fires" `Quick test_sink_fires;
+        test_case "raw page copy outside TCB fires" `Quick test_sink_page_copy_fires;
         test_case "open of sink module fires" `Quick test_sink_open_fires;
         test_case "allowlisted TCB file is silent" `Quick test_sink_allowlisted_silent;
         test_case "raw reads are silent" `Quick test_sink_reads_silent;
