@@ -8,15 +8,13 @@ build:
 test: build
 	dune runtest
 
-# Full verification: build, test suite, then every example scenario and
-# the demo subcommands under --check (whole-machine invariant scan +
+# Full verification: build, test suite, then the five API-tour examples
+# and the demo subcommands under --check (whole-machine invariant scan +
 # probe-trace lint; any finding is a non-zero exit), the static source
 # audit, the domain-race sanitizer, and a bounded model-check of the
-# privilege state space (exit 2 on counterexample).
+# privilege state space (exit 2 on counterexample).  The paper's
+# scenarios are scanned by `bench/main.exe paper` and its analysis gate.
 check: test examples lint-src race-check
-	dune exec bin/cki_demo.exe -- micro --check
-	dune exec bin/cki_demo.exe -- attack --check
-	dune exec bin/cki_demo.exe -- kv --check --clients 8
 	dune exec bin/cki_demo.exe -- serve --check --containers 2 --requests 50
 	dune exec bin/cki_demo.exe -- snapshot --check -o _build/demo.ckisnap
 	dune exec bin/cki_demo.exe -- restore --check -i _build/demo.ckisnap
@@ -76,9 +74,6 @@ ci: build fmt
 examples: build
 	dune exec examples/quickstart.exe
 	dune exec examples/security_attacks.exe
-	dune exec examples/nested_cloud.exe
-	dune exec examples/sqlite_tmpfs.exe
-	dune exec examples/kv_serving.exe
 	dune exec examples/traffic_serving.exe
 	dune exec examples/fleet_autoscale.exe
 	dune exec examples/live_migration.exe

@@ -1,9 +1,6 @@
 (* cki_demo: command-line driver for poking at the CKI reproduction.
 
-     cki_demo micro       [--backend cki|runc|hvm|pvm] [--nested]
-     cki_demo attack
      cki_demo policy
-     cki_demo kv          [--clients N] [--redis] [--backend B] [--nested]
      cki_demo serve       [--containers N] [--requests M] [--window W] [--backend B]
                           [--nested] [--workload memcached|redis|nginx|httpd]
                           [--rate R] [--sched] [--fsync-every N]
@@ -24,7 +21,8 @@
    exit code documented in [exits]: 0 ok, 1 usage or scenario error,
    2 findings in a gated run.
 
-   (The full table/figure regeneration lives in bench/main.exe.) *)
+   (The paper's tables and figures, each run scanned the same way,
+   live in bench/main.exe.) *)
 
 open Cmdliner
 
@@ -66,56 +64,6 @@ let run ~title ~check ~gate (scenario : unit -> outcome) =
       then 2
       else 0
 
-(* [name] is one of the four names [backend_arg] admits. *)
-let mk_backend name nested =
-  let env = if nested then Virt.Env.Nested else Virt.Env.Bare_metal in
-  let machine () = Hw.Machine.create ~mem_mib:256 () in
-  match name with
-  | "runc" -> (Virt.Runc.create ~env (machine ()), [])
-  | "hvm" -> (Virt.Hvm.create ~env (machine ()), [])
-  | "pvm" -> (Virt.Pvm.create ~env (machine ()), [])
-  | _ ->
-      let c = Cki.Container.create_standalone ~env ~mem_mib:256 () in
-      (Cki.Container.backend c, [ c ])
-
-let micro backend nested () =
-  let b, booted = mk_backend backend nested in
-  let task = Virt.Backend.spawn b in
-  let getpid =
-    Virt.Backend.mean_latency b ~n:1000 (fun () ->
-        ignore (Virt.Backend.syscall_exn b task Kernel_model.Syscall.Getpid))
-  in
-  let pages = 1024 in
-  let base =
-    match
-      Virt.Backend.syscall_exn b task
-        (Kernel_model.Syscall.Mmap { pages; prot = Kernel_model.Vma.prot_rw })
-    with
-    | Kernel_model.Syscall.Rint v -> v
-    | _ -> assert false
-  in
-  let _, pf =
-    Hw.Clock.timed b.Virt.Backend.clock (fun () ->
-        ignore (Kernel_model.Mm.touch_range task.Kernel_model.Task.mm ~start:base ~pages ~write:true))
-  in
-  Printf.printf "%s\n  syscall  %8.0f ns\n  pgfault  %8.0f ns\n" b.Virt.Backend.label getpid
-    (pf /. float_of_int pages);
-  if b.Virt.Backend.supports_hypercall then begin
-    let t0 = Hw.Clock.now b.Virt.Backend.clock in
-    b.Virt.Backend.empty_hypercall ();
-    Printf.printf "  hypercall%8.0f ns\n" (Hw.Clock.now b.Virt.Backend.clock -. t0)
-  end;
-  Ok (booted, [])
-
-let attack () =
-  let c = Cki.Container.create_standalone ~mem_mib:256 () in
-  List.iter
-    (fun (name, o) ->
-      Printf.printf "%-28s %s\n" name
-        (match o with Cki.Attacks.Blocked m -> "blocked: " ^ m | Cki.Attacks.Succeeded -> "ESCAPED"))
-    (Cki.Attacks.all c);
-  Ok ([ c ], [])
-
 let policy () =
   List.iter
     (fun inst ->
@@ -124,14 +72,6 @@ let policy () =
         (Hw.Priv.show_virtualization (Hw.Priv.virtualized_as inst)))
     Hw.Priv.all_examples;
   Ok ([], [])
-
-let kv backend nested clients redis () =
-  let b, booted = mk_backend backend nested in
-  let flavor = if redis then Workloads.Kv.Redis else Workloads.Kv.Memcached in
-  let thr = Workloads.Kv.run_memtier b ~flavor ~clients ~requests:2000 in
-  Printf.printf "%s %s with %d clients: %.1f k ops/s\n" b.Virt.Backend.label
-    (Workloads.Kv.show_flavor flavor) clients (thr /. 1e3);
-  Ok (booted, [])
 
 let serve backend nested containers requests window workload rate sched fsync () =
   let cfg =
@@ -531,23 +471,9 @@ let backend_arg =
 
 let nested_arg = Arg.(value & flag & info [ "nested" ] ~doc:"Deploy in a nested (IaaS VM) cloud.")
 
-let micro_cmd =
-  subcommand "micro" ~doc:"Run the syscall/pgfault/hypercall microbenchmarks." scanned
-    Term.(const micro $ backend_arg $ nested_arg)
-
-let attack_cmd =
-  subcommand "attack" ~doc:"Run the container-escape attack suite against CKI." scanned
-    (Term.const attack)
-
 let policy_cmd =
   subcommand "policy" ~doc:"Print the Table 3 privileged-instruction policy." ungated
     (Term.const policy)
-
-let kv_cmd =
-  let clients = Arg.(value & opt int 32 & info [ "c"; "clients" ] ~doc:"Concurrent clients.") in
-  let redis = Arg.(value & flag & info [ "redis" ] ~doc:"Redis-like server (default memcached).") in
-  subcommand "kv" ~doc:"Run the key-value serving workload." scanned
-    Term.(const kv $ backend_arg $ nested_arg $ clients $ redis)
 
 let serve_cmd =
   let containers =
@@ -771,10 +697,7 @@ let () =
   let cmd =
     Cmd.group (Cmd.info "cki_demo" ~doc ~exits)
       [
-        micro_cmd;
-        attack_cmd;
         policy_cmd;
-        kv_cmd;
         serve_cmd;
         fleet_cmd;
         migrate_cmd;

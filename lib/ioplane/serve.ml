@@ -215,8 +215,6 @@ type config = {
   workload : workload;
   use_sched : bool;  (** multiplex guest work over Vcpu_sched slices (cki only) *)
   fsync_every : int;  (** kv: log-append + fsync every Nth SET; 0 = off *)
-  cpu_quota : (float * float) option;
-      (** cgroup-style (period_ns, budget_ns) cap per vCPU; needs [use_sched] *)
 }
 
 let default_config =
@@ -231,7 +229,6 @@ let default_config =
     workload = Kv_memcached;
     use_sched = false;
     fsync_every = 0;
-    cpu_quota = None;
   }
 
 type result = {
@@ -329,7 +326,7 @@ let run_core ?(seed = default_seed) cfg =
           let s = Cki.Vcpu_sched.create h in
           let entries =
             List.map
-              (fun c -> Cki.Vcpu_sched.add_vcpu ?quota:cfg.cpu_quota s c ~vcpu:0)
+              (fun c -> Cki.Vcpu_sched.add_vcpu s c ~vcpu:0)
               (List.rev cs)
           in
           Some (s, entries)

@@ -75,9 +75,6 @@ type config = {
   workload : workload;
   use_sched : bool;  (** multiplex guest work over Vcpu_sched slices (cki only) *)
   fsync_every : int;  (** kv: log-append + fsync every Nth SET; 0 = off *)
-  cpu_quota : (float * float) option;
-      (** cgroup-style (period_ns, budget_ns) runtime cap applied to
-          every vCPU; only meaningful with [use_sched] on cki. *)
 }
 
 val default_config : config

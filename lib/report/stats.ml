@@ -19,6 +19,3 @@ let percentile xs ~p =
 
 (* Percentage overhead of [x] relative to [baseline]. *)
 let overhead_pct ~baseline x = 100.0 *. ((x /. baseline) -. 1.0)
-
-(* Percentage reduction from [from_] to [to_]: positive = improvement. *)
-let reduction_pct ~from_ ~to_ = 100.0 *. (1.0 -. (to_ /. from_))

@@ -9,6 +9,3 @@ val percentile : float list -> p:float -> float
 
 val overhead_pct : baseline:float -> float -> float
 (** Percentage overhead relative to a baseline. *)
-
-val reduction_pct : from_:float -> to_:float -> float
-(** Percentage reduction (positive = improvement). *)
