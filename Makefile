@@ -29,16 +29,16 @@ mutants: build
 	dune exec bin/cki_demo.exe -- model-check --mutants
 
 # Static source audit: TCB write-sink containment, layering DAG,
-# domain-safety inventory, hygiene.  Exit 2 on any finding not covered
-# by srclint.baseline.
+# domain-safety inventory, spawn-site containment, hygiene.  Exit 2 on
+# any finding.
 lint-src: build
 	dune exec bin/cki_demo.exe -- lint-src
 
-# Domain-race sanitizer: the static interprocedural sharing analysis
-# over every Domain.spawn closure plus a sharded serve run under the
-# dynamic cross-domain access checker (including the --inject
-# self-test, run separately because its seeded race makes race-check
-# itself exit 2).  Exit 2 on any finding.
+# Domain-race sanitizer: the static domain rules (Domain.spawn only in
+# lib/hw/domain_shard.ml, the domain-safety inventory) plus a sharded
+# serve run under the dynamic cross-domain access checker (including
+# the --inject self-test, run separately because its seeded race makes
+# race-check itself exit 2).  Exit 2 on any finding.
 race-check: build
 	dune exec bin/cki_demo.exe -- race-check
 	dune exec bin/cki_demo.exe -- race-check --inject; test $$? -eq 2

@@ -178,14 +178,6 @@ let run_scaleout () =
 (* Churn + containers per host                                         *)
 (* ------------------------------------------------------------------ *)
 
-let free_frames mem =
-  let n = Hw.Phys_mem.total_frames mem in
-  let free = ref 0 in
-  for pfn = 0 to n - 1 do
-    if Hw.Phys_mem.is_free mem pfn then incr free
-  done;
-  !free
-
 let max_free_run mem =
   let n = Hw.Phys_mem.total_frames mem in
   let best = ref 0 and run = ref 0 in
@@ -250,7 +242,7 @@ let churn ~policy ~cycles =
     ch_cycles_done = !done_cycles;
     ch_created = !created;
     ch_failed = !failed;
-    ch_free_fraction = float_of_int (free_frames mem) /. float_of_int (Hw.Phys_mem.total_frames mem);
+    ch_free_fraction = float_of_int (Hw.Phys_mem.free_frames mem) /. float_of_int (Hw.Phys_mem.total_frames mem);
     ch_max_run = max_free_run mem;
     ch_live = live;
     ch_host = host;

@@ -11,7 +11,7 @@
      cki_demo restore     [--in FILE]
      cki_demo clone       [--clones N] [--warm K]
      cki_demo model-check [--depth N] [--nest N] [--mutants]
-     cki_demo lint-src    [--root DIR] [--baseline FILE] [--write-baseline]
+     cki_demo lint-src    [--root DIR]
      cki_demo race-check  [--root DIR] [--inject]
 
    Every subcommand but policy, model-check, lint-src and race-check
@@ -76,7 +76,6 @@ let policy () =
 let serve backend nested containers requests window workload rate sched fsync () =
   let cfg =
     {
-      Ioplane.Serve.default_config with
       Ioplane.Serve.backend;
       nested;
       containers;
@@ -318,60 +317,38 @@ let model_check depth nest mutants () =
 (* Source audits                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The repo root ([--root], or discovered above the current directory)
-   and its baseline file ([--baseline], or ROOT/srclint.baseline). *)
-let repo_paths root baseline =
-  let* root =
-    match root with
-    | Some r when Sys.file_exists (Filename.concat r "lib") -> Ok r
-    | Some r -> Error (r ^ " is not a repo root (no lib/)")
-    | None ->
-        Option.to_result (Srclint.find_root ())
-          ~none:(Printf.sprintf "no repo root (dune-project + lib/) above %s" (Sys.getcwd ()))
-  in
-  Ok (root, Option.value baseline ~default:(Filename.concat root "srclint.baseline"))
+(* The repo root: [--root], or discovered above the current
+   directory. *)
+let repo_root = function
+  | Some r when Sys.file_exists (Filename.concat r "lib") -> Ok r
+  | Some r -> Error (r ^ " is not a repo root (no lib/)")
+  | None ->
+      Option.to_result (Srclint.find_root ())
+        ~none:(Printf.sprintf "no repo root (dune-project + lib/) above %s" (Sys.getcwd ()))
 
-(* Scan the repo and match the findings [keep] selects against the
-   baseline. *)
-let audit ?(keep = fun _ -> true) (root, baseline) =
-  let* entries = Srclint.Baseline.load baseline in
+let lint_src root () =
+  let* root = repo_root root in
   let scan = Srclint.scan ~root () in
-  Ok (scan, Srclint.check ~baseline:entries (List.filter keep scan.Srclint.findings))
+  Format.printf "%a; %d finding(s)@." Srclint.pp_stats scan.Srclint.stats
+    (List.length scan.Srclint.findings);
+  Ok ([], Srclint.to_findings scan.Srclint.findings)
 
-let lint_src root baseline write_baseline () =
-  let* ((root, baseline_path) as paths) = repo_paths root baseline in
-  if write_baseline then begin
-    let scan = Srclint.scan ~root () in
-    Srclint.Baseline.save baseline_path scan.Srclint.findings;
-    Printf.printf "%s: wrote %d accepted finding(s) (%s)\n" baseline_path
-      (List.length scan.Srclint.findings)
-      (Format.asprintf "%a" Srclint.pp_stats scan.Srclint.stats);
-    Ok ([], [])
-  end
-  else
-    let* scan, chk = audit paths in
-    Format.printf "%a; %d baselined, %d new@." Srclint.pp_stats scan.Srclint.stats
-      (List.length chk.Srclint.baselined)
-      (List.length chk.Srclint.fresh);
-    let stale e =
-      Report.Findings.make ~severity:Report.Findings.Info ~rule:"stale-baseline"
-        ~subject:(Srclint.Baseline.fingerprint_of_entry e) ~detail:"fires nothing; delete it"
-    in
-    Ok ([], Srclint.to_findings chk.Srclint.fresh @ List.map stale chk.Srclint.stale)
-
-(* The static escape-analysis rule family race-check gates on. *)
-let escape_family = [ "domain-escape"; "stale-annotation"; "undocumented-annotation" ]
+(* The srclint rules about domains race-check gates on: spawn
+   containment and the toplevel mutable-state inventory with its
+   [@@single_domain] annotations. *)
+let domain_rules = [ "spawn-site"; "domain-safety"; "stale-annotation"; "undocumented-annotation" ]
 
 let race_check root inject () =
-  (* Static half: the interprocedural sharing analysis, gated on the
-     same baseline file as lint-src. *)
-  let* paths = repo_paths root None in
-  let* scan, chk =
-    audit ~keep:(fun (f : Srclint.Rules.finding) -> List.mem f.Srclint.Rules.rule escape_family) paths
+  (* Static half: the domain rules of a source scan. *)
+  let* root = repo_root root in
+  let scan = Srclint.scan ~root () in
+  let static =
+    List.filter
+      (fun (f : Srclint.Rules.finding) -> List.mem f.Srclint.Rules.rule domain_rules)
+      scan.Srclint.findings
   in
-  Printf.printf "static: %d file(s) scanned, %d escape-family finding(s) (%d baselined)\n"
-    scan.Srclint.stats.Srclint.files (List.length chk.Srclint.fresh)
-    (List.length chk.Srclint.baselined);
+  Printf.printf "static: %d file(s) scanned, %d domain-rule finding(s)\n"
+    scan.Srclint.stats.Srclint.files (List.length static);
   (* Dynamic half: run the sharded engines with Phys_mem tracing on and
      race-check the merged replay. *)
   let run_traced label f =
@@ -413,7 +390,7 @@ let race_check root inject () =
   in
   Ok
     ( [],
-      Srclint.to_findings chk.Srclint.fresh @ Analysis.Racecheck.findings serve_report @ injected )
+      Srclint.to_findings static @ Analysis.Racecheck.findings serve_report @ injected )
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -425,8 +402,8 @@ let exits =
     Cmd.Exit.info 1
       ~doc:
         "on a command-line error, or when the scenario cannot run: an unreadable or corrupt \
-         snapshot image, a failed capture, restore, clone or migration, no repo root, an \
-         unreadable baseline, a surviving mutant, or an uncaught injected race.";
+         snapshot image, a failed capture, restore, clone or migration, no repo root, a \
+         surviving mutant, or an uncaught injected race.";
     Cmd.Exit.info 2
       ~doc:
         "when a gated run ($(b,--check); always for $(b,model-check), $(b,lint-src) and \
@@ -652,26 +629,15 @@ let root_arg =
     & info [ "root" ] ~doc:"Repo root to audit (default: discovered from the current directory).")
 
 let lint_src_cmd =
-  let baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline" ] ~doc:"Baseline file of accepted findings (default: ROOT/srclint.baseline).")
-  in
-  let write =
-    Arg.(
-      value & flag
-      & info [ "write-baseline" ]
-          ~doc:"Regenerate the baseline accepting every current finding, then exit 0.")
-  in
   subcommand "lint-src"
     ~doc:
       "Statically audit the repo's own OCaml sources: raw memory write sinks outside the TCB \
        allowlist, inter-library layering violations, module-toplevel mutable state \
-       (domain-sharding race hazards), and hygiene (missing .mli, Obj.magic / assert false in \
-       TCB files, unpaired gate probes).  Exits 2 on any finding not covered by the baseline."
+       (domain-sharding race hazards), Domain.spawn outside lib/hw/domain_shard.ml, and hygiene \
+       (missing .mli, Obj.magic / assert false in TCB files, unpaired gate probes).  Exits 2 on \
+       any finding."
     gated
-    Term.(const lint_src $ root_arg $ baseline $ write)
+    Term.(const lint_src $ root_arg)
 
 let race_check_cmd =
   let inject =
@@ -684,9 +650,9 @@ let race_check_cmd =
   in
   subcommand "race-check"
     ~doc:
-      "Run the two-layer domain-race sanitizer.  Static: the interprocedural sharing analysis \
-       over every Domain.spawn closure (domain-escape, stale-annotation, \
-       undocumented-annotation), gated on srclint.baseline.  Dynamic: a bounded sharded serve \
+      "Run the two-layer domain-race sanitizer.  Static: the srclint domain rules (spawn-site: \
+       Domain.spawn only in lib/hw/domain_shard.ml; domain-safety and its [@@single_domain] \
+       stale-annotation and undocumented-annotation findings).  Dynamic: a bounded sharded serve \
        run with Phys_mem access tracing on, its merged replay checked for cross-domain \
        accesses with no spawn/join happens-before edge.  Exits 2 on any finding."
     gated

@@ -29,10 +29,7 @@ type t = {
   mutable policy : policy;
   mutable delegations : delegated list;
   mutable next_container : int;
-  mutable hypercalls : int;
   mutable injected_virqs : int;
-  mutable hw_interrupts : int;
-  mutable doorbells : int;  (** device-doorbell hypercalls (Net/Blk) *)
 }
 
 (* [first_container] separates container-id spaces when several host
@@ -50,10 +47,7 @@ let create ?(policy = Scatter) ?(first_container = 1) (machine : Hw.Machine.t) =
     policy;
     delegations = [];
     next_container = first_container;
-    hypercalls = 0;
     injected_virqs = 0;
-    hw_interrupts = 0;
-    doorbells = 0;
   }
 
 let machine t = t.machine
@@ -140,14 +134,12 @@ let delegations_of t ~container = List.filter (fun d -> d.container = container)
 (* Host-side handler for hypercall requests (the global-data privileged
    operations of Section 3.3: VirtIO, timers, vCPU pause, IPIs). *)
 let handle_hypercall t (kind : Kernel_model.Platform.io_kind) =
-  t.hypercalls <- t.hypercalls + 1;
   match kind with
   | Kernel_model.Platform.Net_tx | Kernel_model.Platform.Net_rx_ack
   | Kernel_model.Platform.Blk_read | Kernel_model.Platform.Blk_write ->
       (* A device doorbell: the MMIO write lands in the host backend.
          The VirtIO service cost is charged by the queue owner
          (Kernel_model.Virtio.service); here only the write itself. *)
-      t.doorbells <- t.doorbells + 1;
       Hw.Clock.charge t.clock "doorbell_write" Hw.Cost.doorbell_write
   | Kernel_model.Platform.Timer -> Hw.Clock.charge t.clock "host_timer_setup" 120.0
   | Kernel_model.Platform.Ipi -> Hw.Clock.charge t.clock "host_ipi" 200.0
@@ -158,15 +150,11 @@ let handle_hypercall t (kind : Kernel_model.Platform.io_kind) =
    interrupt on resume. *)
 let handle_hw_interrupt t ~vector =
   ignore vector;
-  t.hw_interrupts <- t.hw_interrupts + 1;
   Hw.Clock.charge t.clock "host_irq_handler" Hw.Cost.irq_delivery
 
 let inject_virq t =
   t.injected_virqs <- t.injected_virqs + 1;
   Hw.Clock.charge t.clock "virq_inject" Hw.Cost.virq_inject
 
-let hypercall_count t = t.hypercalls
 let injected_virqs t = t.injected_virqs
-let hw_interrupt_count t = t.hw_interrupts
-let doorbell_count t = t.doorbells
 

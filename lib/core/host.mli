@@ -58,10 +58,5 @@ val handle_hypercall : t -> Kernel_model.Platform.io_kind -> unit
 
 val handle_hw_interrupt : t -> vector:int -> unit
 val inject_virq : t -> unit
-val hypercall_count : t -> int
 val injected_virqs : t -> int
-val hw_interrupt_count : t -> int
-
-val doorbell_count : t -> int
-(** Device-doorbell hypercalls (Net/Blk kinds) handled. *)
 

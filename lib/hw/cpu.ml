@@ -91,8 +91,6 @@ let set_tcache t on =
   t.tc_enabled <- on;
   if not on then Array.fill t.tc_key 0 tc_size 0
 
-let tcache_enabled t = t.tc_enabled
-
 let create ?(id = 0) ?(tlb_capacity = 1536) clock =
   let t =
     {
@@ -117,8 +115,6 @@ let create ?(id = 0) ?(tlb_capacity = 1536) clock =
   in
   Tlb.set_invalidate_hook t.tlb (fun pcid vpn -> tc_invalidate t pcid vpn);
   t
-
-let in_guest_kernel t = t.mode = Kernel && t.pkrs <> Pks.all_access
 
 (* Load CR3 (+PCID) without flushing other PCIDs' TLB entries. *)
 let load_cr3 t ~root ~pcid =
@@ -333,8 +329,6 @@ let access t (pt : Page_table.t) ~va ~(access_kind : Pks.access) ?(exec = false)
 (* ------------------------------------------------------------------ *)
 (* Mode transitions                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let enter_user t = t.mode <- User
 
 (* A `syscall` instruction: ring3 -> ring0 at the IA32_STAR entry. *)
 let syscall_entry t =

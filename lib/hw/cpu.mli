@@ -60,11 +60,6 @@ val set_tcache : t -> bool -> unit
     scores the same hit statistics, so disabling it changes raw speed
     only. Disabling clears the cache. *)
 
-val tcache_enabled : t -> bool
-
-val in_guest_kernel : t -> bool
-(** Kernel mode with non-zero PKRS: a deprivileged guest kernel. *)
-
 val load_cr3 : t -> root:Addr.pfn -> pcid:int -> unit
 (** Load CR3 (+PCID) without flushing other PCIDs' TLB entries; charges
     the CR3-switch cost. *)
@@ -90,8 +85,6 @@ val access :
   (Addr.pa, fault) result
 (** Translate + permission-check an access, consulting this CPU's TLB
     (walk costs charged on miss). *)
-
-val enter_user : t -> unit
 
 val syscall_entry : t -> unit
 (** The [syscall] instruction: ring 3 -> ring 0; charges entry+exit. *)

@@ -24,7 +24,6 @@ let create ?(cpus = 4) ?(mem_mib = 512) () =
 let mem t = t.mem
 let clock t = t.clock
 let cpu t i = t.cpus.(i)
-let num_cpus t = Array.length t.cpus
 
 (* Allocate a fresh PCID; each secure container and the host kernel get
    distinct PCIDs so invlpg is confined (Section 4.1). *)

@@ -9,7 +9,6 @@ val create : ?cpus:int -> ?mem_mib:int -> unit -> t
 val mem : t -> Phys_mem.t
 val clock : t -> Clock.t
 val cpu : t -> int -> Cpu.t
-val num_cpus : t -> int
 
 val fresh_pcid : t -> int
 (** Allocate a fresh PCID; each secure container and the host kernel

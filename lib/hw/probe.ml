@@ -151,7 +151,6 @@ let ring_create ?(capacity = 65536) () =
     last_id = -1;
   }
 
-let ring_capacity r = r.capacity
 let ring_length r = r.len
 let ring_dropped r = r.dropped
 
@@ -358,11 +357,6 @@ let decode r i =
 let decode_dom r i = r.buf.(offset r i + 7)
 let ring_events r = List.init r.len (decode r)
 let ring_events_tagged r = List.init r.len (fun i -> (decode_dom r i, decode r i))
-
-let ring_iter r g =
-  for i = 0 to r.len - 1 do
-    g (decode r i)
-  done
 
 let ring_iter_tagged r g =
   for i = 0 to r.len - 1 do

@@ -92,7 +92,6 @@ type ring
 val ring_create : ?capacity:int -> unit -> ring
 (** Default capacity 65536 events. *)
 
-val ring_capacity : ring -> int
 val ring_length : ring -> int
 
 val ring_dropped : ring -> int
@@ -116,13 +115,9 @@ val ring_events_tagged : ring -> (int * event) list
 (** Like {!ring_events}, each event paired with the id of the domain
     that emitted it. *)
 
-val ring_iter : ring -> (event -> unit) -> unit
-(** Decode and visit the live records, oldest first, without
-    materializing the list. *)
-
 val ring_iter_tagged : ring -> (int -> event -> unit) -> unit
-(** Like {!ring_iter} with the emitting domain's id as first
-    argument. *)
+(** Decode and visit the live records, oldest first, without
+    materializing the list; the emitting domain's id comes first. *)
 
 (** {1 Per-domain sinks}
 

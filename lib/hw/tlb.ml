@@ -17,7 +17,6 @@ type t = {
   order : (int * Addr.vpn) Queue.t;
   mutable hits : int;
   mutable misses : int;
-  mutable flushes : int;
   mutable invalidate_hook : int -> int -> unit;
       (** [hook pcid vpn] fires on every entry drop so a software
           translation cache in front of this TLB stays a strict subset:
@@ -31,7 +30,6 @@ let create ?(capacity = 1536) () =
     order = Queue.create ();
     hits = 0;
     misses = 0;
-    flushes = 0;
     invalidate_hook = (fun _ _ -> ());
   }
 
@@ -87,13 +85,11 @@ let invlpg t ~pcid va =
 
 (* invpcid / CR3 write with flush: drop all entries of [pcid]. *)
 let flush_pcid t ~pcid =
-  t.flushes <- t.flushes + 1;
   let stale = Hashtbl.fold (fun (p, v) _ acc -> if p = pcid then (p, v) :: acc else acc) t.table [] in
   List.iter (Hashtbl.remove t.table) stale;
   t.invalidate_hook pcid (-1)
 
 let flush_all t =
-  t.flushes <- t.flushes + 1;
   Hashtbl.reset t.table;
   Queue.clear t.order;
   t.invalidate_hook (-1) (-1)
@@ -107,11 +103,3 @@ let size t = Hashtbl.length t.table
 let entries_for t ~pcid = Hashtbl.fold (fun (p, _) _ n -> if p = pcid then n + 1 else n) t.table 0
 let hits t = t.hits
 let misses t = t.misses
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0

@@ -39,8 +39,6 @@ val size : t -> int
 val entries_for : t -> pcid:int -> int
 val hits : t -> int
 val misses : t -> int
-val hit_rate : t -> float
-val reset_stats : t -> unit
 
 val set_invalidate_hook : t -> (int -> int -> unit) -> unit
 (** [set_invalidate_hook t hook] registers [hook pcid vpn], fired on

@@ -210,7 +210,6 @@ type config = {
   containers : int;
   requests_per_container : int;
   window : int;  (** EVENT_IDX batch window; 0 = naive *)
-  queue_size : int;
   rate_rps : float;  (** open-loop arrival rate per container *)
   workload : workload;
   use_sched : bool;  (** multiplex guest work over Vcpu_sched slices (cki only) *)
@@ -224,7 +223,6 @@ let default_config =
     containers = 2;
     requests_per_container = 50;
     window = 1;
-    queue_size = 64;
     rate_rps = 50_000.0;
     workload = Kv_memcached;
     use_sched = false;
@@ -308,7 +306,7 @@ let run_core ?(seed = default_seed) cfg =
     let name = Printf.sprintf "%s%d" cfg.backend i in
     let lane =
       Lane.attach ~loop ~workload:cfg.workload ~fsync_every:cfg.fsync_every
-        ~queue_size:cfg.queue_size ~window:cfg.window ~rand ~name b
+        ~queue_size:64 ~window:cfg.window ~rand ~name b
     in
     {
       lane;

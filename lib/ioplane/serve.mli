@@ -70,7 +70,6 @@ type config = {
   containers : int;
   requests_per_container : int;
   window : int;  (** EVENT_IDX batch window; 0 = naive *)
-  queue_size : int;
   rate_rps : float;  (** open-loop arrival rate per container *)
   workload : workload;
   use_sched : bool;  (** multiplex guest work over Vcpu_sched slices (cki only) *)

@@ -14,7 +14,6 @@ let create platform = { platform; queue = Queue.create (); current = None; switc
 let enqueue t pid = Queue.add pid t.queue
 let current t = t.current
 let switches t = t.switches
-let runnable_count t = Queue.length t.queue
 
 (* Switch to [pid] whose mm is [mm]; charges switch work + address
    space change. *)

@@ -8,7 +8,6 @@ val create : Platform.t -> t
 val enqueue : t -> int -> unit
 val current : t -> int option
 val switches : t -> int
-val runnable_count : t -> int
 
 val switch_to : t -> int -> Mm.t -> unit
 (** Switch to a pid running in [mm]; charges switch work + the

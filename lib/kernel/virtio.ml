@@ -412,4 +412,3 @@ let suppressed_interrupts t = t.suppressed_interrupts
 let serviced_total t = t.serviced_total
 let name t = t.name
 
-let ring_pages t = (t.desc_page :: t.avail_page :: t.used_page :: Array.to_list t.bufs)

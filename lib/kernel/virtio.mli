@@ -87,6 +87,3 @@ val suppressed_interrupts : t -> int
 val serviced_total : t -> int
 val name : t -> string
 
-val ring_pages : t -> Hw.Addr.pfn list
-(** Every guest frame the queue owns (descriptor table, both rings,
-    payload buffers) in the allocator's pfn namespace. *)

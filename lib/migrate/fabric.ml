@@ -47,7 +47,6 @@ type t = {
   mutable partitions : (int * int) list;
   endpoints : (string, endpoint) Hashtbl.t;
   mutable xfer_bytes : int;
-  mutable xfer_ops : int;
 }
 
 let default_link = { bw_bytes_per_ns = 1.0 (* 1 GB/s *); latency_ns = 20_000.0 }
@@ -65,9 +64,8 @@ let create ?(cpus = 2) ?(mem_mib = 512) ?(link = default_link) ~hosts () =
           alive = true;
         })
   in
-  { nodes; link; partitions = []; endpoints = Hashtbl.create 4; xfer_bytes = 0; xfer_ops = 0 }
+  { nodes; link; partitions = []; endpoints = Hashtbl.create 4; xfer_bytes = 0 }
 
-let num_hosts t = Array.length t.nodes
 
 let node t hid =
   if hid < 0 || hid >= Array.length t.nodes then invalid_arg "Fabric.node";
@@ -114,12 +112,10 @@ let transfer t ~src ~dst ~bytes =
     Hw.Clock.charge cs "fabric_transfer" ns;
     Hw.Clock.charge cd "fabric_transfer" ns;
     t.xfer_bytes <- t.xfer_bytes + bytes;
-    t.xfer_ops <- t.xfer_ops + 1;
     Ok ns
   end
 
 let transferred_bytes t = t.xfer_bytes
-let transfer_count t = t.xfer_ops
 
 (* ------------------------------------------------------------------ *)
 (* Endpoints                                                           *)

@@ -45,7 +45,6 @@ val default_link : link
 
 val create : ?cpus:int -> ?mem_mib:int -> ?link:link -> hosts:int -> unit -> t
 
-val num_hosts : t -> int
 val node : t -> int -> node
 val host : t -> int -> Cki.Host.t
 val machine : t -> int -> Hw.Machine.t
@@ -62,7 +61,6 @@ val transfer_ns : t -> bytes:int -> float
 (** Wire time a transfer of [bytes] would take (no side effects). *)
 
 val transferred_bytes : t -> int
-val transfer_count : t -> int
 
 val crash_host : t -> int -> unit
 val partition : t -> int -> int -> unit

@@ -2,11 +2,11 @@
 
    One [Ast_iterator] pass collects everything the rule families need:
    cross-library module references, raw-memory write-sink mentions,
-   [Gate_enter]/[Gate_exit] constructions, [Obj.magic] / [assert false]
-   occurrences, whole-machine frame sweeps; a separate shallow walk
-   over structure items inventories module-toplevel mutable state (the
-   domain-sharding race hazards), honouring the [@@single_domain
-   "reason"] escape hatch. *)
+   [Domain.spawn] references, [Gate_enter]/[Gate_exit] constructions,
+   [Obj.magic] / [assert false] occurrences, whole-machine frame
+   sweeps; a separate shallow walk over structure items inventories
+   module-toplevel mutable state (the domain-sharding race hazards),
+   honouring the [@@single_domain "reason"] escape hatch. *)
 
 open Asttypes
 open Parsetree
@@ -22,6 +22,7 @@ type t = {
       (** head module of every dotted path, with the first line it
           appears on — deduplicated per head *)
   sink_refs : (string * int) list;  (** raw-memory write sinks, every occurrence *)
+  spawn_refs : (string * int) list;  (** [Domain.spawn] references, every occurrence *)
   toplevel_mutables : toplevel_mutable list;
   undocumented_annots : (string * int) list;
       (** [@@single_domain] without a reason string *)
@@ -50,6 +51,9 @@ let write_sinks =
 
 let sink_module = "Phys_mem"
 
+(* Domain creation: only the one sharding site may reach it. *)
+let spawn_module = "Domain"
+
 (* ------------------------------------------------------------------ *)
 (* Longident classification                                            *)
 (* ------------------------------------------------------------------ *)
@@ -60,12 +64,17 @@ let sink_of_path parts =
       Some (String.concat "." parts)
   | _ -> None
 
+let spawn_of_path parts =
+  match List.rev parts with
+  | "spawn" :: m :: _ when m = spawn_module -> Some (String.concat "." parts)
+  | _ -> None
+
 (* `open Hw.Phys_mem` (or an alias of it) makes every sink reachable
    unqualified, which would blind the textual rule — flag the open
-   itself. *)
-let sink_of_module_path parts =
+   itself.  Same for `open Domain` and [spawn]. *)
+let module_access target parts =
   match List.rev parts with
-  | m :: _ when m = sink_module -> Some (String.concat "." parts ^ " (module access)")
+  | m :: _ when m = target -> Some (String.concat "." parts ^ " (module access)")
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -75,6 +84,7 @@ let sink_of_module_path parts =
 type acc = {
   mutable refs : (string * int) list;
   mutable sinks : (string * int) list;
+  mutable spawns : (string * int) list;
   mutable enters : int list;
   mutable exits : int list;
   mutable magics : int list;
@@ -93,6 +103,9 @@ let value_path acc lid loc =
       add_ref acc head (line_of loc);
       (match sink_of_path parts with
       | Some s -> acc.sinks <- (s, line_of loc) :: acc.sinks
+      | None -> ());
+      (match spawn_of_path parts with
+      | Some s -> acc.spawns <- (s, line_of loc) :: acc.spawns
       | None -> ())
   | _ -> ()
 
@@ -103,8 +116,11 @@ let module_path acc lid loc =
   | head :: _ as parts ->
       if String.length head > 0 && head.[0] >= 'A' && head.[0] <= 'Z' then begin
         add_ref acc head (line_of loc);
-        match sink_of_module_path parts with
+        (match module_access sink_module parts with
         | Some s -> acc.sinks <- (s, line_of loc) :: acc.sinks
+        | None -> ());
+        match module_access spawn_module parts with
+        | Some s -> acc.spawns <- (s, line_of loc) :: acc.spawns
         | None -> ()
       end
   | [] -> ()
@@ -128,7 +144,16 @@ let mentions_total_frames e =
 
 let iterate_structure str =
   let acc =
-    { refs = []; sinks = []; enters = []; exits = []; magics = []; asserts = []; sweeps = [] }
+    {
+      refs = [];
+      sinks = [];
+      spawns = [];
+      enters = [];
+      exits = [];
+      magics = [];
+      asserts = [];
+      sweeps = [];
+    }
   in
   let open Ast_iterator in
   let expr sub e =
@@ -287,10 +312,12 @@ let binding_name vb =
   in
   of_pat vb.pvb_pat
 
-let annotation_reason name vb =
+(* [None] without a [@@single_domain] attribute; [Some (Error ())] when
+   its reason string is missing or empty. *)
+let single_domain_reason vb =
   List.find_map
     (fun attr ->
-      if attr.attr_name.Location.txt <> name then None
+      if attr.attr_name.Location.txt <> "single_domain" then None
       else
         match attr.attr_payload with
         | PStr
@@ -305,8 +332,6 @@ let annotation_reason name vb =
             Some (Ok s)
         | _ -> Some (Error ()))
     vb.pvb_attributes
-
-let single_domain_reason vb = annotation_reason "single_domain" vb
 
 let toplevel_inventory str =
   let record_types = record_types_of str in
@@ -354,6 +379,7 @@ let extract (str : Parsetree.structure) : t =
   {
     module_refs = List.rev acc.refs;
     sink_refs = List.rev acc.sinks;
+    spawn_refs = List.rev acc.spawns;
     toplevel_mutables;
     undocumented_annots;
     single_domain_annots;

@@ -1,19 +1,18 @@
-(* The four rule families over a parsed source tree.
-
-   Findings carry a stable fingerprint (rule, file, symbol — no line
-   numbers, so unrelated edits don't churn the baseline) and render
-   through [Report.Findings]. *)
+(* The rule families over a parsed source tree: trusted-sink,
+   layering, domain-safety, hygiene and spawn-site.  Each is an
+   allowlist rule — the exceptions live in the tables below
+   ([default_arch], [default_tcb], [spawn_sites]) or in
+   [@@single_domain "reason"] annotations, never in a ledger file.
+   Findings render through [Report.Findings]. *)
 
 type finding = {
   rule : string;
   severity : Report.Findings.severity;
   file : string;  (** repo-relative; a .ml or a dune file *)
   line : int;
-  symbol : string;  (** the fingerprint identifier (binding, sink, library...) *)
+  symbol : string;  (** what fired: a binding, sink, library... *)
   detail : string;
 }
-
-let fingerprint f = Printf.sprintf "%s %s %s" f.rule f.file f.symbol
 
 (* ------------------------------------------------------------------ *)
 (* Architecture: the sanctioned inter-library DAG                      *)
@@ -80,6 +79,14 @@ let default_tcb =
     "lib/kernel/virtio.ml";
   ]
 
+(* The one file allowed to create domains.  Every domain the simulator
+   runs is spawned by [Hw.Domain_shard.run], which also emits the
+   spawn/join edges [Analysis.Racecheck] replays; the lane callbacks it
+   runs are covered by the domain-safety inventory and that dynamic
+   checker.  A second spawn site is a finding even if it captures
+   nothing. *)
+let spawn_sites = [ "lib/hw/domain_shard.ml" ]
+
 let in_tcb tcb path =
   List.exists
     (fun entry ->
@@ -142,9 +149,9 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
       | None -> ());
       let facts = Facts.extract file.Source.ast in
       (* Executable scope ([bin/], [bench/]) gets the layering family
-         (parse-error, layering, undeclared-dep) plus the tree-wide
-         escape analysis below; the lib-only families — trusted-sink,
-         domain-safety, hygiene — stay scoped to lib/ code. *)
+         (parse-error, layering, undeclared-dep) plus spawn-site; the
+         lib-only families — trusted-sink, domain-safety, hygiene —
+         stay scoped to lib/ code. *)
       let exe = lib.Source.lib_exe in
       (* (1) trusted-sink *)
       if (not tcb_file) && not exe then
@@ -251,36 +258,19 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
              (Printf.sprintf
                 "file constructs %d Gate_enter but %d Gate_exit probe events; every gate \
                  entry emission needs a matching exit emission"
-                n_enter n_exit)))
+                n_enter n_exit));
+      (* (5) spawn-site *)
+      if not (List.mem path spawn_sites) then
+        List.iter
+          (fun (spawn, line) ->
+            emit
+              (mk "spawn-site" crit path line spawn
+                 (Printf.sprintf
+                    "domain creation outside %s; shard work through Hw.Domain_shard.run, \
+                     whose spawn/join edges the dynamic race checker replays"
+                    (String.concat ", " spawn_sites))))
+          facts.Facts.spawn_refs)
     tree.Source.files;
-  (* (5) domain-escape: the tree-wide interprocedural sharing analysis,
-     plus the [@@domain_shared] annotation ledger it maintains. *)
-  let esc = Escape.analyze tree in
-  List.iter
-    (fun (e : Escape.escape) ->
-      emit
-        (mk "domain-escape" crit e.Escape.e_file e.Escape.e_line e.Escape.e_name
-           (Printf.sprintf
-              "mutable value %s (%s, defined at %s:%d) is reachable from this \
-               Domain.spawn closure%s and escapes its spawning domain; make it Atomic, \
-               guard every closure use with Mutex.protect, thread it through per-lane \
-               state, or bless the sharing with [@@domain_shared \"reason\"]"
-              e.Escape.e_name e.Escape.e_kind e.Escape.e_def_file e.Escape.e_def_line
-              (match e.Escape.e_via with Some v -> " via " ^ v | None -> ""))))
-    esc.Escape.escapes;
-  List.iter
-    (fun (a : Escape.shared_annot) ->
-      if not a.Escape.s_used then
-        emit
-          (mk "stale-annotation" warn a.Escape.s_file a.Escape.s_line a.Escape.s_name
-             "[@@domain_shared] never sanctions a spawn capture of this binding; the \
-              annotation is stale — remove it");
-      if a.Escape.s_reason = Error () then
-        emit
-          (mk "undocumented-annotation" warn a.Escape.s_file a.Escape.s_line a.Escape.s_name
-             "[@@domain_shared] carries no reason string; say why cross-domain sharing \
-              of this value is sound"))
-    esc.Escape.shared_annots;
   (* Deduplicate identical (rule, file, symbol, line) — e.g. a module
      referenced from several syntactic positions on one line — then
      order by file and line for stable output. *)

@@ -1,17 +1,15 @@
-(** The four rule families over a parsed source tree: trusted-sink,
-    layering, domain-safety, hygiene. *)
+(** The rule families over a parsed source tree: trusted-sink,
+    layering, domain-safety, hygiene and spawn-site ([Domain.spawn]
+    only in [lib/hw/domain_shard.ml]). *)
 
 type finding = {
   rule : string;
   severity : Report.Findings.severity;
   file : string;  (** repo-relative; a .ml or a dune file *)
   line : int;
-  symbol : string;  (** the fingerprint identifier (binding, sink, library...) *)
+  symbol : string;  (** what fired: a binding, sink, library... *)
   detail : string;
 }
-
-val fingerprint : finding -> string
-(** ["rule file symbol"] — line-free, so edits don't churn baselines. *)
 
 type arch = (string * string list) list
 (** [lib -> libraries it may reference]: the sanctioned layering DAG as

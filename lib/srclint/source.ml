@@ -14,7 +14,7 @@ type lib = {
   lib_exe : bool;
       (** executable scope ([bin/], [bench/]): a pseudo-library carrying
           the dune [(executable ...)] stanzas of one directory, scanned
-          for the layering/escape rule families only *)
+          for the layering and spawn-site rules only *)
 }
 
 type file = {
@@ -127,7 +127,7 @@ let read_file path =
 let sorted_dir path = Sys.readdir path |> Array.to_list |> List.sort String.compare
 
 (* Executable directories scanned as pseudo-libraries: parse-error,
-   layering and domain-escape apply there too (the demo driver and the
+   layering and spawn-site apply there too (the demo driver and the
    bench harness reference every library), while the lib-only families
    (missing-mli, domain-safety, TCB hygiene) do not. *)
 let exe_dirs = [ "bin"; "bench" ]

@@ -12,7 +12,7 @@ type lib = {
   lib_exe : bool;
       (** executable scope ([bin/], [bench/]): a pseudo-library carrying
           the dune [(executable ...)] stanzas of one directory, scanned
-          for the layering/escape rule families only *)
+          for the layering and spawn-site rules only *)
 }
 
 type file = {

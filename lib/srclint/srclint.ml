@@ -1,24 +1,24 @@
 (* Self-hosted source auditor.
 
    Statically scans the repo's *own* OCaml sources (every lib/**/*.ml,
-   parsed with compiler-libs) and enforces what the runtime checkers
-   cannot: that raw physical-memory mutation stays inside the TCB
-   allowlist (the CKI security argument), that the inter-library
-   layering DAG has no upward or cross edges, that module-toplevel
-   mutable state — the race hazards blocking the domain-sharding
-   engine overhaul — is inventoried or fixed, and a hygiene family
-   (missing .mli, Obj.magic / assert false in TCB files, unpaired
-   Gate_enter/Gate_exit probe emissions).
+   plus bin/ and bench/, parsed with compiler-libs) and enforces what
+   the runtime checkers cannot: that raw physical-memory mutation stays
+   inside the TCB allowlist (the CKI security argument), that the
+   inter-library layering DAG has no upward or cross edges, that
+   module-toplevel mutable state — a race hazard for the
+   domain-sharded engines — is fixed or annotated, that
+   [Domain.spawn] appears only in the one sharding site, and a hygiene
+   family (missing .mli, Obj.magic / assert false in TCB files,
+   unpaired Gate_enter/Gate_exit probe emissions).
 
-   `cki_demo lint-src` drives this with a checked-in baseline of
-   accepted exceptions; `bench/main.exe srclint --json` tracks scan
-   time and finding counts in BENCH_srclint.json. *)
+   Every rule is an allowlist; there is no baseline of accepted
+   findings.  `cki_demo lint-src` fails on any finding;
+   `bench/main.exe srclint --json` tracks scan time and finding counts
+   in BENCH_srclint.json. *)
 
 module Source = Source
 module Facts = Facts
-module Escape = Escape
 module Rules = Rules
-module Baseline = Baseline
 
 type stats = {
   files : int;
@@ -58,16 +58,6 @@ let scan ?arch ?tcb ~root () =
 
 let find_root = Source.find_root
 let find_root_exn = Source.find_root_exn
-
-type check = {
-  fresh : Rules.finding list;  (** must fail the run *)
-  baselined : Rules.finding list;
-  stale : Baseline.entry list;  (** baseline lines that matched nothing *)
-}
-
-let check ~baseline findings =
-  let baselined, fresh, stale = Baseline.apply baseline findings in
-  { fresh; baselined; stale }
 
 let to_findings fs =
   List.map

@@ -1,21 +1,18 @@
 (** Self-hosted source auditor: a static-analysis pass over the repo's
     own OCaml sources enforcing TCB write-sink containment, the
     inter-library layering DAG, a domain-safety (race) inventory of
-    module-toplevel mutable state, the interprocedural domain-escape
-    rule (which mutable values leak into [Domain.spawn] closures), and
-    source hygiene.
+    module-toplevel mutable state, spawn-site containment
+    ([Domain.spawn] only in [lib/hw/domain_shard.ml]), and source
+    hygiene.
 
     {!Source} models the tree (dune libraries, the [bin/]/[bench/]
     executable scopes, and compiler-libs ASTs); {!Facts} extracts
-    per-file facts; {!Escape} runs the tree-wide sharing analysis;
-    {!Rules} evaluates the rule families; {!Baseline} matches findings
-    against the checked-in list of accepted exceptions. *)
+    per-file facts; {!Rules} evaluates the rule families against their
+    allowlists. *)
 
 module Source = Source
 module Facts = Facts
-module Escape = Escape
 module Rules = Rules
-module Baseline = Baseline
 
 type stats = {
   files : int;
@@ -29,19 +26,11 @@ type scan = { tree : Source.tree; findings : Rules.finding list; stats : stats }
 
 val scan : ?arch:Rules.arch -> ?tcb:string list -> root:string -> unit -> scan
 (** Parse and audit every [lib/**/*.ml] — plus [bin/*.ml] and
-    [bench/*.ml] for the layering and escape families — under
+    [bench/*.ml] for the layering and spawn-site rules — under
     [root]. *)
 
 val find_root : ?from:string -> unit -> string option
 val find_root_exn : ?from:string -> unit -> string
-
-type check = {
-  fresh : Rules.finding list;  (** must fail the run *)
-  baselined : Rules.finding list;
-  stale : Baseline.entry list;  (** baseline lines that matched nothing *)
-}
-
-val check : baseline:Baseline.entry list -> Rules.finding list -> check
 
 val to_findings : Rules.finding list -> Report.Findings.t list
 (** Render-ready form, subject = [file:line]. *)

@@ -3,9 +3,9 @@
    Fault-injection style, like test_analysis.ml: seed violating sources
    into a temporary tree and assert that each rule family fires with the
    right file:line span — and that the compliant variant stays silent.
-   Plus a golden scan: the real repo must come back clean modulo the
-   checked-in baseline, with an empty domain-safety baseline for
-   lib/{hw,kernel,virt,core}. *)
+   Plus a golden scan: the real repo must come back with no finding at
+   all, and in particular no domain-safety finding in the core
+   directories. *)
 
 open Alcotest
 
@@ -261,6 +261,20 @@ let test_domain_safety_undocumented_annotation () =
   fires "annotation without a reason" "undocumented-annotation" ~file:"lib/app/state.ml" ~line:1
     findings
 
+let test_domain_safety_stale_annotation () =
+  (* The binding isn't mutable state, so the annotation suppresses
+     nothing. *)
+  let findings =
+    scan ~arch:app_arch
+      [
+        ("lib/app/dune", lib_dune "app");
+        ("lib/app/s.ml", "let immut = 42 [@@single_domain \"pointless\"]\n");
+        ("lib/app/s.mli", "val immut : int\n");
+      ]
+  in
+  fires "single_domain on immutable binding" "stale-annotation" ~file:"lib/app/s.ml" ~line:1
+    findings
+
 (* ------------------------------------------------------------------ *)
 (* (4) hygiene                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -366,211 +380,48 @@ let test_parse_error_reported () =
   fires "unparseable file" "parse-error" ~file:"lib/app/broken.ml" ~line:1 findings
 
 (* ------------------------------------------------------------------ *)
-(* (5) domain-escape: the interprocedural sharing analysis             *)
+(* (5) spawn-site                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let ml lines = String.concat "\n" lines ^ "\n"
+let spawner = "let t () = Domain.join (Domain.spawn (fun () -> 1))\n"
 
-let test_escape_shared_ref_fires () =
+let test_spawn_site_fires () =
   let findings =
-    scan ~arch:app_arch
+    scan ~arch:[ ("app", []); ("bin", []) ]
       [
         ("lib/app/dune", lib_dune "app");
-        ( "lib/app/racy.ml",
-          ml
-            [
-              "let t () =";
-              "  let r = ref 0 in";
-              "  let a = Domain.spawn (fun () -> r := 1) in";
-              "  let b = Domain.spawn (fun () -> r := 2) in";
-              "  Domain.join a;";
-              "  Domain.join b;";
-              "  !r";
-            ] );
-        ("lib/app/racy.mli", "val t : unit -> int\n");
+        ("lib/app/x.ml", "(* no capture at all *)\n" ^ spawner);
+        ("lib/app/x.mli", "val t : unit -> int\n");
+        ("bin/dune", "(executable\n (name x)\n (libraries))\n");
+        ("bin/x.ml", spawner);
       ]
   in
-  fires "ref captured by first sibling" "domain-escape" ~file:"lib/app/racy.ml" ~line:3 findings;
-  fires "ref captured by second sibling" "domain-escape" ~file:"lib/app/racy.ml" ~line:4 findings
+  fires "spawn in a library" "spawn-site" ~file:"lib/app/x.ml" ~line:2 findings;
+  fires "spawn in an executable" "spawn-site" ~file:"bin/x.ml" ~line:1 findings
 
-let test_escape_mutable_field_fires () =
+let test_spawn_site_open_fires () =
+  (* [open Domain] makes [spawn] reachable unqualified: the open itself
+     fires, as an open of the sink module does. *)
   let findings =
     scan ~arch:app_arch
       [
         ("lib/app/dune", lib_dune "app");
-        ( "lib/app/cellular.ml",
-          ml
-            [
-              "type cell = { mutable v : int }";
-              "";
-              "let t () =";
-              "  let c = { v = 0 } in";
-              "  let a = Domain.spawn (fun () -> c.v <- 1) in";
-              "  let b = Domain.spawn (fun () -> c.v <- 2) in";
-              "  Domain.join a;";
-              "  Domain.join b;";
-              "  c.v";
-            ] );
-        ("lib/app/cellular.mli", "val t : unit -> int\n");
+        ("lib/app/x.ml", "open Domain\n\nlet t () = join (spawn (fun () -> 1))\n");
+        ("lib/app/x.mli", "val t : unit -> int\n");
       ]
   in
-  fires "mutable record shared by siblings" "domain-escape" ~file:"lib/app/cellular.ml" ~line:5
-    findings
+  fires "open of Domain" "spawn-site" ~file:"lib/app/x.ml" ~line:1 findings
 
-let test_escape_bigarray_replicated_fires () =
-  (* A single spawn site inside an [Array.init] closure is replicated:
-     every sibling captures the same Bigarray. *)
+let test_spawn_site_allowlisted_silent () =
   let findings =
-    scan ~arch:app_arch
+    scan ~arch:[ ("hw", []) ]
       [
-        ("lib/app/dune", lib_dune "app");
-        ( "lib/app/biga.ml",
-          ml
-            [
-              "let t () =";
-              "  let big = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 8 in";
-              "  let ds = Array.init 2 (fun i -> Domain.spawn (fun () -> Bigarray.Array1.set big i i)) in";
-              "  Array.iter Domain.join ds";
-            ] );
-        ("lib/app/biga.mli", "val t : unit -> unit\n");
+        ("lib/hw/dune", lib_dune "hw");
+        ("lib/hw/domain_shard.ml", spawner);
+        ("lib/hw/domain_shard.mli", "val t : unit -> int\n");
       ]
   in
-  fires "Bigarray captured by replicated spawn" "domain-escape" ~file:"lib/app/biga.ml" ~line:3
-    findings
-
-let test_escape_interprocedural_fires () =
-  (* The spawn closure reaches another module's toplevel hashtable only
-     through a call chain. *)
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ("lib/app/state.ml", "let table = Hashtbl.create 16\n");
-        ("lib/app/state.mli", "val table : (int, int) Hashtbl.t\n");
-        ( "lib/app/eng.ml",
-          ml
-            [
-              "let bump k = Hashtbl.replace State.table k k";
-              "";
-              "let t () =";
-              "  let d = Domain.spawn (fun () -> bump 1) in";
-              "  Domain.join d";
-            ] );
-        ("lib/app/eng.mli", "val bump : int -> unit\nval t : unit -> unit\n");
-      ]
-  in
-  fires "global reached via call chain" "domain-escape" ~file:"lib/app/eng.ml" ~line:4 findings;
-  check_bool "finding names the escaping global" true
-    (List.exists
-       (fun (f : Srclint.Rules.finding) ->
-         f.Srclint.Rules.rule = "domain-escape" && f.Srclint.Rules.symbol = "table")
-       findings)
-
-let test_escape_sanctioned_forms_silent () =
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ( "lib/app/safe.ml",
-          ml
-            [
-              "let t () =";
-              "  let n = Atomic.make 0 in";
-              "  let m = Mutex.create () in";
-              "  let r = ref 0 in";
-              "  let tbl = Hashtbl.create 8 [@@domain_shared \"slots are per-lane disjoint\"] in";
-              "  let a = Domain.spawn (fun () -> Atomic.incr n; Mutex.protect m (fun () -> incr r); Hashtbl.replace tbl 1 1) in";
-              "  let b = Domain.spawn (fun () -> Atomic.incr n; Mutex.protect m (fun () -> incr r); Hashtbl.replace tbl 2 2) in";
-              "  Domain.join a;";
-              "  Domain.join b";
-            ] );
-        ("lib/app/safe.mli", "val t : unit -> unit\n");
-      ]
-  in
-  silent "Atomic / Mutex.protect / domain_shared" "domain-escape" findings;
-  silent "used annotation is not stale" "stale-annotation" findings
-
-let test_escape_sole_transfer_silent () =
-  (* Handing a local mutable wholesale to one spawn is a transfer, not
-     sharing — but touching it from the parent afterwards is. *)
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ( "lib/app/handoff.ml",
-          ml
-            [
-              "let t () =";
-              "  let r = ref 0 in";
-              "  let d = Domain.spawn (fun () -> r := 1; !r) in";
-              "  Domain.join d";
-            ] );
-        ("lib/app/handoff.mli", "val t : unit -> int\n");
-      ]
-  in
-  silent "sole transfer" "domain-escape" findings;
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ( "lib/app/parent.ml",
-          ml
-            [
-              "let t () =";
-              "  let r = ref 0 in";
-              "  let d = Domain.spawn (fun () -> incr r) in";
-              "  r := 1;";
-              "  Domain.join d";
-            ] );
-        ("lib/app/parent.mli", "val t : unit -> unit\n");
-      ]
-  in
-  fires "closure plus spawning domain" "domain-escape" ~file:"lib/app/parent.ml" ~line:3 findings
-
-let test_escape_annotation_ledger () =
-  (* Stale [@@domain_shared]: sanctions nothing. *)
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ("lib/app/s.ml", "let tbl = Hashtbl.create 8 [@@domain_shared \"never shared\"]\n");
-        ("lib/app/s.mli", "val tbl : (int, int) Hashtbl.t\n");
-      ]
-  in
-  fires "unused domain_shared is stale" "stale-annotation" ~file:"lib/app/s.ml" ~line:1 findings;
-  (* Stale [@@single_domain]: the binding isn't mutable state. *)
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ("lib/app/s.ml", "let immut = 42 [@@single_domain \"pointless\"]\n");
-        ("lib/app/s.mli", "val immut : int\n");
-      ]
-  in
-  fires "single_domain on immutable binding is stale" "stale-annotation" ~file:"lib/app/s.ml"
-    ~line:1 findings;
-  (* Undocumented [@@domain_shared]: sanctions the capture but needs a
-     reason. *)
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ( "lib/app/s.ml",
-          ml
-            [
-              "let t () =";
-              "  let r = ref 0 [@@domain_shared] in";
-              "  let a = Domain.spawn (fun () -> incr r) in";
-              "  let b = Domain.spawn (fun () -> incr r) in";
-              "  Domain.join a;";
-              "  Domain.join b";
-            ] );
-        ("lib/app/s.mli", "val t : unit -> unit\n");
-      ]
-  in
-  silent "annotation still sanctions the capture" "domain-escape" findings;
-  fires "but without a reason it is undocumented" "undocumented-annotation" ~file:"lib/app/s.ml"
-    ~line:2 findings
+  silent "the one sharding site" "spawn-site" findings
 
 (* ------------------------------------------------------------------ *)
 (* (6) executable scope                                                *)
@@ -609,49 +460,6 @@ let test_exe_scope_forbidden_edge () =
     findings
 
 (* ------------------------------------------------------------------ *)
-(* Baseline mechanics                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_baseline_apply () =
-  with_tree
-    [
-      ("lib/app/dune", lib_dune "app");
-      ( "lib/app/evil.ml",
-        "let smash mem = Hw.Phys_mem.write_entry mem ~pfn:0 ~index:0 0L\n" );
-      ("lib/app/evil.mli", "val smash : 'a -> unit\n");
-      ( "accepted.baseline",
-        "# comment lines and blanks are fine\n\n\
-         trusted-sink lib/app/evil.ml Hw.Phys_mem.write_entry\n\
-         trusted-sink lib/app/gone.ml Hw.Phys_mem.write_entry  # stale\n" );
-    ]
-    (fun root ->
-      let s = Srclint.scan ~arch:app_arch ~root () in
-      let entries =
-        match Srclint.Baseline.load (Filename.concat root "accepted.baseline") with
-        | Ok e -> e
-        | Error m -> fail m
-      in
-      let chk = Srclint.check ~baseline:entries s.Srclint.findings in
-      check int "sink finding accepted by baseline" 1 (List.length chk.Srclint.baselined);
-      check_bool "no fresh trusted-sink" true
-        (not
-           (List.exists
-              (fun (f : Srclint.Rules.finding) -> f.Srclint.Rules.rule = "trusted-sink")
-              chk.Srclint.fresh));
-      check int "stale entry detected" 1 (List.length chk.Srclint.stale);
-      match chk.Srclint.stale with
-      | [ e ] -> check string "stale file" "lib/app/gone.ml" e.Srclint.Baseline.file
-      | _ -> fail "expected exactly one stale entry")
-
-let test_baseline_malformed () =
-  with_tree
-    [ ("bad.baseline", "trusted-sink lib/app/evil.ml\n") ]
-    (fun root ->
-      match Srclint.Baseline.load (Filename.concat root "bad.baseline") with
-      | Ok _ -> fail "two-field line must be rejected"
-      | Error msg -> check_bool "error names the file" true (String.length msg > 0))
-
-(* ------------------------------------------------------------------ *)
 (* Golden: the real repo                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -671,39 +479,17 @@ let test_golden_repo_clean () =
   let root = Srclint.find_root_exn () in
   let s = Srclint.scan ~root () in
   check_bool "scanned a real tree (>50 files)" true (s.Srclint.stats.Srclint.files > 50);
-  let entries =
-    match Srclint.Baseline.load (Filename.concat root "srclint.baseline") with
-    | Ok e -> e
-    | Error m -> fail m
-  in
-  let chk = Srclint.check ~baseline:entries s.Srclint.findings in
-  (match chk.Srclint.fresh with
+  match s.Srclint.findings with
   | [] -> ()
   | fs ->
       fail
-        (Printf.sprintf "repo must scan clean modulo baseline, got:\n%s"
-           (Report.Findings.render ~title:"srclint" (Srclint.to_findings fs))));
-  check int "no stale baseline entries" 0 (List.length chk.Srclint.stale);
-  check_bool "baseline accepts no frame-sweep" true
-    (not (List.exists (fun (e : Srclint.Baseline.entry) -> e.Srclint.Baseline.rule = "frame-sweep") entries))
+        (Printf.sprintf "repo must scan clean, got:\n%s"
+           (Report.Findings.render ~title:"srclint" (Srclint.to_findings fs)))
 
 let test_golden_domain_safety_core_empty () =
-  (* The satellite fixes promise: no domain-safety debt — baselined or
-     live — anywhere in lib/{hw,kernel,virt,core}. *)
+  (* No domain-safety debt anywhere in the code a worker domain runs. *)
   let root = Srclint.find_root_exn () in
   let s = Srclint.scan ~root () in
-  let entries =
-    match Srclint.Baseline.load (Filename.concat root "srclint.baseline") with
-    | Ok e -> e
-    | Error m -> fail m
-  in
-  List.iter
-    (fun (e : Srclint.Baseline.entry) ->
-      check_bool
-        (Printf.sprintf "baseline has no domain-safety entry in core dirs (%s)" e.Srclint.Baseline.file)
-        true
-        (not (e.Srclint.Baseline.rule = "domain-safety" && in_core e.Srclint.Baseline.file)))
-    entries;
   List.iter
     (fun (f : Srclint.Rules.finding) ->
       check_bool
@@ -736,6 +522,7 @@ let suite =
         test_case "toplevel mutable state fires" `Quick test_domain_safety_fires;
         test_case "safe forms are silent" `Quick test_domain_safety_safe_forms_silent;
         test_case "undocumented annotation fires" `Quick test_domain_safety_undocumented_annotation;
+        test_case "stale annotation fires" `Quick test_domain_safety_stale_annotation;
       ] );
     ( "srclint-hygiene",
       [
@@ -745,29 +532,20 @@ let suite =
         test_case "whole-machine frame sweep fires" `Quick test_hygiene_frame_sweep;
         test_case "parse errors become findings" `Quick test_parse_error_reported;
       ] );
-    ( "srclint-escape",
+    ( "srclint-spawn-site",
       [
-        test_case "shared ref across siblings fires" `Quick test_escape_shared_ref_fires;
-        test_case "mutable record field fires" `Quick test_escape_mutable_field_fires;
-        test_case "replicated Bigarray capture fires" `Quick test_escape_bigarray_replicated_fires;
-        test_case "call chain to global fires" `Quick test_escape_interprocedural_fires;
-        test_case "sanctioned forms are silent" `Quick test_escape_sanctioned_forms_silent;
-        test_case "sole transfer vs parent use" `Quick test_escape_sole_transfer_silent;
-        test_case "annotation ledger" `Quick test_escape_annotation_ledger;
+        test_case "spawn outside the sharding site fires" `Quick test_spawn_site_fires;
+        test_case "open of Domain fires" `Quick test_spawn_site_open_fires;
+        test_case "the sharding site is silent" `Quick test_spawn_site_allowlisted_silent;
       ] );
     ( "srclint-exe-scope",
       [
         test_case "undeclared dep fires, lib families don't" `Quick test_exe_scope_layering;
         test_case "forbidden edge fires from exe dune" `Quick test_exe_scope_forbidden_edge;
       ] );
-    ( "srclint-baseline",
-      [
-        test_case "apply partitions and finds stale" `Quick test_baseline_apply;
-        test_case "malformed line rejected" `Quick test_baseline_malformed;
-      ] );
     ( "srclint-golden",
       [
-        test_case "repo scans clean modulo baseline" `Quick test_golden_repo_clean;
+        test_case "repo scans clean" `Quick test_golden_repo_clean;
         test_case "core dirs carry no domain-safety debt" `Quick test_golden_domain_safety_core_empty;
       ] );
   ]
