@@ -18,7 +18,10 @@
    - the primitives under every experiment: a page-table walk, a TLB
      lookup, a buddy alloc+free, a CKI getpid and a PKS rights check;
    - the VirtIO copy path: one 32 KiB chain posted and serviced on a
-     CKI container, 8 payload pages copied in and out.
+     CKI container, 8 payload pages copied in and out;
+   - the container cycle: restore a captured 64 MiB container, scan it
+     with [Analysis.check_machine], destroy it -- the table walks over
+     its 16,384-leaf direct map that a migration pays on the target.
 
    The sharding section reports the [Serve.run ~domains:{1,4}]
    simulated-makespan ratio: on a single-CPU host the lanes do not run
@@ -198,6 +201,29 @@ let bench_virtio_copy ~ops =
         ignore (Kernel_model.Virtio.reclaim q)
       done)
 
+(* One op: restore the image, scan the copy, destroy it.  Returns the
+   metric and the findings summed over every copy. *)
+let bench_container_cycle ~ops =
+  let host = Cki.Host.create (Hw.Machine.create ~mem_mib:256 ()) in
+  let c = Cki.Container.create host in
+  let image =
+    match Snapshot.Capture.capture c with
+    | Ok i -> i
+    | Error e -> failwith ("engine bench: capture: " ^ Snapshot.Capture.show_error e)
+  in
+  let findings = ref 0 in
+  let m =
+    time "container_cycle_64m" ~ops (fun () ->
+        for _ = 1 to ops do
+          match Snapshot.Restore.restore ~verify:false host image with
+          | Ok copy ->
+              findings := !findings + List.length (Analysis.check_machine ~containers:[ copy ]);
+              Cki.Container.destroy copy
+          | Error e -> failwith ("engine bench: restore: " ^ Snapshot.Restore.show_error e)
+        done)
+  in
+  (m, !findings)
+
 let run () =
   let alloc = bench_alloc ~ops:400_000 in
   let arena = bench_arena ~ops:100_000 in
@@ -221,6 +247,7 @@ let run () =
   let r4, findings4 = serve 4 in
   let primitives = bench_primitives () in
   let virtio_copy = bench_virtio_copy ~ops:20_000 in
+  let cycle, cycle_findings = bench_container_cycle ~ops:100 in
   let ratio = r1.Ioplane.Serve.r_wall_ns /. r4.Ioplane.Serve.r_wall_ns in
   let serve_metrics (r : Ioplane.Serve.result) =
     let m = Printf.sprintf "serve.d%d.%s" r.r_domains in
@@ -233,7 +260,7 @@ let run () =
   {
     Artifact.bench = "engine";
     metrics =
-      [ alloc; arena ] @ translate @ [ probe; clock ] @ primitives @ [ virtio_copy ]
+      [ alloc; arena ] @ translate @ [ probe; clock ] @ primitives @ [ virtio_copy; cycle ]
       @ serve_metrics r1 @ serve_metrics r4
       @ [ Artifact.sim "sim_makespan_ratio" "x" ratio ];
     gates =
@@ -242,5 +269,7 @@ let run () =
           (Printf.sprintf "%.2fx" ratio);
         Artifact.gate "sharded serve runs analysis-clean" (findings1 + findings4 = 0)
           (Printf.sprintf "%d findings at 1 domain, %d at 4" findings1 findings4);
+        Artifact.gate "restored 64 MiB copies analysis-clean" (cycle_findings = 0)
+          (Printf.sprintf "%d findings over %d copies" cycle_findings cycle.Artifact.n);
       ];
   }

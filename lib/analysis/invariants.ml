@@ -166,52 +166,50 @@ let check_container (c : Cki.Container.t) : violation list =
   let rec walk_table ~lvl ~table ~va_base =
     if not (Hashtbl.mem visited (table, lvl, va_base)) then begin
       Hashtbl.add visited (table, lvl, va_base) ();
-      for idx = 0 to Hw.Addr.entries_per_table - 1 do
-        let e = read ~pfn:table ~index:idx in
-        if Hw.Pte.is_present e then begin
-          let va = va_base + (idx * span lvl) in
-          if lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) then check_leaf ~va e
-          else begin
-            let child = Hw.Pte.pfn e in
-            let clvl = lvl - 1 in
-            (* I1: anything used as a page-table page must be declared
-               (guest frames) or monitor-built (KSM frames). *)
-            if child < 0 || child >= total then
-              add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child })
+      Hw.Phys_mem.iter_entries mem ~pfn:table (fun idx e ->
+          if Hw.Pte.is_present e then begin
+            let va = va_base + (idx * span lvl) in
+            if lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) then check_leaf ~va e
             else begin
-              (match Hw.Phys_mem.owner mem child with
-              | Hw.Phys_mem.Ksm k when k = id -> (
-                  match Hw.Phys_mem.kind mem child with
-                  | Hw.Phys_mem.Page_table l ->
-                      if l <> clvl then
+              let child = Hw.Pte.pfn e in
+              let clvl = lvl - 1 in
+              (* I1: anything used as a page-table page must be declared
+                 (guest frames) or monitor-built (KSM frames). *)
+              if child < 0 || child >= total then
+                add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child })
+              else begin
+                (match Hw.Phys_mem.owner mem child with
+                | Hw.Phys_mem.Ksm k when k = id -> (
+                    match Hw.Phys_mem.kind mem child with
+                    | Hw.Phys_mem.Page_table l ->
+                        if l <> clvl then
+                          add
+                            (Ptp_level_mismatch
+                               { container = id; ptp = child; claimed = l; used_at = clvl })
+                    | k ->
                         add
-                          (Ptp_level_mismatch
-                             { container = id; ptp = child; claimed = l; used_at = clvl })
-                  | k ->
-                      add
-                        (Ptp_kind_mismatch
-                           { container = id; ptp = child; kind = Hw.Phys_mem.show_kind k }))
-              | Hw.Phys_mem.Container k when k = id -> (
-                  match Cki.Ksm.page_state_of ksm child with
-                  | Cki.Ksm.Guest_ptp l ->
-                      if l <> clvl then
+                          (Ptp_kind_mismatch
+                             { container = id; ptp = child; kind = Hw.Phys_mem.show_kind k }))
+                | Hw.Phys_mem.Container k when k = id -> (
+                    match Cki.Ksm.page_state_of ksm child with
+                    | Cki.Ksm.Guest_ptp l ->
+                        if l <> clvl then
+                          add
+                            (Ptp_level_mismatch
+                               { container = id; ptp = child; claimed = l; used_at = clvl })
+                    | Cki.Ksm.Guest_data | Cki.Ksm.Ksm_private ->
                         add
-                          (Ptp_level_mismatch
-                             { container = id; ptp = child; claimed = l; used_at = clvl })
-                  | Cki.Ksm.Guest_data | Cki.Ksm.Ksm_private ->
-                      add
-                        (Undeclared_ptp
-                           { container = id; table; index = idx; level = clvl; child }))
-              | _ ->
-                  add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child }));
-              (* Descend only through frames whose metadata says they
-                 hold a table: reading "entries" of a data frame would
-                 fabricate an empty table and hide the corruption. *)
-              if is_table child then walk_table ~lvl:clvl ~table:child ~va_base:va
+                          (Undeclared_ptp
+                             { container = id; table; index = idx; level = clvl; child }))
+                | _ ->
+                    add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child }));
+                (* Descend only through frames whose metadata says they
+                   hold a table: reading "entries" of a data frame would
+                   fabricate an empty table and hide the corruption. *)
+                if is_table child then walk_table ~lvl:clvl ~table:child ~va_base:va
+              end
             end
-          end
-        end
-      done
+          end)
     end
   in
 

@@ -268,23 +268,21 @@ let destroy t =
   let rec walk lvl pfn =
     if not (Hashtbl.mem visited pfn) then begin
       Hashtbl.replace visited pfn ();
-      for idx = 0 to Hw.Addr.entries_per_table - 1 do
-        let e = Hw.Phys_mem.read_entry mem ~pfn ~index:idx in
-        if Hw.Pte.is_present e then begin
-          let target = Hw.Pte.pfn e in
-          let leaf = lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) in
-          if leaf then begin
-            let foreign =
-              match Hw.Phys_mem.owner mem target with
-              | Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k -> k <> id
-              | _ -> false
-            in
-            if foreign && Hw.Phys_mem.is_shared_ro mem target then
-              Hw.Phys_mem.decr_ref mem target
-          end
-          else walk (lvl - 1) target
-        end
-      done
+      Hw.Phys_mem.iter_entries mem ~pfn (fun _ e ->
+          if Hw.Pte.is_present e then begin
+            let target = Hw.Pte.pfn e in
+            let leaf = lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) in
+            if leaf then begin
+              let foreign =
+                match Hw.Phys_mem.owner mem target with
+                | Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k -> k <> id
+                | _ -> false
+              in
+              if foreign && Hw.Phys_mem.is_shared_ro mem target then
+                Hw.Phys_mem.decr_ref mem target
+            end
+            else walk (lvl - 1) target
+          end)
     end
   in
   List.iter

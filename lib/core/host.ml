@@ -83,14 +83,7 @@ let delegate_segment t ~container ~frames =
 let delegate_scatter t ~container ~frames =
   let mem = Hw.Machine.mem t.machine in
   let chunks = ref [] in
-  let rollback () =
-    List.iter
-      (fun (base, n) ->
-        for pfn = base to base + n - 1 do
-          Hw.Phys_mem.free mem pfn
-        done)
-      !chunks
-  in
+  let rollback () = List.iter (fun (base, count) -> Hw.Phys_mem.free_range mem ~base ~count) !chunks in
   let rec fill remaining attempt =
     if remaining > 0 then
       let attempt = min attempt remaining in
@@ -121,12 +114,7 @@ let delegate t ~container ~frames =
 let reclaim_segment t ~container =
   let mem = Hw.Machine.mem t.machine in
   let mine, rest = List.partition (fun d -> d.container = container) t.delegations in
-  List.iter
-    (fun d ->
-      for pfn = d.base to d.base + d.frames - 1 do
-        if not (Hw.Phys_mem.is_free mem pfn) then Hw.Phys_mem.free mem pfn
-      done)
-    mine;
+  List.iter (fun d -> Hw.Phys_mem.free_range mem ~base:d.base ~count:d.frames) mine;
   t.delegations <- rest
 
 let delegations_of t ~container = List.filter (fun d -> d.container = container) t.delegations

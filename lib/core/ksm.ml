@@ -23,12 +23,18 @@ type page_state =
   | Ksm_private
 [@@deriving show { with_path = false }, eq]
 
-type desc = {
-  mutable state : page_state;
-  mutable ptp_map_count : int;  (** times mapped while a declared PTP *)
-}
-
 type root_info = { copies : Hw.Addr.pfn array (* per vCPU *) }
+
+(* Frame-keyed tables that hash and compare the frame number itself:
+   the scanner looks up the state of every leaf it meets, and the
+   polymorphic hash and compare cost more than the rest of the
+   lookup. *)
+module Frames = Hashtbl.Make (struct
+  type t = Hw.Addr.pfn
+
+  let equal = Int.equal
+  let hash pfn = pfn land max_int
+end)
 
 type error =
   | Not_guest_frame of Hw.Addr.pfn
@@ -50,7 +56,8 @@ type t = {
   clock : Hw.Clock.t;
   cfg : Config.t;
   segments : (Hw.Addr.pfn * int) list;  (** delegated (base, frames) *)
-  descs : (Hw.Addr.pfn, desc) Hashtbl.t;
+  descs : page_state Frames.t;
+      (** frames whose state is not [Guest_data]; absent = [Guest_data] *)
   roots : (Hw.Addr.pfn, root_info) Hashtbl.t;
   pervcpu : Pervcpu.t;
   kernel_root : Hw.Addr.pfn;  (** the guest kernel's boot address space *)
@@ -60,15 +67,22 @@ type t = {
   idt : Hw.Idt.t;  (** container IDT, resident in KSM memory *)
 }
 
-let owns_frame t pfn = List.exists (fun (b, n) -> pfn >= b && pfn < b + n) t.segments
+(* Asked of every leaf the scanner meets, so it allocates nothing. *)
+let rec in_segments pfn = function
+  | [] -> false
+  | (b, n) :: rest -> (pfn >= b && pfn < b + n) || in_segments pfn rest
 
-let desc t pfn =
-  match Hashtbl.find_opt t.descs pfn with
-  | Some d -> d
-  | None ->
-      let d = { state = Guest_data; ptp_map_count = 0 } in
-      Hashtbl.replace t.descs pfn d;
-      d
+let owns_frame t pfn = in_segments pfn t.segments
+
+(* Reads never add a record: the table holds exactly the frames whose
+   state is not the default, so it stays the size of the declared set
+   however many data pages the guest maps. *)
+let page_state_of t pfn =
+  match Frames.find_opt t.descs pfn with Some s -> s | None -> Guest_data
+
+let set_state t pfn = function
+  | Guest_data -> Frames.remove t.descs pfn
+  | s -> Frames.replace t.descs pfn s
 
 (* ------------------------------------------------------------------ *)
 (* Boot-time construction (trusted initialization)                     *)
@@ -79,41 +93,47 @@ let alloc_ksm_frame t kind = Hw.Phys_mem.alloc t.mem ~owner:(Hw.Phys_mem.Ksm t.c
 let write_raw t ~pfn ~index v = Hw.Phys_mem.write_entry t.mem ~pfn ~index v
 let read_raw t ~pfn ~index = Hw.Phys_mem.read_entry t.mem ~pfn ~index
 
-(* Build a subtree mapping [pages] 4-KiB pages starting at [va_base]
-   backed by [frame_of i], with [pkey]; returns the L3 root to splice
-   at L4.  Only supports regions within one L4 slot. *)
-let build_subtree t ~va_base ~pages ~frame_of ~pkey ~user ~writable ~nx =
+(* Build a subtree under a fresh L3, returned to splice at L4.  A run
+   [(va, frame, n)] maps [n] pages from [va] to the [n] frames from
+   [frame] with leaf [flags].  The runs rise in VA inside one L4 slot,
+   so a page needs a new L2 (L1) table exactly when its L3 index (its
+   2-MiB region) differs from the previous page's: the tables are found
+   by arithmetic and allocated in first-use order, and a run's leaves
+   are written an L1 table at a time. *)
+let build_subtree t ~runs ~(flags : Hw.Pte.flags) =
+  let link = { Hw.Pte.default_flags with writable = true } in
+  let step = Int64.sub (Hw.Pte.make ~pfn:1 ~flags) (Hw.Pte.make ~pfn:0 ~flags) in
   let l3 = alloc_ksm_frame t (Hw.Phys_mem.Page_table 3) in
-  let l2s : (int, Hw.Addr.pfn) Hashtbl.t = Hashtbl.create 8 in
-  let l1s : (int, Hw.Addr.pfn) Hashtbl.t = Hashtbl.create 64 in
-  for i = 0 to pages - 1 do
-    let va = va_base + (i * Hw.Addr.page_size) in
-    let i3 = Hw.Addr.index_at_level ~lvl:3 va in
-    let l2 =
-      match Hashtbl.find_opt l2s i3 with
-      | Some p -> p
-      | None ->
-          let p = alloc_ksm_frame t (Hw.Phys_mem.Page_table 2) in
-          Hashtbl.replace l2s i3 p;
-          write_raw t ~pfn:l3 ~index:i3
-            (Hw.Pte.make ~pfn:p ~flags:{ Hw.Pte.default_flags with writable = true });
-          p
-    in
-    let i2 = Hw.Addr.index_at_level ~lvl:2 va in
-    let l1 =
-      match Hashtbl.find_opt l1s ((i3 * 512) + i2) with
-      | Some p -> p
-      | None ->
-          let p = alloc_ksm_frame t (Hw.Phys_mem.Page_table 1) in
-          Hashtbl.replace l1s ((i3 * 512) + i2) p;
-          write_raw t ~pfn:l2 ~index:i2
-            (Hw.Pte.make ~pfn:p ~flags:{ Hw.Pte.default_flags with writable = true });
-          p
-    in
-    write_raw t ~pfn:l1 ~index:(Hw.Addr.index_at_level ~lvl:1 va)
-      (Hw.Pte.make ~pfn:(frame_of i) ~flags:{ Hw.Pte.writable; user; nx; huge = false; pkey })
-  done;
+  let l2 = ref (-1) and l1 = ref (-1) in
+  let cur_i3 = ref (-1) and cur_region = ref (-1) in
+  let rec map_run va frame n =
+    if n > 0 then begin
+      let i3 = Hw.Addr.index_at_level ~lvl:3 va in
+      if i3 <> !cur_i3 then begin
+        cur_i3 := i3;
+        l2 := alloc_ksm_frame t (Hw.Phys_mem.Page_table 2);
+        write_raw t ~pfn:l3 ~index:i3 (Hw.Pte.make ~pfn:!l2 ~flags:link)
+      end;
+      let region = va lsr (Hw.Addr.page_shift + 9) in
+      if region <> !cur_region then begin
+        cur_region := region;
+        l1 := alloc_ksm_frame t (Hw.Phys_mem.Page_table 1);
+        write_raw t ~pfn:!l2 ~index:(Hw.Addr.index_at_level ~lvl:2 va) (Hw.Pte.make ~pfn:!l1 ~flags:link)
+      end;
+      let index = Hw.Addr.index_at_level ~lvl:1 va in
+      let count = min n (Hw.Addr.entries_per_table - index) in
+      Hw.Phys_mem.write_run t.mem ~pfn:!l1 ~index ~count ~first:(Hw.Pte.make ~pfn:frame ~flags) ~step;
+      map_run (va + (count * Hw.Addr.page_size)) (frame + count) (n - count)
+    end
+  in
+  List.iter (fun (va, frame, n) -> map_run va frame n) runs;
   l3
+
+(* A region of frames mapped at consecutive VAs from [va_base]. *)
+let build_region t ~va_base ~frames ~flags =
+  build_subtree t
+    ~runs:(List.mapi (fun i frame -> (va_base + (i * Hw.Addr.page_size), frame, 1)) (Array.to_list frames))
+    ~flags
 
 let ksm_code_pages = 16
 let kernel_image_pages = 64
@@ -123,18 +143,16 @@ let kernel_image_pages = 64
    function of the segment bases (va = direct_map_base + pa), which is
    why snapshot restore rebuilds it from the *new* segments instead of
    importing the captured subtree: imported leaves would still key on
-   the old machine's PAs and every later retag (I2) would miss. *)
+   the old machine's PAs and every later retag (I2) would miss.  Every
+   frame sits at its own PA's address, whichever segment holds it, so
+   each segment is one run, and the runs go in address order. *)
 let build_direct_map t segments =
-  let seg_frames = List.concat_map (fun (b, n) -> List.init n (fun i -> b + i)) segments in
-  let seg_array = Array.of_list seg_frames in
-  match segments with
-  | [] -> invalid_arg "Ksm: no delegated segments"
-  | (base, _) :: _ ->
-      build_subtree t
-        ~va_base:(Layout.direct_va_of_pa (Hw.Addr.pa_of_pfn base))
-        ~pages:(Array.length seg_array)
-        ~frame_of:(fun i -> seg_array.(i))
-        ~pkey:Hw.Pks.pkey_guest ~user:false ~writable:true ~nx:true
+  if segments = [] then invalid_arg "Ksm: no delegated segments";
+  build_subtree t
+    ~runs:
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) segments
+      |> List.map (fun (base, n) -> (Layout.direct_va_of_pa (Hw.Addr.pa_of_pfn base), base, n)))
+    ~flags:{ Hw.Pte.writable = true; user = false; nx = true; huge = false; pkey = Hw.Pks.pkey_guest }
 
 (* Find the direct-map leaf location of [pfn] so its pkey can be
    retagged; the direct map is KSM-built, so the walk is internal. *)
@@ -186,7 +204,7 @@ let create mem clock ~container_id ~cfg ~segments =
       clock;
       cfg;
       segments;
-      descs = Hashtbl.create 4096;
+      descs = Frames.create 64;
       roots = Hashtbl.create 16;
       pervcpu;
       kernel_root = 0;
@@ -199,9 +217,8 @@ let create mem clock ~container_id ~cfg ~segments =
   (* KSM code/data region. *)
   let ksm_frames = Array.init ksm_code_pages (fun _ -> alloc_ksm_frame t Hw.Phys_mem.Ksm_code) in
   let ksm_l3 =
-    build_subtree t ~va_base:Layout.ksm_base ~pages:ksm_code_pages
-      ~frame_of:(fun i -> ksm_frames.(i))
-      ~pkey:Hw.Pks.pkey_ksm ~user:false ~writable:true ~nx:false
+    build_region t ~va_base:Layout.ksm_base ~frames:ksm_frames
+      ~flags:{ Hw.Pte.writable = true; user = false; nx = false; huge = false; pkey = Hw.Pks.pkey_ksm }
   in
   (* Guest kernel image: kernel-executable, read-only, frozen at boot. *)
   let image_frames =
@@ -210,9 +227,8 @@ let create mem clock ~container_id ~cfg ~segments =
           ~kind:Hw.Phys_mem.Kernel_code)
   in
   let image_l3 =
-    build_subtree t ~va_base:Layout.kernel_image_base ~pages:kernel_image_pages
-      ~frame_of:(fun i -> image_frames.(i))
-      ~pkey:Hw.Pks.pkey_guest ~user:false ~writable:false ~nx:false
+    build_region t ~va_base:Layout.kernel_image_base ~frames:image_frames
+      ~flags:{ Hw.Pte.writable = false; user = false; nx = false; huge = false; pkey = Hw.Pks.pkey_guest }
   in
   let direct_l3 = build_direct_map t segments in
   let mk_link pfn = Hw.Pte.make ~pfn ~flags:{ Hw.Pte.default_flags with writable = true } in
@@ -271,7 +287,7 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
       clock;
       cfg;
       segments = imp.i_segments;
-      descs = Hashtbl.create 4096;
+      descs = Frames.create 64;
       roots = Hashtbl.create 16;
       pervcpu;
       kernel_root = imp.i_kernel_root;
@@ -286,7 +302,7 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
      frame kinds match what the imported trees reference. *)
   List.iter
     (fun (pfn, lvl) ->
-      Hashtbl.replace t.descs pfn { state = Guest_ptp lvl; ptp_map_count = 0 };
+      set_state t pfn (Guest_ptp lvl);
       Hw.Phys_mem.set_kind mem pfn (Hw.Phys_mem.Page_table lvl))
     imp.i_ptps;
   List.iter
@@ -306,10 +322,8 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
   let rec charge_direct lvl pfn =
     Hw.Clock.charge clock "snapshot_restore_table" Hw.Cost.restore_frame;
     if lvl > 1 then
-      for idx = 0 to Hw.Addr.entries_per_table - 1 do
-        let e = read_raw t ~pfn ~index:idx in
-        if Hw.Pte.is_present e then charge_direct (lvl - 1) (Hw.Pte.pfn e)
-      done
+      Hw.Phys_mem.iter_entries mem ~pfn (fun _ e ->
+          if Hw.Pte.is_present e then charge_direct (lvl - 1) (Hw.Pte.pfn e))
   in
   charge_direct 3 direct_l3;
   let direct_link =
@@ -362,11 +376,10 @@ let declare_ptp t ~pfn ~level : (unit, error) result =
   if not (owns_frame t pfn) then Error (Not_guest_frame pfn)
   else if level < 1 || level > 4 then Error (Wrong_level { expected = 1; got = level })
   else
-    let d = desc t pfn in
-    match d.state with
+    match page_state_of t pfn with
     | Guest_ptp _ | Ksm_private -> Error (Already_declared pfn)
     | Guest_data ->
-        d.state <- Guest_ptp level;
+        set_state t pfn (Guest_ptp level);
         Hw.Phys_mem.set_kind t.mem pfn (Hw.Phys_mem.Page_table level);
         Hw.Phys_mem.clear_table t.mem pfn;
         (* I2: the guest's direct-map view of this frame becomes
@@ -377,12 +390,10 @@ let declare_ptp t ~pfn ~level : (unit, error) result =
 let undeclare_ptp t ~pfn : (unit, error) result =
   if not (owns_frame t pfn) then Error (Not_guest_frame pfn)
   else
-    let d = desc t pfn in
-    match d.state with
+    match page_state_of t pfn with
     | Guest_data | Ksm_private -> Error (Not_declared pfn)
     | Guest_ptp _ ->
-        d.state <- Guest_data;
-        d.ptp_map_count <- 0;
+        set_state t pfn Guest_data;
         Hw.Phys_mem.set_kind t.mem pfn Hw.Phys_mem.Data;
         retag_direct_map t pfn ~pkey:Hw.Pks.pkey_guest;
         Ok ()
@@ -392,8 +403,7 @@ let check_leaf t ~va ~pfn ~(flags : Hw.Pte.flags) : (unit, error) result =
   if Layout.in_ksm va || Layout.in_pervcpu va then Error (Reserved_range va)
   else if not (owns_frame t pfn) then Error (Targets_monitor_memory va)
   else
-    let d = desc t pfn in
-    match d.state with
+    match page_state_of t pfn with
     | Ksm_private -> Error (Targets_monitor_memory va)
     | Guest_ptp _ -> Error (Maps_declared_ptp pfn)
     | Guest_data ->
@@ -415,7 +425,7 @@ let propagate_top t ~root ~idx v =
 let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error) result =
   charge_call t;
   let leaf_level = if flags.Hw.Pte.huge then 2 else 1 in
-  match (desc t root).state with
+  match page_state_of t root with
   | (Guest_data | Ksm_private) when not (Hashtbl.mem t.roots root) -> Error (Undeclared_root root)
   | _ -> (
       match check_leaf t ~va ~pfn ~flags with
@@ -437,11 +447,9 @@ let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error
                   if owns_frame t new_ptp then begin
                     (* Inline declaration: the guest passed a fresh frame
                        to become a PTP at lvl-1. *)
-                    let d = desc t new_ptp in
-                    match d.state with
+                    match page_state_of t new_ptp with
                     | Guest_data ->
-                        d.state <- Guest_ptp (lvl - 1);
-                        d.ptp_map_count <- 1;
+                        set_state t new_ptp (Guest_ptp (lvl - 1));
                         Hw.Phys_mem.set_kind t.mem new_ptp (Hw.Phys_mem.Page_table (lvl - 1));
                         Hw.Phys_mem.clear_table t.mem new_ptp;
                         retag_direct_map t new_ptp ~pkey:Hw.Pks.pkey_ptp;
@@ -512,9 +520,7 @@ let declare_root t ~pfn : (unit, error) result =
       let copies =
         Array.init (Pervcpu.vcpus t.pervcpu) (fun v ->
             let copy = alloc_ksm_frame t (Hw.Phys_mem.Page_table 4) in
-            for idx = 0 to Hw.Addr.entries_per_table - 1 do
-              write_raw t ~pfn:copy ~index:idx (read_raw t ~pfn ~index:idx)
-            done;
+            Hw.Phys_mem.iter_entries t.mem ~pfn (fun index e -> write_raw t ~pfn:copy ~index e);
             write_raw t ~pfn:copy ~index:Layout.l4_pervcpu (Pervcpu.l4_entry t.pervcpu v);
             copy)
       in
@@ -558,17 +564,15 @@ let release_root t ~root ~free_ptp : (unit, error) result =
   | Some info ->
       let rec free_subtree lvl table =
         if lvl > 1 then
-          for idx = 0 to Hw.Addr.entries_per_table - 1 do
-            let e = read_raw t ~pfn:table ~index:idx in
-            if Hw.Pte.is_present e && not (Hw.Pte.is_huge e) then begin
-              let child = Hw.Pte.pfn e in
-              if owns_frame t child then begin
-                free_subtree (lvl - 1) child;
-                ignore (undeclare_ptp t ~pfn:child);
-                free_ptp child
-              end
-            end
-          done
+          Hw.Phys_mem.iter_entries t.mem ~pfn:table (fun _ e ->
+              if Hw.Pte.is_present e && not (Hw.Pte.is_huge e) then begin
+                let child = Hw.Pte.pfn e in
+                if owns_frame t child then begin
+                  free_subtree (lvl - 1) child;
+                  ignore (undeclare_ptp t ~pfn:child);
+                  free_ptp child
+                end
+              end)
       in
       (* Only the user-range slots hold guest-owned subtrees. *)
       for idx = 0 to Layout.l4_user_max do
@@ -611,7 +615,8 @@ let kernel_root t = t.kernel_root
 let idt t = t.idt
 let pervcpu t = t.pervcpu
 let ksm_call_count t = t.ksm_calls
-let is_declared_ptp t pfn = match (desc t pfn).state with Guest_ptp _ -> true | Guest_data | Ksm_private -> false
+let is_declared_ptp t pfn =
+  match page_state_of t pfn with Guest_ptp _ -> true | Guest_data | Ksm_private -> false
 let root_copies t root = Option.map (fun i -> i.copies) (Hashtbl.find_opt t.roots root)
 
 (* ------------------------------------------------------------------ *)
@@ -623,13 +628,12 @@ let root_copies t root = Option.map (fun i -> i.copies) (Hashtbl.find_opt t.root
 
 let segments t = t.segments
 
-let page_state_of t pfn =
-  match Hashtbl.find_opt t.descs pfn with Some d -> d.state | None -> Guest_data
-
 let declared_ptps t =
-  Hashtbl.fold
-    (fun pfn d acc -> match d.state with Guest_ptp lvl -> (pfn, lvl) :: acc | _ -> acc)
+  Frames.fold
+    (fun pfn s acc -> match s with Guest_ptp lvl -> (pfn, lvl) :: acc | _ -> acc)
     t.descs []
+
+let state_records t = Frames.length t.descs
 
 let roots t = Hashtbl.fold (fun pfn info acc -> (pfn, info.copies) :: acc) t.roots []
 

@@ -170,6 +170,10 @@ val page_state_of : t -> Hw.Addr.pfn -> page_state
 val declared_ptps : t -> (Hw.Addr.pfn * int) list
 (** All frames currently declared as PTPs, with their levels. *)
 
+val state_records : t -> int
+(** Frames the monitor keeps a state record for: those whose state is
+    not [Guest_data], i.e. the declared PTPs. Lookups never add one. *)
+
 val roots : t -> (Hw.Addr.pfn * Hw.Addr.pfn array) list
 (** All declared top-level PTPs with their per-vCPU copies. *)
 

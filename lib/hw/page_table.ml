@@ -15,7 +15,6 @@ exception Translation_fault of { va : Addr.va; level : int }
 
 let create mem ~owner =
   let root = Phys_mem.alloc mem ~owner ~kind:(Phys_mem.Page_table 4) in
-  ignore (Phys_mem.table_entries mem root);
   { mem; root }
 
 let of_root mem root = { mem; root }
@@ -130,14 +129,12 @@ let set_accessed_dirty t va ~write =
 let fold_leaves t f init =
   let rec go lvl table_pfn va_base acc =
     let acc = ref acc in
-    for i = 0 to Addr.entries_per_table - 1 do
-      let e = Phys_mem.read_entry t.mem ~pfn:table_pfn ~index:i in
-      if Pte.is_present e then begin
-        let va = va_base lor (i lsl (Addr.page_shift + (9 * (lvl - 1)))) in
-        if lvl = 1 || (lvl = 2 && Pte.is_huge e) then acc := f !acc ~va ~pte:e ~level:lvl
-        else acc := go (lvl - 1) (Pte.pfn e) va !acc
-      end
-    done;
+    Phys_mem.iter_entries t.mem ~pfn:table_pfn (fun i e ->
+        if Pte.is_present e then begin
+          let va = va_base lor (i lsl (Addr.page_shift + (9 * (lvl - 1)))) in
+          if lvl = 1 || (lvl = 2 && Pte.is_huge e) then acc := f !acc ~va ~pte:e ~level:lvl
+          else acc := go (lvl - 1) (Pte.pfn e) va !acc
+        end);
     !acc
   in
   go Addr.levels t.root 0 init

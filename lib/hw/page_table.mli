@@ -62,7 +62,8 @@ val update : t -> Addr.va -> (Pte.t -> Pte.t) -> unit
 val set_accessed_dirty : t -> Addr.va -> write:bool -> unit
 
 val fold_leaves : t -> ('a -> va:Addr.va -> pte:Pte.t -> level:int -> 'a) -> 'a -> 'a
-(** Fold over all present leaf mappings. *)
+(** Fold over all present leaf mappings, in ascending VA order. [f]
+    must not write the table holding the leaf it is given. *)
 
 val count_mappings : t -> int
 

@@ -122,6 +122,7 @@ type t = {
   links : links;  (** owner lists: [2*pfn] = prev, [2*pfn+1] = next; uninitialised *)
   mutable owner_head : int array;  (** encoded owner -> first frame, [nil] = none *)
   mutable owner_count : int array;  (** encoded owner -> frames owned *)
+  mutable decoded : owner array;  (** encoded owner -> its value; [Free] = not yet decoded *)
 }
 
 exception Out_of_memory
@@ -173,6 +174,7 @@ let create ~frames:n =
       links = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (2 * n);
       owner_head = Array.make 64 (-1);
       owner_count = Array.make 64 0;
+      decoded = Array.make 64 Free;
     }
   in
   (* Invariant: unattached slots are fully zero, and attached slots
@@ -192,9 +194,19 @@ let mem_id t = t.mem_id
 let check_pfn t pfn =
   if pfn < 0 || pfn >= t.total_frames then invalid_arg "Phys_mem.frame: pfn out of range"
 
+(* Decoding [Container k] or [Ksm k] builds a block, and the scans ask
+   for the owner of every leaf they meet, so each code is decoded once
+   per machine and the value kept.  [decoded] grows with the owner
+   index ([link]), so it covers the code of every owned frame. *)
 let owner t pfn =
   check_pfn t pfn;
-  decode_owner t.owner_of.(pfn)
+  let code = t.owner_of.(pfn) in
+  match t.decoded.(code) with
+  | Free when code <> 0 ->
+      let o = decode_owner code in
+      t.decoded.(code) <- o;
+      o
+  | o -> o
 
 let kind t pfn =
   check_pfn t pfn;
@@ -286,10 +298,13 @@ let link t pfn code =
     if code >= cap then begin
       let cap' = max (2 * cap) (code + 1) in
       let head = Array.make cap' nil and count = Array.make cap' 0 in
+      let decoded = Array.make cap' Free in
       Array.blit t.owner_head 0 head 0 cap;
       Array.blit t.owner_count 0 count 0 cap;
+      Array.blit t.decoded 0 decoded 0 cap;
       t.owner_head <- head;
-      t.owner_count <- count
+      t.owner_count <- count;
+      t.decoded <- decoded
     end;
     let h = t.owner_head.(code) in
     set_prev t pfn nil;
@@ -360,12 +375,13 @@ let find_free_from t start =
     scan (if ws + 1 = nwords then 0 else ws + 1) (nwords - 1)
   end
 
-(* Claim one free frame: metadata reset + bitmap/count update.  Any
-   stale table slot from the frame's previous life is recycled. *)
-let claim t pfn ~owner ~kind =
+(* Claim one free frame for encoded [owner] and [kind]: metadata reset
+   + bitmap/count update.  Any stale table slot from the frame's
+   previous life is recycled. *)
+let[@inline] claim t pfn ~owner ~kind =
   trace_write t pfn;
-  reown t pfn (encode_owner owner);
-  t.kind_of.(pfn) <- encode_kind kind;
+  reown t pfn owner;
+  t.kind_of.(pfn) <- kind;
   t.refcnt.(pfn) <- 0;
   Bytes.set t.shared pfn '\000';
   release_slot t pfn;
@@ -377,7 +393,7 @@ let alloc t ~owner ~kind =
   let pfn = find_free_from t t.next_free in
   let nf = pfn + 1 in
   t.next_free <- (if nf = t.total_frames then 0 else nf);
-  claim t pfn ~owner ~kind;
+  claim t pfn ~owner:(encode_owner owner) ~kind:(encode_kind kind);
   pfn
 
 (* Allocate [count] physically-contiguous frames; first-fit from frame
@@ -420,15 +436,15 @@ let alloc_contiguous t ~owner ~kind ~count =
      done
    with Exit -> ());
   if !base < 0 then raise Out_of_memory;
+  let owner = encode_owner owner and kind = encode_kind kind in
   for i = !base to !base + count - 1 do
     claim t i ~owner ~kind
   done;
   !base
 
-let free t pfn =
-  check_pfn t pfn;
-  trace_write t pfn;
-  if t.owner_of.(pfn) = 0 then invalid_arg "Phys_mem.free: double free";
+(* Return an allocated frame (the trace event already emitted) to the
+   free pool. *)
+let[@inline] release_frame t pfn =
   if Bytes.get t.shared pfn <> '\000' && t.refcnt.(pfn) > 0 then
     invalid_arg "Phys_mem.free: shared frame still referenced";
   reown t pfn 0;
@@ -439,10 +455,25 @@ let free t pfn =
   set_free_bit t pfn;
   t.free_count <- t.free_count + 1
 
+let free t pfn =
+  check_pfn t pfn;
+  trace_write t pfn;
+  if t.owner_of.(pfn) = 0 then invalid_arg "Phys_mem.free: double free";
+  release_frame t pfn
+
+(* [free] over a run, with one range check, skipping frames that are
+   already free. *)
 let free_range t ~base ~count =
-  for pfn = base to base + count - 1 do
-    free t pfn
-  done
+  if count > 0 then begin
+    check_pfn t base;
+    check_pfn t (base + count - 1);
+    for pfn = base to base + count - 1 do
+      if t.owner_of.(pfn) <> 0 then begin
+        trace_write t pfn;
+        release_frame t pfn
+      end
+    done
+  end
 
 let set_kind t pfn kind =
   check_pfn t pfn;
@@ -481,18 +512,28 @@ let is_shared_ro t pfn =
 (* Table-frame accessors: the frame's 512-entry slot in the PTE arena
    is acquired lazily on first write (a slot-less frame reads as all
    zeros, exactly what a fresh slot would hold). *)
-let table_entries t pfn =
-  check_pfn t pfn;
-  trace_read t pfn;
-  let s = ensure_slot t pfn in
-  Array.init entries (fun i -> Bigarray.Array1.get t.arena ((s * entries) + i))
-
 let read_entry t ~pfn ~index =
   check_pfn t pfn;
   if index < 0 || index >= entries then invalid_arg "Phys_mem.read_entry";
   trace_read t pfn;
   let s = t.table_slot.(pfn) in
   if s < 0 then 0L else Bigarray.Array1.get t.arena ((s * entries) + index)
+
+(* Entries outside the slot's written range are zero (the arena
+   invariant), so only [dirty_lo .. dirty_hi] can hold one to visit.
+   The arena and the range are read once: [f] may grow the arena by
+   writing other frames, which copies this slot's unchanged contents. *)
+let iter_entries t ~pfn f =
+  check_pfn t pfn;
+  trace_read t pfn;
+  let s = t.table_slot.(pfn) in
+  if s >= 0 then begin
+    let arena = t.arena and base = s * entries in
+    for index = t.dirty_lo.(s) to t.dirty_hi.(s) do
+      let e = Bigarray.Array1.unsafe_get arena (base + index) in
+      if not (Int64.equal e 0L) then f index e
+    done
+  end
 
 let write_entry t ~pfn ~index value =
   check_pfn t pfn;
@@ -502,6 +543,22 @@ let write_entry t ~pfn ~index value =
   Bigarray.Array1.set t.arena ((s * entries) + index) value;
   if index < t.dirty_lo.(s) then t.dirty_lo.(s) <- index;
   if index > t.dirty_hi.(s) then t.dirty_hi.(s) <- index
+
+(* A run of entries an arithmetic progression apart, one traced write
+   and one dirty-range update for the run. *)
+let write_run t ~pfn ~index ~count ~first ~step =
+  check_pfn t pfn;
+  if index < 0 || count < 0 || index + count > entries then invalid_arg "Phys_mem.write_run";
+  if count > 0 then begin
+    trace_write t pfn;
+    let s = ensure_slot t pfn in
+    let base = (s * entries) + index in
+    for k = 0 to count - 1 do
+      Bigarray.Array1.unsafe_set t.arena (base + k) (Int64.add first (Int64.mul (Int64.of_int k) step))
+    done;
+    if index < t.dirty_lo.(s) then t.dirty_lo.(s) <- index;
+    if index + count - 1 > t.dirty_hi.(s) then t.dirty_hi.(s) <- index + count - 1
+  end
 
 (* Page copies: a frame's first [len] bytes are its words in
    little-endian order, the last partial word zero-padded above [len]

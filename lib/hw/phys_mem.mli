@@ -69,6 +69,12 @@ val free : t -> Addr.pfn -> unit
 (** @raise Invalid_argument on double free. *)
 
 val free_range : t -> base:Addr.pfn -> count:int -> unit
+(** [free_range t ~base ~count] frees every allocated frame of
+    [base .. base+count-1], as {!free} would one by one; frames already
+    free are skipped. The owner index stays exact.
+    @raise Invalid_argument when the range leaves memory, or on a
+    shared frame still referenced (earlier frames stay freed). *)
+
 val set_kind : t -> Addr.pfn -> kind -> unit
 val set_owner : t -> Addr.pfn -> owner -> unit
 val incr_ref : t -> Addr.pfn -> unit
@@ -87,13 +93,29 @@ val is_shared_ro : t -> Addr.pfn -> bool
     lazily the first time the frame is used as a page-table (or EPT)
     page; a slot-less frame reads as all zeros. *)
 
-val table_entries : t -> Addr.pfn -> int64 array
-(** Fresh snapshot copy of the frame's 512 entries (acquiring the
-    frame's arena slot if it has none). Mutating the returned array
-    does not write memory — use {!write_entry}. *)
+val iter_entries : t -> pfn:Addr.pfn -> (int -> int64 -> unit) -> unit
+(** [iter_entries t ~pfn f] calls [f index entry] on every nonzero
+    entry of the frame, in ascending [index] order: the one pass over a
+    table that replaces 512 {!read_entry} calls. It pays one range check,
+    one traced read and one slot lookup per table, and visits only the
+    slot's written range; a slot-less frame visits nothing.
+
+    [f] must not write, clear or free the frame being visited (other
+    frames are fine). *)
+
 val read_entry : t -> pfn:Addr.pfn -> index:int -> int64
 val write_entry : t -> pfn:Addr.pfn -> index:int -> int64 -> unit
 val clear_table : t -> Addr.pfn -> unit
+
+val write_run :
+  t -> pfn:Addr.pfn -> index:int -> count:int -> first:int64 -> step:int64 -> unit
+(** [write_run t ~pfn ~index ~count ~first ~step] stores [first + k * step]
+    at entry [index + k] for [0 <= k < count]: what [count] {!write_entry}
+    calls would store (a run of leaves over consecutive frames is [step]
+    apart), with one range check, one traced write and one dirty-range
+    update. [count = 0] touches nothing.
+    @raise Invalid_argument unless [0 <= index] and
+    [index + count <= 512]. *)
 
 val read_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
 (** [read_bytes t ~pfn dst ~off ~len] copies the frame's first [len]

@@ -14,7 +14,9 @@ type zone = {
   base : Hw.Addr.pfn;
   frames : int;
   free_lists : Hw.Addr.pfn list array;  (** index = order *)
-  order_of : (Hw.Addr.pfn, int) Hashtbl.t;  (** allocated block -> order *)
+  head_order : Bytes.t;
+      (** per zone frame: 1 + order of the allocated block it heads, 0 if
+          it heads none *)
   mutable free_count : int;
 }
 
@@ -29,7 +31,7 @@ let make_zone ~base ~frames =
       base;
       frames;
       free_lists = Array.make (max_order + 1) [];
-      order_of = Hashtbl.create 256;
+      head_order = Bytes.make frames '\000';
       free_count = frames;
     }
   in
@@ -63,13 +65,24 @@ let total_frames t = Array.fold_left (fun acc z -> acc + z.frames) 0 t.zones
 let free_frames t = Array.fold_left (fun acc z -> acc + z.free_count) 0 t.zones
 
 let zone_of t pfn =
-  let found = ref None in
-  Array.iter
-    (fun z -> if !found = None && pfn >= z.base && pfn < z.base + z.frames then found := Some z)
-    t.zones;
-  match !found with
-  | Some z -> z
-  | None -> invalid_arg "Buddy: frame outside every zone"
+  let rec find i =
+    if i = Array.length t.zones then invalid_arg "Buddy: frame outside every zone"
+    else
+      let z = t.zones.(i) in
+      if pfn >= z.base && pfn < z.base + z.frames then z else find (i + 1)
+  in
+  find 0
+
+(* [List.mem] and [List.filter] on frame lists, without the polymorphic
+   comparison: [remove] drops the one occurrence and keeps the order. *)
+let rec mem (pfn : Hw.Addr.pfn) = function [] -> false | p :: rest -> p = pfn || mem pfn rest
+
+let rec remove (pfn : Hw.Addr.pfn) = function
+  | [] -> []
+  | p :: rest -> if p = pfn then rest else p :: remove pfn rest
+
+let set_head z pfn order = Bytes.set z.head_order (pfn - z.base) (Char.chr (order + 1))
+let head_order z pfn = Char.code (Bytes.get z.head_order (pfn - z.base)) - 1
 
 let buddy_of z pfn order = ((pfn - z.base) lxor (1 lsl order)) + z.base
 
@@ -95,7 +108,7 @@ let zone_alloc_order z order =
           pfn
   in
   let pfn = take order in
-  Hashtbl.replace z.order_of pfn order;
+  set_head z pfn order;
   z.free_count <- z.free_count - (1 lsl order);
   pfn
 
@@ -118,8 +131,8 @@ let rec coalesce z pfn order =
   if order >= max_order then z.free_lists.(order) <- pfn :: z.free_lists.(order)
   else
     let b = buddy_of z pfn order in
-    if b >= z.base && b < z.base + z.frames && List.mem b z.free_lists.(order) then begin
-      z.free_lists.(order) <- List.filter (fun p -> p <> b) z.free_lists.(order);
+    if b >= z.base && b < z.base + z.frames && mem b z.free_lists.(order) then begin
+      z.free_lists.(order) <- remove b z.free_lists.(order);
       coalesce z (min pfn b) (order + 1)
     end
     else z.free_lists.(order) <- pfn :: z.free_lists.(order)
@@ -128,13 +141,19 @@ let base t = t.zones.(0).base
 
 let zones t = Array.to_list (Array.map (fun z -> (z.base, z.frames)) t.zones)
 
-(* Allocated block heads with orders, sorted — the allocator's logical
-   state for snapshot capture (free lists are derived on restore). *)
+(* Allocated block heads with orders, in ascending frame order within
+   each zone — the allocator's logical state for snapshot capture (free
+   lists are derived on restore). *)
 let allocated_blocks t =
-  Array.fold_left
-    (fun acc z -> Hashtbl.fold (fun pfn order l -> (pfn, order) :: l) z.order_of acc)
-    [] t.zones
-  |> List.sort compare
+  Array.fold_right
+    (fun z acc ->
+      let l = ref acc in
+      for i = z.frames - 1 downto 0 do
+        let order = head_order z (z.base + i) in
+        if order >= 0 then l := (z.base + i, order) :: !l
+      done;
+      !l)
+    t.zones []
 
 (* Snapshot restore: carve the specific block [pfn, pfn + 2^order) out
    of a fresh allocator, reproducing the captured allocation pattern. *)
@@ -144,22 +163,17 @@ let reserve t pfn order =
   if (pfn - z.base) land ((1 lsl order) - 1) <> 0 then
     invalid_arg "Buddy.reserve: misaligned block";
   (* Find the free block containing [pfn] — it must sit at order >= the
-     requested one for the reservation to be satisfiable. *)
-  let containing =
-    let found = ref None in
-    Array.iteri
-      (fun o lst ->
-        if !found = None && o >= order then
-          List.iter
-            (fun b -> if !found = None && b <= pfn && pfn < b + (1 lsl o) then found := Some (b, o))
-            lst)
-      z.free_lists;
-    match !found with
-    | Some bo -> bo
-    | None -> invalid_arg "Buddy.reserve: block not free"
+     requested one for the reservation to be satisfiable.  Blocks are
+     aligned to their size within the zone, so at each order only one
+     block can contain [pfn]. *)
+  let rec containing o =
+    if o > max_order then invalid_arg "Buddy.reserve: block not free"
+    else
+      let b = z.base + ((pfn - z.base) land lnot ((1 lsl o) - 1)) in
+      if mem b z.free_lists.(o) then (b, o) else containing (o + 1)
   in
-  let b0, o0 = containing in
-  z.free_lists.(o0) <- List.filter (fun p -> p <> b0) z.free_lists.(o0);
+  let b0, o0 = containing order in
+  z.free_lists.(o0) <- remove b0 z.free_lists.(o0);
   (* Split down, keeping the halves that do not contain [pfn] free. *)
   let rec split b o =
     if o = order then assert (b = pfn)
@@ -177,15 +191,15 @@ let reserve t pfn order =
     end
   in
   split b0 o0;
-  Hashtbl.replace z.order_of pfn order;
+  set_head z pfn order;
   z.free_count <- z.free_count - (1 lsl order)
 
 let free t pfn =
   let z = zone_of t pfn in
-  match Hashtbl.find_opt z.order_of pfn with
-  | None -> invalid_arg "Buddy.free: not an allocated block head"
-  | Some order ->
-      Hashtbl.remove z.order_of pfn;
+  match head_order z pfn with
+  | -1 -> invalid_arg "Buddy.free: not an allocated block head"
+  | order ->
+      Bytes.set z.head_order (pfn - z.base) '\000';
       z.free_count <- z.free_count + (1 lsl order);
       coalesce z pfn order
 

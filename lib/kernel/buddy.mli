@@ -42,8 +42,9 @@ val zones : t -> (Hw.Addr.pfn * int) list
 (** The zones as [(base, frames)], in delegation order. *)
 
 val allocated_blocks : t -> (Hw.Addr.pfn * int) list
-(** Allocated block heads with their orders, sorted — the allocator's
-    logical state for snapshot capture. *)
+(** Allocated block heads with their orders, zone by zone in
+    delegation order, ascending within a zone — the allocator's logical
+    state for snapshot capture. *)
 
 val reserve : t -> Hw.Addr.pfn -> int -> unit
 (** Snapshot restore: carve the specific block [pfn, pfn + 2{^order})

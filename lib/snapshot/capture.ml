@@ -35,6 +35,10 @@ exception Fail of error
 (* Span of one entry at a level: 4 KiB at L1, 2 MiB at L2, ... *)
 let span lvl = 1 lsl (Hw.Addr.page_shift + (9 * (lvl - 1)))
 
+(* Order on a unique int key: the order [compare] gives the pairs, at
+   a fraction of its cost. *)
+let by_key (a, _) (b, _) = Int.compare a b
+
 let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
   let ksm = c.ksm in
   let id = c.container_id in
@@ -45,12 +49,12 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
   let segs = Cki.Ksm.segments ksm in
   let seg_bases = Array.of_list (List.map fst segs) in
   let seg_sizes = Array.of_list (List.map snd segs) in
-  let seg_of pfn =
-    let found = ref None in
-    Array.iteri
-      (fun i base -> if pfn >= base && pfn < base + seg_sizes.(i) then found := Some (i, pfn - base))
-      seg_bases;
-    !found
+  (* The segment holding [pfn] (search from [i]), or -1.  Asked for
+     every reference the walk meets, so it allocates nothing. *)
+  let rec seg_index pfn i =
+    if i = Array.length seg_bases then -1
+    else if pfn >= seg_bases.(i) && pfn < seg_bases.(i) + seg_sizes.(i) then i
+    else seg_index pfn (i + 1)
   in
   (* Auxiliary frames, numbered in first-reference order. *)
   let aux_ids : (Hw.Addr.pfn, int) Hashtbl.t = Hashtbl.create 64 in
@@ -75,9 +79,8 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
         i
   in
   let ref_of pfn =
-    match seg_of pfn with
-    | Some (seg, off) -> Image.Seg { seg; off }
-    | None -> Image.Aux (register_aux pfn)
+    let seg = seg_index pfn 0 in
+    if seg >= 0 then Image.Seg { seg; off = pfn - seg_bases.(seg) } else Image.Aux (register_aux pfn)
   in
   (* Table walk. *)
   let visited : (Hw.Addr.pfn, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -88,21 +91,19 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
       let frame_ref = ref_of pfn in
       let entries = ref [] in
       let children = ref [] in
-      for idx = 0 to Hw.Addr.entries_per_table - 1 do
-        (* The direct-map subtree is deliberately not captured: its VA
-           layout keys on this machine's physical addresses
-           (va = direct_map_base + pa), so Ksm.restore rebuilds it from
-           the new segment bases instead of relocating stale keys. *)
-        let skip = lvl = Hw.Addr.levels && idx = Cki.Layout.l4_direct in
-        let e = Hw.Phys_mem.read_entry mem ~pfn ~index:idx in
-        if (not skip) && Hw.Pte.is_present e then begin
-          let target = Hw.Pte.pfn e in
-          entries :=
-            { Image.e_index = idx; e_bits = Image.strip_pfn e; e_target = ref_of target } :: !entries;
-          let leaf = lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) in
-          if not leaf then children := (target, va_base + (idx * span lvl)) :: !children
-        end
-      done;
+      Hw.Phys_mem.iter_entries mem ~pfn (fun idx e ->
+          (* The direct-map subtree is deliberately not captured: its VA
+             layout keys on this machine's physical addresses
+             (va = direct_map_base + pa), so Ksm.restore rebuilds it from
+             the new segment bases instead of relocating stale keys. *)
+          let skip = lvl = Hw.Addr.levels && idx = Cki.Layout.l4_direct in
+          if (not skip) && Hw.Pte.is_present e then begin
+            let target = Hw.Pte.pfn e in
+            entries :=
+              { Image.e_index = idx; e_bits = Image.strip_pfn e; e_target = ref_of target } :: !entries;
+            let leaf = lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) in
+            if not leaf then children := (target, va_base + (idx * span lvl)) :: !children
+          end);
       Hw.Clock.charge clock "snapshot_capture_table" Hw.Cost.restore_frame;
       tables_rev :=
         { Image.t_frame = frame_ref; t_level = lvl; t_va = va_base; t_entries = List.rev !entries }
@@ -155,10 +156,8 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
       if not (Hashtbl.mem direct_tables pfn) then begin
         Hashtbl.replace direct_tables pfn ();
         if lvl > 1 then
-          for idx = 0 to Hw.Addr.entries_per_table - 1 do
-            let e = Hw.Phys_mem.read_entry mem ~pfn ~index:idx in
-            if Hw.Pte.is_present e then collect_direct (lvl - 1) (Hw.Pte.pfn e)
-          done
+          Hw.Phys_mem.iter_entries mem ~pfn (fun _ e ->
+              if Hw.Pte.is_present e then collect_direct (lvl - 1) (Hw.Pte.pfn e))
       end
     in
     let direct_link = Hw.Phys_mem.read_entry mem ~pfn:kroot ~index:Cki.Layout.l4_direct in
@@ -169,7 +168,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
         if not (Hashtbl.mem aux_ids pfn || Hashtbl.mem direct_tables pfn) then
           raise (Fail (Unreachable_frame pfn)));
     Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container id) (fun pfn ->
-        if not (Cki.Ksm.owns_frame ksm pfn || Hashtbl.mem aux_ids pfn) then
+        if not (seg_index pfn 0 >= 0 || Hashtbl.mem aux_ids pfn) then
           raise (Fail (Unreachable_frame pfn)));
     (* Monitor metadata.  The direct-map template slot is omitted along
        with its subtree. *)
@@ -217,9 +216,9 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     let buddy_blocks =
       Kernel_model.Buddy.allocated_blocks c.buddy
       |> List.map (fun (pfn, order) ->
-             match seg_of pfn with
-             | Some (seg, off) -> (seg_starts.(seg) + off, order)
-             | None -> raise (Fail (Foreign_frame pfn)))
+             let seg = seg_index pfn 0 in
+             if seg < 0 then raise (Fail (Foreign_frame pfn))
+             else (seg_starts.(seg) + pfn - seg_bases.(seg), order))
     in
     let fs = Kernel_model.Kernel.fs kernel in
     let ino_path : (int, string) Hashtbl.t = Hashtbl.create 64 in
@@ -282,7 +281,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
             tk_brk = Kernel_model.Mm.brk_now mm;
             tk_cursor = Kernel_model.Mm.mmap_cursor_now mm;
             tk_vmas = List.sort (fun a b -> compare a.Image.v_start b.Image.v_start) !vmas;
-            tk_pages = List.sort compare !pages;
+            tk_pages = List.sort by_key !pages;
             tk_fds = fds;
           })
         (Kernel_model.Kernel.tasks kernel)
@@ -303,7 +302,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
         cpus;
         next_pid = Kernel_model.Kernel.next_pid kernel;
         next_as = !(c.next_as);
-        buddy_blocks = List.sort compare buddy_blocks;
+        buddy_blocks = List.sort by_key buddy_blocks;
         aspaces = List.map (fun (aid, root) -> (aid, ref_of root)) aspace_list;
         tasks;
         dirs = List.rev !dirs_rev;

@@ -35,9 +35,11 @@ type t = {
   gate_exits : int list;
   obj_magics : int list;
   assert_falses : int list;
-  frame_sweeps : int list;
-      (** lines of [for _ = 0 to ... Phys_mem.total_frames ... - 1]
-          loops: an O(machine) scan where an owner index would do *)
+  frame_sweeps : (string * int) list;
+      (** [for _ = 0 to ... - 1] loops bounded by
+          [Phys_mem.total_frames] (an O(machine) scan where an owner
+          index would do) or by [entries_per_table] (512 entry reads
+          where [Phys_mem.iter_entries] would do), as (bound, line) *)
 }
 
 let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
@@ -47,7 +49,7 @@ let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
    contents or frame metadata and are the operations the CKI security
    argument says only the TCB may reach. *)
 let write_sinks =
-  [ "write_entry"; "write_bytes"; "clear_table"; "set_kind"; "set_owner"; "set_shared_ro" ]
+  [ "write_entry"; "write_run"; "write_bytes"; "clear_table"; "set_kind"; "set_owner"; "set_shared_ro" ]
 
 let sink_module = "Phys_mem"
 
@@ -89,7 +91,7 @@ type acc = {
   mutable exits : int list;
   mutable magics : int list;
   mutable asserts : int list;
-  mutable sweeps : int list;
+  mutable sweeps : (string * int) list;
 }
 
 let add_ref acc head line =
@@ -125,15 +127,18 @@ let module_path acc lid loc =
       end
   | [] -> ()
 
-(* Does [e] mention [Phys_mem.total_frames] anywhere? *)
-let mentions_total_frames e =
-  let found = ref false in
+(* The sweep bound [e] mentions, if any: [Phys_mem.total_frames] (every
+   frame of the machine) or [entries_per_table] under any path (every
+   slot of a table). *)
+let sweep_bound e =
+  let found = ref None in
   let open Ast_iterator in
   let expr sub e =
     (match e.pexp_desc with
     | Pexp_ident { txt; _ } -> (
         match List.rev (Longident.flatten txt) with
-        | "total_frames" :: m :: _ when m = sink_module -> found := true
+        | "total_frames" :: m :: _ when m = sink_module -> found := Some "Phys_mem.total_frames"
+        | "entries_per_table" :: _ when !found = None -> found := Some "entries_per_table"
         | _ -> ())
     | _ -> ());
     default_iterator.expr sub e
@@ -176,9 +181,10 @@ let iterate_structure str =
     | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
       ->
         acc.asserts <- line_of e.pexp_loc :: acc.asserts
-    | Pexp_for (_, { pexp_desc = Pexp_constant (Pconst_integer ("0", None)); _ }, hi, Upto, _)
-      when mentions_total_frames hi ->
-        acc.sweeps <- line_of e.pexp_loc :: acc.sweeps
+    | Pexp_for (_, { pexp_desc = Pexp_constant (Pconst_integer ("0", None)); _ }, hi, Upto, _) -> (
+        match sweep_bound hi with
+        | Some bound -> acc.sweeps <- (bound, line_of e.pexp_loc) :: acc.sweeps
+        | None -> ())
     | _ -> ());
     default_iterator.expr sub e
   in

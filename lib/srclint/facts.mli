@@ -26,9 +26,11 @@ type t = {
   gate_exits : int list;
   obj_magics : int list;
   assert_falses : int list;
-  frame_sweeps : int list;
-      (** lines of [for _ = 0 to ... Phys_mem.total_frames ... - 1]
-          loops: an O(machine) scan where an owner index would do *)
+  frame_sweeps : (string * int) list;
+      (** [for _ = 0 to ... - 1] loops bounded by
+          [Phys_mem.total_frames] (an O(machine) scan where an owner
+          index would do) or by [entries_per_table] (512 entry reads
+          where [Phys_mem.iter_entries] would do), as (bound, line) *)
 }
 
 val write_sinks : string list

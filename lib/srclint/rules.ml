@@ -236,15 +236,21 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
           facts.Facts.assert_falses
       end;
       (* Ownership questions go through [Phys_mem]'s owner index
-         ([iter_owned]/[owned_count]); only the hardware model itself
-         may walk every frame. *)
+         ([iter_owned]/[owned_count]) and table walks through
+         [iter_entries]; only the hardware model itself may loop over
+         every frame or every slot of a table. *)
       if (not exe) && not (String.starts_with ~prefix:"lib/hw/" path) then
         List.iter
-          (fun line ->
+          (fun (bound, line) ->
             emit
-              (mk "frame-sweep" warn path line "Phys_mem.total_frames"
-                 "loop over every physical frame outside lib/hw; use \
-                  Hw.Phys_mem.iter_owned or owned_count, which cost O(frames owned)"))
+              (mk "frame-sweep" warn path line bound
+                 (if bound = "entries_per_table" then
+                    "loop over every slot of a page table outside lib/hw; use \
+                     Hw.Phys_mem.iter_entries, one access per table that visits only the \
+                     written entries"
+                  else
+                    "loop over every physical frame outside lib/hw; use \
+                     Hw.Phys_mem.iter_owned or owned_count, which cost O(frames owned)")))
           facts.Facts.frame_sweeps;
       let n_enter = List.length facts.Facts.gate_enters
       and n_exit = List.length facts.Facts.gate_exits in

@@ -77,14 +77,14 @@ let rec insert_nonfull arena n key value =
     n.nkeys <- n.nkeys + 1
   end
   else begin
-    let pos =
-      if n.children.(pos).nkeys = order then begin
-        split_child arena n pos;
-        if key > n.keys.(pos) then pos + 1 else pos
-      end
-      else pos
-    in
-    insert_nonfull arena n.children.(pos) key value
+    if n.children.(pos).nkeys = order then begin
+      split_child arena n pos;
+      (* the split moved the child's median up to [pos]: it may be the
+         key being updated *)
+      if key = n.keys.(pos) then n.values.(pos) <- value
+      else insert_nonfull arena n.children.(if key > n.keys.(pos) then pos + 1 else pos) key value
+    end
+    else insert_nonfull arena n.children.(pos) key value
   end
 
 (* Value payload stored out-of-line per entry (the KV-store part). *)

@@ -510,6 +510,35 @@ let test_all_attacks_blocked () =
     (fun (name, outcome) -> check_bool name true (Cki.Attacks.is_blocked outcome))
     (Cki.Attacks.all c)
 
+(* The monitor keeps a state record only for frames whose state is not
+   plain guest data: mapping data pages (every one passes the
+   [check_leaf] lookup) must not add one each. *)
+let test_ksm_state_records_track_declared_ptps () =
+  let c = mk_container () in
+  let ksm = Cki.Container.ksm c in
+  let b = Cki.Container.backend c in
+  let task = Virt.Backend.spawn b in
+  let before = Cki.Ksm.state_records ksm in
+  let base =
+    match
+      Virt.Backend.syscall_exn b task
+        (Kernel_model.Syscall.Mmap { pages = 1024; prot = Kernel_model.Vma.prot_rw })
+    with
+    | Kernel_model.Syscall.Rint v -> v
+    | _ -> fail "mmap"
+  in
+  ignore (Kernel_model.Mm.touch_range task.Kernel_model.Task.mm ~start:base ~pages:1024 ~write:true);
+  check_int "1024 pages resident" 1024 (Kernel_model.Mm.resident_pages task.Kernel_model.Task.mm);
+  check_int "one record per declared PTP" (List.length (Cki.Ksm.declared_ptps ksm))
+    (Cki.Ksm.state_records ksm);
+  (* 1024 pages take two more L1 tables (and at most an L2 and an L3) *)
+  check_bool "at most 4 new records for 1024 mapped pages" true
+    (Cki.Ksm.state_records ksm - before <= 4);
+  let records = Cki.Ksm.state_records ksm in
+  check_bool "fresh frame undeclared" false
+    (Cki.Ksm.is_declared_ptp ksm (Kernel_model.Buddy.alloc (Cki.Container.buddy c)));
+  check_int "a lookup adds no record" records (Cki.Ksm.state_records ksm)
+
 let suite =
   [
     ( "cki/ksm",
@@ -527,6 +556,7 @@ let suite =
         test_case "release_root recovers frames" `Quick test_ksm_release_root;
         test_case "KSM call cost accounting" `Quick test_ksm_call_costs;
         QCheck_alcotest.to_alcotest prop_ksm_isolation_invariant;
+        test_case "state records only for PTPs" `Quick test_ksm_state_records_track_declared_ptps;
       ] );
     ( "cki/gates",
       [

@@ -168,17 +168,24 @@ let test_arena_slot_recycling () =
     Hw.Phys_mem.free m f
   done
 
-(* table_entries returns a snapshot: mutating it must not write
-   memory. *)
-let test_table_entries_snapshot () =
+(* iter_entries visits what was written, and stops seeing an entry
+   once it is overwritten with zero or the table is cleared. *)
+let test_iter_entries_sees_writes () =
   let m = Hw.Phys_mem.create ~frames:8 in
   let f = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1) in
+  let seen () =
+    let acc = ref [] in
+    Hw.Phys_mem.iter_entries m ~pfn:f (fun i e -> acc := (i, e) :: !acc);
+    List.rev !acc
+  in
+  check bool "a fresh table visits nothing" true (seen () = []);
   Hw.Phys_mem.write_entry m ~pfn:f ~index:3 99L;
-  let snap = Hw.Phys_mem.table_entries m f in
-  check bool "snapshot sees the entry" true (snap.(3) = 99L);
-  snap.(3) <- 0L;
-  check bool "mutating the snapshot does not write memory" true
-    (Hw.Phys_mem.read_entry m ~pfn:f ~index:3 = 99L)
+  Hw.Phys_mem.write_entry m ~pfn:f ~index:511 7L;
+  check bool "both entries, ascending" true (seen () = [ (3, 99L); (511, 7L) ]);
+  Hw.Phys_mem.write_entry m ~pfn:f ~index:3 0L;
+  check bool "a zeroed entry is skipped" true (seen () = [ (511, 7L) ]);
+  Hw.Phys_mem.clear_table m f;
+  check bool "a cleared table visits nothing" true (seen () = [])
 
 (* ------------------------------------------------------------------ *)
 (* Owner index                                                         *)
@@ -565,7 +572,7 @@ let suite =
         test_case "allocation order preserved" `Quick test_allocation_order_preserved;
         test_case "contiguous runs across bitmap words" `Quick test_contiguous_across_words;
         test_case "arena slots are recycled zeroed" `Quick test_arena_slot_recycling;
-        test_case "table_entries is a snapshot" `Quick test_table_entries_snapshot;
+        test_case "iter_entries sees writes" `Quick test_iter_entries_sees_writes;
       ] );
     ( "engine-owner-index",
       [

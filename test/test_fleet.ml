@@ -283,6 +283,67 @@ let test_first_fit_fragmentation_regression () =
   check int "scatter container passes the scanner" 0
     (List.length (Analysis.check_machine ~containers:[ c ]))
 
+(* A scatter-delegated container's direct map puts every segment frame
+   at its own PA's address, whichever segment holds it, so a PTP
+   declared in a later segment is retagged pkey_ptp like one in the
+   first (I2).  The map costs the monitor an L3, an L2 and one L1 per
+   2-MiB region the segments touch, on top of what a one-segment
+   container of the same config owns. *)
+let direct_map_regions segs =
+  List.sort_uniq Int.compare
+    (List.concat_map (fun (base, n) -> List.init n (fun i -> (base + i) lsr 9)) segs)
+
+let ksm_frames mem c =
+  Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm (Cki.Container.container_id c))
+
+let test_scatter_direct_map () =
+  let cfg = cfg_of 2560 in
+  let machine = Hw.Machine.create ~cpus:2 ~mem_mib:64 () in
+  let mem = Hw.Machine.mem machine in
+  let host = Cki.Host.create ~policy:Cki.Host.First_fit machine in
+  let one = Cki.Container.create ~cfg host in
+  let one_segs = Cki.Ksm.segments (Cki.Container.ksm one) in
+  check int "first-fit: one segment" 1 (List.length one_segs);
+  let outside_direct_map = ksm_frames mem one - 2 - List.length (direct_map_regions one_segs) in
+  Cki.Container.destroy one;
+  let packed = ref [] in
+  (try
+     while true do
+       packed := Cki.Container.create ~cfg:(cfg_of 1024) host :: !packed
+     done
+   with Hw.Phys_mem.Out_of_memory -> ());
+  List.iteri (fun i c -> if i mod 2 = 0 then Cki.Container.destroy c) (List.rev !packed);
+  Cki.Host.set_policy host Cki.Host.Scatter;
+  let c = Cki.Container.create ~cfg host in
+  let ksm = Cki.Container.ksm c in
+  let segs = Cki.Ksm.segments ksm in
+  check bool "at least 3 segments" true (List.length segs >= 3);
+  let last_base, _ = List.nth segs (List.length segs - 1) in
+  (match Cki.Ksm.declare_ptp ksm ~pfn:(last_base + 10) ~level:1 with
+  | Ok () -> ()
+  | Error e -> fail (Cki.Ksm.show_error e));
+  let pt = Hw.Page_table.of_root mem (Cki.Ksm.kernel_root ksm) in
+  let misplaced = ref 0 in
+  List.iter
+    (fun (base, n) ->
+      for pfn = base to base + n - 1 do
+        let pkey = if Cki.Ksm.is_declared_ptp ksm pfn then Hw.Pks.pkey_ptp else Hw.Pks.pkey_guest in
+        match Hw.Page_table.walk pt (Cki.Layout.direct_va_of_pa (Hw.Addr.pa_of_pfn pfn)) with
+        | r when Hw.Pte.pfn r.Hw.Page_table.pte = pfn && Hw.Pte.pkey r.Hw.Page_table.pte = pkey -> ()
+        | _ | (exception Hw.Page_table.Translation_fault _) -> incr misplaced
+      done)
+    segs;
+  check int "every segment frame at its direct-map address, keyed by its state" 0 !misplaced;
+  check int "one direct-map leaf per segment frame" 2560
+    (Hw.Page_table.fold_leaves pt
+       (fun n ~va ~pte:_ ~level:_ -> if Cki.Layout.in_direct_map va then n + 1 else n)
+       0);
+  check int "KSM-owned frames"
+    (outside_direct_map + 2 + List.length (direct_map_regions segs))
+    (ksm_frames mem c);
+  check int "scanner clean with a PTP in the last segment" 0
+    (List.length (Analysis.check_machine ~containers:[ c ]))
+
 let test_scatter_churn_no_leak () =
   let machine = Hw.Machine.create ~cpus:2 ~mem_mib:96 () in
   let mem = Hw.Machine.mem machine in
@@ -548,5 +609,6 @@ let suite =
         test_case "controller: shed isolation" `Quick test_controller_shed_isolation;
         test_case "controller: deterministic across domains" `Quick
           test_controller_deterministic_across_domains;
+        test_case "scatter direct map: own PA, own pkey" `Quick test_scatter_direct_map;
       ] );
   ]

@@ -140,6 +140,12 @@ let test_phys_refcount () =
   check_raises "underflow" (Invalid_argument "Phys_mem.decr_ref: refcount underflow") (fun () ->
       Hw.Phys_mem.decr_ref m f)
 
+(* A frame's (index, entry) pairs for its nonzero entries, ascending. *)
+let nonzero_entries m pfn =
+  let acc = ref [] in
+  Hw.Phys_mem.iter_entries m ~pfn (fun i e -> acc := (i, e) :: !acc);
+  List.rev !acc
+
 (* Word-at-a-time reference for the page copies: [len] bytes of [buf]
    at [off] packed little-endian, one [write_entry] per word with the
    tail word zero-padded, and unpacked one [read_entry] per byte. *)
@@ -182,9 +188,103 @@ let page_copy_matches_reference ~len ~off ~seed =
   let got = Bytes.make (off + len + 3) '?' and want = Bytes.make (off + len + 3) '?' in
   Hw.Phys_mem.read_bytes m ~pfn:f got ~off ~len;
   ref_read_bytes r ~pfn:g want ~off ~len;
-  Hw.Phys_mem.table_entries m f = Hw.Phys_mem.table_entries r g
+  nonzero_entries m f = nonzero_entries r g
   && Bytes.equal got want
   && Bytes.sub got off len = Bytes.sub src off len
+
+(* iter_entries against the 512-read reference, over random histories
+   of one small machine: entry writes (a third of them zero), page
+   copies, clears, and free + re-allocation (which recycles the arena
+   slot).  Every frame is allocated up front, so a freed frame is the
+   only free one and comes straight back; frames never written have no
+   slot.  With memory tracing on, each call is exactly one event. *)
+let frames_in_model = 4
+
+let reference_entries m pfn =
+  List.filter
+    (fun (_, e) -> not (Int64.equal e 0L))
+    (List.init 512 (fun index -> (index, Hw.Phys_mem.read_entry m ~pfn ~index)))
+
+let run_entry_history ops =
+  let m = Hw.Phys_mem.create ~frames:frames_in_model in
+  let frames =
+    Array.init frames_in_model (fun _ ->
+        Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1))
+  in
+  List.iter
+    (fun (op, f, index, v) ->
+      let pfn = frames.(f) in
+      match op mod 6 with
+      | 0 | 1 -> Hw.Phys_mem.write_entry m ~pfn ~index v
+      | 2 -> Hw.Phys_mem.write_entry m ~pfn ~index 0L
+      | 3 ->
+          let len = (index * 8) + Int64.to_int (Int64.logand v 7L) in
+          let src = Bytes.init len (fun i -> Char.chr ((Int64.to_int v + i) land 0xFF)) in
+          Hw.Phys_mem.write_bytes m ~pfn src ~off:0 ~len
+      | 4 -> Hw.Phys_mem.clear_table m pfn
+      | _ ->
+          Hw.Phys_mem.free m pfn;
+          frames.(f) <- Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1))
+    ops;
+  (m, frames)
+
+let prop_iter_entries_model =
+  QCheck.Test.make ~name:"iter_entries = read_entry over 512" ~count:300
+    QCheck.(
+      small_list
+        (quad (int_bound 5) (int_bound (frames_in_model - 1)) (int_bound 511) int64))
+    (fun ops ->
+      let m, frames = run_entry_history ops in
+      Array.for_all (fun pfn -> nonzero_entries m pfn = reference_entries m pfn) frames)
+
+(* write_run stores what one write_entry per entry would, including
+   the dirty range a later iter_entries and slot recycling rely on. *)
+let prop_write_run =
+  QCheck.Test.make ~name:"write_run = write_entry per entry" ~count:200
+    QCheck.(quad (int_bound 511) (int_bound 512) int64 int64)
+    (fun (index, count, first, step) ->
+      let count = min count (512 - index) in
+      let m = Hw.Phys_mem.create ~frames:2 in
+      let f = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1) in
+      let g = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1) in
+      Hw.Phys_mem.write_run m ~pfn:f ~index ~count ~first ~step;
+      for k = 0 to count - 1 do
+        Hw.Phys_mem.write_entry m ~pfn:g ~index:(index + k) (Int64.add first (Int64.mul (Int64.of_int k) step))
+      done;
+      let same = nonzero_entries m f = nonzero_entries m g in
+      Hw.Phys_mem.free m f;
+      let f' = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1) in
+      same && nonzero_entries m f' = [])
+
+let test_write_run_bounds () =
+  let m = Hw.Phys_mem.create ~frames:1 in
+  let f = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1) in
+  check_raises "past the table" (Invalid_argument "Phys_mem.write_run") (fun () ->
+      Hw.Phys_mem.write_run m ~pfn:f ~index:500 ~count:13 ~first:1L ~step:1L);
+  Hw.Phys_mem.write_run m ~pfn:f ~index:500 ~count:0 ~first:1L ~step:1L;
+  check_int "empty run acquires no slot" 0 (Hw.Phys_mem.table_slots m)
+
+let test_iter_entries_one_event () =
+  let m, frames = run_entry_history [ (0, 0, 5, 1L); (0, 0, 300, 2L); (3, 1, 64, 9L) ] in
+  let ring = Hw.Probe.ring_create () in
+  Hw.Probe.set_ring ring;
+  Hw.Probe.set_mem_trace true;
+  let counts =
+    Fun.protect
+      ~finally:(fun () ->
+        Hw.Probe.set_mem_trace false;
+        Hw.Probe.clear_sink ())
+      (fun () ->
+        Array.map
+          (fun pfn ->
+            let before = Hw.Probe.ring_length ring in
+            ignore (nonzero_entries m pfn);
+            Hw.Probe.ring_length ring - before)
+          frames)
+  in
+  (* frames 0 and 1 hold entries; 2 and 3 have no slot *)
+  Array.iteri (fun i n -> check_int (Printf.sprintf "frame %d: one traced read" i) 1 n) counts;
+  check_bool "slot-less frame visits nothing" true (nonzero_entries m frames.(2) = [])
 
 let edge_lengths = [ 0; 1; 7; 8; 9; 4095; 4096 ]
 
@@ -361,6 +461,10 @@ let suite =
         test_case "page copy at edge lengths" `Quick test_phys_bytes_edge_lengths;
         test_case "page copy cases" `Quick test_phys_bytes_cases;
         QCheck_alcotest.to_alcotest prop_page_copy;
+        QCheck_alcotest.to_alcotest prop_iter_entries_model;
+        test_case "iter_entries is one traced read" `Quick test_iter_entries_one_event;
+        QCheck_alcotest.to_alcotest prop_write_run;
+        test_case "write_run bounds" `Quick test_write_run_bounds;
       ] );
     ( "hw/page_table",
       [

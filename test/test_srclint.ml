@@ -350,6 +350,25 @@ let test_hygiene_frame_sweep () =
       ]
   in
   fires "whole-machine loop outside lib/hw" "frame-sweep" ~file:"lib/app/sweep.ml" ~line:3 findings;
+  (* a walk that reads every slot of a table, where iter_entries visits
+     only the written ones *)
+  let table_sweep =
+    "let present mem pfn =\n\
+    \  let n = ref 0 in\n\
+    \  for i = 0 to Hw.Addr.entries_per_table - 1 do\n\
+    \    if Hw.Phys_mem.read_entry mem ~pfn ~index:i <> 0L then incr n\n\
+    \  done;\n\
+    \  !n\n"
+  in
+  let findings =
+    scan ~arch:app_arch
+      [
+        ("lib/app/dune", lib_dune "app");
+        ("lib/app/walk.ml", table_sweep);
+        ("lib/app/walk.mli", "val present : 'a -> int -> int\n");
+      ]
+  in
+  fires "table-slot loop outside lib/hw" "frame-sweep" ~file:"lib/app/walk.ml" ~line:3 findings;
   (* the hardware model itself may walk every frame, and the owner
      index is the sanctioned replacement elsewhere *)
   let findings =
@@ -358,15 +377,20 @@ let test_hygiene_frame_sweep () =
         ("lib/hw/dune", lib_dune "hw");
         ("lib/hw/sweep.ml", sweep);
         ("lib/hw/sweep.mli", "val count : 'a -> int\n");
+        ("lib/hw/walk.ml", table_sweep);
+        ("lib/hw/walk.mli", "val present : 'a -> int -> int\n");
         ("lib/app/dune", lib_dune "app");
         ( "lib/app/owned.ml",
           "let count mem = Hw.Phys_mem.owned_count mem Hw.Phys_mem.Host\n\
-           let each mem f = for i = 0 to 7 do f i done; Hw.Phys_mem.iter_owned mem Hw.Phys_mem.Host f\n"
+           let each mem f = for i = 0 to 7 do f i done; Hw.Phys_mem.iter_owned mem Hw.Phys_mem.Host f\n\
+           let entries mem pfn f = Hw.Phys_mem.iter_entries mem ~pfn f\n"
         );
-        ("lib/app/owned.mli", "val count : 'a -> int\nval each : 'a -> (int -> unit) -> unit\n");
+        ( "lib/app/owned.mli",
+          "val count : 'a -> int\nval each : 'a -> (int -> unit) -> unit\n\
+           val entries : 'a -> int -> (int -> int64 -> unit) -> unit\n" );
       ]
   in
-  silent "lib/hw sweep and owner-index calls" "frame-sweep" findings
+  silent "lib/hw sweeps, owner-index and iter_entries calls" "frame-sweep" findings
 
 let test_parse_error_reported () =
   let findings =

@@ -54,6 +54,24 @@ let prop_btree_matches_hashtbl =
            (fun k -> Workloads.Btree.lookup t k = None)
            (List.filter (fun k -> not (Hashtbl.mem h k)) [ 1001; 1500; 9999 ]))
 
+(* Updating a key that a split moves up into the parent: the update
+   must land on the moved entry, not add a duplicate below it (the
+   shrunk counterexample of the property above: 743 is the median of a
+   full leaf when its second insert arrives). *)
+let test_btree_update_split_median () =
+  let b = runc () in
+  let task = Virt.Backend.spawn b in
+  let t = Workloads.Btree.create b task in
+  let keys =
+    [ 744; 747; 748; 749; 750; 746; 0; 1; 2; 3; 241; 4; 5; 751; 6; 8; 9; 10; 11; 12; 13; 88; 7;
+      957; 14; 15; 16; 752; 20; 17; 18; 19; 745; 753; 22; 754; 21; 23; 24; 25; 755; 26; 743; 27;
+      28; 757; 29; 30; 756 ]
+  in
+  List.iter (fun k -> Workloads.Btree.insert t k 0) keys;
+  Workloads.Btree.insert t 743 1;
+  check_bool "743 updated" true (Workloads.Btree.lookup t 743 = Some 1);
+  check_bool "others kept" true (List.for_all (fun k -> k = 743 || Workloads.Btree.lookup t k = Some 0) keys)
+
 let test_btree_insert_causes_faults () =
   let b = runc () in
   let task = Virt.Backend.spawn b in
@@ -271,6 +289,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_btree_matches_hashtbl;
         test_case "inserts cause demand faults" `Quick test_btree_insert_causes_faults;
         test_case "lookup ratio dilutes overhead" `Quick test_btree_ratio_dilutes_overhead;
+        test_case "update of a split median" `Quick test_btree_update_split_median;
       ] );
     ( "workloads/profile",
       [
