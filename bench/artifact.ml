@@ -121,6 +121,13 @@ let of_json j =
   Option.iter (invalid "duplicate metric %S") (dup names);
   t
 
+(* Read and decode one artifact file; [Error] says why it is not one. *)
+let load f =
+  match Report.Json.parse_file f with
+  | exception Sys_error e -> Error ("unreadable: " ^ e)
+  | Error e -> Error ("malformed JSON: " ^ e)
+  | Ok j -> ( match of_json j with exception Invalid msg -> Error msg | t -> Ok t)
+
 (* Validate [files] (every BENCH_*.json in the current directory when
    empty): each must parse, have exactly the artifact shape, at least
    one metric, unique metric names, finite values, n >= 1 and no false
@@ -140,27 +147,54 @@ let validate files =
   && List.fold_left
        (fun all_ok f ->
          let ok =
-           match Report.Json.parse_file f with
-           | exception Sys_error e ->
-               Printf.printf "  %s: unreadable: %s\n" f e;
+           match load f with
+           | Error msg ->
+               Printf.printf "  %s: %s\n" f msg;
                false
-           | Error e ->
-               Printf.printf "  %s: malformed JSON: %s\n" f e;
-               false
-           | Ok j -> (
-               match of_json j with
-               | exception Invalid msg ->
-                   Printf.printf "  %s: %s\n" f msg;
-                   false
-               | t ->
-                   let failed = List.filter (fun g -> not g.ok) t.gates in
-                   List.iter
-                     (fun g -> Printf.printf "  %s: gate FAILED: %s: %s\n" f g.gate g.detail)
-                     failed;
-                   if failed = [] then
-                     Printf.printf "  %s: ok (bench %s, %d metrics, %d gates)\n" f t.bench
-                       (List.length t.metrics) (List.length t.gates);
-                   failed = [])
+           | Ok t ->
+               let failed = List.filter (fun g -> not g.ok) t.gates in
+               List.iter (fun g -> Printf.printf "  %s: gate FAILED: %s: %s\n" f g.gate g.detail) failed;
+               if failed = [] then
+                 Printf.printf "  %s: ok (bench %s, %d metrics, %d gates)\n" f t.bench
+                   (List.length t.metrics) (List.length t.gates);
+               failed = []
          in
          all_ok && ok)
        true files
+
+(* Compare two artifacts metric by metric.  A [Sim] metric is
+   deterministic, so any difference in value or [n], or a metric on one
+   side only, is a difference; [Wall] metrics are printed as
+   old -> new with their ratio and never judged.  Values are compared
+   as written (6 significant digits).  Prints one line per difference
+   and per wall metric; true iff no sim metric differs. *)
+let compare_files old_file new_file =
+  match (load old_file, load new_file) with
+  | Error msg, _ | _, Error msg ->
+      Printf.printf "compare: %s\n" msg;
+      false
+  | Ok o, Ok n ->
+      let find t name = List.find_opt (fun m -> m.name = name) t.metrics in
+      let names = List.sort_uniq compare (List.map (fun m -> m.name) (o.metrics @ n.metrics)) in
+      let differ = ref 0 in
+      List.iter
+        (fun name ->
+          match (find o name, find n name) with
+          | Some a, Some b when a.clock = Wall && b.clock = Wall ->
+              Printf.printf "  wall %s: %.6g -> %.6g %s (x%.3f)\n" name a.value b.value a.unit
+                (b.value /. a.value)
+          | Some a, Some b when a.clock = b.clock && Float.equal a.value b.value && a.n = b.n -> ()
+          | Some a, Some b ->
+              incr differ;
+              Printf.printf "  sim  %s: %.6g -> %.6g %s (n %d -> %d)\n" name a.value b.value a.unit a.n
+                b.n
+          | Some m, None | None, Some m ->
+              if m.clock = Sim then incr differ;
+              Printf.printf "  %-4s %s: only in %s\n" (clock_name m.clock) name
+                (if find o name = None then new_file else old_file)
+          | None, None -> ())
+        names;
+      Printf.printf "compare: %d sim metrics in %s, %d differ\n"
+        (List.length (List.filter (fun m -> m.clock = Sim) o.metrics))
+        old_file !differ;
+      !differ = 0

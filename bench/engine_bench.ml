@@ -12,9 +12,8 @@
    - probe recording: specialized int-encoding emitters into a flat
      int ring;
    - clock charging: [Clock.charge] of named events;
-   - translation: the memoized per-CPU fast path, also timed with
-     [Cpu.set_tcache] off (the TLB-hashtable front end) — both are the
-     real engine;
+   - translation: [Cpu.access] in the TLB-hit regime (TLB lookup and
+     the [check_pte] rights check);
    - the primitives under every experiment: a page-table walk, a TLB
      lookup, a buddy alloc+free, a CKI getpid and a PKS rights check;
    - the VirtIO copy path: one 32 KiB chain posted and serviced on a
@@ -103,8 +102,7 @@ let bench_clock ~ops =
         Hw.Clock.charge clk "virtio_service" 2.0
       done)
 
-(* Translation in the TLB-hit regime, with the per-CPU translation
-   cache on and off. *)
+(* Translation in the TLB-hit regime. *)
 let bench_translate ~ops =
   let clk = Hw.Clock.create () in
   let cpu = Hw.Cpu.create clk in
@@ -122,16 +120,9 @@ let bench_translate ~ops =
       | Error _ -> failwith "engine bench: unexpected fault"
     done
   in
-  (* warm the TLB (and cache) so both runs sit in the hit regime *)
-  let run name tcache =
-    Hw.Cpu.set_tcache cpu tcache;
-    touch ();
-    time name ~ops touch
-  in
-  let on = run "translate" true in
-  let off = run "translate_tcache_off" false in
-  Hw.Cpu.set_tcache cpu true;
-  [ on; off ]
+  (* warm the TLB so the timed run sits in the hit regime *)
+  touch ();
+  time "translate" ~ops touch
 
 (* The simulator primitives an experiment leans on: a 4-level
    page-table walk, a TLB lookup, a buddy alloc+free, a CKI getpid
@@ -260,7 +251,7 @@ let run () =
   {
     Artifact.bench = "engine";
     metrics =
-      [ alloc; arena ] @ translate @ [ probe; clock ] @ primitives @ [ virtio_copy; cycle ]
+      [ alloc; arena; translate; probe; clock ] @ primitives @ [ virtio_copy; cycle ]
       @ serve_metrics r1 @ serve_metrics r4
       @ [ Artifact.sim "sim_makespan_ratio" "x" ratio ];
     gates =

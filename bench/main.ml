@@ -16,7 +16,12 @@
    `validate [FILE...]` checks the given artifacts (default: every
    BENCH_*.json in the current directory) with Artifact.validate and
    exits 1 if any is malformed, breaks the schema or has a false gate —
-   the one place a failed gate fails the build. *)
+   the one place a failed gate fails the build.
+
+   `compare OLD.json NEW.json` prints every difference between two
+   artifacts: wall metrics as old -> new with their ratio (not judged),
+   and any sim metric that differs in value or n, or is on one side
+   only, after which it exits 1. *)
 
 (* Every id, with its run and whether --json writes it. *)
 let registry =
@@ -47,8 +52,9 @@ let () =
     flush stdout
   in
   match args with
-  | [ "list" ] -> List.iter print_endline (List.map fst registry @ [ "validate" ])
+  | [ "list" ] -> List.iter print_endline (List.map fst registry @ [ "validate"; "compare" ])
   | "validate" :: files -> if not (Artifact.validate files) then exit 1
+  | [ "compare"; old_file; new_file ] -> if not (Artifact.compare_files old_file new_file) then exit 1
   | [] -> List.iter (fun (_, (run, writable)) -> if writable then bench (run, writable)) registry
   | names ->
       List.iter

@@ -18,15 +18,11 @@ type t = {
   mutable shed_inflight : int;  (** refused: inflight cap reached *)
 }
 
-let create ?(max_inflight = max_int) ?(rate_rps = infinity) ?burst ~now () =
+let create ?(max_inflight = max_int) ?(rate_rps = infinity) ~now () =
   if max_inflight < 1 then invalid_arg "Admission.create: max_inflight must be positive";
   if rate_rps <= 0.0 then invalid_arg "Admission.create: rate_rps must be positive";
-  let burst =
-    match burst with
-    | Some b when b > 0.0 -> b
-    | Some _ -> invalid_arg "Admission.create: burst must be positive"
-    | None -> if rate_rps = infinity then infinity else Float.max 1.0 (rate_rps /. 100.0)
-  in
+  (* 10 ms worth of tokens, at least one *)
+  let burst = if rate_rps = infinity then infinity else Float.max 1.0 (rate_rps /. 100.0) in
   {
     max_inflight;
     rate_rps;

@@ -6,11 +6,11 @@
 
 type t
 
-val create : ?max_inflight:int -> ?rate_rps:float -> ?burst:float -> now:float -> unit -> t
+val create : ?max_inflight:int -> ?rate_rps:float -> now:float -> unit -> t
 (** [max_inflight] caps requests in flight (default unlimited);
     [rate_rps] is the token refill rate (default [infinity] =
-    uncapped); [burst] is the bucket depth (default 10 ms worth of
-    tokens).  [now] seeds the refill clock.
+    uncapped); the bucket holds 10 ms worth of tokens (at least one).
+    [now] seeds the refill clock.
     @raise Invalid_argument on non-positive parameters. *)
 
 val admit : t -> now:float -> inflight:int -> bool

@@ -146,10 +146,6 @@ let virtio_backend_service = 800.0
    with hypercalls; RunC does not virtualize I/O at all. *)
 let virtio_frontend_work = 200.0
 
-(* Network wire+stack time for a small packet, one direction (client
-   side / latency accounting only — overlapped for throughput). *)
-let net_packet = 1500.0
-
 (* Writing the doorbell register itself (the uncached MMIO/MSR store
    the guest performs before the exit it may or may not take). *)
 let doorbell_write = 50.0

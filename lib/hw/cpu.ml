@@ -25,27 +25,6 @@ type fault =
 
 exception Fault of fault
 
-(* Memoized translation fast path: a per-CPU direct-mapped software
-   cache in front of the TLB + 4-level walk.  Slots hold the packed
-   (pcid, vpn) key (+1 so 0 means empty), the target pfn, and an int of
-   permission metadata, so a repeated guest access skips the TLB
-   hashtable, [Pte.make] and the boxed-int64 permission checks entirely
-   — while still charging the structural [tlb_hit] price and counting a
-   TLB hit.  The TLB's invalidate hook keeps the cache a strict subset
-   of the TLB (same invalidation events + FIFO eviction), so enabling
-   it is observationally invisible to cost accounting and the
-   invariant scanner. *)
-let tc_size = 1024 (* slots; power of two *)
-
-(* Packed permission metadata: bit 0 writable, bit 1 user, bit 2 nx,
-   bit 3 level-2 (2 MiB leaf), bits 4..7 protection key. *)
-let tc_meta_pack ~writable ~user ~nx ~level ~pkey =
-  (if writable then 1 else 0)
-  lor (if user then 2 else 0)
-  lor (if nx then 4 else 0)
-  lor (if level = 2 then 8 else 0)
-  lor (pkey lsl 4)
-
 type t = {
   id : int;
   mutable mode : mode;
@@ -60,61 +39,24 @@ type t = {
   mutable saved_pkrs : Pks.rights list;  (** E4: stack of interrupt-saved PKRS *)
   tlb : Tlb.t;
   clock : Clock.t;
-  tc_key : int array;  (** (vpn << 14 | pcid) + 1; 0 = empty *)
-  tc_pfn : int array;
-  tc_meta : int array;
-  mutable tc_enabled : bool;
 }
 
-let tc_index ~pcid vpn = (vpn lxor (pcid lsl 4)) land (tc_size - 1)
-let tc_pack_key ~pcid vpn = ((vpn lsl 14) lor (pcid land 0x3FFF)) + 1
-
-let tc_invalidate t pcid vpn =
-  if pcid < 0 then Array.fill t.tc_key 0 tc_size 0
-  else if vpn < 0 then
-    for i = 0 to tc_size - 1 do
-      if t.tc_key.(i) <> 0 && (t.tc_key.(i) - 1) land 0x3FFF = pcid land 0x3FFF then
-        t.tc_key.(i) <- 0
-    done
-  else begin
-    let i = tc_index ~pcid vpn in
-    if t.tc_key.(i) = tc_pack_key ~pcid vpn then t.tc_key.(i) <- 0
-  end
-
-let tc_fill t ~pcid ~vpn ~pfn ~meta =
-  let i = tc_index ~pcid vpn in
-  t.tc_key.(i) <- tc_pack_key ~pcid vpn;
-  t.tc_pfn.(i) <- pfn;
-  t.tc_meta.(i) <- meta
-
-let set_tcache t on =
-  t.tc_enabled <- on;
-  if not on then Array.fill t.tc_key 0 tc_size 0
-
-let create ?(id = 0) ?(tlb_capacity = 1536) clock =
-  let t =
-    {
-      id;
-      mode = Kernel;
-      cr3 = 0;
-      pcid = 0;
-      pkrs = Pks.all_access;
-      pkru = Pks.all_access;
-      gs_base = 0;
-      kernel_gs_base = 0;
-      if_flag = true;
-      halted = false;
-      saved_pkrs = [];
-      tlb = Tlb.create ~capacity:tlb_capacity ();
-      clock;
-      tc_key = Array.make tc_size 0;
-      tc_pfn = Array.make tc_size 0;
-      tc_meta = Array.make tc_size 0;
-      tc_enabled = true;
-    }
-  in
-  Tlb.set_invalidate_hook t.tlb (fun pcid vpn -> tc_invalidate t pcid vpn);
-  t
+let create ?(id = 0) clock =
+  {
+    id;
+    mode = Kernel;
+    cr3 = 0;
+    pcid = 0;
+    pkrs = Pks.all_access;
+    pkru = Pks.all_access;
+    gs_base = 0;
+    kernel_gs_base = 0;
+    if_flag = true;
+    halted = false;
+    saved_pkrs = [];
+    tlb = Tlb.create ();
+    clock;
+  }
 
 (* Load CR3 (+PCID) without flushing other PCIDs' TLB entries. *)
 let load_cr3 t ~root ~pcid =
@@ -227,104 +169,35 @@ let check_pte t ~va ~(access : Pks.access) ~exec (pte : Pte.t) : fault option =
 (* Translate + permission-check an access through [pt], consulting this
    CPU's TLB.  Charges walk costs on TLB miss.  Returns the physical
    address. *)
-(* Fast-path permission check over the packed [tc_meta] bits, mirroring
-   [check_pte] decision-for-decision (cache entries are always present,
-   so the present test is implied by the key match). *)
-let tc_check t ~va ~(access : Pks.access) ~exec meta : fault option =
-  let user = meta land 2 <> 0 in
-  let writable = meta land 1 <> 0 in
-  if t.mode = User && not user then Some (Priv_page_violation va)
-  else if exec && meta land 4 <> 0 then Some (Nx_violation va)
-  else if access = Pks.Write && not writable && t.mode = User then Some (Write_violation va)
-  else begin
-    let key = meta lsr 4 in
-    let rights = if user then t.pkru else t.pkrs in
-    if (not exec) && not (Pks.allows rights ~key access) then
-      Some (Pks_violation { va; key; access })
-    else if access = Pks.Write && not writable then Some (Write_violation va)
-    else None
-  end
-
 let access t (pt : Page_table.t) ~va ~(access_kind : Pks.access) ?(exec = false) () : (Addr.pa, fault) result =
-  let vpn = Addr.vpn_of_va va in
-  (* Memoized fast path: a direct-mapped probe (exact vpn, then the
-     2 MiB-aligned vpn for huge leaves) replaces the TLB hashtable
-     lookup and the boxed PTE rebuild on the hot repeat-access case.
-     Cost accounting and hit statistics are charged exactly as a TLB
-     hit would be. *)
-  let slot =
-    if not t.tc_enabled then -1
-    else begin
-      let i = tc_index ~pcid:t.pcid vpn in
-      if t.tc_key.(i) = tc_pack_key ~pcid:t.pcid vpn then i
-      else begin
-        let b = vpn land lnot 511 in
-        let j = tc_index ~pcid:t.pcid b in
-        if t.tc_key.(j) = tc_pack_key ~pcid:t.pcid b && t.tc_meta.(j) land 8 <> 0 then j
-        else -1
-      end
-    end
-  in
-  if slot >= 0 then begin
-    Tlb.note_hit t.tlb;
-    Clock.charge t.clock "tlb_hit" Cost.tlb_hit;
-    let meta = t.tc_meta.(slot) in
-    match tc_check t ~va ~access:access_kind ~exec meta with
+  let finish (pte : Pte.t) (level : int) =
+    match check_pte t ~va ~access:access_kind ~exec pte with
     | Some f -> Error f
     | None ->
-        let base = Addr.pa_of_pfn t.tc_pfn.(slot) in
+        let base = Addr.pa_of_pfn (Pte.pfn pte) in
         let pa =
-          if meta land 8 <> 0 then base lor (va land ((1 lsl 21) - 1))
-          else base lor Addr.page_offset va
+          if level = 2 then base lor (va land ((1 lsl 21) - 1)) else base lor Addr.page_offset va
         in
         Ok pa
-  end
-  else begin
-    let finish (pte : Pte.t) (level : int) =
-      match check_pte t ~va ~access:access_kind ~exec pte with
-      | Some f -> Error f
-      | None ->
-          let base = Addr.pa_of_pfn (Pte.pfn pte) in
-          let pa =
-            if level = 2 then base lor (va land ((1 lsl 21) - 1)) else base lor Addr.page_offset va
-          in
-          Ok pa
-    in
-    let fill_tc ~pfn ~(flags : Pte.flags) ~level =
-      if t.tc_enabled then begin
-        let svpn = if level = 2 then vpn land lnot 511 else vpn in
-        tc_fill t ~pcid:t.pcid ~vpn:svpn ~pfn
-          ~meta:
-            (tc_meta_pack ~writable:flags.Pte.writable ~user:flags.Pte.user ~nx:flags.Pte.nx
-               ~level ~pkey:flags.Pte.pkey)
-      end
-    in
-    match Tlb.lookup t.tlb ~pcid:t.pcid va with
-    | Some e ->
-        Clock.charge t.clock "tlb_hit" Cost.tlb_hit;
-        fill_tc ~pfn:e.Tlb.pfn ~flags:e.Tlb.flags ~level:e.Tlb.level;
-        let pte = Pte.make ~pfn:e.Tlb.pfn ~flags:e.Tlb.flags in
-        finish pte e.Tlb.level
-    | None -> (
-        match Page_table.walk pt va with
-        | exception Page_table.Translation_fault _ ->
-            Clock.charge t.clock "tlb_miss_walk"
-              (float_of_int Cost.walk_refs_native *. Cost.walk_mem_ref);
-            Error (Not_present va)
-        | w ->
-            let refs = w.Page_table.refs in
-            Clock.charge t.clock "tlb_miss_walk" (float_of_int refs *. Cost.walk_mem_ref);
-            let flags = Pte.flags_of w.pte in
-            let pfn = Pte.pfn w.pte in
-            Tlb.insert t.tlb ~pcid:t.pcid ~va { Tlb.pfn; flags; level = w.leaf_level };
-            (* Fill after the TLB insert so a capacity eviction (or a
-               replace of this very key) fired by the insert hook cannot
-               clear the fresh cache line. *)
-            fill_tc ~pfn ~flags ~level:w.leaf_level;
-            let fvpn = if w.leaf_level = 2 then vpn land lnot 511 else vpn in
-            Probe.emit_tlb_fill ~cpu:t.id ~pcid:t.pcid ~vpn:fvpn ~level:w.leaf_level ~pfn;
-            finish w.pte w.leaf_level)
-  end
+  in
+  match Tlb.lookup t.tlb ~pcid:t.pcid va with
+  | Some e ->
+      Clock.charge t.clock "tlb_hit" Cost.tlb_hit;
+      finish (Pte.make ~pfn:e.Tlb.pfn ~flags:e.Tlb.flags) e.Tlb.level
+  | None -> (
+      match Page_table.walk pt va with
+      | exception Page_table.Translation_fault _ ->
+          Clock.charge t.clock "tlb_miss_walk"
+            (float_of_int Cost.walk_refs_native *. Cost.walk_mem_ref);
+          Error (Not_present va)
+      | w ->
+          Clock.charge t.clock "tlb_miss_walk" (float_of_int w.Page_table.refs *. Cost.walk_mem_ref);
+          let pfn = Pte.pfn w.pte in
+          Tlb.insert t.tlb ~pcid:t.pcid ~va { Tlb.pfn; flags = Pte.flags_of w.pte; level = w.leaf_level };
+          let vpn = Addr.vpn_of_va va in
+          let fvpn = if w.leaf_level = 2 then vpn land lnot 511 else vpn in
+          Probe.emit_tlb_fill ~cpu:t.id ~pcid:t.pcid ~vpn:fvpn ~level:w.leaf_level ~pfn;
+          finish w.pte w.leaf_level)
 
 (* ------------------------------------------------------------------ *)
 (* Mode transitions                                                    *)

@@ -43,22 +43,9 @@ type t = {
   mutable saved_pkrs : Pks.rights list;  (** E4 interrupt-saved PKRS stack *)
   tlb : Tlb.t;
   clock : Clock.t;
-  tc_key : int array;
-      (** memoized translation fast path: packed (vpn, pcid) keys, 0 = empty *)
-  tc_pfn : int array;
-  tc_meta : int array;  (** packed leaf permissions (see [Cpu.tc_meta_pack]) *)
-  mutable tc_enabled : bool;
 }
 
-val create : ?id:int -> ?tlb_capacity:int -> Clock.t -> t
-
-val set_tcache : t -> bool -> unit
-(** Enable/disable the memoized translation fast path (a per-CPU
-    direct-mapped software cache in front of the TLB). Enabled by
-    default; it is kept a strict subset of the TLB via the TLB's
-    invalidate hook, charges the same structural [tlb_hit] cost and
-    scores the same hit statistics, so disabling it changes raw speed
-    only. Disabling clears the cache. *)
+val create : ?id:int -> Clock.t -> t
 
 val load_cr3 : t -> root:Addr.pfn -> pcid:int -> unit
 (** Load CR3 (+PCID) without flushing other PCIDs' TLB entries; charges

@@ -17,10 +17,6 @@ type t = {
   order : (int * Addr.vpn) Queue.t;
   mutable hits : int;
   mutable misses : int;
-  mutable invalidate_hook : int -> int -> unit;
-      (** [hook pcid vpn] fires on every entry drop so a software
-          translation cache in front of this TLB stays a strict subset:
-          [vpn = -1] means "all of [pcid]", [pcid = -1] "everything" *)
 }
 
 let create ?(capacity = 1536) () =
@@ -30,15 +26,7 @@ let create ?(capacity = 1536) () =
     order = Queue.create ();
     hits = 0;
     misses = 0;
-    invalidate_hook = (fun _ _ -> ());
   }
-
-let set_invalidate_hook t f = t.invalidate_hook <- f
-
-(* Count a hit scored by a front cache (the CPU's memoized translation
-   fast path) so hit/miss statistics stay identical whether or not the
-   cache intercepted the lookup. *)
-let note_hit t = t.hits <- t.hits + 1
 
 let key ~pcid vpn = (pcid, vpn)
 
@@ -62,37 +50,30 @@ let lookup t ~pcid va =
 let evict_one t =
   match Queue.take_opt t.order with
   | None -> ()
-  | Some ((p, v) as k) ->
-      Hashtbl.remove t.table k;
-      t.invalidate_hook p v
+  | Some k -> Hashtbl.remove t.table k
 
 let insert t ~pcid ~va entry =
   let vpn = Addr.vpn_of_va va in
   let vpn = if entry.level = 2 then vpn land lnot 511 else vpn in
   if Hashtbl.length t.table >= t.capacity then evict_one t;
   let k = key ~pcid vpn in
-  if not (Hashtbl.mem t.table k) then Queue.add k t.order
-  else t.invalidate_hook pcid vpn;
+  if not (Hashtbl.mem t.table k) then Queue.add k t.order;
   Hashtbl.replace t.table k entry
 
 (* invlpg: drops the translation for one page in one PCID only. *)
 let invlpg t ~pcid va =
   let vpn = Addr.vpn_of_va va in
   Hashtbl.remove t.table (key ~pcid vpn);
-  Hashtbl.remove t.table (key ~pcid (vpn land lnot 511));
-  t.invalidate_hook pcid vpn;
-  t.invalidate_hook pcid (vpn land lnot 511)
+  Hashtbl.remove t.table (key ~pcid (vpn land lnot 511))
 
 (* invpcid / CR3 write with flush: drop all entries of [pcid]. *)
 let flush_pcid t ~pcid =
   let stale = Hashtbl.fold (fun (p, v) _ acc -> if p = pcid then (p, v) :: acc else acc) t.table [] in
-  List.iter (Hashtbl.remove t.table) stale;
-  t.invalidate_hook pcid (-1)
+  List.iter (Hashtbl.remove t.table) stale
 
 let flush_all t =
   Hashtbl.reset t.table;
-  Queue.clear t.order;
-  t.invalidate_hook (-1) (-1)
+  Queue.clear t.order
 
 (* Fold over all cached translations (scanner support: the analysis
    library re-walks the live page tables and compares). *)

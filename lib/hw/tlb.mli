@@ -39,14 +39,3 @@ val size : t -> int
 val entries_for : t -> pcid:int -> int
 val hits : t -> int
 val misses : t -> int
-
-val set_invalidate_hook : t -> (int -> int -> unit) -> unit
-(** [set_invalidate_hook t hook] registers [hook pcid vpn], fired on
-    every entry drop — eviction, [invlpg], [flush_pcid] ([vpn = -1]:
-    all of [pcid]), [flush_all] ([pcid = -1]).  The CPU's memoized
-    translation fast path registers one so its direct-mapped cache
-    stays a strict subset of this TLB. *)
-
-val note_hit : t -> unit
-(** Count a hit scored by a front cache, so hit/miss statistics are
-    identical whether or not the cache intercepted the lookup. *)

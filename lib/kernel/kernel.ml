@@ -137,29 +137,29 @@ let io_unreclaimed t =
 let tx_stalls t = t.tx_stalls
 
 (* Host side: service a device-readable queue (TX or blk), inject the
-   completion interrupt ([force_irq] bounds batch latency), then run the
-   guest's reclaim as its interrupt handler. *)
-let host_service_queue ?(force_irq = true) t q ~handle =
+   completion interrupt (always forced, which bounds batch latency), then
+   run the guest's reclaim as its interrupt handler. *)
+let host_service_queue t q ~handle =
   let n = Virtio.service q ~handle in
   let injected =
-    Virtio.complete ~force:force_irq q ~inject:(fun () ->
+    Virtio.complete ~force:true q ~inject:(fun () ->
         t.irq_count <- t.irq_count + 1;
         t.platform.Platform.deliver_irq ())
   in
   if injected then ignore (Virtio.reclaim q);
   n
 
-let host_service_net_tx ?force_irq t ~handle =
-  match t.io with None -> 0 | Some io -> host_service_queue ?force_irq t io.tx ~handle
+let host_service_net_tx t ~handle =
+  match t.io with None -> 0 | Some io -> host_service_queue t io.tx ~handle
 
-let host_service_blk ?force_irq t ~handle =
+let host_service_blk t ~handle =
   match t.io with
   | None -> 0
   | Some io ->
       let sink =
         match t.io_backend with Some { blk_sink = Some f; _ } -> f | _ -> handle
       in
-      host_service_queue ?force_irq t io.blk ~handle:(fun data ->
+      host_service_queue t io.blk ~handle:(fun data ->
           sink data;
           Hw.Clock.charge (clock t) "blk_io"
             (float_of_int (max 1 ((Bytes.length data + 511) / 512)) *. Hw.Cost.blk_sector))

@@ -102,12 +102,11 @@ val tx_stalls : t -> int
 (** Times a guest blocked on a full ring until a host service pass made
     room (graceful backpressure). *)
 
-val host_service_net_tx : ?force_irq:bool -> t -> handle:(Bytes.t -> unit) -> int
+val host_service_net_tx : t -> handle:(Bytes.t -> unit) -> int
 (** Host: service the TX queue, passing each payload to [handle];
-    inject the completion interrupt ([force_irq], default true, bounds
-    batch latency) and run the guest reclaim. Returns chains
-    serviced. *)
+    inject the completion interrupt (always, which bounds batch
+    latency) and run the guest reclaim. Returns chains serviced. *)
 
-val host_service_blk : ?force_irq:bool -> t -> handle:(Bytes.t -> unit) -> int
+val host_service_blk : t -> handle:(Bytes.t -> unit) -> int
 (** Host: service the blk queue into the attached block sink (or
     [handle] when standalone), charging per-sector I/O cost. *)

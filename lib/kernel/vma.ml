@@ -6,7 +6,6 @@ type prot = { read : bool; write : bool; exec : bool } [@@deriving show { with_p
 
 let prot_rw = { read = true; write = true; exec = false }
 let prot_ro = { read = true; write = false; exec = false }
-let prot_rx = { read = true; write = false; exec = true }
 
 type backing = Anon | File of { inode : int; offset : int } | Stack | Heap
 [@@deriving show { with_path = false }, eq]

@@ -7,7 +7,6 @@ val show_prot : prot -> string
 val equal_prot : prot -> prot -> bool
 val prot_rw : prot
 val prot_ro : prot
-val prot_rx : prot
 
 type backing = Anon | File of { inode : int; offset : int } | Stack | Heap
 

@@ -112,15 +112,14 @@ let track_finish c =
     0 (tasks c)
 
 (* Service virtio queues until nothing is in flight: capture requires
-   quiesced devices.  Drained TX frames go to [on_tx] (the caller may
-   forward replies; default drops them on the floor, which is what a
-   migration daemon does with traffic it cannot attribute). *)
-let quiesce ?(on_tx = fun (_ : Bytes.t) -> ()) c =
+   quiesced devices.  Drained TX frames are dropped on the floor, which
+   is what a migration daemon does with traffic it cannot attribute. *)
+let quiesce c =
   let kernel = c.Cki.Container.backend.Virt.Backend.kernel in
   let passes = ref 0 in
   while Kernel_model.Kernel.io_unreclaimed kernel <> [] && !passes < 32 do
-    ignore (Kernel_model.Kernel.host_service_net_tx kernel ~handle:on_tx);
-    ignore (Kernel_model.Kernel.host_service_blk kernel ~handle:on_tx);
+    ignore (Kernel_model.Kernel.host_service_net_tx kernel ~handle:ignore);
+    ignore (Kernel_model.Kernel.host_service_blk kernel ~handle:ignore);
     incr passes
   done
 

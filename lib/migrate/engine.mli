@@ -78,9 +78,9 @@ type error =
 
 val show_error : error -> string
 
-val quiesce : ?on_tx:(Bytes.t -> unit) -> Cki.Container.t -> unit
+val quiesce : Cki.Container.t -> unit
 (** Service virtio queues until nothing is in flight (capture
-    requires quiesced devices); drained TX frames go to [on_tx]. *)
+    requires quiesced devices); drained TX frames are dropped. *)
 
 val migrate :
   Fabric.t ->

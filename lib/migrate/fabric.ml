@@ -21,8 +21,6 @@
    host refuses transfers and deliveries; a partitioned pair refuses
    transfers while both stay alive. *)
 
-type link = { bw_bytes_per_ns : float; latency_ns : float }
-
 type node = {
   hid : int;
   machine : Hw.Machine.t;
@@ -43,19 +41,16 @@ type endpoint = {
 
 type t = {
   nodes : node array;
-  link : link;
   mutable partitions : (int * int) list;
   endpoints : (string, endpoint) Hashtbl.t;
   mutable xfer_bytes : int;
 }
 
-let default_link = { bw_bytes_per_ns = 1.0 (* 1 GB/s *); latency_ns = 20_000.0 }
-
-let create ?(cpus = 2) ?(mem_mib = 512) ?(link = default_link) ~hosts () =
+let create ~hosts () =
   if hosts < 1 then invalid_arg "Fabric.create";
   let nodes =
     Array.init hosts (fun hid ->
-        let machine = Hw.Machine.create ~cpus ~mem_mib () in
+        let machine = Hw.Machine.create ~cpus:2 ~mem_mib:512 () in
         {
           hid;
           machine;
@@ -64,7 +59,7 @@ let create ?(cpus = 2) ?(mem_mib = 512) ?(link = default_link) ~hosts () =
           alive = true;
         })
   in
-  { nodes; link; partitions = []; endpoints = Hashtbl.create 4; xfer_bytes = 0 }
+  { nodes; partitions = []; endpoints = Hashtbl.create 4; xfer_bytes = 0 }
 
 
 let node t hid =
@@ -97,8 +92,6 @@ let sync_clocks ca cb =
   Hw.Clock.advance ca (m -. Hw.Clock.now ca);
   Hw.Clock.advance cb (m -. Hw.Clock.now cb)
 
-let transfer_ns t ~bytes = t.link.latency_ns +. (float_of_int bytes /. t.link.bw_bytes_per_ns)
-
 let transfer t ~src ~dst ~bytes =
   let s = node t src and d = node t dst in
   if not s.alive then Error (Printf.sprintf "source host %d is down" src)
@@ -106,7 +99,8 @@ let transfer t ~src ~dst ~bytes =
   else if partitioned t src dst then
     Error (Printf.sprintf "link %d<->%d is partitioned" src dst)
   else begin
-    let ns = transfer_ns t ~bytes in
+    (* every link is 1 GB/s (one byte per ns) with 20 us latency *)
+    let ns = 20_000.0 +. float_of_int bytes in
     let cs = Hw.Machine.clock s.machine and cd = Hw.Machine.clock d.machine in
     sync_clocks cs cd;
     Hw.Clock.charge cs "fabric_transfer" ns;

@@ -18,8 +18,6 @@
     refuses transfers and drops deliveries; a partitioned pair refuses
     transfers while both stay alive. *)
 
-type link = { bw_bytes_per_ns : float; latency_ns : float }
-
 type node = {
   hid : int;
   machine : Hw.Machine.t;
@@ -40,10 +38,9 @@ type endpoint = {
 
 type t
 
-val default_link : link
-(** 1 GB/s, 20 us latency — a modest datacenter NIC. *)
-
-val create : ?cpus:int -> ?mem_mib:int -> ?link:link -> hosts:int -> unit -> t
+val create : hosts:int -> unit -> t
+(** [hosts] machines of 2 CPUs and 512 MiB each, joined by 1 GB/s
+    links with 20 us latency — a modest datacenter NIC. *)
 
 val node : t -> int -> node
 val host : t -> int -> Cki.Host.t
@@ -56,9 +53,6 @@ val transfer : t -> src:int -> dst:int -> bytes:int -> (float, string) result
 (** Move [bytes] over the link; returns the wire time charged to both
     clocks, or [Error] when either end is dead or the pair is
     partitioned. *)
-
-val transfer_ns : t -> bytes:int -> float
-(** Wire time a transfer of [bytes] would take (no side effects). *)
 
 val transferred_bytes : t -> int
 

@@ -19,10 +19,12 @@
 
 type error =
   | Unsupported_image of string
+  | Untrusted_vcpu_state of string
   | Verify_failed of string
 
 let show_error = function
   | Unsupported_image s -> "unsupported image: " ^ s
+  | Untrusted_vcpu_state s -> "vCPU state refused: " ^ s
   | Verify_failed s -> "restored container failed verification:\n" ^ s
 
 exception Fail of error
@@ -146,6 +148,22 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
         i_tables;
       }
   in
+  (* At rest a CKI vCPU is outside every gate, so its PKRS must be the
+     value the gates leave on exit, and its CR3 a declared root or a
+     per-vCPU copy of one.  The image does not get to choose privilege
+     state: anything else is refused, not repaired, so tampering stays
+     visible. *)
+  let declared =
+    List.concat_map (fun (r, copies) -> r :: Array.to_list copies) (Cki.Ksm.roots ksm)
+  in
+  let refuse fmt = Printf.ksprintf (fun m -> raise (Fail (Untrusted_vcpu_state m))) fmt in
+  Array.iteri
+    (fun i (s : Image.cpu_state) ->
+      if s.Image.c_pkrs <> Hw.Pks.pkrs_guest then
+        refuse "vCPU %d PKRS %#x is not the guest value %#x" i s.Image.c_pkrs Hw.Pks.pkrs_guest;
+      let cr3 = reloc s.Image.c_cr3 in
+      if not (List.mem cr3 declared) then refuse "vCPU %d CR3 frame %d is not a declared root" i cr3)
+    image.Image.cpus;
   (* Guest buddy allocator: same block layout, relocated bases — one
      zone per delegated segment.  Block offsets in the image are
      linearized over the segment sizes (see capture); map each back to

@@ -8,6 +8,11 @@
     result is checked with {!Analysis.check_machine} before being
     handed out and a finding turns into [Verify_failed].
 
+    The image does not choose vCPU privilege state: a vCPU whose PKRS
+    is not {!Hw.Pks.pkrs_guest}, or whose relocated CR3 is not a
+    declared root or a per-vCPU copy of one, is refused with
+    [Untrusted_vcpu_state] (the partial rebuild is rolled back).
+
     The {e clone} path additionally shares the template's frozen
     read-only frames: user-range leaf PTEs over shared frames are
     redirected at the template (write bit cleared, reference taken) and
@@ -16,6 +21,7 @@
 
 type error =
   | Unsupported_image of string
+  | Untrusted_vcpu_state of string  (** forged PKRS or CR3 in a vCPU record *)
   | Verify_failed of string
 
 val show_error : error -> string

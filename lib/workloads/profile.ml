@@ -52,11 +52,13 @@ module Arena = struct
     mutable chunk_used_pages : int;
     mutable chunk_pages : int;
     mutable offset_in_page : int;
-    chunk_alloc_pages : int;
     mutable allocated_bytes : int;
   }
 
-  let create ?(chunk_pages = 512) backend task =
+  (* pages per arena chunk (one mmap each) *)
+  let chunk_alloc_pages = 512
+
+  let create backend task =
     {
       backend;
       task;
@@ -64,12 +66,11 @@ module Arena = struct
       chunk_used_pages = 0;
       chunk_pages = 0;
       offset_in_page = 0;
-      chunk_alloc_pages = chunk_pages;
       allocated_bytes = 0;
     }
 
   let grow t =
-    let pages = t.chunk_alloc_pages in
+    let pages = chunk_alloc_pages in
     let base =
       match
         Virt.Backend.syscall_exn t.backend t.task

@@ -35,7 +35,7 @@ val timed : Virt.Backend.t -> (unit -> unit) -> float
 module Arena : sig
   type t
 
-  val create : ?chunk_pages:int -> Virt.Backend.t -> Kernel_model.Task.t -> t
+  val create : Virt.Backend.t -> Kernel_model.Task.t -> t
   val alloc : t -> int -> unit
   val allocated_bytes : t -> int
 end

@@ -9,8 +9,8 @@
    identical, proving the swap changed raw speed only.  Around it:
    allocator free-count bookkeeping, allocation-order preservation,
    arena slot recycling, the per-owner frame index against a brute-force
-   scan, and the translation fast path's subset-of-the-TLB invalidation
-   discipline. *)
+   scan, and [Cpu.access] under invlpg/invpcid pinned to exact TLB
+   statistics. *)
 
 open Alcotest
 
@@ -348,64 +348,59 @@ let test_destroyed_clone_owns_nothing () =
   check bool "template unpinned" false (Snapshot.Template.in_use tpl)
 
 (* ------------------------------------------------------------------ *)
-(* Translation fast path                                               *)
+(* Translation under invalidation                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The memoized fast path must be observationally invisible: run the
-   same access/unmap/invlpg sequence with the cache on and off and
-   compare results, faults, TLB statistics and the simulated clock. *)
-let test_tcache_invisible () =
-  let run ~tcache =
-    let m = Hw.Phys_mem.create ~frames:4096 in
-    let pt = Hw.Page_table.create m ~owner:Hw.Phys_mem.Host in
-    let clock = Hw.Clock.create () in
-    let cpu = Hw.Cpu.create clock in
-    Hw.Cpu.set_tcache cpu tcache;
-    let log = Buffer.create 256 in
-    let touch ?(write = false) va =
-      let kind = if write then Hw.Pks.Write else Hw.Pks.Read in
-      match Hw.Cpu.access cpu pt ~va ~access_kind:kind () with
-      | Ok pa -> Buffer.add_string log (Printf.sprintf "ok:%x;" pa)
-      | Error f -> Buffer.add_string log ("fault:" ^ Hw.Cpu.show_fault f ^ ";")
-    in
-    for i = 0 to 31 do
-      let data = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
-      ignore
-        (Hw.Page_table.map pt ~va:(0x400000 + (i * 4096)) ~pfn:data
-           ~flags:{ Hw.Pte.default_flags with Hw.Pte.writable = true }
-           ())
-    done;
-    (* repeated touches: hot path *)
-    for _ = 1 to 3 do
-      for i = 0 to 31 do
-        touch ~write:(i mod 2 = 0) (0x400000 + (i * 4096))
-      done
-    done;
-    (* unmap half, invlpg each, then re-touch: must fault identically *)
-    for i = 0 to 15 do
-      let va = 0x400000 + (i * 4096) in
-      ignore (Hw.Page_table.unmap pt va);
-      Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va)
-    done;
-    for i = 0 to 31 do
-      touch (0x400000 + (i * 4096))
-    done;
-    (* flush everything, then re-touch: all walks again *)
-    Hw.Cpu.exec_priv_exn cpu Hw.Priv.Invpcid;
-    for i = 16 to 31 do
-      touch (0x400000 + (i * 4096))
-    done;
-    ( Buffer.contents log,
-      Hw.Tlb.hits cpu.Hw.Cpu.tlb,
-      Hw.Tlb.misses cpu.Hw.Cpu.tlb,
-      Hw.Clock.now clock )
+(* [Cpu.access] across TLB invalidation, pinned to exact values: 32
+   mapped pages touched three times (32 walks, then 64 hits); half
+   unmapped and invlpg'd, then all re-touched (the 16 dropped pages
+   walk and fault Not_present, the other 16 hit); invpcid, then the
+   mapped half re-touched (16 walks).  A TLB that keeps a dropped
+   translation turns those faults into hits. *)
+let test_tlb_invalidation () =
+  let m = Hw.Phys_mem.create ~frames:4096 in
+  let pt = Hw.Page_table.create m ~owner:Hw.Phys_mem.Host in
+  let clock = Hw.Clock.create () in
+  let cpu = Hw.Cpu.create clock in
+  let page i = 0x400000 + (i * 4096) in
+  let frames =
+    Array.init 32 (fun i ->
+        let data = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
+        ignore
+          (Hw.Page_table.map pt ~va:(page i) ~pfn:data
+             ~flags:{ Hw.Pte.default_flags with Hw.Pte.writable = true }
+             ());
+        data)
   in
-  let log_on, hits_on, misses_on, now_on = run ~tcache:true in
-  let log_off, hits_off, misses_off, now_off = run ~tcache:false in
-  check string "access outcomes identical" log_off log_on;
-  check int "tlb hits identical" hits_off hits_on;
-  check int "tlb misses identical" misses_off misses_on;
-  check (float 1e-9) "simulated clock identical" now_off now_on
+  let faults = ref [] in
+  let touch ?(write = false) i =
+    let kind = if write then Hw.Pks.Write else Hw.Pks.Read in
+    match Hw.Cpu.access cpu pt ~va:(page i) ~access_kind:kind () with
+    | Ok pa -> check int "translated to the mapped frame" (Hw.Addr.pa_of_pfn frames.(i)) pa
+    | Error (Hw.Cpu.Not_present va) when va = page i -> faults := i :: !faults
+    | Error f -> fail ("unexpected fault: " ^ Hw.Cpu.show_fault f)
+  in
+  for _ = 1 to 3 do
+    for i = 0 to 31 do
+      touch ~write:(i mod 2 = 0) i
+    done
+  done;
+  for i = 0 to 15 do
+    ignore (Hw.Page_table.unmap pt (page i));
+    Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg (page i))
+  done;
+  for i = 0 to 31 do
+    touch i
+  done;
+  Hw.Cpu.exec_priv_exn cpu Hw.Priv.Invpcid;
+  for i = 16 to 31 do
+    touch i
+  done;
+  check (list int) "exactly the unmapped pages fault Not_present" (List.init 16 Fun.id)
+    (List.rev !faults);
+  check int "tlb hits" 80 (Hw.Tlb.hits cpu.Hw.Cpu.tlb);
+  check int "tlb misses" 64 (Hw.Tlb.misses cpu.Hw.Cpu.tlb);
+  check int "tlb_miss_walk charges" 64 (Hw.Clock.occurrences clock "tlb_miss_walk")
 
 (* ------------------------------------------------------------------ *)
 (* Domain sharding                                                     *)
@@ -580,8 +575,7 @@ let suite =
         test_case "iter_owned traces one read per frame" `Quick test_iter_owned_traced;
         test_case "destroyed clone owns no frames" `Quick test_destroyed_clone_owns_nothing;
       ] );
-    ( "engine-tcache",
-      [ test_case "fast path observationally invisible" `Quick test_tcache_invisible ] );
+    ("engine-tlb", [ test_case "invlpg/invpcid pinned" `Quick test_tlb_invalidation ]);
     ( "engine-json",
       [
         test_case "emit/parse round-trip" `Quick test_json_roundtrip;

@@ -41,7 +41,7 @@ let test_tlb_flush_pcid () =
   Hw.Tlb.flush_all t;
   check_int "all empty" 0 (Hw.Tlb.size t)
 
-let test_tlb_capacity () =
+let test_capacity_bound () =
   let t = Hw.Tlb.create ~capacity:8 () in
   for i = 0 to 63 do
     Hw.Tlb.insert t ~pcid:1 ~va:(i * 4096) (entry i)
@@ -386,7 +386,7 @@ let suite =
         test_case "hit/miss" `Quick test_tlb_hit_miss;
         test_case "PCID isolation (invlpg)" `Quick test_tlb_pcid_isolation;
         test_case "flush pcid / all" `Quick test_tlb_flush_pcid;
-        test_case "capacity bound" `Quick test_tlb_capacity;
+        test_case "capacity bound" `Quick test_capacity_bound;
         test_case "2 MiB entries" `Quick test_tlb_huge_entry;
       ] );
     ( "hw/pks",

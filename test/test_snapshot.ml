@@ -60,6 +60,28 @@ let first_task (c : Cki.Container.t) =
   | t :: _ -> t
   | [] -> fail "no tasks"
 
+(* Rewrite the first payload line starting with [prefix] (every such
+   line with [~all]) through [f], then re-seal the checksum the way
+   anyone holding an image can. *)
+let reseal ?(all = false) ~prefix f enc =
+  let lines = String.split_on_char '\n' enc in
+  let magic = List.hd lines in
+  let payload = List.filteri (fun i _ -> i >= 2) lines in
+  let hits = ref 0 in
+  let payload =
+    List.map
+      (fun l ->
+        if (all || !hits = 0) && String.starts_with ~prefix l then begin
+          incr hits;
+          f l
+        end
+        else l)
+      payload
+  in
+  if !hits = 0 then fail ("no line with prefix " ^ prefix);
+  let body = String.concat "\n" payload in
+  String.concat "\n" [ magic; Printf.sprintf "checksum %016Lx" (Snapshot.Image.fnv1a64 body); body ]
+
 (* ------------------------------------------------------------------ *)
 
 (* capture∘restore∘capture is byte-identical: every frame relocated,
@@ -416,26 +438,7 @@ let test_decode_count_mismatch () =
   let host = mk_host () in
   let image = capture_exn (boot_ready host) in
   let enc = Snapshot.Image.encode image in
-  let tamper prefix f =
-    let lines = String.split_on_char '\n' enc in
-    let magic = List.hd lines in
-    let payload = List.filteri (fun i _ -> i >= 2) lines in
-    let hit = ref false in
-    let payload =
-      List.map
-        (fun l ->
-          if (not !hit) && String.length l > 2 && String.sub l 0 2 = prefix then begin
-            hit := true;
-            f l
-          end
-          else l)
-        payload
-    in
-    if not !hit then fail ("no line with prefix " ^ prefix);
-    let body = String.concat "\n" payload in
-    String.concat "\n"
-      [ magic; Printf.sprintf "checksum %016Lx" (Snapshot.Image.fnv1a64 body); body ]
-  in
+  let tamper prefix f = reseal ~prefix f enc in
   let bump_count l =
     match String.split_on_char ' ' l with
     | tag :: frame :: n :: rest ->
@@ -450,6 +453,39 @@ let test_decode_count_mismatch () =
   in
   expect_malformed "root copy count" (tamper "r " bump_count);
   expect_malformed "pervcpu frame count" (tamper "v " bump_count)
+
+(* The image does not choose vCPU privilege state.  Both probes re-seal
+   a genuine image with one field of every vCPU record ("c kernel pkrs
+   if gs kgs cr3") rewritten; the restore must refuse it by name and
+   roll back without leaking a frame. *)
+let expect_vcpu_refusal name rewrite =
+  let host = mk_host ~mem_mib:512 () in
+  let mem = Hw.Machine.mem (Cki.Host.machine host) in
+  let enc = Snapshot.Image.encode (capture_exn (boot_ready host)) in
+  let set_field k v l =
+    String.concat " " (List.mapi (fun i f -> if i = k then v else f) (String.split_on_char ' ' l))
+  in
+  let forged =
+    match Snapshot.Image.decode (reseal ~all:true ~prefix:"c " (rewrite set_field) enc) with
+    | Ok image -> image
+    | Error e -> fail (name ^ ": re-sealed image did not decode: " ^ Snapshot.Image.show_decode_error e)
+  in
+  let free0 = Hw.Phys_mem.free_frames mem in
+  (match Snapshot.Restore.restore ~verify:true host forged with
+  | Error (Snapshot.Restore.Untrusted_vcpu_state _) -> ()
+  | Ok _ -> fail (name ^ ": forged vCPU state restored")
+  | Error e -> fail (name ^ ": wrong error: " ^ Snapshot.Restore.show_error e));
+  check int (name ^ ": refusal leaks no frames") free0 (Hw.Phys_mem.free_frames mem)
+
+let test_forged_pkrs_refused () =
+  expect_vcpu_refusal "PKRS 0" (fun set l ->
+      check string "captured PKRS is the guest value" (string_of_int Hw.Pks.pkrs_guest)
+        (List.nth (String.split_on_char ' ' l) 2);
+      set 2 "0" l)
+
+(* Aux frame 5 is a level-2 page table: a frame the KSM knows, but not
+   a root. *)
+let test_forged_cr3_refused () = expect_vcpu_refusal "CR3 at A5" (fun set l -> set 6 "A5" l)
 
 let suite =
   [
@@ -468,5 +504,7 @@ let suite =
         test_case "frozen template writes fault" `Quick test_template_write_faults;
         test_case "failed restores roll back cleanly" `Quick test_failed_restore_rollback;
         test_case "declared counts are enforced in decode" `Quick test_decode_count_mismatch;
+        test_case "re-sealed PKRS 0 is refused" `Quick test_forged_pkrs_refused;
+        test_case "re-sealed CR3 at a PTP is refused" `Quick test_forged_cr3_refused;
       ] );
   ]
