@@ -1,4 +1,4 @@
-.PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench clean
+.PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench bench-compare clean
 
 all: build
 
@@ -54,6 +54,22 @@ bench-json: build
 # if any is malformed, breaks the schema or has a false gate.
 validate-bench: build
 	dune exec bench/main.exe -- validate
+
+# Compare every BENCH_*.json in the working tree with its committed
+# version (git HEAD): sim metrics that moved are listed, wall metrics
+# shown old -> new.  Visits every file, then exits non-zero if any sim
+# metric differed or a file has no committed version.
+bench-compare: build
+	@mkdir -p _build/bench-compare; status=0; \
+	for f in BENCH_*.json; do \
+		echo "== $$f"; \
+		if git show HEAD:$$f > _build/bench-compare/$$f 2>/dev/null; then \
+			dune exec bench/main.exe -- compare _build/bench-compare/$$f $$f || status=1; \
+		else \
+			echo "  $$f has no committed version"; status=1; \
+		fi; \
+	done; \
+	exit $$status
 
 # Formatting check; a no-op (with a note) where ocamlformat is not
 # installed, so `ci` works in minimal containers too.

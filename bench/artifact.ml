@@ -186,8 +186,8 @@ let compare_files old_file new_file =
           | Some a, Some b when a.clock = b.clock && Float.equal a.value b.value && a.n = b.n -> ()
           | Some a, Some b ->
               incr differ;
-              Printf.printf "  sim  %s: %.6g -> %.6g %s (n %d -> %d)\n" name a.value b.value a.unit a.n
-                b.n
+              Printf.printf "  sim  %s: %s -> %s %s (n %d -> %d)\n" name
+                (Report.Json.float_repr a.value) (Report.Json.float_repr b.value) a.unit a.n b.n
           | Some m, None | None, Some m ->
               if m.clock = Sim then incr differ;
               Printf.printf "  %-4s %s: only in %s\n" (clock_name m.clock) name

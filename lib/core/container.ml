@@ -24,7 +24,6 @@ type t = {
   cfg : Config.t;
   container_id : int;
   pcid : int;
-  mutable current_vcpu : int;
   aspaces : (int, Hw.Addr.pfn) Hashtbl.t;  (** aspace id -> guest root PTP *)
   next_as : int ref;  (** next aspace id (snapshotted, so ids are stable) *)
 }
@@ -195,7 +194,6 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
       cfg;
       container_id;
       pcid;
-      current_vcpu = 0;
       aspaces;
       next_as;
     }

@@ -18,7 +18,6 @@ type t = {
   cfg : Config.t;
   container_id : int;
   pcid : int;
-  mutable current_vcpu : int;
   aspaces : (int, Hw.Addr.pfn) Hashtbl.t;
   next_as : int ref;
 }

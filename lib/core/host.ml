@@ -29,7 +29,6 @@ type t = {
   mutable policy : policy;
   mutable delegations : delegated list;
   mutable next_container : int;
-  mutable injected_virqs : int;
 }
 
 (* [first_container] separates container-id spaces when several host
@@ -47,7 +46,6 @@ let create ?(policy = Scatter) ?(first_container = 1) (machine : Hw.Machine.t) =
     policy;
     delegations = [];
     next_container = first_container;
-    injected_virqs = 0;
   }
 
 let machine t = t.machine
@@ -140,9 +138,5 @@ let handle_hw_interrupt t ~vector =
   ignore vector;
   Hw.Clock.charge t.clock "host_irq_handler" Hw.Cost.irq_delivery
 
-let inject_virq t =
-  t.injected_virqs <- t.injected_virqs + 1;
-  Hw.Clock.charge t.clock "virq_inject" Hw.Cost.virq_inject
-
-let injected_virqs t = t.injected_virqs
+let inject_virq t = Hw.Clock.charge t.clock "virq_inject" Hw.Cost.virq_inject
 

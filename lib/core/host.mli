@@ -58,5 +58,4 @@ val handle_hypercall : t -> Kernel_model.Platform.io_kind -> unit
 
 val handle_hw_interrupt : t -> vector:int -> unit
 val inject_virq : t -> unit
-val injected_virqs : t -> int
 

@@ -1,5 +1,5 @@
-(** The physical machine: memory, CPUs, the interrupt fabric, and the
-    simulated clock every component charges. *)
+(** The physical machine: memory, CPUs, and the simulated clock every
+    component charges. *)
 
 type t
 
@@ -13,7 +13,3 @@ val cpu : t -> int -> Cpu.t
 val fresh_pcid : t -> int
 (** Allocate a fresh PCID; each secure container and the host kernel
     get distinct PCIDs so [invlpg] is confined (Section 4.1). *)
-
-val raise_irq : t -> cpu:int -> vector:int -> unit
-val take_irq : t -> cpu:int -> int option
-val has_pending : t -> cpu:int -> bool

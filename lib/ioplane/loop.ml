@@ -12,7 +12,7 @@
    the guests, then run a service pass over every attachment with
    outstanding work — TX frames are forwarded through the switch, blk
    writes land in the block store, and each serviced batch gets one
-   forced completion interrupt (the batch-boundary latency bound). *)
+   completion interrupt. *)
 
 type attachment = {
   kernel : Kernel_model.Kernel.t;

@@ -244,7 +244,6 @@ type result = {
   r_doorbells : int;
   r_suppressed_kicks : int;
   r_interrupts : int;
-  r_suppressed_interrupts : int;
   r_exits : int;
   r_doorbells_per_req : float;
   r_interrupts_per_req : float;
@@ -423,7 +422,6 @@ let run_core ?(seed = default_seed) cfg =
   let doorbells = sum Kernel_model.Virtio.kicks in
   let suppressed_kicks = sum Kernel_model.Virtio.suppressed_kicks in
   let interrupts = sum Kernel_model.Virtio.interrupts in
-  let suppressed_interrupts = sum Kernel_model.Virtio.suppressed_interrupts in
   let tx_stalls =
     List.fold_left (fun acc c -> acc + Kernel_model.Kernel.tx_stalls c.lane.Lane.kernel) 0 chans
   in
@@ -448,7 +446,6 @@ let run_core ?(seed = default_seed) cfg =
       r_doorbells = doorbells;
       r_suppressed_kicks = suppressed_kicks;
       r_interrupts = interrupts;
-      r_suppressed_interrupts = suppressed_interrupts;
       r_exits = exits;
       r_doorbells_per_req = float_of_int doorbells /. fl;
       r_interrupts_per_req = float_of_int interrupts /. fl;
@@ -523,7 +520,6 @@ let run_sharded ~domains cfg =
       r_doorbells = doorbells;
       r_suppressed_kicks = sum_i (fun r -> r.r_suppressed_kicks);
       r_interrupts = interrupts;
-      r_suppressed_interrupts = sum_i (fun r -> r.r_suppressed_interrupts);
       r_exits = exits;
       r_doorbells_per_req = float_of_int doorbells /. fl;
       r_interrupts_per_req = float_of_int interrupts /. fl;
@@ -550,8 +546,8 @@ let pp_result fmt r =
   Format.fprintf fmt
     "%-10s %-13s containers=%d window=%d  %8.1f req/s  lat(us) mean=%.1f p50=%.1f p95=%.1f \
      p99=%.1f@\n\
-    \           per-req: doorbells=%.2f irqs=%.2f exits=%.2f  (suppressed kicks=%d irqs=%d, \
+    \           per-req: doorbells=%.2f irqs=%.2f exits=%.2f  (suppressed kicks=%d, \
      stalls=%d, blk writes=%d)"
     r.r_label r.r_workload r.r_containers r.r_window r.r_throughput_rps r.r_mean_us r.r_p50_us
     r.r_p95_us r.r_p99_us r.r_doorbells_per_req r.r_interrupts_per_req r.r_exits_per_req
-    r.r_suppressed_kicks r.r_suppressed_interrupts r.r_tx_stalls r.r_blk_writes
+    r.r_suppressed_kicks r.r_tx_stalls r.r_blk_writes

@@ -93,7 +93,6 @@ type result = {
   r_doorbells : int;
   r_suppressed_kicks : int;
   r_interrupts : int;
-  r_suppressed_interrupts : int;
   r_exits : int;
   r_doorbells_per_req : float;
   r_interrupts_per_req : float;

@@ -1,5 +1,5 @@
-(* The model kernel: tasks + scheduler + VFS + pipes + sockets + VirtIO
-   frontends, all running over a [Platform.t].
+(* The model kernel: tasks + context switches + VFS + pipes + sockets +
+   VirtIO frontends, all running over a [Platform.t].
 
    Instantiated once per container guest kernel (and once natively for
    RunC).  Syscall dispatch charges the platform's syscall round trip —
@@ -32,7 +32,8 @@ type t = {
   id : int;  (** per-process unique, for queue naming *)
   platform : Platform.t;
   fs : Tmpfs.t;
-  sched : Sched.t;
+  mutable current_pid : int option;
+      (** the task last switched to; switching to it again is free *)
   tasks : (int, Task.t) Hashtbl.t;
   sockets : (int, Net.endpoint) Hashtbl.t;
   wire : Net.t;
@@ -59,7 +60,7 @@ let create platform =
     id = Atomic.fetch_and_add next_kernel_id 1 + 1;
     platform;
     fs = Tmpfs.create clock;
-    sched = Sched.create platform;
+    current_pid = None;
     tasks = Hashtbl.create 16;
     sockets = Hashtbl.create 16;
     wire = Net.create clock;
@@ -136,13 +137,13 @@ let io_unreclaimed t =
 
 let tx_stalls t = t.tx_stalls
 
-(* Host side: service a device-readable queue (TX or blk), inject the
-   completion interrupt (always forced, which bounds batch latency), then
-   run the guest's reclaim as its interrupt handler. *)
+(* Host side: service a device-readable queue (TX or blk), inject one
+   completion interrupt for the pass, then run the guest's reclaim as
+   its interrupt handler. *)
 let host_service_queue t q ~handle =
   let n = Virtio.service q ~handle in
   let injected =
-    Virtio.complete ~force:true q ~inject:(fun () ->
+    Virtio.complete q ~inject:(fun () ->
         t.irq_count <- t.irq_count + 1;
         t.platform.Platform.deliver_irq ())
   in
@@ -199,7 +200,6 @@ let spawn t =
   let mm = Mm.create t.platform in
   let task = Task.create ~pid ~parent:0 mm in
   Hashtbl.replace t.tasks pid task;
-  Sched.enqueue t.sched pid;
   task
 
 let task t pid = Hashtbl.find_opt t.tasks pid
@@ -217,7 +217,6 @@ let set_next_pid t pid = t.next_pid <- pid
    captured pid. *)
 let restore_task t (task : Task.t) =
   Hashtbl.replace t.tasks task.Task.pid task;
-  Sched.enqueue t.sched task.Task.pid;
   if task.Task.pid >= t.next_pid then t.next_pid <- task.Task.pid + 1
 
 (* Touch user memory (demand paging) outside any syscall. *)
@@ -229,12 +228,19 @@ let touch_range t (task : Task.t) ~start ~pages ~write =
   ignore t;
   Mm.touch_range task.Task.mm ~start ~pages ~write
 
-(* Context-switch between two tasks of this kernel. *)
+(* Context-switch between two tasks of this kernel: switch work plus
+   the platform's address-space switch (where PVM's hypercall per CR3
+   load shows up), unless [to_pid] is already current. *)
 let context_switch t ~from_pid ~to_pid =
   ignore from_pid;
   match Hashtbl.find_opt t.tasks to_pid with
   | None -> invalid_arg "Kernel.context_switch: unknown pid"
-  | Some target -> Sched.switch_to t.sched to_pid target.Task.mm
+  | Some target ->
+      if t.current_pid <> Some to_pid then begin
+        Hw.Clock.charge (clock t) "ctx_switch" Hw.Cost.ctx_switch_work;
+        t.platform.Platform.as_switch (Mm.aspace target.Task.mm);
+        t.current_pid <- Some to_pid
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Syscall implementation                                              *)
@@ -303,12 +309,10 @@ let do_fork t (task : Task.t) =
   Hashtbl.iter (fun fd obj -> Hashtbl.replace child.Task.fds fd obj) task.Task.fds;
   child.Task.next_fd <- task.Task.next_fd;
   Hashtbl.replace t.tasks pid child;
-  Sched.enqueue t.sched pid;
   pid
 
-let do_exit t (task : Task.t) code =
+let do_exit t (task : Task.t) =
   task.Task.state <- Task.Zombie;
-  task.Task.exit_code <- Some code;
   Mm.destroy task.Task.mm;
   Hashtbl.remove t.tasks task.Task.pid
 
@@ -390,8 +394,8 @@ let syscall t (task : Task.t) (sc : Syscall.t) : Syscall.result =
       let pages = Mm.resident_pages mm in
       Hw.Clock.charge (clock t) "execve_teardown" (float_of_int pages *. Hw.Cost.per_pte_copy);
       Syscall.Runit
-  | Syscall.Exit code ->
-      do_exit t task code;
+  | Syscall.Exit _ ->
+      do_exit t task;
       Syscall.Runit
   | Syscall.Pipe ->
       let p = Pipe.create (clock t) in
@@ -456,7 +460,7 @@ let deliver_packets t ~sid payloads =
         Hw.Clock.charge (clock t) "virtio_service" Hw.Cost.virtio_backend_service;
         let missed = List.filter (fun p -> not (Virtio.fill io.rx ~data:p)) payloads in
         let injected =
-          Virtio.complete ~force:true io.rx ~inject:(fun () ->
+          Virtio.complete io.rx ~inject:(fun () ->
               t.irq_count <- t.irq_count + 1;
               t.platform.Platform.deliver_irq ())
         in

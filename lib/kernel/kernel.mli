@@ -1,5 +1,5 @@
-(** The model kernel: tasks + scheduler + VFS + pipes + sockets +
-    VirtIO frontends, over a {!Platform.t}.
+(** The model kernel: tasks + context switches + VFS + pipes + sockets
+    + VirtIO frontends, over a {!Platform.t}.
 
     Instantiated once per container guest kernel (and once natively for
     RunC). Syscall dispatch charges the platform's syscall round trip,
@@ -26,7 +26,7 @@ val set_next_pid : t -> int -> unit
 
 val restore_task : t -> Task.t -> unit
 (** Snapshot restore: adopt an already-reconstructed task at its
-    captured pid, enqueue it, and keep [next_pid] above it. *)
+    captured pid and keep [next_pid] above it. *)
 
 val touch : t -> Task.t -> Hw.Addr.va -> write:bool -> unit
 (** Touch user memory (demand paging) outside any syscall. *)
@@ -36,7 +36,7 @@ val touch_range : t -> Task.t -> start:Hw.Addr.va -> pages:int -> write:bool -> 
 val context_switch : t -> from_pid:int -> to_pid:int -> unit
 (** Switch between two tasks; charges switch work + the platform's
     address-space switch (a hypercall under PVM, a KSM CR3 load under
-    CKI). *)
+    CKI), or nothing when [to_pid] is already current. *)
 
 val syscall : t -> Task.t -> Syscall.t -> Syscall.result
 (** Execute one syscall on behalf of a task. *)

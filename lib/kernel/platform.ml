@@ -3,7 +3,7 @@
 
    The same model kernel runs as
      - the native/host kernel        (RunC: platform = bare hardware),
-     - an HVM guest kernel           (platform = VMCS/EPT world),
+     - an HVM guest kernel           (platform = VM exits + EPT),
      - a PVM guest kernel            (platform = user-mode + shadow paging),
      - a CKI guest kernel            (platform = KSM calls + hypercalls).
    Each backend supplies this record; the cost *structure* of the paper

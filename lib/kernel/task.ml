@@ -17,8 +17,6 @@ type t = {
   fds : (int, fd_object) Hashtbl.t;
   mutable next_fd : int;
   mutable state : state;
-  mutable exit_code : int option;
-  mutable utime_ns : float;  (** accumulated simulated CPU time *)
 }
 
 let create ~pid ~parent mm =
@@ -29,8 +27,6 @@ let create ~pid ~parent mm =
     fds = Hashtbl.create 16;
     next_fd = 3;
     state = Runnable;
-    exit_code = None;
-    utime_ns = 0.0;
   }
 
 let install_fd t obj =

@@ -21,8 +21,6 @@ type t = {
   fds : (int, fd_object) Hashtbl.t;
   mutable next_fd : int;
   mutable state : state;
-  mutable exit_code : int option;
-  mutable utime_ns : float;
 }
 
 val create : pid:int -> parent:int -> Mm.t -> t

@@ -10,21 +10,19 @@
          word 1 = len | flags<<32 | next<<40   (bit 0 = NEXT chain,
                                                 bit 1 = device-WRITE);
      - one avail page:  word 0 flags, word 1 = avail idx (monotonic),
-         words 2..2+size-1 the ring of head descriptor ids,
-         word 2+size = used_event (guest-written interrupt suppression);
+         words 2..2+size-1 the ring of head descriptor ids;
      - one used page:   word 0 flags, word 1 = used idx,
          words 2..2+size-1 the ring of id | total_len<<32 entries,
          word 2+size = avail_event (host-written kick suppression);
      - [size] payload-buffer pages, one per descriptor; payloads larger
        than a page ride descriptor chains (NEXT flag).
 
-   Notification suppression is EVENT_IDX-style: [window = 0] models the
-   naive path (every post kicks, every publish batch injects);
-   [window >= 1] negotiates EVENT_IDX with that batch window — the
-   guest kicks only when the avail idx crosses the host-written
-   avail_event, the host injects only when the used idx crosses the
-   guest-written used_event, and [complete ~force:true] bounds latency
-   at batch boundaries.
+   Kick suppression is EVENT_IDX-style: [window = 0] models the naive
+   path (every post kicks); [window >= 1] negotiates EVENT_IDX with
+   that batch window — the guest kicks only when the avail idx crosses
+   the host-written avail_event.  Interrupts coalesce by batch: one
+   [complete] per host service pass covers every used entry that pass
+   published.
 
    The guest side never raises on a full ring: [post]/[post_buffer]
    return [`Full] after an opportunistic reclaim, and the kernel's
@@ -70,12 +68,10 @@ type t = {
   mutable last_avail_seen : int;
   mutable used_idx : int;
   mutable unsignaled : int;  (** used entries published since last irq *)
-  mutable complete_old : int;  (** used idx at the previous complete *)
   (* counters *)
   mutable kicks : int;
   mutable suppressed_kicks : int;
   mutable interrupts : int;
-  mutable suppressed_interrupts : int;
   mutable serviced_total : int;
 }
 
@@ -113,22 +109,19 @@ let create ?(size = 64) ?(window = 1) ~name (access : access) clock =
       last_avail_seen = 0;
       used_idx = 0;
       unsignaled = 0;
-      complete_old = 0;
       kicks = 0;
       suppressed_kicks = 0;
       interrupts = 0;
-      suppressed_interrupts = 0;
       serviced_total = 0;
     }
   in
   (* Publish the static half of the descriptor table (buffer pfns) and
-     zero the ring indices / event fields. *)
+     zero the ring indices and avail_event. *)
   for i = 0 to size - 1 do
     wr t t.desc_page (2 * i) (Int64.of_int t.bufs.(i));
     wr t t.desc_page ((2 * i) + 1) 0L
   done;
   wr t t.avail_page idx_word 0L;
-  wr t t.avail_page (event_word t) 0L;
   wr t t.used_page idx_word 0L;
   wr t t.used_page (event_word t) 0L;
   Hw.Clock.charge clock "virtio_ring_init" (3.0 *. Hw.Cost.page_zero);
@@ -264,9 +257,6 @@ let reclaim t =
     end;
     t.last_used_seen <- t.last_used_seen + 1
   done;
-  (* Re-arm interrupt suppression for the entries we just consumed. *)
-  if t.window >= 1 then
-    wr t t.avail_page (event_word t) (Int64.of_int (t.last_used_seen + t.window - 1));
   List.rev !out
 
 let post_chain t ~data ~capacity ~write =
@@ -380,35 +370,21 @@ let fill t ~data =
     true
   end
 
-(* Inject (or suppress) the completion interrupt for the used entries
-   published since the last injection.  [force] bounds latency at batch
-   boundaries; with [window = 0] every publish batch injects. *)
-let complete ?(force = false) t ~inject =
+(* Inject the completion interrupt for the used entries published
+   since the last injection: one interrupt per service pass. *)
+let complete t ~inject =
   if t.unsignaled = 0 then false
   else begin
-    let should =
-      if force || t.window = 0 then true
-      else begin
-        Hw.Clock.charge t.clock "virtio_event_idx" Hw.Cost.event_idx_check;
-        let ev = Int64.to_int (rd t t.avail_page (event_word t)) in
-        ev >= t.complete_old && ev < t.used_idx
-      end
-    in
-    t.complete_old <- t.used_idx;
-    if should then begin
-      t.interrupts <- t.interrupts + 1;
-      Hw.Probe.emit_io_completion ~queue:t.name ~used_idx:t.used_idx ~serviced:t.unsignaled;
-      t.unsignaled <- 0;
-      inject ()
-    end
-    else t.suppressed_interrupts <- t.suppressed_interrupts + 1;
-    should
+    t.interrupts <- t.interrupts + 1;
+    Hw.Probe.emit_io_completion ~queue:t.name ~used_idx:t.used_idx ~serviced:t.unsignaled;
+    t.unsignaled <- 0;
+    inject ();
+    true
   end
 
 let kicks t = t.kicks
 let suppressed_kicks t = t.suppressed_kicks
 let interrupts t = t.interrupts
-let suppressed_interrupts t = t.suppressed_interrupts
 let serviced_total t = t.serviced_total
 let name t = t.name
 

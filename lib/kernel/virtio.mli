@@ -6,12 +6,11 @@
     audit them like any other guest page.  Payloads larger than a page
     ride descriptor chains.
 
-    Notification suppression is EVENT_IDX-style: [window = 0] models
-    the naive path (every post kicks, every publish batch injects);
-    [window >= 1] suppresses kicks until the avail idx crosses the
-    host-written avail_event and interrupts until the used idx crosses
-    the guest-written used_event.  A full ring is graceful backpressure
-    ([`Full]), never an exception. *)
+    Kick suppression is EVENT_IDX-style: [window = 0] models the naive
+    path (every post kicks); [window >= 1] suppresses kicks until the
+    avail idx crosses the host-written avail_event.  Interrupts
+    coalesce by batch: one {!complete} per host service pass.  A full
+    ring is graceful backpressure ([`Full]), never an exception. *)
 
 type access = {
   mem : Hw.Phys_mem.t;
@@ -29,7 +28,7 @@ type t
 
 val create : ?size:int -> ?window:int -> name:string -> access -> Hw.Clock.t -> t
 (** [size] descriptors (2..256, default 64); [window] the EVENT_IDX
-    batch window (default 1; 0 = naive, no suppression). *)
+    batch window for kicks (default 1; 0 = naive, no suppression). *)
 
 val size : t -> int
 val window : t -> int
@@ -59,8 +58,7 @@ val kick : t -> doorbell:(unit -> unit) -> bool
 
 val reclaim : t -> Bytes.t list
 (** Guest: consume published used entries, freeing their descriptors;
-    returns the payloads of device-written (RX) chains, oldest first.
-    Re-arms used_event for interrupt suppression. *)
+    returns the payloads of device-written (RX) chains, oldest first. *)
 
 val service : t -> handle:(Bytes.t -> unit) -> int
 (** Host: service pending device-readable chains — read each payload
@@ -73,17 +71,15 @@ val fill : t -> data:Bytes.t -> bool
     and publish its used entry; false when no buffer credit is
     posted. *)
 
-val complete : ?force:bool -> t -> inject:(unit -> unit) -> bool
+val complete : t -> inject:(unit -> unit) -> bool
 (** Host: inject the completion interrupt covering the used entries
-    published since the last injection, unless EVENT_IDX suppresses it
-    ([force] overrides — the batch-boundary latency bound).  Never
-    injects with nothing serviced.  Emits an [Io_completion] probe when
-    it injects; returns whether it did. *)
+    published since the last injection.  Never injects with nothing
+    serviced.  Emits an [Io_completion] probe when it injects; returns
+    whether it did. *)
 
 val kicks : t -> int
 val suppressed_kicks : t -> int
 val interrupts : t -> int
-val suppressed_interrupts : t -> int
 val serviced_total : t -> int
 val name : t -> string
 

@@ -30,6 +30,19 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* The shortest of 15, 16 or 17 significant digits that reads back as
+   the same float (17 always does), with ".0" added where the digits
+   alone would read as an integer. *)
+let float_repr f =
+  let s =
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+  in
+  if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+
 let rec emit buf indent v =
   let pad n = String.make (2 * n) ' ' in
   match v with
@@ -37,11 +50,8 @@ let rec emit buf indent v =
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
-      (* JSON has no NaN/Infinity; also avoid "1." (invalid JSON). *)
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-      else Buffer.add_string buf "null"
+      (* JSON has no NaN/Infinity. *)
+      Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
   | String s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape s);

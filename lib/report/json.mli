@@ -15,9 +15,15 @@ type value =
   | List of value list
   | Obj of (string * value) list
 
+val float_repr : float -> string
+(** A finite float as the shortest of [%.15g], [%.16g] and [%.17g]
+    that [float_of_string] reads back as the same float; digits that
+    would read as an integer get [".0"] ([3.0], not [3]). *)
+
 val to_string : value -> string
-(** Pretty-printed (2-space indent), newline-terminated. Non-finite
-    floats emit [null]. *)
+(** Pretty-printed (2-space indent), newline-terminated. Finite floats
+    keep round-trip precision ({!float_repr}); non-finite floats emit
+    [null]. *)
 
 val write_file : string -> value -> unit
 

@@ -13,7 +13,6 @@
 type state = {
   machine : Hw.Machine.t;
   container_id : int;
-  vmcs : Hw.Vmcs.t;
   ept : Hw.Ept.t;
   (* Guest-physical frame allocation: gfns are container-local. *)
   mutable next_gfn : int;
@@ -70,7 +69,6 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
     {
       machine;
       container_id;
-      vmcs = Hw.Vmcs.create ~id:container_id ~nested;
       ept = Hw.Ept.create (Hw.Machine.mem machine) ~huge:ept_huge;
       next_gfn = 0;
       free_gfns = [];
@@ -79,7 +77,6 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
       nested;
     }
   in
-  Hw.Vmcs.launch st.vmcs;
   let mem = Hw.Machine.mem machine in
   let alloc_gfn () =
     match st.free_gfns with
@@ -102,7 +99,12 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
     Hw.Phys_mem.alloc mem ~owner:(Hw.Phys_mem.Container container_id)
       ~kind:(Hw.Phys_mem.Page_table level)
   in
-  let vm_exit reason = ignore (Hw.Vmcs.vm_exit st.vmcs clock reason) in
+  (* Every VM exit costs the same; a nested exit pays the L0
+     redirection tax (L2 -> L0 -> L1 -> L0 -> L2). *)
+  let vm_exit () =
+    if nested then Hw.Clock.charge clock "vmexit_nested" Hw.Cost.vmexit_nst
+    else Hw.Clock.charge clock "vmexit" Hw.Cost.vmexit_bm
+  in
   let platform =
     {
       Kernel_model.Platform.name = "hvm";
@@ -148,19 +150,16 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
         (if nested then Hw.Cost.pf_handler_hvm_nst else Hw.Cost.pf_handler_hvm_bm);
       syscall_round_trip =
         (fun () -> Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit);
-      hypercall =
-        (fun kind ->
-          ignore kind;
-          vm_exit Hw.Vmcs.Hypercall);
+      hypercall = (fun _kind -> vm_exit ());
       deliver_irq =
         (fun () ->
           (* External interrupt: VM exit, host handles, re-enter with a
              virtual interrupt; the guest's EOI write is another exit.
              In a nested cloud each exit is L0-redirected. *)
-          vm_exit (Hw.Vmcs.External_interrupt 33);
+          vm_exit ();
           Hw.Clock.charge clock "irq" Hw.Cost.irq_delivery;
           Hw.Clock.charge clock "virq_inject" Hw.Cost.virq_inject;
-          vm_exit Hw.Vmcs.Msr_access (* EOI *));
+          vm_exit () (* EOI *));
       virtualized_io = true;
       (* VirtIO rings live at gPAs; the host walks the EPT to reach the
          backing host frame (second-stage translation, no exit). *)
@@ -180,6 +179,6 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
     walk_refs = Hw.Cost.walk_refs_2d;
     walk_refs_huge = Hw.Cost.walk_refs_2d_huge;
     supports_hypercall = true;
-    empty_hypercall = (fun () -> vm_exit Hw.Vmcs.Hypercall);
+    empty_hypercall = vm_exit;
     guest_user_kernel_isolated = true;
   }

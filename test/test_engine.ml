@@ -536,6 +536,20 @@ let test_json_roundtrip () =
   | Ok (Obj [ ("a", List [ Int 1; Float 2.5; String "xA" ]) ]) -> ()
   | Ok _ -> fail "unexpected parse shape"
   | Error e -> fail ("parse failed: " ^ e));
+  (* floats keep every bit through the file, in the fewest digits *)
+  let tricky =
+    [ 0.1 +. 0.2; 1.0 /. 3.0; 3942930.123456789; 1e-300; 2.5e20; 1234567890123456.0; -0.0 ]
+  in
+  let same_bits f = function
+    | Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+    | _ -> false
+  in
+  (match parse (to_string (List (List.map (fun f -> Float f) tricky))) with
+  | Ok (List vs) -> check bool "floats bit-identical" true (List.for_all2 same_bits tricky vs)
+  | Ok _ -> fail "unexpected parse shape"
+  | Error e -> fail ("parse failed: " ^ e));
+  check string "short repr" "0.1" (float_repr 0.1);
+  check string "integral repr" "3.0" (float_repr 3.0);
   check bool "member finds field" true
     (match member "ratio" v with Some (Float f) -> Float.equal f 11.5 | _ -> false);
   check bool "member on non-object" true (member "x" (Int 3) = None)

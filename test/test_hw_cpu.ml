@@ -1,5 +1,5 @@
 (* Tests for Hw: TLB, PKS, privileged instructions, CPU, IDT, EPT,
-   VMCS, clock. *)
+   clock, machine. *)
 
 open Alcotest
 
@@ -47,6 +47,43 @@ let test_capacity_bound () =
     Hw.Tlb.insert t ~pcid:1 ~va:(i * 4096) (entry i)
   done;
   check_bool "bounded" true (Hw.Tlb.size t <= 8)
+
+(* Invalidating and refilling one page must not let later inserts
+   outgrow the capacity: eviction skips the slots invlpg left behind. *)
+let test_capacity_after_invlpg () =
+  let t = Hw.Tlb.create ~capacity:4 () in
+  Hw.Tlb.insert t ~pcid:1 ~va:0 (entry 0);
+  for _ = 1 to 1000 do
+    Hw.Tlb.invlpg t ~pcid:1 0;
+    Hw.Tlb.insert t ~pcid:1 ~va:0 (entry 0)
+  done;
+  for i = 1 to 11 do
+    Hw.Tlb.insert t ~pcid:1 ~va:(i * 4096) (entry i)
+  done;
+  check_bool "bounded" true (Hw.Tlb.size t <= 4);
+  check_int "newest four kept" 4 (Hw.Tlb.entries_for t ~pcid:1);
+  for i = 8 to 11 do
+    check_bool (Printf.sprintf "page %d cached" i) true (Hw.Tlb.lookup t ~pcid:1 (i * 4096) <> None)
+  done
+
+(* A re-inserted page counts from its new insert: eviction takes the
+   least recently inserted live entry, not the page's stale slot. *)
+let test_eviction_order () =
+  let t = Hw.Tlb.create ~capacity:4 () in
+  let cached i = Hw.Tlb.lookup t ~pcid:1 (i * 4096) <> None in
+  for i = 0 to 3 do
+    Hw.Tlb.insert t ~pcid:1 ~va:(i * 4096) (entry i)
+  done;
+  Hw.Tlb.invlpg t ~pcid:1 0;
+  Hw.Tlb.insert t ~pcid:1 ~va:0 (entry 0);
+  Hw.Tlb.insert t ~pcid:1 ~va:(4 * 4096) (entry 4);
+  check_bool "refilled page kept" true (cached 0);
+  check_bool "oldest live evicted" false (cached 1);
+  Hw.Tlb.flush_pcid t ~pcid:2;
+  Hw.Tlb.insert t ~pcid:1 ~va:(5 * 4096) (entry 5);
+  check_bool "next oldest evicted" false (cached 2);
+  check_bool "others kept" true (cached 0 && cached 3 && cached 4 && cached 5);
+  check_int "full" 4 (Hw.Tlb.size t)
 
 let test_tlb_huge_entry () =
   let t = Hw.Tlb.create () in
@@ -278,19 +315,6 @@ let test_ept_huge () =
   check_int "huge translate" ((1024 * 4096) + (5 * 4096)) (Hw.Ept.translate ept ((517 * 4096)));
   check_int "huge walk refs" 15 (Hw.Ept.walk_refs ept)
 
-(* ------------------------------ Vmcs ------------------------------ *)
-
-let test_vmcs_exits () =
-  let clock = Hw.Clock.create () in
-  let v = Hw.Vmcs.create ~id:1 ~nested:false in
-  let c1 = Hw.Vmcs.vm_exit v clock Hw.Vmcs.Hypercall in
-  check_bool "bm cost" true (c1 = Hw.Cost.vmexit_bm);
-  let vn = Hw.Vmcs.create ~id:2 ~nested:true in
-  let c2 = Hw.Vmcs.vm_exit vn clock (Hw.Vmcs.Ept_violation 0) in
-  check_bool "nested costlier" true (c2 > c1);
-  check_int "exit count" 1 (Hw.Vmcs.exits v);
-  check_int "by reason" 1 (Hw.Vmcs.exits_for vn "ept_violation")
-
 (* ------------------------------ Clock ----------------------------- *)
 
 let test_clock_accounting () =
@@ -364,17 +388,8 @@ let test_clock_reset_and_queries () =
 
 (* ---------------------------- Machine ----------------------------- *)
 
-let test_machine_irq_queue () =
+let test_machine_pcids () =
   let m = Hw.Machine.create ~cpus:2 ~mem_mib:1 () in
-  check_bool "no pending" false (Hw.Machine.has_pending m ~cpu:0);
-  Hw.Machine.raise_irq m ~cpu:0 ~vector:32;
-  Hw.Machine.raise_irq m ~cpu:1 ~vector:33;
-  Hw.Machine.raise_irq m ~cpu:0 ~vector:34;
-  check_bool "pending" true (Hw.Machine.has_pending m ~cpu:0);
-  check_bool "fifo per cpu" true (Hw.Machine.take_irq m ~cpu:0 = Some 32);
-  check_bool "next" true (Hw.Machine.take_irq m ~cpu:0 = Some 34);
-  check_bool "drained" true (Hw.Machine.take_irq m ~cpu:0 = None);
-  check_bool "cpu1 intact" true (Hw.Machine.take_irq m ~cpu:1 = Some 33);
   let p1 = Hw.Machine.fresh_pcid m in
   let p2 = Hw.Machine.fresh_pcid m in
   check_bool "pcids distinct" true (p1 <> p2)
@@ -388,6 +403,8 @@ let suite =
         test_case "flush pcid / all" `Quick test_tlb_flush_pcid;
         test_case "capacity bound" `Quick test_capacity_bound;
         test_case "2 MiB entries" `Quick test_tlb_huge_entry;
+        test_case "capacity bound after invlpg refills" `Quick test_capacity_after_invlpg;
+        test_case "FIFO eviction skips stale slots" `Quick test_eviction_order;
       ] );
     ( "hw/pks",
       [
@@ -421,7 +438,6 @@ let suite =
         test_case "map/translate/violation" `Quick test_ept_map_translate;
         test_case "huge mappings" `Quick test_ept_huge;
       ] );
-    ("hw/vmcs", [ test_case "exit accounting" `Quick test_vmcs_exits ]);
     ( "hw/clock",
       [
         test_case "accounting" `Quick test_clock_accounting;
@@ -429,5 +445,5 @@ let suite =
         test_case "add_into folds by name" `Quick test_clock_add_into;
         test_case "reset + unseen queries" `Quick test_clock_reset_and_queries;
       ] );
-    ("hw/machine", [ test_case "irq queue + pcids" `Quick test_machine_irq_queue ]);
+    ("hw/machine", [ test_case "fresh pcids" `Quick test_machine_pcids ]);
   ]

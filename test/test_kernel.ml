@@ -1,6 +1,5 @@
-(* Tests for the kernel substrate: buddy, slab, vma, mm, tmpfs, pipe,
-   virtio, net, task/sched, and end-to-end syscalls on the bare
-   platform. *)
+(* Tests for the kernel substrate: buddy, vma, mm, tmpfs, pipe, virtio,
+   net, tasks, and end-to-end syscalls on the bare platform. *)
 
 open Alcotest
 
@@ -79,21 +78,6 @@ let prop_buddy_no_overlap =
         pairs (List.sort compare !live)
       in
       no_overlap && Kernel_model.Buddy.check_invariants b)
-
-(* ------------------------------ Slab ------------------------------ *)
-
-let test_slab_alloc_free () =
-  let b = Kernel_model.Buddy.create ~base:0 ~frames:64 in
-  let s = Kernel_model.Slab.create ~name:"obj" ~obj_size:128 b in
-  let hs = List.init 40 (fun _ -> Kernel_model.Slab.alloc s) in
-  check_int "allocated" 40 (Kernel_model.Slab.allocated s);
-  check_bool "handles unique" true (List.length (List.sort_uniq compare hs) = 40);
-  (* 32 objs per 4k page -> 2 slabs *)
-  check_int "slabs" 2 (Kernel_model.Slab.slab_count s);
-  List.iter (Kernel_model.Slab.free s) hs;
-  check_int "empty" 0 (Kernel_model.Slab.allocated s);
-  check_raises "unknown handle" (Invalid_argument "Slab.free: unknown handle") (fun () ->
-      Kernel_model.Slab.free s 9999)
 
 (* ------------------------------- Vma ------------------------------ *)
 
@@ -343,6 +327,22 @@ let test_virtio_event_idx () =
   done;
   check_int "naive rings every time" 3 !rings0
 
+(* The batch window only suppresses kicks: every completion that
+   covers serviced entries injects, one interrupt per service pass. *)
+let test_virtio_window_never_suppresses_irqs () =
+  let q = mk_virtio ~size:16 ~window:8 () in
+  let irqs = ref 0 in
+  for pass = 1 to 10 do
+    ignore (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'w'));
+    ignore (Kernel_model.Virtio.kick q ~doorbell:ignore);
+    ignore (Kernel_model.Virtio.service q ~handle:ignore);
+    check_bool (Printf.sprintf "pass %d injects" pass) true
+      (Kernel_model.Virtio.complete q ~inject:(fun () -> incr irqs));
+    ignore (Kernel_model.Virtio.reclaim q)
+  done;
+  check_int "one interrupt per pass" 10 !irqs;
+  check_int "counted" 10 (Kernel_model.Virtio.interrupts q)
+
 let test_virtio_roundtrip_backends () =
   (* Payloads cross page boundaries (4095/4097) and fill a 9-page chain
      (32769) on every platform, so each [guest_frame] translation --
@@ -486,10 +486,20 @@ let test_kernel_ctx_switch_counts () =
   let t1 = Kernel_model.Kernel.spawn k in
   let t2 = Kernel_model.Kernel.spawn k in
   let clock = Kernel_model.Kernel.clock k in
-  let before = Hw.Clock.occurrences clock "ctx_switch" in
-  Kernel_model.Kernel.context_switch k ~from_pid:t1.Kernel_model.Task.pid ~to_pid:t2.Kernel_model.Task.pid;
-  Kernel_model.Kernel.context_switch k ~from_pid:t2.Kernel_model.Task.pid ~to_pid:t1.Kernel_model.Task.pid;
-  check_int "two switches" (before + 2) (Hw.Clock.occurrences clock "ctx_switch")
+  let switches () = Hw.Clock.occurrences clock "ctx_switch" in
+  let cr3_loads () = Hw.Clock.occurrences clock "cr3_switch" in
+  let before = switches () and cr3_before = cr3_loads () in
+  let pid1 = t1.Kernel_model.Task.pid and pid2 = t2.Kernel_model.Task.pid in
+  Kernel_model.Kernel.context_switch k ~from_pid:pid1 ~to_pid:pid2;
+  Kernel_model.Kernel.context_switch k ~from_pid:pid2 ~to_pid:pid1;
+  check_int "two switches" (before + 2) (switches ());
+  check_int "two CR3 loads" (cr3_before + 2) (cr3_loads ());
+  (* Switching to the task already running is free. *)
+  let now = Hw.Clock.now clock in
+  Kernel_model.Kernel.context_switch k ~from_pid:pid1 ~to_pid:pid1;
+  check_int "no switch to current" (before + 2) (switches ());
+  check_int "no CR3 load to current" (cr3_before + 2) (cr3_loads ());
+  check_bool "no time charged" true (Hw.Clock.now clock = now)
 
 let suite =
   [
@@ -501,7 +511,6 @@ let suite =
         test_case "double free" `Quick test_buddy_double_free;
         QCheck_alcotest.to_alcotest prop_buddy_no_overlap;
       ] );
-    ("kernel/slab", [ test_case "alloc/free/reclaim" `Quick test_slab_alloc_free ]);
     ( "kernel/vma",
       [
         test_case "add/find/overlap" `Quick test_vma_add_find_overlap;
@@ -530,6 +539,7 @@ let suite =
         test_case "full ring backpressure" `Quick test_virtio_backpressure;
         test_case "EVENT_IDX suppression" `Quick test_virtio_event_idx;
         test_case "payload round trip on every backend" `Quick test_virtio_roundtrip_backends;
+        test_case "window never suppresses interrupts" `Quick test_virtio_window_never_suppresses_irqs;
       ] );
     ("kernel/net", [ test_case "endpoints" `Quick test_net_endpoints ]);
     ( "kernel/syscalls",

@@ -48,17 +48,23 @@ let test_hvm_bm_microbench () =
   let b = Virt.Hvm.create (mk_machine ()) in
   check_bool "getpid native" true (close 90.0 (getpid b));
   check_bool "pgfault ~3257ns" true (close 3257.0 (pgfault b));
-  let t0 = Hw.Clock.now b.Virt.Backend.clock in
+  let clock = b.Virt.Backend.clock in
+  let t0 = Hw.Clock.now clock and exits = Hw.Clock.occurrences clock "vmexit" in
   b.Virt.Backend.empty_hypercall ();
-  check_bool "hypercall ~1088ns" true (close 1088.0 (Hw.Clock.now b.Virt.Backend.clock -. t0));
+  check_bool "hypercall ~1088ns" true (close 1088.0 (Hw.Clock.now clock -. t0));
+  check_int "one VM exit" (exits + 1) (Hw.Clock.occurrences clock "vmexit");
+  check_int "no nested exit" 0 (Hw.Clock.occurrences clock "vmexit_nested");
   check_int "2D walk" 24 b.Virt.Backend.walk_refs
 
 let test_hvm_nst_microbench () =
   let b = Virt.Hvm.create ~env:Virt.Env.Nested (mk_machine ()) in
   check_bool "pgfault ~32565ns" true (close 32565.0 (pgfault b));
-  let t0 = Hw.Clock.now b.Virt.Backend.clock in
+  let clock = b.Virt.Backend.clock in
+  let t0 = Hw.Clock.now clock and exits = Hw.Clock.occurrences clock "vmexit_nested" in
   b.Virt.Backend.empty_hypercall ();
-  check_bool "hypercall ~6746ns" true (close 6746.0 (Hw.Clock.now b.Virt.Backend.clock -. t0))
+  check_bool "hypercall ~6746ns" true (close 6746.0 (Hw.Clock.now clock -. t0));
+  check_int "one nested VM exit" (exits + 1) (Hw.Clock.occurrences clock "vmexit_nested");
+  check_int "no bare-metal exit" 0 (Hw.Clock.occurrences clock "vmexit")
 
 let test_hvm_ept_fault_counting () =
   let b = Virt.Hvm.create (mk_machine ()) in
