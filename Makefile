@@ -1,4 +1,4 @@
-.PHONY: all build test check examples ci fmt mutants lint-src race-check bench-json validate-bench bench-compare clean
+.PHONY: all build test check examples ci fmt mutants lint-src bench-json validate-bench bench-compare clean
 
 all: build
 
@@ -11,10 +11,10 @@ test: build
 # Full verification: build, test suite, then the five API-tour examples
 # and the demo subcommands under --check (whole-machine invariant scan +
 # probe-trace lint; any finding is a non-zero exit), the static source
-# audit, the domain-race sanitizer, and a bounded model-check of the
-# privilege state space (exit 2 on counterexample).  The paper's
-# scenarios are scanned by `bench/main.exe paper` and its analysis gate.
-check: test examples lint-src race-check
+# audit, and a bounded model-check of the privilege state space (exit 2
+# on counterexample).  The paper's scenarios are scanned by
+# `bench/main.exe paper` and its analysis gate.
+check: test examples lint-src
 	dune exec bin/cki_demo.exe -- serve --check --containers 2 --requests 50
 	dune exec bin/cki_demo.exe -- snapshot --check -o _build/demo.ckisnap
 	dune exec bin/cki_demo.exe -- restore --check -i _build/demo.ckisnap
@@ -28,30 +28,21 @@ check: test examples lint-src race-check
 mutants: build
 	dune exec bin/cki_demo.exe -- model-check --mutants
 
-# Static source audit: TCB write-sink containment, layering DAG,
-# domain-safety inventory, spawn-site containment, hygiene.  Exit 2 on
-# any finding.
+# Static source audit: TCB write-sink containment, layering DAG, no
+# Domain.spawn anywhere, hygiene.  Exit 2 on any finding.
 lint-src: build
 	dune exec bin/cki_demo.exe -- lint-src
 
-# Domain-race sanitizer: the static domain rules (Domain.spawn only in
-# lib/hw/domain_shard.ml, the domain-safety inventory) plus a sharded
-# serve run under the dynamic cross-domain access checker (including
-# the --inject self-test, run separately because its seeded race makes
-# race-check itself exit 2).  Exit 2 on any finding.
-race-check: build
-	dune exec bin/cki_demo.exe -- race-check
-	dune exec bin/cki_demo.exe -- race-check --inject; test $$? -eq 2
-
 # Regenerate every checked-in benchmark artifact (BENCH_*.json) in the
-# repo root, then validate them: a false gate fails here, after all nine
+# repo root, then validate them: a false gate fails here, after all eight
 # files are written.
 bench-json: build
-	dune exec bench/main.exe -- --json snapshot modelcheck ioplane fleet migration srclint racecheck engine paper
+	dune exec bench/main.exe -- --json snapshot modelcheck ioplane fleet migration srclint engine paper
 	$(MAKE) validate-bench
 
 # Check every BENCH_*.json against the artifact schema; exit non-zero
-# if any is malformed, breaks the schema or has a false gate.
+# if any is malformed, breaks the schema or has a false gate, or if
+# BENCH_srclint.json's file or line count disagrees with the tree.
 validate-bench: build
 	dune exec bench/main.exe -- validate
 

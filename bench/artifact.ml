@@ -130,10 +130,11 @@ let load f =
 
 (* Validate [files] (every BENCH_*.json in the current directory when
    empty): each must parse, have exactly the artifact shape, at least
-   one metric, unique metric names, finite values, n >= 1 and no false
-   gate.  Prints one line per file and per failing gate; true iff every
-   file passes. *)
-let validate files =
+   one metric, unique metric names, finite values, n >= 1, no false
+   gate, and nothing [check file artifact] objects to.  Prints one line
+   per file, per failing gate and per objection; true iff every file
+   passes. *)
+let validate ~check files =
   let files =
     if files <> [] then files
     else
@@ -154,10 +155,13 @@ let validate files =
            | Ok t ->
                let failed = List.filter (fun g -> not g.ok) t.gates in
                List.iter (fun g -> Printf.printf "  %s: gate FAILED: %s: %s\n" f g.gate g.detail) failed;
-               if failed = [] then
+               let objections = check f t in
+               List.iter (Printf.printf "  %s: %s\n" f) objections;
+               let ok = failed = [] && objections = [] in
+               if ok then
                  Printf.printf "  %s: ok (bench %s, %d metrics, %d gates)\n" f t.bench
                    (List.length t.metrics) (List.length t.gates);
-               failed = []
+               ok
          in
          all_ok && ok)
        true files

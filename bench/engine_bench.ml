@@ -21,12 +21,7 @@
    - the container cycle: restore a captured 64 MiB container, scan it
      with [Analysis.check_machine], destroy it -- the table walks over
      its 16,384-leaf direct map that a migration pays on the target.
-
-   The sharding section reports the [Serve.run ~domains:{1,4}]
-   simulated-makespan ratio: on a single-CPU host the lanes do not run
-   in parallel, so it measures the deterministic merge of per-lane
-   simulated time, not host speed.  Gates: the ratio exceeds 2x and
-   both serve runs are analysis-clean. *)
+     Gate: every restored copy is analysis-clean. *)
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
@@ -221,45 +216,14 @@ let run () =
   let translate = bench_translate ~ops:200_000 in
   let probe = bench_probe ~ops:1_200_000 in
   let clock = bench_clock ~ops:3_000_000 in
-  let cfg =
-    {
-      Ioplane.Serve.default_config with
-      Ioplane.Serve.backend = "cki";
-      containers = 4;
-      requests_per_container = 50;
-      window = 4;
-    }
-  in
-  let serve domains =
-    let r, containers = Ioplane.Serve.run ~domains cfg in
-    (r, List.length (Analysis.check_machine ~containers))
-  in
-  let r1, findings1 = serve 1 in
-  let r4, findings4 = serve 4 in
   let primitives = bench_primitives () in
   let virtio_copy = bench_virtio_copy ~ops:20_000 in
   let cycle, cycle_findings = bench_container_cycle ~ops:100 in
-  let ratio = r1.Ioplane.Serve.r_wall_ns /. r4.Ioplane.Serve.r_wall_ns in
-  let serve_metrics (r : Ioplane.Serve.result) =
-    let m = Printf.sprintf "serve.d%d.%s" r.r_domains in
-    [
-      Artifact.sim (m "makespan") "ns" r.r_wall_ns;
-      Artifact.sim ~n:r.r_requests (m "throughput") "req/s" r.r_throughput_rps;
-      Artifact.sim ~n:r.r_requests (m "p99") "us" r.r_p99_us;
-    ]
-  in
   {
     Artifact.bench = "engine";
-    metrics =
-      [ alloc; arena; translate; probe; clock ] @ primitives @ [ virtio_copy; cycle ]
-      @ serve_metrics r1 @ serve_metrics r4
-      @ [ Artifact.sim "sim_makespan_ratio" "x" ratio ];
+    metrics = [ alloc; arena; translate; probe; clock ] @ primitives @ [ virtio_copy; cycle ];
     gates =
       [
-        Artifact.gate "1 -> 4 domain simulated-makespan ratio > 2x" (ratio > 2.0)
-          (Printf.sprintf "%.2fx" ratio);
-        Artifact.gate "sharded serve runs analysis-clean" (findings1 + findings4 = 0)
-          (Printf.sprintf "%d findings at 1 domain, %d at 4" findings1 findings4);
         Artifact.gate "restored 64 MiB copies analysis-clean" (cycle_findings = 0)
           (Printf.sprintf "%d findings over %d copies" cycle_findings cycle.Artifact.n);
       ];

@@ -16,7 +16,9 @@
    `validate [FILE...]` checks the given artifacts (default: every
    BENCH_*.json in the current directory) with Artifact.validate and
    exits 1 if any is malformed, breaks the schema or has a false gate —
-   the one place a failed gate fails the build.
+   the one place a failed gate fails the build — or if a srclint
+   artifact's file or line count disagrees with a scan of the tree it
+   sits in.
 
    `compare OLD.json NEW.json` prints every difference between two
    artifacts: wall metrics as old -> new with their ratio (not judged),
@@ -34,7 +36,6 @@ let registry =
       ("fleet", Fleet_bench.run);
       ("migration", Migration_bench.run);
       ("srclint", Srclint_bench.run);
-      ("racecheck", Racecheck_bench.run);
       ("engine", Engine_bench.run);
       ("paper", Paper.run);
     ]
@@ -53,7 +54,11 @@ let () =
   in
   match args with
   | [ "list" ] -> List.iter print_endline (List.map fst registry @ [ "validate"; "compare" ])
-  | "validate" :: files -> if not (Artifact.validate files) then exit 1
+  | "validate" :: files ->
+      let check file (a : Artifact.t) =
+        if a.bench = "srclint" then Srclint_bench.stale file a else []
+      in
+      if not (Artifact.validate ~check files) then exit 1
   | [ "compare"; old_file; new_file ] -> if not (Artifact.compare_files old_file new_file) then exit 1
   | [] -> List.iter (fun (_, (run, writable)) -> if writable then bench (run, writable)) registry
   | names ->

@@ -33,3 +33,23 @@ let run () =
           (Printf.sprintf "%d files, %d findings" s.Srclint.files findings);
       ];
   }
+
+(* A srclint artifact describes the tree it sits in: [stale file a]
+   re-scans the tree above [file] and names each count of [a] that the
+   scan contradicts, so an artifact written before later source edits
+   fails validation. *)
+let stale file (a : Artifact.t) =
+  let dir = Filename.dirname file in
+  let dir = if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir else dir in
+  match Srclint.find_root ~from:dir () with
+  | None -> [ "no source tree above " ^ dir ]
+  | Some root ->
+      let s = (Srclint.scan ~root ()).Srclint.stats in
+      List.filter_map
+        (fun (name, scanned) ->
+          match List.find_opt (fun (m : Artifact.metric) -> m.name = name) a.metrics with
+          | Some m when m.value = float_of_int scanned -> None
+          | Some m ->
+              Some (Printf.sprintf "stale: %s is %.0f, the tree scans %d" name m.value scanned)
+          | None -> Some (Printf.sprintf "no %s metric" name))
+        [ ("files", s.Srclint.files); ("loc", s.Srclint.loc) ]

@@ -5,17 +5,16 @@
                           [--nested] [--workload memcached|redis|nginx|httpd]
                           [--rate R] [--sched] [--fsync-every N]
      cki_demo fleet       [--tenants N] [--rate R] [--requests M] [--slo US]
-                          [--max-replicas K] [--quota PCT] [--admission R] [--domains D]
+                          [--max-replicas K] [--quota PCT] [--admission R]
      cki_demo migrate     [--rounds N] [--chaos]
      cki_demo snapshot    [--out FILE]
      cki_demo restore     [--in FILE]
      cki_demo clone       [--clones N] [--warm K]
      cki_demo model-check [--depth N] [--nest N] [--mutants]
      cki_demo lint-src    [--root DIR]
-     cki_demo race-check  [--root DIR] [--inject]
 
-   Every subcommand but policy, model-check, lint-src and race-check
-   also takes --check.  Each subcommand is a scenario: it prints its own
+   Every subcommand but policy, model-check and lint-src also takes
+   --check.  Each subcommand is a scenario: it prints its own
    output and returns the CKI containers it booted plus its own
    findings, or an error.  [run] turns that into one report and the
    exit code documented in [exits]: 0 ok, 1 usage or scenario error,
@@ -96,7 +95,7 @@ let serve backend nested containers requests window workload rate sched fsync ()
    warm clones.  Every scale-out clone is re-verified by the analysis
    scanner inside the controller; a verification refusal is a finding
    like any other. *)
-let fleet tenants rate requests slo max_replicas quota_pct admission domains () =
+let fleet tenants rate requests slo max_replicas quota_pct admission () =
   let mk i =
     {
       Fleet.Controller.default_tenant with
@@ -121,7 +120,7 @@ let fleet tenants rate requests slo max_replicas quota_pct admission domains () 
          else Some (1_000_000.0, quota_pct /. 100.0 *. 1_000_000.0));
     }
   in
-  let r = Fleet.Controller.run ~domains cfg in
+  let r = Fleet.Controller.run cfg in
   List.iter (fun tr -> Format.printf "%a@." Fleet.Controller.pp_tenant_result tr) r.Fleet.Controller.tenants;
   Format.printf "makespan %.1f ms (simulated)@." (r.Fleet.Controller.makespan_ns /. 1e6);
   let refused (tr : Fleet.Controller.tenant_result) =
@@ -333,65 +332,6 @@ let lint_src root () =
     (List.length scan.Srclint.findings);
   Ok ([], Srclint.to_findings scan.Srclint.findings)
 
-(* The srclint rules about domains race-check gates on: spawn
-   containment and the toplevel mutable-state inventory with its
-   [@@single_domain] annotations. *)
-let domain_rules = [ "spawn-site"; "domain-safety"; "stale-annotation"; "undocumented-annotation" ]
-
-let race_check root inject () =
-  (* Static half: the domain rules of a source scan. *)
-  let* root = repo_root root in
-  let scan = Srclint.scan ~root () in
-  let static =
-    List.filter
-      (fun (f : Srclint.Rules.finding) -> List.mem f.Srclint.Rules.rule domain_rules)
-      scan.Srclint.findings
-  in
-  Printf.printf "static: %d file(s) scanned, %d domain-rule finding(s)\n"
-    scan.Srclint.stats.Srclint.files (List.length static);
-  (* Dynamic half: run the sharded engines with Phys_mem tracing on and
-     race-check the merged replay. *)
-  let run_traced label f =
-    Hw.Probe.set_mem_trace true;
-    let report =
-      Fun.protect
-        ~finally:(fun () -> Hw.Probe.set_mem_trace false)
-        (fun () ->
-          let _, trace = Analysis.Trace.with_recorder ~capacity:400_000 f in
-          Analysis.Racecheck.of_trace trace)
-    in
-    Format.printf "dynamic (%s): %a@." label Analysis.Racecheck.pp_report report;
-    report
-  in
-  let cfg =
-    { Ioplane.Serve.default_config with containers = 4; requests_per_container = 25 }
-  in
-  let serve_report =
-    run_traced "sharded serve, 2 domains" (fun () -> ignore (Ioplane.Serve.run ~domains:2 cfg))
-  in
-  let* injected =
-    if not inject then Ok []
-    else begin
-      (* Self-test: two lanes on two domains mutate one shared machine;
-         the checker MUST flag it, or it is broken. *)
-      let mem = Hw.Phys_mem.create ~frames:64 in
-      let r =
-        run_traced "injected shared machine" (fun () ->
-            Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun i ->
-                Hw.Phys_mem.set_owner mem 3 (Hw.Phys_mem.Container i)))
-      in
-      if Analysis.Racecheck.is_clean r then
-        Error "race-check: injected cross-domain race was NOT caught — checker broken"
-      else begin
-        Printf.printf "inject: seeded cross-domain race caught, as it must be\n";
-        Ok (Analysis.Racecheck.findings r)
-      end
-    end
-  in
-  Ok
-    ( [],
-      Srclint.to_findings static @ Analysis.Racecheck.findings serve_report @ injected )
-
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -403,11 +343,11 @@ let exits =
       ~doc:
         "on a command-line error, or when the scenario cannot run: an unreadable or corrupt \
          snapshot image, a failed capture, restore, clone or migration, no repo root, a \
-         surviving mutant, or an uncaught injected race.";
+         or a surviving mutant.";
     Cmd.Exit.info 2
       ~doc:
-        "when a gated run ($(b,--check); always for $(b,model-check), $(b,lint-src) and \
-         $(b,race-check)) reports a finding that is not informational.";
+        "when a gated run ($(b,--check); always for $(b,model-check) and $(b,lint-src)) \
+         reports a finding that is not informational.";
   ]
 
 let check_arg =
@@ -528,11 +468,6 @@ let fleet_cmd =
       value & opt float 0.0
       & info [ "admission" ] ~doc:"Per-tenant admission token rate (req/s); 0 = off.")
   in
-  let domains =
-    Arg.(
-      value & opt (at_least 0) 0
-      & info [ "domains" ] ~doc:"Shard tenants across OCaml domains (0 = inline).")
-  in
   subcommand "fleet"
     ~doc:
       "Serve an open-loop multi-tenant fleet through the fleet controller: pick-two load \
@@ -540,7 +475,7 @@ let fleet_cmd =
        with analysis-verified warm clones and scales idle replicas back in."
     scanned
     Term.(
-      const fleet $ tenants $ rate $ requests $ slo $ max_replicas $ quota $ admission $ domains)
+      const fleet $ tenants $ rate $ requests $ slo $ max_replicas $ quota $ admission)
 
 let migrate_cmd =
   let rounds =
@@ -632,31 +567,11 @@ let lint_src_cmd =
   subcommand "lint-src"
     ~doc:
       "Statically audit the repo's own OCaml sources: raw memory write sinks outside the TCB \
-       allowlist, inter-library layering violations, module-toplevel mutable state \
-       (domain-sharding race hazards), Domain.spawn outside lib/hw/domain_shard.ml, and hygiene \
-       (missing .mli, Obj.magic / assert false in TCB files, unpaired gate probes).  Exits 2 on \
-       any finding."
+       allowlist, inter-library layering violations, any Domain.spawn (the simulator runs on \
+       one domain), and hygiene (missing .mli, Obj.magic / assert false in TCB files, unpaired \
+       gate probes).  Exits 2 on any finding."
     gated
     Term.(const lint_src $ root_arg)
-
-let race_check_cmd =
-  let inject =
-    Arg.(
-      value & flag
-      & info [ "inject" ]
-          ~doc:
-            "Also run the checker self-test: two lanes on two domains deliberately mutate one \
-             shared machine; the seeded race must be caught (and makes the command exit 2).")
-  in
-  subcommand "race-check"
-    ~doc:
-      "Run the two-layer domain-race sanitizer.  Static: the srclint domain rules (spawn-site: \
-       Domain.spawn only in lib/hw/domain_shard.ml; domain-safety and its [@@single_domain] \
-       stale-annotation and undocumented-annotation findings).  Dynamic: a bounded sharded serve \
-       run with Phys_mem access tracing on, its merged replay checked for cross-domain \
-       accesses with no spawn/join happens-before edge.  Exits 2 on any finding."
-    gated
-    Term.(const race_check $ root_arg $ inject)
 
 let () =
   let doc = "CKI (EuroSys'25) reproduction demo driver" in
@@ -672,7 +587,6 @@ let () =
         clone_cmd;
         model_check_cmd;
         lint_src_cmd;
-        race_check_cmd;
       ]
   in
   exit

@@ -15,7 +15,6 @@
 module Trace = Trace
 module Invariants = Invariants
 module Lint = Lint
-module Racecheck = Racecheck
 
 type result = {
   violations : Invariants.violation list;

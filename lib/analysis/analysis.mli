@@ -18,7 +18,6 @@
 module Trace : module type of Trace
 module Invariants : module type of Invariants
 module Lint : module type of Lint
-module Racecheck : module type of Racecheck
 
 type result = {
   violations : Invariants.violation list;

@@ -153,10 +153,7 @@ let run ?(dropped = 0) (events : Hw.Probe.event list) : finding list =
           if forged then add (Forged_completion { queue; used_idx });
           Hashtbl.replace last_used queue (max used_idx (Option.value prev ~default:0))
       | Hw.Probe.Iret _ | Hw.Probe.Cr3_load _ | Hw.Probe.Pks_denied _ | Hw.Probe.Ksm_op _
-      | Hw.Probe.Mm_op _ | Hw.Probe.Mem_read _ | Hw.Probe.Mem_write _
-      | Hw.Probe.Domain_spawn _ | Hw.Probe.Domain_join _ ->
-          (* Mem_* and the domain edges belong to Racecheck's
-             happens-before pass, not the temporal rules. *)
+      | Hw.Probe.Mm_op _ ->
           ())
     events;
   (* Verdicts for whatever is still outstanding. *)

@@ -15,7 +15,6 @@ let record t ev = Hw.Probe.ring_record t.ring ev
 let attach t = Hw.Probe.set_ring t.ring
 let detach () = Hw.Probe.clear_sink ()
 let events t = Hw.Probe.ring_events t.ring
-let tagged_events t = Hw.Probe.ring_events_tagged t.ring
 let length t = Hw.Probe.ring_length t.ring
 let dropped t = Hw.Probe.ring_dropped t.ring
 let clear t = Hw.Probe.ring_clear t.ring

@@ -29,10 +29,6 @@ val record : t -> Hw.Probe.event -> unit
 val events : t -> Hw.Probe.event list
 (** Captured events, oldest first. *)
 
-val tagged_events : t -> (int * Hw.Probe.event) list
-(** Captured events, oldest first, each paired with the id of the
-    domain that emitted it — the input {!Racecheck.check} consumes. *)
-
 val length : t -> int
 
 val dropped : t -> int

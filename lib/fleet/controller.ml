@@ -23,10 +23,8 @@
    p99 breaches, and scale-out genuinely restores the SLO by adding
    budget — the feedback loop is physical, not scripted.
 
-   Tenants shard across OCaml domains exactly like {!Ioplane.Serve}
-   lanes: every tenant's trajectory is a pure function of the config
-   and its derived seed, so all counters are identical for any
-   [?domains] value. *)
+   Every tenant's trajectory is a pure function of the config and its
+   derived seed. *)
 
 module Lane = Ioplane.Serve.Lane
 
@@ -135,7 +133,7 @@ type tenant_result = {
   tr_n_after : int;
 }
 
-type result = { tenants : tenant_result list; makespan_ns : float; domains : int }
+type result = { tenants : tenant_result list; makespan_ns : float }
 
 type replica = {
   rep_lane : Lane.t;
@@ -506,27 +504,16 @@ let run_tenant cfg tenant ~seed =
     tr_n_after = n_after;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Domain-sharded execution (the Serve.run_sharded pattern)            *)
-(* ------------------------------------------------------------------ *)
-
-let run ?(domains = 0) (cfg : config) =
-  if domains < 0 then invalid_arg "Fleet: negative domain count";
+(* Tenants run one after another, in config order; the makespan is
+   their summed simulated time. *)
+let run (cfg : config) =
   if cfg.tenants = [] then invalid_arg "Fleet: need at least one tenant";
-  let tenants = Array.of_list cfg.tenants in
-  let lanes = Array.length tenants in
-  let outs = Array.make lanes None in
-  (* Spawn/join/ring plumbing lives in [Hw.Domain_shard] (the repo's
-     one blessed spawn site); each tenant writes only its own [outs]
-     slot. *)
-  Hw.Domain_shard.run ~domains ~lanes (fun i ->
-      outs.(i) <- Some (run_tenant cfg tenants.(i) ~seed:(tenant_seed cfg.seed i)));
-  let out i = match outs.(i) with Some o -> o | None -> failwith "Fleet: tenant did not run" in
+  let tenants =
+    List.mapi (fun i t -> run_tenant cfg t ~seed:(tenant_seed cfg.seed i)) cfg.tenants
+  in
   {
-    tenants = List.init lanes out;
-    makespan_ns =
-      Hw.Domain_shard.makespan ~domains (Array.init lanes (fun i -> (out i).tr_elapsed_ns));
-    domains;
+    tenants;
+    makespan_ns = List.fold_left (fun acc tr -> acc +. tr.tr_elapsed_ns) 0.0 tenants;
   }
 
 let pp_tenant_result fmt tr =

@@ -10,7 +10,7 @@
     genuinely restores the SLO by adding budget.
 
     Deterministic: every tenant's counters are a pure function of the
-    config and its derived seed, identical for any [?domains]. *)
+    config and its derived seed. *)
 
 type tenant = {
   name : string;
@@ -88,7 +88,7 @@ type tenant_result = {
   tr_n_after : int;  (** each phase's completion count; all phase fields are 0 without drain *)
 }
 
-type result = { tenants : tenant_result list; makespan_ns : float; domains : int }
+type result = { tenants : tenant_result list; makespan_ns : float }
 
 val tenant_seed : int -> int -> int
 (** Derived per-tenant seed (never 0). *)
@@ -100,11 +100,9 @@ val run_tenant : config -> tenant -> seed:int -> tenant_result
     @raise Failure if the harness cannot converge or a bootstrap
     replica fails verification. *)
 
-val run : ?domains:int -> config -> result
-(** Serve every tenant.  [domains = 0] or [1] runs tenants inline;
-    [domains > 1] shards them across OCaml domains round-robin.
-    Tenant results are merged in fixed tenant order and the makespan is
-    the max over domains of their tenants' summed elapsed times —
-    counters never depend on [domains]. *)
+val run : config -> result
+(** Serve every tenant: {!run_tenant} over [cfg.tenants] in order,
+    tenant [i] seeded with [tenant_seed cfg.seed i].  The makespan is
+    the tenants' [tr_elapsed_ns] summed in that order. *)
 
 val pp_tenant_result : Format.formatter -> tenant_result -> unit

@@ -93,18 +93,6 @@ let events t =
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun name i acc -> (name, t.counts.(i)) :: acc) t.slots [])
 
-(* Ordered reduction support for the domain-sharded engine: fold [src]'s
-   elapsed time and every counter into [into], slot by slot.  Callers
-   reduce per-lane clocks in a fixed lane order, so merged totals are
-   deterministic (float additions happen in the same order every run). *)
-let add_into ~into src =
-  into.now_ns <- into.now_ns +. src.now_ns;
-  for i = 0 to Hashtbl.length src.slots - 1 do
-    let j = slot into src.names.(i) in
-    into.counts.(j) <- into.counts.(j) + src.counts.(i);
-    into.spent.(j) <- into.spent.(j) +. src.spent.(i)
-  done
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>clock: %.0f ns@," t.now_ns;
   List.iter

@@ -19,12 +19,6 @@ val charge : t -> string -> float -> unit
 (** [charge t event ns] advances simulated time by [ns], attributed to
     [event] (occurrence count and total ns are both recorded). *)
 
-val add_into : into:t -> t -> unit
-(** [add_into ~into src] folds [src]'s elapsed time and every event
-    counter into [into].  The domain-sharded engine reduces per-lane
-    clocks with this in a fixed lane order, so merged totals are
-    deterministic. *)
-
 val count : t -> string -> unit
 (** Record an event occurrence without advancing time. *)
 

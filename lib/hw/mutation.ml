@@ -42,10 +42,6 @@ let knobs =
     gate_verify_wrpkrs = true;
     gate_forgery_check = true;
   }
-[@@single_domain
-  "mutation knobs are flipped only by the single-domain model-check harness under \
-   [with_mutant] (pristine asserted after); a domain-sharded engine must never run the \
-   mutation harness concurrently with real containers"]
 
 let reset () =
   knobs.e2_enforce <- true;

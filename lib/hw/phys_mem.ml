@@ -102,7 +102,6 @@ type arena = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type links = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  mem_id : int;  (** process-unique instance id; tags trace events *)
   total_frames : int;
   owner_of : int array;  (** encoded owner per frame *)
   kind_of : int array;  (** encoded kind per frame *)
@@ -129,21 +128,6 @@ exception Out_of_memory
 
 let entries = Addr.entries_per_table
 
-(* Two lanes of the sharded engine each own a [Phys_mem] with the same
-   pfn range, so a pfn alone does not identify an object — the race
-   checker keys accesses on [(mem_id, pfn)].  A global atomic counter
-   (the sanctioned cross-domain primitive) hands out the ids. *)
-let next_mem_id = Atomic.make 0
-
-(* Access-trace hooks: one flag read when tracing is off.  Guarded on
-   [Probe.mem_trace] (the global opt-in) before the per-domain sink
-   check so ordinary runs pay a single atomic load per accessor. *)
-let[@inline] trace_read t pfn =
-  if Probe.mem_trace () then Probe.emit_mem_read ~mem:t.mem_id ~pfn
-
-let[@inline] trace_write t pfn =
-  if Probe.mem_trace () then Probe.emit_mem_write ~mem:t.mem_id ~pfn
-
 let word_mask t w =
   let base = w lsl word_shift in
   let valid = min bits_per_word (t.total_frames - base) in
@@ -154,7 +138,6 @@ let create ~frames:n =
   let nwords = (n + bits_per_word - 1) / bits_per_word in
   let t =
     {
-      mem_id = Atomic.fetch_and_add next_mem_id 1;
       total_frames = n;
       owner_of = Array.make n 0;
       kind_of = Array.make n 0;
@@ -189,7 +172,6 @@ let create ~frames:n =
   t
 
 let total_frames t = t.total_frames
-let mem_id t = t.mem_id
 
 let check_pfn t pfn =
   if pfn < 0 || pfn >= t.total_frames then invalid_arg "Phys_mem.frame: pfn out of range"
@@ -379,7 +361,6 @@ let find_free_from t start =
    + bitmap/count update.  Any stale table slot from the frame's
    previous life is recycled. *)
 let[@inline] claim t pfn ~owner ~kind =
-  trace_write t pfn;
   reown t pfn owner;
   t.kind_of.(pfn) <- kind;
   t.refcnt.(pfn) <- 0;
@@ -442,8 +423,7 @@ let alloc_contiguous t ~owner ~kind ~count =
   done;
   !base
 
-(* Return an allocated frame (the trace event already emitted) to the
-   free pool. *)
+(* Return an allocated frame to the free pool. *)
 let[@inline] release_frame t pfn =
   if Bytes.get t.shared pfn <> '\000' && t.refcnt.(pfn) > 0 then
     invalid_arg "Phys_mem.free: shared frame still referenced";
@@ -457,7 +437,6 @@ let[@inline] release_frame t pfn =
 
 let free t pfn =
   check_pfn t pfn;
-  trace_write t pfn;
   if t.owner_of.(pfn) = 0 then invalid_arg "Phys_mem.free: double free";
   release_frame t pfn
 
@@ -468,31 +447,24 @@ let free_range t ~base ~count =
     check_pfn t base;
     check_pfn t (base + count - 1);
     for pfn = base to base + count - 1 do
-      if t.owner_of.(pfn) <> 0 then begin
-        trace_write t pfn;
-        release_frame t pfn
-      end
+      if t.owner_of.(pfn) <> 0 then release_frame t pfn
     done
   end
 
 let set_kind t pfn kind =
   check_pfn t pfn;
-  trace_write t pfn;
   t.kind_of.(pfn) <- encode_kind kind
 
 let set_owner t pfn owner =
   check_pfn t pfn;
-  trace_write t pfn;
   reown t pfn (encode_owner owner)
 
 let incr_ref t pfn =
   check_pfn t pfn;
-  trace_write t pfn;
   t.refcnt.(pfn) <- t.refcnt.(pfn) + 1
 
 let decr_ref t pfn =
   check_pfn t pfn;
-  trace_write t pfn;
   if t.refcnt.(pfn) <= 0 then invalid_arg "Phys_mem.decr_ref: refcount underflow";
   t.refcnt.(pfn) <- t.refcnt.(pfn) - 1
 
@@ -502,7 +474,6 @@ let refcount t pfn =
 
 let set_shared_ro t pfn v =
   check_pfn t pfn;
-  trace_write t pfn;
   Bytes.set t.shared pfn (if v then '\001' else '\000')
 
 let is_shared_ro t pfn =
@@ -515,7 +486,6 @@ let is_shared_ro t pfn =
 let read_entry t ~pfn ~index =
   check_pfn t pfn;
   if index < 0 || index >= entries then invalid_arg "Phys_mem.read_entry";
-  trace_read t pfn;
   let s = t.table_slot.(pfn) in
   if s < 0 then 0L else Bigarray.Array1.get t.arena ((s * entries) + index)
 
@@ -525,7 +495,6 @@ let read_entry t ~pfn ~index =
    writing other frames, which copies this slot's unchanged contents. *)
 let iter_entries t ~pfn f =
   check_pfn t pfn;
-  trace_read t pfn;
   let s = t.table_slot.(pfn) in
   if s >= 0 then begin
     let arena = t.arena and base = s * entries in
@@ -538,19 +507,17 @@ let iter_entries t ~pfn f =
 let write_entry t ~pfn ~index value =
   check_pfn t pfn;
   if index < 0 || index >= entries then invalid_arg "Phys_mem.write_entry";
-  trace_write t pfn;
   let s = ensure_slot t pfn in
   Bigarray.Array1.set t.arena ((s * entries) + index) value;
   if index < t.dirty_lo.(s) then t.dirty_lo.(s) <- index;
   if index > t.dirty_hi.(s) then t.dirty_hi.(s) <- index
 
-(* A run of entries an arithmetic progression apart, one traced write
-   and one dirty-range update for the run. *)
+(* A run of entries an arithmetic progression apart, one dirty-range
+   update for the run. *)
 let write_run t ~pfn ~index ~count ~first ~step =
   check_pfn t pfn;
   if index < 0 || count < 0 || index + count > entries then invalid_arg "Phys_mem.write_run";
   if count > 0 then begin
-    trace_write t pfn;
     let s = ensure_slot t pfn in
     let base = (s * entries) + index in
     for k = 0 to count - 1 do
@@ -563,8 +530,7 @@ let write_run t ~pfn ~index ~count ~first ~step =
 (* Page copies: a frame's first [len] bytes are its words in
    little-endian order, the last partial word zero-padded above [len]
    -- exactly what packing the bytes one [write_entry] per word stores.
-   One call is one traced access and one dirty-range update; [len = 0]
-   touches nothing. *)
+   One call is one dirty-range update; [len = 0] touches nothing. *)
 let page_bytes = entries * 8
 
 let check_copy name t pfn buf ~off ~len =
@@ -574,7 +540,6 @@ let check_copy name t pfn buf ~off ~len =
 let read_bytes t ~pfn dst ~off ~len =
   check_copy "Phys_mem.read_bytes" t pfn dst ~off ~len;
   if len > 0 then begin
-    trace_read t pfn;
     let s = t.table_slot.(pfn) in
     if s < 0 then Bytes.fill dst off len '\000'
     else begin
@@ -595,7 +560,6 @@ let read_bytes t ~pfn dst ~off ~len =
 let write_bytes t ~pfn src ~off ~len =
   check_copy "Phys_mem.write_bytes" t pfn src ~off ~len;
   if len > 0 then begin
-    trace_write t pfn;
     let s = ensure_slot t pfn in
     let base = s * entries and full = len lsr 3 in
     for w = 0 to full - 1 do
@@ -619,7 +583,6 @@ let write_bytes t ~pfn src ~off ~len =
 
 let clear_table t pfn =
   check_pfn t pfn;
-  trace_write t pfn;
   let s = t.table_slot.(pfn) in
   if s >= 0 then scrub_slot t s
 
@@ -648,6 +611,5 @@ let iter_owned t owner f =
   while !pfn <> nil do
     let p = !pfn in
     pfn := next t p;
-    trace_read t p;
     f p
   done

@@ -48,10 +48,6 @@ exception Out_of_memory
 val create : frames:int -> t
 val total_frames : t -> int
 
-val mem_id : t -> int
-(** Process-unique instance id. Two shards own distinct [Phys_mem]
-    values covering the same pfn range, so the race checker keys
-    accesses on [(mem_id, pfn)] rather than the bare pfn. *)
 val owner : t -> Addr.pfn -> owner
 val kind : t -> Addr.pfn -> kind
 val is_free : t -> Addr.pfn -> bool
@@ -96,8 +92,8 @@ val is_shared_ro : t -> Addr.pfn -> bool
 val iter_entries : t -> pfn:Addr.pfn -> (int -> int64 -> unit) -> unit
 (** [iter_entries t ~pfn f] calls [f index entry] on every nonzero
     entry of the frame, in ascending [index] order: the one pass over a
-    table that replaces 512 {!read_entry} calls. It pays one range check,
-    one traced read and one slot lookup per table, and visits only the
+    table that replaces 512 {!read_entry} calls. It pays one range check
+    and one slot lookup per table, and visits only the
     slot's written range; a slot-less frame visits nothing.
 
     [f] must not write, clear or free the frame being visited (other
@@ -112,16 +108,14 @@ val write_run :
 (** [write_run t ~pfn ~index ~count ~first ~step] stores [first + k * step]
     at entry [index + k] for [0 <= k < count]: what [count] {!write_entry}
     calls would store (a run of leaves over consecutive frames is [step]
-    apart), with one range check, one traced write and one dirty-range
-    update. [count = 0] touches nothing.
+    apart), with one range check and one dirty-range update. [count = 0] touches nothing.
     @raise Invalid_argument unless [0 <= index] and
     [index + count <= 512]. *)
 
 val read_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
 (** [read_bytes t ~pfn dst ~off ~len] copies the frame's first [len]
     bytes (its words, little-endian) into [dst] at [off]; a slot-less
-    frame reads as zeros. One traced read per call; [len = 0] touches
-    nothing.
+    frame reads as zeros; [len = 0] touches nothing.
     @raise Invalid_argument unless [0 <= len <= 4096] and the range
     fits [dst]. *)
 
@@ -129,8 +123,8 @@ val write_bytes : t -> pfn:Addr.pfn -> Bytes.t -> off:int -> len:int -> unit
 (** [write_bytes t ~pfn src ~off ~len] stores [src.[off .. off+len-1]]
     as the frame's first [len] bytes, zero-padding the last partial
     word -- what one {!write_entry} per packed word would store. One
-    traced write and one dirty-range update per call; [len = 0] touches
-    nothing (no slot is acquired).
+    dirty-range update per call; [len = 0] touches nothing (no slot is
+    acquired).
     @raise Invalid_argument as {!read_bytes}. *)
 
 val count_owned : t -> (owner -> bool) -> int
@@ -150,6 +144,5 @@ val owned_count : t -> owner -> int
 val iter_owned : t -> owner -> (Addr.pfn -> unit) -> unit
 (** [iter_owned t owner f] calls [f] on every frame [owner] holds, in
     no particular order, in O(frames owned). [f] may free or re-own the
-    frame it is visiting but no other frame of [owner]. Each visit is a
-    traced read when {!Probe.set_mem_trace} is on.
+    frame it is visiting but no other frame of [owner].
     @raise Invalid_argument for [Free], whose frames are not indexed. *)

@@ -9,19 +9,9 @@
    a handful of array stores — no allocation, no closure call — and
    the ring is decoded back into [event] values lazily at lint time.
 
-   The installed sink is *per-domain* state held in domain-local
-   storage: each domain of the sharded engine records into its own
-   ring, and with no sink installed an emit site costs one DLS read
-   (callers guard event construction behind [active ()]).
-
-   Every ring record additionally carries the id of the domain that
-   emitted it (word 7 of the 8-word encoding, cached in the DLS slot
-   at domain init so the emit path pays one array store, not a
-   [Domain.self] call).  [Analysis.Racecheck] replays a merged
-   multi-domain trace and uses these tags — together with the
-   [Domain_spawn]/[Domain_join] happens-before edges the sharding
-   helper emits — to prove that no frame or probe-visible object was
-   touched by two domains concurrently. *)
+   The simulator runs on one domain, so the installed sink is one
+   module-level slot: with no sink installed an emit site costs one
+   load (callers guard event construction behind [active ()]). *)
 
 type gate = Ksm_call_gate | Hypercall_gate | Interrupt_gate
 
@@ -56,10 +46,6 @@ type event =
   | Mm_op of { op : string; vpn : int; pages : int }
   | Io_doorbell of { queue : string; avail_idx : int; in_flight : int }
   | Io_completion of { queue : string; used_idx : int; serviced : int }
-  | Mem_read of { mem : int; pfn : int }
-  | Mem_write of { mem : int; pfn : int }
-  | Domain_spawn of { parent : int; child : int }
-  | Domain_join of { parent : int; child : int }
 
 let pp_event fmt = function
   | Priv_exec { cpu; mnemonic; destructive; pkrs; blocked } ->
@@ -102,10 +88,6 @@ let pp_event fmt = function
       Format.fprintf fmt "io %s doorbell avail=%d in_flight=%d" queue avail_idx in_flight
   | Io_completion { queue; used_idx; serviced } ->
       Format.fprintf fmt "io %s completion used=%d serviced=%d" queue used_idx serviced
-  | Mem_read { mem; pfn } -> Format.fprintf fmt "mem[%d] read pfn=%d" mem pfn
-  | Mem_write { mem; pfn } -> Format.fprintf fmt "mem[%d] write pfn=%d" mem pfn
-  | Domain_spawn { parent; child } -> Format.fprintf fmt "domain %d spawns %d" parent child
-  | Domain_join { parent; child } -> Format.fprintf fmt "domain %d joins %d" parent child
 
 let show_event e = Format.asprintf "%a" pp_event e
 
@@ -115,13 +97,13 @@ let show_event e = Format.asprintf "%a" pp_event e
 
 (* Fixed-stride encoding: each event occupies [stride] words —
    word 0 the variant tag, words 1..6 the payload fields in declaration
-   order, word 7 the emitting domain's id.  Bools encode as 0/1; the
-   few string payloads (mnemonics, KSM/mm op names, queue names) are
-   interned in a per-ring side table and encoded as their intern id.
+   order.  Bools encode as 0/1; the few string payloads (mnemonics,
+   KSM/mm op names, queue names) are interned in a per-ring side table
+   and encoded as their intern id.
    Overflow drops the *oldest* record (and counts it), matching the
    old queue recorder's semantics. *)
 
-let stride = 8
+let stride = 7
 
 type ring = {
   buf : int array;  (** capacity * stride event words *)
@@ -227,28 +209,30 @@ let tag_container_boot = 14
 let tag_mm_op = 15
 let tag_io_doorbell = 16
 let tag_io_completion = 17
-let tag_mem_read = 18
-let tag_mem_write = 19
-let tag_domain_spawn = 20
-let tag_domain_join = 21
 
 let gate_code = function Ksm_call_gate -> 0 | Hypercall_gate -> 1 | Interrupt_gate -> 2
 let gate_of_code = function 0 -> Ksm_call_gate | 1 -> Hypercall_gate | _ -> Interrupt_gate
 let bool_code b = if b then 1 else 0
 
-(* Every store writes the emitting domain's id into word 7: one extra
-   array store on the emit path (the id is cached in the DLS slot, see
-   below, so no [Domain.self] call either). *)
-let[@inline] store4 r dom tag a b c =
+let[@inline] store4 r tag a b c =
+  let o = claim r in
+  let buf = r.buf in
+  buf.(o) <- tag;
+  buf.(o + 1) <- a;
+  buf.(o + 2) <- b;
+  buf.(o + 3) <- c
+
+let[@inline] store6 r tag a b c d e =
   let o = claim r in
   let buf = r.buf in
   buf.(o) <- tag;
   buf.(o + 1) <- a;
   buf.(o + 2) <- b;
   buf.(o + 3) <- c;
-  buf.(o + 7) <- dom
+  buf.(o + 4) <- d;
+  buf.(o + 5) <- e
 
-let[@inline] store6 r dom tag a b c d e =
+let[@inline] store7 r tag a b c d e f =
   let o = claim r in
   let buf = r.buf in
   buf.(o) <- tag;
@@ -257,55 +241,39 @@ let[@inline] store6 r dom tag a b c d e =
   buf.(o + 3) <- c;
   buf.(o + 4) <- d;
   buf.(o + 5) <- e;
-  buf.(o + 7) <- dom
-
-let[@inline] store7 r dom tag a b c d e f =
-  let o = claim r in
-  let buf = r.buf in
-  buf.(o) <- tag;
-  buf.(o + 1) <- a;
-  buf.(o + 2) <- b;
-  buf.(o + 3) <- c;
-  buf.(o + 4) <- d;
-  buf.(o + 5) <- e;
-  buf.(o + 6) <- f;
-  buf.(o + 7) <- dom
+  buf.(o + 6) <- f
 
 (* Encode one boxed event into the ring (the generic path; hot sites
    use the specialized emitters below and never box). *)
-let ring_record_tagged r ~dom ev =
+let ring_record r ev =
   match ev with
   | Priv_exec { cpu; mnemonic; destructive; pkrs; blocked } ->
-      store6 r dom tag_priv_exec cpu (intern r mnemonic) (bool_code destructive) pkrs
+      store6 r tag_priv_exec cpu (intern r mnemonic) (bool_code destructive) pkrs
         (bool_code blocked)
-  | Wrpkrs { cpu; value } -> store4 r dom tag_wrpkrs cpu value 0
-  | Sysret { cpu; pkrs; if_after } -> store4 r dom tag_sysret cpu pkrs (bool_code if_after)
-  | Iret { cpu; pkrs_before; pkrs_after } -> store4 r dom tag_iret cpu pkrs_before pkrs_after
-  | Gate_enter { cpu; gate; pkrs } -> store4 r dom tag_gate_enter cpu (gate_code gate) pkrs
+  | Wrpkrs { cpu; value } -> store4 r tag_wrpkrs cpu value 0
+  | Sysret { cpu; pkrs; if_after } -> store4 r tag_sysret cpu pkrs (bool_code if_after)
+  | Iret { cpu; pkrs_before; pkrs_after } -> store4 r tag_iret cpu pkrs_before pkrs_after
+  | Gate_enter { cpu; gate; pkrs } -> store4 r tag_gate_enter cpu (gate_code gate) pkrs
   | Gate_exit { cpu; gate; entry_pkrs; pkrs } ->
-      store6 r dom tag_gate_exit cpu (gate_code gate) entry_pkrs pkrs 0
+      store6 r tag_gate_exit cpu (gate_code gate) entry_pkrs pkrs 0
   | Idt_deliver { cpu; vector; hardware; pks_switch; pkrs_before; pkrs_after } ->
-      store7 r dom tag_idt_deliver cpu vector (bool_code hardware) (bool_code pks_switch)
+      store7 r tag_idt_deliver cpu vector (bool_code hardware) (bool_code pks_switch)
         pkrs_before pkrs_after
-  | Tlb_fill { cpu; pcid; vpn; level; pfn } -> store6 r dom tag_tlb_fill cpu pcid vpn level pfn
-  | Tlb_invlpg { cpu; pcid; vpn } -> store4 r dom tag_tlb_invlpg cpu pcid vpn
-  | Tlb_flush_pcid { cpu; pcid } -> store4 r dom tag_tlb_flush_pcid cpu pcid 0
-  | Cr3_load { cpu; pcid; root } -> store4 r dom tag_cr3_load cpu pcid root
-  | Pks_denied { key; write } -> store4 r dom tag_pks_denied key (bool_code write) 0
+  | Tlb_fill { cpu; pcid; vpn; level; pfn } -> store6 r tag_tlb_fill cpu pcid vpn level pfn
+  | Tlb_invlpg { cpu; pcid; vpn } -> store4 r tag_tlb_invlpg cpu pcid vpn
+  | Tlb_flush_pcid { cpu; pcid } -> store4 r tag_tlb_flush_pcid cpu pcid 0
+  | Cr3_load { cpu; pcid; root } -> store4 r tag_cr3_load cpu pcid root
+  | Pks_denied { key; write } -> store4 r tag_pks_denied key (bool_code write) 0
   | Ksm_op { container; op; ok } ->
-      store4 r dom tag_ksm_op container (intern r op) (bool_code ok)
+      store4 r tag_ksm_op container (intern r op) (bool_code ok)
   | Pte_downgrade { container; root; vpn; unmapped } ->
-      store6 r dom tag_pte_downgrade container root vpn (bool_code unmapped) 0
-  | Container_boot { container; pcid } -> store4 r dom tag_container_boot container pcid 0
-  | Mm_op { op; vpn; pages } -> store4 r dom tag_mm_op (intern r op) vpn pages
+      store6 r tag_pte_downgrade container root vpn (bool_code unmapped) 0
+  | Container_boot { container; pcid } -> store4 r tag_container_boot container pcid 0
+  | Mm_op { op; vpn; pages } -> store4 r tag_mm_op (intern r op) vpn pages
   | Io_doorbell { queue; avail_idx; in_flight } ->
-      store4 r dom tag_io_doorbell (intern r queue) avail_idx in_flight
+      store4 r tag_io_doorbell (intern r queue) avail_idx in_flight
   | Io_completion { queue; used_idx; serviced } ->
-      store4 r dom tag_io_completion (intern r queue) used_idx serviced
-  | Mem_read { mem; pfn } -> store4 r dom tag_mem_read mem pfn 0
-  | Mem_write { mem; pfn } -> store4 r dom tag_mem_write mem pfn 0
-  | Domain_spawn { parent; child } -> store4 r dom tag_domain_spawn parent child 0
-  | Domain_join { parent; child } -> store4 r dom tag_domain_join parent child 0
+      store4 r tag_io_completion (intern r queue) used_idx serviced
 
 (* Word offset of the [i]-th oldest live record. *)
 let[@inline] offset r i =
@@ -348,82 +316,30 @@ let decode r i =
   | 15 -> Mm_op { op = r.strings.(a); vpn = b; pages = c }
   | 16 -> Io_doorbell { queue = r.strings.(a); avail_idx = b; in_flight = c }
   | 17 -> Io_completion { queue = r.strings.(a); used_idx = b; serviced = c }
-  | 18 -> Mem_read { mem = a; pfn = b }
-  | 19 -> Mem_write { mem = a; pfn = b }
-  | 20 -> Domain_spawn { parent = a; child = b }
-  | 21 -> Domain_join { parent = a; child = b }
   | t -> invalid_arg (Printf.sprintf "Probe.ring: corrupt tag %d" t)
 
-let decode_dom r i = r.buf.(offset r i + 7)
 let ring_events r = List.init r.len (decode r)
-let ring_events_tagged r = List.init r.len (fun i -> (decode_dom r i, decode r i))
-
-let ring_iter_tagged r g =
-  for i = 0 to r.len - 1 do
-    g (decode_dom r i) (decode r i)
-  done
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain sinks                                                    *)
+(* The sink                                                            *)
 (* ------------------------------------------------------------------ *)
 
 type sink = Off | Ring of ring
 
-(* Each domain owns its sink: the sharded engine gives every worker
-   domain its own ring, and a recorder attached on one domain never
-   observes (or races with) another domain's events.  The slot also
-   caches the owning domain's id (as an int), established once per
-   domain — the tagging store on the emit path reads this field
-   instead of calling [Domain.self]. *)
-type slot = { mutable sink : sink; dom : int }
-
-let sink_key : slot Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { sink = Off; dom = (Domain.self () :> int) })
-
-let current () = Domain.DLS.get sink_key
-let self_dom () = (current ()).dom
-
-let active () = match (current ()).sink with Off -> false | Ring _ -> true
-
-let emit ev =
-  let st = current () in
-  match st.sink with Off -> () | Ring r -> ring_record_tagged r ~dom:st.dom ev
-
-(* Replay path: deliver [ev] to the calling domain's sink but tag it
-   as having been emitted by domain [dom] — merging a worker ring into
-   the parent's sink must preserve the original owners or the race
-   checker would see every access as the parent's. *)
-let emit_tagged ~dom ev =
-  match (current ()).sink with
-  | Off -> ()
-  | Ring r -> ring_record_tagged r ~dom ev
-
-let ring_record r ev = ring_record_tagged r ~dom:(self_dom ()) ev
-let set_ring r = (current ()).sink <- Ring r
-let clear_sink () = (current ()).sink <- Off
+let sink = ref Off
+let active () = match !sink with Off -> false | Ring _ -> true
+let emit ev = match !sink with Off -> () | Ring r -> ring_record r ev
+let set_ring r = sink := Ring r
+let clear_sink () = sink := Off
 
 (* Run [f] with no sink installed, restoring the previous one after —
    the model checker's state-space exploration replays millions of
    probe-instrumented transitions and must not flood a recorder the
    surrounding scenario attached. *)
 let suspended f =
-  let st = current () in
-  let saved = st.sink in
-  st.sink <- Off;
-  Fun.protect ~finally:(fun () -> st.sink <- saved) f
-
-(* ------------------------------------------------------------------ *)
-(* Physical-memory access tracing                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Opt-in switch for the [Mem_read]/[Mem_write] stream: the flag is a
-   process-global atomic (not DLS — worker domains spawned after the
-   parent enabled tracing must observe it) read once per [Phys_mem]
-   accessor.  Off by default so ordinary [--check] runs don't flood
-   their recorders with one event per PTE read. *)
-let mem_trace_flag = Atomic.make false
-let set_mem_trace v = Atomic.set mem_trace_flag v
-let mem_trace () = Atomic.get mem_trace_flag
+  let saved = !sink in
+  sink := Off;
+  Fun.protect ~finally:(fun () -> sink := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Specialized hot emitters                                            *)
@@ -434,31 +350,14 @@ let mem_trace () = Atomic.get mem_trace_flag
    boxing, no closure call. *)
 
 let emit_tlb_fill ~cpu ~pcid ~vpn ~level ~pfn =
-  let st = current () in
-  match st.sink with
-  | Off -> ()
-  | Ring r -> store6 r st.dom tag_tlb_fill cpu pcid vpn level pfn
+  match !sink with Off -> () | Ring r -> store6 r tag_tlb_fill cpu pcid vpn level pfn
 
 let emit_io_doorbell ~queue ~avail_idx ~in_flight =
-  let st = current () in
-  match st.sink with
+  match !sink with
   | Off -> ()
-  | Ring r -> store4 r st.dom tag_io_doorbell (intern r queue) avail_idx in_flight
+  | Ring r -> store4 r tag_io_doorbell (intern r queue) avail_idx in_flight
 
 let emit_io_completion ~queue ~used_idx ~serviced =
-  let st = current () in
-  match st.sink with
+  match !sink with
   | Off -> ()
-  | Ring r -> store4 r st.dom tag_io_completion (intern r queue) used_idx serviced
-
-let emit_mem_read ~mem ~pfn =
-  let st = current () in
-  match st.sink with
-  | Off -> ()
-  | Ring r -> store4 r st.dom tag_mem_read mem pfn 0
-
-let emit_mem_write ~mem ~pfn =
-  let st = current () in
-  match st.sink with
-  | Off -> ()
-  | Ring r -> store4 r st.dom tag_mem_write mem pfn 0
+  | Ring r -> store4 r tag_io_completion (intern r queue) used_idx serviced

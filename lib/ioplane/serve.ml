@@ -252,20 +252,15 @@ type result = {
   r_switch_forwarded : int;
   r_blk_writes : int;
   r_service_passes : int;
-  r_wall_ns : float;  (** simulated makespan the throughput is computed over *)
-  r_domains : int;  (** 0 = shared-machine sequential path *)
+  r_wall_ns : float;  (** simulated time the throughput is computed over *)
 }
 
 (* One container's slot in the load schedule. *)
 type chan = { lane : Lane.t; mutable next_arrival : float }
 
-let default_seed = 0x2545F4914F6CDD1D
-
-(* One fleet on one machine: the original sequential engine, now
-   seedable so the sharded mode can give every lane its own
-   deterministic request stream.  Returns the derived result plus the
-   raw latencies and elapsed time the merge needs. *)
-let run_core ?(seed = default_seed) cfg =
+(* The whole fleet on one machine, one clock and one event loop, so
+   latencies couple through the shared loop. *)
+let run cfg =
   if cfg.containers < 1 then invalid_arg "Serve: need at least one container";
   if cfg.requests_per_container < 1 then invalid_arg "Serve: need at least one request";
   let env = if cfg.nested then Virt.Env.Nested else Virt.Env.Bare_metal in
@@ -290,7 +285,7 @@ let run_core ?(seed = default_seed) cfg =
   let loop = Loop.create clock in
   let switch = Loop.switch loop in
   let interval = 1e9 /. cfg.rate_rps in
-  let rng = ref seed in
+  let rng = ref 0x2545F4914F6CDD1D in
   let rand n =
     (* xorshift; Serve stays deterministic across runs *)
     let x = !rng in
@@ -455,92 +450,9 @@ let run_core ?(seed = default_seed) cfg =
       r_blk_writes = Blkstore.writes (Loop.blkstore loop);
       r_service_passes = Loop.service_passes loop;
       r_wall_ns = elapsed_ns;
-      r_domains = 0;
     }
   in
-  (result, List.rev !booted, lat_us, elapsed_ns)
-
-(* ------------------------------------------------------------------ *)
-(* Domain-sharded execution                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Whole containers are the sharding unit: lane [i] is a complete
-   single-container fleet (own machine, clock, event loop, switch) so
-   lanes share no mutable state and a lane's result is independent of
-   which domain ran it.  Lane [i] always gets the same derived rng
-   seed, lanes are merged in fixed lane order, and the reported
-   makespan is [max over domains of the sum of that domain's lane
-   elapsed times] under the fixed round-robin lane->domain assignment
-   — so the merged output is a pure function of [cfg] and [lanes],
-   identical for any [domains >= 1] (and [domains = 1] IS the
-   sequential lane-engine path, no spawns). *)
-let lane_seed i =
-  let s = (default_seed lxor (i * 0x9E3779B97F4A7C1)) land max_int in
-  if s = 0 then 1 else s
-
-let run_sharded ~domains cfg =
-  let lanes = cfg.containers in
-  let lane_cfg = { cfg with containers = 1 } in
-  let outs = Array.make lanes None in
-  (* Spawn/join/ring plumbing lives in [Hw.Domain_shard] (the repo's
-     one blessed spawn site); each lane writes only its own [outs]
-     slot. *)
-  Hw.Domain_shard.run ~domains ~lanes (fun i ->
-      outs.(i) <- Some (run_core ~seed:(lane_seed i) lane_cfg));
-  let out i = match outs.(i) with Some o -> o | None -> failwith "Serve: lane did not run" in
-  let sum_i f =
-    let acc = ref 0 in
-    for i = 0 to lanes - 1 do
-      let r, _, _, _ = out i in
-      acc := !acc + f r
-    done;
-    !acc
-  in
-  let makespan =
-    Hw.Domain_shard.makespan ~domains (Array.init lanes (fun i -> let _, _, _, e = out i in e))
-  in
-  let lat_us = List.concat (List.init lanes (fun i -> let _, _, l, _ = out i in l)) in
-  let containers = List.concat (List.init lanes (fun i -> let _, cs, _, _ = out i in cs)) in
-  let r0, _, _, _ = out 0 in
-  let total = sum_i (fun r -> r.r_requests) in
-  let doorbells = sum_i (fun r -> r.r_doorbells) in
-  let interrupts = sum_i (fun r -> r.r_interrupts) in
-  let exits = sum_i (fun r -> r.r_exits) in
-  let fl = float_of_int total in
-  let result =
-    {
-      r0 with
-      r_containers = lanes;
-      r_requests = total;
-      r_throughput_rps = fl /. (makespan /. 1e9);
-      r_mean_us = Report.Stats.mean lat_us;
-      r_p50_us = Report.Stats.percentile lat_us ~p:50.0;
-      r_p95_us = Report.Stats.percentile lat_us ~p:95.0;
-      r_p99_us = Report.Stats.percentile lat_us ~p:99.0;
-      r_doorbells = doorbells;
-      r_suppressed_kicks = sum_i (fun r -> r.r_suppressed_kicks);
-      r_interrupts = interrupts;
-      r_exits = exits;
-      r_doorbells_per_req = float_of_int doorbells /. fl;
-      r_interrupts_per_req = float_of_int interrupts /. fl;
-      r_exits_per_req = float_of_int exits /. fl;
-      r_tx_stalls = sum_i (fun r -> r.r_tx_stalls);
-      r_switch_forwarded = sum_i (fun r -> r.r_switch_forwarded);
-      r_blk_writes = sum_i (fun r -> r.r_blk_writes);
-      r_service_passes = sum_i (fun r -> r.r_service_passes);
-      r_wall_ns = makespan;
-      r_domains = domains;
-    }
-  in
-  (result, containers)
-
-let run ?(domains = 0) cfg =
-  if domains < 0 then invalid_arg "Serve: negative domain count";
-  if domains = 0 then begin
-    let result, containers, _, _ = run_core cfg in
-    (result, containers)
-  end
-  else run_sharded ~domains cfg
+  (result, List.rev !booted)
 
 let pp_result fmt r =
   Format.fprintf fmt

@@ -101,31 +101,19 @@ type result = {
   r_switch_forwarded : int;
   r_blk_writes : int;
   r_service_passes : int;
-  r_wall_ns : float;  (** simulated makespan the throughput is computed over *)
-  r_domains : int;  (** 0 = shared-machine sequential path *)
+  r_wall_ns : float;  (** simulated time the throughput is computed over *)
 }
 
 val exit_events : string -> string list
 (** Clock event names that count as privilege-boundary exits for a
     backend (empty for runc). *)
 
-val run : ?domains:int -> config -> result * Cki.Container.t list
+val run : config -> result * Cki.Container.t list
 (** Build the fleet, serve every request, and collect counters. The
     returned containers (cki backend only) let callers run the
     whole-machine invariant checker over the final state.
 
-    [domains = 0] (default) is the original shared-machine engine: all
-    containers on one machine, one clock, latencies coupled through the
-    shared event loop. [domains >= 1] shards whole containers across
-    OCaml domains: each lane is a complete single-container fleet (own
-    machine/clock/loop/switch) with a lane-derived rng seed; lanes are
-    merged deterministically in lane order, per-lane probe streams are
-    replayed into the caller's sink, and the reported throughput is
-    computed over the simulated parallel makespan (max over domains of
-    the sum of their lanes' elapsed times under the fixed round-robin
-    lane assignment). Everything except that makespan accounting
-    ([r_wall_ns], [r_throughput_rps], [r_domains]) is identical for
-    every [domains >= 1]; [domains = 1] runs the lanes inline with no
-    spawns. *)
+    All containers share one machine, one clock and one event loop, so
+    latencies couple through the loop. *)
 
 val pp_result : Format.formatter -> result -> unit

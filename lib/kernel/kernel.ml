@@ -49,15 +49,13 @@ type t = {
           pass made room (graceful backpressure, not an error) *)
 }
 
-(* Process-wide id allocator.  [Atomic.t] so kernels instantiated from
-   different domains (the planned container-sharding engine) never mint
-   the same queue-naming id; single-domain behaviour is unchanged. *)
-let next_kernel_id = Atomic.make 0
+(* Process-wide id allocator (names the kernel's virtio queues). *)
+let next_kernel_id = ref 0
 
 let create platform =
   let clock = platform.Platform.clock in
   {
-    id = Atomic.fetch_and_add next_kernel_id 1 + 1;
+    id = (incr next_kernel_id; !next_kernel_id);
     platform;
     fs = Tmpfs.create clock;
     current_pid = None;

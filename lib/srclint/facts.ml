@@ -4,18 +4,10 @@
    cross-library module references, raw-memory write-sink mentions,
    [Domain.spawn] references, [Gate_enter]/[Gate_exit] constructions,
    [Obj.magic] / [assert false] occurrences, whole-machine frame
-   sweeps; a separate shallow walk over structure items inventories
-   module-toplevel mutable state (the domain-sharding race hazards),
-   honouring the [@@single_domain "reason"] escape hatch. *)
+   sweeps. *)
 
 open Asttypes
 open Parsetree
-
-type toplevel_mutable = {
-  tm_name : string;  (** the binding's name *)
-  tm_kind : string;  (** what made it mutable, e.g. ["ref"] *)
-  tm_line : int;
-}
 
 type t = {
   module_refs : (string * int) list;
@@ -23,14 +15,6 @@ type t = {
           appears on — deduplicated per head *)
   sink_refs : (string * int) list;  (** raw-memory write sinks, every occurrence *)
   spawn_refs : (string * int) list;  (** [Domain.spawn] references, every occurrence *)
-  toplevel_mutables : toplevel_mutable list;
-  undocumented_annots : (string * int) list;
-      (** [@@single_domain] without a reason string *)
-  single_domain_annots : (string * int * bool) list;
-      (** every toplevel [@@single_domain] annotation as
-          (binding, line, suppresses): [suppresses] is true when the
-          binding really is module-toplevel mutable state, i.e. the
-          annotation earns its keep; a [false] entry is stale. *)
   gate_enters : int list;  (** lines constructing [Probe.Gate_enter] *)
   gate_exits : int list;
   obj_magics : int list;
@@ -53,7 +37,7 @@ let write_sinks =
 
 let sink_module = "Phys_mem"
 
-(* Domain creation: only the one sharding site may reach it. *)
+(* Domain creation: no file may reach it. *)
 let spawn_module = "Domain"
 
 (* ------------------------------------------------------------------ *)
@@ -213,182 +197,13 @@ let iterate_structure str =
   acc
 
 (* ------------------------------------------------------------------ *)
-(* Toplevel mutable-state inventory                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Record types declared in this file that carry a [mutable] field,
-   as (label set, all labels) — a toplevel literal is matched against
-   these by label inclusion, which needs no type checker. *)
-let record_types_of str =
-  let out = ref [] in
-  let rec item si =
-    match si.pstr_desc with
-    | Pstr_type (_, decls) ->
-        List.iter
-          (fun d ->
-            match d.ptype_kind with
-            | Ptype_record labels ->
-                let names = List.map (fun l -> l.pld_name.Location.txt) labels in
-                let has_mutable =
-                  List.exists (fun l -> l.pld_mutable = Asttypes.Mutable) labels
-                in
-                out := (names, has_mutable) :: !out
-            | _ -> ())
-          decls
-    | Pstr_module { pmb_expr; _ } -> module_expr pmb_expr
-    | Pstr_recmodule mbs -> List.iter (fun mb -> module_expr mb.pmb_expr) mbs
-    | _ -> ()
-  and module_expr me =
-    match me.pmod_desc with
-    | Pmod_structure s -> List.iter item s
-    | Pmod_constraint (me, _) -> module_expr me
-    | _ -> ()
-  in
-  List.iter item str;
-  !out
-
-(* Does this record literal inevitably build a mutable record?  True
-   when every locally-declared record type its labels fit has a
-   [mutable] field. *)
-let literal_is_mutable record_types fields =
-  let labels = List.map (fun ({ Location.txt; _ }, _) -> Longident.last txt) fields in
-  let candidates =
-    List.filter (fun (names, _) -> List.for_all (fun l -> List.mem l names) labels) record_types
-  in
-  candidates <> [] && List.for_all snd candidates
-
-(* What (syntactically) makes a binding's right-hand side shared
-   mutable state.  Descends through scaffolding but never into
-   functions — a closure allocating a [ref] per call is fine.
-   [Atomic.make] is deliberately absent: atomics are the sanctioned
-   domain-safe form for module-level counters. *)
-let creators =
-  [
-    ("Hashtbl", "create");
-    ("Queue", "create");
-    ("Stack", "create");
-    ("Buffer", "create");
-    ("Bytes", "create");
-    ("Bytes", "make");
-    ("Bytes", "of_string");
-    ("Array", "make");
-    ("Array", "init");
-    ("Array", "create_float");
-    ("Array", "make_matrix");
-    ("Weak", "create");
-    (* Bigarrays (the PTE arena, bench buffers): created through the
-       per-dimension submodules, matched on the last two path
-       components so both [Bigarray.Array1.create] and a post-[open]
-       [Array1.create] are caught. *)
-    ("Array1", "create");
-    ("Array2", "create");
-    ("Array3", "create");
-    ("Genarray", "create");
-  ]
-
-let rec mutable_kind record_types e =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> None
-  | Pexp_newtype (_, e) | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) ->
-      mutable_kind record_types e
-  | Pexp_let (_, _, body) | Pexp_sequence (_, body) | Pexp_open (_, body) ->
-      mutable_kind record_types body
-  | Pexp_ifthenelse (_, t, f) -> (
-      match mutable_kind record_types t with
-      | Some k -> Some k
-      | None -> Option.bind f (mutable_kind record_types))
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-      match List.rev (Longident.flatten txt) with
-      | "ref" :: rest when rest = [] || rest = [ "Stdlib" ] -> Some "ref"
-      | fn :: m :: _ when List.mem (m, fn) creators -> Some (m ^ "." ^ fn)
-      | _ -> None)
-  | Pexp_record (fields, None) ->
-      if literal_is_mutable record_types fields then Some "mutable record" else None
-  | Pexp_array (_ :: _) -> Some "array literal"
-  | Pexp_tuple es -> List.find_map (mutable_kind record_types) es
-  | Pexp_construct (_, Some e) | Pexp_lazy e -> mutable_kind record_types e
-  | _ -> None
-
-let binding_name vb =
-  let rec of_pat p =
-    match p.ppat_desc with
-    | Ppat_var { txt; _ } -> Some txt
-    | Ppat_constraint (p, _) -> of_pat p
-    | _ -> None
-  in
-  of_pat vb.pvb_pat
-
-(* [None] without a [@@single_domain] attribute; [Some (Error ())] when
-   its reason string is missing or empty. *)
-let single_domain_reason vb =
-  List.find_map
-    (fun attr ->
-      if attr.attr_name.Location.txt <> "single_domain" then None
-      else
-        match attr.attr_payload with
-        | PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-                _;
-              };
-            ]
-          when String.trim s <> "" ->
-            Some (Ok s)
-        | _ -> Some (Error ()))
-    vb.pvb_attributes
-
-let toplevel_inventory str =
-  let record_types = record_types_of str in
-  let mutables = ref [] and undocumented = ref [] and annots = ref [] in
-  let rec item si =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) ->
-        List.iter
-          (fun vb ->
-            match binding_name vb with
-            | None -> ()
-            | Some name -> (
-                let line = line_of vb.pvb_loc in
-                match single_domain_reason vb with
-                | Some reason ->
-                    (* The annotation suppresses the domain-safety rule
-                       whether or not its reason parses, but only a
-                       binding that is actually mutable justifies it. *)
-                    let suppresses = mutable_kind record_types vb.pvb_expr <> None in
-                    annots := (name, line, suppresses) :: !annots;
-                    if reason = Error () then undocumented := (name, line) :: !undocumented
-                | None -> (
-                    match mutable_kind record_types vb.pvb_expr with
-                    | Some kind ->
-                        mutables := { tm_name = name; tm_kind = kind; tm_line = line } :: !mutables
-                    | None -> ())))
-          vbs
-    | Pstr_module { pmb_expr; _ } -> module_expr pmb_expr
-    | Pstr_recmodule mbs -> List.iter (fun mb -> module_expr mb.pmb_expr) mbs
-    | _ -> ()
-  and module_expr me =
-    match me.pmod_desc with
-    | Pmod_structure s -> List.iter item s
-    | Pmod_constraint (me, _) -> module_expr me
-    | _ -> ()
-  in
-  List.iter item str;
-  (List.rev !mutables, List.rev !undocumented, List.rev !annots)
-
-(* ------------------------------------------------------------------ *)
 
 let extract (str : Parsetree.structure) : t =
   let acc = iterate_structure str in
-  let toplevel_mutables, undocumented_annots, single_domain_annots = toplevel_inventory str in
   {
     module_refs = List.rev acc.refs;
     sink_refs = List.rev acc.sinks;
     spawn_refs = List.rev acc.spawns;
-    toplevel_mutables;
-    undocumented_annots;
-    single_domain_annots;
     gate_enters = List.rev acc.enters;
     gate_exits = List.rev acc.exits;
     obj_magics = List.rev acc.magics;

@@ -1,12 +1,5 @@
 (** Per-file fact extraction over the compiler-libs AST: everything the
-    rule families consume, collected in one iterator pass plus a
-    shallow toplevel walk. *)
-
-type toplevel_mutable = {
-  tm_name : string;  (** the binding's name *)
-  tm_kind : string;  (** what made it mutable, e.g. ["ref"] *)
-  tm_line : int;
-}
+    rule families consume, collected in one iterator pass. *)
 
 type t = {
   module_refs : (string * int) list;
@@ -14,14 +7,6 @@ type t = {
           appears on — deduplicated per head *)
   sink_refs : (string * int) list;  (** raw-memory write sinks, every occurrence *)
   spawn_refs : (string * int) list;  (** [Domain.spawn] references, every occurrence *)
-  toplevel_mutables : toplevel_mutable list;
-  undocumented_annots : (string * int) list;
-      (** [@@single_domain] without a reason string *)
-  single_domain_annots : (string * int * bool) list;
-      (** every toplevel [@@single_domain] annotation as
-          (binding, line, suppresses): [suppresses] is true when the
-          binding really is module-toplevel mutable state, i.e. the
-          annotation earns its keep; a [false] entry is stale. *)
   gate_enters : int list;  (** lines constructing [Probe.Gate_enter] *)
   gate_exits : int list;
   obj_magics : int list;

@@ -1,9 +1,8 @@
 (* The rule families over a parsed source tree: trusted-sink,
-   layering, domain-safety, hygiene and spawn-site.  Each is an
-   allowlist rule — the exceptions live in the tables below
-   ([default_arch], [default_tcb], [spawn_sites]) or in
-   [@@single_domain "reason"] annotations, never in a ledger file.
-   Findings render through [Report.Findings]. *)
+   layering, hygiene and spawn-site.  Each is an allowlist rule — the
+   exceptions live in the tables below ([default_arch],
+   [default_tcb]), never in a ledger file.  Findings render through
+   [Report.Findings]. *)
 
 type finding = {
   rule : string;
@@ -79,14 +78,6 @@ let default_tcb =
     "lib/kernel/virtio.ml";
   ]
 
-(* The one file allowed to create domains.  Every domain the simulator
-   runs is spawned by [Hw.Domain_shard.run], which also emits the
-   spawn/join edges [Analysis.Racecheck] replays; the lane callbacks it
-   runs are covered by the domain-safety inventory and that dynamic
-   checker.  A second spawn site is a finding even if it captures
-   nothing. *)
-let spawn_sites = [ "lib/hw/domain_shard.ml" ]
-
 let in_tcb tcb path =
   List.exists
     (fun entry ->
@@ -150,8 +141,8 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
       let facts = Facts.extract file.Source.ast in
       (* Executable scope ([bin/], [bench/]) gets the layering family
          (parse-error, layering, undeclared-dep) plus spawn-site; the
-         lib-only families — trusted-sink, domain-safety, hygiene —
-         stay scoped to lib/ code. *)
+         lib-only families — trusted-sink and hygiene — stay scoped to
+         lib/ code. *)
       let exe = lib.Source.lib_exe in
       (* (1) trusted-sink *)
       if (not tcb_file) && not exe then
@@ -188,35 +179,7 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
                          transitive dependencies; declare it in %s"
                         tname lib.Source.lib_dune)))
         facts.Facts.module_refs;
-      (* (3) domain-safety *)
-      if not exe then begin
-        List.iter
-          (fun (tm : Facts.toplevel_mutable) ->
-            emit
-              (mk "domain-safety" warn path tm.Facts.tm_line tm.Facts.tm_name
-                 (Printf.sprintf
-                    "module-toplevel mutable state (%s) is a race hazard for domain \
-                     sharding; thread it through machine/host state, use Atomic.t, or \
-                     document it with [@@single_domain \"reason\"]"
-                    tm.Facts.tm_kind)))
-          facts.Facts.toplevel_mutables;
-        List.iter
-          (fun (name, line) ->
-            emit
-              (mk "undocumented-annotation" warn path line name
-                 "[@@single_domain] carries no reason string; say why single-domain use \
-                  is sound"))
-          facts.Facts.undocumented_annots;
-        List.iter
-          (fun (name, line, suppresses) ->
-            if not suppresses then
-              emit
-                (mk "stale-annotation" warn path line name
-                   "[@@single_domain] on a binding that is not module-toplevel mutable \
-                    state; the annotation suppresses nothing — remove it"))
-          facts.Facts.single_domain_annots
-      end;
-      (* (4) hygiene *)
+      (* (3) hygiene *)
       if (not file.Source.has_mli) && not exe then
         emit
           (mk "missing-mli" warn path 1 (Filename.basename path)
@@ -265,17 +228,16 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
                 "file constructs %d Gate_enter but %d Gate_exit probe events; every gate \
                  entry emission needs a matching exit emission"
                 n_enter n_exit));
-      (* (5) spawn-site *)
-      if not (List.mem path spawn_sites) then
-        List.iter
-          (fun (spawn, line) ->
-            emit
-              (mk "spawn-site" crit path line spawn
-                 (Printf.sprintf
-                    "domain creation outside %s; shard work through Hw.Domain_shard.run, \
-                     whose spawn/join edges the dynamic race checker replays"
-                    (String.concat ", " spawn_sites))))
-          facts.Facts.spawn_refs)
+      (* (4) spawn-site: the simulator runs on one domain — the probe
+         sink, the id counters and the mutation knobs are plain
+         module state — so no file may create another. *)
+      List.iter
+        (fun (spawn, line) ->
+          emit
+            (mk "spawn-site" crit path line spawn
+               "domain creation; the simulator runs on one domain and its module state \
+                (probe sink, id counters, mutation knobs) assumes so"))
+        facts.Facts.spawn_refs)
     tree.Source.files;
   (* Deduplicate identical (rule, file, symbol, line) — e.g. a module
      referenced from several syntactic positions on one line — then

@@ -1,6 +1,5 @@
 (** The rule families over a parsed source tree: trusted-sink,
-    layering, domain-safety, hygiene and spawn-site ([Domain.spawn]
-    only in [lib/hw/domain_shard.ml]). *)
+    layering, hygiene and spawn-site (no [Domain.spawn] anywhere). *)
 
 type finding = {
   rule : string;

@@ -129,7 +129,7 @@ let sorted_dir path = Sys.readdir path |> Array.to_list |> List.sort String.comp
 (* Executable directories scanned as pseudo-libraries: parse-error,
    layering and spawn-site apply there too (the demo driver and the
    bench harness reference every library), while the lib-only families
-   (missing-mli, domain-safety, TCB hygiene) do not. *)
+   (missing-mli, TCB hygiene) do not. *)
 let exe_dirs = [ "bin"; "bench" ]
 
 let load_tree ~root =

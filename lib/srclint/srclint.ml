@@ -4,12 +4,10 @@
    plus bin/ and bench/, parsed with compiler-libs) and enforces what
    the runtime checkers cannot: that raw physical-memory mutation stays
    inside the TCB allowlist (the CKI security argument), that the
-   inter-library layering DAG has no upward or cross edges, that
-   module-toplevel mutable state — a race hazard for the
-   domain-sharded engines — is fixed or annotated, that
-   [Domain.spawn] appears only in the one sharding site, and a hygiene
-   family (missing .mli, Obj.magic / assert false in TCB files,
-   unpaired Gate_enter/Gate_exit probe emissions).
+   inter-library layering DAG has no upward or cross edges, that no
+   file creates a domain, and a hygiene family (missing .mli,
+   Obj.magic / assert false in TCB files, unpaired
+   Gate_enter/Gate_exit probe emissions).
 
    Every rule is an allowlist; there is no baseline of accepted
    findings.  `cki_demo lint-src` fails on any finding;

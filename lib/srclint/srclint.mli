@@ -1,9 +1,8 @@
 (** Self-hosted source auditor: a static-analysis pass over the repo's
     own OCaml sources enforcing TCB write-sink containment, the
-    inter-library layering DAG, a domain-safety (race) inventory of
-    module-toplevel mutable state, spawn-site containment
-    ([Domain.spawn] only in [lib/hw/domain_shard.ml]), and source
-    hygiene.
+    inter-library layering DAG, spawn-site containment (no
+    [Domain.spawn] anywhere: the simulator runs on one domain), and
+    source hygiene.
 
     {!Source} models the tree (dune libraries, the [bin/]/[bench/]
     executable scopes, and compiler-libs ASTs); {!Facts} extracts

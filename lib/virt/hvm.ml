@@ -23,10 +23,8 @@ type state = {
   nested : bool;
 }
 
-(* Process-wide id allocator.  [Atomic.t] so backends created from
-   different domains (the planned container-sharding engine) never mint
-   the same id; single-domain behaviour is unchanged. *)
-let next_container_id = Atomic.make 0
+(* Process-wide id allocator. *)
+let next_container_id = ref 0
 
 (* Install the second-stage mapping for [gfn], allocating a host frame
    and charging the EPT-violation cost.  This is the VM-exit path a
@@ -64,7 +62,7 @@ let ept_fault_service st gfn =
 let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) : Backend.t =
   let clock = Hw.Machine.clock machine in
   let nested = Env.is_nested env in
-  let container_id = Atomic.fetch_and_add next_container_id 1 + 1 in
+  let container_id = (incr next_container_id; !next_container_id) in
   let st =
     {
       machine;

@@ -19,6 +19,7 @@ type server = {
   sock_id : int;
   store : (int, Bytes.t) Hashtbl.t;
   value_size : int;
+  value : Bytes.t;
   mutable requests : int;
 }
 
@@ -35,6 +36,7 @@ let aux_syscalls = function Memcached -> 3 | Redis -> 2
 let batch_size = function Memcached -> 1 | Redis -> 4
 
 let create_server (b : Virt.Backend.t) flavor =
+  let value_size = 500 in
   let task = Virt.Backend.spawn b in
   let sock_fd =
     match Virt.Backend.syscall_exn b task Kernel_model.Syscall.Socket with
@@ -59,7 +61,8 @@ let create_server (b : Virt.Backend.t) flavor =
     sock_fd;
     sock_id;
     store = Hashtbl.create 64;
-    value_size = 500;
+    value_size;
+    value = Bytes.make value_size '\000';
     requests = 0;
   }
 
@@ -87,7 +90,9 @@ let handle_request srv (req : request) =
   let reply =
     match req with
     | Set (key : int) ->
-        Hashtbl.replace srv.store key (Bytes.create srv.value_size);
+        (* Only a value's length reaches simulated time, so every key
+           stores the server's one buffer. *)
+        Hashtbl.replace srv.store key srv.value;
         Bytes.of_string "STORED"
     | Get key -> (
         match Hashtbl.find_opt srv.store key with

@@ -22,6 +22,9 @@ type server = {
   sock_id : int;
   store : (int, Bytes.t) Hashtbl.t;
   value_size : int;
+  value : Bytes.t;
+      (** the one zero-filled [value_size]-byte buffer every SET stores:
+          only a value's length reaches simulated time *)
   mutable requests : int;
 }
 

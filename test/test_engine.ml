@@ -289,32 +289,6 @@ let prop_owner_index =
         ops;
       true)
 
-(* Under mem tracing, every frame [iter_owned] visits is one traced
-   read. *)
-let test_iter_owned_traced () =
-  let m = Hw.Phys_mem.create ~frames:64 in
-  let owner = Hw.Phys_mem.Container 3 in
-  ignore (Hw.Phys_mem.alloc_contiguous m ~owner ~kind:Hw.Phys_mem.Data ~count:5);
-  ignore (Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data);
-  let visited = ref [] in
-  let (), trace =
-    Hw.Probe.set_mem_trace true;
-    Fun.protect
-      ~finally:(fun () -> Hw.Probe.set_mem_trace false)
-      (fun () ->
-        Analysis.Trace.with_recorder (fun () ->
-            Hw.Phys_mem.iter_owned m owner (fun pfn -> visited := pfn :: !visited)))
-  in
-  let reads =
-    List.filter_map
-      (function
-        | Hw.Probe.Mem_read { mem; pfn } when mem = Hw.Phys_mem.mem_id m -> Some pfn | _ -> None)
-      (Analysis.Trace.events trace)
-  in
-  check int "five frames visited" 5 (List.length !visited);
-  check (list int) "one Mem_read per visited frame" (List.sort compare !visited)
-    (List.sort compare reads)
-
 (* Destroying a warm clone on a full-size (512 MiB) host leaves nothing
    in the owner index for its container or its KSM, and unpins the
    template. *)
@@ -401,92 +375,6 @@ let test_tlb_invalidation () =
   check int "tlb hits" 80 (Hw.Tlb.hits cpu.Hw.Cpu.tlb);
   check int "tlb misses" 64 (Hw.Tlb.misses cpu.Hw.Cpu.tlb);
   check int "tlb_miss_walk charges" 64 (Hw.Clock.occurrences clock "tlb_miss_walk")
-
-(* ------------------------------------------------------------------ *)
-(* Domain sharding                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The sharded serve engine must be a pure function of the config and
-   lane count: running the same 4-lane fleet on 1, 2 and 4 domains must
-   produce the identical merged result (every counter and every derived
-   float), identical ordered per-lane clock merges, and a clean
-   whole-machine invariant check. *)
-let serve_cfg =
-  {
-    Ioplane.Serve.default_config with
-    Ioplane.Serve.backend = "cki";
-    containers = 4;
-    requests_per_container = 20;
-  }
-
-let merged_clock containers =
-  let into = Hw.Clock.create () in
-  List.iter
-    (fun c -> Hw.Clock.add_into ~into (Cki.Container.backend c).Virt.Backend.clock)
-    containers;
-  into
-
-let test_sharding_deterministic () =
-  let run domains = Ioplane.Serve.run ~domains serve_cfg in
-  let r1, c1 = run 1 in
-  (* The 2-domain run executes under the dynamic cross-domain checker:
-     Phys_mem tracing on, the merged replay race-checked — lanes own
-     disjoint machines, so the trace must come back clean, and the
-     instrumentation must not perturb the merged result. *)
-  let (r2, c2), racecheck =
-    Hw.Probe.set_mem_trace true;
-    Fun.protect
-      ~finally:(fun () -> Hw.Probe.set_mem_trace false)
-      (fun () ->
-        let out, trace =
-          (* Room for every lane ring (65536 events each) plus edges,
-             so the replayed spawn edges aren't dropped. *)
-          Analysis.Trace.with_recorder ~capacity:300_000 (fun () -> run 2)
-        in
-        (out, Analysis.Racecheck.of_trace trace))
-  in
-  let r4, c4 = run 4 in
-  check int "domains recorded" 1 r1.Ioplane.Serve.r_domains;
-  check bool "sharded lanes trace racecheck-clean" true (Analysis.Racecheck.is_clean racecheck);
-  check bool "racecheck saw traced accesses" true (racecheck.Analysis.Racecheck.accesses > 0);
-  (* Everything except the parallel-makespan accounting (wall time,
-     throughput, domain count) must be bit-identical. *)
-  let norm r =
-    { r with Ioplane.Serve.r_domains = 0; r_wall_ns = 0.0; r_throughput_rps = 0.0 }
-  in
-  check bool "1 vs 2 domains: identical merged result" true (norm r1 = norm r2);
-  check bool "1 vs 4 domains: identical merged result" true (norm r1 = norm r4);
-  let k1 = merged_clock c1 and k2 = merged_clock c2 and k4 = merged_clock c4 in
-  check (float 1e-9) "merged clock now (2 domains)" (Hw.Clock.now k1) (Hw.Clock.now k2);
-  check (float 1e-9) "merged clock now (4 domains)" (Hw.Clock.now k1) (Hw.Clock.now k4);
-  check bool "merged clock events (2 domains)" true (Hw.Clock.events k1 = Hw.Clock.events k2);
-  check bool "merged clock events (4 domains)" true (Hw.Clock.events k1 = Hw.Clock.events k4);
-  check int "exit counts equal" r1.Ioplane.Serve.r_exits r4.Ioplane.Serve.r_exits;
-  List.iter
-    (fun cs ->
-      check int "whole-machine invariant check clean" 0
-        (List.length (Analysis.check_machine ~containers:cs)))
-    [ c1; c2; c4 ]
-
-(* Sharded throughput accounting: with lanes of equal work, 4 domains
-   must report a strictly larger throughput than 1 domain over the same
-   merged work (the makespan is the max domain span, not the sum). *)
-let test_sharding_scales () =
-  let r1, _ = Ioplane.Serve.run ~domains:1 serve_cfg in
-  let r4, _ = Ioplane.Serve.run ~domains:4 serve_cfg in
-  check bool "wall time shrinks" true
-    (r4.Ioplane.Serve.r_wall_ns < r1.Ioplane.Serve.r_wall_ns);
-  check bool "throughput scales" true
-    (r4.Ioplane.Serve.r_throughput_rps > 2.0 *. r1.Ioplane.Serve.r_throughput_rps)
-
-(* The makespan follows [Domain_shard.run]'s lane->domain map: lanes
-   i, i + d, i + 2d, ... share domain i. *)
-let test_makespan () =
-  let makespan domains = Hw.Domain_shard.makespan ~domains [| 1.; 2.; 3.; 4.; 5. |] in
-  check (float 0.0) "0 domains run every lane inline" 15.0 (makespan 0);
-  check (float 0.0) "1 domain runs every lane" 15.0 (makespan 1);
-  check (float 0.0) "2 domains: lanes 0, 2, 4 are the longest span" 9.0 (makespan 2);
-  check (float 0.0) "8 domains: the longest lane" 5.0 (makespan 8)
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip: the parser added for artifact validation must
@@ -586,7 +474,6 @@ let suite =
     ( "engine-owner-index",
       [
         QCheck_alcotest.to_alcotest prop_owner_index;
-        test_case "iter_owned traces one read per frame" `Quick test_iter_owned_traced;
         test_case "destroyed clone owns no frames" `Quick test_destroyed_clone_owns_nothing;
       ] );
     ("engine-tlb", [ test_case "invlpg/invpcid pinned" `Quick test_tlb_invalidation ]);
@@ -594,11 +481,5 @@ let suite =
       [
         test_case "emit/parse round-trip" `Quick test_json_roundtrip;
         test_case "malformed input rejected" `Quick test_json_rejects_malformed;
-      ] );
-    ( "engine-sharding",
-      [
-        test_case "domains 1/2/4 merge identically" `Slow test_sharding_deterministic;
-        test_case "makespan accounting scales" `Slow test_sharding_scales;
-        test_case "makespan follows the lane->domain map" `Quick test_makespan;
       ] );
   ]

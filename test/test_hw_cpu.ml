@@ -1,5 +1,5 @@
 (* Tests for Hw: TLB, PKS, privileged instructions, CPU, IDT, EPT,
-   clock, machine. *)
+   clock, probe rings, machine. *)
 
 open Alcotest
 
@@ -349,27 +349,6 @@ let test_clock_many_names () =
   check_bool "spent after growth" true (Hw.Clock.spent_on c "ev150" = 450.0);
   check_bool "now" true (Hw.Clock.now c = float_of_int (3 * n * (n - 1) / 2))
 
-(* Reducing two clocks that saw the same names in different orders
-   gives the same ledger as making every charge on one clock. *)
-let test_clock_add_into () =
-  let a = Hw.Clock.create () and b = Hw.Clock.create () and one = Hw.Clock.create () in
-  let charges_a = [ ("tlb_hit", 1.0); ("sys_read", 40.0); ("virtio_copy", 2.5) ] in
-  let charges_b = [ ("virtio_copy", 7.0); ("only_b", 3.0); ("tlb_hit", 1.0); ("sys_read", 8.0) ] in
-  List.iter (fun (e, ns) -> Hw.Clock.charge a e ns) charges_a;
-  List.iter (fun (e, ns) -> Hw.Clock.charge b e ns) charges_b;
-  Hw.Clock.count b "sys_read";
-  List.iter (fun (e, ns) -> Hw.Clock.charge one e ns) (charges_a @ charges_b);
-  Hw.Clock.count one "sys_read";
-  let into = Hw.Clock.create () in
-  Hw.Clock.add_into ~into a;
-  Hw.Clock.add_into ~into b;
-  check_events "events" (Hw.Clock.events one) (Hw.Clock.events into);
-  List.iter
-    (fun (e, _) ->
-      check_bool ("spent_on " ^ e) true (Hw.Clock.spent_on into e = Hw.Clock.spent_on one e))
-    (Hw.Clock.events one);
-  check_bool "now" true (Hw.Clock.now into = Hw.Clock.now one)
-
 (* Queries never create a slot, and a reset clock starts every name
    from zero. *)
 let test_clock_reset_and_queries () =
@@ -387,6 +366,67 @@ let test_clock_reset_and_queries () =
   check_bool "now restarts" true (Hw.Clock.now c = 3.0)
 
 (* ---------------------------- Machine ----------------------------- *)
+
+(* ------------------------------ Probe ----------------------------- *)
+
+let event = testable Hw.Probe.pp_event ( = )
+
+(* One event of every variant, each payload field distinct, so a field
+   that lands in the wrong word of the 7-word record shows. *)
+let every_event =
+  let open Hw.Probe in
+  [
+    Priv_exec { cpu = 1; mnemonic = "wrmsr"; destructive = true; pkrs = 0x55; blocked = true };
+    Wrpkrs { cpu = 2; value = 0x5 };
+    Sysret { cpu = 3; pkrs = 0x4; if_after = true };
+    Iret { cpu = 4; pkrs_before = 0; pkrs_after = 0x14 };
+    Gate_enter { cpu = 5; gate = Hypercall_gate; pkrs = 0x14 };
+    Gate_exit { cpu = 6; gate = Interrupt_gate; entry_pkrs = 0x14; pkrs = 0x15 };
+    Idt_deliver
+      { cpu = 7; vector = 14; hardware = true; pks_switch = false; pkrs_before = 3; pkrs_after = 9 };
+    Tlb_fill { cpu = 8; pcid = 9; vpn = 0x400; level = 2; pfn = 77 };
+    Tlb_invlpg { cpu = 9; pcid = 10; vpn = 0x401 };
+    Tlb_flush_pcid { cpu = 10; pcid = 11 };
+    Cr3_load { cpu = 11; pcid = 12; root = 4096 };
+    Pks_denied { key = 13; write = true };
+    Ksm_op { container = 14; op = "guest_map"; ok = false };
+    Pte_downgrade { container = 15; root = 16; vpn = 0x402; unmapped = true };
+    Container_boot { container = 17; pcid = 18 };
+    Mm_op { op = "mmap"; vpn = 0x403; pages = 19 };
+    Io_doorbell { queue = "net-tx"; avail_idx = 20; in_flight = 21 };
+    Io_completion { queue = "net-rx"; used_idx = 22; serviced = 23 };
+  ]
+
+let test_probe_ring_round_trip () =
+  let ring = Hw.Probe.ring_create () in
+  List.iter (Hw.Probe.ring_record ring) every_event;
+  Hw.Probe.set_ring ring;
+  Fun.protect ~finally:Hw.Probe.clear_sink (fun () ->
+      Hw.Probe.emit_tlb_fill ~cpu:30 ~pcid:31 ~vpn:0x404 ~level:1 ~pfn:32;
+      Hw.Probe.emit_io_doorbell ~queue:"blk" ~avail_idx:33 ~in_flight:34;
+      Hw.Probe.emit_io_completion ~queue:"blk" ~used_idx:35 ~serviced:36);
+  Hw.Probe.emit_tlb_fill ~cpu:0 ~pcid:0 ~vpn:0 ~level:1 ~pfn:0;
+  let hot =
+    Hw.Probe.
+      [
+        Tlb_fill { cpu = 30; pcid = 31; vpn = 0x404; level = 1; pfn = 32 };
+        Io_doorbell { queue = "blk"; avail_idx = 33; in_flight = 34 };
+        Io_completion { queue = "blk"; used_idx = 35; serviced = 36 };
+      ]
+  in
+  check (list event) "decoded equal and in order" (every_event @ hot) (Hw.Probe.ring_events ring);
+  check_int "nothing dropped" 0 (Hw.Probe.ring_dropped ring)
+
+let test_probe_ring_overflow () =
+  let ring = Hw.Probe.ring_create ~capacity:4 () in
+  let ev i = Hw.Probe.Wrpkrs { cpu = i; value = 100 + i } in
+  for i = 0 to 9 do
+    Hw.Probe.ring_record ring (ev i)
+  done;
+  check_int "length" 4 (Hw.Probe.ring_length ring);
+  check_int "dropped" 6 (Hw.Probe.ring_dropped ring);
+  check (list event) "the last 4, oldest first" (List.init 4 (fun i -> ev (6 + i)))
+    (Hw.Probe.ring_events ring)
 
 let test_machine_pcids () =
   let m = Hw.Machine.create ~cpus:2 ~mem_mib:1 () in
@@ -442,8 +482,12 @@ let suite =
       [
         test_case "accounting" `Quick test_clock_accounting;
         test_case "slot growth past 64 names" `Quick test_clock_many_names;
-        test_case "add_into folds by name" `Quick test_clock_add_into;
         test_case "reset + unseen queries" `Quick test_clock_reset_and_queries;
+      ] );
+    ( "hw/probe",
+      [
+        test_case "ring round-trips every event" `Quick test_probe_ring_round_trip;
+        test_case "ring overflow keeps the newest" `Quick test_probe_ring_overflow;
       ] );
     ("hw/machine", [ test_case "fresh pcids" `Quick test_machine_pcids ]);
   ]

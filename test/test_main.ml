@@ -6,4 +6,4 @@ let () =
    @ Test_workloads.suite @ Test_extensions.suite @ Test_integration.suite @ Test_depth.suite
    @ Test_param.suite @ Test_analysis.suite @ Test_snapshot.suite @ Test_ioplane.suite
    @ Test_policy.suite @ Test_modelcheck.suite @ Test_srclint.suite @ Test_engine.suite
-   @ Test_fleet.suite @ Test_migrate.suite @ Test_racecheck.suite)
+   @ Test_fleet.suite @ Test_migrate.suite)

@@ -1,7 +1,6 @@
 (* lib/migrate: the multi-host fabric, dirty-page tracking, the
-   pre-copy engine's convergence and downtime, chaos scenarios, the
-   warm-pool drain-vs-live-clones regression, and domain isolation of
-   concurrent migrations.
+   pre-copy engine's convergence and downtime, chaos scenarios, and the
+   warm-pool drain-vs-live-clones regression.
 
    The pinned golden property is snapshot-over-the-wire fidelity: after
    a completed migration, re-capturing the restored target yields an
@@ -307,28 +306,6 @@ let test_template_destroy_refuses_while_referenced () =
   check bool "last clone death releases the pin" false (Snapshot.Template.in_use tpl);
   Snapshot.Template.destroy tpl
 
-(* ------------------------------------------------------------------ *)
-(* Domain isolation: concurrent migrations race-check clean            *)
-(* ------------------------------------------------------------------ *)
-
-let test_concurrent_migrations_racecheck_clean () =
-  Hw.Probe.set_mem_trace true;
-  let report =
-    Fun.protect
-      ~finally:(fun () -> Hw.Probe.set_mem_trace false)
-      (fun () ->
-        let (), trace =
-          Analysis.Trace.with_recorder ~capacity:400_000 (fun () ->
-              Hw.Domain_shard.run ~domains:2 ~lanes:2 (fun _ ->
-                  let _fab, st = migrate_app ~heap_pages:64 () in
-                  assert (st.Migrate.Engine.outcome = Migrate.Engine.Completed)))
-        in
-        Analysis.Racecheck.of_trace trace)
-  in
-  check bool "two migrations on two domains are racecheck-clean" true
-    (Analysis.Racecheck.is_clean report);
-  check bool "spawn/join edges recorded" true (report.Analysis.Racecheck.edges >= 4)
-
 let suite =
   [
     ( "migrate",
@@ -350,7 +327,5 @@ let suite =
           test_pool_drain_spares_live_clones;
         test_case "template: destroy refuses while referenced" `Quick
           test_template_destroy_refuses_while_referenced;
-        test_case "racecheck: concurrent migrations on two domains" `Quick
-          test_concurrent_migrations_racecheck_clean;
       ] );
   ]

@@ -4,8 +4,7 @@
    into a temporary tree and assert that each rule family fires with the
    right file:line span — and that the compliant variant stays silent.
    Plus a golden scan: the real repo must come back with no finding at
-   all, and in particular no domain-safety finding in the core
-   directories. *)
+   all. *)
 
 open Alcotest
 
@@ -213,70 +212,7 @@ let test_layering_unknown_library () =
   fires "library missing from the DAG" "layering" ~file:"lib/rogue/dune" ~line:1 findings
 
 (* ------------------------------------------------------------------ *)
-(* (3) domain-safety                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_domain_safety_fires () =
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ( "lib/app/state.ml",
-          "let table = Hashtbl.create 16\n\
-           let counter = ref 0\n\n\
-           type cell = { mutable v : int }\n\n\
-           let shared = { v = 0 }\n" );
-        ("lib/app/state.mli", "val table : (int, int) Hashtbl.t\nval counter : int ref\n");
-      ]
-  in
-  fires "toplevel Hashtbl" "domain-safety" ~file:"lib/app/state.ml" ~line:1 findings;
-  fires "toplevel ref" "domain-safety" ~file:"lib/app/state.ml" ~line:2 findings;
-  fires "toplevel mutable record" "domain-safety" ~file:"lib/app/state.ml" ~line:6 findings
-
-let test_domain_safety_safe_forms_silent () =
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ( "lib/app/state.ml",
-          "let next_id = Atomic.make 0\n\n\
-           let fresh_table () = Hashtbl.create 16\n\n\
-           type cfg = { depth : int }\n\n\
-           let default = { depth = 4 }\n\n\
-           let documented = ref 0 [@@single_domain \"test-only scratch state\"]\n" );
-        ("lib/app/state.mli", "val next_id : int Atomic.t\n");
-      ]
-  in
-  silent "Atomic / closures / immutable records / documented" "domain-safety" findings
-
-let test_domain_safety_undocumented_annotation () =
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ("lib/app/state.ml", "let sneaky = ref 0 [@@single_domain]\n");
-        ("lib/app/state.mli", "val sneaky : int ref\n");
-      ]
-  in
-  fires "annotation without a reason" "undocumented-annotation" ~file:"lib/app/state.ml" ~line:1
-    findings
-
-let test_domain_safety_stale_annotation () =
-  (* The binding isn't mutable state, so the annotation suppresses
-     nothing. *)
-  let findings =
-    scan ~arch:app_arch
-      [
-        ("lib/app/dune", lib_dune "app");
-        ("lib/app/s.ml", "let immut = 42 [@@single_domain \"pointless\"]\n");
-        ("lib/app/s.mli", "val immut : int\n");
-      ]
-  in
-  fires "single_domain on immutable binding" "stale-annotation" ~file:"lib/app/s.ml" ~line:1
-    findings
-
-(* ------------------------------------------------------------------ *)
-(* (4) hygiene                                                         *)
+(* (3) hygiene                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let test_hygiene_missing_mli () =
@@ -404,7 +340,7 @@ let test_parse_error_reported () =
   fires "unparseable file" "parse-error" ~file:"lib/app/broken.ml" ~line:1 findings
 
 (* ------------------------------------------------------------------ *)
-(* (5) spawn-site                                                      *)
+(* (4) spawn-site                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let spawner = "let t () = Domain.join (Domain.spawn (fun () -> 1))\n"
@@ -436,7 +372,9 @@ let test_spawn_site_open_fires () =
   in
   fires "open of Domain" "spawn-site" ~file:"lib/app/x.ml" ~line:1 findings
 
-let test_spawn_site_allowlisted_silent () =
+(* spawn-site has no allowlist: the simulator runs on one domain, and
+   no file, lib/hw/ included, may create another. *)
+let test_spawn_site_no_exemption () =
   let findings =
     scan ~arch:[ ("hw", []) ]
       [
@@ -445,10 +383,45 @@ let test_spawn_site_allowlisted_silent () =
         ("lib/hw/domain_shard.mli", "val t : unit -> int\n");
       ]
   in
-  silent "the one sharding site" "spawn-site" findings
+  fires "spawn in lib/hw/domain_shard.ml" "spawn-site" ~file:"lib/hw/domain_shard.ml" ~line:1
+    findings
+
+(* The single-domain guard covers all three scanned roots: the bench
+   harness is policed like lib/ and bin/, and every spawn-site finding
+   is Critical, so no scan of a spawning tree can pass. *)
+let test_single_domain_bench_fires () =
+  let findings =
+    scan ~arch:[ ("app", []); ("bench", []) ]
+      [
+        ("lib/app/dune", lib_dune "app");
+        ("lib/app/a.ml", "let v = 1\n");
+        ("lib/app/a.mli", "val v : int\n");
+        ("bench/dune", "(executable\n (name x)\n (libraries))\n");
+        ("bench/x.ml", spawner);
+      ]
+  in
+  fires "spawn in the bench harness" "spawn-site" ~file:"bench/x.ml" ~line:1 findings
+
+let test_single_domain_critical () =
+  let findings =
+    scan ~arch:app_arch
+      [
+        ("lib/app/dune", lib_dune "app");
+        ("lib/app/x.ml", spawner);
+        ("lib/app/x.mli", "val t : unit -> int\n");
+      ]
+  in
+  let spawns =
+    List.filter (fun (f : Srclint.Rules.finding) -> f.Srclint.Rules.rule = "spawn-site") findings
+  in
+  check_bool "spawn-site fired" true (spawns <> []);
+  check_bool "every spawn-site finding is Critical" true
+    (List.for_all
+       (fun (f : Srclint.Rules.finding) -> f.Srclint.Rules.severity = Report.Findings.Critical)
+       spawns)
 
 (* ------------------------------------------------------------------ *)
-(* (6) executable scope                                                *)
+(* (5) executable scope                                                *)
 (* ------------------------------------------------------------------ *)
 
 let exe_arch = [ ("app", []); ("bin", [ "app" ]) ]
@@ -487,18 +460,6 @@ let test_exe_scope_forbidden_edge () =
 (* Golden: the real repo                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the domain-sharded serve engine executes inside a worker
-   domain must be domain-safety-clean: the hardware/kernel/virt/core
-   stack plus the ioplane harness itself and the analysis recorder its
-   probe streams land in. *)
-let core_dirs =
-  [ "lib/hw/"; "lib/kernel/"; "lib/virt/"; "lib/core/"; "lib/ioplane/"; "lib/analysis/" ]
-
-let in_core (file : string) =
-  List.exists
-    (fun d -> String.length file >= String.length d && String.sub file 0 (String.length d) = d)
-    core_dirs
-
 let test_golden_repo_clean () =
   let root = Srclint.find_root_exn () in
   let s = Srclint.scan ~root () in
@@ -509,19 +470,6 @@ let test_golden_repo_clean () =
       fail
         (Printf.sprintf "repo must scan clean, got:\n%s"
            (Report.Findings.render ~title:"srclint" (Srclint.to_findings fs)))
-
-let test_golden_domain_safety_core_empty () =
-  (* No domain-safety debt anywhere in the code a worker domain runs. *)
-  let root = Srclint.find_root_exn () in
-  let s = Srclint.scan ~root () in
-  List.iter
-    (fun (f : Srclint.Rules.finding) ->
-      check_bool
-        (Printf.sprintf "no domain-safety finding in core dirs (%s:%d)" f.Srclint.Rules.file
-           f.Srclint.Rules.line)
-        true
-        (not (f.Srclint.Rules.rule = "domain-safety" && in_core f.Srclint.Rules.file)))
-    s.Srclint.findings
 
 let suite =
   [
@@ -541,13 +489,6 @@ let suite =
         test_case "dune drift fires" `Quick test_layering_dune_drift;
         test_case "unknown library fires" `Quick test_layering_unknown_library;
       ] );
-    ( "srclint-domain-safety",
-      [
-        test_case "toplevel mutable state fires" `Quick test_domain_safety_fires;
-        test_case "safe forms are silent" `Quick test_domain_safety_safe_forms_silent;
-        test_case "undocumented annotation fires" `Quick test_domain_safety_undocumented_annotation;
-        test_case "stale annotation fires" `Quick test_domain_safety_stale_annotation;
-      ] );
     ( "srclint-hygiene",
       [
         test_case "missing mli fires" `Quick test_hygiene_missing_mli;
@@ -560,16 +501,17 @@ let suite =
       [
         test_case "spawn outside the sharding site fires" `Quick test_spawn_site_fires;
         test_case "open of Domain fires" `Quick test_spawn_site_open_fires;
-        test_case "the sharding site is silent" `Quick test_spawn_site_allowlisted_silent;
+        test_case "no file may spawn" `Quick test_spawn_site_no_exemption;
+      ] );
+    ( "srclint-single-domain",
+      [
+        test_case "spawn in the bench harness fires" `Quick test_single_domain_bench_fires;
+        test_case "spawn-site findings are Critical" `Quick test_single_domain_critical;
       ] );
     ( "srclint-exe-scope",
       [
         test_case "undeclared dep fires, lib families don't" `Quick test_exe_scope_layering;
         test_case "forbidden edge fires from exe dune" `Quick test_exe_scope_forbidden_edge;
       ] );
-    ( "srclint-golden",
-      [
-        test_case "repo scans clean" `Quick test_golden_repo_clean;
-        test_case "core dirs carry no domain-safety debt" `Quick test_golden_domain_safety_core_empty;
-      ] );
+    ("srclint-golden", [ test_case "repo scans clean" `Quick test_golden_repo_clean ]);
   ]

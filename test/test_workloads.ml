@@ -208,6 +208,27 @@ let test_kv_store_semantics () =
   check_bool "key stored" true (Hashtbl.mem srv.Workloads.Kv.store 1);
   check_bool "absent key" false (Hashtbl.mem srv.Workloads.Kv.store 2)
 
+(* Only a value's length reaches simulated time, so a server keeps one
+   value buffer however many keys it stores: host memory stays flat as
+   a run writes more keys. *)
+let test_kv_one_value_buffer () =
+  let b = runc () in
+  let srv = Workloads.Kv.create_server b Workloads.Kv.Memcached in
+  Workloads.Kv.serve_batch srv (List.init 100 (fun key -> Workloads.Kv.Set key));
+  let store = srv.Workloads.Kv.store in
+  check_int "100 keys stored" 100 (Hashtbl.length store);
+  check_bool "every value is the server's one buffer" true
+    (Hashtbl.fold (fun _ v acc -> acc && v == srv.Workloads.Kv.value) store true);
+  let ep =
+    match Kernel_model.Kernel.socket_endpoint b.Virt.Backend.kernel srv.Workloads.Kv.sock_id with
+    | Some ep -> ep
+    | None -> fail "no server endpoint"
+  in
+  let before = ep.Kernel_model.Net.tx_bytes in
+  Workloads.Kv.serve_batch srv [ Workloads.Kv.Get 42 ];
+  check_int "GET replies value_size bytes" srv.Workloads.Kv.value_size
+    (ep.Kernel_model.Net.tx_bytes - before)
+
 let test_kv_throughput_ordering () =
   let kept = ref [] in
   let thr mk = Workloads.Kv.run_memtier (mk ()) ~flavor:Workloads.Kv.Memcached ~clients:32 ~requests:500 in
@@ -306,6 +327,7 @@ let suite =
     ( "workloads/kv",
       [
         test_case "store semantics" `Quick test_kv_store_semantics;
+        test_case "one value buffer per server" `Quick test_kv_one_value_buffer;
         test_case "throughput ordering" `Quick test_kv_throughput_ordering;
         test_case "throughput rises with clients" `Quick test_kv_throughput_rises_with_clients;
       ] );
