@@ -38,8 +38,9 @@ let () =
     (Virt.Backend.syscall_exn b task
        (Kernel_model.Syscall.Write { fd; data = Bytes.of_string "hello from a CKI container" }));
   ignore (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Lseek { fd; pos = 0 }));
-  (match Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Read { fd; n = 64 }) with
-  | Kernel_model.Syscall.Rbytes data -> Printf.printf "read back: %S\n" (Bytes.to_string data)
+  let buf = Bytes.create 64 in
+  (match Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Read { fd; buf }) with
+  | Kernel_model.Syscall.Rint n -> Printf.printf "read back: %S\n" (Bytes.sub_string buf 0 n)
   | _ -> assert false);
 
   (* Demand-fault a memory region: each fault is handled by the guest

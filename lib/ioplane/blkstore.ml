@@ -11,8 +11,7 @@ type t = {
 
 let create () = { writes = 0; bytes = 0; sectors = 0 }
 
-let write t data =
-  let len = Bytes.length data in
+let write t ~len =
   t.writes <- t.writes + 1;
   t.bytes <- t.bytes + len;
   t.sectors <- t.sectors + max 1 ((len + 511) / 512)

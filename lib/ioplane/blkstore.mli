@@ -5,7 +5,8 @@
 type t
 
 val create : unit -> t
-val write : t -> Bytes.t -> unit
+val write : t -> len:int -> unit
+(** Account one write of [len] bytes. *)
 val writes : t -> int
 val bytes : t -> int
 val sectors : t -> int

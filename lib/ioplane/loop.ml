@@ -51,10 +51,15 @@ let service t att =
   att.pending_blk <- false;
   t.service_passes <- t.service_passes + 1;
   let tx =
-    Kernel_model.Kernel.host_service_net_tx att.kernel
-      ~handle:(fun payload -> Switch.forward t.switch ~src:att.port payload)
+    Kernel_model.Kernel.host_service_net_tx att.kernel ~handle:(fun buf len ->
+        (* the frame waits in the peer's inbox: copy it out of the
+           queue's reused host buffer *)
+        Switch.forward t.switch ~src:att.port (Bytes.sub buf 0 len))
   in
-  let blk = Kernel_model.Kernel.host_service_blk att.kernel ~handle:(Blkstore.write t.blkstore) in
+  let blk =
+    Kernel_model.Kernel.host_service_blk att.kernel ~handle:(fun _ len ->
+        Blkstore.write t.blkstore ~len)
+  in
   tx + blk
 
 let attach t kernel ~name =
@@ -73,7 +78,6 @@ let attach t kernel ~name =
                  the queue inline, nothing for the loop to do. *)
               ());
       service_now = (fun () -> ignore (service t att));
-      blk_sink = Some (Blkstore.write t.blkstore);
     }
   in
   Kernel_model.Kernel.set_io_backend kernel (Some backend);

@@ -25,8 +25,8 @@ val attachments : t -> attachment list
 
 val attach : t -> Kernel_model.Kernel.t -> name:string -> attachment
 (** Give [kernel] a switch port and install the io-backend hooks
-    (doorbell notification, synchronous service for backpressure, the
-    block-store sink). *)
+    (doorbell notification, synchronous service for backpressure); its
+    blk writes land in the block store. *)
 
 val detach : t -> attachment -> unit
 val set_rx_socket : attachment -> int -> unit

@@ -126,7 +126,10 @@ module Lane = struct
             | _ -> Workloads.Webserver.Nginx_static
           in
           let srv = Workloads.Webserver.create b kind in
-          let encode () = (Bytes.create 512, fun () -> Workloads.Webserver.serve_one srv) in
+          let encode () =
+            ( Bytes.create Workloads.Webserver.request_bytes,
+              fun () -> Workloads.Webserver.serve_one srv )
+          in
           (srv.Workloads.Webserver.sock_id, encode)
     in
     Loop.set_rx_socket att sid;

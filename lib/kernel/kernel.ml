@@ -23,10 +23,11 @@ type io_backend = {
       (** synchronous host service pass — the backpressure path and
           [flush_net] delegate here so a full ring drains through the
           plane (switch routing, block store) rather than a stub *)
-  blk_sink : (Bytes.t -> unit) option;
-      (** host block store; when present, fsync flushes ride the
-          virtio-blk queue into it *)
 }
+
+(* Fsync posts at most this much of the file: the dirty window one
+   flush carries over virtio-blk. *)
+let writeback_bytes = 8 * 4096
 
 type t = {
   id : int;  (** per-process unique, for queue naming *)
@@ -41,6 +42,9 @@ type t = {
   mutable io_queue_size : int;
   mutable io_window : int;
   mutable io_backend : io_backend option;
+  writeback : Bytes.t Lazy.t;
+      (** fsync copies the file's window here and posts it from here:
+          one buffer per kernel, made on the first flush *)
   mutable next_pid : int;
   mutable syscall_count : int;
   mutable irq_count : int;
@@ -66,6 +70,7 @@ let create platform =
     io_queue_size = 64;
     io_window = 1;
     io_backend = None;
+    writeback = lazy (Bytes.create writeback_bytes);
     next_pid = 1;
     syscall_count = 0;
     irq_count = 0;
@@ -155,13 +160,13 @@ let host_service_blk t ~handle =
   match t.io with
   | None -> 0
   | Some io ->
-      let sink =
-        match t.io_backend with Some { blk_sink = Some f; _ } -> f | _ -> handle
-      in
-      host_service_queue t io.blk ~handle:(fun data ->
-          sink data;
+      host_service_queue t io.blk ~handle:(fun buf len ->
+          handle buf len;
           Hw.Clock.charge (clock t) "blk_io"
-            (float_of_int (max 1 ((Bytes.length data + 511) / 512)) *. Hw.Cost.blk_sector))
+            (float_of_int (max 1 ((len + 511) / 512)) *. Hw.Cost.blk_sector))
+
+(* The self-service stub's handler: no host plane takes the payloads. *)
+let discard _ _ = ()
 
 (* Guest blocked on a full ring: run one synchronous host service pass
    to make room.  Through the plane when attached, self-serviced when
@@ -170,13 +175,14 @@ let host_service_pass t =
   match t.io_backend with
   | Some b -> b.service_now ()
   | None ->
-      ignore (host_service_net_tx t ~handle:ignore);
-      ignore (host_service_blk t ~handle:ignore)
+      ignore (host_service_net_tx t ~handle:discard);
+      ignore (host_service_blk t ~handle:discard)
 
-(* Guest: post [data] with graceful backpressure, then ring-or-not. *)
-let guest_post_kick t q ~data ~(kind : Platform.io_kind) ~(target : kick_target) =
+(* Guest: post [data]'s first [len] bytes with graceful backpressure,
+   then ring-or-not. *)
+let guest_post_kick t q ~data ~len ~(kind : Platform.io_kind) ~(target : kick_target) =
   let rec post attempts =
-    match Virtio.post q ~data with
+    match Virtio.post q ~data ~len with
     | `Posted -> ()
     | `Full ->
         if attempts > 3 * Virtio.size q then
@@ -249,22 +255,27 @@ let file_obj (task : Task.t) fd =
   | Some (Task.File f) -> Some f
   | Some (Task.Pipe_read _ | Task.Pipe_write _ | Task.Socket _) | None -> None
 
-let do_read t task fd n : Syscall.result =
+(* Fill the caller's [buf] from the front, as read(2) does. *)
+let do_read t task fd buf : Syscall.result =
   match Task.fd task fd with
   | Some (Task.File f) ->
-      let data = Tmpfs.read t.fs f.Task.inode ~off:f.Task.pos ~n in
-      f.Task.pos <- f.Task.pos + Bytes.length data;
-      Syscall.Rbytes data
+      let n = Tmpfs.read_into t.fs f.Task.inode ~off:f.Task.pos buf in
+      f.Task.pos <- f.Task.pos + n;
+      Syscall.Rint n
   | Some (Task.Pipe_read p) -> (
-      match Pipe.read p ~n with
-      | Ok data -> Syscall.Rbytes data
+      match Pipe.read_into p buf with
+      | Ok n -> Syscall.Rint n
       | Error `Would_block -> Syscall.Rerr "EAGAIN")
   | Some (Task.Socket sid) -> (
       match Hashtbl.find_opt t.sockets sid with
       | None -> Syscall.Rerr "EBADF"
       | Some ep -> (
           match Net.recv ep with
-          | Ok data -> Syscall.Rbytes data
+          | Ok frame ->
+              (* a datagram: what does not fit the buffer is dropped *)
+              let n = min (Bytes.length frame) (Bytes.length buf) in
+              Bytes.blit frame 0 buf 0 n;
+              Syscall.Rint n
           | Error `Would_block -> Syscall.Rerr "EAGAIN"))
   | Some (Task.Pipe_write _) -> Syscall.Rerr "EBADF"
   | None -> Syscall.Rerr "EBADF"
@@ -290,7 +301,8 @@ let do_write t task fd data : Syscall.result =
              the guest until a host service pass makes room. *)
           if t.platform.Platform.virtualized_io then begin
             let io = ensure_io t in
-            guest_post_kick t io.tx ~data ~kind:Platform.Net_tx ~target:`Net_tx
+            guest_post_kick t io.tx ~data ~len:(Bytes.length data) ~kind:Platform.Net_tx
+              ~target:`Net_tx
           end;
           (match Net.send t.wire ep data with
           | Ok n -> Syscall.Rint n
@@ -319,10 +331,10 @@ let do_exit t (task : Task.t) =
 let syscall t (task : Task.t) (sc : Syscall.t) : Syscall.result =
   t.syscall_count <- t.syscall_count + 1;
   t.platform.Platform.syscall_round_trip ();
-  Hw.Clock.charge (clock t) ("sys_" ^ Syscall.name sc) (Syscall.base_work sc);
+  Hw.Clock.charge (clock t) (Syscall.event sc) (Syscall.base_work sc);
   match sc with
   | Syscall.Getpid -> Syscall.Rint task.Task.pid
-  | Syscall.Read { fd; n } -> do_read t task fd n
+  | Syscall.Read { fd; buf } -> do_read t task fd buf
   | Syscall.Write { fd; data } -> do_write t task fd data
   | Syscall.Open { path; create } -> (
       let inode =
@@ -361,11 +373,11 @@ let syscall t (task : Task.t) (sc : Syscall.t) : Syscall.result =
       | None -> Syscall.Rerr "EBADF"
       | Some f ->
           (match t.io_backend with
-          | Some { blk_sink = Some _; _ } when t.platform.Platform.virtualized_io ->
-              let size = min (Tmpfs.size f.Task.inode) (8 * 4096) in
-              let data = Tmpfs.read t.fs f.Task.inode ~off:0 ~n:(max size 1) in
+          | Some _ when t.platform.Platform.virtualized_io ->
+              let data = Lazy.force t.writeback in
+              let len = Tmpfs.read_into t.fs f.Task.inode ~off:0 data in
               let io = ensure_io t in
-              guest_post_kick t io.blk ~data ~kind:Platform.Blk_write ~target:`Blk
+              guest_post_kick t io.blk ~data ~len ~kind:Platform.Blk_write ~target:`Blk
           | _ -> ());
           Syscall.Runit)
   | Syscall.Unlink path -> (
@@ -405,7 +417,7 @@ let syscall t (task : Task.t) (sc : Syscall.t) : Syscall.result =
       Hashtbl.replace t.sockets ep.Net.id ep;
       Syscall.Rint (Task.install_fd task (Task.Socket ep.Net.id))
   | Syscall.Send { fd; data } -> do_write t task fd data
-  | Syscall.Recv { fd; n } -> do_read t task fd n
+  | Syscall.Recv { fd; buf } -> do_read t task fd buf
   | Syscall.Sched_yield -> Syscall.Runit
   | Syscall.Nanosleep ns ->
       Hw.Clock.advance (clock t) ns;
@@ -429,7 +441,7 @@ let flush_net t =
   if t.platform.Platform.virtualized_io then
     match t.io_backend with
     | Some b -> b.service_now ()
-    | None -> ignore (host_service_net_tx t ~handle:ignore)
+    | None -> ignore (host_service_net_tx t ~handle:discard)
 
 (* A batch of packets arrives from outside for socket [sid]: the guest
    replenishes RX buffer credit (kicking through EVENT_IDX), the host

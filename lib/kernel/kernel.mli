@@ -70,10 +70,10 @@ type io_backend = {
   service_now : unit -> unit;
       (** synchronous host service pass — backpressure and [flush_net]
           drain through the plane instead of the self-service stub *)
-  blk_sink : (Bytes.t -> unit) option;
-      (** host block store; when present, fsync flushes ride
-          virtio-blk into it *)
 }
+(** With a backend attached on a virtualized platform, fsync posts the
+    file's first 32 KiB on the blk queue, copied through one writeback
+    buffer per kernel. *)
 
 val configure_io : ?queue_size:int -> ?window:int -> t -> unit
 (** Set ring geometry (before first use) and the EVENT_IDX coalescing
@@ -102,11 +102,13 @@ val tx_stalls : t -> int
 (** Times a guest blocked on a full ring until a host service pass made
     room (graceful backpressure). *)
 
-val host_service_net_tx : t -> handle:(Bytes.t -> unit) -> int
-(** Host: service the TX queue, passing each payload to [handle];
-    inject the completion interrupt (always, which bounds batch
-    latency) and run the guest reclaim. Returns chains serviced. *)
+val host_service_net_tx : t -> handle:(Bytes.t -> int -> unit) -> int
+(** Host: service the TX queue, calling [handle buf len] per payload
+    ({!Virtio.service}: [buf] is the queue's reused host buffer, valid
+    only during the call); inject the completion interrupt (always,
+    which bounds batch latency) and run the guest reclaim. Returns
+    chains serviced. *)
 
-val host_service_blk : t -> handle:(Bytes.t -> unit) -> int
-(** Host: service the blk queue into the attached block sink (or
-    [handle] when standalone), charging per-sector I/O cost. *)
+val host_service_blk : t -> handle:(Bytes.t -> int -> unit) -> int
+(** Host: service the blk queue into [handle] like
+    {!host_service_net_tx}, charging per-sector I/O cost. *)

@@ -1,40 +1,51 @@
 (* Pipes and AF_UNIX-style stream sockets: bounded byte queues with
-   blocking semantics surfaced as [`Would_block]. *)
+   blocking semantics surfaced as [`Would_block].
+
+   The queue is a byte ring of [capacity] bytes, so a write copies its
+   bytes in once and a read copies them out once. *)
 
 type t = {
-  capacity : int;
-  buf : Buffer.t;
+  ring : Bytes.t;
+  mutable head : int;  (** ring offset of the oldest unread byte *)
+  mutable len : int;  (** unread bytes *)
   mutable read_closed : bool;
   mutable write_closed : bool;
   clock : Hw.Clock.t;
 }
 
 let create ?(capacity = 65536) clock =
-  { capacity; buf = Buffer.create 4096; read_closed = false; write_closed = false; clock }
+  { ring = Bytes.create capacity; head = 0; len = 0; read_closed = false; write_closed = false; clock }
 
-let available t = Buffer.length t.buf
-let room t = t.capacity - Buffer.length t.buf
+let available t = t.len
+let room t = Bytes.length t.ring - t.len
 
 let write t src =
   if t.read_closed then Error `Epipe
   else if room t <= 0 then Error `Would_block
   else begin
     let n = min (Bytes.length src) (room t) in
-    Buffer.add_subbytes t.buf src 0 n;
+    let size = Bytes.length t.ring in
+    let tail = (t.head + t.len) mod size in
+    let first = min n (size - tail) in
+    Bytes.blit src 0 t.ring tail first;
+    Bytes.blit src first t.ring 0 (n - first);
+    t.len <- t.len + n;
     Hw.Clock.charge t.clock "pipe_copy" (float_of_int n *. Hw.Cost.copy_byte);
     Ok n
   end
 
-let read t ~n =
-  if available t = 0 then if t.write_closed then Ok Bytes.empty else Error `Would_block
+let read_into t buf =
+  if t.len = 0 then if t.write_closed then Ok 0 else Error `Would_block
   else begin
-    let n = min n (available t) in
-    let data = Bytes.of_string (String.sub (Buffer.contents t.buf) 0 n) in
-    let rest = String.sub (Buffer.contents t.buf) n (available t - n) in
-    Buffer.clear t.buf;
-    Buffer.add_string t.buf rest;
+    let n = min (Bytes.length buf) t.len in
+    let size = Bytes.length t.ring in
+    let first = min n (size - t.head) in
+    Bytes.blit t.ring t.head buf 0 first;
+    Bytes.blit t.ring 0 buf first (n - first);
+    t.head <- (t.head + n) mod size;
+    t.len <- t.len - n;
     Hw.Clock.charge t.clock "pipe_copy" (float_of_int n *. Hw.Cost.copy_byte);
-    Ok data
+    Ok n
   end
 
 let close_read t = t.read_closed <- true

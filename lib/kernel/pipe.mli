@@ -10,8 +10,9 @@ val room : t -> int
 val write : t -> Bytes.t -> (int, [ `Would_block | `Epipe ]) result
 (** Short writes when nearly full; [`Epipe] after the read end closes. *)
 
-val read : t -> n:int -> (Bytes.t, [ `Would_block ]) result
-(** Empty bytes = EOF (write end closed and drained). *)
+val read_into : t -> Bytes.t -> (int, [ `Would_block ]) result
+(** Move up to the buffer's length of the oldest bytes into it from the
+    front; [Ok 0] = EOF (write end closed and drained). *)
 
 val close_read : t -> unit
 val close_write : t -> unit

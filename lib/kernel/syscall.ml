@@ -2,7 +2,7 @@
 
 type t =
   | Getpid
-  | Read of { fd : int; n : int }
+  | Read of { fd : int; buf : Bytes.t }
   | Write of { fd : int; data : Bytes.t }
   | Open of { path : string; create : bool }
   | Close of int
@@ -22,13 +22,12 @@ type t =
   | Pipe
   | Socket
   | Send of { fd : int; data : Bytes.t }
-  | Recv of { fd : int; n : int }
+  | Recv of { fd : int; buf : Bytes.t }
   | Sched_yield
   | Nanosleep of float
 
 type result =
   | Rint of int
-  | Rbytes of Bytes.t
   | Rstat of { size : int; ino : int; is_dir : bool }
   | Rpair of int * int
   | Runit
@@ -85,3 +84,31 @@ let name = function
   | Recv _ -> "recv"
   | Sched_yield -> "sched_yield"
   | Nanosleep _ -> "nanosleep"
+
+(* The clock event a syscall's base work is charged to: ["sys_" ^ name],
+   one literal per variant so dispatch builds no string. *)
+let event = function
+  | Getpid -> "sys_getpid"
+  | Read _ -> "sys_read"
+  | Write _ -> "sys_write"
+  | Open _ -> "sys_open"
+  | Close _ -> "sys_close"
+  | Stat _ -> "sys_stat"
+  | Fstat _ -> "sys_fstat"
+  | Lseek _ -> "sys_lseek"
+  | Fsync _ -> "sys_fsync"
+  | Unlink _ -> "sys_unlink"
+  | Mkdir _ -> "sys_mkdir"
+  | Mmap _ -> "sys_mmap"
+  | Munmap _ -> "sys_munmap"
+  | Mprotect _ -> "sys_mprotect"
+  | Brk _ -> "sys_brk"
+  | Fork -> "sys_fork"
+  | Execve -> "sys_execve"
+  | Exit _ -> "sys_exit"
+  | Pipe -> "sys_pipe"
+  | Socket -> "sys_socket"
+  | Send _ -> "sys_send"
+  | Recv _ -> "sys_recv"
+  | Sched_yield -> "sys_sched_yield"
+  | Nanosleep _ -> "sys_nanosleep"

@@ -2,7 +2,8 @@
 
 type t =
   | Getpid
-  | Read of { fd : int; n : int }
+  | Read of { fd : int; buf : Bytes.t }
+      (** fill [buf] from the front; [Rint n] bytes read, 0 at EOF *)
   | Write of { fd : int; data : Bytes.t }
   | Open of { path : string; create : bool }
   | Close of int
@@ -22,13 +23,13 @@ type t =
   | Pipe
   | Socket
   | Send of { fd : int; data : Bytes.t }
-  | Recv of { fd : int; n : int }
+  | Recv of { fd : int; buf : Bytes.t }
+      (** one frame into [buf], truncated to its length; [Rint n] *)
   | Sched_yield
   | Nanosleep of float
 
 type result =
   | Rint of int
-  | Rbytes of Bytes.t
   | Rstat of { size : int; ino : int; is_dir : bool }
   | Rpair of int * int
   | Runit
@@ -39,3 +40,7 @@ val base_work : t -> float
     structural costs (copies, lookups) charged by the implementation. *)
 
 val name : t -> string
+
+val event : t -> string
+(** The clock event dispatch charges [base_work] to: ["sys_" ^ name sc],
+    a literal per variant. *)

@@ -111,15 +111,16 @@ let write t inode ~off src =
       Hw.Clock.charge t.clock "file_copy" (float_of_int n *. Hw.Cost.copy_byte);
       n
 
-(* Read up to [n] bytes at [off]. *)
-let read t inode ~off ~n =
+(* Fill [buf] from the front with the bytes at [off]; returns the count
+   (short at EOF). *)
+let read_into t inode ~off buf =
   match inode.kind with
   | Dir _ -> raise (Is_directory "read")
   | Reg (storage, len) ->
-      let avail = max 0 (!len - off) in
-      let n = min n avail in
+      let n = min (Bytes.length buf) (max 0 (!len - off)) in
       Hw.Clock.charge t.clock "file_copy" (float_of_int n *. Hw.Cost.copy_byte);
-      Bytes.sub !storage off n
+      if n > 0 then Bytes.blit !storage off buf 0 n;
+      n
 
 let truncate inode ~size =
   match inode.kind with

@@ -29,8 +29,10 @@ val unlink : t -> string -> unit
 val write : t -> inode -> off:int -> Bytes.t -> int
 (** Write at an offset, extending the file; charges per-byte copy. *)
 
-val read : t -> inode -> off:int -> n:int -> Bytes.t
-(** Read up to [n] bytes (short at EOF). *)
+val read_into : t -> inode -> off:int -> Bytes.t -> int
+(** Fill the buffer from the front with the file's bytes at [off];
+    returns the count, short at EOF (0 at or past it). Charges the
+    per-byte copy of the count. *)
 
 val truncate : inode -> size:int -> unit
 (** Shrink or zero-extend. *)

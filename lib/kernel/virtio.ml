@@ -65,6 +65,10 @@ type t = {
   mutable kick_old : int;  (** avail idx at the previous kick decision *)
   mutable last_used_seen : int;  (** used entries the guest consumed *)
   (* host-side shadows *)
+  mutable host_buf : Bytes.t;
+      (** [service] copies each chain out into this buffer, grown on
+          demand and reused: payloads never reach the major heap per
+          chain *)
   mutable last_avail_seen : int;
   mutable used_idx : int;
   mutable unsignaled : int;  (** used entries published since last irq *)
@@ -106,6 +110,7 @@ let create ?(size = 64) ?(window = 1) ~name (access : access) clock =
       avail_idx = 0;
       kick_old = 0;
       last_used_seen = 0;
+      host_buf = Bytes.empty;
       last_avail_seen = 0;
       used_idx = 0;
       unsignaled = 0;
@@ -136,17 +141,18 @@ let free_descs t = t.n_free
 
 (* ---------------- payload bytes <-> pages ---------------- *)
 
-(* Move the page-sized piece of [data] at [off] into (out of) payload
-   page [pfn] with one page copy; returns the bytes moved.  Callers
-   only ask for non-empty pieces: translating a frame can back it
-   (PVM's lazy gPA->hPA map), so an empty piece must not reach it. *)
-let copy_into_page t pfn data ~off =
-  let len = min bytes_per_page (Bytes.length data - off) in
+(* Move the page-sized piece of [data]'s first [limit] bytes at [off]
+   into (out of) payload page [pfn] with one page copy; returns the
+   bytes moved.  Callers only ask for non-empty pieces: translating a
+   frame can back it (PVM's lazy gPA->hPA map), so an empty piece must
+   not reach it. *)
+let copy_into_page t pfn data ~off ~limit =
+  let len = min bytes_per_page (limit - off) in
   Hw.Phys_mem.write_bytes t.access.mem ~pfn:(t.access.frame pfn) data ~off ~len;
   len
 
-let copy_from_page t pfn data ~off =
-  let len = min bytes_per_page (Bytes.length data - off) in
+let copy_from_page t pfn data ~off ~limit =
+  let len = min bytes_per_page (limit - off) in
   Hw.Phys_mem.read_bytes t.access.mem ~pfn:(t.access.frame pfn) data ~off ~len;
   len
 
@@ -174,23 +180,21 @@ let read_desc t id =
    [t.bufs] as a shadow so the walk need not re-read it): the hot
    service/reclaim/fill paths allocate no closures.
 
-   Copy the chain's payload out into [data]. *)
-let chain_copy_out t head data =
-  let limit = Bytes.length data in
+   Copy the chain's first [len] payload bytes out into [data]. *)
+let chain_copy_out t head data ~len =
   let id = ref head and off = ref 0 and more = ref true in
   while !more do
     let _, flags, next = read_desc t !id in
-    if !off < limit then off := !off + copy_from_page t t.bufs.(!id) data ~off:!off;
+    if !off < len then off := !off + copy_from_page t t.bufs.(!id) data ~off:!off ~limit:len;
     if flags land flag_next <> 0 then id := next else more := false
   done
 
-(* Copy [data] into the chain's payload pages. *)
-let chain_copy_in t head data =
-  let limit = Bytes.length data in
+(* Copy [data]'s first [len] bytes into the chain's payload pages. *)
+let chain_copy_in t head data ~len =
   let id = ref head and off = ref 0 and more = ref true in
   while !more do
     let _, flags, next = read_desc t !id in
-    if !off < limit then off := !off + copy_into_page t t.bufs.(!id) data ~off:!off;
+    if !off < len then off := !off + copy_into_page t t.bufs.(!id) data ~off:!off ~limit:len;
     if flags land flag_next <> 0 then id := next else more := false
   done
 
@@ -247,7 +251,7 @@ let reclaim t =
          used entry: nothing to free *)
       if Bytes.get t.head_writes head <> '\000' && len > 0 then begin
         let data = Bytes.create len in
-        chain_copy_out t head data;
+        chain_copy_out t head data ~len;
         Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte);
         out := data :: !out
       end;
@@ -259,8 +263,7 @@ let reclaim t =
   done;
   List.rev !out
 
-let post_chain t ~data ~capacity ~write =
-  let len = if write then capacity else Bytes.length data in
+let post_chain t ~data ~len ~write =
   let npages = max 1 ((len + bytes_per_page - 1) / bytes_per_page) in
   if npages > t.size then invalid_arg "Virtio.post: payload larger than the whole ring";
   let attempt () =
@@ -269,7 +272,7 @@ let post_chain t ~data ~capacity ~write =
       let head = build_chain t ~npages ~len ~write in
       if not write then begin
         (* Frontend copies the payload into the DMA buffers. *)
-        chain_copy_in t head data;
+        chain_copy_in t head data ~len;
         Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte)
       end;
       if t.head_ndesc.(head) < 0 then t.n_heads <- t.n_heads + 1;
@@ -291,8 +294,11 @@ let post_chain t ~data ~capacity ~write =
     if attempt () then `Posted else `Full
   end
 
-let post t ~data = post_chain t ~data ~capacity:0 ~write:false
-let post_buffer t ~capacity = post_chain t ~data:Bytes.empty ~capacity ~write:true
+let post t ~data ~len =
+  if len < 0 || len > Bytes.length data then invalid_arg "Virtio.post: len outside the buffer";
+  post_chain t ~data ~len ~write:false
+
+let post_buffer t ~capacity = post_chain t ~data:Bytes.empty ~len:capacity ~write:true
 
 (* Notify-or-not: with EVENT_IDX the guest kicks only when the new
    avail idx crosses the host-written avail_event. *)
@@ -332,8 +338,10 @@ let rearm_avail_event t =
     wr t t.used_page (event_word t) (Int64.of_int (t.last_avail_seen + t.window - 1))
 
 (* Service pending device-readable chains (TX semantics): read each
-   payload out of guest memory, hand it to [handle], publish the used
-   entry.  Returns the number of chains serviced. *)
+   payload out of guest memory into the queue's host buffer, hand
+   [handle] the buffer and the payload length (valid only during the
+   call), publish the used entry.  Returns the number of chains
+   serviced. *)
 let service t ~handle =
   let avail = Int64.to_int (rd t t.avail_page idx_word) in
   let n = avail - t.last_avail_seen in
@@ -342,13 +350,13 @@ let service t ~handle =
     while t.last_avail_seen < avail do
       let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
       let total = chain_len t head in
-      let data = Bytes.create total in
-      chain_copy_out t head data;
-      Hw.Clock.charge t.clock "virtio_copy"
-        (float_of_int total *. Hw.Cost.copy_byte);
+      if total > Bytes.length t.host_buf then
+        t.host_buf <- Bytes.create (max total (2 * Bytes.length t.host_buf));
+      chain_copy_out t head t.host_buf ~len:total;
+      Hw.Clock.charge t.clock "virtio_copy" (float_of_int total *. Hw.Cost.copy_byte);
       publish_used t ~head ~len:total;
       t.last_avail_seen <- t.last_avail_seen + 1;
-      handle data
+      handle t.host_buf total
     done;
     rearm_avail_event t
   end;
@@ -362,7 +370,7 @@ let fill t ~data =
   else begin
     let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
     let len = Bytes.length data in
-    chain_copy_in t head data;
+    chain_copy_in t head data ~len;
     Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte);
     publish_used t ~head ~len;
     t.last_avail_seen <- t.last_avail_seen + 1;

@@ -43,10 +43,12 @@ val unreclaimed : t -> int
 
 val free_descs : t -> int
 
-val post : t -> data:Bytes.t -> [ `Posted | `Full ]
-(** Guest: copy [data] into DMA buffers and publish a device-readable
-    chain (TX).  [`Full] after an opportunistic reclaim failed to make
-    room — the caller applies backpressure and retries. *)
+val post : t -> data:Bytes.t -> len:int -> [ `Posted | `Full ]
+(** Guest: copy the first [len] bytes of [data] into DMA buffers and
+    publish a device-readable chain (TX).  [`Full] after an
+    opportunistic reclaim failed to make room — the caller applies
+    backpressure and retries.
+    @raise Invalid_argument if [len] is outside [data]. *)
 
 val post_buffer : t -> capacity:int -> [ `Posted | `Full ]
 (** Guest: publish an empty device-writable chain (RX buffer credit). *)
@@ -60,11 +62,13 @@ val reclaim : t -> Bytes.t list
 (** Guest: consume published used entries, freeing their descriptors;
     returns the payloads of device-written (RX) chains, oldest first. *)
 
-val service : t -> handle:(Bytes.t -> unit) -> int
-(** Host: service pending device-readable chains — read each payload
-    out of guest memory, pass it to [handle], publish the used entry.
-    Returns the chain count; re-arms avail_event for kick
-    suppression. *)
+val service : t -> handle:(Bytes.t -> int -> unit) -> int
+(** Host: service pending device-readable chains — copy each payload
+    out of guest memory into the queue's reused host buffer, call
+    [handle buf len] with the payload in [buf]'s first [len] bytes,
+    publish the used entry.  [buf] is valid only during the call: a
+    handler that keeps the payload copies it.  Returns the chain count;
+    re-arms avail_event for kick suppression. *)
 
 val fill : t -> data:Bytes.t -> bool
 (** Host: write [data] into the oldest posted device-writable buffer

@@ -116,10 +116,10 @@ let track_finish c =
    is what a migration daemon does with traffic it cannot attribute. *)
 let quiesce c =
   let kernel = c.Cki.Container.backend.Virt.Backend.kernel in
-  let passes = ref 0 in
+  let passes = ref 0 and discard _ _ = () in
   while Kernel_model.Kernel.io_unreclaimed kernel <> [] && !passes < 32 do
-    ignore (Kernel_model.Kernel.host_service_net_tx kernel ~handle:ignore);
-    ignore (Kernel_model.Kernel.host_service_blk kernel ~handle:ignore);
+    ignore (Kernel_model.Kernel.host_service_net_tx kernel ~handle:discard);
+    ignore (Kernel_model.Kernel.host_service_blk kernel ~handle:discard);
     incr passes
   done
 

@@ -235,8 +235,9 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
           (List.sort compare (Kernel_model.Tmpfs.readdir inode))
       end
       else
-        let n = Kernel_model.Tmpfs.size inode in
-        files_rev := (path, Bytes.to_string (Kernel_model.Tmpfs.read fs inode ~off:0 ~n)) :: !files_rev
+        let data = Bytes.create (Kernel_model.Tmpfs.size inode) in
+        ignore (Kernel_model.Tmpfs.read_into fs inode ~off:0 data);
+        files_rev := (path, Bytes.unsafe_to_string data) :: !files_rev
     in
     walk "" (Kernel_model.Tmpfs.resolve fs "/");
     let tasks =

@@ -20,6 +20,7 @@ type server = {
   store : (int, Bytes.t) Hashtbl.t;
   value_size : int;
   value : Bytes.t;
+  recv_buf : Bytes.t;
   mutable requests : int;
 }
 
@@ -63,6 +64,7 @@ let create_server (b : Virt.Backend.t) flavor =
     store = Hashtbl.create 64;
     value_size;
     value = Bytes.make value_size '\000';
+    recv_buf = Bytes.create 1024;
     requests = 0;
   }
 
@@ -81,7 +83,7 @@ let handle_request srv (req : request) =
   (* recv the request *)
   ignore
     (Virt.Backend.syscall_exn b srv.task
-       (Kernel_model.Syscall.Recv { fd = srv.sock_fd; n = 1024 }));
+       (Kernel_model.Syscall.Recv { fd = srv.sock_fd; buf = srv.recv_buf }));
   (* event-loop / epoll auxiliary syscalls *)
   for _ = 1 to aux_syscalls srv.flavor do
     ignore (Virt.Backend.syscall_exn b srv.task Kernel_model.Syscall.Sched_yield)

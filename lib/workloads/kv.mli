@@ -25,6 +25,7 @@ type server = {
   value : Bytes.t;
       (** the one zero-filled [value_size]-byte buffer every SET stores:
           only a value's length reaches simulated time *)
+  recv_buf : Bytes.t;  (** the 1 KiB buffer every request is received into *)
   mutable requests : int;
 }
 

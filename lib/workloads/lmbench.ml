@@ -49,9 +49,10 @@ let measure (b : Virt.Backend.t) (op : op) ~iters =
   | Read ->
       let fd = fd_of (sys (Kernel_model.Syscall.Open { path = "/lm_read"; create = true })) in
       ignore (sys (Kernel_model.Syscall.Write { fd; data = Bytes.create 4096 }));
+      let buf = Bytes.create 1 in
       Virt.Backend.mean_latency b ~n:iters (fun () ->
           ignore (sys (Kernel_model.Syscall.Lseek { fd; pos = 0 }));
-          ignore (sys (Kernel_model.Syscall.Read { fd; n = 1 })))
+          ignore (sys (Kernel_model.Syscall.Read { fd; buf })))
   | Write ->
       let fd = fd_of (sys (Kernel_model.Syscall.Open { path = "/lm_write"; create = true })) in
       let one = Bytes.create 1 in
@@ -143,12 +144,12 @@ let measure (b : Virt.Backend.t) (op : op) ~iters =
       (* Register the same pipe ends with the peer. *)
       Hashtbl.iter (fun fd obj -> Hashtbl.replace peer.Kernel_model.Task.fds fd obj)
         task.Kernel_model.Task.fds;
-      let one = Bytes.create 1 in
+      let one = Bytes.create 1 and buf = Bytes.create 1 in
       Virt.Backend.mean_latency b ~n:iters (fun () ->
           ignore (sys (Kernel_model.Syscall.Write { fd = wfd; data = one }));
           Kernel_model.Kernel.context_switch k ~from_pid:task.Kernel_model.Task.pid
             ~to_pid:peer.Kernel_model.Task.pid;
-          ignore (Kernel_model.Kernel.syscall k peer (Kernel_model.Syscall.Read { fd = rfd; n = 1 }));
+          ignore (Kernel_model.Kernel.syscall k peer (Kernel_model.Syscall.Read { fd = rfd; buf }));
           Kernel_model.Kernel.context_switch k ~from_pid:peer.Kernel_model.Task.pid
             ~to_pid:task.Kernel_model.Task.pid)
   | Af_unix ->
@@ -156,14 +157,14 @@ let measure (b : Virt.Backend.t) (op : op) ~iters =
       let rfd, wfd = pair_of (sys Kernel_model.Syscall.Pipe) in
       Hashtbl.iter (fun fd obj -> Hashtbl.replace peer.Kernel_model.Task.fds fd obj)
         task.Kernel_model.Task.fds;
-      let payload = Bytes.create 64 in
+      let payload = Bytes.create 64 and buf = Bytes.create 64 in
       Virt.Backend.mean_latency b ~n:iters (fun () ->
           (* AF_UNIX: socket bookkeeping is heavier than a pipe. *)
           Hw.Clock.charge b.Virt.Backend.clock "af_unix_overhead" 500.0;
           ignore (sys (Kernel_model.Syscall.Write { fd = wfd; data = payload }));
           Kernel_model.Kernel.context_switch k ~from_pid:task.Kernel_model.Task.pid
             ~to_pid:peer.Kernel_model.Task.pid;
-          ignore (Kernel_model.Kernel.syscall k peer (Kernel_model.Syscall.Read { fd = rfd; n = 64 }));
+          ignore (Kernel_model.Kernel.syscall k peer (Kernel_model.Syscall.Read { fd = rfd; buf }));
           Kernel_model.Kernel.context_switch k ~from_pid:peer.Kernel_model.Task.pid
             ~to_pid:task.Kernel_model.Task.pid)
 

@@ -50,7 +50,7 @@ let run_tx (b : Virt.Backend.t) ~sends =
 let run_rr (b : Virt.Backend.t) ~transactions =
   let task, sock_fd, sock_id, peer = setup_socket b in
   let k = b.Virt.Backend.kernel in
-  let one = Bytes.create 1 in
+  let one = Bytes.create 1 and buf = Bytes.create 1 in
   let total_ns =
     Profile.timed b (fun () ->
         for _ = 1 to transactions do
@@ -58,7 +58,7 @@ let run_rr (b : Virt.Backend.t) ~transactions =
           | Ok () -> ()
           | Error `No_socket -> failwith "netperf: delivery failed");
           ignore
-            (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Recv { fd = sock_fd; n = 1 }));
+            (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Recv { fd = sock_fd; buf }));
           ignore
             (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Send { fd = sock_fd; data = one }));
           Kernel_model.Kernel.flush_net k;

@@ -19,6 +19,7 @@ type db = {
   mutable in_txn : bool;
   mutable txn_ops : int;
   row_bytes : int;
+  row_buf : Bytes.t;  (** read-through target, [row_bytes] long *)
 }
 
 let page_bytes = 1024
@@ -29,6 +30,7 @@ let fd_of = function
 
 let open_db (b : Virt.Backend.t) ~name =
   let task = Virt.Backend.spawn b in
+  let row_bytes = 116 (* 16-byte key + 100-byte value, as db_bench *) in
   let db_fd =
     fd_of (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Open { path = "/" ^ name; create = true }))
   in
@@ -41,7 +43,8 @@ let open_db (b : Virt.Backend.t) ~name =
     next_off = 0;
     in_txn = false;
     txn_ops = 0;
-    row_bytes = 116 (* 16-byte key + 100-byte value, as db_bench *);
+    row_bytes;
+    row_buf = Bytes.create row_bytes;
   }
 
 let sys db sc = Virt.Backend.syscall_exn db.backend db.task sc
@@ -88,7 +91,7 @@ let read db ~key =
       (* Page-cache hit most of the time; read through on 1/64 ops. *)
       if key land 63 = 0 then begin
         ignore (sys db (Kernel_model.Syscall.Lseek { fd = db.db_fd; pos = off }));
-        ignore (sys db (Kernel_model.Syscall.Read { fd = db.db_fd; n = db.row_bytes }))
+        ignore (sys db (Kernel_model.Syscall.Read { fd = db.db_fd; buf = db.row_buf }))
       end;
       true
 

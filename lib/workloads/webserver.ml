@@ -26,9 +26,12 @@ type server = {
   upstream_id : int;
   file_path : string;
   kind : kind;
+  file_buf : Bytes.t;
+  recv_buf : Bytes.t;
 }
 
 let file_bytes = 8192
+let request_bytes = 512
 let rx_batch = 4
 
 let fd_of = function
@@ -59,7 +62,18 @@ let create (b : Virt.Backend.t) kind =
     (Virt.Backend.syscall_exn b task
        (Kernel_model.Syscall.Write { fd; data = Bytes.create file_bytes }));
   ignore (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Close fd));
-  { backend = b; task; sock_fd; sock_id; upstream_fd; upstream_id; file_path; kind }
+  {
+    backend = b;
+    task;
+    sock_fd;
+    sock_id;
+    upstream_fd;
+    upstream_id;
+    file_path;
+    kind;
+    file_buf = Bytes.create file_bytes;
+    recv_buf = Bytes.create request_bytes;
+  }
 
 let request_compute = function
   | Nginx_static -> 1_800.0
@@ -69,7 +83,7 @@ let request_compute = function
 let serve_one srv =
   let b = srv.backend in
   let sys sc = ignore (Virt.Backend.syscall_exn b srv.task sc) in
-  sys (Kernel_model.Syscall.Recv { fd = srv.sock_fd; n = 512 });
+  sys (Kernel_model.Syscall.Recv { fd = srv.sock_fd; buf = srv.recv_buf });
   Profile.compute b (request_compute srv.kind);
   (match srv.kind with
   | Nginx_static ->
@@ -78,25 +92,25 @@ let serve_one srv =
       (match Virt.Backend.syscall_exn b srv.task (Kernel_model.Syscall.Open { path = srv.file_path; create = false }) with
       | Kernel_model.Syscall.Rint f -> fd := f
       | _ -> failwith "open");
-      sys (Kernel_model.Syscall.Read { fd = !fd; n = file_bytes });
+      sys (Kernel_model.Syscall.Read { fd = !fd; buf = srv.file_buf });
       sys (Kernel_model.Syscall.Close !fd)
   | Nginx_proxy ->
       (* forward to upstream and await its reply *)
-      sys (Kernel_model.Syscall.Send { fd = srv.upstream_fd; data = Bytes.create 512 });
+      sys (Kernel_model.Syscall.Send { fd = srv.upstream_fd; data = Bytes.create request_bytes });
       (match
          Kernel_model.Kernel.deliver_packets b.Virt.Backend.kernel ~sid:srv.upstream_id
            [ Bytes.create file_bytes ]
        with
       | Ok () -> ()
       | Error `No_socket -> failwith "proxy upstream");
-      sys (Kernel_model.Syscall.Recv { fd = srv.upstream_fd; n = file_bytes })
+      sys (Kernel_model.Syscall.Recv { fd = srv.upstream_fd; buf = srv.file_buf })
   | Httpd ->
       sys (Kernel_model.Syscall.Stat srv.file_path);
       let fd = ref 0 in
       (match Virt.Backend.syscall_exn b srv.task (Kernel_model.Syscall.Open { path = srv.file_path; create = false }) with
       | Kernel_model.Syscall.Rint f -> fd := f
       | _ -> failwith "open");
-      sys (Kernel_model.Syscall.Read { fd = !fd; n = file_bytes });
+      sys (Kernel_model.Syscall.Read { fd = !fd; buf = srv.file_buf });
       sys (Kernel_model.Syscall.Close !fd);
       (* access log + extra per-request socket bookkeeping *)
       sys Kernel_model.Syscall.Sched_yield;
@@ -115,7 +129,7 @@ let run (b : Virt.Backend.t) kind ~requests =
           let n = min rx_batch (requests - !served) in
           (match
              Kernel_model.Kernel.deliver_packets k ~sid:srv.sock_id
-               (List.init n (fun _ -> Bytes.create 512))
+               (List.init n (fun _ -> Bytes.create request_bytes))
            with
           | Ok () -> ()
           | Error `No_socket -> failwith "webserver delivery");

@@ -9,6 +9,10 @@ val show_kind : kind -> string
 val equal_kind : kind -> kind -> bool
 val kind_name : kind -> string
 val file_bytes : int
+
+val request_bytes : int
+(** Size of a request on the wire. *)
+
 val rx_batch : int
 val request_compute : kind -> float
 
@@ -21,6 +25,10 @@ type server = {
   upstream_id : int;
   file_path : string;
   kind : kind;
+  file_buf : Bytes.t;
+      (** the [file_bytes] buffer the file (and the proxy's upstream
+          reply) is read into, allocated once per server *)
+  recv_buf : Bytes.t;  (** the [request_bytes] buffer requests are received into *)
 }
 
 val create : Virt.Backend.t -> kind -> server

@@ -105,7 +105,7 @@ let test_syscall_error_paths () =
     | Kernel_model.Syscall.Rerr _ -> ()
     | _ -> fail (name ^ ": expected error")
   in
-  expect_err "read bad fd" (Kernel_model.Syscall.Read { fd = 99; n = 1 });
+  expect_err "read bad fd" (Kernel_model.Syscall.Read { fd = 99; buf = Bytes.create 1 });
   expect_err "write bad fd" (Kernel_model.Syscall.Write { fd = 99; data = Bytes.empty });
   expect_err "open missing" (Kernel_model.Syscall.Open { path = "/missing"; create = false });
   expect_err "stat missing" (Kernel_model.Syscall.Stat "/missing");
@@ -125,13 +125,19 @@ let test_read_write_positions () =
     | _ -> fail "open"
   in
   ignore (Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Write { fd; data = Bytes.of_string "abcdef" }));
-  (* position advanced: read at EOF is empty *)
-  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd; n = 3 }) with
-  | Kernel_model.Syscall.Rbytes b -> check_int "eof" 0 (Bytes.length b)
+  (* position advanced: read at EOF returns 0 and leaves the buffer *)
+  let buf = Bytes.make 3 '.' in
+  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd; buf }) with
+  | Kernel_model.Syscall.Rint n ->
+      check_int "eof" 0 n;
+      check_bool "buffer untouched at eof" true (Bytes.to_string buf = "...")
   | _ -> fail "read");
   ignore (Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Lseek { fd; pos = 2 }));
-  match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd; n = 2 }) with
-  | Kernel_model.Syscall.Rbytes b -> check_bool "mid read" true (Bytes.to_string b = "cd")
+  let buf = Bytes.create 2 in
+  match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd; buf }) with
+  | Kernel_model.Syscall.Rint n ->
+      check_int "mid read count" 2 n;
+      check_bool "mid read" true (Bytes.to_string buf = "cd")
   | _ -> fail "read"
 
 let test_vfs_lookup_cost_per_component () =

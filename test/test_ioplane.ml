@@ -164,6 +164,61 @@ let test_serve_blk_path () =
   let r = serve_checked cfg in
   check_bool "fsyncs landed in the block store" true (r.Ioplane.Serve.r_blk_writes > 0)
 
+(* Major-heap words one steady-state request allocates, over [measure]
+   rounds after [warm] rounds; each round sends one request per lane
+   and serves it to completion.  A payload over 256 words skips the
+   minor heap, so a fresh buffer per read, fsync or service pass shows
+   here as hundreds of words a request. *)
+let major_words_per_request ~workload ~fsync_every ~warm ~measure =
+  let lanes = 2 in
+  let machine = Hw.Machine.create ~cpus:1 ~mem_mib:(256 + (128 * lanes)) () in
+  let host = Cki.Host.create machine in
+  let clock = Hw.Machine.clock machine in
+  let loop = Ioplane.Loop.create clock in
+  let keys = Random.State.make [| 27 |] in
+  let rand n = Random.State.int keys n in
+  let lanes =
+    List.init lanes (fun i ->
+        Ioplane.Serve.Lane.attach ~loop ~workload ~fsync_every ~queue_size:64 ~window:4 ~rand
+          ~name:(Printf.sprintf "m%d" i)
+          (Cki.Container.backend (Cki.Container.create host)))
+  in
+  let completed = ref 0 in
+  let round () =
+    List.iter (fun l -> Ioplane.Serve.Lane.send l ~ts:(Hw.Clock.now clock)) lanes;
+    List.iter (fun l -> ignore (Ioplane.Serve.Lane.pump l)) lanes;
+    while Ioplane.Loop.tick loop > 0 do
+      ()
+    done;
+    List.iter (fun l -> completed := !completed + List.length (Ioplane.Serve.Lane.reap l)) lanes
+  in
+  for _ = 1 to warm do
+    round ()
+  done;
+  let done0 = !completed in
+  let words0 = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to measure do
+    round ()
+  done;
+  let words = (Gc.quick_stat ()).Gc.major_words -. words0 in
+  let served = !completed - done0 in
+  check_int "every measured request completed" (measure * List.length lanes) served;
+  words /. float_of_int served
+
+let test_serve_payloads_skip_major_heap () =
+  let web =
+    major_words_per_request ~workload:Ioplane.Serve.Web_static ~fsync_every:0 ~warm:500
+      ~measure:2000
+  in
+  check_bool (Printf.sprintf "web-static: %.1f major words/request < 64" web) true (web < 64.0);
+  (* Warm-up takes the log past the 32 KiB fsync window: 512 fsyncs of
+     64 bytes, one per 8 SETs, half the requests SETs. *)
+  let kv =
+    major_words_per_request ~workload:Ioplane.Serve.Kv_memcached ~fsync_every:8 ~warm:9000
+      ~measure:2000
+  in
+  check_bool (Printf.sprintf "kv-fsync: %.1f major words/request < 64" kv) true (kv < 64.0)
+
 (* ------------------------- Snapshot parity ------------------------- *)
 
 let cfg32 = { Cki.Config.default with Cki.Config.segment_frames = 8192 (* 32 MiB *) }
@@ -323,6 +378,7 @@ let suite =
         test_case "Fig 16 exit ordering" `Quick test_serve_exit_ordering;
         test_case "vCPU-scheduler multiplexing" `Quick test_serve_sched_multiplexed;
         test_case "fsync rides virtio-blk into the store" `Quick test_serve_blk_path;
+        test_case "payloads stay off the major heap" `Quick test_serve_payloads_skip_major_heap;
       ] );
     ( "ioplane-snapshot",
       [

@@ -209,8 +209,10 @@ let test_tmpfs_read_write () =
   let n = Kernel_model.Tmpfs.write fs f ~off:0 (Bytes.of_string "hello world") in
   check_int "written" 11 n;
   check_int "size" 11 (Kernel_model.Tmpfs.size f);
-  check_bool "read back" true (Kernel_model.Tmpfs.read fs f ~off:6 ~n:5 = Bytes.of_string "world");
-  check_bool "read past eof" true (Kernel_model.Tmpfs.read fs f ~off:20 ~n:5 = Bytes.empty);
+  let buf = Bytes.create 5 in
+  check_int "read count" 5 (Kernel_model.Tmpfs.read_into fs f ~off:6 buf);
+  check_bool "read back" true (buf = Bytes.of_string "world");
+  check_int "read past eof" 0 (Kernel_model.Tmpfs.read_into fs f ~off:20 buf);
   (* sparse-extend via write at offset *)
   ignore (Kernel_model.Tmpfs.write fs f ~off:100 (Bytes.of_string "x"));
   check_int "extended" 101 (Kernel_model.Tmpfs.size f)
@@ -223,7 +225,9 @@ let test_tmpfs_unlink_truncate () =
   check_int "truncated" 10 (Kernel_model.Tmpfs.size f);
   Kernel_model.Tmpfs.truncate f ~size:50;
   check_int "zero extended" 50 (Kernel_model.Tmpfs.size f);
-  check_bool "zeros" true (Bytes.get (Kernel_model.Tmpfs.read fs f ~off:20 ~n:1) 0 = '\000');
+  let one = Bytes.make 1 'x' in
+  check_int "one byte" 1 (Kernel_model.Tmpfs.read_into fs f ~off:20 one);
+  check_bool "zeros" true (Bytes.get one 0 = '\000');
   Kernel_model.Tmpfs.unlink fs "/t";
   check_bool "gone" true (Kernel_model.Tmpfs.resolve_opt fs "/t" = None);
   check_raises "unlink missing" (Kernel_model.Tmpfs.Not_found_path "/t") (fun () ->
@@ -233,15 +237,23 @@ let test_tmpfs_unlink_truncate () =
 
 let test_pipe_roundtrip () =
   let p = Kernel_model.Pipe.create ~capacity:8 (Hw.Clock.create ()) in
-  check_bool "empty would block" true (Kernel_model.Pipe.read p ~n:1 = Error `Would_block);
+  let read n =
+    let buf = Bytes.create n in
+    Result.map (fun k -> Bytes.sub_string buf 0 k) (Kernel_model.Pipe.read_into p buf)
+  in
+  check_bool "empty would block" true (read 1 = Error `Would_block);
   check_bool "write" true (Kernel_model.Pipe.write p (Bytes.of_string "abcdef") = Ok 6);
   (* capacity 8: only 2 more bytes fit *)
   check_bool "partial write" true (Kernel_model.Pipe.write p (Bytes.of_string "xyz") = Ok 2);
   check_bool "full would block" true (Kernel_model.Pipe.write p (Bytes.of_string "q") = Error `Would_block);
-  check_bool "read" true (Kernel_model.Pipe.read p ~n:6 = Ok (Bytes.of_string "abcdef"));
+  check_bool "read" true (read 6 = Ok "abcdef");
+  (* the ring wraps: 6 bytes free again, 2 of them at its end *)
+  check_bool "wrapping write" true (Kernel_model.Pipe.write p (Bytes.of_string "123456") = Ok 6);
+  check_bool "full again" true (Kernel_model.Pipe.write p (Bytes.of_string "q") = Error `Would_block);
+  check_bool "read across the wrap" true (read 5 = Ok "xy123");
   Kernel_model.Pipe.close_write p;
-  check_bool "drain" true (Kernel_model.Pipe.read p ~n:10 = Ok (Bytes.of_string "xy"));
-  check_bool "eof" true (Kernel_model.Pipe.read p ~n:10 = Ok Bytes.empty);
+  check_bool "drain" true (read 10 = Ok "456");
+  check_bool "eof" true (read 10 = Ok "");
   Kernel_model.Pipe.close_read p;
   check_bool "epipe" true (Kernel_model.Pipe.write p (Bytes.of_string "z") = Error `Epipe)
 
@@ -261,8 +273,8 @@ let mk_virtio ?size ?window () = virtio_on ?size ?window (bare_platform ())
 
 let test_virtio_queue () =
   let q = mk_virtio () in
-  check_bool "post a" true (Kernel_model.Virtio.post q ~data:(Bytes.make 100 'a') = `Posted);
-  check_bool "post b" true (Kernel_model.Virtio.post q ~data:(Bytes.make 200 'b') = `Posted);
+  check_bool "post a" true (Kernel_model.Virtio.post q ~data:(Bytes.make 100 'a') ~len:100 = `Posted);
+  check_bool "post b" true (Kernel_model.Virtio.post q ~data:(Bytes.make 200 'b') ~len:200 = `Posted);
   check_int "in flight" 2 (Kernel_model.Virtio.in_flight q);
   let kicked = ref 0 in
   check_bool "kick rang" true (Kernel_model.Virtio.kick q ~doorbell:(fun () -> incr kicked));
@@ -272,7 +284,8 @@ let test_virtio_queue () =
   check_int "no second doorbell" 1 !kicked;
   (* Host services the chains, reading payloads out of guest memory. *)
   let seen = ref [] in
-  check_int "serviced" 2 (Kernel_model.Virtio.service q ~handle:(fun d -> seen := d :: !seen));
+  check_int "serviced" 2
+    (Kernel_model.Virtio.service q ~handle:(fun buf len -> seen := Bytes.sub buf 0 len :: !seen));
   check_bool "payload bytes" true
     (match List.rev !seen with
     | [ a; b ] -> Bytes.length a = 100 && Bytes.get a 0 = 'a' && Bytes.length b = 200 && Bytes.get b 7 = 'b'
@@ -286,21 +299,43 @@ let test_virtio_queue () =
   ignore (Kernel_model.Virtio.reclaim q);
   check_int "all reclaimed" 0 (Kernel_model.Virtio.unreclaimed q)
 
+(* [service] copies every chain into one reused host buffer: a short
+   chain after a long one must see its own bytes and length, not the
+   long chain's tail; [post ~len] publishes only a prefix. *)
+let test_virtio_host_buffer_reuse () =
+  let q = mk_virtio ~size:4 () in
+  let long = Bytes.make 5000 'L' and short = Bytes.make 100 's' in
+  let padded = Bytes.cat (Bytes.make 40 'p') (Bytes.make 60 'X') in
+  check_bool "post long" true (Kernel_model.Virtio.post q ~data:long ~len:5000 = `Posted);
+  check_bool "post short" true (Kernel_model.Virtio.post q ~data:short ~len:100 = `Posted);
+  check_bool "post prefix" true (Kernel_model.Virtio.post q ~data:padded ~len:40 = `Posted);
+  let seen = ref [] and bufs = ref [] in
+  check_int "one pass, three chains" 3
+    (Kernel_model.Virtio.service q ~handle:(fun buf len ->
+         bufs := buf :: !bufs;
+         seen := Bytes.sub buf 0 len :: !seen));
+  check_bool "each handler sees its own bytes" true
+    (List.rev !seen = [ long; short; Bytes.make 40 'p' ]);
+  check_bool "one host buffer for the pass" true
+    (match !bufs with b :: rest -> List.for_all (fun b' -> b' == b) rest | [] -> false);
+  check_raises "len past the data" (Invalid_argument "Virtio.post: len outside the buffer")
+    (fun () -> ignore (Kernel_model.Virtio.post q ~data:short ~len:101))
+
 let test_virtio_backpressure () =
   (* A full ring is `Full (graceful backpressure), never an exception;
      a host service pass plus guest reclaim makes room again. *)
   let q = mk_virtio ~size:4 () in
   for i = 1 to 4 do
     check_bool (Printf.sprintf "post %d" i) true
-      (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'x') = `Posted)
+      (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'x') ~len:8 = `Posted)
   done;
-  check_bool "ring full" true (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'y') = `Full);
+  check_bool "ring full" true (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'y') ~len:8 = `Full);
   ignore (Kernel_model.Virtio.kick q ~doorbell:ignore);
-  ignore (Kernel_model.Virtio.service q ~handle:ignore);
+  ignore (Kernel_model.Virtio.service q ~handle:(fun _ _ -> ()));
   (* The used entries are published: post's opportunistic reclaim frees
      the descriptors even before the completion interrupt. *)
   check_bool "room after service" true
-    (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'z') = `Posted)
+    (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'z') ~len:8 = `Posted)
 
 let test_virtio_event_idx () =
   (* window=4: after the host re-arms, kicks 1-3 are suppressed and the
@@ -308,12 +343,12 @@ let test_virtio_event_idx () =
   let q = mk_virtio ~size:16 ~window:4 () in
   let rings = ref 0 in
   let post_kick () =
-    ignore (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'k'));
+    ignore (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'k') ~len:8);
     ignore (Kernel_model.Virtio.kick q ~doorbell:(fun () -> incr rings))
   in
   post_kick ();
   check_int "first kick rings" 1 !rings;
-  ignore (Kernel_model.Virtio.service q ~handle:ignore);
+  ignore (Kernel_model.Virtio.service q ~handle:(fun _ _ -> ()));
   for _ = 1 to 3 do post_kick () done;
   check_int "suppressed inside window" 1 !rings;
   post_kick ();
@@ -322,7 +357,7 @@ let test_virtio_event_idx () =
   let q0 = mk_virtio ~size:16 ~window:0 () in
   let rings0 = ref 0 in
   for _ = 1 to 3 do
-    ignore (Kernel_model.Virtio.post q0 ~data:(Bytes.make 8 'n'));
+    ignore (Kernel_model.Virtio.post q0 ~data:(Bytes.make 8 'n') ~len:8);
     ignore (Kernel_model.Virtio.kick q0 ~doorbell:(fun () -> incr rings0))
   done;
   check_int "naive rings every time" 3 !rings0
@@ -333,9 +368,9 @@ let test_virtio_window_never_suppresses_irqs () =
   let q = mk_virtio ~size:16 ~window:8 () in
   let irqs = ref 0 in
   for pass = 1 to 10 do
-    ignore (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'w'));
+    ignore (Kernel_model.Virtio.post q ~data:(Bytes.make 8 'w') ~len:8);
     ignore (Kernel_model.Virtio.kick q ~doorbell:ignore);
-    ignore (Kernel_model.Virtio.service q ~handle:ignore);
+    ignore (Kernel_model.Virtio.service q ~handle:(fun _ _ -> ()));
     check_bool (Printf.sprintf "pass %d injects" pass) true
       (Kernel_model.Virtio.complete q ~inject:(fun () -> incr irqs));
     ignore (Kernel_model.Virtio.reclaim q)
@@ -365,10 +400,12 @@ let test_virtio_roundtrip_backends () =
         (fun n ->
           let label what = Printf.sprintf "%s %s %d B" name what n in
           let data = Bytes.init n (fun i -> Char.chr (((i * 131) + n) land 0xFF)) in
-          check_bool (label "tx post") true (Kernel_model.Virtio.post q ~data = `Posted);
+          check_bool (label "tx post") true
+            (Kernel_model.Virtio.post q ~data ~len:n = `Posted);
           let seen = ref [] in
           check_int (label "tx serviced") 1
-            (Kernel_model.Virtio.service q ~handle:(fun d -> seen := d :: !seen));
+            (Kernel_model.Virtio.service q ~handle:(fun buf len ->
+                 seen := Bytes.sub buf 0 len :: !seen));
           check_bool (label "tx bytes") true (!seen = [ data ]);
           check_bool (label "tx reclaim") true (Kernel_model.Virtio.reclaim q = []);
           check_bool (label "rx post") true
@@ -408,8 +445,18 @@ let test_kernel_file_syscalls () =
   | Kernel_model.Syscall.Rint 5 -> ()
   | _ -> fail "write");
   ignore (Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Lseek { fd; pos = 0 }));
-  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd; n = 5 }) with
-  | Kernel_model.Syscall.Rbytes b -> check_bool "read data" true (b = Bytes.of_string "hello")
+  (* a buffer shorter than the file gets the prefix *)
+  let buf = Bytes.create 3 in
+  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd; buf }) with
+  | Kernel_model.Syscall.Rint n ->
+      check_int "short read count" 3 n;
+      check_bool "read prefix" true (buf = Bytes.of_string "hel")
+  | _ -> fail "read");
+  let buf = Bytes.make 8 '.' in
+  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd; buf }) with
+  | Kernel_model.Syscall.Rint n ->
+      check_int "rest of the file" 2 n;
+      check_bool "rest at the front" true (Bytes.sub_string buf 0 n = "lo")
   | _ -> fail "read");
   (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Stat "/f") with
   | Kernel_model.Syscall.Rstat { size; is_dir; _ } ->
@@ -423,6 +470,38 @@ let test_kernel_file_syscalls () =
   match Kernel_model.Kernel.syscall k t (Kernel_model.Syscall.Open { path = "/f"; create = false }) with
   | Kernel_model.Syscall.Rerr "ENOENT" -> ()
   | _ -> fail "open after unlink"
+
+(* Every variant, once: [ordinal] is an exhaustive match, so a new
+   variant fails to compile here until it joins [all_syscalls]. *)
+let all_syscalls =
+  let b = Bytes.empty and va = 0x1000 and prot = Kernel_model.Vma.prot_rw in
+  Kernel_model.Syscall.
+    [
+      Getpid; Read { fd = 0; buf = b }; Write { fd = 0; data = b }; Open { path = "/"; create = false };
+      Close 0; Stat "/"; Fstat 0; Lseek { fd = 0; pos = 0 }; Fsync 0; Unlink "/"; Mkdir "/";
+      Mmap { pages = 1; prot }; Munmap { addr = va; pages = 1 }; Mprotect { addr = va; pages = 1; prot };
+      Brk { delta_pages = 1 }; Fork; Execve; Exit 0; Pipe; Socket; Send { fd = 0; data = b };
+      Recv { fd = 0; buf = b }; Sched_yield; Nanosleep 1.0;
+    ]
+
+let ordinal : Kernel_model.Syscall.t -> int = function
+  | Getpid -> 0 | Read _ -> 1 | Write _ -> 2 | Open _ -> 3 | Close _ -> 4 | Stat _ -> 5
+  | Fstat _ -> 6 | Lseek _ -> 7 | Fsync _ -> 8 | Unlink _ -> 9 | Mkdir _ -> 10 | Mmap _ -> 11
+  | Munmap _ -> 12 | Mprotect _ -> 13 | Brk _ -> 14 | Fork -> 15 | Execve -> 16 | Exit _ -> 17
+  | Pipe -> 18 | Socket -> 19 | Send _ -> 20 | Recv _ -> 21 | Sched_yield -> 22 | Nanosleep _ -> 23
+
+let test_syscall_event_names () =
+  check (list int) "every variant listed once" (List.init 24 Fun.id) (List.map ordinal all_syscalls);
+  List.iter
+    (fun sc ->
+      let name = Kernel_model.Syscall.name sc in
+      check string name ("sys_" ^ name) (Kernel_model.Syscall.event sc))
+    all_syscalls;
+  (* dispatch charges the event *)
+  let k = mk_kernel () in
+  let t = Kernel_model.Kernel.spawn k in
+  ignore (Kernel_model.Kernel.syscall_exn k t Kernel_model.Syscall.Getpid);
+  check_int "sys_getpid charged" 1 (Hw.Clock.occurrences (Kernel_model.Kernel.clock k) "sys_getpid")
 
 let test_kernel_fork_exit () =
   let k = mk_kernel () in
@@ -454,9 +533,17 @@ let test_kernel_pipe_syscalls () =
     | Kernel_model.Syscall.Rpair (r, w) -> (r, w)
     | _ -> fail "pipe"
   in
-  ignore (Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Write { fd = wfd; data = Bytes.of_string "ab" }));
-  match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd = rfd; n = 2 }) with
-  | Kernel_model.Syscall.Rbytes b -> check_bool "pipe data" true (b = Bytes.of_string "ab")
+  ignore (Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Write { fd = wfd; data = Bytes.of_string "abc" }));
+  let buf = Bytes.create 2 in
+  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd = rfd; buf }) with
+  | Kernel_model.Syscall.Rint n ->
+      check_int "pipe prefix count" 2 n;
+      check_bool "pipe data" true (buf = Bytes.of_string "ab")
+  | _ -> fail "pipe read");
+  match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Read { fd = rfd; buf }) with
+  | Kernel_model.Syscall.Rint n ->
+      check_int "pipe remainder count" 1 n;
+      check_bool "pipe remainder" true (Bytes.get buf 0 = 'c')
   | _ -> fail "pipe read"
 
 let test_kernel_net_path () =
@@ -476,10 +563,26 @@ let test_kernel_net_path () =
   (match Kernel_model.Kernel.deliver_packet k ~sid (Bytes.of_string "req") with
   | Ok () -> ()
   | Error `No_socket -> fail "deliver");
-  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Recv { fd; n = 16 }) with
-  | Kernel_model.Syscall.Rbytes b -> check_bool "recv" true (b = Bytes.of_string "req")
+  let buf = Bytes.make 16 '.' in
+  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Recv { fd; buf }) with
+  | Kernel_model.Syscall.Rint n ->
+      check_int "recv count" 3 n;
+      check_bool "recv" true (Bytes.sub_string buf 0 n = "req")
   | _ -> fail "recv");
-  check_int "irq delivered" 1 (Kernel_model.Kernel.irq_count k)
+  check_int "irq delivered" 1 (Kernel_model.Kernel.irq_count k);
+  (* a frame longer than the buffer is cut to it; the rest is gone *)
+  (match Kernel_model.Kernel.deliver_packet k ~sid (Bytes.of_string "longframe") with
+  | Ok () -> ()
+  | Error `No_socket -> fail "deliver");
+  let buf = Bytes.create 4 in
+  (match Kernel_model.Kernel.syscall_exn k t (Kernel_model.Syscall.Recv { fd; buf }) with
+  | Kernel_model.Syscall.Rint n ->
+      check_int "truncated count" 4 n;
+      check_bool "frame prefix" true (buf = Bytes.of_string "long")
+  | _ -> fail "recv");
+  match Kernel_model.Kernel.syscall k t (Kernel_model.Syscall.Recv { fd; buf }) with
+  | Kernel_model.Syscall.Rerr "EAGAIN" -> ()
+  | _ -> fail "the truncated frame's tail must not be read again"
 
 let test_kernel_ctx_switch_counts () =
   let k = mk_kernel () in
@@ -540,11 +643,13 @@ let suite =
         test_case "EVENT_IDX suppression" `Quick test_virtio_event_idx;
         test_case "payload round trip on every backend" `Quick test_virtio_roundtrip_backends;
         test_case "window never suppresses interrupts" `Quick test_virtio_window_never_suppresses_irqs;
+        test_case "reused host buffer has no stale tail" `Quick test_virtio_host_buffer_reuse;
       ] );
     ("kernel/net", [ test_case "endpoints" `Quick test_net_endpoints ]);
     ( "kernel/syscalls",
       [
         test_case "file syscalls end-to-end" `Quick test_kernel_file_syscalls;
+        test_case "event names are sys_ ^ name" `Quick test_syscall_event_names;
         test_case "fork/exit" `Quick test_kernel_fork_exit;
         test_case "pipe syscalls" `Quick test_kernel_pipe_syscalls;
         test_case "net delivery + recv" `Quick test_kernel_net_path;

@@ -161,7 +161,9 @@ let test_cross_machine_restore () =
   let fs = Kernel_model.Kernel.fs c1.Cki.Container.backend.Virt.Backend.kernel in
   let inode = Kernel_model.Tmpfs.resolve fs "/app.conf" in
   check string "tmpfs contents survive relocation" "threads=4\ncache=64M\n"
-    (Bytes.to_string (Kernel_model.Tmpfs.read fs inode ~off:0 ~n:(Kernel_model.Tmpfs.size inode)));
+    (let buf = Bytes.create (Kernel_model.Tmpfs.size inode) in
+     ignore (Kernel_model.Tmpfs.read_into fs inode ~off:0 buf);
+     Bytes.to_string buf);
   (match Kernel_model.Task.fd task 3 with
   | Some (Kernel_model.Task.File f) ->
       check int "fd position survives" (String.length "threads=4\ncache=64M\n")
