@@ -11,7 +11,7 @@
      PTE arena with slot recycling;
    - probe recording: specialized int-encoding emitters into a flat
      int ring;
-   - clock charging: [Clock.charge] of named events;
+   - clock charging: [Clock.charge] of cost items;
    - translation: [Cpu.access] in the TLB-hit regime (TLB lookup and
      the [check_pte] rights check);
    - the primitives under every experiment: a page-table walk, a TLB
@@ -91,13 +91,13 @@ let bench_probe ~ops =
   Hw.Probe.clear_sink ();
   m
 
-(* Clock charging: two of the engine's hottest named events. *)
+(* Clock charging: two of the engine's hottest cost items. *)
 let bench_clock ~ops =
   let clk = Hw.Clock.create () in
   time "clock" ~ops:(ops / 2 * 2) (fun () ->
       for _ = 1 to ops / 2 do
-        Hw.Clock.charge clk "tlb_hit" 1.0;
-        Hw.Clock.charge clk "virtio_service" 2.0
+        Hw.Clock.charge clk Hw.Cost.tlb_hit;
+        Hw.Clock.charge clk Hw.Cost.virtio_backend_service
       done)
 
 (* Translation in the TLB-hit regime. *)

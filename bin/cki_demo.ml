@@ -35,7 +35,7 @@ let critical ~rule ~subject detail =
   Report.Findings.make ~severity:Report.Findings.Critical ~rule ~subject ~detail
 
 (* The one place a scenario becomes output and an exit code.  [check]
-   runs it under Analysis.run (probe recorder, then a scan of the
+   runs it under Analysis.run (a probe ring, then a scan of the
    containers it returned and a lint of the trace); the analysis rows
    and the scenario's own rows render as one report.  A [gate]d run
    exits 2 on any row that is not Info, the rule Analysis.is_clean

@@ -5,14 +5,13 @@
      - {!Invariants}: a from-scratch walker over live machine state
        (page tables in simulated physical memory, TLBs, frame
        metadata), cross-checked against the monitor's claimed state;
-     - {!Trace} + {!Lint}: a bounded event recorder fed by the
-       Hw.Probe hook points, and temporal rules over the stream.
+     - {!Lint}: temporal rules over the event stream a bounded
+       [Hw.Probe] ring records from the hook points.
 
    Integration tests, the examples and `cki_demo --check` run both at
    the end of every scenario; fault-injection tests corrupt state or
    synthesize event sequences and assert each rule fires. *)
 
-module Trace = Trace
 module Invariants = Invariants
 module Lint = Lint
 
@@ -22,9 +21,9 @@ type result = {
 }
 
 let check_machine ~containers = Invariants.check_machine ~containers
-let lint_trace trace = Lint.run ~dropped:(Trace.dropped trace) (Trace.events trace)
+let lint_trace ring = Lint.run ~dropped:(Hw.Probe.ring_dropped ring) (Hw.Probe.ring_events ring)
 
-(* Trace_truncated is informational (the recorder overflowed; coverage
+(* Trace_truncated is informational (the ring overflowed; coverage
    is reduced, nothing was violated) — it must not fail --check runs. *)
 let fatal_lint = function Lint.Trace_truncated _ -> false | _ -> true
 
@@ -55,12 +54,14 @@ let report ?(title = "CKI invariant check") r = Report.Findings.render ~title (f
 let assert_clean ?(label = "analysis") r =
   if not (is_clean r) then failwith (label ^ ": " ^ report ~title:label r)
 
-(* Run [f] with a recorder attached; [f] boots its containers and
+(* Run [f] with a probe ring as the sink; [f] boots its containers and
    returns them beside its result.  Afterwards sanitize those
    containers' machine state and lint the captured trace. *)
 let run (f : unit -> 'a * Cki.Container.t list) : 'a * result =
-  let (x, containers), trace = Trace.with_recorder f in
-  (x, { violations = check_machine ~containers; lints = lint_trace trace })
+  let ring = Hw.Probe.ring_create () in
+  Hw.Probe.set_ring ring;
+  let x, containers = Fun.protect ~finally:Hw.Probe.clear_sink f in
+  (x, { violations = check_machine ~containers; lints = lint_trace ring })
 
 let checked ?label f =
   let x, r = run f in

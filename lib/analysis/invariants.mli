@@ -60,13 +60,8 @@ val rule_name : violation -> string
 val subject : violation -> string
 (** What the violation is about, e.g. ["container 0"]. *)
 
-val check_container : Cki.Container.t -> violation list
-(** Scan one container: page-table walk of every declared root and all
-    its per-vCPU copies, declared-PTP metadata, template splices, copy
-    coherence, and each vCPU's TLB against the live tables. *)
-
-val check_segments : Cki.Container.t list -> violation list
-(** Cross-container checks: segment disjointness and frame ownership. *)
-
 val check_machine : containers:Cki.Container.t list -> violation list
-(** [check_container] on every container plus [check_segments]. *)
+(** Scan each container (page-table walk of every declared root and all
+    its per-vCPU copies, declared-PTP metadata, template splices, copy
+    coherence, each vCPU's TLB against the live tables), then check
+    segment disjointness and frame ownership across them. *)

@@ -33,8 +33,8 @@ type finding =
           phantom kick (wasted exit, or probing the host service
           path) *)
   | Trace_truncated of { dropped : int; withdrawn : int }
-      (** the recorder's ring buffer overflowed: [dropped] events were
-          lost, and [withdrawn] wrpkrs-outside-gate candidates were
+      (** the probe ring overflowed: [dropped] events were lost,
+          and [withdrawn] wrpkrs-outside-gate candidates were
           suppressed because the truncation made their gate context
           unknowable — informational, not a violation *)
 
@@ -49,7 +49,7 @@ val run : ?dropped:int -> Hw.Probe.event list -> finding list
 (** Single pass over the events (oldest first). Tolerates truncated
     traces: rules that need a matching earlier event suppress rather
     than guess when the prefix may have been dropped. Pass
-    [~dropped] (the recorder's {!Trace.dropped} count, default 0) to
+    [~dropped] (the ring's {!Hw.Probe.ring_dropped} count, default 0) to
     surface truncation itself: when positive, a [Trace_truncated]
     finding reports the drop count and how many rule candidates the
     suppression logic withdrew because of it. *)

@@ -84,6 +84,27 @@ let attempt_map_ptp_writable c =
   | Error _ -> Blocked "KSM PTE validation"
   | Ok () -> Succeeded
 
+(* A4b. Undeclare the L1 PTP a live table links, then map it as
+   user-writable data: plain stores would rewrite a table in use (I1). *)
+let attempt_undeclare_live_ptp c =
+  let ksm = Container.ksm c in
+  let root = Ksm.kernel_root ksm and l1 = ref (-1) in
+  let alloc () =
+    l1 := Kernel_model.Buddy.alloc (Container.buddy c);
+    !l1
+  in
+  let flags = { Hw.Pte.default_flags with writable = true; user = true; nx = true } in
+  (match Ksm.guest_map ksm ~root ~va:0x7000_0000 ~pfn:(alloc ()) ~flags ~alloc_ptp:alloc with
+  | Ok () -> ()
+  | Error e -> failwith (Ksm.show_error e));
+  match Ksm.undeclare_ptp ksm ~pfn:!l1 with
+  | Error (Ksm.Ptp_in_use _) -> Blocked "KSM PTP liveness check"
+  | Error _ -> Blocked "KSM declaration check"
+  | Ok () -> (
+      match Ksm.guest_map ksm ~root ~va:0x8000_0000 ~pfn:!l1 ~flags ~alloc_ptp:alloc with
+      | Error _ -> Blocked "KSM PTE validation"
+      | Ok () -> Succeeded)
+
 (* A5. Create a new kernel-executable mapping (to forge wrpkrs code). *)
 let attempt_kernel_exec_mapping c =
   let ksm = Container.ksm c in
@@ -198,6 +219,7 @@ let all c =
     ("ptp direct write", attempt_ptp_write c);
     ("map KSM memory", attempt_map_ksm_memory c);
     ("map PTP writable", attempt_map_ptp_writable c);
+    ("undeclare live PTP", attempt_undeclare_live_ptp c);
     ("new kernel-exec mapping", attempt_kernel_exec_mapping c);
     ("CR3 hijack", attempt_cr3_hijack c);
     ("gate PKRS tamper (ROP)", attempt_gate_pkrs_tamper c);

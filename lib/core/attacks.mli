@@ -23,6 +23,9 @@ val attempt_map_ksm_memory : Container.t -> outcome
 val attempt_map_ptp_writable : Container.t -> outcome
 (** Alias a declared PTP as a writable data page. *)
 
+val attempt_undeclare_live_ptp : Container.t -> outcome
+(** Undeclare a PTP a live table links, then map it user-writable. *)
+
 val attempt_kernel_exec_mapping : Container.t -> outcome
 (** Create a new kernel-executable mapping (to forge wrpkrs code). *)
 
@@ -48,4 +51,4 @@ val attempt_pervcpu_read : Container.t -> outcome
 (** Read the per-vCPU area (secure stacks / saved contexts). *)
 
 val all : Container.t -> (string * outcome) list
-(** The full labelled suite (17 attacks). *)
+(** The full labelled suite (18 attacks). *)

@@ -125,20 +125,20 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
             (* Design-PKU ablation (Section 3.1): the guest kernel sits
                in ring 3, so the host must inject the fault across the
                ring boundary. *)
-            Hw.Clock.charge clock "pku_fault_injection" 750.0);
-      fault_service_ns = Hw.Cost.pf_handler_cki;
+            Hw.Clock.charge clock Hw.Cost.pku_fault_injection);
+      fault_service = Hw.Cost.pf_handler_cki;
       syscall_round_trip =
         (fun () ->
-          Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit;
+          Hw.Clock.charge clock Hw.Cost.syscall_entry_exit;
           if not cfg.Config.opt2 then
             (* ablation: page-table switch to/from the guest kernel *)
-            Hw.Clock.charge clock "cki_wo_opt2" (2.0 *. Hw.Cost.cr3_switch);
+            Hw.Clock.charge_n clock Hw.Cost.cki_wo_opt2 2;
           if not cfg.Config.opt3 then
             (* ablation: sysret/swapgs via KSM -> two PKS switches *)
-            Hw.Clock.charge clock "cki_wo_opt3" (2.0 *. Hw.Cost.pks_switch);
+            Hw.Clock.charge_n clock Hw.Cost.pks_switch 2;
           if cfg.Config.emulate_pvm_syscall then begin
-            Hw.Clock.charge clock "pvm_sys_emul_mode" (2.0 *. Hw.Cost.extra_mode_switch);
-            Hw.Clock.charge clock "pvm_sys_emul_cr3" (2.0 *. Hw.Cost.cr3_switch)
+            Hw.Clock.charge_n clock Hw.Cost.pvm_sys_emul_mode 2;
+            Hw.Clock.charge_n clock Hw.Cost.pvm_sys_emul_cr3 2
           end);
       hypercall;
       deliver_irq =
@@ -152,7 +152,7 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
           | Ok () ->
               Host.inject_virq host;
               if Virt.Env.is_nested env then
-                Hw.Clock.charge clock "nested_irq_extra" Hw.Cost.nested_irq_extra
+                Hw.Clock.charge clock Hw.Cost.nested_irq_extra
           | Error e -> failwith ("CKI interrupt gate error: " ^ Gates.show_error e));
       virtualized_io = true;
       (* Single-stage: the buddy hands out real hPA frames inside the
@@ -218,7 +218,7 @@ let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) 
   (* Cold boot pays the guest kernel's own boot sequence on top of the
      KSM construction — the cost snapshot restore and warm clones
      amortize away. *)
-  Hw.Clock.charge clock "guest_kernel_boot" Hw.Cost.guest_kernel_boot;
+  Hw.Clock.charge clock Hw.Cost.guest_kernel_boot;
   assemble ~env ~cfg host ~container_id ~pcid ~ksm ~buddy ~aspaces ~next_as ()
 
 (* Tear a container down completely, returning every frame to the host.

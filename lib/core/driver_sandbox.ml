@@ -89,7 +89,7 @@ let invoke t f =
   if t.dead then Error (Memory_escape 0)
   else begin
     t.invocations <- t.invocations + 1;
-    Hw.Clock.charge t.clock "driver_gate" (2.0 *. Hw.Cost.pks_switch);
+    Hw.Clock.charge_n t.clock Hw.Cost.driver_gate 2;
     let saved = t.cpu.Hw.Cpu.pkrs in
     t.cpu.Hw.Cpu.pkrs <- t.driver_rights;
     let result = f t in
@@ -101,8 +101,7 @@ let invoke t f =
    driver lives in a ring-3 server; each call is an IPC round trip. *)
 let invoke_microkernel_style t f =
   t.invocations <- t.invocations + 1;
-  Hw.Clock.charge t.clock "driver_ipc"
-    ((2.0 *. Hw.Cost.extra_mode_switch) +. (2.0 *. Hw.Cost.cr3_switch) +. 180.0);
+  Hw.Clock.charge t.clock Hw.Cost.driver_ipc;
   f t
 
 (* ------------------------------------------------------------------ *)

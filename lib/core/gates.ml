@@ -114,7 +114,7 @@ let hypercall (t : t) (cpu : Hw.Cpu.t) ~vcpu ?tamper_entry ?tamper_exit
         (* exit_to_host: CR3 to the host kernel, registers, IBRS. *)
         cpu.Hw.Cpu.cr3 <- t.host_cr3;
         cpu.Hw.Cpu.pcid <- t.host_pcid;
-        Hw.Clock.charge t.clock "cki_hypercall" Hw.Cost.cki_hypercall;
+        Hw.Clock.charge t.clock Hw.Cost.cki_hypercall;
         host_handler request;
         (* resume: restore guest context *)
         cpu.Hw.Cpu.cr3 <- guest_cr3;
@@ -154,7 +154,7 @@ let interrupt (t : t) (cpu : Hw.Cpu.t) ~vcpu ~vector ~(kind : Hw.Idt.delivery)
   else begin
     let area = Pervcpu.area (Ksm.pervcpu t.ksm) vcpu in
     area.Pervcpu.exit_reason <- Some (Pervcpu.Exit_interrupt vector);
-    Hw.Clock.charge t.clock "cki_irq_exit" Hw.Cost.irq_delivery;
+    Hw.Clock.charge t.clock Hw.Cost.cki_irq_exit;
     host_handler vector;
     area.Pervcpu.exit_reason <- None;
     (* iret with PKRS = 0 (allowed), restoring the saved PKRS (E4). *)

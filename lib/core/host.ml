@@ -126,9 +126,9 @@ let handle_hypercall t (kind : Kernel_model.Platform.io_kind) =
       (* A device doorbell: the MMIO write lands in the host backend.
          The VirtIO service cost is charged by the queue owner
          (Kernel_model.Virtio.service); here only the write itself. *)
-      Hw.Clock.charge t.clock "doorbell_write" Hw.Cost.doorbell_write
-  | Kernel_model.Platform.Timer -> Hw.Clock.charge t.clock "host_timer_setup" 120.0
-  | Kernel_model.Platform.Ipi -> Hw.Clock.charge t.clock "host_ipi" 200.0
+      Hw.Clock.charge t.clock Hw.Cost.doorbell_write
+  | Kernel_model.Platform.Timer -> Hw.Clock.charge t.clock Hw.Cost.host_timer_setup
+  | Kernel_model.Platform.Ipi -> Hw.Clock.charge t.clock Hw.Cost.host_ipi
   | Kernel_model.Platform.Console -> ()
 
 (* A hardware interrupt arrived while a container vCPU was running: the
@@ -136,7 +136,7 @@ let handle_hypercall t (kind : Kernel_model.Platform.io_kind) =
    interrupt on resume. *)
 let handle_hw_interrupt t ~vector =
   ignore vector;
-  Hw.Clock.charge t.clock "host_irq_handler" Hw.Cost.irq_delivery
+  Hw.Clock.charge t.clock Hw.Cost.host_irq_handler
 
-let inject_virq t = Hw.Clock.charge t.clock "virq_inject" Hw.Cost.virq_inject
+let inject_virq t = Hw.Clock.charge t.clock Hw.Cost.virq_inject
 

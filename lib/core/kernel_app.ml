@@ -12,10 +12,6 @@
    SQLite db_bench patterns) can run "in-kernel" unchanged — that is
    the ablation `bench/main.exe ablation` reports. *)
 
-(* A syscall by an in-kernel app: PKS gate in and out, no swapgs/
-   sysret, no stack switch beyond the secure stack. *)
-let in_kernel_syscall_cost = 2.0 *. Hw.Cost.pks_switch (* = 63 ns *)
-
 type t = {
   backend : Virt.Backend.t;  (** the wrapped, in-kernel view *)
   underlying : Virt.Backend.t;
@@ -36,7 +32,7 @@ let wrap_backend (b : Virt.Backend.t) : t =
       syscall_round_trip =
         (fun () ->
           (match !t_ref with Some t -> t.syscalls_elided <- t.syscalls_elided + 1 | None -> ());
-          Hw.Clock.charge clock "inkernel_syscall" in_kernel_syscall_cost);
+          Hw.Clock.charge clock Hw.Cost.inkernel_syscall);
     }
   in
   let kernel = Kernel_model.Kernel.create platform in
@@ -54,5 +50,5 @@ let syscalls_elided t = t.syscalls_elided
    [syscalls_per_op] syscalls — the analytical check the tests compare
    the measured ablation against. *)
 let predicted_speedup ~op_ns ~syscalls_per_op =
-  let saved = syscalls_per_op *. (Hw.Cost.syscall_entry_exit -. in_kernel_syscall_cost) in
+  let saved = syscalls_per_op *. Hw.Cost.(ns syscall_entry_exit -. ns inkernel_syscall) in
   op_ns /. (op_ns -. saved)

@@ -41,7 +41,7 @@ type error =
   | Already_declared of Hw.Addr.pfn
   | Not_declared of Hw.Addr.pfn
   | Wrong_level of { expected : int; got : int }
-  | Ptp_mapped_twice of Hw.Addr.pfn
+  | Ptp_in_use of Hw.Addr.pfn
   | Targets_monitor_memory of Hw.Addr.va
   | Maps_declared_ptp of Hw.Addr.pfn
   | Kernel_executable_mapping of Hw.Addr.va
@@ -58,6 +58,8 @@ type t = {
   segments : (Hw.Addr.pfn * int) list;  (** delegated (base, frames) *)
   descs : page_state Frames.t;
       (** frames whose state is not [Guest_data]; absent = [Guest_data] *)
+  parents : (Hw.Addr.pfn * int) Frames.t;
+      (** linked PTP -> the (table, index) entry that links it *)
   roots : (Hw.Addr.pfn, root_info) Hashtbl.t;
   pervcpu : Pervcpu.t;
   kernel_root : Hw.Addr.pfn;  (** the guest kernel's boot address space *)
@@ -79,6 +81,9 @@ let owns_frame t pfn = in_segments pfn t.segments
    however many data pages the guest maps. *)
 let page_state_of t pfn =
   match Frames.find_opt t.descs pfn with Some s -> s | None -> Guest_data
+
+let is_declared_ptp t pfn =
+  match page_state_of t pfn with Guest_ptp _ -> true | Guest_data | Ksm_private -> false
 
 let set_state t pfn = function
   | Guest_data -> Frames.remove t.descs pfn
@@ -205,6 +210,7 @@ let create mem clock ~container_id ~cfg ~segments =
       cfg;
       segments;
       descs = Frames.create 64;
+      parents = Frames.create 8;
       roots = Hashtbl.create 16;
       pervcpu;
       kernel_root = 0;
@@ -288,6 +294,7 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
       cfg;
       segments = imp.i_segments;
       descs = Frames.create 64;
+      parents = Frames.create 8;
       roots = Hashtbl.create 16;
       pervcpu;
       kernel_root = imp.i_kernel_root;
@@ -308,8 +315,15 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
   List.iter
     (fun (pfn, entries) ->
       Hw.Phys_mem.clear_table mem pfn;
-      List.iter (fun (index, v) -> write_raw t ~pfn ~index v) entries;
-      Hw.Clock.charge clock "snapshot_restore_table" Hw.Cost.restore_frame)
+      (* An upper-level table's entries link its child PTPs. *)
+      let upper = match page_state_of t pfn with Guest_ptp lvl -> lvl > 1 | _ -> false in
+      List.iter
+        (fun (index, v) ->
+          write_raw t ~pfn ~index v;
+          if upper && Hw.Pte.is_present v && is_declared_ptp t (Hw.Pte.pfn v) then
+            Frames.replace t.parents (Hw.Pte.pfn v) (pfn, index))
+        entries;
+      Hw.Clock.charge clock Hw.Cost.restore_table)
     imp.i_tables;
   List.iter (fun (root, copies) -> Hashtbl.replace t.roots root { copies }) imp.i_roots;
   (* The direct map is never imported: its VA layout keys on physical
@@ -320,7 +334,7 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
      from the new segment bases and splice it into every root. *)
   let direct_l3 = build_direct_map t imp.i_segments in
   let rec charge_direct lvl pfn =
-    Hw.Clock.charge clock "snapshot_restore_table" Hw.Cost.restore_frame;
+    Hw.Clock.charge clock Hw.Cost.restore_table;
     if lvl > 1 then
       Hw.Phys_mem.iter_entries mem ~pfn (fun _ e ->
           if Hw.Pte.is_present e then charge_direct (lvl - 1) (Hw.Pte.pfn e))
@@ -348,10 +362,10 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
 
 let charge_call t =
   t.ksm_calls <- t.ksm_calls + 1;
-  Hw.Clock.charge t.clock "ksm_call" Hw.Cost.ksm_call;
+  Hw.Clock.charge t.clock Hw.Cost.ksm_call;
   if t.cfg.Config.pti_in_gates then begin
-    Hw.Clock.charge t.clock "gate_pti" Hw.Cost.pti_overhead;
-    Hw.Clock.charge t.clock "gate_ibrs" Hw.Cost.ibrs_overhead
+    Hw.Clock.charge t.clock Hw.Cost.pti_overhead;
+    Hw.Clock.charge t.clock Hw.Cost.ibrs_overhead
   end
 
 (* Probe hooks: report each entry point's outcome, and every PTE
@@ -387,16 +401,34 @@ let declare_ptp t ~pfn ~level : (unit, error) result =
         retag_direct_map t pfn ~pkey:Hw.Pks.pkey_ptp;
         Ok ()
 
+(* Return a PTP to guest data without asking whether a table still
+   links it: teardown, which releases a whole tree at once. *)
+let forget_ptp t pfn : (unit, error) result =
+  match page_state_of t pfn with
+  | Guest_data | Ksm_private -> Error (Not_declared pfn)
+  | Guest_ptp _ ->
+      Frames.remove t.parents pfn;
+      set_state t pfn Guest_data;
+      Hw.Phys_mem.set_kind t.mem pfn Hw.Phys_mem.Data;
+      retag_direct_map t pfn ~pkey:Hw.Pks.pkey_guest;
+      Ok ()
+
+(* A live root, or a PTP whose recorded parent entry still links it:
+   undeclaring either would let the guest map a table in use as
+   writable data. *)
+let in_use t pfn =
+  Hashtbl.mem t.roots pfn
+  ||
+  match Frames.find_opt t.parents pfn with
+  | Some (table, index) ->
+      let e = read_raw t ~pfn:table ~index in
+      Hw.Pte.is_present e && Hw.Pte.pfn e = pfn
+  | None -> false
+
 let undeclare_ptp t ~pfn : (unit, error) result =
   if not (owns_frame t pfn) then Error (Not_guest_frame pfn)
-  else
-    match page_state_of t pfn with
-    | Guest_data | Ksm_private -> Error (Not_declared pfn)
-    | Guest_ptp _ ->
-        set_state t pfn Guest_data;
-        Hw.Phys_mem.set_kind t.mem pfn Hw.Phys_mem.Data;
-        retag_direct_map t pfn ~pkey:Hw.Pks.pkey_guest;
-        Ok ()
+  else if in_use t pfn then Error (Ptp_in_use pfn)
+  else forget_ptp t pfn
 
 (* Validate a prospective leaf mapping va -> pfn with [flags]. *)
 let check_leaf t ~va ~pfn ~(flags : Hw.Pte.flags) : (unit, error) result =
@@ -465,6 +497,7 @@ let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error
                         ~flags:{ Hw.Pte.default_flags with writable = true; user = true }
                     in
                     write_raw t ~pfn:table ~index:idx link;
+                    Frames.replace t.parents new_ptp (table, idx);
                     if lvl = 4 then propagate_top t ~root ~idx link;
                     go (lvl - 1) new_ptp
           in
@@ -569,7 +602,7 @@ let release_root t ~root ~free_ptp : (unit, error) result =
                 let child = Hw.Pte.pfn e in
                 if owns_frame t child then begin
                   free_subtree (lvl - 1) child;
-                  ignore (undeclare_ptp t ~pfn:child);
+                  ignore (forget_ptp t child);
                   free_ptp child
                 end
               end)
@@ -581,14 +614,14 @@ let release_root t ~root ~free_ptp : (unit, error) result =
           let child = Hw.Pte.pfn e in
           if owns_frame t child then begin
             free_subtree 3 child;
-            ignore (undeclare_ptp t ~pfn:child);
+            ignore (forget_ptp t child);
             free_ptp child
           end
         end
       done;
       Array.iter (fun copy -> Hw.Phys_mem.free t.mem copy) info.copies;
       Hashtbl.remove t.roots root;
-      (match undeclare_ptp t ~pfn:root with Ok () | Error _ -> ());
+      ignore (forget_ptp t root);
       Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -615,8 +648,6 @@ let kernel_root t = t.kernel_root
 let idt t = t.idt
 let pervcpu t = t.pervcpu
 let ksm_call_count t = t.ksm_calls
-let is_declared_ptp t pfn =
-  match page_state_of t pfn with Guest_ptp _ -> true | Guest_data | Ksm_private -> false
 let root_copies t root = Option.map (fun i -> i.copies) (Hashtbl.find_opt t.roots root)
 
 (* ------------------------------------------------------------------ *)

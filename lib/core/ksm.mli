@@ -32,7 +32,7 @@ type error =
   | Already_declared of Hw.Addr.pfn
   | Not_declared of Hw.Addr.pfn
   | Wrong_level of { expected : int; got : int }
-  | Ptp_mapped_twice of Hw.Addr.pfn
+  | Ptp_in_use of Hw.Addr.pfn  (** a live table links it, or it is a live root *)
   | Targets_monitor_memory of Hw.Addr.va
   | Maps_declared_ptp of Hw.Addr.pfn
   | Kernel_executable_mapping of Hw.Addr.va
@@ -101,6 +101,9 @@ val declare_ptp : t -> pfn:Hw.Addr.pfn -> level:int -> (unit, error) result
     direct-map PTE is re-tagged pkey_ptp). *)
 
 val undeclare_ptp : t -> pfn:Hw.Addr.pfn -> (unit, error) result
+(** Return a declared PTP to guest data. Refused with [Ptp_in_use] for
+    a live root or a PTP a table still links ({!guest_map} records each
+    inline-declared PTP's one parent entry; a restore re-derives them). *)
 
 val check_leaf : t -> va:Hw.Addr.va -> pfn:Hw.Addr.pfn -> flags:Hw.Pte.flags -> (unit, error) result
 (** Validate a prospective leaf mapping (exposed for tests). *)

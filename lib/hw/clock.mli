@@ -5,8 +5,8 @@
     structural assertions ("a PVM page fault performs 6 context
     switches") and benches can print breakdowns.
 
-    Event names are the only key: one per-clock table maps each name to
-    a counter slot, and every charge and query goes through it. *)
+    A charge takes a {!Cost.item} and updates the counters of the
+    item's event slot by index.  Event names stay the query key. *)
 
 type t
 
@@ -15,12 +15,22 @@ val create : unit -> t
 val now : t -> float
 (** Current simulated time in nanoseconds. *)
 
-val charge : t -> string -> float -> unit
-(** [charge t event ns] advances simulated time by [ns], attributed to
-    [event] (occurrence count and total ns are both recorded). *)
+val charge : t -> Cost.item -> unit
+(** [charge t item] advances simulated time by the item's nanoseconds,
+    attributed to its event (occurrence count and total ns are both
+    recorded). *)
+
+val charge_n : t -> Cost.item -> int -> unit
+(** [charge_n t item n]: one occurrence of [n] units, [float_of_int n *.
+    Cost.ns item] nanoseconds. *)
+
+val charge_sized : t -> Cost.item -> int -> unit
+(** [charge_sized t item n]: one occurrence of {!Cost.sized}[ item n]
+    nanoseconds, the item's base plus [n] units. *)
 
 val count : t -> string -> unit
-(** Record an event occurrence without advancing time. *)
+(** Record an occurrence of the named event without advancing time;
+    the one write keyed by a name. *)
 
 val advance : t -> float -> unit
 (** Advance time without attributing it to a named event (pure
@@ -32,8 +42,6 @@ val occurrences : t -> string -> int
 
 val spent_on : t -> string -> float
 (** Total nanoseconds attributed to [event]. *)
-
-val reset : t -> unit
 
 val timed : t -> (unit -> 'a) -> 'a * float
 (** Run a thunk and return its result with the simulated time it

@@ -1,144 +1,167 @@
 (** The calibrated nanosecond cost model — the single source of truth
     for every latency the simulator charges.
 
+    A cost is one {!item}: the clock event it is charged to and its
+    nanoseconds.  Only this module builds items, so {!Clock.charge}
+    can charge no amount that is not declared here.  Items of one
+    event name share that event's counter: the five page-fault
+    handlers are all ["pf_service"].
+
     Anchors come from the paper's own microbenchmarks (Table 2,
     Figure 10, Section 7.1) measured on an AMD EPYC-9654; see the
     implementation for the per-constant provenance notes. *)
 
+type item
+
+val name : item -> string
+(** The clock event the item is charged to. *)
+
+val ns : item -> float
+(** Nanoseconds per charge (per unit for {!Clock.charge_n}). *)
+
+val sized : item -> int -> float
+(** [sized item n] is the item's nanoseconds plus [n] units of its
+    per-unit rate ({!switch_forward}'s bytes, {!fabric_transfer}'s). *)
+
+(** {2 Event slots}
+
+    Each event name has one slot, numbered in order of first use and
+    shared by every item of that name; a clock keeps its counters in
+    arrays indexed by slot. *)
+
+val slot : item -> int
+
+val slot_of_name : string -> int
+(** The name's slot, registered on first use. *)
+
+val find_slot : string -> int option
+(** The name's slot if it is registered; registers nothing. *)
+
+val slot_name : int -> string
+
 (** {2 Syscall path primitives} *)
 
-val syscall_entry_exit : float
-(** Hardware ring3<->ring0 crossing pair (syscall+sysret incl. swapgs). *)
-
-val getpid_work : float
-(** Kernel-side work of a trivial syscall such as getpid. *)
-
-val runc_pid_ns_translation : float
-(** Extra getpid work under RunC: namespace pid translation. *)
-
-val extra_mode_switch : float
-(** One extra user/kernel ring crossing (PVM redirection pays two). *)
-
-val cr3_switch : float
-(** A CR3 load including the TLB/PCID bookkeeping it implies. *)
-
-val pks_switch : float
-(** A PKS switch on the syscall path (wrpkrs + post-write check). *)
-
-val ksm_call : float
-(** A full KSM call-gate round trip (no PTI/IBRS, Section 3.3). *)
-
-val pti_overhead : float
-(** PTI page-table swap a host-kernel crossing pays and a gate avoids. *)
-
-val ibrs_overhead : float
-(** IBRS write on the host-kernel crossing path. *)
+val syscall_entry_exit : item
+val syscall_instruction : item
+val runc_pid_ns_translation : item
+val extra_mode_switch : item
+val pvm_sys_emul_mode : item
+val cr3_switch : item
+val cki_wo_opt2 : item
+val pvm_sys_emul_cr3 : item
+val pks_switch : item
+val driver_gate : item
+val inkernel_syscall : item
+val driver_ipc : item
+val ksm_call : item
+val pti_overhead : item
+val ibrs_overhead : item
 
 (** {2 Page-fault path primitives (Figure 10a)} *)
 
-val pf_handler_native : float
-val pf_handler_cki : float
-val pf_handler_pvm : float
-val pf_handler_hvm_bm : float
-val pf_handler_hvm_nst : float
-
-val ept_fault_bm : float
-(** HVM: EPT violation service, bare metal. *)
-
-val ept_fault_nst : float
-(** HVM: EPT violation in a nested cloud (shadow-EPT bouncing). *)
-
-val pvm_fault_vmexits : float
-(** PVM: per-fault VM exits (redirection + SPT update round trips). *)
-
-val pvm_fault_spt_emulation : float
-(** PVM: shadow-paging emulation work per fault. *)
-
-val pvm_fault_nst_extra : float
-(** Nested PVM per-fault surcharge (Table 2: 7346 vs 6727). *)
+val pf_handler_native : item
+val pf_handler_cki : item
+val pf_handler_pvm : item
+val pf_handler_hvm_bm : item
+val pf_handler_hvm_nst : item
+val ept_fault_bm : item
+val ept_fault_nst : item
+val pvm_fault_vmexits : item
+val pvm_fault_spt_emulation : item
+val pvm_fault_nst_extra : item
+val shadow_emulation : item
+val pku_fault_injection : item
 
 (** {2 Hypercall / VM-exit primitives} *)
 
-val vmexit_bm : float
-val vmexit_nst : float
-val pvm_hypercall_bm : float
-val pvm_hypercall_nst : float
-
-val cki_hypercall : float
-(** CKI hypercall: PKS switch + full context switch. *)
+val vmexit_bm : item
+val vmexit_nst : item
+val pvm_hypercall_bm : item
+val pvm_hypercall_nst : item
+val cki_hypercall : item
+val host_timer_setup : item
+val host_ipi : item
 
 (** {2 Memory system} *)
 
-val walk_mem_ref : float
-(** One page-walk memory reference (mix of cache hits/misses). *)
-
+val walk_mem_ref : item
 val walk_refs_native : int
 val walk_refs_2d : int
 val walk_refs_native_huge : int
 val walk_refs_2d_huge : int
-
-val tlb_hit : float
-val page_zero : float
-
-val invlpg : float
-(** invlpg executed by a kernel. *)
+val tlb_hit : item
+val invlpg : item
 
 (** {2 Interrupts and scheduling} *)
 
-val irq_delivery : float
-(** Native interrupt delivery (IDT vectoring + handler entry/exit). *)
-
-val virq_inject : float
-(** Injecting a virtual interrupt into a resumed guest. *)
-
-val ctx_switch_work : float
-(** Kernel context switch between two tasks. *)
+val irq_delivery : item
+val host_irq_handler : item
+val cki_irq_exit : item
+val virq_inject : item
+val ctx_switch_work : item
 
 (** {2 Devices (VirtIO)} *)
 
-val virtio_backend_service : float
-(** Host-side servicing of one VirtIO queue notification. *)
-
-val virtio_frontend_work : float
-(** Guest-side doorbell/notify work (MMIO exit for HVM). *)
-
-val doorbell_write : float
-(** The uncached doorbell register store itself. *)
-
-val event_idx_check : float
-(** EVENT_IDX suppression-field load on the notify-or-not check. *)
-
-val blk_sector : float
-(** Host block store: media + request overhead per 512-byte sector. *)
-
-val switch_forward : float
-(** Inter-container software switch, per-packet fast path. *)
-
-val pvm_mmio_emulation : float
-(** PVM virtio kick through emulated MMIO (exit + decode + emulate). *)
-
-val nested_irq_extra : float
-(** Extra cost of a device interrupt reaching the L1 host kernel. *)
+val virtio_backend_service : item
+val virtio_frontend_work : item
+val virtio_tx_stall : item
+val doorbell_write : item
+val virtio_doorbell : item
+val event_idx_check : item
+val virtio_ring_init : item
+val blk_sector : item
+val switch_forward : item
+val fabric_transfer : item
+val pvm_mmio_emulation : item
+val nested_irq_extra : item
 
 (** {2 Generic kernel work} *)
 
-val vfs_lookup_component : float
-val copy_byte : float
-val fork_base : float
-val execve_base : float
-val exit_base : float
-val per_pte_copy : float
+val vfs_lookup_component : item
+val file_copy : item
+val pipe_copy : item
+val virtio_copy : item
+val per_pte_copy : item
+val execve_teardown : item
+val signal_dispatch : item
+val af_unix_overhead : item
+
+(** {2 Syscall base work}
+
+    Each syscall's fixed kernel-side work beyond the entry/exit path and
+    the structural costs (copies, lookups) charged as it goes, charged
+    to ["sys_" ^ name]. *)
+
+val sys_getpid : item
+val sys_read : item
+val sys_write : item
+val sys_open : item
+val sys_close : item
+val sys_stat : item
+val sys_fstat : item
+val sys_lseek : item
+val sys_fsync : item
+val sys_unlink : item
+val sys_mkdir : item
+val sys_mmap : item
+val sys_munmap : item
+val sys_mprotect : item
+val sys_brk : item
+val sys_fork : item
+val sys_execve : item
+val sys_exit : item
+val sys_pipe : item
+val sys_socket : item
+val sys_send : item
+val sys_recv : item
+val sys_sched_yield : item
+val sys_nanosleep : item
 
 (** {2 Container lifecycle} *)
 
-val guest_kernel_boot : float
-(** Cold-booting a guest kernel (what restore/clone amortize away). *)
-
-val restore_frame : float
-(** Importing one frame from a snapshot image into a fresh segment. *)
-
-val cow_map_pte : float
-(** Installing one CoW PTE to a shared template frame during a clone. *)
-
-val cow_break_copy : float
-(** Breaking a CoW share on first write: allocate + copy the page. *)
+val guest_kernel_boot : item
+val restore_frame : item
+val restore_table : item
+val capture_table : item
+val cow_map_pte : item
+val cow_break_copy : item

@@ -63,7 +63,7 @@ let load_cr3 t ~root ~pcid =
   t.cr3 <- root;
   t.pcid <- pcid;
   if Probe.active () then Probe.emit (Probe.Cr3_load { cpu = t.id; pcid; root });
-  Clock.charge t.clock "cr3_switch" Cost.cr3_switch
+  Clock.charge t.clock Cost.cr3_switch
 
 (* ------------------------------------------------------------------ *)
 (* Privileged-instruction execution (extension E2)                     *)
@@ -117,7 +117,7 @@ let exec_priv t (inst : Priv.t) : (unit, fault) result =
         Tlb.invlpg t.tlb ~pcid:t.pcid va;
         if Probe.active () then
           Probe.emit (Probe.Tlb_invlpg { cpu = t.id; pcid = t.pcid; vpn = Addr.vpn_of_va va });
-        Clock.charge t.clock "invlpg" Cost.invlpg
+        Clock.charge t.clock Cost.invlpg
     | Priv.Invpcid ->
         Tlb.flush_pcid t.tlb ~pcid:t.pcid;
         if Probe.active () then Probe.emit (Probe.Tlb_flush_pcid { cpu = t.id; pcid = t.pcid })
@@ -182,16 +182,15 @@ let access t (pt : Page_table.t) ~va ~(access_kind : Pks.access) ?(exec = false)
   in
   match Tlb.lookup t.tlb ~pcid:t.pcid va with
   | Some e ->
-      Clock.charge t.clock "tlb_hit" Cost.tlb_hit;
+      Clock.charge t.clock Cost.tlb_hit;
       finish (Pte.make ~pfn:e.Tlb.pfn ~flags:e.Tlb.flags) e.Tlb.level
   | None -> (
       match Page_table.walk pt va with
       | exception Page_table.Translation_fault _ ->
-          Clock.charge t.clock "tlb_miss_walk"
-            (float_of_int Cost.walk_refs_native *. Cost.walk_mem_ref);
+          Clock.charge_n t.clock Cost.walk_mem_ref Cost.walk_refs_native;
           Error (Not_present va)
       | w ->
-          Clock.charge t.clock "tlb_miss_walk" (float_of_int w.Page_table.refs *. Cost.walk_mem_ref);
+          Clock.charge_n t.clock Cost.walk_mem_ref w.Page_table.refs;
           let pfn = Pte.pfn w.pte in
           Tlb.insert t.tlb ~pcid:t.pcid ~va { Tlb.pfn; flags = Pte.flags_of w.pte; level = w.leaf_level };
           let vpn = Addr.vpn_of_va va in
@@ -207,7 +206,7 @@ let access t (pt : Page_table.t) ~va ~(access_kind : Pks.access) ?(exec = false)
 let syscall_entry t =
   assert (t.mode = User);
   t.mode <- Kernel;
-  Clock.charge t.clock "syscall_entry_exit" Cost.syscall_entry_exit
+  Clock.charge t.clock Cost.syscall_instruction
 
 (* Hardware interrupt arrival (extension E4): saves PKRS and zeroes it
    when the vectoring IDT entry carries the pks_switch attribute. *)

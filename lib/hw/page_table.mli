@@ -66,8 +66,3 @@ val fold_leaves : t -> ('a -> va:Addr.va -> pte:Pte.t -> level:int -> 'a) -> 'a 
     must not write the table holding the leaf it is given. *)
 
 val count_mappings : t -> int
-
-val default_alloc_table : Phys_mem.t -> owner:Phys_mem.owner -> level:int -> Addr.pfn
-
-val entry_at : t -> table_pfn:Addr.pfn -> lvl:int -> Addr.va -> Pte.t
-(** Raw entry read at a given level — exposed for the KSM and tests. *)

@@ -136,11 +136,6 @@ let ring_create ?(capacity = 65536) () =
 let ring_length r = r.len
 let ring_dropped r = r.dropped
 
-let ring_clear r =
-  r.head <- 0;
-  r.len <- 0;
-  r.dropped <- 0
-
 let intern_slow r s =
   match Hashtbl.find_opt r.intern s with
   | Some id -> id

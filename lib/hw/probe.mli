@@ -79,8 +79,6 @@ val ring_length : ring -> int
 val ring_dropped : ring -> int
 (** Records lost to overflow. *)
 
-val ring_clear : ring -> unit
-
 val ring_record : ring -> event -> unit
 (** Encode one boxed event into the ring (generic path; also the
     injection point for fault-injection tests). *)

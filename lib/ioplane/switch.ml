@@ -53,8 +53,7 @@ let connect _t a b =
 let forward t ~(src : port) payload =
   src.tx_packets <- src.tx_packets + 1;
   src.tx_bytes <- src.tx_bytes + Bytes.length payload;
-  Hw.Clock.charge t.clock "switch_forward"
-    (Hw.Cost.switch_forward +. (float_of_int (Bytes.length payload) *. Hw.Cost.copy_byte));
+  Hw.Clock.charge_sized t.clock Hw.Cost.switch_forward (Bytes.length payload);
   match src.link with
   | None -> t.dropped <- t.dropped + 1
   | Some peer_id ->

@@ -162,8 +162,7 @@ let host_service_blk t ~handle =
   | Some io ->
       host_service_queue t io.blk ~handle:(fun buf len ->
           handle buf len;
-          Hw.Clock.charge (clock t) "blk_io"
-            (float_of_int (max 1 ((len + 511) / 512)) *. Hw.Cost.blk_sector))
+          Hw.Clock.charge_n (clock t) Hw.Cost.blk_sector (max 1 ((len + 511) / 512)))
 
 (* The self-service stub's handler: no host plane takes the payloads. *)
 let discard _ _ = ()
@@ -188,7 +187,7 @@ let guest_post_kick t q ~data ~len ~(kind : Platform.io_kind) ~(target : kick_ta
         if attempts > 3 * Virtio.size q then
           failwith (Printf.sprintf "virtio %s: ring wedged under backpressure" (Virtio.name q));
         t.tx_stalls <- t.tx_stalls + 1;
-        Hw.Clock.charge (clock t) "virtio_tx_stall" Hw.Cost.virtio_frontend_work;
+        Hw.Clock.charge (clock t) Hw.Cost.virtio_tx_stall;
         host_service_pass t;
         post (attempts + 1)
   in
@@ -241,7 +240,7 @@ let context_switch t ~from_pid ~to_pid =
   | None -> invalid_arg "Kernel.context_switch: unknown pid"
   | Some target ->
       if t.current_pid <> Some to_pid then begin
-        Hw.Clock.charge (clock t) "ctx_switch" Hw.Cost.ctx_switch_work;
+        Hw.Clock.charge (clock t) Hw.Cost.ctx_switch_work;
         t.platform.Platform.as_switch (Mm.aspace target.Task.mm);
         t.current_pid <- Some to_pid
       end
@@ -331,7 +330,7 @@ let do_exit t (task : Task.t) =
 let syscall t (task : Task.t) (sc : Syscall.t) : Syscall.result =
   t.syscall_count <- t.syscall_count + 1;
   t.platform.Platform.syscall_round_trip ();
-  Hw.Clock.charge (clock t) (Syscall.event sc) (Syscall.base_work sc);
+  Hw.Clock.charge (clock t) (Syscall.cost sc);
   match sc with
   | Syscall.Getpid -> Syscall.Rint task.Task.pid
   | Syscall.Read { fd; buf } -> do_read t task fd buf
@@ -402,7 +401,7 @@ let syscall t (task : Task.t) (sc : Syscall.t) : Syscall.result =
       (* Replace the address space: tear down and rebuild text/heap. *)
       let mm = task.Task.mm in
       let pages = Mm.resident_pages mm in
-      Hw.Clock.charge (clock t) "execve_teardown" (float_of_int pages *. Hw.Cost.per_pte_copy);
+      Hw.Clock.charge_n (clock t) Hw.Cost.execve_teardown pages;
       Syscall.Runit
   | Syscall.Exit _ ->
       do_exit t task;
@@ -467,7 +466,7 @@ let deliver_packets t ~sid payloads =
           (Virtio.kick io.rx ~doorbell:(fun () ->
                t.platform.Platform.hypercall Platform.Net_rx_ack;
                match t.io_backend with Some b -> b.kicked `Net_rx | None -> ()));
-        Hw.Clock.charge (clock t) "virtio_service" Hw.Cost.virtio_backend_service;
+        Hw.Clock.charge (clock t) Hw.Cost.virtio_backend_service;
         let missed = List.filter (fun p -> not (Virtio.fill io.rx ~data:p)) payloads in
         let injected =
           Virtio.complete io.rx ~inject:(fun () ->

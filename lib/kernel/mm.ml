@@ -233,8 +233,8 @@ let cow_break t vpn =
           t.faults <- t.faults + 1;
           let p = t.platform in
           p.Platform.fault_round_trip ();
-          Hw.Clock.charge p.Platform.clock "pf_service" p.Platform.fault_service_ns;
-          Hw.Clock.charge p.Platform.clock "cow_break_copy" Hw.Cost.cow_break_copy;
+          Hw.Clock.charge p.Platform.clock p.Platform.fault_service;
+          Hw.Clock.charge p.Platform.clock Hw.Cost.cow_break_copy;
           p.Platform.pte_install t.aspace ~va ~pfn:own ~writable:area.Vma.prot.Vma.write
             ~user:true;
           Hashtbl.replace t.pages vpn own;
@@ -250,7 +250,7 @@ let wp_break t vpn =
   t.faults <- t.faults + 1;
   let p = t.platform in
   p.Platform.fault_round_trip ();
-  Hw.Clock.charge p.Platform.clock "pf_service" p.Platform.fault_service_ns;
+  Hw.Clock.charge p.Platform.clock p.Platform.fault_service;
   p.Platform.pte_protect t.aspace ~va ~writable:true;
   Hashtbl.remove t.wp vpn;
   Hashtbl.replace t.dirty vpn ()
@@ -324,7 +324,7 @@ let handle_fault t va ~write =
       t.faults <- t.faults + 1;
       let p = t.platform in
       p.Platform.fault_round_trip ();
-      Hw.Clock.charge p.Platform.clock "pf_service" p.Platform.fault_service_ns;
+      Hw.Clock.charge p.Platform.clock p.Platform.fault_service;
       let pfn = p.Platform.alloc_frame () in
       p.Platform.pte_install t.aspace ~va:(Hw.Addr.page_align_down va) ~pfn
         ~writable:area.Vma.prot.Vma.write ~user:true;
@@ -368,7 +368,7 @@ let fork t =
   Hashtbl.iter
     (fun vpn _pfn ->
       let pfn' = t.platform.Platform.alloc_frame () in
-      Hw.Clock.charge t.platform.Platform.clock "fork_page_copy" Hw.Cost.per_pte_copy;
+      Hw.Clock.charge t.platform.Platform.clock Hw.Cost.per_pte_copy;
       (match Vma.find t.vmas (Hw.Addr.va_of_vpn vpn) with
       | Some a ->
           t.platform.Platform.pte_install child.aspace ~va:(Hw.Addr.va_of_vpn vpn) ~pfn:pfn'

@@ -30,7 +30,7 @@ let write t src =
     Bytes.blit src 0 t.ring tail first;
     Bytes.blit src first t.ring 0 (n - first);
     t.len <- t.len + n;
-    Hw.Clock.charge t.clock "pipe_copy" (float_of_int n *. Hw.Cost.copy_byte);
+    Hw.Clock.charge_n t.clock Hw.Cost.pipe_copy n;
     Ok n
   end
 
@@ -44,7 +44,7 @@ let read_into t buf =
     Bytes.blit t.ring 0 buf first (n - first);
     t.head <- (t.head + n) mod size;
     t.len <- t.len - n;
-    Hw.Clock.charge t.clock "pipe_copy" (float_of_int n *. Hw.Cost.copy_byte);
+    Hw.Clock.charge_n t.clock Hw.Cost.pipe_copy n;
     Ok n
   end
 

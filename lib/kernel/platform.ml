@@ -34,7 +34,7 @@ type t = {
   fault_round_trip : unit -> unit;
       (** charge everything a user page fault pays besides the kernel's
           own service work (VM exits, SPT emulation, KSM calls...) *)
-  fault_service_ns : float;  (** the kernel's own demand-fault service cost *)
+  fault_service : Hw.Cost.item;  (** the kernel's own demand-fault service cost *)
   syscall_round_trip : unit -> unit;
       (** charge the full syscall entry/exit path for this platform *)
   (* -------- host services -------- *)
@@ -77,7 +77,7 @@ let bare ?(name = "native") (machine : Hw.Machine.t) : t =
         Hashtbl.replace spaces id (Hw.Page_table.create mem ~owner:Hw.Phys_mem.Host);
         id);
     as_destroy = (fun id -> Hashtbl.remove spaces id);
-    as_switch = (fun _id -> Hw.Clock.charge clock "cr3_switch" Hw.Cost.cr3_switch);
+    as_switch = (fun _id -> Hw.Clock.charge clock Hw.Cost.cr3_switch);
     pte_install =
       (fun id ~va ~pfn ~writable ~user ->
         ignore
@@ -87,11 +87,11 @@ let bare ?(name = "native") (machine : Hw.Machine.t) : t =
     pte_remove = (fun id ~va -> ignore (Hw.Page_table.unmap (pt_of id) va));
     pte_protect = (fun id ~va ~writable -> Hw.Page_table.update (pt_of id) va (fun e -> Hw.Pte.with_writable e writable));
     fault_round_trip = (fun () -> ());
-    fault_service_ns = Hw.Cost.pf_handler_native;
+    fault_service = Hw.Cost.pf_handler_native;
     syscall_round_trip =
-      (fun () -> Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit);
+      (fun () -> Hw.Clock.charge clock Hw.Cost.syscall_entry_exit);
     hypercall = (fun _ -> ());
-    deliver_irq = (fun () -> Hw.Clock.charge clock "irq" Hw.Cost.irq_delivery);
+    deliver_irq = (fun () -> Hw.Clock.charge clock Hw.Cost.irq_delivery);
     virtualized_io = false;
     mem;
     guest_frame = Fun.id;

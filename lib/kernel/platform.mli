@@ -31,7 +31,7 @@ type t = {
   fault_round_trip : unit -> unit;
       (** everything a user page fault pays besides the kernel's own
           service work (VM exits, SPT emulation, KSM calls...) *)
-  fault_service_ns : float;  (** the kernel's own demand-fault service *)
+  fault_service : Hw.Cost.item;  (** the kernel's own demand-fault service *)
   syscall_round_trip : unit -> unit;  (** full syscall entry/exit path *)
   hypercall : io_kind -> unit;  (** doorbells, timers, vCPU pause *)
   deliver_irq : unit -> unit;  (** device interrupt reaching this kernel *)

@@ -33,82 +33,34 @@ type result =
   | Runit
   | Rerr of string
 
-(* Fixed kernel-side work each syscall performs beyond the generic
-   entry/exit path and beyond structural costs (copies, lookups) that
-   the implementation charges as it goes. *)
-let base_work = function
-  | Getpid -> Hw.Cost.getpid_work
-  | Read _ | Write _ -> 180.0
-  | Open _ -> 400.0
-  | Close _ -> 80.0
-  | Stat _ | Fstat _ -> 250.0
-  | Lseek _ -> 40.0
-  | Fsync _ -> 600.0
-  | Unlink _ -> 350.0
-  | Mkdir _ -> 400.0
-  | Mmap _ -> 450.0
-  | Munmap _ -> 350.0
-  | Mprotect _ -> 300.0
-  | Brk _ -> 200.0
-  | Fork -> Hw.Cost.fork_base
-  | Execve -> Hw.Cost.execve_base
-  | Exit _ -> Hw.Cost.exit_base
-  | Pipe -> 400.0
-  | Socket -> 500.0
-  | Send _ | Recv _ -> 250.0
-  | Sched_yield -> 50.0
-  | Nanosleep _ -> 100.0
+(* The cost item of a syscall's base work, charged to ["sys_" ^ name]. *)
+let cost : t -> Hw.Cost.item = function
+  | Getpid -> Hw.Cost.sys_getpid
+  | Read _ -> Hw.Cost.sys_read
+  | Write _ -> Hw.Cost.sys_write
+  | Open _ -> Hw.Cost.sys_open
+  | Close _ -> Hw.Cost.sys_close
+  | Stat _ -> Hw.Cost.sys_stat
+  | Fstat _ -> Hw.Cost.sys_fstat
+  | Lseek _ -> Hw.Cost.sys_lseek
+  | Fsync _ -> Hw.Cost.sys_fsync
+  | Unlink _ -> Hw.Cost.sys_unlink
+  | Mkdir _ -> Hw.Cost.sys_mkdir
+  | Mmap _ -> Hw.Cost.sys_mmap
+  | Munmap _ -> Hw.Cost.sys_munmap
+  | Mprotect _ -> Hw.Cost.sys_mprotect
+  | Brk _ -> Hw.Cost.sys_brk
+  | Fork -> Hw.Cost.sys_fork
+  | Execve -> Hw.Cost.sys_execve
+  | Exit _ -> Hw.Cost.sys_exit
+  | Pipe -> Hw.Cost.sys_pipe
+  | Socket -> Hw.Cost.sys_socket
+  | Send _ -> Hw.Cost.sys_send
+  | Recv _ -> Hw.Cost.sys_recv
+  | Sched_yield -> Hw.Cost.sys_sched_yield
+  | Nanosleep _ -> Hw.Cost.sys_nanosleep
 
-let name = function
-  | Getpid -> "getpid"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Open _ -> "open"
-  | Close _ -> "close"
-  | Stat _ -> "stat"
-  | Fstat _ -> "fstat"
-  | Lseek _ -> "lseek"
-  | Fsync _ -> "fsync"
-  | Unlink _ -> "unlink"
-  | Mkdir _ -> "mkdir"
-  | Mmap _ -> "mmap"
-  | Munmap _ -> "munmap"
-  | Mprotect _ -> "mprotect"
-  | Brk _ -> "brk"
-  | Fork -> "fork"
-  | Execve -> "execve"
-  | Exit _ -> "exit"
-  | Pipe -> "pipe"
-  | Socket -> "socket"
-  | Send _ -> "send"
-  | Recv _ -> "recv"
-  | Sched_yield -> "sched_yield"
-  | Nanosleep _ -> "nanosleep"
-
-(* The clock event a syscall's base work is charged to: ["sys_" ^ name],
-   one literal per variant so dispatch builds no string. *)
-let event = function
-  | Getpid -> "sys_getpid"
-  | Read _ -> "sys_read"
-  | Write _ -> "sys_write"
-  | Open _ -> "sys_open"
-  | Close _ -> "sys_close"
-  | Stat _ -> "sys_stat"
-  | Fstat _ -> "sys_fstat"
-  | Lseek _ -> "sys_lseek"
-  | Fsync _ -> "sys_fsync"
-  | Unlink _ -> "sys_unlink"
-  | Mkdir _ -> "sys_mkdir"
-  | Mmap _ -> "sys_mmap"
-  | Munmap _ -> "sys_munmap"
-  | Mprotect _ -> "sys_mprotect"
-  | Brk _ -> "sys_brk"
-  | Fork -> "sys_fork"
-  | Execve -> "sys_execve"
-  | Exit _ -> "sys_exit"
-  | Pipe -> "sys_pipe"
-  | Socket -> "sys_socket"
-  | Send _ -> "sys_send"
-  | Recv _ -> "sys_recv"
-  | Sched_yield -> "sys_sched_yield"
-  | Nanosleep _ -> "sys_nanosleep"
+(* The event name without its "sys_" prefix. *)
+let name sc =
+  let event = Hw.Cost.name (cost sc) in
+  String.sub event 4 (String.length event - 4)

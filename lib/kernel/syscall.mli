@@ -35,12 +35,10 @@ type result =
   | Runit
   | Rerr of string
 
-val base_work : t -> float
-(** Fixed kernel-side work beyond the generic entry/exit path and the
-    structural costs (copies, lookups) charged by the implementation. *)
+val cost : t -> Hw.Cost.item
+(** The syscall's fixed kernel-side work beyond the generic entry/exit
+    path and the structural costs (copies, lookups) charged as it goes;
+    its event is ["sys_" ^ name sc]. *)
 
 val name : t -> string
-
-val event : t -> string
-(** The clock event dispatch charges [base_work] to: ["sys_" ^ name sc],
-    a literal per variant. *)
+(** The syscall's name: its cost's event without the ["sys_"] prefix. *)

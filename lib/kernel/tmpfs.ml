@@ -41,7 +41,7 @@ let resolve t path =
   let parts = components path in
   List.fold_left
     (fun node name ->
-      Hw.Clock.charge t.clock "vfs_lookup" Hw.Cost.vfs_lookup_component;
+      Hw.Clock.charge t.clock Hw.Cost.vfs_lookup_component;
       match node.kind with
       | Dir entries -> (
           match Hashtbl.find_opt entries name with
@@ -108,7 +108,7 @@ let write t inode ~off src =
       Bytes.blit src 0 !storage off n;
       if off + n > !len then len := off + n;
       inode.size <- !len;
-      Hw.Clock.charge t.clock "file_copy" (float_of_int n *. Hw.Cost.copy_byte);
+      Hw.Clock.charge_n t.clock Hw.Cost.file_copy n;
       n
 
 (* Fill [buf] from the front with the bytes at [off]; returns the count
@@ -118,7 +118,7 @@ let read_into t inode ~off buf =
   | Dir _ -> raise (Is_directory "read")
   | Reg (storage, len) ->
       let n = min (Bytes.length buf) (max 0 (!len - off)) in
-      Hw.Clock.charge t.clock "file_copy" (float_of_int n *. Hw.Cost.copy_byte);
+      Hw.Clock.charge_n t.clock Hw.Cost.file_copy n;
       if n > 0 then Bytes.blit !storage off buf 0 n;
       n
 

@@ -129,7 +129,7 @@ let create ?(size = 64) ?(window = 1) ~name (access : access) clock =
   wr t t.avail_page idx_word 0L;
   wr t t.used_page idx_word 0L;
   wr t t.used_page (event_word t) 0L;
-  Hw.Clock.charge clock "virtio_ring_init" (3.0 *. Hw.Cost.page_zero);
+  Hw.Clock.charge_n clock Hw.Cost.virtio_ring_init 3;
   t
 
 let size t = t.size
@@ -252,7 +252,7 @@ let reclaim t =
       if Bytes.get t.head_writes head <> '\000' && len > 0 then begin
         let data = Bytes.create len in
         chain_copy_out t head data ~len;
-        Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte);
+        Hw.Clock.charge_n t.clock Hw.Cost.virtio_copy len;
         out := data :: !out
       end;
       chain_free t head;
@@ -273,7 +273,7 @@ let post_chain t ~data ~len ~write =
       if not write then begin
         (* Frontend copies the payload into the DMA buffers. *)
         chain_copy_in t head data ~len;
-        Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte)
+        Hw.Clock.charge_n t.clock Hw.Cost.virtio_copy len
       end;
       if t.head_ndesc.(head) < 0 then t.n_heads <- t.n_heads + 1;
       t.head_ndesc.(head) <- npages;
@@ -282,7 +282,7 @@ let post_chain t ~data ~len ~write =
       wr t t.avail_page (ring_word t t.avail_idx) (Int64.of_int head);
       t.avail_idx <- t.avail_idx + 1;
       wr t t.avail_page idx_word (Int64.of_int t.avail_idx);
-      Hw.Clock.charge t.clock "virtio_post" Hw.Cost.virtio_frontend_work;
+      Hw.Clock.charge t.clock Hw.Cost.virtio_frontend_work;
       true
     end
   in
@@ -307,7 +307,7 @@ let kick t ~doorbell =
     if t.avail_idx = t.kick_old then false  (* nothing new was posted *)
     else if t.window = 0 then true
     else begin
-      Hw.Clock.charge t.clock "virtio_event_idx" Hw.Cost.event_idx_check;
+      Hw.Clock.charge t.clock Hw.Cost.event_idx_check;
       let ev = Int64.to_int (rd t t.used_page (event_word t)) in
       ev >= t.kick_old && ev < t.avail_idx
     end
@@ -316,7 +316,7 @@ let kick t ~doorbell =
   t.kick_old <- t.avail_idx;
   if rang then begin
     t.kicks <- t.kicks + 1;
-    Hw.Clock.charge t.clock "virtio_doorbell" Hw.Cost.doorbell_write;
+    Hw.Clock.charge t.clock Hw.Cost.virtio_doorbell;
     Hw.Probe.emit_io_doorbell ~queue:t.name ~avail_idx:t.avail_idx ~in_flight:(in_flight t);
     doorbell ()
   end
@@ -346,14 +346,14 @@ let service t ~handle =
   let avail = Int64.to_int (rd t t.avail_page idx_word) in
   let n = avail - t.last_avail_seen in
   if n > 0 then begin
-    Hw.Clock.charge t.clock "virtio_service" Hw.Cost.virtio_backend_service;
+    Hw.Clock.charge t.clock Hw.Cost.virtio_backend_service;
     while t.last_avail_seen < avail do
       let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
       let total = chain_len t head in
       if total > Bytes.length t.host_buf then
         t.host_buf <- Bytes.create (max total (2 * Bytes.length t.host_buf));
       chain_copy_out t head t.host_buf ~len:total;
-      Hw.Clock.charge t.clock "virtio_copy" (float_of_int total *. Hw.Cost.copy_byte);
+      Hw.Clock.charge_n t.clock Hw.Cost.virtio_copy total;
       publish_used t ~head ~len:total;
       t.last_avail_seen <- t.last_avail_seen + 1;
       handle t.host_buf total
@@ -371,7 +371,7 @@ let fill t ~data =
     let head = Int64.to_int (rd t t.avail_page (ring_word t t.last_avail_seen)) in
     let len = Bytes.length data in
     chain_copy_in t head data ~len;
-    Hw.Clock.charge t.clock "virtio_copy" (float_of_int len *. Hw.Cost.copy_byte);
+    Hw.Clock.charge_n t.clock Hw.Cost.virtio_copy len;
     publish_used t ~head ~len;
     t.last_avail_seen <- t.last_avail_seen + 1;
     rearm_avail_event t;

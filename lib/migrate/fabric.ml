@@ -99,14 +99,12 @@ let transfer t ~src ~dst ~bytes =
   else if partitioned t src dst then
     Error (Printf.sprintf "link %d<->%d is partitioned" src dst)
   else begin
-    (* every link is 1 GB/s (one byte per ns) with 20 us latency *)
-    let ns = 20_000.0 +. float_of_int bytes in
     let cs = Hw.Machine.clock s.machine and cd = Hw.Machine.clock d.machine in
     sync_clocks cs cd;
-    Hw.Clock.charge cs "fabric_transfer" ns;
-    Hw.Clock.charge cd "fabric_transfer" ns;
+    Hw.Clock.charge_sized cs Hw.Cost.fabric_transfer bytes;
+    Hw.Clock.charge_sized cd Hw.Cost.fabric_transfer bytes;
     t.xfer_bytes <- t.xfer_bytes + bytes;
-    Ok ns
+    Ok (Hw.Cost.sized Hw.Cost.fabric_transfer bytes)
   end
 
 let transferred_bytes t = t.xfer_bytes

@@ -104,7 +104,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
             let leaf = lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) in
             if not leaf then children := (target, va_base + (idx * span lvl)) :: !children
           end);
-      Hw.Clock.charge clock "snapshot_capture_table" Hw.Cost.restore_frame;
+      Hw.Clock.charge clock Hw.Cost.capture_table;
       tables_rev :=
         { Image.t_frame = frame_ref; t_level = lvl; t_va = va_base; t_entries = List.rev !entries }
         :: !tables_rev;

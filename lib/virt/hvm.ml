@@ -36,9 +36,7 @@ let ept_fault_service st gfn =
   let charge_fault () =
     ignore (st.ept |> Hw.Ept.violations);
     Hw.Clock.count clock "ept_fault";
-    Hw.Clock.charge clock
-      (if st.nested then "ept_fault_nst" else "ept_fault_bm")
-      (if st.nested then Hw.Cost.ept_fault_nst else Hw.Cost.ept_fault_bm)
+    Hw.Clock.charge clock (if st.nested then Hw.Cost.ept_fault_nst else Hw.Cost.ept_fault_bm)
   in
   if Hw.Ept.huge_enabled st.ept then begin
     let gfn_base = gfn land lnot 511 in
@@ -99,10 +97,7 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
   in
   (* Every VM exit costs the same; a nested exit pays the L0
      redirection tax (L2 -> L0 -> L1 -> L0 -> L2). *)
-  let vm_exit () =
-    if nested then Hw.Clock.charge clock "vmexit_nested" Hw.Cost.vmexit_nst
-    else Hw.Clock.charge clock "vmexit" Hw.Cost.vmexit_bm
-  in
+  let vm_exit () = Hw.Clock.charge clock (if nested then Hw.Cost.vmexit_nst else Hw.Cost.vmexit_bm) in
   let platform =
     {
       Kernel_model.Platform.name = "hvm";
@@ -127,7 +122,7 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
       as_switch =
         (fun _ ->
           (* Guest CR3 loads are not intercepted under EPT. *)
-          Hw.Clock.charge clock "cr3_switch" Hw.Cost.cr3_switch);
+          Hw.Clock.charge clock Hw.Cost.cr3_switch);
       pte_install =
         (fun id ~va ~pfn ~writable ~user ->
           ignore
@@ -144,10 +139,10 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
              violation cost is charged by alloc_frame when the fresh
              gPA is first backed. *)
           ());
-      fault_service_ns =
+      fault_service =
         (if nested then Hw.Cost.pf_handler_hvm_nst else Hw.Cost.pf_handler_hvm_bm);
       syscall_round_trip =
-        (fun () -> Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit);
+        (fun () -> Hw.Clock.charge clock Hw.Cost.syscall_entry_exit);
       hypercall = (fun _kind -> vm_exit ());
       deliver_irq =
         (fun () ->
@@ -155,8 +150,8 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
              virtual interrupt; the guest's EOI write is another exit.
              In a nested cloud each exit is L0-redirected. *)
           vm_exit ();
-          Hw.Clock.charge clock "irq" Hw.Cost.irq_delivery;
-          Hw.Clock.charge clock "virq_inject" Hw.Cost.virq_inject;
+          Hw.Clock.charge clock Hw.Cost.irq_delivery;
+          Hw.Clock.charge clock Hw.Cost.virq_inject;
           vm_exit () (* EOI *));
       virtualized_io = true;
       (* VirtIO rings live at gPAs; the host walks the EPT to reach the

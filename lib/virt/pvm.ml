@@ -58,9 +58,7 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
   in
   let mem = Hw.Machine.mem machine in
   let hypercall_cost = if nested then Hw.Cost.pvm_hypercall_nst else Hw.Cost.pvm_hypercall_bm in
-  let charge_hypercall () =
-    Hw.Clock.charge clock (if nested then "pvm_hypercall_nst" else "pvm_hypercall") hypercall_cost
-  in
+  let charge_hypercall () = Hw.Clock.charge clock hypercall_cost in
   let alloc_gfn () =
     match st.free_gfns with
     | g :: rest ->
@@ -127,7 +125,7 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
           (* The guest cannot load CR3: a hypercall asks the host to
              switch to the process's shadow table. *)
           charge_hypercall ();
-          Hw.Clock.charge clock "cr3_switch" Hw.Cost.cr3_switch);
+          Hw.Clock.charge clock Hw.Cost.cr3_switch);
       pte_install =
         (fun id ~va ~pfn ~writable ~user ->
           (* Guest writes its own PTE (gVA->gPA): traps to the host,
@@ -138,7 +136,7 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
           if st.in_fault then st.in_fault <- false
           else begin
             charge_hypercall ();
-            Hw.Clock.charge clock "shadow_emulation" 300.0
+            Hw.Clock.charge clock Hw.Cost.shadow_emulation
           end;
           ignore
             (Hw.Page_table.map (guest_pt id) ~alloc_table:alloc_guest_table ~va ~pfn
@@ -154,7 +152,7 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
         (fun id ~va ~writable ->
           Hw.Page_table.update (guest_pt id) va (fun e -> Hw.Pte.with_writable e writable);
           charge_hypercall ();
-          Hw.Clock.charge clock "shadow_emulation" 300.0;
+          Hw.Clock.charge clock Hw.Cost.shadow_emulation;
           match Hw.Page_table.walk (shadow_pt id) va with
           | exception Hw.Page_table.Translation_fault _ -> ()
           | _ ->
@@ -169,17 +167,17 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
           for _ = 1 to 6 do
             Hw.Clock.count clock "pvm_fault_ctx_switch"
           done;
-          Hw.Clock.charge clock "pvm_fault_vmexits" Hw.Cost.pvm_fault_vmexits;
-          Hw.Clock.charge clock "pvm_fault_spt" Hw.Cost.pvm_fault_spt_emulation;
-          if nested then Hw.Clock.charge clock "pvm_fault_nst_extra" Hw.Cost.pvm_fault_nst_extra);
-      fault_service_ns = Hw.Cost.pf_handler_pvm;
+          Hw.Clock.charge clock Hw.Cost.pvm_fault_vmexits;
+          Hw.Clock.charge clock Hw.Cost.pvm_fault_spt_emulation;
+          if nested then Hw.Clock.charge clock Hw.Cost.pvm_fault_nst_extra);
+      fault_service = Hw.Cost.pf_handler_pvm;
       syscall_round_trip =
         (fun () ->
           (* user -> host -> guest kernel (user mode) -> host -> user:
              native pair + 2 extra mode switches + 2 CR3 switches. *)
-          Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit;
-          Hw.Clock.charge clock "pvm_mode_switch" (2.0 *. Hw.Cost.extra_mode_switch);
-          Hw.Clock.charge clock "cr3_switch" (2.0 *. Hw.Cost.cr3_switch);
+          Hw.Clock.charge clock Hw.Cost.syscall_entry_exit;
+          Hw.Clock.charge_n clock Hw.Cost.extra_mode_switch 2;
+          Hw.Clock.charge_n clock Hw.Cost.cr3_switch 2;
           Hw.Clock.count clock "pvm_syscall_redirect");
       hypercall =
         (fun kind ->
@@ -189,17 +187,17 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
           match kind with
           | Kernel_model.Platform.Net_tx | Kernel_model.Platform.Net_rx_ack
           | Kernel_model.Platform.Blk_read | Kernel_model.Platform.Blk_write ->
-              Hw.Clock.charge clock "pvm_mmio_emulation" Hw.Cost.pvm_mmio_emulation
+              Hw.Clock.charge clock Hw.Cost.pvm_mmio_emulation
           | Kernel_model.Platform.Timer | Kernel_model.Platform.Ipi
           | Kernel_model.Platform.Console ->
               ());
       deliver_irq =
         (fun () ->
-          Hw.Clock.charge clock "irq" Hw.Cost.irq_delivery;
-          Hw.Clock.charge clock "virq_inject" Hw.Cost.virq_inject;
+          Hw.Clock.charge clock Hw.Cost.irq_delivery;
+          Hw.Clock.charge clock Hw.Cost.virq_inject;
           (* EOI is a (cheap) hypercall back to the host. *)
           charge_hypercall ();
-          if nested then Hw.Clock.charge clock "nested_irq_extra" Hw.Cost.nested_irq_extra);
+          if nested then Hw.Clock.charge clock Hw.Cost.nested_irq_extra);
       virtualized_io = true;
       (* VirtIO rings live at gPAs; the host reaches them through the
          gPA->hPA association (backing lazily, like any guest frame). *)

@@ -16,10 +16,10 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
       base with
       Kernel_model.Platform.syscall_round_trip =
         (fun () ->
-          Hw.Clock.charge clock "syscall" Hw.Cost.syscall_entry_exit;
+          Hw.Clock.charge clock Hw.Cost.syscall_entry_exit;
           (* pid/mount namespace indirection *)
-          Hw.Clock.charge clock "runc_ns" Hw.Cost.runc_pid_ns_translation);
-      fault_service_ns = Hw.Cost.pf_handler_native;
+          Hw.Clock.charge clock Hw.Cost.runc_pid_ns_translation);
+      fault_service = Hw.Cost.pf_handler_native;
     }
   in
   let kernel = Kernel_model.Kernel.create platform in

@@ -20,16 +20,15 @@ let run_gups (b : Virt.Backend.t) ?(ept_huge = false) ~table_pages ~updates () =
   let rng = Profile.Rng.create ~seed:7L () in
   let clock = b.Virt.Backend.clock in
   let refs = if ept_huge then b.Virt.Backend.walk_refs_huge else b.Virt.Backend.walk_refs in
-  let walk_ns = float_of_int refs *. Hw.Cost.walk_mem_ref in
   let update_compute = 1120.0 in
   let t0 = Hw.Clock.now clock in
   for _ = 1 to updates do
     let page = Profile.Rng.int rng table_pages in
     let va = page * Hw.Addr.page_size in
     (match Hw.Tlb.lookup tlb ~pcid:1 va with
-    | Some _ -> Hw.Clock.charge clock "tlb_hit" Hw.Cost.tlb_hit
+    | Some _ -> Hw.Clock.charge clock Hw.Cost.tlb_hit
     | None ->
-        Hw.Clock.charge clock "tlb_miss_walk" walk_ns;
+        Hw.Clock.charge_n clock Hw.Cost.walk_mem_ref refs;
         Hw.Tlb.insert tlb ~pcid:1 ~va
           { Hw.Tlb.pfn = page; flags = Hw.Pte.default_flags; level = 1 });
     Profile.compute b update_compute
@@ -51,23 +50,22 @@ let run_btree_lookup (b : Virt.Backend.t) ?(ept_huge = false) ~table_pages ~look
   let rng = Profile.Rng.create ~seed:11L () in
   let clock = b.Virt.Backend.clock in
   let refs = if ept_huge then b.Virt.Backend.walk_refs_huge else b.Virt.Backend.walk_refs in
-  let walk_ns = float_of_int refs *. Hw.Cost.walk_mem_ref in
   let hot_levels = 4 in
   let per_level_compute = 700.0 in
   let t0 = Hw.Clock.now clock in
   for _ = 1 to lookups do
     (* hot inner nodes: TLB hits *)
     for _ = 1 to hot_levels do
-      Hw.Clock.charge clock "tlb_hit" Hw.Cost.tlb_hit;
+      Hw.Clock.charge clock Hw.Cost.tlb_hit;
       Profile.compute b per_level_compute
     done;
     (* cold leaf page *)
     let page = Profile.Rng.int rng table_pages in
     let va = page * Hw.Addr.page_size in
     (match Hw.Tlb.lookup tlb ~pcid:1 va with
-    | Some _ -> Hw.Clock.charge clock "tlb_hit" Hw.Cost.tlb_hit
+    | Some _ -> Hw.Clock.charge clock Hw.Cost.tlb_hit
     | None ->
-        Hw.Clock.charge clock "tlb_miss_walk" walk_ns;
+        Hw.Clock.charge_n clock Hw.Cost.walk_mem_ref refs;
         Hw.Tlb.insert tlb ~pcid:1 ~va
           { Hw.Tlb.pfn = page; flags = Hw.Pte.default_flags; level = 1 });
     Profile.compute b per_level_compute

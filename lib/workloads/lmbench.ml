@@ -77,7 +77,7 @@ let measure (b : Virt.Backend.t) (op : op) ~iters =
             (sys (Kernel_model.Syscall.Mprotect { addr; pages = 1; prot = Kernel_model.Vma.prot_ro }));
           (* the faulting access: platform fault path + signal dispatch *)
           b.Virt.Backend.platform.Kernel_model.Platform.fault_round_trip ();
-          Hw.Clock.charge b.Virt.Backend.clock "signal_dispatch" 600.0;
+          Hw.Clock.charge b.Virt.Backend.clock Hw.Cost.signal_dispatch;
           ignore
             (sys (Kernel_model.Syscall.Mprotect { addr; pages = 1; prot = Kernel_model.Vma.prot_rw })))
   | Page_fault ->
@@ -160,7 +160,7 @@ let measure (b : Virt.Backend.t) (op : op) ~iters =
       let payload = Bytes.create 64 and buf = Bytes.create 64 in
       Virt.Backend.mean_latency b ~n:iters (fun () ->
           (* AF_UNIX: socket bookkeeping is heavier than a pipe. *)
-          Hw.Clock.charge b.Virt.Backend.clock "af_unix_overhead" 500.0;
+          Hw.Clock.charge b.Virt.Backend.clock Hw.Cost.af_unix_overhead;
           ignore (sys (Kernel_model.Syscall.Write { fd = wfd; data = payload }));
           Kernel_model.Kernel.context_switch k ~from_pid:task.Kernel_model.Task.pid
             ~to_pid:peer.Kernel_model.Task.pid;

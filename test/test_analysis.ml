@@ -18,6 +18,13 @@ let scan c = Analysis.check_machine ~containers:[ c ]
 let has rule vs = List.exists (fun v -> Analysis.Invariants.rule_name v = rule) vs
 let lint_has rule fs = List.exists (fun f -> Analysis.Lint.rule_name f = rule) fs
 
+(* Run [f] with a fresh probe ring as the sink; return its result and
+   the ring. *)
+let with_ring f =
+  let ring = Hw.Probe.ring_create () in
+  Hw.Probe.set_ring ring;
+  (Fun.protect ~finally:Hw.Probe.clear_sink f, ring)
+
 let fires name rule vs =
   check_bool (Printf.sprintf "%s: %s fires" name rule) true (has rule vs)
 
@@ -89,7 +96,7 @@ let test_clean_scenario () =
 let test_clean_gate_traffic () =
   (* Interleaved gate traffic produces a lint-clean trace. *)
   let c, trace =
-    Analysis.Trace.with_recorder (fun () ->
+    with_ring (fun () ->
         let c = mk () in
         let gates = Cki.Container.gates c in
         let cpu = Cki.Container.cpu c 0 in
@@ -472,13 +479,15 @@ let test_lint_trace_truncated () =
   | _ -> fail "empty truncated trace should yield trace-truncated {5, 0}")
 
 let test_trace_truncated_end_to_end () =
-  (* A real overflowing recorder: capacity 4, more events than fit. *)
-  let t = Analysis.Trace.create ~capacity:4 () in
+  (* A real overflowing ring: capacity 4, more events than fit. *)
+  check_raises "capacity must be positive"
+    (Invalid_argument "Probe.ring_create: capacity must be positive") (fun () ->
+      ignore (Hw.Probe.ring_create ~capacity:0 ()));
+  let t = Hw.Probe.ring_create ~capacity:4 () in
   for i = 1 to 10 do
-    Analysis.Trace.record t
-      (Hw.Probe.Tlb_invlpg { cpu = 0; pcid = 1; vpn = 0x400 + i })
+    Hw.Probe.ring_record t (Hw.Probe.Tlb_invlpg { cpu = 0; pcid = 1; vpn = 0x400 + i })
   done;
-  check int "recorder counted the drops" 6 (Analysis.Trace.dropped t);
+  check int "ring counted the drops" 6 (Hw.Probe.ring_dropped t);
   let lints = Analysis.lint_trace t in
   check_bool "lint_trace surfaces truncation" true (lint_has "trace-truncated" lints);
   (* Informational, not a violation: the result is still clean and the
@@ -496,7 +505,7 @@ let test_lint_missing_shootdown () =
   (* Real machine states + events: map, cache on the vCPU, downgrade
      through the KSM, skip the shootdown. *)
   let c, trace =
-    Analysis.Trace.with_recorder (fun () ->
+    with_ring (fun () ->
         let c = mk () in
         let ksm = Cki.Container.ksm c in
         let va = 0x4000_0000 in
@@ -516,7 +525,7 @@ let test_lint_missing_shootdown () =
     (lint_has "missing-shootdown" (Analysis.lint_trace trace));
   (* same scenario with the shootdown: clean *)
   let _, trace2 =
-    Analysis.Trace.with_recorder (fun () ->
+    with_ring (fun () ->
         let c = mk () in
         let ksm = Cki.Container.ksm c in
         let va = 0x4000_0000 in

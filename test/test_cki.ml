@@ -261,7 +261,7 @@ let test_ksm_call_costs () =
   let t0 = Hw.Clock.now clock in
   Cki.Ksm.iret ksm;
   check_int "one call" (calls0 + 1) (Cki.Ksm.ksm_call_count ksm);
-  check_bool "charged 38.5ns" true (Hw.Clock.now clock -. t0 = Hw.Cost.ksm_call)
+  check_bool "charged 38.5ns" true (Hw.Clock.now clock -. t0 = Hw.Cost.ns Hw.Cost.ksm_call)
 
 (* QCheck: after arbitrary *valid* mapping activity, no user-reachable
    leaf PTE ever maps a declared PTP or KSM memory. *)
@@ -502,13 +502,54 @@ let test_two_containers_isolated_segments () =
         (s1.base + s1.frames <= s2.base || s2.base + s2.frames <= s1.base)
   | _ -> fail "unexpected delegations"
 
+(* The guest may call any KSM entry: undeclaring the L1 PTP a live
+   table links must be refused, or the guest could map that table as
+   user-writable data and rewrite its PTEs with plain stores (I1).  A
+   PTP that nothing links, and teardown, still undeclare. *)
+let test_ksm_undeclare_live_ptp () =
+  let c = mk_container () in
+  let ksm = Cki.Container.ksm c in
+  let root = Cki.Ksm.kernel_root ksm in
+  let ptps = ref [] in
+  let alloc_ptp () =
+    let pfn = buddy_alloc c () in
+    ptps := pfn :: !ptps;
+    pfn
+  in
+  let user_rw = { Hw.Pte.default_flags with writable = true; user = true; nx = true } in
+  expect_ok "map"
+    (Cki.Ksm.guest_map ksm ~root ~va:0x40_0000 ~pfn:(buddy_alloc c ()) ~flags:user_rw ~alloc_ptp);
+  check_int "three PTPs declared inline" 3 (List.length !ptps);
+  List.iter
+    (fun pfn ->
+      match Cki.Ksm.undeclare_ptp ksm ~pfn with
+      | Error (Cki.Ksm.Ptp_in_use p) -> check_int "names the PTP" pfn p
+      | Ok () -> fail "a live PTP was undeclared"
+      | Error e -> fail (Cki.Ksm.show_error e))
+    !ptps;
+  let guest_root = buddy_alloc c () in
+  expect_ok "declare root" (Cki.Ksm.declare_root ksm ~pfn:guest_root);
+  (match Cki.Ksm.undeclare_ptp ksm ~pfn:guest_root with
+  | Error (Cki.Ksm.Ptp_in_use _) -> ()
+  | _ -> fail "a live root was undeclared");
+  (match
+     Cki.Ksm.guest_map ksm ~root ~va:0x80_0000 ~pfn:(List.hd !ptps) ~flags:user_rw ~alloc_ptp
+   with
+  | Error (Cki.Ksm.Maps_declared_ptp _) -> ()
+  | _ -> fail "the live PTP was mapped as data");
+  check_int "machine clean" 0 (List.length (Analysis.check_machine ~containers:[ c ]))
+
 (* ----------------------------- Attacks ---------------------------- *)
 
 let test_all_attacks_blocked () =
   let c = mk_container () in
   List.iter
     (fun (name, outcome) -> check_bool name true (Cki.Attacks.is_blocked outcome))
-    (Cki.Attacks.all c)
+    (Cki.Attacks.all c);
+  check_int "suite size" 18 (List.length (Cki.Attacks.all (mk_container ())));
+  check bool "the liveness check stops the undeclare" true
+    (Cki.Attacks.attempt_undeclare_live_ptp (mk_container ())
+    = Cki.Attacks.Blocked "KSM PTP liveness check")
 
 (* The monitor keeps a state record only for frames whose state is not
    plain guest data: mapping data pages (every one passes the
@@ -554,6 +595,7 @@ let suite =
         test_case "CR3 validation (I3)" `Quick test_ksm_load_cr3_validation;
         test_case "A/D propagation from copies" `Quick test_ksm_ad_propagation;
         test_case "release_root recovers frames" `Quick test_ksm_release_root;
+        test_case "a live PTP cannot be undeclared" `Quick test_ksm_undeclare_live_ptp;
         test_case "KSM call cost accounting" `Quick test_ksm_call_costs;
         QCheck_alcotest.to_alcotest prop_ksm_isolation_invariant;
         test_case "state records only for PTPs" `Quick test_ksm_state_records_track_declared_ptps;

@@ -5,6 +5,7 @@ open Alcotest
 
 let check_int = check int
 let check_bool = check bool
+let check_string = check string
 
 (* ------------------------------- Tlb ------------------------------ *)
 
@@ -319,51 +320,64 @@ let test_ept_huge () =
 
 let test_clock_accounting () =
   let c = Hw.Clock.create () in
-  Hw.Clock.charge c "x" 10.0;
-  Hw.Clock.charge c "x" 5.0;
+  Hw.Clock.charge c Hw.Cost.tlb_hit;
+  Hw.Clock.charge_n c Hw.Cost.walk_mem_ref 4;
+  Hw.Clock.charge c Hw.Cost.tlb_hit;
   Hw.Clock.advance c 2.0;
-  check_bool "now" true (Hw.Clock.now c = 17.0);
-  check_int "occurrences" 2 (Hw.Clock.occurrences c "x");
-  check_bool "spent" true (Hw.Clock.spent_on c "x" = 15.0);
-  let (), d = Hw.Clock.timed c (fun () -> Hw.Clock.charge c "y" 3.0) in
-  check_bool "timed" true (d = 3.0);
-  Hw.Clock.reset c;
-  check_bool "reset" true (Hw.Clock.now c = 0.0 && Hw.Clock.occurrences c "x" = 0)
+  check_bool "now" true (Hw.Clock.now c = 60.0);
+  check_int "occurrences" 2 (Hw.Clock.occurrences c "tlb_hit");
+  check_bool "spent" true (Hw.Clock.spent_on c "tlb_hit" = 2.0);
+  check_int "a scaled charge is one occurrence" 1 (Hw.Clock.occurrences c "tlb_miss_walk");
+  check_bool "of n units" true (Hw.Clock.spent_on c "tlb_miss_walk" = 56.0);
+  Hw.Clock.charge_sized c Hw.Cost.switch_forward 100;
+  check_bool "sized: base plus n units" true
+    (Hw.Clock.spent_on c "switch_forward" = 250.0 +. (float_of_int 100 *. 0.03));
+  let (), d = Hw.Clock.timed c (fun () -> Hw.Clock.charge c Hw.Cost.cr3_switch) in
+  check_bool "timed" true (d = 74.0);
+  check_string "an item carries its event" "cr3_switch" (Hw.Cost.name Hw.Cost.cr3_switch)
 
 let check_events = check (list (pair string int))
 
 (* More names than the initial slot capacity: every name keeps its own
-   count and time across the growth. *)
+   count, and charged items keep their time, across the growth. *)
 let test_clock_many_names () =
   let c = Hw.Clock.create () in
   let n = 200 in
-  for round = 1 to 2 do
+  Hw.Clock.charge c Hw.Cost.tlb_hit;
+  for _ = 1 to 2 do
     for i = 0 to n - 1 do
-      Hw.Clock.charge c (Printf.sprintf "ev%03d" i) (float_of_int (i * round))
+      Hw.Clock.count c (Printf.sprintf "ev%03d" i)
     done
   done;
   Hw.Clock.count c "ev000";
-  check_int "distinct events" n (List.length (Hw.Clock.events c));
+  Hw.Clock.charge c Hw.Cost.tlb_hit;
+  check_int "distinct events" (n + 1) (List.length (Hw.Clock.events c));
   check_int "first name" 3 (Hw.Clock.occurrences c "ev000");
   check_int "last name" 2 (Hw.Clock.occurrences c "ev199");
-  check_bool "spent after growth" true (Hw.Clock.spent_on c "ev150" = 450.0);
-  check_bool "now" true (Hw.Clock.now c = float_of_int (3 * n * (n - 1) / 2))
+  check_bool "counts take no time" true (Hw.Clock.spent_on c "ev150" = 0.0);
+  check_bool "spent after growth" true (Hw.Clock.spent_on c "tlb_hit" = 2.0);
+  check_bool "now" true (Hw.Clock.now c = 2.0)
 
-(* Queries never create a slot, and a reset clock starts every name
-   from zero. *)
-let test_clock_reset_and_queries () =
+(* Queries never create a slot. *)
+let test_clock_unseen_queries () =
   let c = Hw.Clock.create () in
-  Hw.Clock.charge c "a" 4.0;
+  Hw.Clock.charge c Hw.Cost.cr3_switch;
   check_int "unseen occurrences" 0 (Hw.Clock.occurrences c "never");
   check_bool "unseen spent" true (Hw.Clock.spent_on c "never" = 0.0);
-  check_events "query adds nothing" [ ("a", 1) ] (Hw.Clock.events c);
-  Hw.Clock.reset c;
-  check_events "reset empties events" [] (Hw.Clock.events c);
-  Hw.Clock.charge c "b" 1.0;
-  Hw.Clock.charge c "a" 2.0;
-  check_events "re-charged" [ ("a", 1); ("b", 1) ] (Hw.Clock.events c);
-  check_bool "spent restarts" true (Hw.Clock.spent_on c "a" = 2.0);
-  check_bool "now restarts" true (Hw.Clock.now c = 3.0)
+  check_int "registered, never recorded here" 0 (Hw.Clock.occurrences c "tlb_hit");
+  check_events "query adds nothing" [ ("cr3_switch", 1) ] (Hw.Clock.events c)
+
+(* Items of one name share its counter: the page-fault service of two
+   backends lands in one "pf_service" count and one sum. *)
+let test_clock_shared_name () =
+  let c = Hw.Clock.create () in
+  Hw.Clock.charge c Hw.Cost.pf_handler_cki;
+  Hw.Clock.charge c Hw.Cost.pf_handler_native;
+  check_string "same event" (Hw.Cost.name Hw.Cost.pf_handler_cki)
+    (Hw.Cost.name Hw.Cost.pf_handler_native);
+  check_int "one counter" 2 (Hw.Clock.occurrences c "pf_service");
+  check_bool "one sum" true (Hw.Clock.spent_on c "pf_service" = 990.0 +. 1000.0);
+  check_events "one event" [ ("pf_service", 2) ] (Hw.Clock.events c)
 
 (* ---------------------------- Machine ----------------------------- *)
 
@@ -482,7 +496,8 @@ let suite =
       [
         test_case "accounting" `Quick test_clock_accounting;
         test_case "slot growth past 64 names" `Quick test_clock_many_names;
-        test_case "reset + unseen queries" `Quick test_clock_reset_and_queries;
+        test_case "unseen queries" `Quick test_clock_unseen_queries;
+        test_case "items of one name share its counter" `Quick test_clock_shared_name;
       ] );
     ( "hw/probe",
       [

@@ -495,8 +495,14 @@ let test_syscall_event_names () =
   List.iter
     (fun sc ->
       let name = Kernel_model.Syscall.name sc in
-      check string name ("sys_" ^ name) (Kernel_model.Syscall.event sc))
+      check string name ("sys_" ^ name) (Hw.Cost.name (Kernel_model.Syscall.cost sc)))
     all_syscalls;
+  (* one event per variant, each the variant's own *)
+  check (list string) "names"
+    [ "getpid"; "read"; "write"; "open"; "close"; "stat"; "fstat"; "lseek"; "fsync"; "unlink";
+      "mkdir"; "mmap"; "munmap"; "mprotect"; "brk"; "fork"; "execve"; "exit"; "pipe"; "socket";
+      "send"; "recv"; "sched_yield"; "nanosleep" ]
+    (List.map Kernel_model.Syscall.name all_syscalls);
   (* dispatch charges the event *)
   let k = mk_kernel () in
   let t = Kernel_model.Kernel.spawn k in

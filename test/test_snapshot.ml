@@ -376,6 +376,28 @@ let test_restored_ptp_declaration () =
   check int "clone of a restored-then-frozen template clean" 0
     (List.length (Analysis.check_machine ~containers:[ restored2; clone2 ]))
 
+(* A restore and a clone re-derive which entry links each PTP: no
+   imported table or root can be undeclared while it is in use. *)
+let test_restored_ptps_in_use () =
+  let host = mk_host ~mem_mib:512 () in
+  let c0 = boot_ready host in
+  let tpl = template_exn c0 in
+  let restored = restore_exn host (Snapshot.Template.image tpl) in
+  let clone = clone_exn tpl in
+  List.iter
+    (fun (label, c) ->
+      let ksm = Cki.Container.ksm c in
+      let ptps = Cki.Ksm.declared_ptps ksm in
+      check bool (label ^ ": has tables below the roots") true
+        (List.exists (fun (_, lvl) -> lvl < 4) ptps);
+      List.iter
+        (fun (pfn, _) ->
+          match Cki.Ksm.undeclare_ptp ksm ~pfn with
+          | Error (Cki.Ksm.Ptp_in_use _) -> ()
+          | _ -> fail (Printf.sprintf "%s: in-use PTP %d undeclared" label pfn))
+        ptps)
+    [ ("restored", restored); ("clone", clone) ]
+
 (* A frozen template's pages are read-only to the template itself: the
    hardware PTEs were downgraded, so the mm model must fault on writes
    too instead of silently mutating frames that live clones share. *)
@@ -508,5 +530,6 @@ let suite =
         test_case "declared counts are enforced in decode" `Quick test_decode_count_mismatch;
         test_case "re-sealed PKRS 0 is refused" `Quick test_forged_pkrs_refused;
         test_case "re-sealed CR3 at a PTP is refused" `Quick test_forged_cr3_refused;
+        test_case "restored and cloned PTPs stay in use" `Quick test_restored_ptps_in_use;
       ] );
   ]
