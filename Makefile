@@ -28,8 +28,9 @@ check: test examples lint-src
 mutants: build
 	dune exec bin/cki_demo.exe -- model-check --mutants
 
-# Static source audit: TCB write-sink containment, layering DAG, no
-# Domain.spawn anywhere, hygiene.  Exit 2 on any finding.
+# Static source audit: TCB write-sink containment, no Domain.spawn
+# anywhere, hygiene.  Exit 2 on any finding.  (The build enforces the
+# library DAG: implicit_transitive_deps is false.)
 lint-src: build
 	dune exec bin/cki_demo.exe -- lint-src
 

@@ -567,9 +567,9 @@ let lint_src_cmd =
   subcommand "lint-src"
     ~doc:
       "Statically audit the repo's own OCaml sources: raw memory write sinks outside the TCB \
-       allowlist, inter-library layering violations, any Domain.spawn (the simulator runs on \
-       one domain), and hygiene (missing .mli, Obj.magic / assert false in TCB files, unpaired \
-       gate probes).  Exits 2 on any finding."
+       allowlist, any Domain.spawn (the simulator runs on one domain), and hygiene (missing \
+       .mli, Obj.magic / assert false in TCB files, unpaired gate probes).  Exits 2 on any \
+       finding."
     gated
     Term.(const lint_src $ root_arg)
 

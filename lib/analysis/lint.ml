@@ -151,10 +151,7 @@ let run ?(dropped = 0) (events : Hw.Probe.event list) : finding list =
             serviced <= 0 || match prev with Some u -> used_idx <= u | None -> used_idx <= 0
           in
           if forged then add (Forged_completion { queue; used_idx });
-          Hashtbl.replace last_used queue (max used_idx (Option.value prev ~default:0))
-      | Hw.Probe.Iret _ | Hw.Probe.Cr3_load _ | Hw.Probe.Pks_denied _ | Hw.Probe.Ksm_op _
-      | Hw.Probe.Mm_op _ ->
-          ())
+          Hashtbl.replace last_used queue (max used_idx (Option.value prev ~default:0)))
     events;
   (* Verdicts for whatever is still outstanding. *)
   Hashtbl.iter

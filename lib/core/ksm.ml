@@ -368,16 +368,8 @@ let charge_call t =
     Hw.Clock.charge t.clock Hw.Cost.ibrs_overhead
   end
 
-(* Probe hooks: report each entry point's outcome, and every PTE
-   permission downgrade (the events the trace linter correlates with
-   TLB shootdowns). *)
-let traced t ~op (r : ('a, error) result) : ('a, error) result =
-  if Hw.Probe.active () then
-    Hw.Probe.emit
-      (Hw.Probe.Ksm_op
-         { container = t.container_id; op; ok = (match r with Ok _ -> true | Error _ -> false) });
-  r
-
+(* Probe hook: every PTE permission downgrade (the events the trace
+   linter correlates with TLB shootdowns). *)
 let trace_downgrade t ~root ~va ~unmapped =
   if Hw.Probe.active () then
     Hw.Probe.emit
@@ -623,26 +615,6 @@ let release_root t ~root ~free_ptp : (unit, error) result =
       Hashtbl.remove t.roots root;
       ignore (forget_ptp t root);
       Ok ()
-
-(* ------------------------------------------------------------------ *)
-(* Traced entry points (shadow the raw implementations above so every  *)
-(* guest-visible operation leaves a Ksm_op event in the trace).        *)
-(* ------------------------------------------------------------------ *)
-
-let declare_ptp t ~pfn ~level = traced t ~op:"declare_ptp" (declare_ptp t ~pfn ~level)
-let undeclare_ptp t ~pfn = traced t ~op:"undeclare_ptp" (undeclare_ptp t ~pfn)
-
-let guest_map t ~root ~va ~pfn ~flags ~alloc_ptp =
-  traced t ~op:"guest_map" (guest_map t ~root ~va ~pfn ~flags ~alloc_ptp)
-
-let guest_unmap t ~root ~va = traced t ~op:"guest_unmap" (guest_unmap t ~root ~va)
-
-let guest_protect t ~root ~va ~writable =
-  traced t ~op:"guest_protect" (guest_protect t ~root ~va ~writable)
-
-let declare_root t ~pfn = traced t ~op:"declare_root" (declare_root t ~pfn)
-let load_cr3 t ~vcpu ~root = traced t ~op:"load_cr3" (load_cr3 t ~vcpu ~root)
-let release_root t ~root ~free_ptp = traced t ~op:"release_root" (release_root t ~root ~free_ptp)
 
 let kernel_root t = t.kernel_root
 let idt t = t.idt

@@ -62,7 +62,6 @@ let create ?(id = 0) clock =
 let load_cr3 t ~root ~pcid =
   t.cr3 <- root;
   t.pcid <- pcid;
-  if Probe.active () then Probe.emit (Probe.Cr3_load { cpu = t.id; pcid; root });
   Clock.charge t.clock Cost.cr3_switch
 
 (* ------------------------------------------------------------------ *)
@@ -124,14 +123,11 @@ let exec_priv t (inst : Priv.t) : (unit, fault) result =
     | Priv.Iret -> (
         t.if_flag <- true;
         (* E4: extended iret restores the interrupt-saved PKRS. *)
-        let before = t.pkrs in
-        (match t.saved_pkrs with
+        match t.saved_pkrs with
         | [] -> ()
         | r :: rest ->
             if Mutation.knobs.Mutation.e4_restore_on_iret then t.pkrs <- r;
-            t.saved_pkrs <- rest);
-        if Probe.active () then
-          Probe.emit (Probe.Iret { cpu = t.id; pkrs_before = before; pkrs_after = t.pkrs }))
+            t.saved_pkrs <- rest)
     | Priv.Lidt | Priv.Sidt | Priv.Lgdt | Priv.Ltr | Priv.Rdmsr _ | Priv.Wrmsr _
     | Priv.Mov_from_cr _ | Priv.Mov_to_cr0 | Priv.Mov_to_cr4 | Priv.Clac | Priv.Stac
     | Priv.Smsw | Priv.In_port _ | Priv.Out_port _ ->

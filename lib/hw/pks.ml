@@ -44,16 +44,11 @@ type access = Read | Write [@@deriving show { with_path = false }, eq]
 
 (* Does [r] allow [access] on a page tagged with [key]? *)
 let allows (r : rights) ~key access =
-  let ok =
-    match (perm_of r ~key, access) with
-    | Read_write, _ -> true
-    | Read_only, Read -> true
-    | Read_only, Write -> false
-    | No_access, _ -> false
-  in
-  if (not ok) && Probe.active () then
-    Probe.emit (Probe.Pks_denied { key; write = access = Write });
-  ok
+  match (perm_of r ~key, access) with
+  | Read_write, _ -> true
+  | Read_only, Read -> true
+  | Read_only, Write -> false
+  | No_access, _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* CKI's fixed PKS domain layout within a container address space      *)

@@ -1,8 +1,8 @@
 (* Hardware/monitor event probes.
 
-   Hook points in Cpu/Idt/Pks/Ksm/Gates/Mm emit typed events here; the
-   analysis library installs a sink around a scenario and lints the
-   stream afterwards.
+   Hook points in Cpu/Idt/Ksm/Gates/Container/Virtio emit typed events
+   here; the analysis library installs a sink around a scenario and
+   lints the stream afterwards.
 
    The sink is a flat preallocated ring of int-encoded event words.
    An emit through one of the specialized [emit_*] entry points costs
@@ -24,7 +24,6 @@ type event =
   | Priv_exec of { cpu : int; mnemonic : string; destructive : bool; pkrs : int; blocked : bool }
   | Wrpkrs of { cpu : int; value : int }
   | Sysret of { cpu : int; pkrs : int; if_after : bool }
-  | Iret of { cpu : int; pkrs_before : int; pkrs_after : int }
   | Gate_enter of { cpu : int; gate : gate; pkrs : int }
   | Gate_exit of { cpu : int; gate : gate; entry_pkrs : int; pkrs : int }
   | Idt_deliver of {
@@ -38,12 +37,8 @@ type event =
   | Tlb_fill of { cpu : int; pcid : int; vpn : int; level : int; pfn : int }
   | Tlb_invlpg of { cpu : int; pcid : int; vpn : int }
   | Tlb_flush_pcid of { cpu : int; pcid : int }
-  | Cr3_load of { cpu : int; pcid : int; root : int }
-  | Pks_denied of { key : int; write : bool }
-  | Ksm_op of { container : int; op : string; ok : bool }
   | Pte_downgrade of { container : int; root : int; vpn : int; unmapped : bool }
   | Container_boot of { container : int; pcid : int }
-  | Mm_op of { op : string; vpn : int; pages : int }
   | Io_doorbell of { queue : string; avail_idx : int; in_flight : int }
   | Io_completion of { queue : string; used_idx : int; serviced : int }
 
@@ -56,8 +51,6 @@ let pp_event fmt = function
   | Wrpkrs { cpu; value } -> Format.fprintf fmt "cpu%d wrpkrs %#x" cpu value
   | Sysret { cpu; pkrs; if_after } ->
       Format.fprintf fmt "cpu%d sysret pkrs=%#x if=%b" cpu pkrs if_after
-  | Iret { cpu; pkrs_before; pkrs_after } ->
-      Format.fprintf fmt "cpu%d iret pkrs %#x -> %#x" cpu pkrs_before pkrs_after
   | Gate_enter { cpu; gate; pkrs } ->
       Format.fprintf fmt "cpu%d enter %s gate pkrs=%#x" cpu (gate_name gate) pkrs
   | Gate_exit { cpu; gate; entry_pkrs; pkrs } ->
@@ -71,19 +64,12 @@ let pp_event fmt = function
   | Tlb_invlpg { cpu; pcid; vpn } ->
       Format.fprintf fmt "cpu%d invlpg pcid=%d vpn=%#x" cpu pcid vpn
   | Tlb_flush_pcid { cpu; pcid } -> Format.fprintf fmt "cpu%d tlb flush pcid=%d" cpu pcid
-  | Cr3_load { cpu; pcid; root } ->
-      Format.fprintf fmt "cpu%d cr3 load root=%d pcid=%d" cpu root pcid
-  | Pks_denied { key; write } ->
-      Format.fprintf fmt "pks denied key=%d %s" key (if write then "write" else "read")
-  | Ksm_op { container; op; ok } ->
-      Format.fprintf fmt "ksm[%d] %s %s" container op (if ok then "ok" else "rejected")
   | Pte_downgrade { container; root; vpn; unmapped } ->
       Format.fprintf fmt "ksm[%d] pte %s root=%d vpn=%#x" container
         (if unmapped then "unmap" else "write-protect")
         root vpn
   | Container_boot { container; pcid } ->
       Format.fprintf fmt "container %d boots with pcid=%d" container pcid
-  | Mm_op { op; vpn; pages } -> Format.fprintf fmt "mm %s vpn=%#x pages=%d" op vpn pages
   | Io_doorbell { queue; avail_idx; in_flight } ->
       Format.fprintf fmt "io %s doorbell avail=%d in_flight=%d" queue avail_idx in_flight
   | Io_completion { queue; used_idx; serviced } ->
@@ -98,8 +84,8 @@ let show_event e = Format.asprintf "%a" pp_event e
 (* Fixed-stride encoding: each event occupies [stride] words —
    word 0 the variant tag, words 1..6 the payload fields in declaration
    order.  Bools encode as 0/1; the few string payloads (mnemonics,
-   KSM/mm op names, queue names) are interned in a per-ring side table
-   and encoded as their intern id.
+   queue names) are interned in a per-ring side table and encoded as
+   their intern id.
    Overflow drops the *oldest* record (and counts it), matching the
    old queue recorder's semantics. *)
 
@@ -189,21 +175,16 @@ let[@inline] claim r =
 let tag_priv_exec = 0
 let tag_wrpkrs = 1
 let tag_sysret = 2
-let tag_iret = 3
-let tag_gate_enter = 4
-let tag_gate_exit = 5
-let tag_idt_deliver = 6
-let tag_tlb_fill = 7
-let tag_tlb_invlpg = 8
-let tag_tlb_flush_pcid = 9
-let tag_cr3_load = 10
-let tag_pks_denied = 11
-let tag_ksm_op = 12
-let tag_pte_downgrade = 13
-let tag_container_boot = 14
-let tag_mm_op = 15
-let tag_io_doorbell = 16
-let tag_io_completion = 17
+let tag_gate_enter = 3
+let tag_gate_exit = 4
+let tag_idt_deliver = 5
+let tag_tlb_fill = 6
+let tag_tlb_invlpg = 7
+let tag_tlb_flush_pcid = 8
+let tag_pte_downgrade = 9
+let tag_container_boot = 10
+let tag_io_doorbell = 11
+let tag_io_completion = 12
 
 let gate_code = function Ksm_call_gate -> 0 | Hypercall_gate -> 1 | Interrupt_gate -> 2
 let gate_of_code = function 0 -> Ksm_call_gate | 1 -> Hypercall_gate | _ -> Interrupt_gate
@@ -247,7 +228,6 @@ let ring_record r ev =
         (bool_code blocked)
   | Wrpkrs { cpu; value } -> store4 r tag_wrpkrs cpu value 0
   | Sysret { cpu; pkrs; if_after } -> store4 r tag_sysret cpu pkrs (bool_code if_after)
-  | Iret { cpu; pkrs_before; pkrs_after } -> store4 r tag_iret cpu pkrs_before pkrs_after
   | Gate_enter { cpu; gate; pkrs } -> store4 r tag_gate_enter cpu (gate_code gate) pkrs
   | Gate_exit { cpu; gate; entry_pkrs; pkrs } ->
       store6 r tag_gate_exit cpu (gate_code gate) entry_pkrs pkrs 0
@@ -257,14 +237,9 @@ let ring_record r ev =
   | Tlb_fill { cpu; pcid; vpn; level; pfn } -> store6 r tag_tlb_fill cpu pcid vpn level pfn
   | Tlb_invlpg { cpu; pcid; vpn } -> store4 r tag_tlb_invlpg cpu pcid vpn
   | Tlb_flush_pcid { cpu; pcid } -> store4 r tag_tlb_flush_pcid cpu pcid 0
-  | Cr3_load { cpu; pcid; root } -> store4 r tag_cr3_load cpu pcid root
-  | Pks_denied { key; write } -> store4 r tag_pks_denied key (bool_code write) 0
-  | Ksm_op { container; op; ok } ->
-      store4 r tag_ksm_op container (intern r op) (bool_code ok)
   | Pte_downgrade { container; root; vpn; unmapped } ->
       store6 r tag_pte_downgrade container root vpn (bool_code unmapped) 0
   | Container_boot { container; pcid } -> store4 r tag_container_boot container pcid 0
-  | Mm_op { op; vpn; pages } -> store4 r tag_mm_op (intern r op) vpn pages
   | Io_doorbell { queue; avail_idx; in_flight } ->
       store4 r tag_io_doorbell (intern r queue) avail_idx in_flight
   | Io_completion { queue; used_idx; serviced } ->
@@ -287,10 +262,9 @@ let decode r i =
         { cpu = a; mnemonic = r.strings.(b); destructive = c = 1; pkrs = d; blocked = e = 1 }
   | 1 -> Wrpkrs { cpu = a; value = b }
   | 2 -> Sysret { cpu = a; pkrs = b; if_after = c = 1 }
-  | 3 -> Iret { cpu = a; pkrs_before = b; pkrs_after = c }
-  | 4 -> Gate_enter { cpu = a; gate = gate_of_code b; pkrs = c }
-  | 5 -> Gate_exit { cpu = a; gate = gate_of_code b; entry_pkrs = c; pkrs = d }
-  | 6 ->
+  | 3 -> Gate_enter { cpu = a; gate = gate_of_code b; pkrs = c }
+  | 4 -> Gate_exit { cpu = a; gate = gate_of_code b; entry_pkrs = c; pkrs = d }
+  | 5 ->
       Idt_deliver
         {
           cpu = a;
@@ -300,17 +274,13 @@ let decode r i =
           pkrs_before = e;
           pkrs_after = f;
         }
-  | 7 -> Tlb_fill { cpu = a; pcid = b; vpn = c; level = d; pfn = e }
-  | 8 -> Tlb_invlpg { cpu = a; pcid = b; vpn = c }
-  | 9 -> Tlb_flush_pcid { cpu = a; pcid = b }
-  | 10 -> Cr3_load { cpu = a; pcid = b; root = c }
-  | 11 -> Pks_denied { key = a; write = b = 1 }
-  | 12 -> Ksm_op { container = a; op = r.strings.(b); ok = c = 1 }
-  | 13 -> Pte_downgrade { container = a; root = b; vpn = c; unmapped = d = 1 }
-  | 14 -> Container_boot { container = a; pcid = b }
-  | 15 -> Mm_op { op = r.strings.(a); vpn = b; pages = c }
-  | 16 -> Io_doorbell { queue = r.strings.(a); avail_idx = b; in_flight = c }
-  | 17 -> Io_completion { queue = r.strings.(a); used_idx = b; serviced = c }
+  | 6 -> Tlb_fill { cpu = a; pcid = b; vpn = c; level = d; pfn = e }
+  | 7 -> Tlb_invlpg { cpu = a; pcid = b; vpn = c }
+  | 8 -> Tlb_flush_pcid { cpu = a; pcid = b }
+  | 9 -> Pte_downgrade { container = a; root = b; vpn = c; unmapped = d = 1 }
+  | 10 -> Container_boot { container = a; pcid = b }
+  | 11 -> Io_doorbell { queue = r.strings.(a); avail_idx = b; in_flight = c }
+  | 12 -> Io_completion { queue = r.strings.(a); used_idx = b; serviced = c }
   | t -> invalid_arg (Printf.sprintf "Probe.ring: corrupt tag %d" t)
 
 let ring_events r = List.init r.len (decode r)

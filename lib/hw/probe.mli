@@ -1,8 +1,8 @@
 (** Hardware/monitor event probes.
 
     Low-overhead hook points scattered through the simulator ([Cpu],
-    [Idt], [Pks], the KSM, the gates, the guest [Mm]) emit typed events
-    here. Nothing is recorded unless a sink is installed — the analysis
+    [Idt], the KSM, the gates, container boot, the VirtIO queues) emit
+    typed events here. Nothing is recorded unless a sink is installed — the analysis
     library's trace recorder attaches one around a scenario and lints
     the resulting event stream afterwards.
 
@@ -25,7 +25,6 @@ type event =
     }
   | Wrpkrs of { cpu : int; value : int }  (** a successful PKRS write *)
   | Sysret of { cpu : int; pkrs : int; if_after : bool }  (** E3 *)
-  | Iret of { cpu : int; pkrs_before : int; pkrs_after : int }  (** E4 *)
   | Gate_enter of { cpu : int; gate : gate; pkrs : int }
   | Gate_exit of { cpu : int; gate : gate; entry_pkrs : int; pkrs : int }
   | Idt_deliver of {
@@ -39,9 +38,6 @@ type event =
   | Tlb_fill of { cpu : int; pcid : int; vpn : int; level : int; pfn : int }
   | Tlb_invlpg of { cpu : int; pcid : int; vpn : int }
   | Tlb_flush_pcid of { cpu : int; pcid : int }
-  | Cr3_load of { cpu : int; pcid : int; root : int }
-  | Pks_denied of { key : int; write : bool }
-  | Ksm_op of { container : int; op : string; ok : bool }
   | Pte_downgrade of {
       container : int;
       root : int;
@@ -49,7 +45,6 @@ type event =
       unmapped : bool;  (** true: PTE cleared; false: write-protected *)
     }
   | Container_boot of { container : int; pcid : int }
-  | Mm_op of { op : string; vpn : int; pages : int }
   | Io_doorbell of { queue : string; avail_idx : int; in_flight : int }
       (** a VirtIO doorbell actually rang (suppressed kicks don't emit);
           [in_flight] = avail entries the host has not yet serviced *)

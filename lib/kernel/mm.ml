@@ -211,11 +211,6 @@ let mmap t ~pages ~prot ~backing =
   t.mmap_cursor <- stop;
   base
 
-(* Probe hook: guest-mm operations, so the trace linter can tie PTE
-   downgrades back to the syscall that caused them. *)
-let trace_op op ~vpn ~pages =
-  if Hw.Probe.active () then Hw.Probe.emit (Hw.Probe.Mm_op { op; vpn; pages })
-
 exception Segfault of Hw.Addr.va
 
 (* First write to a clone's CoW page: a write fault that copies the
@@ -229,7 +224,6 @@ let cow_break t vpn =
       match Vma.find t.vmas va with
       | None -> raise (Segfault va)
       | Some area ->
-          trace_op "cow_break" ~vpn ~pages:1;
           t.faults <- t.faults + 1;
           let p = t.platform in
           p.Platform.fault_round_trip ();
@@ -246,7 +240,6 @@ let cow_break t vpn =
    writable and log the page — one fault per page per round. *)
 let wp_break t vpn =
   let va = Hw.Addr.va_of_vpn vpn in
-  trace_op "dirty_log" ~vpn ~pages:1;
   t.faults <- t.faults + 1;
   let p = t.platform in
   p.Platform.fault_round_trip ();
@@ -256,7 +249,6 @@ let wp_break t vpn =
   Hashtbl.replace t.dirty vpn ()
 
 let munmap t ~start ~pages =
-  trace_op "munmap" ~vpn:(Hw.Addr.vpn_of_va start) ~pages;
   let stop = start + (pages * Hw.Addr.page_size) in
   let _removed = Vma.remove t.vmas ~start ~stop in
   for vpn = Hw.Addr.vpn_of_va start to Hw.Addr.vpn_of_va (stop - 1) do
@@ -279,7 +271,6 @@ let munmap t ~start ~pages =
   done
 
 let mprotect t ~start ~pages ~prot =
-  trace_op "mprotect" ~vpn:(Hw.Addr.vpn_of_va start) ~pages;
   let stop = start + (pages * Hw.Addr.page_size) in
   (* A frozen template page can never become writable again: its frame
      is shared read-only with live clones. *)
@@ -320,7 +311,6 @@ let handle_fault t va ~write =
   | None -> raise (Segfault va)
   | Some area ->
       if write && not area.Vma.prot.Vma.write then raise (Segfault va);
-      trace_op "demand_fault" ~vpn:(Hw.Addr.vpn_of_va va) ~pages:1;
       t.faults <- t.faults + 1;
       let p = t.platform in
       p.Platform.fault_round_trip ();

@@ -1,18 +1,14 @@
 (* Per-file fact extraction over the compiler-libs AST.
 
    One [Ast_iterator] pass collects everything the rule families need:
-   cross-library module references, raw-memory write-sink mentions,
-   [Domain.spawn] references, [Gate_enter]/[Gate_exit] constructions,
-   [Obj.magic] / [assert false] occurrences, whole-machine frame
-   sweeps. *)
+   raw-memory write-sink mentions, [Domain.spawn] references,
+   [Gate_enter]/[Gate_exit] constructions, [Obj.magic] /
+   [assert false] occurrences, whole-machine frame sweeps. *)
 
 open Asttypes
 open Parsetree
 
 type t = {
-  module_refs : (string * int) list;
-      (** head module of every dotted path, with the first line it
-          appears on — deduplicated per head *)
   sink_refs : (string * int) list;  (** raw-memory write sinks, every occurrence *)
   spawn_refs : (string * int) list;  (** [Domain.spawn] references, every occurrence *)
   gate_enters : int list;  (** lines constructing [Probe.Gate_enter] *)
@@ -68,7 +64,6 @@ let module_access target parts =
 (* ------------------------------------------------------------------ *)
 
 type acc = {
-  mutable refs : (string * int) list;
   mutable sinks : (string * int) list;
   mutable spawns : (string * int) list;
   mutable enters : int list;
@@ -78,38 +73,26 @@ type acc = {
   mutable sweeps : (string * int) list;
 }
 
-let add_ref acc head line =
-  if not (List.mem_assoc head acc.refs) then acc.refs <- (head, line) :: acc.refs
-
-(* A dotted value/type/constructor path [A.B.x] references module [A];
-   a bare [x] references nothing. *)
+(* A dotted value path [A.B.x] may name a sink or [Domain.spawn]. *)
 let value_path acc lid loc =
-  match Longident.flatten lid with
-  | head :: _ :: _ as parts ->
-      add_ref acc head (line_of loc);
-      (match sink_of_path parts with
-      | Some s -> acc.sinks <- (s, line_of loc) :: acc.sinks
-      | None -> ());
-      (match spawn_of_path parts with
-      | Some s -> acc.spawns <- (s, line_of loc) :: acc.spawns
-      | None -> ())
-  | _ -> ()
+  let parts = Longident.flatten lid in
+  (match sink_of_path parts with
+  | Some s -> acc.sinks <- (s, line_of loc) :: acc.sinks
+  | None -> ());
+  match spawn_of_path parts with
+  | Some s -> acc.spawns <- (s, line_of loc) :: acc.spawns
+  | None -> ()
 
-(* A module path [A.B] (open, alias, functor argument) references [A]
-   even when it is a single component. *)
+(* A module path [A.B] (open, alias, functor argument) may be the sink
+   module or [Domain] itself. *)
 let module_path acc lid loc =
-  match Longident.flatten lid with
-  | head :: _ as parts ->
-      if String.length head > 0 && head.[0] >= 'A' && head.[0] <= 'Z' then begin
-        add_ref acc head (line_of loc);
-        (match module_access sink_module parts with
-        | Some s -> acc.sinks <- (s, line_of loc) :: acc.sinks
-        | None -> ());
-        match module_access spawn_module parts with
-        | Some s -> acc.spawns <- (s, line_of loc) :: acc.spawns
-        | None -> ()
-      end
-  | [] -> ()
+  let parts = Longident.flatten lid in
+  (match module_access sink_module parts with
+  | Some s -> acc.sinks <- (s, line_of loc) :: acc.sinks
+  | None -> ());
+  match module_access spawn_module parts with
+  | Some s -> acc.spawns <- (s, line_of loc) :: acc.spawns
+  | None -> ()
 
 (* The sweep bound [e] mentions, if any: [Phys_mem.total_frames] (every
    frame of the machine) or [entries_per_table] under any path (every
@@ -134,7 +117,6 @@ let sweep_bound e =
 let iterate_structure str =
   let acc =
     {
-      refs = [];
       sinks = [];
       spawns = [];
       enters = [];
@@ -153,15 +135,10 @@ let iterate_structure str =
         | [ "Obj"; "magic" ] -> acc.magics <- line_of loc :: acc.magics
         | _ -> ())
     | Pexp_construct ({ txt; loc }, _) -> (
-        value_path acc txt loc;
         match Longident.last txt with
         | "Gate_enter" -> acc.enters <- line_of loc :: acc.enters
         | "Gate_exit" -> acc.exits <- line_of loc :: acc.exits
         | _ -> ())
-    | Pexp_field (_, { txt; loc }) | Pexp_setfield (_, { txt; loc }, _) -> value_path acc txt loc
-    | Pexp_record (fields, _) ->
-        List.iter (fun ({ txt; loc }, _) -> value_path acc txt loc) fields
-    | Pexp_new { txt; loc } -> value_path acc txt loc
     | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
       ->
         acc.asserts <- line_of e.pexp_loc :: acc.asserts
@@ -172,27 +149,13 @@ let iterate_structure str =
     | _ -> ());
     default_iterator.expr sub e
   in
-  let pat sub p =
-    (match p.ppat_desc with
-    | Ppat_construct ({ txt; loc }, _) -> value_path acc txt loc
-    | Ppat_record (fields, _) ->
-        List.iter (fun ({ txt; loc }, _) -> value_path acc txt loc) fields
-    | _ -> ());
-    default_iterator.pat sub p
-  in
-  let typ sub t =
-    (match t.ptyp_desc with
-    | Ptyp_constr ({ txt; loc }, _) | Ptyp_class ({ txt; loc }, _) -> value_path acc txt loc
-    | _ -> ());
-    default_iterator.typ sub t
-  in
   let module_expr sub m =
     (match m.pmod_desc with
     | Pmod_ident { txt; loc } -> module_path acc txt loc
     | _ -> ());
     default_iterator.module_expr sub m
   in
-  let iter = { default_iterator with expr; pat; typ; module_expr } in
+  let iter = { default_iterator with expr; module_expr } in
   iter.structure iter str;
   acc
 
@@ -201,7 +164,6 @@ let iterate_structure str =
 let extract (str : Parsetree.structure) : t =
   let acc = iterate_structure str in
   {
-    module_refs = List.rev acc.refs;
     sink_refs = List.rev acc.sinks;
     spawn_refs = List.rev acc.spawns;
     gate_enters = List.rev acc.enters;

@@ -2,9 +2,6 @@
     rule families consume, collected in one iterator pass. *)
 
 type t = {
-  module_refs : (string * int) list;
-      (** head module of every dotted path, with the first line it
-          appears on — deduplicated per head *)
   sink_refs : (string * int) list;  (** raw-memory write sinks, every occurrence *)
   spawn_refs : (string * int) list;  (** [Domain.spawn] references, every occurrence *)
   gate_enters : int list;  (** lines constructing [Probe.Gate_enter] *)

@@ -1,62 +1,19 @@
-(* The rule families over a parsed source tree: trusted-sink,
-   layering, hygiene and spawn-site.  Each is an allowlist rule — the
-   exceptions live in the tables below ([default_arch],
-   [default_tcb]), never in a ledger file.  Findings render through
+(* The rule families over a parsed source tree: trusted-sink, hygiene
+   and spawn-site.  Each is an allowlist rule — the exceptions live in
+   the table below ([default_tcb]), never in a ledger file.  The
+   library DAG is not a rule here: each dune file's [libraries] field
+   states it, and the build refuses a reference that resolves only
+   through a transitive dependency.  Findings render through
    [Report.Findings]. *)
 
 type finding = {
   rule : string;
   severity : Report.Findings.severity;
-  file : string;  (** repo-relative; a .ml or a dune file *)
+  file : string;  (** repo-relative .ml path *)
   line : int;
-  symbol : string;  (** what fired: a binding, sink, library... *)
+  symbol : string;  (** what fired: a sink, a file, a construct... *)
   detail : string;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Architecture: the sanctioned inter-library DAG                      *)
-(* ------------------------------------------------------------------ *)
-
-(* [lib -> libraries it may reference].  This is the layering
-   `hw <- kernel <- virt <- core <- {analysis, snapshot, modelcheck,
-   ioplane} <- workload drivers` written out as an explicit allowlist;
-   an edge absent here is an upward or cross edge and a finding, even
-   when OCaml would resolve it through dune's implicit transitive
-   dependencies.  A new library must be added here deliberately. *)
-type arch = (string * string list) list
-
-let default_arch =
-  [
-    ("report", []);
-    ("hw", []);
-    ("kernel_model", [ "hw" ]);
-    ("virt", [ "hw"; "kernel_model" ]);
-    ("cki", [ "hw"; "kernel_model"; "virt" ]);
-    ("workloads", [ "hw"; "kernel_model"; "virt" ]);
-    ("analysis", [ "hw"; "cki"; "report" ]);
-    ("snapshot", [ "hw"; "kernel_model"; "virt"; "cki"; "analysis"; "report" ]);
-    ("modelcheck", [ "hw"; "kernel_model"; "virt"; "cki"; "report" ]);
-    ("ioplane", [ "hw"; "kernel_model"; "virt"; "cki"; "workloads"; "report" ]);
-    (* The fleet controller composes the serving plane: it may see the
-       I/O plane, snapshots and the verifier, and nothing may see it. *)
-    ("fleet",
-      [ "hw"; "kernel_model"; "virt"; "cki"; "workloads"; "ioplane"; "snapshot"; "analysis"; "report" ]);
-    (* Live migration sits above the whole serving stack: it moves
-       containers between fabric hosts over snapshot images and
-       re-verifies them with the analysis scanner before cutover.
-       Only the executables may see it. *)
-    ("migrate",
-      [ "hw"; "kernel_model"; "virt"; "cki"; "ioplane"; "snapshot"; "fleet"; "analysis"; "report" ]);
-    ("srclint", [ "report" ]);
-    (* Executable scope: the demo driver and the bench harness sit on
-       top of the whole stack — any library, no library sees them. *)
-    ( "bin",
-      [ "report"; "hw"; "kernel_model"; "virt"; "cki"; "workloads"; "analysis"; "snapshot";
-        "modelcheck"; "ioplane"; "fleet"; "migrate"; "srclint" ] );
-    ( "bench",
-      [ "report"; "hw"; "kernel_model"; "virt"; "cki"; "workloads"; "analysis"; "snapshot";
-        "modelcheck"; "ioplane"; "fleet"; "migrate"; "srclint" ] );
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Trusted computing base                                              *)
@@ -95,42 +52,12 @@ let warn = Report.Findings.Warning
 
 let mk rule severity file line symbol detail = { rule; severity; file; line; symbol; detail }
 
-let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : finding list =
+let evaluate ?(tcb = default_tcb) (tree : Source.tree) : finding list =
   let out = ref [] in
   let emit f = out := f :: !out in
-  let lib_of_module m =
-    List.find_opt (fun (l : Source.lib) -> l.lib_module = m) tree.Source.libs
-  in
-  let repo_lib_names = List.map (fun (l : Source.lib) -> l.Source.lib_name) tree.Source.libs in
-  (* Per-library checks: the dune file itself must not declare an edge
-     the architecture forbids, and every library must be in the table. *)
-  List.iter
-    (fun (lib : Source.lib) ->
-      match List.assoc_opt lib.Source.lib_name arch with
-      | None ->
-          emit
-            (mk "layering" crit lib.Source.lib_dune 1 lib.Source.lib_name
-               (Printf.sprintf
-                  "library %S is not in the architecture table; add it (and its allowed \
-                   dependencies) to the layering DAG deliberately"
-                  lib.Source.lib_name))
-      | Some allowed ->
-          List.iter
-            (fun dep ->
-              if List.mem dep repo_lib_names && not (List.mem dep allowed) then
-                emit
-                  (mk "layering" crit lib.Source.lib_dune 1 dep
-                     (Printf.sprintf
-                        "dune declares dependency %s -> %s, an upward or cross edge the \
-                         layering DAG forbids"
-                        lib.Source.lib_name dep)))
-            lib.Source.lib_deps)
-    tree.Source.libs;
-  (* Per-file checks. *)
   List.iter
     (fun (file : Source.file) ->
       let path = file.Source.path in
-      let lib = file.Source.library in
       let tcb_file = in_tcb tcb path in
       (match file.Source.parse_error with
       | Some (line, msg) ->
@@ -139,11 +66,10 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
                ("compiler front end rejected this file: " ^ msg))
       | None -> ());
       let facts = Facts.extract file.Source.ast in
-      (* Executable scope ([bin/], [bench/]) gets the layering family
-         (parse-error, layering, undeclared-dep) plus spawn-site; the
-         lib-only families — trusted-sink and hygiene — stay scoped to
-         lib/ code. *)
-      let exe = lib.Source.lib_exe in
+      (* Executable scope ([bin/], [bench/]) gets parse-error and
+         spawn-site; the lib-only families — trusted-sink and hygiene —
+         stay scoped to lib/ code. *)
+      let exe = file.Source.exe in
       (* (1) trusted-sink *)
       if (not tcb_file) && not exe then
         List.iter
@@ -154,32 +80,7 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
                     "raw physical-memory mutation outside the TCB allowlist; route this \
                      through a KSM call or add the file to the allowlist deliberately")))
           facts.Facts.sink_refs;
-      (* (2) layering: module references vs the DAG and the dune file *)
-      let allowed = Option.value ~default:[] (List.assoc_opt lib.Source.lib_name arch) in
-      List.iter
-        (fun (head, line) ->
-          match lib_of_module head with
-          | None -> () (* stdlib / compiler-libs / external *)
-          | Some target when target.Source.lib_name = lib.Source.lib_name -> ()
-          | Some target ->
-              let tname = target.Source.lib_name in
-              if not (List.mem tname allowed) then
-                emit
-                  (mk "layering" crit path line tname
-                     (Printf.sprintf
-                        "reference to library %s from %s is an upward or cross edge \
-                         (allowed dependencies: %s)"
-                        tname lib.Source.lib_name
-                        (match allowed with [] -> "none" | l -> String.concat ", " l)))
-              else if not (List.mem tname lib.Source.lib_deps) then
-                emit
-                  (mk "undeclared-dep" warn path line tname
-                     (Printf.sprintf
-                        "reference to library %s resolves only through dune's implicit \
-                         transitive dependencies; declare it in %s"
-                        tname lib.Source.lib_dune)))
-        facts.Facts.module_refs;
-      (* (3) hygiene *)
+      (* (2) hygiene *)
       if (not file.Source.has_mli) && not exe then
         emit
           (mk "missing-mli" warn path 1 (Filename.basename path)
@@ -228,7 +129,7 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
                 "file constructs %d Gate_enter but %d Gate_exit probe events; every gate \
                  entry emission needs a matching exit emission"
                 n_enter n_exit));
-      (* (4) spawn-site: the simulator runs on one domain — the probe
+      (* (3) spawn-site: the simulator runs on one domain — the probe
          sink, the id counters and the mutation knobs are plain
          module state — so no file may create another. *)
       List.iter
@@ -239,9 +140,9 @@ let evaluate ?(arch = default_arch) ?(tcb = default_tcb) (tree : Source.tree) : 
                 (probe sink, id counters, mutation knobs) assumes so"))
         facts.Facts.spawn_refs)
     tree.Source.files;
-  (* Deduplicate identical (rule, file, symbol, line) — e.g. a module
-     referenced from several syntactic positions on one line — then
-     order by file and line for stable output. *)
+  (* Deduplicate identical (rule, file, symbol, line) — e.g. a sink
+     named twice on one line — then order by file and line for stable
+     output. *)
   let seen = Hashtbl.create 64 in
   !out
   |> List.filter (fun f ->

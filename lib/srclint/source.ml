@@ -1,32 +1,22 @@
-(* Source-tree model: find the repo root, enumerate the dune libraries
-   under lib/, and parse every implementation file with the installed
-   compiler's own front end (compiler-libs), so the auditor sees the
-   exact AST the build sees — ppx attributes and all (attributes parse
-   without running the rewriters; the auditor never typechecks). *)
-
-type lib = {
-  lib_name : string;  (** dune library name, e.g. ["kernel_model"] *)
-  lib_dir : string;  (** repo-relative, e.g. ["lib/kernel"] *)
-  lib_module : string;  (** wrapped root module, e.g. ["Kernel_model"];
-                            [""] for executable scope *)
-  lib_deps : string list;  (** the dune [(libraries ...)] field, verbatim *)
-  lib_dune : string;  (** repo-relative path of the dune file *)
-  lib_exe : bool;
-      (** executable scope ([bin/], [bench/]): a pseudo-library carrying
-          the dune [(executable ...)] stanzas of one directory, scanned
-          for the layering and spawn-site rules only *)
-}
+(* Source-tree model: find the repo root, list the directories under
+   lib/ plus bin/ and bench/, and parse every implementation file with
+   the installed compiler's own front end (compiler-libs), so the
+   auditor sees the exact AST the build sees — ppx attributes and all
+   (attributes parse without running the rewriters; the auditor never
+   typechecks).  No dune file is read: the build enforces the library
+   DAG itself. *)
 
 type file = {
   path : string;  (** repo-relative, forward slashes *)
-  library : lib;
+  dir : string;  (** repo-relative directory *)
+  exe : bool;  (** executable scope ([bin/], [bench/]) *)
   loc : int;  (** physical source lines *)
   has_mli : bool;
   ast : Parsetree.structure;  (** empty when the parse failed *)
   parse_error : (int * string) option;  (** line, message *)
 }
 
-type tree = { root : string; libs : lib list; files : file list }
+type tree = { root : string; dirs : string list; files : file list }
 
 (* ------------------------------------------------------------------ *)
 (* Root discovery                                                      *)
@@ -36,11 +26,12 @@ type tree = { root : string; libs : lib list; files : file list }
    and a [lib/] subdirectory appears.  Works from a checkout root and
    from inside dune's [_build/default] copy of the tree (which is where
    `dune runtest` executes), since dune copies both markers there. *)
+let is_dir path = try Sys.is_directory path with Sys_error _ -> false
+
 let find_root ?from () =
   let start = match from with Some d -> d | None -> Sys.getcwd () in
   let is_root dir =
-    Sys.file_exists (Filename.concat dir "dune-project")
-    && (try Sys.is_directory (Filename.concat dir "lib") with Sys_error _ -> false)
+    Sys.file_exists (Filename.concat dir "dune-project") && is_dir (Filename.concat dir "lib")
   in
   let rec go dir =
     if is_root dir then Some dir
@@ -54,43 +45,6 @@ let find_root_exn ?from () =
   match find_root ?from () with
   | Some r -> r
   | None -> failwith "srclint: no repo root (dune-project + lib/) above the current directory"
-
-(* ------------------------------------------------------------------ *)
-(* Dune-file interpretation                                            *)
-(* ------------------------------------------------------------------ *)
-
-let atom_of = function Sexp.Atom a -> Some a | Sexp.List _ -> None
-
-(* Pull [(name X)] and [(libraries ...)] out of a [(library ...)]
-   stanza; non-library stanzas (rules, tests) yield nothing. *)
-let library_of_stanza = function
-  | Sexp.List (Sexp.Atom "library" :: fields) ->
-      let name = ref None and deps = ref [] in
-      List.iter
-        (function
-          | Sexp.List (Sexp.Atom "name" :: Sexp.Atom n :: _) -> name := Some n
-          | Sexp.List (Sexp.Atom "libraries" :: ds) ->
-              deps := List.filter_map atom_of ds
-          | _ -> ())
-        fields;
-      Option.map (fun n -> (n, !deps)) !name
-  | _ -> None
-
-(* Pull the [(libraries ...)] out of an [(executable ...)] /
-   [(executables ...)] stanza. *)
-let executable_libraries_of_stanza = function
-  | Sexp.List (Sexp.Atom ("executable" | "executables") :: fields) ->
-      let deps = ref None in
-      List.iter
-        (function
-          | Sexp.List (Sexp.Atom "libraries" :: ds) ->
-              deps := Some (List.filter_map atom_of ds)
-          | _ -> ())
-        fields;
-      Some (Option.value ~default:[] !deps)
-  | _ -> None
-
-let module_of_lib_name name = String.capitalize_ascii name
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -126,69 +80,31 @@ let read_file path =
 
 let sorted_dir path = Sys.readdir path |> Array.to_list |> List.sort String.compare
 
-(* Executable directories scanned as pseudo-libraries: parse-error,
-   layering and spawn-site apply there too (the demo driver and the
-   bench harness reference every library), while the lib-only families
-   (missing-mli, TCB hygiene) do not. *)
+(* Executable directories: parse-error and spawn-site apply there too,
+   while the lib-only families (trusted-sink, hygiene) do not. *)
 let exe_dirs = [ "bin"; "bench" ]
 
 let load_tree ~root =
   let libdir = Filename.concat root "lib" in
-  let libs =
-    sorted_dir libdir
-    |> List.filter_map (fun entry ->
-           let dir = Filename.concat libdir entry in
-           let dune = Filename.concat dir "dune" in
-           if (try Sys.is_directory dir with Sys_error _ -> false) && Sys.file_exists dune then
-             match List.find_map library_of_stanza (Sexp.parse_file dune) with
-             | Some (name, deps) ->
-                 Some
-                   {
-                     lib_name = name;
-                     lib_dir = "lib/" ^ entry;
-                     lib_module = module_of_lib_name name;
-                     lib_deps = deps;
-                     lib_dune = "lib/" ^ entry ^ "/dune";
-                     lib_exe = false;
-                   }
-             | None -> None
-           else None)
+  let lib_dirs =
+    if is_dir libdir then
+      sorted_dir libdir
+      |> List.filter (fun entry -> is_dir (Filename.concat libdir entry))
+      |> List.map (fun entry -> "lib/" ^ entry)
+    else []
   in
-  let exes =
-    exe_dirs
-    |> List.filter_map (fun entry ->
-           let dir = Filename.concat root entry in
-           let dune = Filename.concat dir "dune" in
-           if (try Sys.is_directory dir with Sys_error _ -> false) && Sys.file_exists dune then
-             match List.filter_map executable_libraries_of_stanza (Sexp.parse_file dune) with
-             | [] -> None
-             | per_stanza ->
-                 Some
-                   {
-                     lib_name = entry;
-                     lib_dir = entry;
-                     (* No wrapped root module: nothing references an
-                        executable, so this must never match a path head. *)
-                     lib_module = "";
-                     lib_deps = List.concat per_stanza |> List.sort_uniq String.compare;
-                     lib_dune = entry ^ "/dune";
-                     lib_exe = true;
-                   }
-           else None)
-  in
-  let libs = libs @ exes in
+  let dirs = lib_dirs @ List.filter (fun d -> is_dir (Filename.concat root d)) exe_dirs in
   let files =
     List.concat_map
-      (fun lib ->
-        let dir = Filename.concat root lib.lib_dir in
+      (fun rel ->
+        let dir = Filename.concat root rel in
         sorted_dir dir
         |> List.filter (fun f ->
                (* .pp.ml are ppx-expanded build artifacts, not sources *)
                Filename.check_suffix f ".ml" && not (Filename.check_suffix f ".pp.ml"))
         |> List.map (fun f ->
-               let abs = Filename.concat dir f in
-               let content = read_file abs in
-               let path = lib.lib_dir ^ "/" ^ f in
+               let content = read_file (Filename.concat dir f) in
+               let path = rel ^ "/" ^ f in
                let ast, parse_error =
                  match parse_impl ~path content with
                  | Ok ast -> (ast, None)
@@ -196,12 +112,13 @@ let load_tree ~root =
                in
                {
                  path;
-                 library = lib;
+                 dir = rel;
+                 exe = List.mem rel exe_dirs;
                  loc = count_lines content;
                  has_mli = Sys.file_exists (Filename.concat dir (Filename.chop_suffix f ".ml" ^ ".mli"));
                  ast;
                  parse_error;
                }))
-      libs
+      dirs
   in
-  { root; libs; files }
+  { root; dirs; files }

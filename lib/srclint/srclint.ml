@@ -1,13 +1,13 @@
 (* Self-hosted source auditor.
 
-   Statically scans the repo's *own* OCaml sources (every lib/**/*.ml,
+   Statically scans the repo's *own* OCaml sources (every lib/*/*.ml,
    plus bin/ and bench/, parsed with compiler-libs) and enforces what
-   the runtime checkers cannot: that raw physical-memory mutation stays
-   inside the TCB allowlist (the CKI security argument), that the
-   inter-library layering DAG has no upward or cross edges, that no
-   file creates a domain, and a hygiene family (missing .mli,
-   Obj.magic / assert false in TCB files, unpaired
-   Gate_enter/Gate_exit probe emissions).
+   neither the runtime checkers nor the compiler can: that raw
+   physical-memory mutation stays inside the TCB allowlist (the CKI
+   security argument), that no file creates a domain, and a hygiene
+   family (missing .mli, Obj.magic / assert false in TCB files,
+   unpaired Gate_enter/Gate_exit probe emissions, whole-machine frame
+   sweeps).
 
    Every rule is an allowlist; there is no baseline of accepted
    findings.  `cki_demo lint-src` fails on any finding;
@@ -36,10 +36,10 @@ let count_by_rule findings =
     [] findings
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let scan ?arch ?tcb ~root () =
+let scan ?tcb ~root () =
   let t0 = Sys.time () in
   let tree = Source.load_tree ~root in
-  let findings = Rules.evaluate ?arch ?tcb tree in
+  let findings = Rules.evaluate ?tcb tree in
   let wall_ms = (Sys.time () -. t0) *. 1000.0 in
   {
     tree;
@@ -48,11 +48,22 @@ let scan ?arch ?tcb ~root () =
       {
         files = List.length tree.Source.files;
         loc = List.fold_left (fun n (f : Source.file) -> n + f.Source.loc) 0 tree.Source.files;
-        libraries = List.length tree.Source.libs;
+        libraries = List.length tree.Source.dirs;
         wall_ms;
         by_rule = count_by_rule findings;
       };
   }
+
+let unscanned { tree; _ } =
+  let parsed_in scope =
+    List.exists
+      (fun (f : Source.file) ->
+        f.Source.parse_error = None
+        && (f.Source.dir = scope || String.starts_with ~prefix:(scope ^ "/") f.Source.dir))
+      tree.Source.files
+  in
+  List.sort_uniq String.compare ("lib" :: "bin" :: "bench" :: tree.Source.dirs)
+  |> List.filter (fun d -> not (parsed_in d))
 
 let find_root = Source.find_root
 let find_root_exn = Source.find_root_exn

@@ -393,7 +393,6 @@ let every_event =
     Priv_exec { cpu = 1; mnemonic = "wrmsr"; destructive = true; pkrs = 0x55; blocked = true };
     Wrpkrs { cpu = 2; value = 0x5 };
     Sysret { cpu = 3; pkrs = 0x4; if_after = true };
-    Iret { cpu = 4; pkrs_before = 0; pkrs_after = 0x14 };
     Gate_enter { cpu = 5; gate = Hypercall_gate; pkrs = 0x14 };
     Gate_exit { cpu = 6; gate = Interrupt_gate; entry_pkrs = 0x14; pkrs = 0x15 };
     Idt_deliver
@@ -401,12 +400,8 @@ let every_event =
     Tlb_fill { cpu = 8; pcid = 9; vpn = 0x400; level = 2; pfn = 77 };
     Tlb_invlpg { cpu = 9; pcid = 10; vpn = 0x401 };
     Tlb_flush_pcid { cpu = 10; pcid = 11 };
-    Cr3_load { cpu = 11; pcid = 12; root = 4096 };
-    Pks_denied { key = 13; write = true };
-    Ksm_op { container = 14; op = "guest_map"; ok = false };
     Pte_downgrade { container = 15; root = 16; vpn = 0x402; unmapped = true };
     Container_boot { container = 17; pcid = 18 };
-    Mm_op { op = "mmap"; vpn = 0x403; pages = 19 };
     Io_doorbell { queue = "net-tx"; avail_idx = 20; in_flight = 21 };
     Io_completion { queue = "net-rx"; used_idx = 22; serviced = 23 };
   ]
