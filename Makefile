@@ -49,7 +49,7 @@ validate-bench: build
 
 # Compare every BENCH_*.json in the working tree with its committed
 # version (git HEAD): sim metrics that moved are listed, wall metrics
-# shown old -> new.  Visits every file, then exits non-zero if any sim
+# and tree counts (srclint's files, loc, libraries) shown old -> new.  Visits every file, then exits non-zero if any sim
 # metric differed or a file has no committed version.
 bench-compare: build
 	@mkdir -p _build/bench-compare; status=0; \

@@ -5,12 +5,14 @@
    A metric names its clock: [Sim] values come from the simulation
    (simulated time or a deterministic count) and must be bit-identical
    across runs; [Wall] values are host wall-clock and carry the host's
-   noise.  [n] is the number of observations behind the value: the
+   noise; [Tree] values count the source tree (files, lines), so they
+   move with every source edit and say nothing about a simulated
+   result.  [n] is the number of observations behind the value: the
    samples a mean, median or percentile was taken over, 1 for a single
    count.  A gate is an acceptance check; [validate] fails on any
    false gate, so a bench never exits on its own. *)
 
-type clock = Sim | Wall
+type clock = Sim | Wall | Tree
 type metric = { name : string; unit : string; clock : clock; value : float; n : int }
 type gate = { gate : string; ok : bool; detail : string }
 type t = { bench : string; metrics : metric list; gates : gate list }
@@ -18,8 +20,9 @@ type t = { bench : string; metrics : metric list; gates : gate list }
 let sim ?(n = 1) name unit value = { name; unit; clock = Sim; value; n }
 let wall ?(n = 1) name unit value = { name; unit; clock = Wall; value; n }
 let count ?n name unit v = sim ?n name unit (float_of_int v)
+let tree name unit v = { name; unit; clock = Tree; value = float_of_int v; n = 1 }
 let gate gate ok detail = { gate; ok; detail }
-let clock_name = function Sim -> "sim" | Wall -> "wall"
+let clock_name = function Sim -> "sim" | Wall -> "wall" | Tree -> "tree"
 
 let print t =
   let tbl =
@@ -87,7 +90,8 @@ let of_json j =
       match f "clock" with
       | Report.Json.String "sim" -> Sim
       | Report.Json.String "wall" -> Wall
-      | _ -> invalid "metric %S: clock must be \"sim\" or \"wall\"" name
+      | Report.Json.String "tree" -> Tree
+      | _ -> invalid "metric %S: clock must be \"sim\", \"wall\" or \"tree\"" name
     in
     let value =
       match f "value" with
@@ -169,9 +173,11 @@ let validate ~check files =
 (* Compare two artifacts metric by metric.  A [Sim] metric is
    deterministic, so any difference in value or [n], or a metric on one
    side only, is a difference; [Wall] metrics are printed as
-   old -> new with their ratio and never judged.  Values are compared
-   as written (6 significant digits).  Prints one line per difference
-   and per wall metric; true iff no sim metric differs. *)
+   old -> new with their ratio, a metric that is [Tree] on either side
+   as old -> new with its change when it moved, and neither is judged.
+   Values are compared as written (6 significant digits).  Prints one
+   line per difference, per wall metric and per moved tree count; true
+   iff no sim metric differs. *)
 let compare_files old_file new_file =
   match (load old_file, load new_file) with
   | Error msg, _ | _, Error msg ->
@@ -187,6 +193,10 @@ let compare_files old_file new_file =
           | Some a, Some b when a.clock = Wall && b.clock = Wall ->
               Printf.printf "  wall %s: %.6g -> %.6g %s (x%.3f)\n" name a.value b.value a.unit
                 (b.value /. a.value)
+          | Some a, Some b when a.clock = Tree || b.clock = Tree ->
+              if not (Float.equal a.value b.value) then
+                Printf.printf "  tree %s: %.6g -> %.6g %s (%+.6g)\n" name a.value b.value a.unit
+                  (b.value -. a.value)
           | Some a, Some b when a.clock = b.clock && Float.equal a.value b.value && a.n = b.n -> ()
           | Some a, Some b ->
               incr differ;

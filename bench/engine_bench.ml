@@ -9,6 +9,8 @@
      fragmented, mostly-full host;
    - frame/PTE arena: packed int-array metadata + one int64 Bigarray
      PTE arena with slot recycling;
+   - machine creation: a 2-vCPU 512 MiB host, as every migration
+     fabric and fleet tenant builds, in host ns and heap words;
    - probe recording: specialized int-encoding emitters into a flat
      int ring;
    - clock charging: [Clock.charge] of cost items;
@@ -75,6 +77,27 @@ let bench_alloc ~ops =
         let pfn = Hw.Phys_mem.alloc mem ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
         Hw.Phys_mem.free mem pfn
       done)
+
+(* Building a fabric or fleet host, [Machine.create ~cpus:2
+   ~mem_mib:512] (131,072 frames), in host ns and heap words per
+   machine.  The words are deterministic: frame metadata is built per
+   chunk on first write, so a fresh machine pays for its free bitmap and
+   chunk directory, not for its frames. *)
+let bench_machine_create ~ops =
+  let heap_words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let words = ref 0. in
+  let m =
+    time "machine_create" ~ops (fun () ->
+        let w0 = heap_words () in
+        for _ = 1 to ops do
+          ignore (Sys.opaque_identity (Hw.Machine.create ~cpus:2 ~mem_mib:512 ()))
+        done;
+        words := heap_words () -. w0)
+  in
+  [ m; Artifact.wall ~n:ops "machine_create_words" "words/op" (!words /. float_of_int ops) ]
 
 (* Probe recording under an active trace recorder. *)
 let bench_probe ~ops =
@@ -239,6 +262,7 @@ let bench_container_cycle ~ops =
 let run () =
   let alloc = bench_alloc ~ops:400_000 in
   let arena = bench_arena ~ops:100_000 in
+  let machine = bench_machine_create ~ops:100 in
   let translate = bench_translate ~ops:200_000 in
   let probe = bench_probe ~ops:1_200_000 in
   let clock = bench_clock ~ops:3_000_000 in
@@ -249,7 +273,8 @@ let run () =
   {
     Artifact.bench = "engine";
     metrics =
-      [ alloc; arena; translate; probe; clock ] @ primitives @ (virtio_copy :: serve) @ [ cycle ];
+      ((alloc :: arena :: machine) @ [ translate; probe; clock ])
+      @ primitives @ (virtio_copy :: serve) @ [ cycle ];
     gates =
       [
         Artifact.gate "restored 64 MiB copies analysis-clean" (cycle_findings = 0)

@@ -21,9 +21,9 @@ let run () =
     Artifact.bench = "srclint";
     metrics =
       [
-        Artifact.count "files" "files" s.Srclint.files;
-        Artifact.count "loc" "lines" s.Srclint.loc;
-        Artifact.count "libraries" "libraries" s.Srclint.libraries;
+        Artifact.tree "files" "files" s.Srclint.files;
+        Artifact.tree "loc" "lines" s.Srclint.loc;
+        Artifact.tree "libraries" "libraries" s.Srclint.libraries;
         Artifact.wall "scan" "ms" s.Srclint.wall_ms;
       ]
       @ List.map (fun (rule, n) -> Artifact.count ("findings." ^ rule) "findings" n) by_rule

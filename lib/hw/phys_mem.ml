@@ -7,8 +7,16 @@
 
    Raw-speed representation: frame metadata lives in packed int arrays
    (one int per frame per field) instead of an array of mutable
-   records, and all PTEs live in one flat [int64] Bigarray arena
-   addressed as [slot * 512 + index].  Table slots are acquired lazily
+   records.  The arrays come in chunks of 4096 frames (16 MiB of
+   simulated memory, ~132 KiB of metadata), indexed by [pfn lsr 12]
+   and [pfn land 4095].  A chunk is built by the first write that lands
+   in it and then stays; until then its directory entry points at one
+   shared zero chunk, never written, that holds a free frame's values.
+   Readers stay branch-free, and a machine pays for the chunks its
+   segments and KSM frames touch, not for its size.
+
+   All PTEs live in one flat [int64] Bigarray arena addressed as
+   [slot * 512 + index].  Table slots are acquired lazily
    the first time a frame is used as a (EPT/)page-table page and
    recycled when the frame is freed or reallocated, so the arena stays
    proportional to the number of live table pages, not to physical
@@ -51,8 +59,8 @@ type kind =
   | Device
 [@@deriving show { with_path = false }, eq]
 
-(* Packed encodings: [Free] must map to 0 so a zeroed array means
-   "all free". *)
+(* Packed encodings: [Free] and [Unused] must map to 0 so a zeroed
+   chunk means "all free". *)
 let encode_owner = function
   | Free -> 0
   | Host -> 1
@@ -101,13 +109,36 @@ let full_word = 0xFFFFFFFF
 type arena = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type links = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type t = {
-  total_frames : int;
+(* Frame metadata chunks: [chunk_frames] frames each, one int (or
+   byte) per frame per field, indexed by [pfn land chunk_mask]. *)
+let chunk_shift = 12
+let chunk_frames = 1 lsl chunk_shift
+let chunk_mask = chunk_frames - 1
+
+type chunk = {
   owner_of : int array;  (** encoded owner per frame *)
   kind_of : int array;  (** encoded kind per frame *)
   refcnt : int array;
   shared : Bytes.t;  (** 1 = CoW-shared read-only *)
   table_slot : int array;  (** frame -> arena slot, -1 = no table *)
+}
+
+let make_chunk n =
+  {
+    owner_of = Array.make n 0;
+    kind_of = Array.make n 0;
+    refcnt = Array.make n 0;
+    shared = Bytes.make n '\000';
+    table_slot = Array.make n (-1);
+  }
+
+(* Every unbuilt chunk of every machine: free-frame values, never
+   written (writers go through [wchunk]). *)
+let zero_chunk = make_chunk chunk_frames
+
+type t = {
+  total_frames : int;
+  chunks : chunk array;  (** [pfn lsr chunk_shift] -> chunk; [zero_chunk] = unbuilt *)
   mutable arena : arena;  (** all table pages: [slot * 512 + index] *)
   mutable arena_slots : int;  (** arena capacity, in 512-entry slots *)
   mutable used_slots : int;  (** next never-used slot *)
@@ -139,11 +170,7 @@ let create ~frames:n =
   let t =
     {
       total_frames = n;
-      owner_of = Array.make n 0;
-      kind_of = Array.make n 0;
-      refcnt = Array.make n 0;
-      shared = Bytes.make n '\000';
-      table_slot = Array.make n (-1);
+      chunks = Array.make ((n + chunk_mask) lsr chunk_shift) zero_chunk;
       arena = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (64 * entries);
       arena_slots = 64;
       used_slots = 0;
@@ -173,6 +200,22 @@ let create ~frames:n =
 
 let total_frames t = t.total_frames
 
+(* The chunk holding [pfn], for reading: possibly [zero_chunk].  Every
+   caller has range-checked [pfn] (or took it from the free bitmap), so
+   its directory index is in bounds. *)
+let[@inline] chunk t pfn = Array.unsafe_get t.chunks (pfn lsr chunk_shift)
+
+(* The last chunk of a machine covers only the frames it has. *)
+let build_chunk t i =
+  let c = make_chunk (min chunk_frames (t.total_frames - (i lsl chunk_shift))) in
+  t.chunks.(i) <- c;
+  c
+
+(* The chunk holding [pfn], for writing: built on first use. *)
+let[@inline] wchunk t pfn =
+  let c = chunk t pfn in
+  if c != zero_chunk then c else build_chunk t (pfn lsr chunk_shift)
+
 let check_pfn t pfn =
   if pfn < 0 || pfn >= t.total_frames then invalid_arg "Phys_mem.frame: pfn out of range"
 
@@ -182,7 +225,7 @@ let check_pfn t pfn =
    index ([link]), so it covers the code of every owned frame. *)
 let owner t pfn =
   check_pfn t pfn;
-  let code = t.owner_of.(pfn) in
+  let code = (chunk t pfn).owner_of.(pfn land chunk_mask) in
   match t.decoded.(code) with
   | Free when code <> 0 ->
       let o = decode_owner code in
@@ -192,11 +235,11 @@ let owner t pfn =
 
 let kind t pfn =
   check_pfn t pfn;
-  decode_kind t.kind_of.(pfn)
+  decode_kind (chunk t pfn).kind_of.(pfn land chunk_mask)
 
 let is_free t pfn =
   check_pfn t pfn;
-  t.owner_of.(pfn) = 0
+  (chunk t pfn).owner_of.(pfn land chunk_mask) = 0
 
 (* ------------------------------------------------------------------ *)
 (* PTE arena                                                           *)
@@ -212,10 +255,10 @@ let scrub_slot t s =
     t.dirty_hi.(s) <- -1
   end
 
-let release_slot t pfn =
-  let s = t.table_slot.(pfn) in
+let release_slot t c i =
+  let s = c.table_slot.(i) in
   if s >= 0 then begin
-    t.table_slot.(pfn) <- -1;
+    c.table_slot.(i) <- -1;
     scrub_slot t s;
     if t.n_free_slots = Array.length t.free_slots then begin
       let bigger = Array.make (2 * t.n_free_slots) 0 in
@@ -244,7 +287,8 @@ let grow_arena t =
 (* Acquire (lazily) this frame's table slot; recycled and fresh slots
    are already zero (the invariant), so acquisition is O(1). *)
 let ensure_slot t pfn =
-  let s = t.table_slot.(pfn) in
+  let c = wchunk t pfn and i = pfn land chunk_mask in
+  let s = c.table_slot.(i) in
   if s >= 0 then s
   else begin
     let s =
@@ -259,7 +303,7 @@ let ensure_slot t pfn =
         s
       end
     in
-    t.table_slot.(pfn) <- s;
+    c.table_slot.(i) <- s;
     s
   end
 
@@ -304,12 +348,14 @@ let unlink t pfn code =
     t.owner_count.(code) <- t.owner_count.(code) - 1
   end
 
-(* Move [pfn] to encoded owner [code], keeping the index in step. *)
-let reown t pfn code =
-  let old = t.owner_of.(pfn) in
+(* Move [pfn], held in built chunk [c], to encoded owner [code],
+   keeping the index in step. *)
+let reown t c pfn code =
+  let i = pfn land chunk_mask in
+  let old = c.owner_of.(i) in
   if old <> code then begin
     unlink t pfn old;
-    t.owner_of.(pfn) <- code;
+    c.owner_of.(i) <- code;
     link t pfn code
   end
 
@@ -361,11 +407,12 @@ let find_free_from t start =
    + bitmap/count update.  Any stale table slot from the frame's
    previous life is recycled. *)
 let[@inline] claim t pfn ~owner ~kind =
-  reown t pfn owner;
-  t.kind_of.(pfn) <- kind;
-  t.refcnt.(pfn) <- 0;
-  Bytes.set t.shared pfn '\000';
-  release_slot t pfn;
+  let c = wchunk t pfn and i = pfn land chunk_mask in
+  reown t c pfn owner;
+  c.kind_of.(i) <- kind;
+  c.refcnt.(i) <- 0;
+  Bytes.set c.shared i '\000';
+  release_slot t c i;
   clear_free_bit t pfn;
   t.free_count <- t.free_count - 1
 
@@ -423,22 +470,25 @@ let alloc_contiguous t ~owner ~kind ~count =
   done;
   !base
 
-(* Return an allocated frame to the free pool. *)
-let[@inline] release_frame t pfn =
-  if Bytes.get t.shared pfn <> '\000' && t.refcnt.(pfn) > 0 then
+(* Return an allocated frame to the free pool.  An owned frame was
+   claimed, so its chunk [c] is built and its fields reset in place. *)
+let[@inline] release_frame t c pfn =
+  let i = pfn land chunk_mask in
+  if Bytes.get c.shared i <> '\000' && c.refcnt.(i) > 0 then
     invalid_arg "Phys_mem.free: shared frame still referenced";
-  reown t pfn 0;
-  t.kind_of.(pfn) <- 0;
-  t.refcnt.(pfn) <- 0;
-  Bytes.set t.shared pfn '\000';
-  release_slot t pfn;
+  reown t c pfn 0;
+  c.kind_of.(i) <- 0;
+  c.refcnt.(i) <- 0;
+  Bytes.set c.shared i '\000';
+  release_slot t c i;
   set_free_bit t pfn;
   t.free_count <- t.free_count + 1
 
 let free t pfn =
   check_pfn t pfn;
-  if t.owner_of.(pfn) = 0 then invalid_arg "Phys_mem.free: double free";
-  release_frame t pfn
+  let c = chunk t pfn in
+  if c.owner_of.(pfn land chunk_mask) = 0 then invalid_arg "Phys_mem.free: double free";
+  release_frame t c pfn
 
 (* [free] over a run, with one range check, skipping frames that are
    already free. *)
@@ -447,38 +497,45 @@ let free_range t ~base ~count =
     check_pfn t base;
     check_pfn t (base + count - 1);
     for pfn = base to base + count - 1 do
-      if t.owner_of.(pfn) <> 0 then release_frame t pfn
+      let c = chunk t pfn in
+      if c.owner_of.(pfn land chunk_mask) <> 0 then release_frame t c pfn
     done
   end
 
 let set_kind t pfn kind =
   check_pfn t pfn;
-  t.kind_of.(pfn) <- encode_kind kind
+  (wchunk t pfn).kind_of.(pfn land chunk_mask) <- encode_kind kind
 
 let set_owner t pfn owner =
   check_pfn t pfn;
-  reown t pfn (encode_owner owner)
+  reown t (wchunk t pfn) pfn (encode_owner owner)
 
 let incr_ref t pfn =
   check_pfn t pfn;
-  t.refcnt.(pfn) <- t.refcnt.(pfn) + 1
+  let c = wchunk t pfn and i = pfn land chunk_mask in
+  c.refcnt.(i) <- c.refcnt.(i) + 1
 
 let decr_ref t pfn =
   check_pfn t pfn;
-  if t.refcnt.(pfn) <= 0 then invalid_arg "Phys_mem.decr_ref: refcount underflow";
-  t.refcnt.(pfn) <- t.refcnt.(pfn) - 1
+  let c = wchunk t pfn and i = pfn land chunk_mask in
+  if c.refcnt.(i) <= 0 then invalid_arg "Phys_mem.decr_ref: refcount underflow";
+  c.refcnt.(i) <- c.refcnt.(i) - 1
 
 let refcount t pfn =
   check_pfn t pfn;
-  t.refcnt.(pfn)
+  (chunk t pfn).refcnt.(pfn land chunk_mask)
 
 let set_shared_ro t pfn v =
   check_pfn t pfn;
-  Bytes.set t.shared pfn (if v then '\001' else '\000')
+  let c = wchunk t pfn in
+  Bytes.set c.shared (pfn land chunk_mask) (if v then '\001' else '\000')
 
 let is_shared_ro t pfn =
   check_pfn t pfn;
-  Bytes.get t.shared pfn <> '\000'
+  Bytes.get (chunk t pfn).shared (pfn land chunk_mask) <> '\000'
+
+(* A frame's arena slot, -1 = none; never builds a chunk. *)
+let[@inline] slot t pfn = (chunk t pfn).table_slot.(pfn land chunk_mask)
 
 (* Table-frame accessors: the frame's 512-entry slot in the PTE arena
    is acquired lazily on first write (a slot-less frame reads as all
@@ -486,7 +543,7 @@ let is_shared_ro t pfn =
 let read_entry t ~pfn ~index =
   check_pfn t pfn;
   if index < 0 || index >= entries then invalid_arg "Phys_mem.read_entry";
-  let s = t.table_slot.(pfn) in
+  let s = slot t pfn in
   if s < 0 then 0L else Bigarray.Array1.get t.arena ((s * entries) + index)
 
 (* Entries outside the slot's written range are zero (the arena
@@ -495,7 +552,7 @@ let read_entry t ~pfn ~index =
    writing other frames, which copies this slot's unchanged contents. *)
 let iter_entries t ~pfn f =
   check_pfn t pfn;
-  let s = t.table_slot.(pfn) in
+  let s = slot t pfn in
   if s >= 0 then begin
     let arena = t.arena and base = s * entries in
     for index = t.dirty_lo.(s) to t.dirty_hi.(s) do
@@ -540,7 +597,7 @@ let check_copy name t pfn buf ~off ~len =
 let read_bytes t ~pfn dst ~off ~len =
   check_copy "Phys_mem.read_bytes" t pfn dst ~off ~len;
   if len > 0 then begin
-    let s = t.table_slot.(pfn) in
+    let s = slot t pfn in
     if s < 0 then Bytes.fill dst off len '\000'
     else begin
       let base = s * entries and full = len lsr 3 in
@@ -583,14 +640,14 @@ let write_bytes t ~pfn src ~off ~len =
 
 let clear_table t pfn =
   check_pfn t pfn;
-  let s = t.table_slot.(pfn) in
+  let s = slot t pfn in
   if s >= 0 then scrub_slot t s
 
 (* Statistics used by tests and the host memory accountant. *)
 let count_owned t owner_pred =
   let c = ref 0 in
   for pfn = 0 to t.total_frames - 1 do
-    if owner_pred (decode_owner t.owner_of.(pfn)) then incr c
+    if owner_pred (decode_owner (chunk t pfn).owner_of.(pfn land chunk_mask)) then incr c
   done;
   !c
 

@@ -5,8 +5,11 @@
     page-table frames, real 512-entry runs of 64-bit PTEs, so the
     page-table walker operates on genuine in-memory structures.
 
-    Representation: metadata lives in packed int arrays and all PTEs
-    in one flat [int64] Bigarray arena ([slot * 512 + index]); free
+    Representation: metadata lives in packed int arrays, in chunks of
+    4096 frames built by the first write into them (an unbuilt chunk
+    reads as free frames, so a machine pays for the frames it uses,
+    not for its size), and all PTEs in one flat [int64] Bigarray
+    arena ([slot * 512 + index]); free
     frames are tracked in a bitmap with a rotating next-fit hint and a
     running count, making {!alloc} and {!free_frames} effectively
     O(1). Allocation order is identical to the earlier per-frame

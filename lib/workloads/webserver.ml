@@ -28,6 +28,7 @@ type server = {
   kind : kind;
   file_buf : Bytes.t;
   recv_buf : Bytes.t;
+  upstream_reply : Bytes.t;
 }
 
 let file_bytes = 8192
@@ -73,6 +74,7 @@ let create (b : Virt.Backend.t) kind =
     kind;
     file_buf = Bytes.create file_bytes;
     recv_buf = Bytes.create request_bytes;
+    upstream_reply = Bytes.create file_bytes;
   }
 
 let request_compute = function
@@ -99,7 +101,7 @@ let serve_one srv =
       sys (Kernel_model.Syscall.Send { fd = srv.upstream_fd; data = Bytes.create request_bytes });
       (match
          Kernel_model.Kernel.deliver_packets b.Virt.Backend.kernel ~sid:srv.upstream_id
-           [ Bytes.create file_bytes ]
+           [ srv.upstream_reply ]
        with
       | Ok () -> ()
       | Error `No_socket -> failwith "proxy upstream");

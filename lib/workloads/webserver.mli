@@ -29,6 +29,9 @@ type server = {
       (** the [file_bytes] buffer the file (and the proxy's upstream
           reply) is read into, allocated once per server *)
   recv_buf : Bytes.t;  (** the [request_bytes] buffer requests are received into *)
+  upstream_reply : Bytes.t;
+      (** the [file_bytes] reply the proxy's upstream delivers on every
+          request, allocated once per server *)
 }
 
 val create : Virt.Backend.t -> kind -> server

@@ -146,6 +146,84 @@ let nonzero_entries m pfn =
   Hw.Phys_mem.iter_entries m ~pfn (fun i e -> acc := (i, e) :: !acc);
   List.rev !acc
 
+(* Every reader agrees that [pfn] holds a free frame's values. *)
+let check_reads_free what m pfn =
+  let name s = Printf.sprintf "%s: pfn %d %s" what pfn s in
+  check_bool (name "owner Free") true (Hw.Phys_mem.owner m pfn = Hw.Phys_mem.Free);
+  check_bool (name "kind Unused") true (Hw.Phys_mem.kind m pfn = Hw.Phys_mem.Unused);
+  check_bool (name "is_free") true (Hw.Phys_mem.is_free m pfn);
+  check_int (name "refcount") 0 (Hw.Phys_mem.refcount m pfn);
+  check_bool (name "not shared") false (Hw.Phys_mem.is_shared_ro m pfn);
+  check_bool (name "read_entry") true (Hw.Phys_mem.read_entry m ~pfn ~index:511 = 0L);
+  check_int (name "iter_entries visits") 0 (List.length (nonzero_entries m pfn));
+  let buf = Bytes.make 4096 'x' in
+  Hw.Phys_mem.read_bytes m ~pfn buf ~off:0 ~len:4096;
+  check_bool (name "read_bytes zero-fills") true (Bytes.for_all (fun c -> c = '\000') buf)
+
+(* Frame metadata is built per 4096-frame chunk on first write, so a
+   4 GiB machine costs its free bitmap and chunk directory, not 4
+   words and a byte per frame (about 4.36 M words when it did). *)
+let test_phys_untouched_cost () =
+  let heap_words () =
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  let frames = 1 lsl 20 in
+  let w0 = heap_words () in
+  let m = Hw.Phys_mem.create ~frames in
+  let words = heap_words () -. w0 in
+  check_bool (Printf.sprintf "create 4 GiB: %.0f heap words < 100000" words) true (words < 100_000.);
+  check_reads_free "untouched" m (frames - 1)
+
+(* A chunk is built by the first write into it, never shared: writers
+   on machine [a] leave a fresh machine [b] free at the same pfns, and
+   the frames either side of a chunk boundary keep their own fields. *)
+let test_phys_writers_stay_local () =
+  let module P = Hw.Phys_mem in
+  let frames = 10 * 4096 in
+  let a = P.create ~frames in
+  let first = P.alloc a ~owner:P.Host ~kind:P.Data in
+  let run = P.alloc_contiguous a ~owner:(P.Container 1) ~kind:P.Data ~count:4097 in
+  check_int "alloc takes pfn 0" 0 first;
+  check_int "run spans the boundary" 1 run;
+  let pfn c = (c * 4096) + 17 in
+  P.set_kind a (pfn 2) (P.Page_table 1);
+  P.set_owner a (pfn 3) (P.Ksm 2);
+  P.incr_ref a (pfn 4);
+  P.set_shared_ro a (pfn 5) true;
+  P.write_entry a ~pfn:(pfn 6) ~index:3 7L;
+  P.write_run a ~pfn:(pfn 7) ~index:0 ~count:4 ~first:1L ~step:1L;
+  P.write_bytes a ~pfn:(pfn 8) (Bytes.make 16 'y') ~off:0 ~len:16;
+  check_bool "a: kind written" true (P.kind a (pfn 2) = P.Page_table 1);
+  check_bool "a: owner written" true (P.owner a (pfn 3) = P.Ksm 2);
+  check_int "a: refcount written" 1 (P.refcount a (pfn 4));
+  check_bool "a: shared written" true (P.is_shared_ro a (pfn 5));
+  check_bool "a: entry written" true (P.read_entry a ~pfn:(pfn 6) ~index:3 = 7L);
+  check_bool "a: run written" true (P.read_entry a ~pfn:(pfn 7) ~index:3 = 4L);
+  check_int "a: bytes written" 2 (List.length (nonzero_entries a (pfn 8)));
+  check_reads_free "a: rest of a built chunk" a (pfn 2 + 1);
+  check_reads_free "a: unbuilt chunk" a (pfn 9);
+  let b = P.create ~frames in
+  List.iter (check_reads_free "fresh b" b) [ 0; 1; 4095; 4096; 4097 ];
+  for c = 2 to 9 do
+    check_reads_free "fresh b" b (pfn c)
+  done;
+  P.set_kind a 4095 (P.Page_table 1);
+  P.write_entry a ~pfn:4095 ~index:0 9L;
+  P.set_shared_ro a 4096 true;
+  P.incr_ref a 4096;
+  check_bool "4095 kind" true (P.kind a 4095 = P.Page_table 1);
+  check_bool "4096 kind" true (P.kind a 4096 = P.Data);
+  check_bool "4096 entry" true (P.read_entry a ~pfn:4096 ~index:0 = 0L);
+  check_bool "4095 not shared" false (P.is_shared_ro a 4095);
+  check_int "4095 refcount" 0 (P.refcount a 4095);
+  check_int "4096 refcount" 1 (P.refcount a 4096);
+  P.set_shared_ro a 4096 false;
+  P.decr_ref a 4096;
+  P.free_range a ~base:run ~count:4097;
+  List.iter (check_reads_free "a: freed across the boundary" a) [ 4095; 4096 ];
+  check_int "a: owned by Container 1" 0 (P.count_owned a (fun o -> o = P.Container 1))
+
 (* Word-at-a-time reference for the page copies: [len] bytes of [buf]
    at [off] packed little-endian, one [write_entry] per word with the
    tail word zero-padded, and unpacked one [read_entry] per byte. *)
@@ -424,6 +502,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_iter_entries_model;
         QCheck_alcotest.to_alcotest prop_write_run;
         test_case "write_run bounds" `Quick test_write_run_bounds;
+        test_case "untouched frames cost nothing" `Quick test_phys_untouched_cost;
+        test_case "writers never reach another machine" `Quick test_phys_writers_stay_local;
       ] );
     ( "hw/page_table",
       [

@@ -283,6 +283,20 @@ let test_webserver_ordering () =
   check_bool "RunC fastest" true (static_runc > static_pvm);
   check_bool "proxy slower than static" true (static_pvm > proxy_pvm)
 
+(* Major-heap words per proxied request on a CKI container, over 4,000
+   requests after 200 of warm-up.  The upstream reply is one buffer per
+   server (a fresh 8 KiB reply per request cost ~1,000 words more).
+   What is left is mostly [Virtio.reclaim]'s fresh [Bytes.create len]
+   per RX chain, the copy-out of that same reply. *)
+let test_webserver_proxy_major_words () =
+  let b = cki () in
+  ignore (Workloads.Webserver.run b Workloads.Webserver.Nginx_proxy ~requests:200);
+  let words0 = (Gc.quick_stat ()).Gc.major_words in
+  let requests = 4000 in
+  ignore (Workloads.Webserver.run b Workloads.Webserver.Nginx_proxy ~requests);
+  let words = ((Gc.quick_stat ()).Gc.major_words -. words0) /. float_of_int requests in
+  check_bool (Printf.sprintf "proxy: %.1f major words/request < 1300" words) true (words < 1300.0)
+
 let test_netperf_rr_exit_sensitivity () =
   let rr mk = Workloads.Netperf.run_rr (mk ()) ~transactions:300 in
   let r_cki = rr cki in
@@ -335,6 +349,7 @@ let suite =
     ( "workloads/io",
       [
         test_case "webserver ordering" `Quick test_webserver_ordering;
+        test_case "proxy reply reused" `Quick test_webserver_proxy_major_words;
         test_case "netperf RR exit sensitivity" `Quick test_netperf_rr_exit_sensitivity;
       ] );
     ( "report",
