@@ -26,7 +26,10 @@
    - the container cycle: restore a captured 64 MiB container, scan it
      with [Analysis.check_machine], destroy it -- the table walks over
      its 16,384-leaf direct map that a migration pays on the target.
-     Gate: every restored copy is analysis-clean. *)
+     Gate: every restored copy is analysis-clean;
+   - one pre-copy migration of a 1,024-page app: dirty tracking, two
+     captures, restore, scan and the source's teardown, in host ns and
+     heap words per migration. *)
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
@@ -83,21 +86,30 @@ let bench_alloc ~ops =
    machine.  The words are deterministic: frame metadata is built per
    chunk on first write, so a fresh machine pays for its free bitmap and
    chunk directory, not for its frames. *)
+let heap_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* Heap words allocated by [f], counted between two full collections:
+   the runtime adds words allocated straight on the major heap to its
+   count only at a major slice, so without them the figure depends on
+   where the last slice fell, and so on whatever ran before. *)
+let words_of f =
+  Gc.full_major ();
+  let w0 = heap_words () in
+  let r = f () in
+  Gc.full_major ();
+  (r, heap_words () -. w0)
+
 let bench_machine_create ~ops =
-  let heap_words () =
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  let m, words =
+    words_of (fun () ->
+        time "machine_create" ~ops (fun () ->
+            for _ = 1 to ops do
+              ignore (Sys.opaque_identity (Hw.Machine.create ~cpus:2 ~mem_mib:512 ()))
+            done))
   in
-  let words = ref 0. in
-  let m =
-    time "machine_create" ~ops (fun () ->
-        let w0 = heap_words () in
-        for _ = 1 to ops do
-          ignore (Sys.opaque_identity (Hw.Machine.create ~cpus:2 ~mem_mib:512 ()))
-        done;
-        words := heap_words () -. w0)
-  in
-  [ m; Artifact.wall ~n:ops "machine_create_words" "words/op" (!words /. float_of_int ops) ]
+  [ m; Artifact.wall ~n:ops "machine_create_words" "words/op" (words /. float_of_int ops) ]
 
 (* Probe recording under an active trace recorder. *)
 let bench_probe ~ops =
@@ -259,6 +271,40 @@ let bench_container_cycle ~ops =
   in
   (m, !findings)
 
+(* One [Migrate.Engine.migrate] of a 1,024-page [Chaos.boot_app] at
+   the default dirty rate (about 40 pages per wire millisecond, so it
+   converges in a few rounds), each on a fresh 2-host fabric.  Building
+   the fabric and booting the app are outside the timer.  The heap
+   words (minor plus major, as allocated, counted by [words_of]) are
+   deterministic, so they track the host work without the host's
+   noise. *)
+let bench_migrate ~ops =
+  let ns = ref 0. and words = ref 0. in
+  for _ = 1 to ops do
+    let fab = Migrate.Fabric.create ~hosts:2 () in
+    let app = Migrate.Chaos.boot_app ~heap_pages:1024 fab ~hid:0 in
+    ignore (Migrate.Fabric.expose fab ~name:"svc" ~home:0);
+    let work = Migrate.Chaos.work_of app in
+    let elapsed, w =
+      words_of (fun () ->
+          let t0 = now_ns () in
+          (match
+             Migrate.Engine.migrate fab ~src:0 ~dst:1 ~name:"svc" app.Migrate.Chaos.container ~work
+               Migrate.Engine.default_opts
+           with
+          | Ok { Migrate.Engine.outcome = Migrate.Engine.Completed; _ } -> ()
+          | Ok _ -> failwith "engine bench: migration did not complete"
+          | Error e -> failwith ("engine bench: migrate: " ^ Migrate.Engine.show_error e));
+          now_ns () -. t0)
+    in
+    ns := !ns +. elapsed;
+    words := !words +. w
+  done;
+  [
+    Artifact.wall ~n:ops "migrate_1024" "ns/op" (!ns /. float_of_int ops);
+    Artifact.wall ~n:ops "migrate_1024_words" "words/op" (!words /. float_of_int ops);
+  ]
+
 let run () =
   let alloc = bench_alloc ~ops:400_000 in
   let arena = bench_arena ~ops:100_000 in
@@ -270,11 +316,12 @@ let run () =
   let virtio_copy = bench_virtio_copy ~ops:20_000 in
   let serve = bench_serve () in
   let cycle, cycle_findings = bench_container_cycle ~ops:100 in
+  let migrate = bench_migrate ~ops:60 in
   {
     Artifact.bench = "engine";
     metrics =
       ((alloc :: arena :: machine) @ [ translate; probe; clock ])
-      @ primitives @ (virtio_copy :: serve) @ [ cycle ];
+      @ primitives @ (virtio_copy :: serve) @ (cycle :: migrate);
     gates =
       [
         Artifact.gate "restored 64 MiB copies analysis-clean" (cycle_findings = 0)

@@ -162,10 +162,17 @@ let check_container (c : Cki.Container.t) : violation list =
   (* -------------------------------------------------------------- *)
   (* The walk                                                        *)
   (* -------------------------------------------------------------- *)
-  let visited : (Hw.Addr.pfn * int * Hw.Addr.va, unit) Hashtbl.t = Hashtbl.create 1024 in
+  (* Table frame -> the (level, va) places it was walked at: almost
+     always one. *)
+  let visited = Hw.Int_tbl.create 1024 in
+  let rec seen (lvl : int) (va_base : Hw.Addr.va) = function
+    | [] -> false
+    | (l, v) :: rest -> (l = lvl && v = va_base) || seen lvl va_base rest
+  in
   let rec walk_table ~lvl ~table ~va_base =
-    if not (Hashtbl.mem visited (table, lvl, va_base)) then begin
-      Hashtbl.add visited (table, lvl, va_base) ();
+    let places = Option.value (Hw.Int_tbl.find_opt visited table) ~default:[] in
+    if not (seen lvl va_base places) then begin
+      Hw.Int_tbl.replace visited table ((lvl, va_base) :: places);
       Hw.Phys_mem.iter_entries mem ~pfn:table (fun idx e ->
           if Hw.Pte.is_present e then begin
             let va = va_base + (idx * span lvl) in
@@ -349,11 +356,9 @@ let check_segments (containers : Cki.Container.t list) : violation list =
       let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
       List.iter
         (fun (base, n) ->
-          for pfn = base to base + n - 1 do
-            match Hw.Phys_mem.owner mem pfn with
-            | Hw.Phys_mem.Container k when k = id -> ()
-            | o -> add (Segment_owner { container = id; pfn; owner = Hw.Phys_mem.show_owner o })
-          done)
+          Hw.Phys_mem.iter_not_owned mem ~base ~count:n (Hw.Phys_mem.Container id) (fun pfn ->
+              let owner = Hw.Phys_mem.show_owner (Hw.Phys_mem.owner mem pfn) in
+              add (Segment_owner { container = id; pfn; owner })))
         segs)
     info;
   List.rev !out

@@ -24,7 +24,7 @@ type t = {
   cfg : Config.t;
   container_id : int;
   pcid : int;
-  aspaces : (int, Hw.Addr.pfn) Hashtbl.t;  (** aspace id -> guest root PTP *)
+  aspaces : Hw.Addr.pfn Hw.Int_tbl.t;  (** aspace id -> guest root PTP *)
   next_as : int ref;  (** next aspace id (snapshotted, so ids are stable) *)
 }
 
@@ -73,7 +73,7 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
     | Error e -> failwith (Printf.sprintf "KSM %s rejected: %s" label (Ksm.show_error e))
   in
   let root_of id =
-    match Hashtbl.find_opt aspaces id with
+    match Hw.Int_tbl.find_opt aspaces id with
     | Some r -> r
     | None -> invalid_arg "cki: unknown address space"
   in
@@ -90,7 +90,7 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
           incr next_as;
           let root = Kernel_model.Buddy.alloc buddy in
           ksm_exn "declare_root" (Ksm.declare_root ksm ~pfn:root);
-          Hashtbl.replace aspaces id root;
+          Hw.Int_tbl.replace aspaces id root;
           id);
       as_destroy =
         (fun id ->
@@ -98,7 +98,7 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
           ksm_exn "release_root"
             (Ksm.release_root ksm ~root ~free_ptp:(fun pfn -> Kernel_model.Buddy.free buddy pfn));
           Kernel_model.Buddy.free buddy root;
-          Hashtbl.remove aspaces id);
+          Hw.Int_tbl.remove aspaces id);
       as_switch =
         (fun id ->
           let root = root_of id in
@@ -213,7 +213,7 @@ let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) 
   let segments = Host.delegate host ~container:container_id ~frames:cfg.Config.segment_frames in
   let ksm = Ksm.create mem clock ~container_id ~cfg ~segments in
   let buddy = Kernel_model.Buddy.create_zones ~segments in
-  let aspaces = Hashtbl.create 16 in
+  let aspaces = Hw.Int_tbl.create 16 in
   let next_as = ref 0 in
   (* Cold boot pays the guest kernel's own boot sequence on top of the
      KSM construction — the cost snapshot restore and warm clones
@@ -262,10 +262,10 @@ let destroy t =
     invalid_arg
       (Printf.sprintf "Container.destroy: container %d is a frozen template with live clones" id);
   (* 1. Release CoW references on foreign shared frames. *)
-  let visited : (Hw.Addr.pfn, unit) Hashtbl.t = Hashtbl.create 256 in
+  let visited = Hw.Int_tbl.create 256 in
   let rec walk lvl pfn =
-    if not (Hashtbl.mem visited pfn) then begin
-      Hashtbl.replace visited pfn ();
+    if not (Hw.Int_tbl.mem visited pfn) then begin
+      Hw.Int_tbl.replace visited pfn ();
       Hw.Phys_mem.iter_entries mem ~pfn (fun _ e ->
           if Hw.Pte.is_present e then begin
             let target = Hw.Pte.pfn e in

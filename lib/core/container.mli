@@ -18,7 +18,7 @@ type t = {
   cfg : Config.t;
   container_id : int;
   pcid : int;
-  aspaces : (int, Hw.Addr.pfn) Hashtbl.t;
+  aspaces : Hw.Addr.pfn Hw.Int_tbl.t;
   next_as : int ref;
 }
 
@@ -64,7 +64,7 @@ val assemble :
   pcid:int ->
   ksm:Ksm.t ->
   buddy:Kernel_model.Buddy.t ->
-  aspaces:(int, Hw.Addr.pfn) Hashtbl.t ->
+  aspaces:Hw.Addr.pfn Hw.Int_tbl.t ->
   next_as:int ref ->
   unit ->
   t

@@ -25,17 +25,6 @@ type page_state =
 
 type root_info = { copies : Hw.Addr.pfn array (* per vCPU *) }
 
-(* Frame-keyed tables that hash and compare the frame number itself:
-   the scanner looks up the state of every leaf it meets, and the
-   polymorphic hash and compare cost more than the rest of the
-   lookup. *)
-module Frames = Hashtbl.Make (struct
-  type t = Hw.Addr.pfn
-
-  let equal = Int.equal
-  let hash pfn = pfn land max_int
-end)
-
 type error =
   | Not_guest_frame of Hw.Addr.pfn
   | Already_declared of Hw.Addr.pfn
@@ -56,11 +45,11 @@ type t = {
   clock : Hw.Clock.t;
   cfg : Config.t;
   segments : (Hw.Addr.pfn * int) list;  (** delegated (base, frames) *)
-  descs : page_state Frames.t;
+  descs : page_state Hw.Int_tbl.t;
       (** frames whose state is not [Guest_data]; absent = [Guest_data] *)
-  parents : (Hw.Addr.pfn * int) Frames.t;
+  parents : (Hw.Addr.pfn * int) Hw.Int_tbl.t;
       (** linked PTP -> the (table, index) entry that links it *)
-  roots : (Hw.Addr.pfn, root_info) Hashtbl.t;
+  roots : root_info Hw.Int_tbl.t;
   pervcpu : Pervcpu.t;
   kernel_root : Hw.Addr.pfn;  (** the guest kernel's boot address space *)
   template : (int * int64) list;  (** fixed L4 slots: direct map, image, KSM *)
@@ -80,14 +69,14 @@ let owns_frame t pfn = in_segments pfn t.segments
    state is not the default, so it stays the size of the declared set
    however many data pages the guest maps. *)
 let page_state_of t pfn =
-  match Frames.find_opt t.descs pfn with Some s -> s | None -> Guest_data
+  match Hw.Int_tbl.find_opt t.descs pfn with Some s -> s | None -> Guest_data
 
 let is_declared_ptp t pfn =
   match page_state_of t pfn with Guest_ptp _ -> true | Guest_data | Ksm_private -> false
 
 let set_state t pfn = function
-  | Guest_data -> Frames.remove t.descs pfn
-  | s -> Frames.replace t.descs pfn s
+  | Guest_data -> Hw.Int_tbl.remove t.descs pfn
+  | s -> Hw.Int_tbl.replace t.descs pfn s
 
 (* ------------------------------------------------------------------ *)
 (* Boot-time construction (trusted initialization)                     *)
@@ -209,9 +198,9 @@ let create mem clock ~container_id ~cfg ~segments =
       clock;
       cfg;
       segments;
-      descs = Frames.create 64;
-      parents = Frames.create 8;
-      roots = Hashtbl.create 16;
+      descs = Hw.Int_tbl.create 64;
+      parents = Hw.Int_tbl.create 8;
+      roots = Hw.Int_tbl.create 16;
       pervcpu;
       kernel_root = 0;
       template = [];
@@ -252,7 +241,7 @@ let create mem clock ~container_id ~cfg ~segments =
   let kernel_root = alloc_ksm_frame t (Hw.Phys_mem.Page_table 4) in
   List.iter (fun (idx, e) -> write_raw t ~pfn:kernel_root ~index:idx e) template;
   let t = { t with kernel_root } in
-  Hashtbl.replace t.roots kernel_root
+  Hw.Int_tbl.replace t.roots kernel_root
     {
       copies =
         Array.init vcpus (fun v ->
@@ -293,9 +282,9 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
       clock;
       cfg;
       segments = imp.i_segments;
-      descs = Frames.create 64;
-      parents = Frames.create 8;
-      roots = Hashtbl.create 16;
+      descs = Hw.Int_tbl.create 64;
+      parents = Hw.Int_tbl.create 8;
+      roots = Hw.Int_tbl.create 16;
       pervcpu;
       kernel_root = imp.i_kernel_root;
       template = imp.i_template;
@@ -321,11 +310,11 @@ let restore mem clock ~container_id ~cfg ~pervcpu (imp : import) =
         (fun (index, v) ->
           write_raw t ~pfn ~index v;
           if upper && Hw.Pte.is_present v && is_declared_ptp t (Hw.Pte.pfn v) then
-            Frames.replace t.parents (Hw.Pte.pfn v) (pfn, index))
+            Hw.Int_tbl.replace t.parents (Hw.Pte.pfn v) (pfn, index))
         entries;
       Hw.Clock.charge clock Hw.Cost.restore_table)
     imp.i_tables;
-  List.iter (fun (root, copies) -> Hashtbl.replace t.roots root { copies }) imp.i_roots;
+  List.iter (fun (root, copies) -> Hw.Int_tbl.replace t.roots root { copies }) imp.i_roots;
   (* The direct map is never imported: its VA layout keys on physical
      addresses (va = direct_map_base + pa), so a relocated import would
      leave leaves filed under the old machine's PAs — and every
@@ -399,7 +388,7 @@ let forget_ptp t pfn : (unit, error) result =
   match page_state_of t pfn with
   | Guest_data | Ksm_private -> Error (Not_declared pfn)
   | Guest_ptp _ ->
-      Frames.remove t.parents pfn;
+      Hw.Int_tbl.remove t.parents pfn;
       set_state t pfn Guest_data;
       Hw.Phys_mem.set_kind t.mem pfn Hw.Phys_mem.Data;
       retag_direct_map t pfn ~pkey:Hw.Pks.pkey_guest;
@@ -409,9 +398,9 @@ let forget_ptp t pfn : (unit, error) result =
    undeclaring either would let the guest map a table in use as
    writable data. *)
 let in_use t pfn =
-  Hashtbl.mem t.roots pfn
+  Hw.Int_tbl.mem t.roots pfn
   ||
-  match Frames.find_opt t.parents pfn with
+  match Hw.Int_tbl.find_opt t.parents pfn with
   | Some (table, index) ->
       let e = read_raw t ~pfn:table ~index in
       Hw.Pte.is_present e && Hw.Pte.pfn e = pfn
@@ -438,7 +427,7 @@ let check_leaf t ~va ~pfn ~(flags : Hw.Pte.flags) : (unit, error) result =
 (* Propagate a write of top-level slot [idx] to all per-vCPU copies
    (the user-range slots only; fixed slots are KSM-managed). *)
 let propagate_top t ~root ~idx v =
-  match Hashtbl.find_opt t.roots root with
+  match Hw.Int_tbl.find_opt t.roots root with
   | None -> ()
   | Some info -> Array.iter (fun copy -> write_raw t ~pfn:copy ~index:idx v) info.copies
 
@@ -450,7 +439,8 @@ let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error
   charge_call t;
   let leaf_level = if flags.Hw.Pte.huge then 2 else 1 in
   match page_state_of t root with
-  | (Guest_data | Ksm_private) when not (Hashtbl.mem t.roots root) -> Error (Undeclared_root root)
+  | (Guest_data | Ksm_private) when not (Hw.Int_tbl.mem t.roots root) ->
+      Error (Undeclared_root root)
   | _ -> (
       match check_leaf t ~va ~pfn ~flags with
       | Error e -> Error e
@@ -489,7 +479,7 @@ let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error
                         ~flags:{ Hw.Pte.default_flags with writable = true; user = true }
                     in
                     write_raw t ~pfn:table ~index:idx link;
-                    Frames.replace t.parents new_ptp (table, idx);
+                    Hw.Int_tbl.replace t.parents new_ptp (table, idx);
                     if lvl = 4 then propagate_top t ~root ~idx link;
                     go (lvl - 1) new_ptp
           in
@@ -497,7 +487,7 @@ let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error
 
 let guest_unmap t ~root ~va : (unit, error) result =
   charge_call t;
-  if not (Hashtbl.mem t.roots root) then Error (Undeclared_root root)
+  if not (Hw.Int_tbl.mem t.roots root) then Error (Undeclared_root root)
   else if Layout.in_ksm va || Layout.in_pervcpu va then Error (Reserved_range va)
   else begin
     let rec go lvl table =
@@ -517,7 +507,7 @@ let guest_unmap t ~root ~va : (unit, error) result =
 
 let guest_protect t ~root ~va ~writable : (unit, error) result =
   charge_call t;
-  if not (Hashtbl.mem t.roots root) then Error (Undeclared_root root)
+  if not (Hw.Int_tbl.mem t.roots root) then Error (Undeclared_root root)
   else if Layout.in_ksm va || Layout.in_pervcpu va then Error (Reserved_range va)
   else begin
     let rec go lvl table =
@@ -549,7 +539,7 @@ let declare_root t ~pfn : (unit, error) result =
             write_raw t ~pfn:copy ~index:Layout.l4_pervcpu (Pervcpu.l4_entry t.pervcpu v);
             copy)
       in
-      Hashtbl.replace t.roots pfn { copies };
+      Hw.Int_tbl.replace t.roots pfn { copies };
       Ok ()
 
 (* Validated CR3 load: only declared top-level PTPs; the loaded value
@@ -558,14 +548,14 @@ let load_cr3 t ~vcpu ~root : (Hw.Addr.pfn, error) result =
   charge_call t;
   if vcpu < 0 || vcpu >= Pervcpu.vcpus t.pervcpu then Error (Bad_vcpu vcpu)
   else
-    match Hashtbl.find_opt t.roots root with
+    match Hw.Int_tbl.find_opt t.roots root with
     | None -> Error (Undeclared_root root)
     | Some info -> Ok info.copies.(vcpu)
 
 (* Read a top-level PTE, propagating accessed/dirty bits from the
    per-vCPU copies into the original (Section 4.3). *)
 let read_top_pte t ~root ~idx : (int64, error) result =
-  match Hashtbl.find_opt t.roots root with
+  match Hw.Int_tbl.find_opt t.roots root with
   | None -> Error (Undeclared_root root)
   | Some info ->
       let acc = ref (read_raw t ~pfn:root ~index:idx) in
@@ -584,7 +574,7 @@ let iret t = charge_call t
 (* Release a process address space: undeclare + return its user-range
    PTPs through [free_ptp]; the KSM-owned copies are freed. *)
 let release_root t ~root ~free_ptp : (unit, error) result =
-  match Hashtbl.find_opt t.roots root with
+  match Hw.Int_tbl.find_opt t.roots root with
   | None -> Error (Undeclared_root root)
   | Some info ->
       let rec free_subtree lvl table =
@@ -612,7 +602,7 @@ let release_root t ~root ~free_ptp : (unit, error) result =
         end
       done;
       Array.iter (fun copy -> Hw.Phys_mem.free t.mem copy) info.copies;
-      Hashtbl.remove t.roots root;
+      Hw.Int_tbl.remove t.roots root;
       ignore (forget_ptp t root);
       Ok ()
 
@@ -620,7 +610,7 @@ let kernel_root t = t.kernel_root
 let idt t = t.idt
 let pervcpu t = t.pervcpu
 let ksm_call_count t = t.ksm_calls
-let root_copies t root = Option.map (fun i -> i.copies) (Hashtbl.find_opt t.roots root)
+let root_copies t root = Option.map (fun i -> i.copies) (Hw.Int_tbl.find_opt t.roots root)
 
 (* ------------------------------------------------------------------ *)
 (* Read-only introspection for the analysis library.  These expose     *)
@@ -632,13 +622,13 @@ let root_copies t root = Option.map (fun i -> i.copies) (Hashtbl.find_opt t.root
 let segments t = t.segments
 
 let declared_ptps t =
-  Frames.fold
+  Hw.Int_tbl.fold
     (fun pfn s acc -> match s with Guest_ptp lvl -> (pfn, lvl) :: acc | _ -> acc)
     t.descs []
 
-let state_records t = Frames.length t.descs
+let state_records t = Hw.Int_tbl.length t.descs
 
-let roots t = Hashtbl.fold (fun pfn info acc -> (pfn, info.copies) :: acc) t.roots []
+let roots t = Hw.Int_tbl.fold (fun pfn info acc -> (pfn, info.copies) :: acc) t.roots []
 
 (* Final teardown sweep: free every frame still owned by this container
    or its KSM, clearing a frozen template's shared_ro tag first so the

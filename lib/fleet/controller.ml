@@ -455,6 +455,7 @@ let run_tenant cfg tenant ~seed =
         phase p99 d_end infinity )
     end
   in
+  let tails = Report.Stats.percentiles !latencies [| 50.0; 95.0; 99.0 |] in
   let merge_pool_stats () =
     Array.fold_left
       (fun (a : Snapshot.Pool.stats) p ->
@@ -478,9 +479,9 @@ let run_tenant cfg tenant ~seed =
     tr_shed_inflight = Admission.shed_inflight admission;
     tr_completed = !completed;
     tr_mean_us = Report.Stats.mean !latencies;
-    tr_p50_us = Report.Stats.percentile !latencies ~p:50.0;
-    tr_p95_us = Report.Stats.percentile !latencies ~p:95.0;
-    tr_p99_us = Report.Stats.percentile !latencies ~p:99.0;
+    tr_p50_us = tails.(0);
+    tr_p95_us = tails.(1);
+    tr_p99_us = tails.(2);
     tr_windows = Autoscaler.windows autoscaler;
     tr_breaches = Autoscaler.breaches autoscaler;
     tr_scale_outs = !scale_outs;

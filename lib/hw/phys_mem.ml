@@ -36,7 +36,10 @@
    2 x frames ([2*pfn] = prev, [2*pfn+1] = next) plus a head and a count
    per encoded owner.  The lists change only where ownership changes
    ([claim], [free], [set_owner]), so [iter_owned] and [owned_count]
-   cost O(frames owned) and O(1) instead of a sweep of the machine.
+   cost O(frames owned) and O(1) instead of a sweep of the machine.  A
+   delegated segment joins its owner's list in one splice
+   ([claim_run]) and leaves it in one unlink ([free_range] over an
+   intact run), in the order single claims would give it.
    The link array is never initialised: a pair is written only when its
    frame is linked, so pages of it covering never-allocated frames are
    never faulted in (eager arrays cost every fresh 512 MiB host 2 MiB). *)
@@ -317,21 +320,25 @@ let[@inline] next t pfn = Int32.to_int (Bigarray.Array1.get t.links ((2 * pfn) +
 let[@inline] set_prev t pfn p = Bigarray.Array1.set t.links (2 * pfn) (Int32.of_int p)
 let[@inline] set_next t pfn n = Bigarray.Array1.set t.links ((2 * pfn) + 1) (Int32.of_int n)
 
+(* Make the per-owner arrays cover encoded owner [code]. *)
+let ensure_code t code =
+  let cap = Array.length t.owner_head in
+  if code >= cap then begin
+    let cap' = max (2 * cap) (code + 1) in
+    let head = Array.make cap' nil and count = Array.make cap' 0 in
+    let decoded = Array.make cap' Free in
+    Array.blit t.owner_head 0 head 0 cap;
+    Array.blit t.owner_count 0 count 0 cap;
+    Array.blit t.decoded 0 decoded 0 cap;
+    t.owner_head <- head;
+    t.owner_count <- count;
+    t.decoded <- decoded
+  end
+
 (* Push [pfn] on the list of encoded owner [code] ([Free] has none). *)
 let link t pfn code =
   if code <> 0 then begin
-    let cap = Array.length t.owner_head in
-    if code >= cap then begin
-      let cap' = max (2 * cap) (code + 1) in
-      let head = Array.make cap' nil and count = Array.make cap' 0 in
-      let decoded = Array.make cap' Free in
-      Array.blit t.owner_head 0 head 0 cap;
-      Array.blit t.owner_count 0 count 0 cap;
-      Array.blit t.decoded 0 decoded 0 cap;
-      t.owner_head <- head;
-      t.owner_count <- count;
-      t.decoded <- decoded
-    end;
+    ensure_code t code;
     let h = t.owner_head.(code) in
     set_prev t pfn nil;
     set_next t pfn h;
@@ -424,6 +431,68 @@ let alloc t ~owner ~kind =
   claim t pfn ~owner:(encode_owner owner) ~kind:(encode_kind kind);
   pfn
 
+(* [release_slot] over indices [lo .. hi] of [c], in ascending order. *)
+let release_slots t c lo hi =
+  for i = lo to hi do
+    if Array.unsafe_get c.table_slot i >= 0 then release_slot t c i
+  done
+
+(* Apply [f c first lo hi] to each chunk [c] that [base .. base+count-1]
+   meets, with [lo .. hi] the range's indices inside it and [first] the
+   pfn at index [lo]; [get] picks the chunk ([chunk] to read, [wchunk]
+   to write). *)
+let[@inline] iter_chunks t get base count f =
+  let last = base + count - 1 in
+  let pfn = ref base in
+  while !pfn <= last do
+    let p = !pfn in
+    let stop = min last (p lor chunk_mask) in
+    f (get t p) p (p land chunk_mask) (stop land chunk_mask);
+    pfn := stop + 1
+  done
+
+(* Set or clear the free bits of [base .. base+count-1] a word at a
+   time. *)
+let set_free_bits t base count free =
+  let last = base + count - 1 in
+  let pfn = ref base in
+  while !pfn <= last do
+    let p = !pfn in
+    let w = p lsr word_shift in
+    let hi = min last (p lor bit_mask) in
+    let lo_bit = p land bit_mask and hi_bit = hi land bit_mask in
+    let m = ((1 lsl (hi_bit - lo_bit + 1)) - 1) lsl lo_bit in
+    t.free_bits.(w) <- (if free then t.free_bits.(w) lor m else t.free_bits.(w) land lnot m);
+    pfn := hi + 1
+  done
+
+(* [claim] of every frame of a free run, in one step: the fields are
+   written chunk by chunk, and the run joins the owner list as [count]
+   pushes in ascending order would leave it, [base + count - 1] first,
+   then down to [base], then the previous head. *)
+let claim_run t base count ~owner ~kind =
+  iter_chunks t wchunk base count (fun c _ lo hi ->
+      Array.fill c.owner_of lo (hi - lo + 1) owner;
+      Array.fill c.kind_of lo (hi - lo + 1) kind;
+      Array.fill c.refcnt lo (hi - lo + 1) 0;
+      Bytes.fill c.shared lo (hi - lo + 1) '\000';
+      release_slots t c lo hi);
+  if owner <> 0 then begin
+    ensure_code t owner;
+    let last = base + count - 1 and h = t.owner_head.(owner) in
+    for pfn = base to last do
+      Bigarray.Array1.unsafe_set t.links (2 * pfn) (Int32.of_int (pfn + 1));
+      Bigarray.Array1.unsafe_set t.links ((2 * pfn) + 1) (Int32.of_int (pfn - 1))
+    done;
+    set_prev t last nil;
+    set_next t base h;
+    if h <> nil then set_prev t h base;
+    t.owner_head.(owner) <- last;
+    t.owner_count.(owner) <- t.owner_count.(owner) + count
+  end;
+  set_free_bits t base count false;
+  t.free_count <- t.free_count - count
+
 (* Allocate [count] physically-contiguous frames; first-fit from frame
    0.  This is the delegation primitive CKI uses for hPA segments, and
    the source of the paper's acknowledged fragmentation limitation.
@@ -464,10 +533,7 @@ let alloc_contiguous t ~owner ~kind ~count =
      done
    with Exit -> ());
   if !base < 0 then raise Out_of_memory;
-  let owner = encode_owner owner and kind = encode_kind kind in
-  for i = !base to !base + count - 1 do
-    claim t i ~owner ~kind
-  done;
+  claim_run t !base count ~owner:(encode_owner owner) ~kind:(encode_kind kind);
   !base
 
 (* Return an allocated frame to the free pool.  An owned frame was
@@ -490,16 +556,70 @@ let free t pfn =
   if c.owner_of.(pfn land chunk_mask) = 0 then invalid_arg "Phys_mem.free: double free";
   release_frame t c pfn
 
+(* The owner code of [base .. base+count-1] if the run is one piece of
+   that owner's list as [claim_run] leaves it ([base + count - 1]
+   first, then down to [base]) and holds no CoW-shared frame; 0
+   otherwise. *)
+let intact_run t base count =
+  let last = base + count - 1 in
+  let code = (chunk t base).owner_of.(base land chunk_mask) in
+  let ok = ref (code <> 0) and pfn = ref base in
+  while !ok && !pfn <= last do
+    let c = chunk t !pfn in
+    let stop = min last (!pfn lor chunk_mask) in
+    while !ok && !pfn <= stop do
+      let p = !pfn in
+      let i = p land chunk_mask in
+      ok :=
+        Array.unsafe_get c.owner_of i = code
+        && Bytes.unsafe_get c.shared i = '\000'
+        && (p = base || Int32.to_int (Bigarray.Array1.unsafe_get t.links ((2 * p) + 1)) = p - 1);
+      incr pfn
+    done
+  done;
+  if !ok then code else 0
+
 (* [free] over a run, with one range check, skipping frames that are
-   already free. *)
+   already free.  An intact run leaves its owner list in one unlink and
+   has its fields reset chunk by chunk, slots released in ascending pfn
+   order as the per-frame path releases them. *)
 let free_range t ~base ~count =
   if count > 0 then begin
     check_pfn t base;
     check_pfn t (base + count - 1);
-    for pfn = base to base + count - 1 do
-      let c = chunk t pfn in
-      if c.owner_of.(pfn land chunk_mask) <> 0 then release_frame t c pfn
-    done
+    let code = intact_run t base count in
+    if code <> 0 then begin
+      let last = base + count - 1 in
+      let p = prev t last and n = next t base in
+      if p = nil then t.owner_head.(code) <- n else set_next t p n;
+      if n <> nil then set_prev t n p;
+      t.owner_count.(code) <- t.owner_count.(code) - count;
+      iter_chunks t chunk base count (fun c _ lo hi ->
+          Array.fill c.owner_of lo (hi - lo + 1) 0;
+          Array.fill c.kind_of lo (hi - lo + 1) 0;
+          Array.fill c.refcnt lo (hi - lo + 1) 0;
+          release_slots t c lo hi);
+      set_free_bits t base count true;
+      t.free_count <- t.free_count + count
+    end
+    else
+      for pfn = base to base + count - 1 do
+        let c = chunk t pfn in
+        if c.owner_of.(pfn land chunk_mask) <> 0 then release_frame t c pfn
+      done
+  end
+
+(* One pass over the owner codes of a range, a chunk at a time; [f]
+   runs only on the exceptions. *)
+let iter_not_owned t ~base ~count owner f =
+  if count > 0 then begin
+    check_pfn t base;
+    check_pfn t (base + count - 1);
+    let code = encode_owner owner in
+    iter_chunks t chunk base count (fun c first lo hi ->
+        for i = lo to hi do
+          if Array.unsafe_get c.owner_of i <> code then f (first - lo + i)
+        done)
   end
 
 let set_kind t pfn kind =

@@ -61,7 +61,11 @@ val alloc : t -> owner:owner -> kind:kind -> Addr.pfn
 val alloc_contiguous : t -> owner:owner -> kind:kind -> count:int -> Addr.pfn
 (** First-fit allocation of [count] physically-contiguous frames — the
     hPA-segment delegation primitive, and the source of CKI's
-    acknowledged fragmentation limitation.
+    acknowledged fragmentation limitation.  The run is claimed in one
+    step: its fields are written a chunk at a time, and it joins the
+    owner's list exactly as [count] single {!alloc}-style claims in
+    ascending pfn order would leave it (last frame first, down to the
+    base, then the previous head), so {!iter_owned} order is the same.
     @raise Out_of_memory when no sufficient run exists. *)
 
 val free : t -> Addr.pfn -> unit
@@ -70,7 +74,12 @@ val free : t -> Addr.pfn -> unit
 val free_range : t -> base:Addr.pfn -> count:int -> unit
 (** [free_range t ~base ~count] frees every allocated frame of
     [base .. base+count-1], as {!free} would one by one; frames already
-    free are skipped. The owner index stays exact.
+    free are skipped. The owner index stays exact.  A range that is one
+    piece of a single owner's list as {!alloc_contiguous} left it (a
+    whole run or a sub-run, no frame re-owned, freed or CoW-shared
+    since) is unlinked in one step and reset a chunk at a time; any
+    other range takes the per-frame path.  The result is the same
+    either way.
     @raise Invalid_argument when the range leaves memory, or on a
     shared frame still referenced (earlier frames stay freed). *)
 
@@ -144,8 +153,18 @@ val owned_count : t -> owner -> int
 (** Frames currently owned by [owner], in O(1). [owned_count t Free]
     is {!free_frames}. *)
 
+val iter_not_owned : t -> base:Addr.pfn -> count:int -> owner -> (Addr.pfn -> unit) -> unit
+(** [iter_not_owned t ~base ~count owner f] calls [f] on every frame of
+    [base .. base+count-1] not held by [owner], in ascending pfn order:
+    one pass over the range's owner codes, a chunk at a time, with [f]
+    called only on the exceptions.  The scanner's segment-owner rule
+    and capture's closure check use it.
+    @raise Invalid_argument when the range leaves memory. *)
+
 val iter_owned : t -> owner -> (Addr.pfn -> unit) -> unit
 (** [iter_owned t owner f] calls [f] on every frame [owner] holds, in
-    no particular order, in O(frames owned). [f] may free or re-own the
+    O(frames owned), most recently claimed first: each claim or re-own
+    pushes its frame on the front of the owner's list, and a frame
+    leaving it leaves the rest in order. [f] may free or re-own the
     frame it is visiting but no other frame of [owner].
     @raise Invalid_argument for [Free], whose frames are not indexed. *)

@@ -424,6 +424,7 @@ let run cfg =
     List.fold_left (fun acc c -> acc + Kernel_model.Kernel.tx_stalls c.lane.Lane.kernel) 0 chans
   in
   let lat_us = List.map (fun ns -> ns /. 1e3) !latencies in
+  let tails = Report.Stats.percentiles lat_us [| 50.0; 95.0; 99.0 |] in
   let fl = float_of_int total in
   let label =
     match chans with c :: _ -> c.lane.Lane.backend.Virt.Backend.label | [] -> cfg.backend
@@ -438,9 +439,9 @@ let run cfg =
       r_window = cfg.window;
       r_throughput_rps = fl /. (elapsed_ns /. 1e9);
       r_mean_us = Report.Stats.mean lat_us;
-      r_p50_us = Report.Stats.percentile lat_us ~p:50.0;
-      r_p95_us = Report.Stats.percentile lat_us ~p:95.0;
-      r_p99_us = Report.Stats.percentile lat_us ~p:99.0;
+      r_p50_us = tails.(0);
+      r_p95_us = tails.(1);
+      r_p99_us = tails.(2);
       r_doorbells = doorbells;
       r_suppressed_kicks = suppressed_kicks;
       r_interrupts = interrupts;

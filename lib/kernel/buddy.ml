@@ -147,10 +147,15 @@ let zones t = Array.to_list (Array.map (fun z -> (z.base, z.frames)) t.zones)
 let allocated_blocks t =
   Array.fold_right
     (fun z acc ->
-      let l = ref acc in
-      for i = z.frames - 1 downto 0 do
-        let order = head_order z (z.base + i) in
-        if order >= 0 then l := (z.base + i, order) :: !l
+      let l = ref acc and i = ref (z.frames - 1) in
+      while !i >= 0 do
+        (* Heads are sparse: skip eight frames that head nothing at once. *)
+        if !i land 7 = 7 && Bytes.get_int64_le z.head_order (!i - 7) = 0L then i := !i - 8
+        else begin
+          let c = Char.code (Bytes.get z.head_order !i) in
+          if c > 0 then l := (z.base + !i, c - 1) :: !l;
+          decr i
+        end
       done;
       !l)
     t.zones []

@@ -14,16 +14,16 @@ type t = {
   platform : Platform.t;
   aspace : Platform.aspace;
   vmas : Vma.t;
-  pages : (Hw.Addr.vpn, Hw.Addr.pfn) Hashtbl.t;  (** resident pages *)
-  cow : (Hw.Addr.vpn, cow_entry) Hashtbl.t;  (** un-broken CoW pages *)
-  frozen : (Hw.Addr.vpn, unit) Hashtbl.t;
+  pages : Hw.Addr.pfn Hw.Int_tbl.t;  (** resident pages, by vpn *)
+  cow : cow_entry Hw.Int_tbl.t;  (** un-broken CoW pages *)
+  frozen : unit Hw.Int_tbl.t;
       (** template pages whose frames live clones share read-only: a
           write is a fault, mirroring the hardware PTE downgrade *)
-  wp : (Hw.Addr.vpn, unit) Hashtbl.t;
+  wp : unit Hw.Int_tbl.t;
       (** pages write-protected by the dirty-tracking epoch: the PTE
           was downgraded read-only; the first write takes a fault that
           re-arms it writable and logs the page as dirty *)
-  dirty : (Hw.Addr.vpn, unit) Hashtbl.t;  (** dirty log of the current epoch *)
+  dirty : unit Hw.Int_tbl.t;  (** dirty log of the current epoch *)
   mutable tracking : bool;
   mutable release_shared : Hw.Addr.pfn -> unit;
       (** drop one reference on a template frame (set by the clone) *)
@@ -45,11 +45,11 @@ let create platform =
       platform;
       aspace;
       vmas = Vma.create ();
-      pages = Hashtbl.create 1024;
-      cow = Hashtbl.create 16;
-      frozen = Hashtbl.create 16;
-      wp = Hashtbl.create 16;
-      dirty = Hashtbl.create 16;
+      pages = Hw.Int_tbl.create 1024;
+      cow = Hw.Int_tbl.create 16;
+      frozen = Hw.Int_tbl.create 16;
+      wp = Hw.Int_tbl.create 16;
+      dirty = Hw.Int_tbl.create 16;
       tracking = false;
       release_shared = ignore;
       brk = user_brk_base;
@@ -74,11 +74,11 @@ let restore platform ~aspace ~brk ~mmap_cursor =
     platform;
     aspace;
     vmas = Vma.create ();
-    pages = Hashtbl.create 1024;
-    cow = Hashtbl.create 16;
-    frozen = Hashtbl.create 16;
-    wp = Hashtbl.create 16;
-    dirty = Hashtbl.create 16;
+    pages = Hw.Int_tbl.create 1024;
+    cow = Hw.Int_tbl.create 16;
+    frozen = Hw.Int_tbl.create 16;
+    wp = Hw.Int_tbl.create 16;
+    dirty = Hw.Int_tbl.create 16;
     tracking = false;
     release_shared = ignore;
     brk;
@@ -89,16 +89,16 @@ let restore platform ~aspace ~brk ~mmap_cursor =
   }
 
 let destroy t =
-  Hashtbl.iter
+  Hw.Int_tbl.iter
     (fun vpn pfn ->
-      match Hashtbl.find_opt t.cow vpn with
+      match Hw.Int_tbl.find_opt t.cow vpn with
       | Some { shared; own } ->
           t.release_shared shared;
           t.platform.Platform.free_frame own
       | None -> t.platform.Platform.free_frame pfn)
     t.pages;
-  Hashtbl.reset t.pages;
-  Hashtbl.reset t.cow;
+  Hw.Int_tbl.reset t.pages;
+  Hw.Int_tbl.reset t.cow;
   t.platform.Platform.as_destroy t.aspace
 
 let aspace t = t.aspace
@@ -106,9 +106,12 @@ let fault_count t = t.faults
 let resident_pages t = t.resident
 let brk_now t = t.brk
 let mmap_cursor_now t = t.mmap_cursor
-let cow_count t = Hashtbl.length t.cow
-let is_cow t vpn = Hashtbl.mem t.cow vpn
-let iter_pages t f = Hashtbl.iter f t.pages
+let cow_count t = Hw.Int_tbl.length t.cow
+let is_cow t vpn = Hw.Int_tbl.mem t.cow vpn
+
+let iter_pages t f =
+  Array.iter (fun vpn -> f vpn (Hw.Int_tbl.find t.pages vpn)) (Hw.Int_tbl.sorted_keys t.pages)
+
 let iter_vmas t f = Vma.iter t.vmas f
 
 let add_vma t ~start ~stop ~prot ~backing = ignore (Vma.add t.vmas ~start ~stop ~prot ~backing)
@@ -116,18 +119,18 @@ let add_vma t ~start ~stop ~prot ~backing = ignore (Vma.add t.vmas ~start ~stop 
 (* Register a page as resident without touching the page tables — used
    by snapshot restore, where the leaf PTEs were imported wholesale. *)
 let adopt_page t ~vpn ~pfn =
-  Hashtbl.replace t.pages vpn pfn;
+  Hw.Int_tbl.replace t.pages vpn pfn;
   t.resident <- t.resident + 1
 
-let mark_cow t ~vpn ~shared ~own = Hashtbl.replace t.cow vpn { shared; own }
+let mark_cow t ~vpn ~shared ~own = Hw.Int_tbl.replace t.cow vpn { shared; own }
 let set_release_shared t f = t.release_shared <- f
 
 (* Template freeze: the hardware PTE was downgraded read-only through
    the KSM; record it here so the model faults on a write too, instead
    of silently "succeeding" into a frame that live clones share. *)
-let freeze_page t ~vpn = Hashtbl.replace t.frozen vpn ()
-let is_frozen t vpn = Hashtbl.mem t.frozen vpn
-let frozen_count t = Hashtbl.length t.frozen
+let freeze_page t ~vpn = Hw.Int_tbl.replace t.frozen vpn ()
+let is_frozen t vpn = Hw.Int_tbl.mem t.frozen vpn
+let frozen_count t = Hw.Int_tbl.length t.frozen
 
 (* --- Dirty-page tracking (live-migration pre-copy) -------------------
    Write-protect-and-log, reusing the CoW write-fault shape: every
@@ -141,34 +144,32 @@ let frozen_count t = Hashtbl.length t.frozen
    by [handle_fault] since they did not exist in the last image. *)
 
 let tracking t = t.tracking
-let dirty_count t = Hashtbl.length t.dirty
+let dirty_count t = Hw.Int_tbl.length t.dirty
 
 let wp_page t ~shootdown vpn =
   let va = Hw.Addr.va_of_vpn vpn in
   match Vma.find t.vmas va with
   | Some area
     when area.Vma.prot.Vma.write
-         && Hashtbl.mem t.pages vpn
-         && (not (Hashtbl.mem t.cow vpn))
-         && not (Hashtbl.mem t.frozen vpn) ->
+         && Hw.Int_tbl.mem t.pages vpn
+         && (not (Hw.Int_tbl.mem t.cow vpn))
+         && not (Hw.Int_tbl.mem t.frozen vpn) ->
       t.platform.Platform.pte_protect t.aspace ~va ~writable:false;
       shootdown va;
-      Hashtbl.replace t.wp vpn ();
+      Hw.Int_tbl.replace t.wp vpn ();
       true
   | _ -> false
 
 let dirty_track_start t ~shootdown =
   if t.tracking then invalid_arg "Mm.dirty_track_start: already tracking";
   t.tracking <- true;
-  Hashtbl.reset t.dirty;
+  Hw.Int_tbl.reset t.dirty;
   let n = ref 0 in
-  let vpns = Hashtbl.fold (fun vpn _ acc -> vpn :: acc) t.pages [] in
-  List.iter (fun vpn -> if wp_page t ~shootdown vpn then incr n) vpns;
+  (* [wp_page] writes [wp] and the page tables, never [pages]. *)
+  Hw.Int_tbl.iter (fun vpn _ -> if wp_page t ~shootdown vpn then incr n) t.pages;
   !n
 
-let harvest_dirty t =
-  Hashtbl.fold (fun vpn () acc -> vpn :: acc) t.dirty []
-  |> List.sort compare
+let harvest_dirty t = Array.to_list (Hw.Int_tbl.sorted_keys t.dirty)
 
 (* End one pre-copy round: harvest the dirty log and re-arm write
    protection on exactly those pages, so the next round only sees new
@@ -176,7 +177,7 @@ let harvest_dirty t =
 let dirty_track_round t ~shootdown =
   if not t.tracking then invalid_arg "Mm.dirty_track_round: not tracking";
   let dirty = harvest_dirty t in
-  Hashtbl.reset t.dirty;
+  Hw.Int_tbl.reset t.dirty;
   List.iter (fun vpn -> ignore (wp_page t ~shootdown vpn)) dirty;
   dirty
 
@@ -187,18 +188,18 @@ let dirty_track_round t ~shootdown =
 let dirty_track_finish t =
   if not t.tracking then invalid_arg "Mm.dirty_track_finish: not tracking";
   t.tracking <- false;
-  Hashtbl.iter
+  Hw.Int_tbl.iter
     (fun vpn () ->
-      if Hashtbl.mem t.pages vpn then
+      if Hw.Int_tbl.mem t.pages vpn then
         let va = Hw.Addr.va_of_vpn vpn in
         match Vma.find t.vmas va with
         | Some area ->
             t.platform.Platform.pte_protect t.aspace ~va ~writable:area.Vma.prot.Vma.write
         | None -> ())
     t.wp;
-  Hashtbl.reset t.wp;
+  Hw.Int_tbl.reset t.wp;
   let dirty = harvest_dirty t in
-  Hashtbl.reset t.dirty;
+  Hw.Int_tbl.reset t.dirty;
   dirty
 
 (* mmap: reserve [pages] pages; returns the base va.  No frames are
@@ -217,7 +218,7 @@ exception Segfault of Hw.Addr.va
    template's frame into the pre-reserved private one and swings the
    PTE — the only divergence cost a warm clone ever pays. *)
 let cow_break t vpn =
-  match Hashtbl.find_opt t.cow vpn with
+  match Hw.Int_tbl.find_opt t.cow vpn with
   | None -> ()
   | Some { shared; own } -> (
       let va = Hw.Addr.va_of_vpn vpn in
@@ -231,9 +232,9 @@ let cow_break t vpn =
           Hw.Clock.charge p.Platform.clock Hw.Cost.cow_break_copy;
           p.Platform.pte_install t.aspace ~va ~pfn:own ~writable:area.Vma.prot.Vma.write
             ~user:true;
-          Hashtbl.replace t.pages vpn own;
-          Hashtbl.remove t.cow vpn;
-          if t.tracking then Hashtbl.replace t.dirty vpn ();
+          Hw.Int_tbl.replace t.pages vpn own;
+          Hw.Int_tbl.remove t.cow vpn;
+          if t.tracking then Hw.Int_tbl.replace t.dirty vpn ();
           t.release_shared shared)
 
 (* Write fault on a page the tracking epoch protected: re-arm the PTE
@@ -245,26 +246,26 @@ let wp_break t vpn =
   p.Platform.fault_round_trip ();
   Hw.Clock.charge p.Platform.clock p.Platform.fault_service;
   p.Platform.pte_protect t.aspace ~va ~writable:true;
-  Hashtbl.remove t.wp vpn;
-  Hashtbl.replace t.dirty vpn ()
+  Hw.Int_tbl.remove t.wp vpn;
+  Hw.Int_tbl.replace t.dirty vpn ()
 
 let munmap t ~start ~pages =
   let stop = start + (pages * Hw.Addr.page_size) in
   let _removed = Vma.remove t.vmas ~start ~stop in
   for vpn = Hw.Addr.vpn_of_va start to Hw.Addr.vpn_of_va (stop - 1) do
-    match Hashtbl.find_opt t.pages vpn with
+    match Hw.Int_tbl.find_opt t.pages vpn with
     | None -> ()
     | Some pfn -> (
-        Hashtbl.remove t.pages vpn;
-        Hashtbl.remove t.wp vpn;
-        Hashtbl.remove t.dirty vpn;
+        Hw.Int_tbl.remove t.pages vpn;
+        Hw.Int_tbl.remove t.wp vpn;
+        Hw.Int_tbl.remove t.dirty vpn;
         t.resident <- t.resident - 1;
         t.platform.Platform.pte_remove t.aspace ~va:(Hw.Addr.va_of_vpn vpn);
-        match Hashtbl.find_opt t.cow vpn with
+        match Hw.Int_tbl.find_opt t.cow vpn with
         | Some { shared; own } ->
             (* Un-broken CoW page: the PTE referenced the template's
                frame; give that reference back and free our reserve. *)
-            Hashtbl.remove t.cow vpn;
+            Hw.Int_tbl.remove t.cow vpn;
             t.release_shared shared;
             t.platform.Platform.free_frame own
         | None -> t.platform.Platform.free_frame pfn)
@@ -276,20 +277,20 @@ let mprotect t ~start ~pages ~prot =
      is shared read-only with live clones. *)
   if prot.Vma.write then
     for vpn = Hw.Addr.vpn_of_va start to Hw.Addr.vpn_of_va (stop - 1) do
-      if Hashtbl.mem t.frozen vpn then raise (Segfault (Hw.Addr.va_of_vpn vpn))
+      if Hw.Int_tbl.mem t.frozen vpn then raise (Segfault (Hw.Addr.va_of_vpn vpn))
     done;
   ignore (Vma.protect t.vmas ~start ~stop ~prot);
   (* Update PTEs of resident pages in the range.  Making a CoW page
      writable must break the share first — the template's frame can
      never be reachable through a writable PTE. *)
   for vpn = Hw.Addr.vpn_of_va start to Hw.Addr.vpn_of_va (stop - 1) do
-    if Hashtbl.mem t.pages vpn then begin
-      if prot.Vma.write && Hashtbl.mem t.cow vpn then cow_break t vpn;
+    if Hw.Int_tbl.mem t.pages vpn then begin
+      if prot.Vma.write && Hw.Int_tbl.mem t.cow vpn then cow_break t vpn;
       (* mprotect overrides the epoch's write protection: treat a page
          re-opened for writing as dirty rather than lose the log. *)
-      if Hashtbl.mem t.wp vpn then begin
-        Hashtbl.remove t.wp vpn;
-        if t.tracking && prot.Vma.write then Hashtbl.replace t.dirty vpn ()
+      if Hw.Int_tbl.mem t.wp vpn then begin
+        Hw.Int_tbl.remove t.wp vpn;
+        if t.tracking && prot.Vma.write then Hw.Int_tbl.replace t.dirty vpn ()
       end;
       t.platform.Platform.pte_protect t.aspace ~va:(Hw.Addr.va_of_vpn vpn)
         ~writable:prot.Vma.write
@@ -318,8 +319,8 @@ let handle_fault t va ~write =
       let pfn = p.Platform.alloc_frame () in
       p.Platform.pte_install t.aspace ~va:(Hw.Addr.page_align_down va) ~pfn
         ~writable:area.Vma.prot.Vma.write ~user:true;
-      Hashtbl.replace t.pages (Hw.Addr.vpn_of_va va) pfn;
-      if t.tracking then Hashtbl.replace t.dirty (Hw.Addr.vpn_of_va va) ();
+      Hw.Int_tbl.replace t.pages (Hw.Addr.vpn_of_va va) pfn;
+      if t.tracking then Hw.Int_tbl.replace t.dirty (Hw.Addr.vpn_of_va va) ();
       t.resident <- t.resident + 1
 
 (* Access the page containing [va], demand-faulting if needed.  A
@@ -328,12 +329,12 @@ let handle_fault t va ~write =
    shared with live clones. *)
 let touch t va ~write =
   let vpn = Hw.Addr.vpn_of_va va in
-  match Hashtbl.find_opt t.pages vpn with
+  match Hw.Int_tbl.find_opt t.pages vpn with
   | Some _ ->
       if write then
-        if Hashtbl.mem t.frozen vpn then raise (Segfault va)
-        else if Hashtbl.mem t.cow vpn then cow_break t vpn
-        else if Hashtbl.mem t.wp vpn then wp_break t vpn
+        if Hw.Int_tbl.mem t.frozen vpn then raise (Segfault va)
+        else if Hw.Int_tbl.mem t.cow vpn then cow_break t vpn
+        else if Hw.Int_tbl.mem t.wp vpn then wp_break t vpn
   | None -> handle_fault t va ~write
 
 (* Touch every page of [start, start + pages).  Returns faults taken. *)
@@ -347,7 +348,8 @@ let touch_range t ~start ~pages ~write =
 (* Duplicate this mm for fork: copies VMAs and eagerly copies resident
    pages (the model does not implement copy-on-write; lmbench's
    fork costs are dominated by the per-PTE work either way, which the
-   platform charges in pte_install). *)
+   platform charges in pte_install).  Pages are copied in ascending
+   vpn order, so the child's frames do not depend on table layout. *)
 let fork t =
   let child = create t.platform in
   Vma.iter t.vmas (fun a ->
@@ -355,8 +357,7 @@ let fork t =
         ignore
           (Vma.add child.vmas ~start:a.Vma.start ~stop:a.Vma.stop ~prot:a.Vma.prot
              ~backing:a.Vma.backing));
-  Hashtbl.iter
-    (fun vpn _pfn ->
+  iter_pages t (fun vpn _pfn ->
       let pfn' = t.platform.Platform.alloc_frame () in
       Hw.Clock.charge t.platform.Platform.clock Hw.Cost.per_pte_copy;
       (match Vma.find t.vmas (Hw.Addr.va_of_vpn vpn) with
@@ -364,7 +365,6 @@ let fork t =
           t.platform.Platform.pte_install child.aspace ~va:(Hw.Addr.va_of_vpn vpn) ~pfn:pfn'
             ~writable:a.Vma.prot.Vma.write ~user:true
       | None -> ());
-      Hashtbl.replace child.pages vpn pfn';
-      child.resident <- child.resident + 1)
-    t.pages;
+      Hw.Int_tbl.replace child.pages vpn pfn';
+      child.resident <- child.resident + 1);
   child

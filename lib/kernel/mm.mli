@@ -31,7 +31,9 @@ val brk_now : t -> Hw.Addr.va
 val mmap_cursor_now : t -> Hw.Addr.va
 
 val iter_pages : t -> (Hw.Addr.vpn -> Hw.Addr.pfn -> unit) -> unit
-(** Iterate resident pages (unspecified order — capture sorts). *)
+(** Iterate resident pages in ascending vpn order (the keys are sorted
+    once, as an int array), so a capture lists them without sorting.
+    [f] must not unmap a page that is still to come. *)
 
 val iter_vmas : t -> (Vma.area -> unit) -> unit
 

@@ -4,9 +4,10 @@
    first, then aspace roots in id order, each followed by its per-vCPU
    copies) and records every reachable page table in discovery order —
    a canonical order, so re-capturing a restored container yields a
-   byte-identical image.  A completeness sweep over the whole frame
-   array then proves the image is closed: every frame the container
-   owns outside its segments must have been reached. *)
+   byte-identical image.  A completeness check then proves the image
+   is closed: every frame the container owns outside its segments must
+   have been reached.  It is a count against the owner index; only when
+   the counts differ does a sweep of the owner lists name the frame. *)
 
 type error =
   | Cow_pending of int  (** task pid with un-broken CoW pages *)
@@ -35,10 +36,6 @@ exception Fail of error
 (* Span of one entry at a level: 4 KiB at L1, 2 MiB at L2, ... *)
 let span lvl = 1 lsl (Hw.Addr.page_shift + (9 * (lvl - 1)))
 
-(* Order on a unique int key: the order [compare] gives the pairs, at
-   a fraction of its cost. *)
-let by_key (a, _) (b, _) = Int.compare a b
-
 let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
   let ksm = c.ksm in
   let id = c.container_id in
@@ -56,12 +53,15 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     else if pfn >= seg_bases.(i) && pfn < seg_bases.(i) + seg_sizes.(i) then i
     else seg_index pfn (i + 1)
   in
-  (* Auxiliary frames, numbered in first-reference order. *)
-  let aux_ids : (Hw.Addr.pfn, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Auxiliary frames, numbered in first-reference order.  [aux_image]
+     counts the guest kernel image frames among them, the only
+     container-owned ones. *)
+  let aux_ids = Hw.Int_tbl.create 64 in
   let aux_rev = ref [] in
   let aux_count = ref 0 in
+  let aux_image = ref 0 in
   let register_aux pfn =
-    match Hashtbl.find_opt aux_ids pfn with
+    match Hw.Int_tbl.find_opt aux_ids pfn with
     | Some i -> i
     | None ->
         let kind =
@@ -69,12 +69,14 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
           | Hw.Phys_mem.Ksm k, Hw.Phys_mem.Page_table l when k = id -> Image.Pt l
           | Hw.Phys_mem.Ksm k, Hw.Phys_mem.Ksm_code when k = id -> Image.Ksm_code
           | Hw.Phys_mem.Ksm k, Hw.Phys_mem.Ksm_data when k = id -> Image.Ksm_data
-          | Hw.Phys_mem.Container k, Hw.Phys_mem.Kernel_code when k = id -> Image.Kernel_code
+          | Hw.Phys_mem.Container k, Hw.Phys_mem.Kernel_code when k = id ->
+              incr aux_image;
+              Image.Kernel_code
           | _ -> raise (Fail (Foreign_frame pfn))
         in
         let i = !aux_count in
         incr aux_count;
-        Hashtbl.replace aux_ids pfn i;
+        Hw.Int_tbl.replace aux_ids pfn i;
         aux_rev := (pfn, kind) :: !aux_rev;
         i
   in
@@ -83,11 +85,11 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     if seg >= 0 then Image.Seg { seg; off = pfn - seg_bases.(seg) } else Image.Aux (register_aux pfn)
   in
   (* Table walk. *)
-  let visited : (Hw.Addr.pfn, unit) Hashtbl.t = Hashtbl.create 256 in
+  let visited = Hw.Int_tbl.create 256 in
   let tables_rev = ref [] in
   let rec emit_table lvl pfn va_base =
-    if not (Hashtbl.mem visited pfn) then begin
-      Hashtbl.replace visited pfn ();
+    if not (Hw.Int_tbl.mem visited pfn) then begin
+      Hw.Int_tbl.replace visited pfn ();
       let frame_ref = ref_of pfn in
       let entries = ref [] in
       let children = ref [] in
@@ -131,7 +133,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     | (queue, unreclaimed) :: _ -> raise (Fail (Device_active { queue; unreclaimed })));
     let kroot = Cki.Ksm.kernel_root ksm in
     let aspace_list =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.aspaces [] |> List.sort compare
+      Hw.Int_tbl.fold (fun k v acc -> (k, v) :: acc) c.aspaces [] |> List.sort compare
     in
     (* Seed the walk in canonical order: root, its copies, next root... *)
     let roots =
@@ -146,15 +148,24 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     in
     (* Every monitor-registered root must have been seeded. *)
     List.iter
-      (fun (root, _) -> if not (Hashtbl.mem visited root) then raise (Fail (Unregistered_root root)))
+      (fun (root, _) ->
+        if not (Hw.Int_tbl.mem visited root) then raise (Fail (Unregistered_root root)))
       (Cki.Ksm.roots ksm);
     (* The direct-map interior tables are KSM-owned but excluded from
        the image (restore rebuilds them); exempt them from the closure
-       sweep below. *)
-    let direct_tables : (Hw.Addr.pfn, unit) Hashtbl.t = Hashtbl.create 64 in
+       check below.  [direct_extra] counts those that are KSM-owned and
+       not auxiliary. *)
+    let direct_tables = Hw.Int_tbl.create 64 in
+    let direct_extra = ref 0 in
     let rec collect_direct lvl pfn =
-      if not (Hashtbl.mem direct_tables pfn) then begin
-        Hashtbl.replace direct_tables pfn ();
+      if not (Hw.Int_tbl.mem direct_tables pfn) then begin
+        Hw.Int_tbl.replace direct_tables pfn ();
+        if
+          pfn >= 0
+          && pfn < Hw.Phys_mem.total_frames mem
+          && Hw.Phys_mem.equal_owner (Hw.Phys_mem.owner mem pfn) (Hw.Phys_mem.Ksm id)
+          && not (Hw.Int_tbl.mem aux_ids pfn)
+        then incr direct_extra;
         if lvl > 1 then
           Hw.Phys_mem.iter_entries mem ~pfn (fun _ e ->
               if Hw.Pte.is_present e then collect_direct (lvl - 1) (Hw.Pte.pfn e))
@@ -163,13 +174,35 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
     let direct_link = Hw.Phys_mem.read_entry mem ~pfn:kroot ~index:Cki.Layout.l4_direct in
     if Hw.Pte.is_present direct_link then collect_direct 3 (Hw.Pte.pfn direct_link);
     (* Completeness: every frame this container owns outside its
-       segments must be in the auxiliary table by now. *)
-    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Ksm id) (fun pfn ->
-        if not (Hashtbl.mem aux_ids pfn || Hashtbl.mem direct_tables pfn) then
-          raise (Fail (Unreachable_frame pfn)));
-    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container id) (fun pfn ->
-        if not (seg_index pfn 0 >= 0 || Hashtbl.mem aux_ids pfn) then
-          raise (Fail (Unreachable_frame pfn)));
+       segments must be in the auxiliary table by now.  The reached
+       frames are counted as disjoint sets of owned frames, so equal
+       counts mean every owned frame was reached:
+       - KSM-owned: the auxiliary frames that are not the kernel image
+         (all KSM-owned, by [register_aux]) plus [direct_extra];
+       - container-owned: its segment frames (a container's segments
+         never overlap) plus the kernel image frames, all outside the
+         segments ([ref_of] numbers only those as auxiliary).
+       Only when a count differs do the owner lists name the frame. *)
+    let seg_held =
+      List.fold_left
+        (fun n (base, count) ->
+          let foreign = ref 0 in
+          Hw.Phys_mem.iter_not_owned mem ~base ~count (Hw.Phys_mem.Container id) (fun _ ->
+              incr foreign);
+          n + count - !foreign)
+        0 segs
+    in
+    if
+      Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm id) <> !aux_count - !aux_image + !direct_extra
+      || Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Container id) <> seg_held + !aux_image
+    then begin
+      Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Ksm id) (fun pfn ->
+          if not (Hw.Int_tbl.mem aux_ids pfn || Hw.Int_tbl.mem direct_tables pfn) then
+            raise (Fail (Unreachable_frame pfn)));
+      Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container id) (fun pfn ->
+          if not (seg_index pfn 0 >= 0 || Hw.Int_tbl.mem aux_ids pfn) then
+            raise (Fail (Unreachable_frame pfn)))
+    end;
     (* Monitor metadata.  The direct-map template slot is omitted along
        with its subtree. *)
     let ptps =
@@ -213,6 +246,8 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
       done;
       acc
     in
+    (* Zone by zone in segment order, ascending in a zone: the linear
+       offsets ascend as they are. *)
     let buddy_blocks =
       Kernel_model.Buddy.allocated_blocks c.buddy
       |> List.map (fun (pfn, order) ->
@@ -257,8 +292,9 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
                   v_backing = a.Kernel_model.Vma.backing;
                 }
                 :: !vmas);
-          let pages = ref [] in
-          Kernel_model.Mm.iter_pages mm (fun vpn pfn -> pages := (vpn, ref_of pfn) :: !pages);
+          let pages_rev = ref [] in
+          Kernel_model.Mm.iter_pages mm (fun vpn pfn ->
+              pages_rev := (vpn, ref_of pfn) :: !pages_rev);
           let fds =
             Hashtbl.fold (fun fd obj acc -> (fd, obj) :: acc) task.Kernel_model.Task.fds []
             |> List.sort compare
@@ -282,7 +318,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
             tk_brk = Kernel_model.Mm.brk_now mm;
             tk_cursor = Kernel_model.Mm.mmap_cursor_now mm;
             tk_vmas = List.sort (fun a b -> compare a.Image.v_start b.Image.v_start) !vmas;
-            tk_pages = List.sort by_key !pages;
+            tk_pages = List.rev !pages_rev;
             tk_fds = fds;
           })
         (Kernel_model.Kernel.tasks kernel)
@@ -303,7 +339,7 @@ let capture_full (c : Cki.Container.t) : (Image.t * map, error) result =
         cpus;
         next_pid = Kernel_model.Kernel.next_pid kernel;
         next_as = !(c.next_as);
-        buddy_blocks = List.sort by_key buddy_blocks;
+        buddy_blocks;
         aspaces = List.map (fun (aid, root) -> (aid, ref_of root)) aspace_list;
         tasks;
         dirs = List.rev !dirs_rev;

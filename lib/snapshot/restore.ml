@@ -194,8 +194,8 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
       if share = None then
         Hw.Clock.charge_n clock Hw.Cost.restore_frame (1 lsl order))
     image.Image.buddy_blocks;
-  let aspaces = Hashtbl.create 16 in
-  List.iter (fun (aid, r) -> Hashtbl.replace aspaces aid (reloc r)) image.Image.aspaces;
+  let aspaces = Hw.Int_tbl.create 16 in
+  List.iter (fun (aid, r) -> Hw.Int_tbl.replace aspaces aid (reloc r)) image.Image.aspaces;
   let next_as = ref image.Image.next_as in
   let c =
     Cki.Container.assemble ~env ~cfg host ~container_id ~pcid ~ksm ~buddy ~aspaces ~next_as ()

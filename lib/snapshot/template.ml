@@ -50,14 +50,13 @@ let freeze (c : Cki.Container.t) (image : Image.t) (map : Capture.map) =
     (fun (task : Kernel_model.Task.t) ->
       let mm = task.Kernel_model.Task.mm in
       let root =
-        match Hashtbl.find_opt c.Cki.Container.aspaces (Kernel_model.Mm.aspace mm) with
+        match Hw.Int_tbl.find_opt c.Cki.Container.aspaces (Kernel_model.Mm.aspace mm) with
         | Some r -> r
         | None -> raise (Freeze "task address space has no root")
       in
-      let pages = ref [] in
-      Kernel_model.Mm.iter_pages mm (fun vpn pfn -> pages := (vpn, pfn) :: !pages);
-      List.iter
-        (fun (vpn, pfn) ->
+      (* In ascending vpn order; freezing writes [frozen], never the
+         resident pages. *)
+      Kernel_model.Mm.iter_pages mm (fun vpn pfn ->
           let va = Hw.Addr.va_of_vpn vpn in
           let dva = Cki.Layout.direct_va_of_pa (Hw.Addr.pa_of_pfn pfn) in
           ksm_exn "guest_protect(user)" (Cki.Ksm.guest_protect ksm ~root ~va ~writable:false);
@@ -68,8 +67,7 @@ let freeze (c : Cki.Container.t) (image : Image.t) (map : Capture.map) =
           (* Mirror the downgrade in the mm model: a template write must
              fault, not silently hit a frame the clones share. *)
           Kernel_model.Mm.freeze_page mm ~vpn;
-          Hw.Phys_mem.set_shared_ro mem pfn true)
-        (List.sort compare !pages))
+          Hw.Phys_mem.set_shared_ro mem pfn true))
     (Kernel_model.Kernel.tasks kernel);
   (* The guest kernel image is immutable (exec-frozen at boot): clones
      share it outright rather than copying it. *)

@@ -205,6 +205,12 @@ type owner_op =
   | Set_owner of int * int  (** owned-frame index, owner index *)
   | Delegate of int * int  (** delegated-id index, frames (scatter; may roll back) *)
   | Reclaim of int  (** delegated-id index *)
+  | Free_sub of int * int * int
+      (** a [free_range] over part of a contiguous run: run index, then
+          offset and length, both modulo what the run has left *)
+  | Share of int * bool
+      (** owned-frame index: CoW-share it, with one reference or none
+          (a referenced shared frame refuses to be freed) *)
 
 let show_owner_op = function
   | Alloc o -> Printf.sprintf "alloc %d" o
@@ -213,6 +219,8 @@ let show_owner_op = function
   | Set_owner (i, o) -> Printf.sprintf "set_owner #%d %d" i o
   | Delegate (c, n) -> Printf.sprintf "delegate %d x%d" delegated_ids.(c) n
   | Reclaim c -> Printf.sprintf "reclaim %d" delegated_ids.(c)
+  | Free_sub (r, o, n) -> Printf.sprintf "free_sub run#%d +%d x%d" r o n
+  | Share (i, r) -> Printf.sprintf "share #%d%s" i (if r then " +ref" else "")
 
 let owner_ops =
   let open QCheck.Gen in
@@ -227,6 +235,8 @@ let owner_ops =
         (2, map2 (fun i o -> Set_owner (i, o)) nat o);
         (1, map2 (fun c n -> Delegate (c, n)) c (int_range 64 200));
         (1, map (fun c -> Reclaim c) c);
+        (2, map3 (fun r o n -> Free_sub (r, o, n)) nat nat nat);
+        (1, map2 (fun i r -> Share (i, r)) nat bool);
       ]
   in
   QCheck.make
@@ -235,7 +245,14 @@ let owner_ops =
 
 (* After every step, for every owner: [iter_owned] yields exactly the
    frames a brute-force scan finds, each once, and [owned_count] and
-   [count_owned] agree with it. *)
+   [count_owned] agree with it.  Its order is that of a reference list
+   model: a claim pushes the frame on the front of its owner's list (a
+   contiguous run in ascending pfn order), and a frame that leaves an
+   owner drops out of that owner's list, the rest keeping their order.
+   [free_range] over a whole run or a sub-run of one takes the one-step
+   unlink; over a run with a re-owned, freed or shared frame in it, the
+   per-frame path, which stops at a referenced shared frame.  A free
+   frame never reads as shared. *)
 let prop_owner_index =
   QCheck.Test.make ~name:"iter_owned/owned_count match a brute-force scan" ~count:200 owner_ops
     (fun ops ->
@@ -247,25 +264,76 @@ let prop_owner_index =
       let frames = List.init (Hw.Phys_mem.total_frames m) Fun.id in
       let owned () = List.filter (fun pfn -> not (Hw.Phys_mem.is_free m pfn)) frames in
       let nth_owned i k = match owned () with [] -> () | l -> k (List.nth l (i mod List.length l)) in
+      (* The reference model: each owner's frames, head first, from
+         the frames the host's creation claimed. *)
+      let model =
+        Array.map
+          (fun owner ->
+            let l = ref [] in
+            Hw.Phys_mem.iter_owned m owner (fun pfn -> l := pfn :: !l);
+            List.rev !l)
+          index_owners
+      in
+      let slot owner =
+        let rec find i = if index_owners.(i) = owner then i else find (i + 1) in
+        find 0
+      in
+      let push owner pfn = model.(slot owner) <- pfn :: model.(slot owner) in
+      let push_run owner (base, count) =
+        for pfn = base to base + count - 1 do
+          push owner pfn
+        done
+      in
+      let runs = ref [] in
+      (* The model's claims; leaving an owner is found by comparing
+         every frame's owner before and after the step. *)
       let step = function
         | Alloc o -> (
-            try ignore (Hw.Phys_mem.alloc m ~owner:index_owners.(o) ~kind:Hw.Phys_mem.Data)
+            try
+              push index_owners.(o)
+                (Hw.Phys_mem.alloc m ~owner:index_owners.(o) ~kind:Hw.Phys_mem.Data)
             with Hw.Phys_mem.Out_of_memory -> ())
         | Alloc_contiguous (o, count) -> (
             try
-              ignore
-                (Hw.Phys_mem.alloc_contiguous m ~owner:index_owners.(o) ~kind:Hw.Phys_mem.Data ~count)
+              let base =
+                Hw.Phys_mem.alloc_contiguous m ~owner:index_owners.(o) ~kind:Hw.Phys_mem.Data ~count
+              in
+              push_run index_owners.(o) (base, count);
+              runs := (base, count) :: !runs
             with Hw.Phys_mem.Out_of_memory -> ())
-        | Free i -> nth_owned i (Hw.Phys_mem.free m)
-        | Set_owner (i, o) -> nth_owned i (fun pfn -> Hw.Phys_mem.set_owner m pfn index_owners.(o))
+        | Free i ->
+            nth_owned i (fun pfn -> try Hw.Phys_mem.free m pfn with Invalid_argument _ -> ())
+        | Set_owner (i, o) ->
+            nth_owned i (fun pfn ->
+                let was = Hw.Phys_mem.owner m pfn in
+                Hw.Phys_mem.set_owner m pfn index_owners.(o);
+                if was <> index_owners.(o) then push index_owners.(o) pfn)
         | Delegate (c, frames) -> (
-            try ignore (Cki.Host.delegate host ~container:delegated_ids.(c) ~frames)
+            let owner = Hw.Phys_mem.Container delegated_ids.(c) in
+            try
+              let segs = Cki.Host.delegate host ~container:delegated_ids.(c) ~frames in
+              List.iter (push_run owner) segs;
+              runs := segs @ !runs
             with Hw.Phys_mem.Out_of_memory -> ())
-        | Reclaim c -> Cki.Host.reclaim_segment host ~container:delegated_ids.(c)
+        | Reclaim c -> (
+            try Cki.Host.reclaim_segment host ~container:delegated_ids.(c)
+            with Invalid_argument _ -> ())
+        | Free_sub (r, o, n) -> (
+            match !runs with
+            | [] -> ()
+            | l ->
+                let base, count = List.nth l (r mod List.length l) in
+                let off = o mod count in
+                try Hw.Phys_mem.free_range m ~base:(base + off) ~count:(1 + (n mod (count - off)))
+                with Invalid_argument _ -> ())
+        | Share (i, referenced) ->
+            nth_owned i (fun pfn ->
+                Hw.Phys_mem.set_shared_ro m pfn true;
+                if referenced then Hw.Phys_mem.incr_ref m pfn)
       in
       let consistent op =
-        Array.iter
-          (fun owner ->
+        Array.iteri
+          (fun k owner ->
             let scan = List.filter (fun pfn -> Hw.Phys_mem.owner m pfn = owner) frames in
             let seen = ref [] in
             Hw.Phys_mem.iter_owned m owner (fun pfn -> seen := pfn :: !seen);
@@ -274,17 +342,28 @@ let prop_owner_index =
                 (Hw.Phys_mem.show_owner owner)
             in
             if List.sort compare !seen <> scan then fail_on "iter_owned differs from the scan";
+            if List.rev !seen <> model.(k) then
+              fail_on "iter_owned order differs from the list model";
             if Hw.Phys_mem.owned_count m owner <> List.length scan then
               fail_on "owned_count differs from the scan";
             if Hw.Phys_mem.count_owned m (Hw.Phys_mem.equal_owner owner) <> List.length scan then
               fail_on "count_owned differs from the scan")
           index_owners;
         if Hw.Phys_mem.owned_count m Hw.Phys_mem.Free <> Hw.Phys_mem.free_frames m then
-          QCheck.Test.fail_reportf "after %s: owned_count Free <> free_frames" (show_owner_op op)
+          QCheck.Test.fail_reportf "after %s: owned_count Free <> free_frames" (show_owner_op op);
+        let shared_free pfn = Hw.Phys_mem.is_free m pfn && Hw.Phys_mem.is_shared_ro m pfn in
+        if List.exists shared_free frames then
+          QCheck.Test.fail_reportf "after %s: a free frame reads as shared" (show_owner_op op)
       in
       List.iter
         (fun op ->
+          let before = List.map (Hw.Phys_mem.owner m) frames in
           step op;
+          List.iter2
+            (fun pfn was ->
+              if was <> Hw.Phys_mem.Free && Hw.Phys_mem.owner m pfn <> was then
+                model.(slot was) <- List.filter (fun p -> p <> pfn) model.(slot was))
+            frames before;
           consistent op)
         ops;
       true)

@@ -49,6 +49,28 @@ let test_capacity_bound () =
   done;
   check_bool "bounded" true (Hw.Tlb.size t <= 8)
 
+(* A translation is one packed int key: the largest pcid and a vpn
+   just under 2^36 decode intact, and invlpg in one pcid leaves the
+   same vpn of another pcid in place. *)
+let test_tlb_packed_keys () =
+  let t = Hw.Tlb.create () in
+  let top_vpn = (1 lsl 36) - 1 in
+  let va = top_vpn * 4096 in
+  Hw.Tlb.insert t ~pcid:4095 ~va (entry 9);
+  Hw.Tlb.insert t ~pcid:0 ~va (entry 8);
+  let decoded =
+    Hw.Tlb.fold t (fun acc ~pcid ~vpn e -> (pcid, vpn, e.Hw.Tlb.pfn) :: acc) [] |> List.sort compare
+  in
+  check_bool "fold decodes pcid and vpn" true (decoded = [ (0, top_vpn, 8); (4095, top_vpn, 9) ]);
+  Hw.Tlb.invlpg t ~pcid:0 va;
+  check_bool "pcid 0 flushed" true (Hw.Tlb.lookup t ~pcid:0 va = None);
+  (match Hw.Tlb.lookup t ~pcid:4095 va with
+  | Some e -> check_int "pcid 4095 survives" 9 e.Hw.Tlb.pfn
+  | None -> fail "pcid 4095 lost its entry");
+  check_int "one entry of pcid 4095" 1 (Hw.Tlb.entries_for t ~pcid:4095);
+  Hw.Tlb.flush_pcid t ~pcid:4095;
+  check_int "flushed" 0 (Hw.Tlb.size t)
+
 (* Invalidating and refilling one page must not let later inserts
    outgrow the capacity: eviction skips the slots invlpg left behind. *)
 let test_capacity_after_invlpg () =
@@ -454,6 +476,7 @@ let suite =
         test_case "2 MiB entries" `Quick test_tlb_huge_entry;
         test_case "capacity bound after invlpg refills" `Quick test_capacity_after_invlpg;
         test_case "FIFO eviction skips stale slots" `Quick test_eviction_order;
+        test_case "packed keys: pcid 4095, vpn 2^36 - 1" `Quick test_tlb_packed_keys;
       ] );
     ( "hw/pks",
       [

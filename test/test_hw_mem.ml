@@ -472,6 +472,20 @@ let prop_map_then_walk =
           acc && Hw.Pte.pfn (Hw.Page_table.walk pt va).Hw.Page_table.pte = pfn)
         tbl true)
 
+(* [Int_tbl.sorted_keys] is every key once, ascending, whatever the
+   keys: runs of neighbours (page numbers), spread and negative
+   values, and tables from empty to a few thousand keys. *)
+let prop_sorted_keys =
+  QCheck.Test.make ~name:"sorted_keys = sorted distinct keys" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 0 3000) (int_range (-1000) 1000))
+        (list_of_size Gen.(int_range 0 20) int))
+    (fun (near, far) ->
+      let t = Hw.Int_tbl.create 16 in
+      List.iter (fun k -> Hw.Int_tbl.replace t k ()) (near @ far);
+      Array.to_list (Hw.Int_tbl.sorted_keys t) = List.sort_uniq compare (near @ far))
+
 let suite =
   [
     ( "hw/addr",
@@ -515,4 +529,5 @@ let suite =
         test_case "count mappings" `Quick test_count_mappings;
         QCheck_alcotest.to_alcotest prop_map_then_walk;
       ] );
+    ("hw/int_tbl", [ QCheck_alcotest.to_alcotest prop_sorted_keys ]);
   ]

@@ -79,6 +79,35 @@ let prop_buddy_no_overlap =
       in
       no_overlap && Kernel_model.Buddy.check_invariants b)
 
+(* [allocated_blocks] lists every live block head with its order, zone
+   by zone in delegation order and ascending inside a zone, over zones
+   whose sizes are not a multiple of the eight heads it skips at once. *)
+let prop_buddy_allocated_blocks =
+  QCheck.Test.make ~name:"buddy: allocated_blocks lists live heads in zone order" ~count:100
+    QCheck.(small_list (pair (int_bound 3) bool))
+    (fun ops ->
+      let zones = [ (1000, 203); (5, 61) ] in
+      let b = Kernel_model.Buddy.create_zones ~segments:zones in
+      let live = ref [] in
+      List.iter
+        (fun (order, free_oldest) ->
+          (match Kernel_model.Buddy.alloc_order b order with
+          | pfn -> live := !live @ [ (pfn, order) ]
+          | exception Kernel_model.Buddy.Out_of_memory -> ());
+          match !live with
+          | (p, _) :: rest when free_oldest ->
+              Kernel_model.Buddy.free b p;
+              live := rest
+          | _ -> ())
+        ops;
+      let expected =
+        List.concat_map
+          (fun (base, frames) ->
+            List.sort compare (List.filter (fun (p, _) -> p >= base && p < base + frames) !live))
+          zones
+      in
+      Kernel_model.Buddy.allocated_blocks b = expected)
+
 (* ------------------------------- Vma ------------------------------ *)
 
 let test_vma_add_find_overlap () =
@@ -188,6 +217,39 @@ let test_mm_fork_copies () =
   let f0 = Kernel_model.Mm.fault_count child in
   Kernel_model.Mm.touch child base ~write:true;
   check_int "no fault on copied page" f0 (Kernel_model.Mm.fault_count child)
+
+(* [iter_pages] visits ascending vpns, each resident page once: after
+   faults in scrambled order over three far-apart areas, after a
+   munmap from the middle, and in a forked child. *)
+let test_mm_iter_pages_ascending () =
+  let p = bare_platform () in
+  let mm = Kernel_model.Mm.create p in
+  let prot = Kernel_model.Vma.prot_rw in
+  let heap = Kernel_model.Mm.brk mm ~delta_pages:0 in
+  ignore (Kernel_model.Mm.brk mm ~delta_pages:64);
+  let area = Kernel_model.Mm.mmap mm ~pages:300 ~prot ~backing:Kernel_model.Vma.Anon in
+  let stack = Kernel_model.Mm.user_stack_top - (256 * 4096) in
+  let touch base pages =
+    for i = 0 to pages - 1 do
+      Kernel_model.Mm.touch mm (base + ((i * 37 mod pages) * 4096)) ~write:true
+    done
+  in
+  touch area 300;
+  touch stack 200;
+  touch heap 64;
+  let ascending what mm =
+    let vpns = ref [] in
+    Kernel_model.Mm.iter_pages mm (fun vpn _ -> vpns := vpn :: !vpns);
+    let vpns = List.rev !vpns in
+    check_int (what ^ ": every resident page") (Kernel_model.Mm.resident_pages mm)
+      (List.length vpns);
+    let rec strictly = function a :: (b :: _ as rest) -> a < b && strictly rest | _ -> true in
+    check_bool (what ^ ": ascending vpns") true (strictly vpns)
+  in
+  ascending "after faults" mm;
+  Kernel_model.Mm.munmap mm ~start:(area + (100 * 4096)) ~pages:50;
+  ascending "after munmap" mm;
+  ascending "forked child" (Kernel_model.Mm.fork mm)
 
 (* ------------------------------ Tmpfs ----------------------------- *)
 
@@ -619,6 +681,7 @@ let suite =
         test_case "huge alignment" `Quick test_buddy_huge_alignment;
         test_case "double free" `Quick test_buddy_double_free;
         QCheck_alcotest.to_alcotest prop_buddy_no_overlap;
+        QCheck_alcotest.to_alcotest prop_buddy_allocated_blocks;
       ] );
     ( "kernel/vma",
       [
@@ -634,6 +697,7 @@ let suite =
         test_case "mprotect + segfault" `Quick test_mm_mprotect_segfault;
         test_case "brk" `Quick test_mm_brk;
         test_case "fork copies" `Quick test_mm_fork_copies;
+        test_case "iter_pages ascending" `Quick test_mm_iter_pages_ascending;
       ] );
     ( "kernel/tmpfs",
       [

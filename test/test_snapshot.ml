@@ -101,6 +101,28 @@ let test_roundtrip_byte_identical () =
   let enc1 = Snapshot.Image.encode (capture_exn c1) in
   check string "re-capture after restore is byte-identical" enc0 enc1
 
+(* A frame the container owns outside its segments that no table
+   reaches makes the image not closed: the capture names that frame,
+   whether the container or its monitor owns it.  Freed again, the
+   capture succeeds. *)
+let test_unreachable_frame () =
+  let host = mk_host () in
+  let c = boot_ready host in
+  let mem = Hw.Machine.mem (Cki.Host.machine host) in
+  let id = c.Cki.Container.container_id in
+  List.iter
+    (fun owner ->
+      let stray = Hw.Phys_mem.alloc mem ~owner ~kind:Hw.Phys_mem.Data in
+      check bool "outside the segments" false (Cki.Ksm.owns_frame (Cki.Container.ksm c) stray);
+      (match Snapshot.Capture.capture c with
+      | Error (Snapshot.Capture.Unreachable_frame pfn) ->
+          check int (Hw.Phys_mem.show_owner owner ^ ": the stray frame is named") stray pfn
+      | Error e -> fail ("wrong capture error: " ^ Snapshot.Capture.show_error e)
+      | Ok _ -> fail "capture of an unclosed container succeeded");
+      Hw.Phys_mem.free mem stray;
+      ignore (capture_exn c))
+    [ Hw.Phys_mem.Container id; Hw.Phys_mem.Ksm id ]
+
 (* Clone-then-write: CoW pages diverge one at a time; the template is
    untouched; both stay clean under the scanner. *)
 let test_clone_cow_divergence () =
@@ -231,7 +253,7 @@ let test_cow_writable_detected () =
   let mm = (first_task clone).Kernel_model.Task.mm in
   let va = Kernel_model.Mm.user_mmap_base in
   let root =
-    match Hashtbl.find_opt clone.Cki.Container.aspaces (Kernel_model.Mm.aspace mm) with
+    match Hw.Int_tbl.find_opt clone.Cki.Container.aspaces (Kernel_model.Mm.aspace mm) with
     | Some r -> r
     | None -> fail "clone aspace root"
   in
@@ -531,5 +553,6 @@ let suite =
         test_case "re-sealed PKRS 0 is refused" `Quick test_forged_pkrs_refused;
         test_case "re-sealed CR3 at a PTP is refused" `Quick test_forged_cr3_refused;
         test_case "restored and cloned PTPs stay in use" `Quick test_restored_ptps_in_use;
+        test_case "unreachable owned frame is named" `Quick test_unreachable_frame;
       ] );
   ]

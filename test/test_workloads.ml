@@ -309,6 +309,47 @@ let test_stats_helpers () =
   check_bool "mean" true (Report.Stats.mean [ 1.0; 2.0; 3.0 ] = 2.0);
   check_bool "overhead" true (Report.Stats.overhead_pct ~baseline:100.0 150.0 = 50.0)
 
+(* [percentiles] equals the nearest-rank definition it replaced, a
+   polymorphic sort of the list per percentile, bit for bit on every
+   sample: empty ones, duplicates, +-infinity, 0.0 beside -0.0, and
+   percentiles at and past 0 and 100. *)
+let percentile_by_list xs ~p =
+  match xs with
+  | [] -> nan
+  | _ ->
+      let sorted = List.sort compare xs in
+      let n = List.length sorted in
+      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+      List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+
+let prop_percentiles_match_list =
+  let open QCheck in
+  let value =
+    Gen.frequency
+      [
+        (6, Gen.map float_of_int (Gen.int_range (-5) 5));
+        (3, Gen.float_range (-1e6) 1e6);
+        (1, Gen.oneofl [ infinity; neg_infinity; 0.0; -0.0 ]);
+      ]
+  in
+  let p =
+    Gen.oneof [ Gen.float_range (-5.0) 105.0; Gen.oneofl [ 0.0; 50.0; 95.0; 99.0; 100.0 ] ]
+  in
+  let ps = Gen.array_size (Gen.int_range 1 6) p in
+  Test.make ~name:"percentiles = one list sort per percentile" ~count:500
+    (make
+       ~print:(fun (xs, ps) ->
+         Printf.sprintf "[%s] at [%s]"
+           (String.concat "; " (List.map string_of_float xs))
+           (String.concat "; " (Array.to_list (Array.map string_of_float ps))))
+       (Gen.pair (Gen.list_size (Gen.int_range 0 40) value) ps))
+    (fun (xs, ps) ->
+      let got = Report.Stats.percentiles xs ps in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      Array.length got = Array.length ps
+      && Array.for_all2 (fun g p -> same g (percentile_by_list xs ~p)) got ps
+      && Array.for_all2 (fun g p -> same g (Report.Stats.percentile xs ~p)) got ps)
+
 let test_table_render () =
   let t = Report.Table.create ~title:"t" ~header:[ "a"; "bb" ] in
   Report.Table.add_row t [ "x"; "y" ];
@@ -356,5 +397,6 @@ let suite =
       [
         test_case "stats helpers" `Quick test_stats_helpers;
         test_case "table render" `Quick test_table_render;
+        QCheck_alcotest.to_alcotest prop_percentiles_match_list;
       ] );
   ]
