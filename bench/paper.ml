@@ -701,8 +701,7 @@ let ablation () =
 (* ------------------------------------------------------------------ *)
 
 (* One experiment's metrics and gates, with the number of CKI
-   containers the scan covered and the rules of its findings that are
-   not Info. *)
+   containers the scan covered and the rules of its findings. *)
 type part = {
   metrics : Artifact.metric list;
   gates : Artifact.gate list;
@@ -722,11 +721,7 @@ let scanned id run () =
         (result, !booted))
   in
   let containers = List.length !booted in
-  let findings =
-    List.filter_map
-      (fun f -> if f.Report.Findings.severity = Report.Findings.Info then None else Some f.Report.Findings.rule)
-      (Analysis.findings r)
-  in
+  let findings = List.map (fun f -> f.Report.Findings.rule) (Analysis.findings r) in
   {
     metrics =
       metrics

@@ -5,8 +5,8 @@
      - {!Invariants}: a from-scratch walker over live machine state
        (page tables in simulated physical memory, TLBs, frame
        metadata), cross-checked against the monitor's claimed state;
-     - {!Lint}: temporal rules over the event stream a bounded
-       [Hw.Probe] ring records from the hook points.
+     - {!Lint}: temporal rules over the event stream of the
+       [Hw.Probe] hook points, stepped as each event is emitted.
 
    Integration tests, the examples and `cki_demo --check` run both at
    the end of every scenario; fault-injection tests corrupt state or
@@ -18,16 +18,11 @@ module Lint = Lint
 type result = {
   violations : Invariants.violation list;
   lints : Lint.finding list;
+  linted : int;
 }
 
 let check_machine ~containers = Invariants.check_machine ~containers
-let lint_trace ring = Lint.run ~dropped:(Hw.Probe.ring_dropped ring) (Hw.Probe.ring_events ring)
-
-(* Trace_truncated is informational (the ring overflowed; coverage
-   is reduced, nothing was violated) — it must not fail --check runs. *)
-let fatal_lint = function Lint.Trace_truncated _ -> false | _ -> true
-
-let is_clean r = r.violations = [] && not (List.exists fatal_lint r.lints)
+let is_clean r = r.violations = [] && r.lints = []
 
 let findings r =
   List.map
@@ -42,11 +37,8 @@ let findings r =
     r.violations
   @ List.map
       (fun f ->
-        let severity =
-          if fatal_lint f then Report.Findings.Critical else Report.Findings.Info
-        in
-        Report.Findings.make ~severity ~rule:(Lint.rule_name f) ~subject:(Lint.subject f)
-          ~detail:(Lint.show_finding f))
+        Report.Findings.make ~severity:Report.Findings.Critical ~rule:(Lint.rule_name f)
+          ~subject:(Lint.subject f) ~detail:(Lint.show_finding f))
       r.lints
 
 let report ?(title = "CKI invariant check") r = Report.Findings.render ~title (findings r)
@@ -54,14 +46,15 @@ let report ?(title = "CKI invariant check") r = Report.Findings.render ~title (f
 let assert_clean ?(label = "analysis") r =
   if not (is_clean r) then failwith (label ^ ": " ^ report ~title:label r)
 
-(* Run [f] with a probe ring as the sink; [f] boots its containers and
-   returns them beside its result.  Afterwards sanitize those
-   containers' machine state and lint the captured trace. *)
+(* Run [f] with the trace lint as the probe sink; [f] boots its
+   containers and returns them beside its result.  Afterwards sanitize
+   those containers' machine state and close the lint. *)
 let run (f : unit -> 'a * Cki.Container.t list) : 'a * result =
-  let ring = Hw.Probe.ring_create () in
-  Hw.Probe.set_ring ring;
+  let lint = Lint.create () in
+  Hw.Probe.set_sink (Lint.step lint);
   let x, containers = Fun.protect ~finally:Hw.Probe.clear_sink f in
-  (x, { violations = check_machine ~containers; lints = lint_trace ring })
+  ( x,
+    { violations = check_machine ~containers; lints = Lint.finish lint; linted = Lint.stepped lint } )
 
 let checked ?label f =
   let x, r = run f in

@@ -1,6 +1,6 @@
 (** Trace lint engine.
 
-    Temporal rules over a recorded {!Hw.Probe} event stream — the
+    Temporal rules over the {!Hw.Probe} event stream — the
     properties that are not visible in a state snapshot because they
     concern orderings: PKRS discipline across gate entry/exit, the
     extensions E2/E3/E4 actually firing, and TLB shootdowns following
@@ -32,11 +32,6 @@ type finding =
       (** a doorbell rang with no new avail-ring entries posted — a
           phantom kick (wasted exit, or probing the host service
           path) *)
-  | Trace_truncated of { dropped : int; withdrawn : int }
-      (** the probe ring overflowed: [dropped] events were lost,
-          and [withdrawn] wrpkrs-outside-gate candidates were
-          suppressed because the truncation made their gate context
-          unknowable — informational, not a violation *)
 
 val pp_finding : Format.formatter -> finding -> unit
 val show_finding : finding -> string
@@ -45,11 +40,26 @@ val equal_finding : finding -> finding -> bool
 val rule_name : finding -> string
 val subject : finding -> string
 
-val run : ?dropped:int -> Hw.Probe.event list -> finding list
-(** Single pass over the events (oldest first). Tolerates truncated
-    traces: rules that need a matching earlier event suppress rather
-    than guess when the prefix may have been dropped. Pass
-    [~dropped] (the ring's {!Hw.Probe.ring_dropped} count, default 0) to
-    surface truncation itself: when positive, a [Trace_truncated]
-    finding reports the drop count and how many rule candidates the
-    suppression logic withdrew because of it. *)
+(** {1 Online lint}
+
+    The lint is one pass over the stream: {!step} each event in emit
+    order (install [step t] as the {!Hw.Probe} sink), then {!finish}. *)
+
+type t
+
+val create : unit -> t
+
+val step : t -> Hw.Probe.event -> unit
+(** Apply every rule to one event. Findings the event settles are
+    recorded now: a [wrpkrs] at gate depth 0 is reported when it is
+    stepped. *)
+
+val stepped : t -> int
+(** Events stepped so far. *)
+
+val finish : t -> finding list
+(** Every finding so far, oldest first, plus a [Missing_shootdown] for
+    each downgrade still not followed by an invalidation. *)
+
+val run : Hw.Probe.event list -> finding list
+(** [finish] after stepping every event of the list, oldest first. *)

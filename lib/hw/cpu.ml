@@ -189,9 +189,11 @@ let access t (pt : Page_table.t) ~va ~(access_kind : Pks.access) ?(exec = false)
           Clock.charge_n t.clock Cost.walk_mem_ref w.Page_table.refs;
           let pfn = Pte.pfn w.pte in
           Tlb.insert t.tlb ~pcid:t.pcid ~va { Tlb.pfn; flags = Pte.flags_of w.pte; level = w.leaf_level };
-          let vpn = Addr.vpn_of_va va in
-          let fvpn = if w.leaf_level = 2 then vpn land lnot 511 else vpn in
-          Probe.emit_tlb_fill ~cpu:t.id ~pcid:t.pcid ~vpn:fvpn ~level:w.leaf_level ~pfn;
+          if Probe.active () then begin
+            let vpn = Addr.vpn_of_va va in
+            let vpn = if w.leaf_level = 2 then vpn land lnot 511 else vpn in
+            Probe.emit (Probe.Tlb_fill { cpu = t.id; pcid = t.pcid; vpn; level = w.leaf_level; pfn })
+          end;
           finish w.pte w.leaf_level)
 
 (* ------------------------------------------------------------------ *)

@@ -2,9 +2,9 @@
 
     Low-overhead hook points scattered through the simulator ([Cpu],
     [Idt], the KSM, the gates, container boot, the VirtIO queues) emit
-    typed events here. Nothing is recorded unless a sink is installed — the analysis
-    library's trace recorder attaches one around a scenario and lints
-    the resulting event stream afterwards.
+    typed events here. Nothing is delivered unless a sink is installed —
+    the analysis library installs its trace lint as the sink around a
+    scenario, so each event is linted as it is emitted.
 
     Events carry only primitive payloads so this module sits below
     everything else in [hw] (only {!Pks}-free, {!Priv}-free data), and
@@ -55,32 +55,6 @@ type event =
 val pp_event : Format.formatter -> event -> unit
 val show_event : event -> string
 
-(** {1 Int-encoded event rings}
-
-    A flat preallocated ring of fixed-stride int-encoded event words:
-    recording through a ring sink is a handful of array stores with no
-    allocation, and the stream is decoded back into {!event} values
-    lazily ({!ring_events}) at lint time.  Overflow drops the oldest
-    record and counts it.  String payloads are interned in a per-ring
-    side table. *)
-
-type ring
-
-val ring_create : ?capacity:int -> unit -> ring
-(** Default capacity 65536 events. *)
-
-val ring_length : ring -> int
-
-val ring_dropped : ring -> int
-(** Records lost to overflow. *)
-
-val ring_record : ring -> event -> unit
-(** Encode one boxed event into the ring (generic path; also the
-    injection point for fault-injection tests). *)
-
-val ring_events : ring -> event list
-(** Decode the live records, oldest first. *)
-
 (** {1 The sink}
 
     One process-wide sink slot: the simulator runs on one domain. *)
@@ -92,22 +66,13 @@ val active : unit -> bool
 val emit : event -> unit
 (** Deliver [ev] to the installed sink (no-op when none). *)
 
-val set_ring : ring -> unit
-(** Install a ring sink. Replaces any previous sink. *)
+val set_sink : (event -> unit) -> unit
+(** Install [f] as the sink: it receives every event, in emit order.
+    Replaces any previous sink. *)
 
 val clear_sink : unit -> unit
 
 val suspended : (unit -> 'a) -> 'a
 (** [suspended f] runs [f] with no sink installed and restores the
     previous sink afterwards (even on exception). Used by the model
-    checker so exploration does not flood an attached recorder. *)
-
-(** {1 Specialized hot emitters}
-
-    The engine's steady-state emit sites: with a ring sink these write
-    int words directly — no event boxing, no closure call; with no sink
-    they cost the [active] guard alone. *)
-
-val emit_tlb_fill : cpu:int -> pcid:int -> vpn:int -> level:int -> pfn:int -> unit
-val emit_io_doorbell : queue:string -> avail_idx:int -> in_flight:int -> unit
-val emit_io_completion : queue:string -> used_idx:int -> serviced:int -> unit
+    checker so exploration does not flood the scenario's sink. *)

@@ -317,7 +317,9 @@ let kick t ~doorbell =
   if rang then begin
     t.kicks <- t.kicks + 1;
     Hw.Clock.charge t.clock Hw.Cost.virtio_doorbell;
-    Hw.Probe.emit_io_doorbell ~queue:t.name ~avail_idx:t.avail_idx ~in_flight:(in_flight t);
+    if Hw.Probe.active () then
+      Hw.Probe.emit
+        (Hw.Probe.Io_doorbell { queue = t.name; avail_idx = t.avail_idx; in_flight = in_flight t });
     doorbell ()
   end
   else if had_new then t.suppressed_kicks <- t.suppressed_kicks + 1;
@@ -384,7 +386,9 @@ let complete t ~inject =
   if t.unsignaled = 0 then false
   else begin
     t.interrupts <- t.interrupts + 1;
-    Hw.Probe.emit_io_completion ~queue:t.name ~used_idx:t.used_idx ~serviced:t.unsignaled;
+    if Hw.Probe.active () then
+      Hw.Probe.emit
+        (Hw.Probe.Io_completion { queue = t.name; used_idx = t.used_idx; serviced = t.unsignaled });
     t.unsignaled <- 0;
     inject ();
     true

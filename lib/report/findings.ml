@@ -2,12 +2,11 @@
    typed violations; here they are already flattened to strings, so the
    report layer stays independent of the checker's vocabulary. *)
 
-type severity = Critical | Warning | Info
+type severity = Critical | Warning
 
 let severity_name = function
   | Critical -> "CRITICAL"
   | Warning -> "warning"
-  | Info -> "info"
 
 type t = {
   severity : severity;
@@ -23,11 +22,11 @@ let count_sev findings sev = List.length (List.filter (fun f -> f.severity = sev
 let summary = function
   | [] -> "clean"
   | fs ->
-      let crit = count_sev fs Critical and warn = count_sev fs Warning and info = count_sev fs Info in
+      let crit = count_sev fs Critical and warn = count_sev fs Warning in
       let part n what = if n = 0 then [] else [ Printf.sprintf "%d %s" n what ] in
       Printf.sprintf "%d finding%s (%s)" (List.length fs)
         (if List.length fs = 1 then "" else "s")
-        (String.concat ", " (part crit "critical" @ part warn "warning" @ part info "info"))
+        (String.concat ", " (part crit "critical" @ part warn "warning"))
 
 let render ~title findings =
   let buf = Buffer.create 256 in

@@ -2,7 +2,7 @@
     lints). Generic over the producing rule: the analysis library turns
     its typed violations into [t] values; this module only formats. *)
 
-type severity = Critical | Warning | Info
+type severity = Critical | Warning
 
 val severity_name : severity -> string
 

@@ -268,7 +268,7 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
              (Verify_failed
                 (Analysis.report
                    ~title:(Printf.sprintf "container %d post-restore" container_id)
-                   { Analysis.violations; lints = [] })))
+                   { Analysis.violations; lints = []; linted = 0 })))
   end;
   c
   with e ->

@@ -18,12 +18,13 @@ let scan c = Analysis.check_machine ~containers:[ c ]
 let has rule vs = List.exists (fun v -> Analysis.Invariants.rule_name v = rule) vs
 let lint_has rule fs = List.exists (fun f -> Analysis.Lint.rule_name f = rule) fs
 
-(* Run [f] with a fresh probe ring as the sink; return its result and
-   the ring. *)
-let with_ring f =
-  let ring = Hw.Probe.ring_create () in
-  Hw.Probe.set_ring ring;
-  (Fun.protect ~finally:Hw.Probe.clear_sink f, ring)
+(* Run [f] with a list sink installed; return its result and the
+   events it emitted, oldest first. *)
+let with_trace f =
+  let events = ref [] in
+  Hw.Probe.set_sink (fun ev -> events := ev :: !events);
+  let x = Fun.protect ~finally:Hw.Probe.clear_sink f in
+  (x, List.rev !events)
 
 let fires name rule vs =
   check_bool (Printf.sprintf "%s: %s fires" name rule) true (has rule vs)
@@ -96,7 +97,7 @@ let test_clean_scenario () =
 let test_clean_gate_traffic () =
   (* Interleaved gate traffic produces a lint-clean trace. *)
   let c, trace =
-    with_ring (fun () ->
+    with_trace (fun () ->
         let c = mk () in
         let gates = Cki.Container.gates c in
         let cpu = Cki.Container.cpu c 0 in
@@ -123,7 +124,7 @@ let test_clean_gate_traffic () =
         done;
         c)
   in
-  check int "trace lints clean" 0 (List.length (Analysis.lint_trace trace));
+  check int "trace lints clean" 0 (List.length (Analysis.Lint.run trace));
   check int "machine scans clean" 0 (List.length (scan c))
 
 let test_attacks_leave_clean_state () =
@@ -394,9 +395,9 @@ let test_lint_wrpkrs_outside_gate () =
       ]
   in
   check int "wrpkrs inside a gate is fine" 0 (List.length inside);
-  (* truncated trace: the gate's enter fell off the ring buffer — the
-     unmatched exit withdraws the candidate *)
-  let truncated =
+  (* The lint sees the whole trace: a later unmatched exit does not
+     put an earlier wrpkrs inside a gate. *)
+  let unmatched =
     Analysis.Lint.run
       [
         Hw.Probe.Wrpkrs { cpu = 0; value = guest };
@@ -404,7 +405,7 @@ let test_lint_wrpkrs_outside_gate () =
           { cpu = 0; gate = Hw.Probe.Ksm_call_gate; entry_pkrs = guest; pkrs = guest };
       ]
   in
-  check int "truncation tolerated" 0 (List.length truncated)
+  check_bool "wrpkrs before an unmatched exit" true (lint_has "E1-wrpkrs-outside-gate" unmatched)
 
 let test_lint_forged_completion () =
   (* A completion interrupt with nothing serviced: interrupt forgery
@@ -454,58 +455,42 @@ let test_lint_empty_doorbell () =
   in
   check int "doorbell with work is fine" 0 (List.length ok)
 
-let test_lint_trace_truncated () =
-  let guest = Hw.Pks.pkrs_guest in
-  (* Same withdrawn-candidate stream, but with the recorder's drop
-     count passed in: the suppression is surfaced, attributed to
-     truncation, not silently swallowed. *)
-  let events =
-    [
-      Hw.Probe.Wrpkrs { cpu = 0; value = guest };
-      Hw.Probe.Gate_exit
-        { cpu = 0; gate = Hw.Probe.Ksm_call_gate; entry_pkrs = guest; pkrs = guest };
-    ]
+(* The make-check fleet scenario emits more events than the old
+   65,536-event ring held.  A wrpkrs outside any gate emitted before
+   the run, as the first event, must still be reported. *)
+let test_fleet_first_event_linted () =
+  let tenant i =
+    {
+      Fleet.Controller.default_tenant with
+      Fleet.Controller.name = Printf.sprintf "tenant%d" i;
+      rate_rps = 45_000.0;
+      requests = 2_000;
+    }
   in
-  (match Analysis.Lint.run ~dropped:37 events with
-  | [ Analysis.Lint.Trace_truncated { dropped; withdrawn } ] ->
-      check int "drop count surfaced" 37 dropped;
-      check int "withdrawn candidate counted" 1 withdrawn
-  | fs -> fail (Printf.sprintf "expected exactly trace-truncated, got %d findings" (List.length fs)));
-  (* dropped = 0 (the default): no finding, exactly as before. *)
-  check int "no finding without drops" 0 (List.length (Analysis.Lint.run events));
-  (* Truncation without withdrawn candidates still reports. *)
-  (match Analysis.Lint.run ~dropped:5 [] with
-  | [ Analysis.Lint.Trace_truncated { dropped = 5; withdrawn = 0 } ] -> ()
-  | _ -> fail "empty truncated trace should yield trace-truncated {5, 0}")
-
-let test_trace_truncated_end_to_end () =
-  (* A real overflowing ring: capacity 4, more events than fit. *)
-  check_raises "capacity must be positive"
-    (Invalid_argument "Probe.ring_create: capacity must be positive") (fun () ->
-      ignore (Hw.Probe.ring_create ~capacity:0 ()));
-  let t = Hw.Probe.ring_create ~capacity:4 () in
-  for i = 1 to 10 do
-    Hw.Probe.ring_record t (Hw.Probe.Tlb_invlpg { cpu = 0; pcid = 1; vpn = 0x400 + i })
-  done;
-  check int "ring counted the drops" 6 (Hw.Probe.ring_dropped t);
-  let lints = Analysis.lint_trace t in
-  check_bool "lint_trace surfaces truncation" true (lint_has "trace-truncated" lints);
-  (* Informational, not a violation: the result is still clean and the
-     finding renders at Info severity. *)
-  let r = { Analysis.violations = []; lints } in
-  check_bool "truncation alone keeps the result clean" true (Analysis.is_clean r);
-  check_bool "but the report mentions it" true
-    (List.exists
-       (fun (f : Report.Findings.t) ->
-         f.Report.Findings.rule = "trace-truncated"
-         && f.Report.Findings.severity = Report.Findings.Info)
-       (Analysis.findings r))
+  let cfg =
+    {
+      Fleet.Controller.default_config with
+      Fleet.Controller.tenants = List.init 2 tenant;
+      cpu_quota = Some (1_000_000.0, 100_000.0);
+    }
+  in
+  let (), r =
+    Analysis.run (fun () ->
+        Hw.Probe.emit (Hw.Probe.Wrpkrs { cpu = 0; value = 0 });
+        ignore (Fleet.Controller.run cfg);
+        ((), []))
+  in
+  check_bool
+    (Printf.sprintf "more events than the old ring held (%d)" r.Analysis.linted)
+    true (r.Analysis.linted > 65_536);
+  check (list string) "the first event's finding, and only it" [ "E1-wrpkrs-outside-gate" ]
+    (List.map Analysis.Lint.rule_name r.Analysis.lints)
 
 let test_lint_missing_shootdown () =
   (* Real machine states + events: map, cache on the vCPU, downgrade
      through the KSM, skip the shootdown. *)
   let c, trace =
-    with_ring (fun () ->
+    with_trace (fun () ->
         let c = mk () in
         let ksm = Cki.Container.ksm c in
         let va = 0x4000_0000 in
@@ -522,10 +507,10 @@ let test_lint_missing_shootdown () =
   in
   ignore c;
   check_bool "downgrade without shootdown" true
-    (lint_has "missing-shootdown" (Analysis.lint_trace trace));
+    (lint_has "missing-shootdown" (Analysis.Lint.run trace));
   (* same scenario with the shootdown: clean *)
   let _, trace2 =
-    with_ring (fun () ->
+    with_trace (fun () ->
         let c = mk () in
         let ksm = Cki.Container.ksm c in
         let va = 0x4000_0000 in
@@ -541,7 +526,7 @@ let test_lint_missing_shootdown () =
         Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va))
   in
   check_bool "shootdown resolves it" false
-    (lint_has "missing-shootdown" (Analysis.lint_trace trace2))
+    (lint_has "missing-shootdown" (Analysis.Lint.run trace2))
 
 let test_lint_cross_vcpu_shootdown () =
   (* Two vCPUs cache the mapping; only one is invalidated. *)
@@ -570,7 +555,7 @@ let test_lint_cross_vcpu_shootdown () =
 
 let test_report_rendering () =
   let c = mk () in
-  let clean = { Analysis.violations = scan c; lints = [] } in
+  let clean = { Analysis.violations = scan c; lints = []; linted = 0 } in
   check_bool "clean result" true (Analysis.is_clean clean);
   check_bool "clean summary" true
     (String.length (Analysis.report clean) > 0
@@ -578,7 +563,7 @@ let test_report_rendering () =
   let rogue = Kernel_model.Buddy.alloc (Cki.Container.buddy c) in
   raw_write c ~pfn:(Cki.Ksm.kernel_root (Cki.Container.ksm c)) ~index:5
     (Hw.Pte.make ~pfn:rogue ~flags:{ Hw.Pte.default_flags with writable = true });
-  let dirty = { Analysis.violations = scan c; lints = [] } in
+  let dirty = { Analysis.violations = scan c; lints = []; linted = 0 } in
   check_bool "dirty result" false (Analysis.is_clean dirty);
   check_bool "report names the rule" true
     (let s = Analysis.report dirty in
@@ -627,8 +612,7 @@ let suite =
         test_case "E1: wrpkrs outside gate" `Quick test_lint_wrpkrs_outside_gate;
         test_case "io: forged completion" `Quick test_lint_forged_completion;
         test_case "io: empty doorbell" `Quick test_lint_empty_doorbell;
-        test_case "truncation surfaced with withdrawn count" `Quick test_lint_trace_truncated;
-        test_case "overflowing recorder end-to-end" `Quick test_trace_truncated_end_to_end;
+        test_case "fleet run lints first event" `Quick test_fleet_first_event_linted;
         test_case "missing TLB shootdown (real machine)" `Quick test_lint_missing_shootdown;
         test_case "cross-vCPU shootdown race" `Quick test_lint_cross_vcpu_shootdown;
       ] );

@@ -1,5 +1,5 @@
 (* Tests for Hw: TLB, PKS, privileged instructions, CPU, IDT, EPT,
-   clock, probe rings, machine. *)
+   clock, probe sink, machine. *)
 
 open Alcotest
 
@@ -407,8 +407,7 @@ let test_clock_shared_name () =
 
 let event = testable Hw.Probe.pp_event ( = )
 
-(* One event of every variant, each payload field distinct, so a field
-   that lands in the wrong word of the 7-word record shows. *)
+(* One event of every variant, each payload field distinct. *)
 let every_event =
   let open Hw.Probe in
   [
@@ -428,36 +427,21 @@ let every_event =
     Io_completion { queue = "net-rx"; used_idx = 22; serviced = 23 };
   ]
 
-let test_probe_ring_round_trip () =
-  let ring = Hw.Probe.ring_create () in
-  List.iter (Hw.Probe.ring_record ring) every_event;
-  Hw.Probe.set_ring ring;
+(* An installed sink receives every event kind, in emit order; after
+   [clear_sink], and inside [suspended], it receives nothing. *)
+let test_probe_sink_order () =
+  let got = ref [] in
+  Hw.Probe.set_sink (fun ev -> got := ev :: !got);
   Fun.protect ~finally:Hw.Probe.clear_sink (fun () ->
-      Hw.Probe.emit_tlb_fill ~cpu:30 ~pcid:31 ~vpn:0x404 ~level:1 ~pfn:32;
-      Hw.Probe.emit_io_doorbell ~queue:"blk" ~avail_idx:33 ~in_flight:34;
-      Hw.Probe.emit_io_completion ~queue:"blk" ~used_idx:35 ~serviced:36);
-  Hw.Probe.emit_tlb_fill ~cpu:0 ~pcid:0 ~vpn:0 ~level:1 ~pfn:0;
-  let hot =
-    Hw.Probe.
-      [
-        Tlb_fill { cpu = 30; pcid = 31; vpn = 0x404; level = 1; pfn = 32 };
-        Io_doorbell { queue = "blk"; avail_idx = 33; in_flight = 34 };
-        Io_completion { queue = "blk"; used_idx = 35; serviced = 36 };
-      ]
-  in
-  check (list event) "decoded equal and in order" (every_event @ hot) (Hw.Probe.ring_events ring);
-  check_int "nothing dropped" 0 (Hw.Probe.ring_dropped ring)
-
-let test_probe_ring_overflow () =
-  let ring = Hw.Probe.ring_create ~capacity:4 () in
-  let ev i = Hw.Probe.Wrpkrs { cpu = i; value = 100 + i } in
-  for i = 0 to 9 do
-    Hw.Probe.ring_record ring (ev i)
-  done;
-  check_int "length" 4 (Hw.Probe.ring_length ring);
-  check_int "dropped" 6 (Hw.Probe.ring_dropped ring);
-  check (list event) "the last 4, oldest first" (List.init 4 (fun i -> ev (6 + i)))
-    (Hw.Probe.ring_events ring)
+      check_bool "active with a sink" true (Hw.Probe.active ());
+      List.iter Hw.Probe.emit every_event;
+      Hw.Probe.suspended (fun () ->
+          check_bool "inactive while suspended" false (Hw.Probe.active ());
+          List.iter Hw.Probe.emit every_event);
+      check_bool "active again after suspended" true (Hw.Probe.active ()));
+  check_bool "inactive once cleared" false (Hw.Probe.active ());
+  List.iter Hw.Probe.emit every_event;
+  check (list event) "every event, in emit order, once" every_event (List.rev !got)
 
 let test_machine_pcids () =
   let m = Hw.Machine.create ~cpus:2 ~mem_mib:1 () in
@@ -519,8 +503,7 @@ let suite =
       ] );
     ( "hw/probe",
       [
-        test_case "ring round-trips every event" `Quick test_probe_ring_round_trip;
-        test_case "ring overflow keeps the newest" `Quick test_probe_ring_overflow;
+        test_case "sink sees events in order" `Quick test_probe_sink_order;
       ] );
     ("hw/machine", [ test_case "fresh pcids" `Quick test_machine_pcids ]);
   ]
