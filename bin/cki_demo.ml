@@ -218,9 +218,31 @@ let init_workload (c : Cki.Container.t) =
            (Kernel_model.Syscall.Write { fd; data = Bytes.of_string "threads=4\n" }))
   | _ -> assert false
 
+(* Flush /app.conf through an I/O plane: the doorbell crosses the
+   hypercall gate, the write rides virtio-blk, and the completion comes
+   back through the interrupt gate, so a --check run lints gate
+   traffic.  The plane is detached afterwards with the queues drained,
+   as capture requires. *)
+let fsync_config (c : Cki.Container.t) =
+  let b = Cki.Container.backend c in
+  let kernel = b.Virt.Backend.kernel in
+  let loop = Ioplane.Loop.create b.Virt.Backend.clock in
+  let att = Ioplane.Loop.attach loop kernel ~name:"app" in
+  let task = List.hd (Kernel_model.Kernel.tasks kernel) in
+  (match
+     Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Open { path = "/app.conf"; create = false })
+   with
+  | Kernel_model.Syscall.Rint fd ->
+      ignore (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Fsync fd));
+      ignore (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Close fd))
+  | _ -> assert false);
+  ignore (Ioplane.Loop.service loop att);
+  Ioplane.Loop.detach loop att
+
 let snapshot out () =
   let c = Cki.Container.create_standalone ~mem_mib:256 () in
   init_workload c;
+  fsync_config c;
   let* image =
     Snapshot.Capture.capture c
     |> Result.map_error (fun e -> "capture failed: " ^ Snapshot.Capture.show_error e)
@@ -247,6 +269,7 @@ let restore input () =
       Printf.printf "restored %s in %.0f simulated ns: %d tasks, %d materialized frames\n" input ns
         (List.length (Kernel_model.Kernel.tasks kernel))
         (Snapshot.Restore.materialized_frames c);
+      fsync_config c;
       Ok ([ c ], [])
 
 let clone clones warm () =

@@ -6,7 +6,22 @@
    every mapping as it goes.  The monitor's own claimed state
    (Ksm.declared_ptps, Ksm.roots, Ksm.segments...) is used purely as
    the reference to cross-check against — none of the KSM's validation
-   paths run. *)
+   paths run.
+
+   The direct map is checked by runs.  It holds one leaf per delegated
+   frame (16,384 for a 64-MiB delegation), and the leaf rules can only
+   fire on a leaf that is not the canonical one (the frame at its own
+   PA, writable, nx, supervisor, pkey_guest — stated here, not taken
+   from the KSM) or whose frame is not plain delegated data: owned by
+   another owner, CoW-shared, a declared PTP, or outside the segments.
+   So at a direct-map L1 table the walk collects exactly those indices
+   (one pass over the entries against the canonical progression, one
+   over the range's owner codes and shared tags, the declared PTPs in
+   range, the indices no segment covers) and runs the leaf rules on
+   them in ascending order.  Every other present entry is a canonical
+   leaf over an own, unshared, undeclared segment frame, on which the
+   rules add nothing, so the findings are those of the per-leaf walk
+   ([check_machine_per_leaf]), in the same order. *)
 
 type violation =
   | Undeclared_ptp of {
@@ -70,7 +85,25 @@ let subject = function
 (* Bytes of virtual address space one entry covers at [lvl]. *)
 let span lvl = Hw.Addr.page_size * (1 lsl (9 * (lvl - 1)))
 
-let check_container (c : Cki.Container.t) : violation list =
+(* The canonical direct-map leaf over frame [pfn] is
+   [direct_leaf0 + pfn * direct_step]. *)
+let direct_flags =
+  { Hw.Pte.writable = true; user = false; nx = true; huge = false; pkey = Hw.Pks.pkey_guest }
+
+let direct_leaf0 = Hw.Pte.make ~pfn:0 ~flags:direct_flags
+let direct_step = Int64.sub (Hw.Pte.make ~pfn:1 ~flags:direct_flags) direct_leaf0
+
+(* First index of sorted [a] whose value is >= [x]. *)
+let lower_bound (a : int array) x =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid) < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+let check_container ~per_leaf (c : Cki.Container.t) : violation list =
   let ksm = c.Cki.Container.ksm in
   let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
   let id = c.Cki.Container.container_id in
@@ -122,10 +155,6 @@ let check_container (c : Cki.Container.t) : violation list =
           end
           else begin
             match Cki.Ksm.page_state_of ksm pfn with
-            | Cki.Ksm.Ksm_private ->
-                add
-                  (Targets_monitor
-                     { container = id; va; pfn; owner = oname (Hw.Phys_mem.Container k) })
             | Cki.Ksm.Guest_ptp _ when pkey <> Hw.Pks.pkey_ptp ->
                 (* I2: outside the pkey_ptp read-only view, any mapping
                    of a declared PTP is suspect; a writable one is the
@@ -160,6 +189,48 @@ let check_container (c : Cki.Container.t) : violation list =
   in
 
   (* -------------------------------------------------------------- *)
+  (* Direct-map L1 tables, by runs (see the header)                  *)
+  (* -------------------------------------------------------------- *)
+  let n = Hw.Addr.entries_per_table in
+  let segments = Cki.Ksm.segments ksm in
+  let declared = lazy (Cki.Ksm.declared_frames ksm) in
+  let exceptions = Bytes.create n in
+  let mark i = Bytes.unsafe_set exceptions i '\001' in
+  let check_direct_l1 ~table ~va_base =
+    let p0 = Hw.Addr.pfn_of_pa (Cki.Layout.pa_of_direct_va va_base) in
+    (* An index is an exception until a segment covers its frame. *)
+    Bytes.fill exceptions 0 n '\001';
+    List.iter
+      (fun (base, frames) ->
+        let lo = max base p0 and hi = min (base + frames) (p0 + n) in
+        if lo < hi then begin
+          Bytes.fill exceptions (lo - p0) (hi - lo) '\000';
+          Hw.Phys_mem.iter_not_exclusive mem ~base:lo ~count:(hi - lo) (Hw.Phys_mem.Container id)
+            (fun pfn -> mark (pfn - p0))
+        end)
+      segments;
+    let ptps = Lazy.force declared in
+    let i = ref (lower_bound ptps p0) in
+    while !i < Array.length ptps && ptps.(!i) < p0 + n do
+      mark (ptps.(!i) - p0);
+      incr i
+    done;
+    Hw.Phys_mem.iter_unlike_run mem ~pfn:table
+      ~first:(Int64.add direct_leaf0 (Int64.mul (Int64.of_int p0) direct_step))
+      ~step:direct_step
+      (fun idx _ -> mark idx);
+    let rec each_exception from =
+      match Bytes.index_from_opt exceptions from '\001' with
+      | None -> ()
+      | Some idx ->
+          let e = read ~pfn:table ~index:idx in
+          if Hw.Pte.is_present e then check_leaf ~va:(va_base + (idx * Hw.Addr.page_size)) e;
+          each_exception (idx + 1)
+    in
+    each_exception 0
+  in
+
+  (* -------------------------------------------------------------- *)
   (* The walk                                                        *)
   (* -------------------------------------------------------------- *)
   (* Table frame -> the (level, va) places it was walked at: almost
@@ -173,50 +244,53 @@ let check_container (c : Cki.Container.t) : violation list =
     let places = Option.value (Hw.Int_tbl.find_opt visited table) ~default:[] in
     if not (seen lvl va_base places) then begin
       Hw.Int_tbl.replace visited table ((lvl, va_base) :: places);
-      Hw.Phys_mem.iter_entries mem ~pfn:table (fun idx e ->
-          if Hw.Pte.is_present e then begin
-            let va = va_base + (idx * span lvl) in
-            if lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) then check_leaf ~va e
-            else begin
-              let child = Hw.Pte.pfn e in
-              let clvl = lvl - 1 in
-              (* I1: anything used as a page-table page must be declared
-                 (guest frames) or monitor-built (KSM frames). *)
-              if child < 0 || child >= total then
-                add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child })
+      if lvl = 1 && (not per_leaf) && Cki.Layout.in_direct_map va_base then
+        check_direct_l1 ~table ~va_base
+      else
+        Hw.Phys_mem.iter_entries mem ~pfn:table (fun idx e ->
+            if Hw.Pte.is_present e then begin
+              let va = va_base + (idx * span lvl) in
+              if lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) then check_leaf ~va e
               else begin
-                (match Hw.Phys_mem.owner mem child with
-                | Hw.Phys_mem.Ksm k when k = id -> (
-                    match Hw.Phys_mem.kind mem child with
-                    | Hw.Phys_mem.Page_table l ->
-                        if l <> clvl then
+                let child = Hw.Pte.pfn e in
+                let clvl = lvl - 1 in
+                (* I1: anything used as a page-table page must be declared
+                   (guest frames) or monitor-built (KSM frames). *)
+                if child < 0 || child >= total then
+                  add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child })
+                else begin
+                  (match Hw.Phys_mem.owner mem child with
+                  | Hw.Phys_mem.Ksm k when k = id -> (
+                      match Hw.Phys_mem.kind mem child with
+                      | Hw.Phys_mem.Page_table l ->
+                          if l <> clvl then
+                            add
+                              (Ptp_level_mismatch
+                                 { container = id; ptp = child; claimed = l; used_at = clvl })
+                      | k ->
                           add
-                            (Ptp_level_mismatch
-                               { container = id; ptp = child; claimed = l; used_at = clvl })
-                    | k ->
-                        add
-                          (Ptp_kind_mismatch
-                             { container = id; ptp = child; kind = Hw.Phys_mem.show_kind k }))
-                | Hw.Phys_mem.Container k when k = id -> (
-                    match Cki.Ksm.page_state_of ksm child with
-                    | Cki.Ksm.Guest_ptp l ->
-                        if l <> clvl then
+                            (Ptp_kind_mismatch
+                               { container = id; ptp = child; kind = Hw.Phys_mem.show_kind k }))
+                  | Hw.Phys_mem.Container k when k = id -> (
+                      match Cki.Ksm.page_state_of ksm child with
+                      | Cki.Ksm.Guest_ptp l ->
+                          if l <> clvl then
+                            add
+                              (Ptp_level_mismatch
+                                 { container = id; ptp = child; claimed = l; used_at = clvl })
+                      | Cki.Ksm.Guest_data ->
                           add
-                            (Ptp_level_mismatch
-                               { container = id; ptp = child; claimed = l; used_at = clvl })
-                    | Cki.Ksm.Guest_data | Cki.Ksm.Ksm_private ->
-                        add
-                          (Undeclared_ptp
-                             { container = id; table; index = idx; level = clvl; child }))
-                | _ ->
-                    add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child }));
-                (* Descend only through frames whose metadata says they
-                   hold a table: reading "entries" of a data frame would
-                   fabricate an empty table and hide the corruption. *)
-                if is_table child then walk_table ~lvl:clvl ~table:child ~va_base:va
+                            (Undeclared_ptp
+                               { container = id; table; index = idx; level = clvl; child }))
+                  | _ ->
+                      add (Undeclared_ptp { container = id; table; index = idx; level = clvl; child }));
+                  (* Descend only through frames whose metadata says they
+                     hold a table: reading "entries" of a data frame would
+                     fabricate an empty table and hide the corruption. *)
+                  if is_table child then walk_table ~lvl:clvl ~table:child ~va_base:va
+                end
               end
-            end
-          end)
+            end)
     end
   in
 
@@ -364,4 +438,7 @@ let check_segments (containers : Cki.Container.t list) : violation list =
   List.rev !out
 
 let check_machine ~containers =
-  List.concat_map check_container containers @ check_segments containers
+  List.concat_map (check_container ~per_leaf:false) containers @ check_segments containers
+
+let check_machine_per_leaf ~containers =
+  List.concat_map (check_container ~per_leaf:true) containers @ check_segments containers

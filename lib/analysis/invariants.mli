@@ -10,7 +10,13 @@
 
     Because the walker shares no code with the KSM's enforcement, a bug
     that lets corrupt state through the monitor still trips the
-    scanner, and vice versa. *)
+    scanner, and vice versa.
+
+    The direct map is checked by runs: at a direct-map L1 table the leaf
+    rules run only on the entries that are not the canonical leaf and on
+    the frames that are not plain delegated data (foreign-owned,
+    CoW-shared, declared PTPs, outside the segments), which are the only
+    entries on which they can fire. *)
 
 type violation =
   | Undeclared_ptp of {
@@ -65,3 +71,9 @@ val check_machine : containers:Cki.Container.t list -> violation list
     its per-vCPU copies, declared-PTP metadata, template splices, copy
     coherence, each vCPU's TLB against the live tables), then check
     segment disjointness and frame ownership across them. *)
+
+val check_machine_per_leaf : containers:Cki.Container.t list -> violation list
+(** {!check_machine} with the leaf rules run on every direct-map leaf:
+    the reference the run-based direct-map check is tested against. It
+    returns the same list in the same order, at a cost per delegated
+    frame. *)

@@ -230,7 +230,10 @@ let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) 
       containers' frozen template frames — found by walking its live
       page tables (every present leaf whose target is a shared
       read-only frame the container does not own took exactly one
-      reference at clone time; CoW breaks already released theirs);
+      reference at clone time; CoW breaks already released theirs).
+      The walk skips the direct-map slot: the KSM builds the direct
+      map over the container's own segments only, so none of its
+      leaves took a reference;
    2. reclaim the delegated segments;
    3. sweep every remaining frame the container or its KSM owns
       (KSM-private state, page tables, a private kernel image).
@@ -241,16 +244,18 @@ let create ?(env = Virt.Env.Bare_metal) ?(cfg = Config.default) (host : Host.t) 
 
 (* Does any frame this container (or its KSM) owns carry a clone
    reference?  Shared read-only frames with a positive refcount are
-   exactly the frames live CoW children still point at. *)
+   exactly the frames live CoW children still point at.  Only a
+   template owns shared frames, so every other container answers from
+   the share counts without a sweep. *)
 let has_live_clones t =
   let mem = Hw.Machine.mem (Host.machine t.host) in
+  let owners = [ Hw.Phys_mem.Container t.container_id; Hw.Phys_mem.Ksm t.container_id ] in
   let check pfn =
     if Hw.Phys_mem.is_shared_ro mem pfn && Hw.Phys_mem.refcount mem pfn > 0 then raise Exit
   in
-  match
-    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container t.container_id) check;
-    Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Ksm t.container_id) check
-  with
+  List.exists (fun o -> Hw.Phys_mem.shared_count mem o > 0) owners
+  &&
+  match List.iter (fun o -> Hw.Phys_mem.iter_owned mem o check) owners with
   | () -> false
   | exception Exit -> true
 
@@ -266,8 +271,9 @@ let destroy t =
   let rec walk lvl pfn =
     if not (Hw.Int_tbl.mem visited pfn) then begin
       Hw.Int_tbl.replace visited pfn ();
-      Hw.Phys_mem.iter_entries mem ~pfn (fun _ e ->
-          if Hw.Pte.is_present e then begin
+      Hw.Phys_mem.iter_entries mem ~pfn (fun idx e ->
+          let direct = lvl = Hw.Addr.levels && idx = Layout.l4_direct in
+          if Hw.Pte.is_present e && not direct then begin
             let target = Hw.Pte.pfn e in
             let leaf = lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) in
             if leaf then begin

@@ -46,12 +46,15 @@ val create : ?env:Virt.Env.t -> ?cfg:Config.t -> Host.t -> t
 val has_live_clones : t -> bool
 (** [true] while any frame the container or its KSM owns is shared
     read-only with a positive refcount, i.e. while a CoW clone of this
-    frozen template is still alive. O(frames owned). *)
+    frozen template is still alive. O(1) for a container that owns no
+    shared frame ({!Hw.Phys_mem.shared_count}); O(frames owned) for a
+    template. *)
 
 val destroy : t -> unit
 (** Tear the container down completely: drop the CoW references it
     holds on other containers' frozen template frames (found by walking
-    its live page tables), reclaim its delegated segments, and free
+    its live page tables, less the direct map, which maps only its own
+    segments), reclaim its delegated segments, and free
     every frame it or its KSM owns.  The operation behind fleet
     scale-in and create/destroy churn.
     @raise Invalid_argument if {!has_live_clones}. *)

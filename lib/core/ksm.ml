@@ -20,7 +20,6 @@
 type page_state =
   | Guest_data
   | Guest_ptp of int  (** declared PTP at level 1..4 *)
-  | Ksm_private
 [@@deriving show { with_path = false }, eq]
 
 type root_info = { copies : Hw.Addr.pfn array (* per vCPU *) }
@@ -46,7 +45,7 @@ type t = {
   cfg : Config.t;
   segments : (Hw.Addr.pfn * int) list;  (** delegated (base, frames) *)
   descs : page_state Hw.Int_tbl.t;
-      (** frames whose state is not [Guest_data]; absent = [Guest_data] *)
+      (** the declared PTPs, each [Guest_ptp level]; absent = [Guest_data] *)
   parents : (Hw.Addr.pfn * int) Hw.Int_tbl.t;
       (** linked PTP -> the (table, index) entry that links it *)
   roots : root_info Hw.Int_tbl.t;
@@ -72,7 +71,7 @@ let page_state_of t pfn =
   match Hw.Int_tbl.find_opt t.descs pfn with Some s -> s | None -> Guest_data
 
 let is_declared_ptp t pfn =
-  match page_state_of t pfn with Guest_ptp _ -> true | Guest_data | Ksm_private -> false
+  match page_state_of t pfn with Guest_ptp _ -> true | Guest_data -> false
 
 let set_state t pfn = function
   | Guest_data -> Hw.Int_tbl.remove t.descs pfn
@@ -372,7 +371,7 @@ let declare_ptp t ~pfn ~level : (unit, error) result =
   else if level < 1 || level > 4 then Error (Wrong_level { expected = 1; got = level })
   else
     match page_state_of t pfn with
-    | Guest_ptp _ | Ksm_private -> Error (Already_declared pfn)
+    | Guest_ptp _ -> Error (Already_declared pfn)
     | Guest_data ->
         set_state t pfn (Guest_ptp level);
         Hw.Phys_mem.set_kind t.mem pfn (Hw.Phys_mem.Page_table level);
@@ -386,7 +385,7 @@ let declare_ptp t ~pfn ~level : (unit, error) result =
    links it: teardown, which releases a whole tree at once. *)
 let forget_ptp t pfn : (unit, error) result =
   match page_state_of t pfn with
-  | Guest_data | Ksm_private -> Error (Not_declared pfn)
+  | Guest_data -> Error (Not_declared pfn)
   | Guest_ptp _ ->
       Hw.Int_tbl.remove t.parents pfn;
       set_state t pfn Guest_data;
@@ -417,7 +416,6 @@ let check_leaf t ~va ~pfn ~(flags : Hw.Pte.flags) : (unit, error) result =
   else if not (owns_frame t pfn) then Error (Targets_monitor_memory va)
   else
     match page_state_of t pfn with
-    | Ksm_private -> Error (Targets_monitor_memory va)
     | Guest_ptp _ -> Error (Maps_declared_ptp pfn)
     | Guest_data ->
         if t.kernel_exec_frozen && (not flags.Hw.Pte.user) && not flags.Hw.Pte.nx then
@@ -439,7 +437,7 @@ let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error
   charge_call t;
   let leaf_level = if flags.Hw.Pte.huge then 2 else 1 in
   match page_state_of t root with
-  | (Guest_data | Ksm_private) when not (Hw.Int_tbl.mem t.roots root) ->
+  | Guest_data when not (Hw.Int_tbl.mem t.roots root) ->
       Error (Undeclared_root root)
   | _ -> (
       match check_leaf t ~va ~pfn ~flags with
@@ -468,7 +466,7 @@ let guest_map t ~root ~va ~pfn ~(flags : Hw.Pte.flags) ~alloc_ptp : (unit, error
                         Hw.Phys_mem.clear_table t.mem new_ptp;
                         retag_direct_map t new_ptp ~pkey:Hw.Pks.pkey_ptp;
                         Ok ()
-                    | Guest_ptp _ | Ksm_private -> Error (Already_declared new_ptp)
+                    | Guest_ptp _ -> Error (Already_declared new_ptp)
                   end
                   else Error (Not_guest_frame new_ptp)
                 with
@@ -623,10 +621,11 @@ let segments t = t.segments
 
 let declared_ptps t =
   Hw.Int_tbl.fold
-    (fun pfn s acc -> match s with Guest_ptp lvl -> (pfn, lvl) :: acc | _ -> acc)
+    (fun pfn s acc -> match s with Guest_ptp lvl -> (pfn, lvl) :: acc | Guest_data -> acc)
     t.descs []
 
-let state_records t = Hw.Int_tbl.length t.descs
+let declared_count t = Hw.Int_tbl.length t.descs
+let declared_frames t = Hw.Int_tbl.sorted_keys t.descs
 
 let roots t = Hw.Int_tbl.fold (fun pfn info acc -> (pfn, info.copies) :: acc) t.roots []
 

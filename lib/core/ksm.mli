@@ -21,7 +21,7 @@
     ({!Hw.Cost.ksm_call}); none of them pays PTI/IBRS because only
     container-private data is mapped in the KSM (Section 3.3). *)
 
-type page_state = Guest_data | Guest_ptp of int | Ksm_private
+type page_state = Guest_data | Guest_ptp of int
 
 val pp_page_state : Format.formatter -> page_state -> unit
 val show_page_state : page_state -> string
@@ -173,9 +173,13 @@ val page_state_of : t -> Hw.Addr.pfn -> page_state
 val declared_ptps : t -> (Hw.Addr.pfn * int) list
 (** All frames currently declared as PTPs, with their levels. *)
 
-val state_records : t -> int
-(** Frames the monitor keeps a state record for: those whose state is
-    not [Guest_data], i.e. the declared PTPs. Lookups never add one. *)
+val declared_frames : t -> Hw.Addr.pfn array
+(** The declared PTPs' frames in ascending order: the table's keys,
+    since it holds a record for exactly those frames. *)
+
+val declared_count : t -> int
+(** The number of declared PTPs, in O(1): the monitor keeps a state
+    record for exactly those frames, and lookups never add one. *)
 
 val roots : t -> (Hw.Addr.pfn * Hw.Addr.pfn array) list
 (** All declared top-level PTPs with their per-vCPU copies. *)

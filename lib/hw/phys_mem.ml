@@ -39,7 +39,10 @@
    cost O(frames owned) and O(1) instead of a sweep of the machine.  A
    delegated segment joins its owner's list in one splice
    ([claim_run]) and leaves it in one unlink ([free_range] over an
-   intact run), in the order single claims would give it.
+   intact run), in the order single claims would give it.  Beside each
+   owner's count sits the number of its frames that are CoW-shared,
+   kept where a frame's shared byte or owner changes, so "does this
+   owner hold a shared frame" is O(1).
    The link array is never initialised: a pair is written only when its
    frame is linked, so pages of it covering never-allocated frames are
    never faulted in (eager arrays cost every fresh 512 MiB host 2 MiB). *)
@@ -155,6 +158,7 @@ type t = {
   links : links;  (** owner lists: [2*pfn] = prev, [2*pfn+1] = next; uninitialised *)
   mutable owner_head : int array;  (** encoded owner -> first frame, [nil] = none *)
   mutable owner_count : int array;  (** encoded owner -> frames owned *)
+  mutable shared_count : int array;  (** encoded owner -> CoW-shared frames owned *)
   mutable decoded : owner array;  (** encoded owner -> its value; [Free] = not yet decoded *)
 }
 
@@ -187,6 +191,7 @@ let create ~frames:n =
       links = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (2 * n);
       owner_head = Array.make 64 (-1);
       owner_count = Array.make 64 0;
+      shared_count = Array.make 64 0;
       decoded = Array.make 64 Free;
     }
   in
@@ -326,12 +331,14 @@ let ensure_code t code =
   if code >= cap then begin
     let cap' = max (2 * cap) (code + 1) in
     let head = Array.make cap' nil and count = Array.make cap' 0 in
-    let decoded = Array.make cap' Free in
+    let shared = Array.make cap' 0 and decoded = Array.make cap' Free in
     Array.blit t.owner_head 0 head 0 cap;
     Array.blit t.owner_count 0 count 0 cap;
+    Array.blit t.shared_count 0 shared 0 cap;
     Array.blit t.decoded 0 decoded 0 cap;
     t.owner_head <- head;
     t.owner_count <- count;
+    t.shared_count <- shared;
     t.decoded <- decoded
   end
 
@@ -356,14 +363,29 @@ let unlink t pfn code =
   end
 
 (* Move [pfn], held in built chunk [c], to encoded owner [code],
-   keeping the index in step. *)
+   keeping the index in step; a shared frame takes its share count
+   along.  Free frames keep no share count. *)
 let reown t c pfn code =
   let i = pfn land chunk_mask in
   let old = c.owner_of.(i) in
   if old <> code then begin
     unlink t pfn old;
     c.owner_of.(i) <- code;
-    link t pfn code
+    link t pfn code;
+    if Bytes.get c.shared i <> '\000' then begin
+      if old <> 0 then t.shared_count.(old) <- t.shared_count.(old) - 1;
+      if code <> 0 then t.shared_count.(code) <- t.shared_count.(code) + 1
+    end
+  end
+
+(* Set frame [i] of built chunk [c] shared or not, keeping its owner's
+   share count in step. *)
+let set_shared t c i v =
+  let was = Bytes.get c.shared i <> '\000' in
+  if was <> v then begin
+    Bytes.set c.shared i (if v then '\001' else '\000');
+    let code = c.owner_of.(i) in
+    if code <> 0 then t.shared_count.(code) <- (t.shared_count.(code) + if v then 1 else -1)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -418,7 +440,7 @@ let[@inline] claim t pfn ~owner ~kind =
   reown t c pfn owner;
   c.kind_of.(i) <- kind;
   c.refcnt.(i) <- 0;
-  Bytes.set c.shared i '\000';
+  set_shared t c i false;
   release_slot t c i;
   clear_free_bit t pfn;
   t.free_count <- t.free_count - 1
@@ -545,7 +567,7 @@ let[@inline] release_frame t c pfn =
   reown t c pfn 0;
   c.kind_of.(i) <- 0;
   c.refcnt.(i) <- 0;
-  Bytes.set c.shared i '\000';
+  set_shared t c i false;
   release_slot t c i;
   set_free_bit t pfn;
   t.free_count <- t.free_count + 1
@@ -622,6 +644,20 @@ let iter_not_owned t ~base ~count owner f =
         done)
   end
 
+(* [iter_not_owned] that also stops at CoW-shared frames: one pass over
+   the owner codes and shared bytes of a range. *)
+let iter_not_exclusive t ~base ~count owner f =
+  if count > 0 then begin
+    check_pfn t base;
+    check_pfn t (base + count - 1);
+    let code = encode_owner owner in
+    iter_chunks t chunk base count (fun c first lo hi ->
+        for i = lo to hi do
+          if Array.unsafe_get c.owner_of i <> code || Bytes.unsafe_get c.shared i <> '\000' then
+            f (first - lo + i)
+        done)
+  end
+
 let set_kind t pfn kind =
   check_pfn t pfn;
   (wchunk t pfn).kind_of.(pfn land chunk_mask) <- encode_kind kind
@@ -647,8 +683,7 @@ let refcount t pfn =
 
 let set_shared_ro t pfn v =
   check_pfn t pfn;
-  let c = wchunk t pfn in
-  Bytes.set c.shared (pfn land chunk_mask) (if v then '\001' else '\000')
+  set_shared t (wchunk t pfn) (pfn land chunk_mask) v
 
 let is_shared_ro t pfn =
   check_pfn t pfn;
@@ -678,6 +713,22 @@ let iter_entries t ~pfn f =
     for index = t.dirty_lo.(s) to t.dirty_hi.(s) do
       let e = Bigarray.Array1.unsafe_get arena (base + index) in
       if not (Int64.equal e 0L) then f index e
+    done
+  end
+
+(* The scan twin of [write_run]: one pass over the slot's written range
+   against the progression, [f] only on the entries off it. *)
+let iter_unlike_run t ~pfn ~first ~step f =
+  check_pfn t pfn;
+  let s = slot t pfn in
+  if s >= 0 then begin
+    let arena = t.arena and base = s * entries in
+    for index = t.dirty_lo.(s) to t.dirty_hi.(s) do
+      let e = Bigarray.Array1.unsafe_get arena (base + index) in
+      if
+        (not (Int64.equal e 0L))
+        && not (Int64.equal e (Int64.add first (Int64.mul (Int64.of_int index) step)))
+      then f index e
     done
   end
 
@@ -778,6 +829,11 @@ let owned_count t owner =
   match encode_owner owner with
   | 0 -> t.free_count
   | code -> if code < Array.length t.owner_count then t.owner_count.(code) else 0
+
+let shared_count t owner =
+  match encode_owner owner with
+  | 0 -> invalid_arg "Phys_mem.shared_count: Free frames are not indexed"
+  | code -> if code < Array.length t.shared_count then t.shared_count.(code) else 0
 
 (* The successor is read before [f] runs, so [f] may free or re-own the
    frame it is given. *)

@@ -18,7 +18,8 @@
     Ownership is indexed per owner (a frame list maintained by
     {!alloc}, {!alloc_contiguous}, {!free} and {!set_owner}), so
     {!iter_owned} and {!owned_count} cost O(frames owned) and O(1)
-    rather than a sweep of the whole machine. *)
+    rather than a sweep of the whole machine; {!shared_count} keeps,
+    per owner, how many of its frames are CoW-shared. *)
 
 type owner =
   | Free
@@ -95,6 +96,11 @@ val set_shared_ro : t -> Addr.pfn -> bool -> unit
 
 val is_shared_ro : t -> Addr.pfn -> bool
 
+val shared_count : t -> owner -> int
+(** Frames [owner] holds that are CoW-shared read-only, in O(1): kept
+    where a frame's shared tag or its owner changes.
+    @raise Invalid_argument for [Free], whose frames are not indexed. *)
+
 (** {1 Table-frame accessors}
 
     The frame's 512-entry slot in the shared PTE arena is acquired
@@ -110,6 +116,14 @@ val iter_entries : t -> pfn:Addr.pfn -> (int -> int64 -> unit) -> unit
 
     [f] must not write, clear or free the frame being visited (other
     frames are fine). *)
+
+val iter_unlike_run : t -> pfn:Addr.pfn -> first:int64 -> step:int64 -> (int -> int64 -> unit) -> unit
+(** [iter_unlike_run t ~pfn ~first ~step f] calls [f index entry] on
+    every nonzero entry of the frame that is not [first + index * step],
+    in ascending [index] order: the scan twin of {!write_run}, one pass
+    over the slot's written range with [f] only on the entries off the
+    progression. A slot-less frame visits nothing. [f] must not write,
+    clear or free the frame being visited. *)
 
 val read_entry : t -> pfn:Addr.pfn -> index:int -> int64
 val write_entry : t -> pfn:Addr.pfn -> index:int -> int64 -> unit
@@ -159,6 +173,14 @@ val iter_not_owned : t -> base:Addr.pfn -> count:int -> owner -> (Addr.pfn -> un
     one pass over the range's owner codes, a chunk at a time, with [f]
     called only on the exceptions.  The scanner's segment-owner rule
     and capture's closure check use it.
+    @raise Invalid_argument when the range leaves memory. *)
+
+val iter_not_exclusive :
+  t -> base:Addr.pfn -> count:int -> owner -> (Addr.pfn -> unit) -> unit
+(** As {!iter_not_owned}, and also calls [f] on the frames of the range
+    that [owner] holds but that are CoW-shared: one pass over the owner
+    codes and shared tags, [f] only on the frames [owner] does not hold
+    alone. The scanner's direct-map check uses it.
     @raise Invalid_argument when the range leaves memory. *)
 
 val iter_owned : t -> owner -> (Addr.pfn -> unit) -> unit

@@ -289,19 +289,23 @@ let clone_of ?(verify = true) host image ~orig_seg_bases ~orig_aux =
    its own page tables and kernel image, and resident pages minus those
    still shared with a template.  Untouched free segment frames are
    excluded on both sides of a comparison — they are address space, not
-   memory. *)
+   memory.  Counted, not swept: the container's own page tables are its
+   declared PTPs, and the frames it owns beyond its segments are its
+   kernel image (none for a clone, which shares the template's). *)
 let materialized_frames (c : Cki.Container.t) =
   let mem = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host) in
   let id = c.Cki.Container.container_id in
-  let meta = ref (Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm id)) in
-  Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container id) (fun pfn ->
-      match Hw.Phys_mem.kind mem pfn with
-      | Hw.Phys_mem.Page_table _ | Hw.Phys_mem.Kernel_code -> incr meta
-      | _ -> ());
+  let ksm = c.Cki.Container.ksm in
+  let segment_frames = List.fold_left (fun n (_, frames) -> n + frames) 0 (Cki.Ksm.segments ksm) in
+  let meta =
+    Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm id)
+    + Cki.Ksm.declared_count ksm
+    + (Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Container id) - segment_frames)
+  in
   let kernel = c.Cki.Container.backend.Virt.Backend.kernel in
   List.fold_left
     (fun acc (task : Kernel_model.Task.t) ->
       let mm = task.Kernel_model.Task.mm in
       acc + Kernel_model.Mm.resident_pages mm - Kernel_model.Mm.cow_count mm)
-    !meta
+    meta
     (Kernel_model.Kernel.tasks kernel)

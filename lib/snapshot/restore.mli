@@ -48,4 +48,6 @@ val materialized_frames : Cki.Container.t -> int
 (** Frames the container has actually materialized: KSM-private state,
     own page tables and kernel image, plus resident pages minus those
     still CoW-shared with a template.  Untouched free segment frames
-    are excluded — they are address space, not memory. *)
+    are excluded — they are address space, not memory.  Computed from
+    owner counts and the KSM's declared-PTP count, plus one term per
+    task: no frame is visited. *)

@@ -309,6 +309,198 @@ let test_stale_tlb () =
   check_bool "invlpg resolves it" false (has "stale-tlb" (scan c))
 
 (* ------------------------------------------------------------------ *)
+(* The direct map by runs against the per-leaf walk                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Corruptions of a container's direct map and of the frames under it.
+   Frames are picked by offset into the delegation. *)
+type dm_corruption =
+  | Flip of int * [ `Writable | `Nx | `Pkey ]  (** toggle one bit field of a leaf *)
+  | Clear of int  (** clear a leaf *)
+  | Point of int * [ `Ksm | `Host | `Foreign | `Shared ]  (** aim a leaf elsewhere *)
+  | Undo_retag of int  (** a declared PTP's leaf back to pkey_guest *)
+  | Reown of int * [ `Host | `Foreign ]  (** re-own a segment frame *)
+  | Share of int  (** mark a segment frame CoW-shared *)
+  | Declare_unretagged  (** declare a PTP, then undo its retag *)
+  | Beyond of int * [ `Below | `Above ]
+      (** a canonical leaf over a frame just outside the delegation, in
+          the direct-map table at the segment's edge *)
+
+let show_dm_corruption = function
+  | Flip (k, f) ->
+      Printf.sprintf "Flip (%d, %s)" k (match f with `Writable -> "writable" | `Nx -> "nx" | `Pkey -> "pkey")
+  | Clear k -> Printf.sprintf "Clear %d" k
+  | Point (k, t) ->
+      Printf.sprintf "Point (%d, %s)" k
+        (match t with `Ksm -> "ksm" | `Host -> "host" | `Foreign -> "foreign" | `Shared -> "shared")
+  | Undo_retag i -> Printf.sprintf "Undo_retag %d" i
+  | Reown (k, o) -> Printf.sprintf "Reown (%d, %s)" k (match o with `Host -> "host" | `Foreign -> "foreign")
+  | Share k -> Printf.sprintf "Share %d" k
+  | Declare_unretagged -> "Declare_unretagged"
+  | Beyond (k, side) -> Printf.sprintf "Beyond (%d, %s)" k (match side with `Below -> "below" | `Above -> "above")
+
+(* The corruptions after which the per-leaf walk must report something. *)
+let must_fire = function
+  | Point _ | Undo_retag _ | Reown _ | Share _ | Declare_unretagged -> true
+  | Flip _ | Clear _ | Beyond _ -> false
+
+let dm_corruption =
+  let open QCheck.Gen in
+  (* Offsets near both ends of the delegation reach the partly covered
+     tables at a segment's edges. *)
+  let off = oneof [ int_bound 600; int_bound 8191; map (fun k -> 8191 - k) (int_bound 600) ] in
+  oneof
+    [
+      map2 (fun k f -> Flip (k, f)) off (oneofl [ `Writable; `Nx; `Pkey ]);
+      map (fun k -> Clear k) off;
+      map2 (fun k t -> Point (k, t)) off (oneofl [ `Ksm; `Host; `Foreign; `Shared ]);
+      map (fun i -> Undo_retag i) nat;
+      map2 (fun k o -> Reown (k, o)) off (oneofl [ `Host; `Foreign ]);
+      map (fun k -> Share k) off;
+      return Declare_unretagged;
+      map2 (fun k side -> Beyond (k, side)) nat (oneofl [ `Below; `Above ]);
+    ]
+
+(* A container with a mapped heap (so it has declared PTPs) beside
+   another container on the same host; with [restored], the first is a
+   copy restored onto a host that already runs the other. *)
+let dm_setup ~restored =
+  let cfg = { Cki.Config.default with Cki.Config.segment_frames = 8192 } in
+  let boot host =
+    let c = Cki.Container.create ~cfg host in
+    let b = Cki.Container.backend c in
+    let task = Virt.Backend.spawn b in
+    (match
+       Virt.Backend.syscall_exn b task
+         (Kernel_model.Syscall.Mmap { pages = 64; prot = Kernel_model.Vma.prot_rw })
+     with
+    | Kernel_model.Syscall.Rint base ->
+        ignore (Kernel_model.Mm.touch_range task.Kernel_model.Task.mm ~start:base ~pages:64 ~write:true)
+    | _ -> fail "mmap");
+    c
+  in
+  let host () = Cki.Host.create (Hw.Machine.create ~mem_mib:128 ()) in
+  let h = host () in
+  let c = boot h in
+  if not restored then (c, Cki.Container.create ~cfg h)
+  else
+    let image =
+      match Snapshot.Capture.capture c with
+      | Ok i -> i
+      | Error e -> fail (Snapshot.Capture.show_error e)
+    in
+    let h' = host () in
+    let other = Cki.Container.create ~cfg h' in
+    match Snapshot.Restore.restore h' image with
+    | Ok c' -> (c', other)
+    | Error e -> fail (Snapshot.Restore.show_error e)
+
+let corrupt c other op =
+  let mem = mem_of c in
+  let ksm = Cki.Container.ksm c in
+  let base, frames = List.hd (Cki.Ksm.segments ksm) in
+  let frame k = base + (k mod frames) in
+  let leaf pfn = leaf_slot c (Cki.Layout.direct_va_of_pa (Hw.Addr.pa_of_pfn pfn)) in
+  let rewrite pfn f =
+    let table, idx = leaf pfn in
+    raw_write c ~pfn:table ~index:idx (f (Hw.Phys_mem.read_entry mem ~pfn:table ~index:idx))
+  in
+  let foreign () = fst (List.hd (Cki.Ksm.segments (Cki.Container.ksm other))) in
+  let unretag pfn = rewrite pfn (fun e -> Hw.Pte.with_pkey e Hw.Pks.pkey_guest) in
+  match op with
+  | Flip (k, field) ->
+      rewrite (frame k) (fun e ->
+          let fl = Hw.Pte.flags_of e in
+          let fl =
+            match field with
+            | `Writable -> { fl with Hw.Pte.writable = not fl.Hw.Pte.writable }
+            | `Nx -> { fl with Hw.Pte.nx = not fl.Hw.Pte.nx }
+            | `Pkey ->
+                let pkey = if fl.Hw.Pte.pkey = Hw.Pks.pkey_guest then Hw.Pks.pkey_ksm else Hw.Pks.pkey_guest in
+                { fl with Hw.Pte.pkey }
+          in
+          Hw.Pte.make ~pfn:(Hw.Pte.pfn e) ~flags:fl)
+  | Clear k -> rewrite (frame k) (fun _ -> Hw.Pte.empty)
+  | Point (k, target) ->
+      let pfn =
+        match target with
+        | `Ksm -> Cki.Ksm.kernel_root ksm
+        | `Host -> Cki.Host.host_root c.Cki.Container.host
+        | `Foreign -> foreign ()
+        | `Shared ->
+            let p = foreign () + 1 in
+            Hw.Phys_mem.set_shared_ro mem p true;
+            p
+      in
+      rewrite (frame k) (fun e -> Hw.Pte.make ~pfn ~flags:(Hw.Pte.flags_of e))
+  | Undo_retag i ->
+      let ptps = Cki.Ksm.declared_frames ksm in
+      unretag ptps.(i mod Array.length ptps)
+  | Reown (k, o) ->
+      Hw.Phys_mem.set_owner mem (frame k)
+        (match o with
+        | `Host -> Hw.Phys_mem.Host
+        | `Foreign -> Hw.Phys_mem.Container (Cki.Container.container_id other))
+  | Share k -> Hw.Phys_mem.set_shared_ro mem (frame k) true
+  | Declare_unretagged ->
+      let pfn = Kernel_model.Buddy.alloc (Cki.Container.buddy c) in
+      (match Cki.Ksm.declare_ptp ksm ~pfn ~level:1 with
+      | Ok () -> ()
+      | Error e -> fail (Cki.Ksm.show_error e));
+      unretag pfn
+  | Beyond (k, side) -> (
+      (* The edge table's free indices; none when the edge is aligned. *)
+      let n = Hw.Addr.entries_per_table in
+      let room, pfn =
+        match side with
+        | `Below -> (base mod n, fun i -> base - 1 - i)
+        | `Above -> ((n - ((base + frames) mod n)) mod n, fun i -> base + frames + i)
+      in
+      if room > 0 then
+        let pfn = pfn (k mod room) in
+        let table, idx = leaf pfn in
+        raw_write c ~pfn:table ~index:idx
+          (Hw.Pte.make ~pfn
+             ~flags:
+               { Hw.Pte.writable = true; user = false; nx = true; huge = false; pkey = Hw.Pks.pkey_guest }))
+
+let violation = testable Analysis.Invariants.pp_violation Analysis.Invariants.equal_violation
+
+(* The run-based direct-map check returns the per-leaf walk's findings,
+   in its order, on fresh and restored containers after any mix of
+   corruptions. *)
+let prop_direct_map_by_runs =
+  let arb =
+    QCheck.make
+      ~print:(fun (restored, ops) ->
+        Printf.sprintf "restored=%b [%s]" restored (String.concat "; " (List.map show_dm_corruption ops)))
+      QCheck.Gen.(pair bool (list_size (int_range 1 3) dm_corruption))
+  in
+  QCheck.Test.make ~name:"direct map by runs equals the per-leaf walk" ~count:60 arb
+    (fun (restored, ops) ->
+      let c, other = dm_setup ~restored in
+      List.iter (corrupt c other) ops;
+      let oracle = Analysis.Invariants.check_machine_per_leaf ~containers:[ c ] in
+      let runs = Analysis.Invariants.check_machine ~containers:[ c ] in
+      if not (List.equal Analysis.Invariants.equal_violation oracle runs) then
+        QCheck.Test.fail_reportf "per-leaf:@.%a@.by runs:@.%a"
+          Fmt.(list ~sep:cut Analysis.Invariants.pp_violation) oracle
+          Fmt.(list ~sep:cut Analysis.Invariants.pp_violation) runs;
+      (match ops with
+      | [ op ] when must_fire op && oracle = [] -> QCheck.Test.fail_reportf "no finding"
+      | _ -> ());
+      true)
+
+(* Clean fresh and restored containers: both walks find nothing. *)
+let test_direct_map_clean () =
+  List.iter
+    (fun restored ->
+      let c, _ = dm_setup ~restored in
+      check (list violation) "per-leaf clean" [] (Analysis.Invariants.check_machine_per_leaf ~containers:[ c ]);
+      check (list violation) "by runs clean" [] (scan c))
+    [ false; true ]
+
+(* ------------------------------------------------------------------ *)
 (* Lint fault injection                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -602,6 +794,8 @@ let suite =
         test_case "I1: PTP kind mismatch" `Quick test_ptp_kind_mismatch;
         test_case "segment ownership" `Quick test_segment_owner;
         test_case "stale TLB after unmap" `Quick test_stale_tlb;
+        test_case "direct map clean by both walks" `Quick test_direct_map_clean;
+        QCheck_alcotest.to_alcotest prop_direct_map_by_runs;
       ] );
     ( "analysis-lint",
       [

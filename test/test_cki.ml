@@ -559,7 +559,7 @@ let test_ksm_state_records_track_declared_ptps () =
   let ksm = Cki.Container.ksm c in
   let b = Cki.Container.backend c in
   let task = Virt.Backend.spawn b in
-  let before = Cki.Ksm.state_records ksm in
+  let before = Cki.Ksm.declared_count ksm in
   let base =
     match
       Virt.Backend.syscall_exn b task
@@ -571,14 +571,14 @@ let test_ksm_state_records_track_declared_ptps () =
   ignore (Kernel_model.Mm.touch_range task.Kernel_model.Task.mm ~start:base ~pages:1024 ~write:true);
   check_int "1024 pages resident" 1024 (Kernel_model.Mm.resident_pages task.Kernel_model.Task.mm);
   check_int "one record per declared PTP" (List.length (Cki.Ksm.declared_ptps ksm))
-    (Cki.Ksm.state_records ksm);
+    (Cki.Ksm.declared_count ksm);
   (* 1024 pages take two more L1 tables (and at most an L2 and an L3) *)
   check_bool "at most 4 new records for 1024 mapped pages" true
-    (Cki.Ksm.state_records ksm - before <= 4);
-  let records = Cki.Ksm.state_records ksm in
+    (Cki.Ksm.declared_count ksm - before <= 4);
+  let records = Cki.Ksm.declared_count ksm in
   check_bool "fresh frame undeclared" false
     (Cki.Ksm.is_declared_ptp ksm (Kernel_model.Buddy.alloc (Cki.Container.buddy c)));
-  check_int "a lookup adds no record" records (Cki.Ksm.state_records ksm)
+  check_int "a lookup adds no record" records (Cki.Ksm.declared_count ksm)
 
 let suite =
   [

@@ -252,7 +252,8 @@ let owner_ops =
    [free_range] over a whole run or a sub-run of one takes the one-step
    unlink; over a run with a re-owned, freed or shared frame in it, the
    per-frame path, which stops at a referenced shared frame.  A free
-   frame never reads as shared. *)
+   frame never reads as shared, and [shared_count] is the number of an
+   owner's frames that do. *)
 let prop_owner_index =
   QCheck.Test.make ~name:"iter_owned/owned_count match a brute-force scan" ~count:200 owner_ops
     (fun ops ->
@@ -347,7 +348,11 @@ let prop_owner_index =
             if Hw.Phys_mem.owned_count m owner <> List.length scan then
               fail_on "owned_count differs from the scan";
             if Hw.Phys_mem.count_owned m (Hw.Phys_mem.equal_owner owner) <> List.length scan then
-              fail_on "count_owned differs from the scan")
+              fail_on "count_owned differs from the scan";
+            if
+              Hw.Phys_mem.shared_count m owner
+              <> List.length (List.filter (Hw.Phys_mem.is_shared_ro m) scan)
+            then fail_on "shared_count differs from the scan")
           index_owners;
         if Hw.Phys_mem.owned_count m Hw.Phys_mem.Free <> Hw.Phys_mem.free_frames m then
           QCheck.Test.fail_reportf "after %s: owned_count Free <> free_frames" (show_owner_op op);

@@ -533,6 +533,161 @@ let test_forged_pkrs_refused () =
    a root. *)
 let test_forged_cr3_refused () = expect_vcpu_refusal "CR3 at A5" (fun set l -> set 6 "A5" l)
 
+(* ------------------------------------------------------------------ *)
+(* Counted footprints against the owner-list sweeps they replaced      *)
+(* ------------------------------------------------------------------ *)
+
+let mem_of (c : Cki.Container.t) = Hw.Machine.mem (Cki.Host.machine c.Cki.Container.host)
+let owners (c : Cki.Container.t) =
+  [ Hw.Phys_mem.Container c.Cki.Container.container_id; Hw.Phys_mem.Ksm c.Cki.Container.container_id ]
+
+(* The oracles: [materialized_frames] and [has_live_clones] as sweeps
+   of the container's owner lists. *)
+let swept_materialized (c : Cki.Container.t) =
+  let mem = mem_of c in
+  let id = c.Cki.Container.container_id in
+  let meta = ref (Hw.Phys_mem.owned_count mem (Hw.Phys_mem.Ksm id)) in
+  Hw.Phys_mem.iter_owned mem (Hw.Phys_mem.Container id) (fun pfn ->
+      match Hw.Phys_mem.kind mem pfn with
+      | Hw.Phys_mem.Page_table _ | Hw.Phys_mem.Kernel_code -> incr meta
+      | _ -> ());
+  List.fold_left
+    (fun acc (task : Kernel_model.Task.t) ->
+      let mm = task.Kernel_model.Task.mm in
+      acc + Kernel_model.Mm.resident_pages mm - Kernel_model.Mm.cow_count mm)
+    !meta
+    (Kernel_model.Kernel.tasks c.Cki.Container.backend.Virt.Backend.kernel)
+
+let swept_live_clones (c : Cki.Container.t) =
+  let mem = mem_of c in
+  let live = ref false in
+  List.iter
+    (fun o ->
+      Hw.Phys_mem.iter_owned mem o (fun pfn ->
+          if Hw.Phys_mem.is_shared_ro mem pfn && Hw.Phys_mem.refcount mem pfn > 0 then live := true))
+    (owners c);
+  !live
+
+(* Every shared frame [c] owns, with its refcount. *)
+let shared_refs (c : Cki.Container.t) =
+  let mem = mem_of c in
+  let l = ref [] in
+  List.iter
+    (fun o ->
+      Hw.Phys_mem.iter_owned mem o (fun pfn ->
+          if Hw.Phys_mem.is_shared_ro mem pfn then l := (pfn, Hw.Phys_mem.refcount mem pfn) :: !l))
+    (owners c);
+  List.sort compare !l
+
+let break_cow (c : Cki.Container.t) pages =
+  let mm = (first_task c).Kernel_model.Task.mm in
+  for i = 0 to pages - 1 do
+    Kernel_model.Mm.touch mm (Kernel_model.Mm.user_mmap_base + (i * Hw.Addr.page_size)) ~write:true
+  done
+
+let test_counts_match_sweeps () =
+  let host = mk_host ~mem_mib:512 () in
+  let agree name c =
+    check int (name ^ ": materialized_frames") (swept_materialized c)
+      (Snapshot.Restore.materialized_frames c);
+    check bool (name ^ ": has_live_clones") (swept_live_clones c) (Cki.Container.has_live_clones c)
+  in
+  let fresh = boot_ready host in
+  agree "fresh" fresh;
+  agree "restored" (restore_exn host (capture_exn fresh));
+  let forked = boot_ready host in
+  let b = Cki.Container.backend forked in
+  (match Virt.Backend.syscall_exn b (first_task forked) Kernel_model.Syscall.Fork with
+  | Kernel_model.Syscall.Rint _ -> ()
+  | _ -> fail "fork");
+  check int "forked: two tasks" 2
+    (List.length (Kernel_model.Kernel.tasks b.Virt.Backend.kernel));
+  agree "forked" forked;
+  let tpl = template_exn (boot_ready host) in
+  let tc = Snapshot.Template.container tpl in
+  agree "template" tc;
+  let clone = clone_exn tpl in
+  agree "warm clone" clone;
+  agree "template with a clone" tc;
+  check bool "a clone keeps its template in use" true (Cki.Container.has_live_clones tc);
+  break_cow clone 8;
+  agree "warm clone after CoW breaks" clone;
+  agree "template after CoW breaks" tc;
+  Cki.Container.destroy clone;
+  agree "template after its clone is gone" tc;
+  check bool "no clone, no use" false (Cki.Container.has_live_clones tc)
+
+(* Destroying a warm clone gives back every reference it took, whether
+   its pages are still shared or were copied by a CoW break. *)
+let test_clone_destroy_restores_refcounts () =
+  let host = mk_host () in
+  let tpl = template_exn (boot_ready host) in
+  let tc = Snapshot.Template.container tpl in
+  let before = shared_refs tc in
+  check bool "the template shares frames" true (before <> []);
+  let clone = clone_exn tpl in
+  check bool "the clone took references" true (shared_refs tc <> before);
+  break_cow clone 8;
+  Cki.Container.destroy clone;
+  check (list (pair int int)) "every template frame's refcount is back" before (shared_refs tc)
+
+(* ------------------------------------------------------------------ *)
+(* The cki_demo snapshot and restore scenarios lint gate traffic       *)
+(* ------------------------------------------------------------------ *)
+
+(* cki_demo's [fsync_config]: /app.conf flushed through an I/O plane. *)
+let fsync_config (c : Cki.Container.t) =
+  let b = Cki.Container.backend c in
+  let kernel = b.Virt.Backend.kernel in
+  let loop = Ioplane.Loop.create b.Virt.Backend.clock in
+  let att = Ioplane.Loop.attach loop kernel ~name:"app" in
+  let task = first_task c in
+  (match
+     Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Open { path = "/app.conf"; create = false })
+   with
+  | Kernel_model.Syscall.Rint fd ->
+      ignore (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Fsync fd));
+      ignore (Virt.Backend.syscall_exn b task (Kernel_model.Syscall.Close fd))
+  | _ -> fail "open");
+  ignore (Ioplane.Loop.service loop att);
+  Ioplane.Loop.detach loop att
+
+(* A gate entered and then left on the same CPU. *)
+let rec gate_pair open_ = function
+  | [] -> false
+  | Hw.Probe.Gate_enter { cpu; gate; _ } :: rest -> gate_pair ((cpu, gate) :: open_) rest
+  | Hw.Probe.Gate_exit { cpu; gate; _ } :: rest -> List.mem (cpu, gate) open_ || gate_pair open_ rest
+  | _ :: rest -> gate_pair open_ rest
+
+(* Each scenario runs once under Analysis.run, as `--check` runs it,
+   and once more (it is deterministic) under a list sink, which shows
+   the sample the lint saw. *)
+let test_demo_scenarios_lint_gates () =
+  let snapshot () =
+    let c = Cki.Container.create_standalone ~mem_mib:256 () in
+    Test_engine.init_workload c;
+    fsync_config c;
+    (capture_exn c, [ c ])
+  in
+  let restore image () =
+    let c = restore_exn (mk_host ()) image in
+    fsync_config c;
+    ((), [ c ])
+  in
+  let sample name scenario =
+    let x, r = Analysis.run scenario in
+    check bool (name ^ ": clean") true (Analysis.is_clean r);
+    let events = ref [] in
+    Hw.Probe.set_sink (fun ev -> events := ev :: !events);
+    ignore (Fun.protect ~finally:Hw.Probe.clear_sink scenario);
+    let events = List.rev !events in
+    check int (name ^ ": the same sample") r.Analysis.linted (List.length events);
+    check bool (name ^ ": a gate entered and left") true (gate_pair [] events);
+    x
+  in
+  let image = sample "snapshot" snapshot in
+  sample "restore" (restore image)
+
 let suite =
   [
     ( "snapshot",
@@ -554,5 +709,9 @@ let suite =
         test_case "re-sealed CR3 at a PTP is refused" `Quick test_forged_cr3_refused;
         test_case "restored and cloned PTPs stay in use" `Quick test_restored_ptps_in_use;
         test_case "unreachable owned frame is named" `Quick test_unreachable_frame;
+        test_case "counted footprints match the owner sweeps" `Quick test_counts_match_sweeps;
+        test_case "destroying a warm clone returns its references" `Quick
+          test_clone_destroy_restores_refcounts;
+        test_case "demo snapshot and restore lint a gate pair" `Quick test_demo_scenarios_lint_gates;
       ] );
   ]
