@@ -26,6 +26,9 @@
      with [Analysis.check_machine], destroy it -- the table walks over
      its 16,384-leaf direct map that a migration pays on the target.
      Gate: every restored copy is analysis-clean;
+   - one dirty-tracking epoch over a 4,096-page heap: every page
+     write-protected with its per-vCPU shootdown, then restored, in
+     host ns and heap words per epoch;
    - one pre-copy migration of a 1,024-page app: dirty tracking, two
      captures, restore, scan and the source's teardown, in host ns and
      heap words per migration. *)
@@ -291,6 +294,28 @@ let bench_container_cycle ~ops =
   in
   (m, !findings)
 
+(* One dirty-tracking epoch over a 4,096-page [Chaos.boot_app] heap:
+   [Mm.dirty_track_start] write-protects every resident page through
+   the KSM's protect-by-runs call with the engine's per-vCPU shootdown,
+   and [Mm.dirty_track_finish] restores them, with no write in between.
+   Booting the app is outside the timer; the heap words are counted by
+   [words_of], so they are deterministic. *)
+let bench_dirty_track ~ops =
+  let fab = Migrate.Fabric.create ~hosts:1 () in
+  let app = Migrate.Chaos.boot_app ~heap_pages:4096 fab ~hid:0 in
+  let mm = app.Migrate.Chaos.task.Kernel_model.Task.mm in
+  let shootdown = Migrate.Engine.shootdown app.Migrate.Chaos.container in
+  let m, words =
+    words_of (fun () ->
+        time "dirty_track_4096" ~ops (fun () ->
+            for _ = 1 to ops do
+              if Kernel_model.Mm.dirty_track_start mm ~shootdown < 4096 then
+                failwith "engine bench: the epoch left heap pages unprotected";
+              ignore (Kernel_model.Mm.dirty_track_finish mm)
+            done))
+  in
+  [ m; Artifact.wall ~n:ops "dirty_track_4096_words" "words/op" (words /. float_of_int ops) ]
+
 (* One [Migrate.Engine.migrate] of a 1,024-page [Chaos.boot_app] at
    the default dirty rate (about 40 pages per wire millisecond, so it
    converges in a few rounds), each on a fresh 2-host fabric.  Building
@@ -336,12 +361,13 @@ let run () =
   let virtio_copy = bench_virtio_copy ~ops:20_000 in
   let serve = bench_serve () in
   let cycle, cycle_findings = bench_container_cycle ~ops:100 in
+  let dirty_track = bench_dirty_track ~ops:60 in
   let migrate = bench_migrate ~ops:60 in
   {
     Artifact.bench = "engine";
     metrics =
       ((alloc :: arena :: machine) @ [ translate; probe; clock ])
-      @ primitives @ (virtio_copy :: serve) @ (cycle :: migrate);
+      @ primitives @ (virtio_copy :: serve) @ (cycle :: dirty_track) @ migrate;
     gates =
       [
         Artifact.gate "restored 64 MiB copies analysis-clean" (cycle_findings = 0)

@@ -114,8 +114,9 @@ let assemble ?(env = Virt.Env.Bare_metal) ~cfg (host : Host.t) ~container_id ~pc
       pte_remove =
         (fun id ~va -> ksm_exn "guest_unmap" (Ksm.guest_unmap ksm ~root:(root_of id) ~va));
       pte_protect =
-        (fun id ~va ~writable ->
-          ksm_exn "guest_protect" (Ksm.guest_protect ksm ~root:(root_of id) ~va ~writable));
+        (fun id ~vpns ~writable ~shootdown ->
+          ksm_exn "guest_protect"
+            (Ksm.guest_protect ksm ~root:(root_of id) ~vpns ~writable ~shootdown));
       fault_round_trip =
         (fun () ->
           (* The guest kernel fields the fault itself; returning to the

@@ -503,24 +503,65 @@ let guest_unmap t ~root ~va : (unit, error) result =
     Ok ()
   end
 
-let guest_protect t ~root ~va ~writable : (unit, error) result =
-  charge_call t;
-  if not (Hw.Int_tbl.mem t.roots root) then Error (Undeclared_root root)
-  else if Layout.in_ksm va || Layout.in_pervcpu va then Error (Reserved_range va)
+(* The walk from [table] at level [lvl] down to the level-2 entry of
+   [va]'s 2 MiB region: the L1 table holding the region's leaves, the
+   L2 table holding its huge leaf ([huge] set), or -1 when an upper
+   entry is absent. *)
+let rec region_table t ~huge lvl table va =
+  let idx = Hw.Addr.index_at_level ~lvl va in
+  let e = read_raw t ~pfn:table ~index:idx in
+  if not (Hw.Pte.is_present e) then -1
+  else if lvl = 2 && Hw.Pte.is_huge e then begin
+    huge := true;
+    table
+  end
+  else if lvl = 2 then Hw.Pte.pfn e
+  else region_table t ~huge (lvl - 1) (Hw.Pte.pfn e) va
+
+(* One KSM call per page, charged as the page is reached, so a run is
+   the per-page loop in the clock's eyes.  The root is checked once;
+   the walk reruns only when a page leaves the previous page's 2 MiB
+   region (protection never changes presence, huge bits or links, so
+   the walk stays valid across the region).  Each leaf is read,
+   traced if downgraded, rewritten, then [shootdown] runs for the
+   page. *)
+let guest_protect t ~root ~vpns ~writable ~shootdown : (unit, error) result =
+  let n = Array.length vpns in
+  if n = 0 then Ok ()
   else begin
-    let rec go lvl table =
-      let idx = Hw.Addr.index_at_level ~lvl va in
-      let e = read_raw t ~pfn:table ~index:idx in
-      if not (Hw.Pte.is_present e) then ()
-      else if lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) then begin
-        if (not writable) && Hw.Pte.is_writable e then
-          trace_downgrade t ~root ~va ~unmapped:false;
-        write_raw t ~pfn:table ~index:idx (Hw.Pte.with_writable e writable)
-      end
-      else go (lvl - 1) (Hw.Pte.pfn e)
-    in
-    go 4 root;
-    Ok ()
+    charge_call t;
+    if not (Hw.Int_tbl.mem t.roots root) then Error (Undeclared_root root)
+    else begin
+      let huge = ref false and region = ref (-1) and table = ref (-1) in
+      let rec go i =
+        if i = n then Ok ()
+        else begin
+          if i > 0 then charge_call t;
+          let vpn = vpns.(i) in
+          let va = Hw.Addr.va_of_vpn vpn in
+          if Layout.in_ksm va || Layout.in_pervcpu va then Error (Reserved_range va)
+          else begin
+            if vpn lsr 9 <> !region then begin
+              region := vpn lsr 9;
+              huge := false;
+              table := region_table t ~huge 4 root va
+            end;
+            if !table >= 0 then begin
+              let index = Hw.Addr.index_at_level ~lvl:(if !huge then 2 else 1) va in
+              let e = read_raw t ~pfn:!table ~index in
+              if Hw.Pte.is_present e then begin
+                if (not writable) && Hw.Pte.is_writable e then
+                  trace_downgrade t ~root ~va ~unmapped:false;
+                write_raw t ~pfn:!table ~index (Hw.Pte.with_writable e writable)
+              end
+            end;
+            shootdown va;
+            go (i + 1)
+          end
+        end
+      in
+      go 0
+    end
   end
 
 (* Declare a guest frame as a top-level PTP and build its per-vCPU

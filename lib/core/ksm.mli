@@ -122,7 +122,25 @@ val guest_map :
     copies. Huge leaves sit at level 2 when [flags.huge]. *)
 
 val guest_unmap : t -> root:Hw.Addr.pfn -> va:Hw.Addr.va -> (unit, error) result
-val guest_protect : t -> root:Hw.Addr.pfn -> va:Hw.Addr.va -> writable:bool -> (unit, error) result
+
+val guest_protect :
+  t ->
+  root:Hw.Addr.pfn ->
+  vpns:Hw.Addr.vpn array ->
+  writable:bool ->
+  shootdown:(Hw.Addr.va -> unit) ->
+  (unit, error) result
+(** Set the writable bit of the leaf (4 KiB, or the 2 MiB leaf covering
+    it) of every page in [vpns], an ascending run under one root; a
+    page with no leaf is left alone.  Each page is one KSM call,
+    charged as the page is reached, and a downgrade of a writable leaf
+    emits its [Pte_downgrade] probe event; then [shootdown] runs with
+    the page's address, so the charges and events come in the order a
+    per-page loop would make them.  The root is checked once, and the
+    walk from it reruns only when the run enters another 2 MiB region;
+    [shootdown] must not change page tables.  Stops at the first page
+    in the KSM or per-vCPU range with [Reserved_range], that page
+    charged but neither written nor shot down. *)
 
 val declare_root : t -> pfn:Hw.Addr.pfn -> (unit, error) result
 (** Declare a top-level PTP: splices the fixed kernel/KSM subtrees into

@@ -11,10 +11,14 @@
    is a bounds check plus two array updates, with no lookup; queries
    find the slot by name and never register one. *)
 
-type t = { mutable now_ns : float; mutable counts : int array; mutable spent : float array }
+(* The time sits in a float-only record, stored flat: advancing it
+   writes the float in place, where a float field of [t] itself would
+   be boxed afresh on every charge. *)
+type now = { mutable ns : float }
+type t = { now : now; mutable counts : int array; mutable spent : float array }
 
-let create () = { now_ns = 0.0; counts = Array.make 64 0; spent = Array.make 64 0.0 }
-let now t = t.now_ns
+let create () = { now = { ns = 0.0 }; counts = Array.make 64 0; spent = Array.make 64 0.0 }
+let now t = t.now.ns
 
 let grow t i =
   let n = max (i + 1) (2 * Array.length t.counts) in
@@ -24,7 +28,7 @@ let grow t i =
 
 let[@inline] add t i ns =
   if i >= Array.length t.counts then grow t i;
-  t.now_ns <- t.now_ns +. ns;
+  t.now.ns <- t.now.ns +. ns;
   t.counts.(i) <- t.counts.(i) + 1;
   t.spent.(i) <- t.spent.(i) +. ns
 
@@ -38,7 +42,7 @@ let count t name =
   t.counts.(i) <- t.counts.(i) + 1
 
 (* Advance time without attributing it to a named event (pure compute). *)
-let advance t ns = t.now_ns <- t.now_ns +. ns
+let advance t ns = t.now.ns <- t.now.ns +. ns
 
 let occurrences t name =
   match Cost.find_slot name with Some i when i < Array.length t.counts -> t.counts.(i) | _ -> 0
@@ -49,9 +53,9 @@ let spent_on t name =
 (* Run [f] and return its result together with the simulated time it
    consumed. *)
 let timed t f =
-  let t0 = t.now_ns in
+  let t0 = t.now.ns in
   let r = f () in
-  (r, t.now_ns -. t0)
+  (r, t.now.ns -. t0)
 
 let events t =
   let acc = ref [] in
@@ -59,7 +63,7 @@ let events t =
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 let pp fmt t =
-  Format.fprintf fmt "@[<v>clock: %.0f ns@," t.now_ns;
+  Format.fprintf fmt "@[<v>clock: %.0f ns@," t.now.ns;
   List.iter
     (fun (e, n) -> Format.fprintf fmt "  %-32s %8d  %12.0f ns@," e n (spent_on t e))
     (events t);

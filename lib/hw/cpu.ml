@@ -68,31 +68,32 @@ let load_cr3 t ~root ~pcid =
 (* Privileged-instruction execution (extension E2)                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A top-level function, not a closure per call: every gate crossing
+   runs [exec_priv], and its unblocked path allocates nothing. *)
+let trace_priv t inst ~blocked =
+  if Probe.active () then
+    Probe.emit
+      (Probe.Priv_exec
+         {
+           cpu = t.id;
+           mnemonic = Priv.mnemonic inst;
+           destructive = Priv.blocked_in_guest inst;
+           pkrs = t.pkrs;
+           blocked;
+         })
+
 let exec_priv t (inst : Priv.t) : (unit, fault) result =
-  let trace ~blocked =
-    if Probe.active () then
-      Probe.emit
-        (Probe.Priv_exec
-           {
-             cpu = t.id;
-             mnemonic = Priv.mnemonic inst;
-             destructive = Priv.blocked_in_guest inst;
-             pkrs = t.pkrs;
-             blocked;
-           })
-  in
   if t.mode <> Kernel then Error (Not_kernel_mode inst)
   else if
     t.pkrs <> Pks.all_access
-    && Mutation.e2_blocks ~mnemonic:(Priv.mnemonic inst)
-         ~policy_blocked:(Priv.blocked_in_guest inst)
+    && Mutation.e2_blocks ~mnemonic:Priv.mnemonic inst ~policy_blocked:(Priv.blocked_in_guest inst)
   then begin
-    trace ~blocked:true;
+    trace_priv t inst ~blocked:true;
     Clock.count t.clock "priv_inst_blocked";
     Error (Blocked_instruction inst)
   end
   else begin
-    trace ~blocked:false;
+    trace_priv t inst ~blocked:false;
     (match inst with
     | Priv.Wrpkrs r ->
         t.pkrs <- r;

@@ -65,8 +65,10 @@ let pristine () =
 
 (* E2 as actually enforced: the golden policy answer, filtered through
    the active mutant. *)
-let e2_blocks ~mnemonic ~policy_blocked =
-  policy_blocked && knobs.e2_enforce && not (List.mem mnemonic knobs.e2_unblocked)
+let e2_blocks ~mnemonic inst ~policy_blocked =
+  policy_blocked
+  && knobs.e2_enforce
+  && (knobs.e2_unblocked = [] || not (List.mem (mnemonic inst) knobs.e2_unblocked))
 
 let with_mutant (install : unit -> unit) (f : unit -> 'a) : 'a =
   reset ();

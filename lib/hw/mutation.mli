@@ -37,9 +37,12 @@ val pristine : unit -> bool
 (** [true] iff every knob is at its default. Tests assert this so a
     leaked mutant cannot silently weaken the rest of the suite. *)
 
-val e2_blocks : mnemonic:string -> policy_blocked:bool -> bool
-(** Whether extension E2 blocks this instruction under the active
-    knobs, given the policy table's verdict [policy_blocked]. *)
+val e2_blocks : mnemonic:('a -> string) -> 'a -> policy_blocked:bool -> bool
+(** [e2_blocks ~mnemonic inst ~policy_blocked]: whether extension E2
+    blocks [inst] under the active knobs, given the policy table's
+    verdict [policy_blocked].  [mnemonic inst] is computed only when a
+    mutant exempts some mnemonic, so the enforced path allocates
+    nothing. *)
 
 val with_mutant : (unit -> unit) -> (unit -> 'a) -> 'a
 (** [with_mutant install f] resets all knobs, runs [install] to flip

@@ -19,10 +19,12 @@ type t = {
   frozen : unit Hw.Int_tbl.t;
       (** template pages whose frames live clones share read-only: a
           write is a fault, mirroring the hardware PTE downgrade *)
-  wp : unit Hw.Int_tbl.t;
+  mutable wp : unit Hw.Int_tbl.t;
       (** pages write-protected by the dirty-tracking epoch: the PTE
           was downgraded read-only; the first write takes a fault that
-          re-arms it writable and logs the page as dirty *)
+          re-arms it writable and logs the page as dirty; made afresh
+          for each epoch, sized for the resident set, so filing the
+          epoch's pages never rehashes it *)
   dirty : unit Hw.Int_tbl.t;  (** dirty log of the current epoch *)
   mutable tracking : bool;
   mutable release_shared : Hw.Addr.pfn -> unit;
@@ -137,49 +139,101 @@ let frozen_count t = Hw.Int_tbl.length t.frozen
    resident page in a writable VMA gets its PTE downgraded read-only
    (through the platform, i.e. the KSM on CKI); the first write takes a
    fault that re-arms the PTE writable and logs the vpn.  [shootdown]
-   is called once per downgraded page so the caller can invlpg every
-   vCPU — the same TLB discipline Template.freeze follows.  CoW and
-   frozen pages are already read-only and log through their own fault
-   paths; pages that only become resident during the epoch are logged
-   by [handle_fault] since they did not exist in the last image. *)
+   is called once per downgraded page, right after its PTE changes, so
+   the caller can invlpg every vCPU — the same TLB discipline
+   Template.freeze follows.  CoW and frozen pages are already read-only
+   and log through their own fault paths; pages that only become
+   resident during the epoch are logged by [handle_fault] since they did
+   not exist in the last image.
+
+   Pages go to the platform in ascending vpn order, one call per run of
+   pages with the same target protection, so the KSM walks each L1
+   table once per run instead of once per page. *)
 
 let tracking t = t.tracking
 let dirty_count t = Hw.Int_tbl.length t.dirty
 
-let wp_page t ~shootdown vpn =
-  let va = Hw.Addr.va_of_vpn vpn in
-  match Vma.find t.vmas va with
-  | Some area
-    when area.Vma.prot.Vma.write
-         && Hw.Int_tbl.mem t.pages vpn
-         && (not (Hw.Int_tbl.mem t.cow vpn))
-         && not (Hw.Int_tbl.mem t.frozen vpn) ->
-      t.platform.Platform.pte_protect t.aspace ~va ~writable:false;
+(* Membership in a table that is empty outside warm clones and
+   templates, asked without hashing when it is. *)
+let has tbl vpn = Hw.Int_tbl.length tbl > 0 && Hw.Int_tbl.mem tbl vpn
+
+(* The VMA covering [va], reusing [last] (the previous page's) while it
+   covers [va]: ascending pages find each area once. *)
+let area_at t last va =
+  match !last with
+  | Some a when a.Vma.start <= va && va < a.Vma.stop -> !last
+  | _ ->
+      let found = Vma.find t.vmas va in
+      last := found;
+      found
+
+(* Hand the pages of [vpns] (ascending) to the platform, one call per
+   run of equal target protection; [target] gives a page's, or [None]
+   to leave it out.  The kept pages are packed to the front of [vpns],
+   which the caller gives up, and a run that is the whole array goes
+   as it is.  Returns the number of pages handed over. *)
+let protect_runs t vpns ~target ~shootdown =
+  let kept = ref 0 and first = ref 0 and writable = ref false in
+  let flush () =
+    if !kept > !first then
+      t.platform.Platform.pte_protect t.aspace
+        ~vpns:
+          (if !first = 0 && !kept = Array.length vpns then vpns
+           else Array.sub vpns !first (!kept - !first))
+        ~writable:!writable ~shootdown;
+    first := !kept
+  in
+  Array.iter
+    (fun vpn ->
+      match target vpn with
+      | None -> ()
+      | Some w ->
+          if w <> !writable then begin
+            flush ();
+            writable := w
+          end;
+          vpns.(!kept) <- vpn;
+          incr kept)
+    vpns;
+  flush ();
+  !kept
+
+(* Write-protect the pages of [vpns] (ascending) that an epoch tracks:
+   resident, in a writable VMA, neither CoW nor frozen.  Each is shot
+   down and filed in [wp] as the platform reaches it. *)
+let write_protect t ~shootdown vpns =
+  let last = ref None in
+  protect_runs t vpns
+    ~target:(fun vpn ->
+      match area_at t last (Hw.Addr.va_of_vpn vpn) with
+      | Some area
+        when area.Vma.prot.Vma.write
+             && Hw.Int_tbl.mem t.pages vpn
+             && (not (has t.cow vpn))
+             && not (has t.frozen vpn) ->
+          Some false
+      | _ -> None)
+    ~shootdown:(fun va ->
       shootdown va;
-      Hw.Int_tbl.replace t.wp vpn ();
-      true
-  | _ -> false
+      Hw.Int_tbl.replace t.wp (Hw.Addr.vpn_of_va va) ())
 
 let dirty_track_start t ~shootdown =
   if t.tracking then invalid_arg "Mm.dirty_track_start: already tracking";
   t.tracking <- true;
   Hw.Int_tbl.reset t.dirty;
-  let n = ref 0 in
-  (* [wp_page] writes [wp] and the page tables, never [pages]. *)
-  Hw.Int_tbl.iter (fun vpn _ -> if wp_page t ~shootdown vpn then incr n) t.pages;
-  !n
-
-let harvest_dirty t = Array.to_list (Hw.Int_tbl.sorted_keys t.dirty)
+  t.wp <- Hw.Int_tbl.create (Hw.Int_tbl.length t.pages);
+  write_protect t ~shootdown (Hw.Int_tbl.sorted_keys t.pages)
 
 (* End one pre-copy round: harvest the dirty log and re-arm write
    protection on exactly those pages, so the next round only sees new
    writes. *)
 let dirty_track_round t ~shootdown =
   if not t.tracking then invalid_arg "Mm.dirty_track_round: not tracking";
-  let dirty = harvest_dirty t in
+  let dirty = Hw.Int_tbl.sorted_keys t.dirty in
   Hw.Int_tbl.reset t.dirty;
-  List.iter (fun vpn -> ignore (wp_page t ~shootdown vpn)) dirty;
-  dirty
+  let harvested = Array.to_list dirty in
+  ignore (write_protect t ~shootdown dirty);
+  harvested
 
 (* Stop-and-copy: harvest the final dirty set and drop every remaining
    write protection, restoring each PTE to its VMA permission.  Runs
@@ -188,17 +242,18 @@ let dirty_track_round t ~shootdown =
 let dirty_track_finish t =
   if not t.tracking then invalid_arg "Mm.dirty_track_finish: not tracking";
   t.tracking <- false;
-  Hw.Int_tbl.iter
-    (fun vpn () ->
-      if Hw.Int_tbl.mem t.pages vpn then
-        let va = Hw.Addr.va_of_vpn vpn in
-        match Vma.find t.vmas va with
-        | Some area ->
-            t.platform.Platform.pte_protect t.aspace ~va ~writable:area.Vma.prot.Vma.write
-        | None -> ())
-    t.wp;
-  Hw.Int_tbl.reset t.wp;
-  let dirty = harvest_dirty t in
+  let last = ref None in
+  ignore
+    (protect_runs t (Hw.Int_tbl.sorted_keys t.wp)
+       ~target:(fun vpn ->
+         if not (Hw.Int_tbl.mem t.pages vpn) then None
+         else
+           match area_at t last (Hw.Addr.va_of_vpn vpn) with
+           | Some area -> Some area.Vma.prot.Vma.write
+           | None -> None)
+       ~shootdown:ignore);
+  t.wp <- Hw.Int_tbl.create 16;
+  let dirty = Array.to_list (Hw.Int_tbl.sorted_keys t.dirty) in
   Hw.Int_tbl.reset t.dirty;
   dirty
 
@@ -240,12 +295,11 @@ let cow_break t vpn =
 (* Write fault on a page the tracking epoch protected: re-arm the PTE
    writable and log the page — one fault per page per round. *)
 let wp_break t vpn =
-  let va = Hw.Addr.va_of_vpn vpn in
   t.faults <- t.faults + 1;
   let p = t.platform in
   p.Platform.fault_round_trip ();
   Hw.Clock.charge p.Platform.clock p.Platform.fault_service;
-  p.Platform.pte_protect t.aspace ~va ~writable:true;
+  p.Platform.pte_protect t.aspace ~vpns:[| vpn |] ~writable:true ~shootdown:ignore;
   Hw.Int_tbl.remove t.wp vpn;
   Hw.Int_tbl.replace t.dirty vpn ()
 
@@ -292,8 +346,8 @@ let mprotect t ~start ~pages ~prot =
         Hw.Int_tbl.remove t.wp vpn;
         if t.tracking && prot.Vma.write then Hw.Int_tbl.replace t.dirty vpn ()
       end;
-      t.platform.Platform.pte_protect t.aspace ~va:(Hw.Addr.va_of_vpn vpn)
-        ~writable:prot.Vma.write
+      t.platform.Platform.pte_protect t.aspace ~vpns:[| vpn |] ~writable:prot.Vma.write
+        ~shootdown:ignore
     end
   done
 

@@ -69,14 +69,20 @@ val frozen_count : t -> int
     Write-protect-and-log epochs over the CoW write-fault path: every
     resident page of a writable VMA has its PTE downgraded read-only
     (through the platform — the KSM on CKI); the first write takes a
-    fault that re-arms the PTE and logs the page.  [shootdown] is
-    invoked once per downgraded page so the caller can invalidate the
-    TLB of every vCPU, matching the freeze discipline the trace linter
-    enforces.  Pages that become resident or break CoW during the
-    epoch are logged too — they are not in the last transmitted image. *)
+    fault that re-arms the PTE and logs the page.  Each step hands its
+    pages to {!Platform.t.pte_protect} in ascending vpn order, one call
+    per run of pages with the same target protection, so the KSM walks
+    each L1 table once per run; each page still costs one KSM call.
+    [shootdown] runs inside that call once per downgraded page, right
+    after its PTE changes, so the caller can invalidate the TLB of
+    every vCPU, matching the freeze discipline the trace linter
+    enforces; it must not change page tables.  Pages that become
+    resident or break CoW during the epoch are logged too — they are
+    not in the last transmitted image. *)
 
 val dirty_track_start : t -> shootdown:(Hw.Addr.va -> unit) -> int
-(** Begin an epoch; returns the number of pages write-protected.
+(** Begin an epoch: write-protect every resident page in a writable
+    VMA that is neither CoW nor frozen; returns their number.
     @raise Invalid_argument if already tracking. *)
 
 val dirty_track_round : t -> shootdown:(Hw.Addr.va -> unit) -> Hw.Addr.vpn list
@@ -85,8 +91,9 @@ val dirty_track_round : t -> shootdown:(Hw.Addr.va -> unit) -> Hw.Addr.vpn list
 
 val dirty_track_finish : t -> Hw.Addr.vpn list
 (** End the epoch: harvest the final dirty set and restore every still
-    protected PTE to its VMA permission, so a subsequent capture sees
-    the container's real protections. *)
+    protected PTE to its VMA permission (no shootdown: an upgrade
+    leaves no stale write right), so a subsequent capture sees the
+    container's real protections. *)
 
 val tracking : t -> bool
 val dirty_count : t -> int

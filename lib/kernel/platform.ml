@@ -29,7 +29,9 @@ type t = {
   (* -------- page-table updates -------- *)
   pte_install : aspace -> va:Hw.Addr.va -> pfn:Hw.Addr.pfn -> writable:bool -> user:bool -> unit;
   pte_remove : aspace -> va:Hw.Addr.va -> unit;
-  pte_protect : aspace -> va:Hw.Addr.va -> writable:bool -> unit;
+  pte_protect :
+    aspace -> vpns:Hw.Addr.vpn array -> writable:bool -> shootdown:(Hw.Addr.va -> unit) -> unit;
+      (** an ascending run of pages, [shootdown] after each page's update *)
   (* -------- fault & syscall paths -------- *)
   fault_round_trip : unit -> unit;
       (** charge everything a user page fault pays besides the kernel's
@@ -85,7 +87,14 @@ let bare ?(name = "native") (machine : Hw.Machine.t) : t =
              ~flags:{ Hw.Pte.default_flags with writable; user }
              ()));
     pte_remove = (fun id ~va -> ignore (Hw.Page_table.unmap (pt_of id) va));
-    pte_protect = (fun id ~va ~writable -> Hw.Page_table.update (pt_of id) va (fun e -> Hw.Pte.with_writable e writable));
+    pte_protect =
+      (fun id ~vpns ~writable ~shootdown ->
+        Array.iter
+          (fun vpn ->
+            let va = Hw.Addr.va_of_vpn vpn in
+            Hw.Page_table.update (pt_of id) va (fun e -> Hw.Pte.with_writable e writable);
+            shootdown va)
+          vpns);
     fault_round_trip = (fun () -> ());
     fault_service = Hw.Cost.pf_handler_native;
     syscall_round_trip =

@@ -27,7 +27,12 @@ type t = {
   as_switch : aspace -> unit;  (** process context switch (CR3 load) *)
   pte_install : aspace -> va:Hw.Addr.va -> pfn:Hw.Addr.pfn -> writable:bool -> user:bool -> unit;
   pte_remove : aspace -> va:Hw.Addr.va -> unit;
-  pte_protect : aspace -> va:Hw.Addr.va -> writable:bool -> unit;
+  pte_protect :
+    aspace -> vpns:Hw.Addr.vpn array -> writable:bool -> shootdown:(Hw.Addr.va -> unit) -> unit;
+      (** set the writable bit of every resident page of an ascending
+          run, calling [shootdown] with each page's address right after
+          its own update (CKI: one [Ksm.guest_protect] for the run, one
+          KSM call per page); [shootdown] must not change page tables *)
   fault_round_trip : unit -> unit;
       (** everything a user page fault pays besides the kernel's own
           service work (VM exits, SPT emulation, KSM calls...) *)

@@ -88,13 +88,18 @@ exception Fail of error
 
 let tasks c = Kernel_model.Kernel.tasks c.Cki.Container.backend.Virt.Backend.kernel
 
-let shootdown_of c va =
-  Array.iter (fun cpu -> Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va)) c.Cki.Container.cpus
+(* Runs inside the KSM's protect call once per page: one [Invlpg] per
+   page, executed on every vCPU. *)
+let shootdown c va =
+  let inst = Hw.Priv.Invlpg va and cpus = c.Cki.Container.cpus in
+  for i = 0 to Array.length cpus - 1 do
+    Hw.Cpu.exec_priv_exn cpus.(i) inst
+  done
 
 let track_start c =
   List.fold_left
     (fun n (t : Kernel_model.Task.t) ->
-      n + Kernel_model.Mm.dirty_track_start t.Kernel_model.Task.mm ~shootdown:(shootdown_of c))
+      n + Kernel_model.Mm.dirty_track_start t.Kernel_model.Task.mm ~shootdown:(shootdown c))
     0 (tasks c)
 
 let track_round c =
@@ -102,7 +107,7 @@ let track_round c =
     (fun n (t : Kernel_model.Task.t) ->
       n
       + List.length
-          (Kernel_model.Mm.dirty_track_round t.Kernel_model.Task.mm ~shootdown:(shootdown_of c)))
+          (Kernel_model.Mm.dirty_track_round t.Kernel_model.Task.mm ~shootdown:(shootdown c)))
     0 (tasks c)
 
 let track_finish c =

@@ -78,6 +78,12 @@ type error =
 
 val show_error : error -> string
 
+val shootdown : Cki.Container.t -> Hw.Addr.va -> unit
+(** The dirty-tracking epoch's TLB shootdown: one [invlpg] of the page
+    on every vCPU of the container.  {!Kernel_model.Mm}'s epoch steps
+    run it inside the KSM's protect call, right after each page's PTE
+    changes. *)
+
 val quiesce : Cki.Container.t -> unit
 (** Service virtio queues until nothing is in flight (capture
     requires quiesced devices); drained TX frames are dropped. *)

@@ -55,13 +55,18 @@ let freeze (c : Cki.Container.t) (image : Image.t) (map : Capture.map) =
         | None -> raise (Freeze "task address space has no root")
       in
       (* In ascending vpn order; freezing writes [frozen], never the
-         resident pages. *)
+         resident pages.  Each downgrade is a run of one with no hook:
+         both downgrades precede both shootdowns, the order in which
+         the clock has always summed them. *)
       Kernel_model.Mm.iter_pages mm (fun vpn pfn ->
           let va = Hw.Addr.va_of_vpn vpn in
           let dva = Cki.Layout.direct_va_of_pa (Hw.Addr.pa_of_pfn pfn) in
-          ksm_exn "guest_protect(user)" (Cki.Ksm.guest_protect ksm ~root ~va ~writable:false);
+          ksm_exn "guest_protect(user)"
+            (Cki.Ksm.guest_protect ksm ~root ~vpns:[| vpn |] ~writable:false ~shootdown:ignore);
           ksm_exn "guest_protect(direct)"
-            (Cki.Ksm.guest_protect ksm ~root:kroot ~va:dva ~writable:false);
+            (Cki.Ksm.guest_protect ksm ~root:kroot
+               ~vpns:[| Hw.Addr.vpn_of_va dva |]
+               ~writable:false ~shootdown:ignore);
           invlpg_all va;
           invlpg_all dva;
           (* Mirror the downgrade in the mm model: a template write must

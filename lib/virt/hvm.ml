@@ -131,8 +131,13 @@ let create ?(env = Env.Bare_metal) ?(ept_huge = false) (machine : Hw.Machine.t) 
                ()));
       pte_remove = (fun id ~va -> ignore (Hw.Page_table.unmap (pt_of id) va));
       pte_protect =
-        (fun id ~va ~writable ->
-          Hw.Page_table.update (pt_of id) va (fun e -> Hw.Pte.with_writable e writable));
+        (fun id ~vpns ~writable ~shootdown ->
+          Array.iter
+            (fun vpn ->
+              let va = Hw.Addr.va_of_vpn vpn in
+              Hw.Page_table.update (pt_of id) va (fun e -> Hw.Pte.with_writable e writable);
+              shootdown va)
+            vpns);
       fault_round_trip =
         (fun () ->
           (* The guest-side fault entry is native (no VM exit); the EPT

@@ -149,14 +149,19 @@ let create ?(env = Env.Bare_metal) (machine : Hw.Machine.t) : Backend.t =
           charge_hypercall ();
           ignore (Hw.Page_table.unmap (shadow_pt id) va));
       pte_protect =
-        (fun id ~va ~writable ->
-          Hw.Page_table.update (guest_pt id) va (fun e -> Hw.Pte.with_writable e writable);
-          charge_hypercall ();
-          Hw.Clock.charge clock Hw.Cost.shadow_emulation;
-          match Hw.Page_table.walk (shadow_pt id) va with
-          | exception Hw.Page_table.Translation_fault _ -> ()
-          | _ ->
-              Hw.Page_table.update (shadow_pt id) va (fun e -> Hw.Pte.with_writable e writable));
+        (fun id ~vpns ~writable ~shootdown ->
+          Array.iter
+            (fun vpn ->
+              let va = Hw.Addr.va_of_vpn vpn in
+              Hw.Page_table.update (guest_pt id) va (fun e -> Hw.Pte.with_writable e writable);
+              charge_hypercall ();
+              Hw.Clock.charge clock Hw.Cost.shadow_emulation;
+              (match Hw.Page_table.walk (shadow_pt id) va with
+              | exception Hw.Page_table.Translation_fault _ -> ()
+              | _ ->
+                  Hw.Page_table.update (shadow_pt id) va (fun e -> Hw.Pte.with_writable e writable));
+              shootdown va)
+            vpns);
       fault_round_trip =
         (fun () ->
           (* Host intercepts the user fault, injects it into the guest
