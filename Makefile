@@ -58,9 +58,11 @@ validate-bench: build
 	dune exec bench/main.exe -- validate
 
 # Compare every BENCH_*.json in the working tree with its committed
-# version (git HEAD): sim metrics that moved are listed, wall metrics
-# and tree counts (srclint's files, loc, libraries) shown old -> new.  Visits every file, then exits non-zero if any sim
-# metric differed or a file has no committed version.
+# version (git HEAD): sim metrics that moved and heap counts that rose
+# are listed, wall metrics, fallen heap counts and tree counts
+# (srclint's files, loc, libraries) shown old -> new.  Visits every
+# file, then exits non-zero if any sim metric differed, any heap count
+# rose or a file has no committed version.
 bench-compare: build
 	@mkdir -p _build/bench-compare; status=0; \
 	for f in BENCH_*.json; do \

@@ -7,12 +7,15 @@
    across runs; [Wall] values are host wall-clock and carry the host's
    noise; [Tree] values count the source tree (files, lines), so they
    move with every source edit and say nothing about a simulated
-   result.  [n] is the number of observations behind the value: the
-   samples a mean, median or percentile was taken over, 1 for a single
-   count.  A gate is an acceptance check; [validate] fails on any
+   result; [Heap] values count host heap words allocated by a fixed
+   piece of work, deterministic run after run (a bench files a count
+   here only once two invocations give the same value), so a rise is
+   an allocation regression.  [n] is the number of observations behind
+   the value: the samples a mean, median or percentile was taken over,
+   1 for a single count.  A gate is an acceptance check; [validate] fails on any
    false gate, so a bench never exits on its own. *)
 
-type clock = Sim | Wall | Tree
+type clock = Sim | Wall | Tree | Heap
 type metric = { name : string; unit : string; clock : clock; value : float; n : int }
 type gate = { gate : string; ok : bool; detail : string }
 type t = { bench : string; metrics : metric list; gates : gate list }
@@ -21,8 +24,9 @@ let sim ?(n = 1) name unit value = { name; unit; clock = Sim; value; n }
 let wall ?(n = 1) name unit value = { name; unit; clock = Wall; value; n }
 let count ?n name unit v = sim ?n name unit (float_of_int v)
 let tree name unit v = { name; unit; clock = Tree; value = float_of_int v; n = 1 }
+let heap ~n name unit value = { name; unit; clock = Heap; value; n }
 let gate gate ok detail = { gate; ok; detail }
-let clock_name = function Sim -> "sim" | Wall -> "wall" | Tree -> "tree"
+let clock_name = function Sim -> "sim" | Wall -> "wall" | Tree -> "tree" | Heap -> "heap"
 
 let print t =
   let tbl =
@@ -91,7 +95,8 @@ let of_json j =
       | Report.Json.String "sim" -> Sim
       | Report.Json.String "wall" -> Wall
       | Report.Json.String "tree" -> Tree
-      | _ -> invalid "metric %S: clock must be \"sim\", \"wall\" or \"tree\"" name
+      | Report.Json.String "heap" -> Heap
+      | _ -> invalid "metric %S: clock must be \"sim\", \"wall\", \"tree\" or \"heap\"" name
     in
     let value =
       match f "value" with
@@ -172,12 +177,15 @@ let validate ~check files =
 
 (* Compare two artifacts metric by metric.  A [Sim] metric is
    deterministic, so any difference in value or [n], or a metric on one
-   side only, is a difference; [Wall] metrics are printed as
-   old -> new with their ratio, a metric that is [Tree] on either side
-   as old -> new with its change when it moved, and neither is judged.
-   Values are compared as written (6 significant digits).  Prints one
-   line per difference, per wall metric and per moved tree count; true
-   iff no sim metric differs. *)
+   side only, is a difference; a metric that is [Heap] on either side
+   (a count filed under [Wall] before it had a clock of its own) is a
+   difference when it rose, and is printed old -> new when it fell;
+   [Wall] metrics are printed as old -> new with their ratio, a metric
+   that is [Tree] on either side as old -> new with its change when it
+   moved, and neither is judged.  Values are compared as written (6
+   significant digits).  Prints one line per difference, per fallen
+   heap count, per wall metric and per moved tree count; true iff no
+   sim metric differs and no heap count rose. *)
 let compare_files old_file new_file =
   match (load old_file, load new_file) with
   | Error msg, _ | _, Error msg ->
@@ -190,6 +198,15 @@ let compare_files old_file new_file =
       List.iter
         (fun name ->
           match (find o name, find n name) with
+          | Some a, Some b when a.clock = Heap || b.clock = Heap ->
+              if b.value > a.value then begin
+                incr differ;
+                Printf.printf "  heap %s: %.6g -> %.6g %s rose (%+.6g)\n" name a.value b.value a.unit
+                  (b.value -. a.value)
+              end
+              else if b.value < a.value then
+                Printf.printf "  heap %s: %.6g -> %.6g %s fell (%+.6g)\n" name a.value b.value a.unit
+                  (b.value -. a.value)
           | Some a, Some b when a.clock = Wall && b.clock = Wall ->
               Printf.printf "  wall %s: %.6g -> %.6g %s (x%.3f)\n" name a.value b.value a.unit
                 (b.value /. a.value)
@@ -208,7 +225,7 @@ let compare_files old_file new_file =
                 (if find o name = None then new_file else old_file)
           | None, None -> ())
         names;
-      Printf.printf "compare: %d sim metrics in %s, %d differ\n"
-        (List.length (List.filter (fun m -> m.clock = Sim) o.metrics))
-        old_file !differ;
+      let counted c = List.length (List.filter (fun m -> m.clock = c) o.metrics) in
+      Printf.printf "compare: %d sim metrics and %d heap counts in %s, %d differ or rose\n"
+        (counted Sim) (counted Heap) old_file !differ;
       !differ = 0

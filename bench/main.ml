@@ -22,8 +22,9 @@
 
    `compare OLD.json NEW.json` prints every difference between two
    artifacts: wall metrics as old -> new with their ratio (not judged),
-   and any sim metric that differs in value or n, or is on one side
-   only, after which it exits 1. *)
+   heap counts that fell, any heap count that rose, and any sim metric
+   that differs in value or n, or is on one side only; after either of
+   the last two it exits 1. *)
 
 (* Every id, with its run and whether --json writes it. *)
 let registry =

@@ -522,9 +522,10 @@ let rec region_table t ~huge lvl table va =
    the per-page loop in the clock's eyes.  The root is checked once;
    the walk reruns only when a page leaves the previous page's 2 MiB
    region (protection never changes presence, huge bits or links, so
-   the walk stays valid across the region).  Each leaf is read,
-   traced if downgraded, rewritten, then [shootdown] runs for the
-   page. *)
+   the walk stays valid across the region).  Each leaf's W bit is
+   set or cleared in place ([Phys_mem.set_entry_writable], which boxes
+   no [int64]), the page is traced if that downgraded it, then
+   [shootdown] runs for the page. *)
 let guest_protect t ~root ~vpns ~writable ~shootdown : (unit, error) result =
   let n = Array.length vpns in
   if n = 0 then Ok ()
@@ -548,12 +549,9 @@ let guest_protect t ~root ~vpns ~writable ~shootdown : (unit, error) result =
             end;
             if !table >= 0 then begin
               let index = Hw.Addr.index_at_level ~lvl:(if !huge then 2 else 1) va in
-              let e = read_raw t ~pfn:!table ~index in
-              if Hw.Pte.is_present e then begin
-                if (not writable) && Hw.Pte.is_writable e then
-                  trace_downgrade t ~root ~va ~unmapped:false;
-                write_raw t ~pfn:!table ~index (Hw.Pte.with_writable e writable)
-              end
+              match Hw.Phys_mem.set_entry_writable t.mem ~pfn:!table ~index writable with
+              | Hw.Phys_mem.Writable when not writable -> trace_downgrade t ~root ~va ~unmapped:false
+              | Hw.Phys_mem.Absent | Hw.Phys_mem.Read_only | Hw.Phys_mem.Writable -> ()
             end;
             shootdown va;
             go (i + 1)
@@ -666,7 +664,11 @@ let declared_ptps t =
     t.descs []
 
 let declared_count t = Hw.Int_tbl.length t.descs
-let declared_frames t = Hw.Int_tbl.sorted_keys t.descs
+
+let declared_frames t =
+  let a = Array.of_seq (Hw.Int_tbl.to_seq_keys t.descs) in
+  Array.sort Int.compare a;
+  a
 
 let roots t = Hw.Int_tbl.fold (fun pfn info acc -> (pfn, info.copies) :: acc) t.roots []
 

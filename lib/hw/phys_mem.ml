@@ -740,6 +740,28 @@ let write_entry t ~pfn ~index value =
   if index < t.dirty_lo.(s) then t.dirty_lo.(s) <- index;
   if index > t.dirty_hi.(s) then t.dirty_hi.(s) <- index
 
+type entry_state = Absent | Read_only | Writable
+
+(* The present (bit 0) and writable (bit 1) bits of [Pte]'s encoding,
+   tested and set in the arena word itself, so no [int64] is boxed.  A
+   present entry is nonzero, so its index already lies in the slot's
+   written range. *)
+let set_entry_writable t ~pfn ~index writable =
+  check_pfn t pfn;
+  if index < 0 || index >= entries then invalid_arg "Phys_mem.set_entry_writable";
+  let s = slot t pfn in
+  if s < 0 then Absent
+  else begin
+    let k = (s * entries) + index in
+    let e = Bigarray.Array1.unsafe_get t.arena k in
+    if Int64.equal (Int64.logand e 1L) 0L then Absent
+    else begin
+      Bigarray.Array1.unsafe_set t.arena k
+        (if writable then Int64.logor e 2L else Int64.logand e (Int64.lognot 2L));
+      if Int64.equal (Int64.logand e 2L) 0L then Read_only else Writable
+    end
+  end
+
 (* A run of entries an arithmetic progression apart, one dirty-range
    update for the run. *)
 let write_run t ~pfn ~index ~count ~first ~step =

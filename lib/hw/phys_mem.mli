@@ -129,6 +129,17 @@ val read_entry : t -> pfn:Addr.pfn -> index:int -> int64
 val write_entry : t -> pfn:Addr.pfn -> index:int -> int64 -> unit
 val clear_table : t -> Addr.pfn -> unit
 
+type entry_state = Absent | Read_only | Writable
+
+val set_entry_writable : t -> pfn:Addr.pfn -> index:int -> bool -> entry_state
+(** [set_entry_writable t ~pfn ~index w] reads one entry and, when it
+    is present ({!Pte.is_present}), sets its writable bit to [w] in
+    place, leaving every other bit; it returns what it found: [Absent]
+    (nothing written), or the entry's [Read_only] or [Writable] state
+    before the write.  What [read_entry] then [write_entry] of
+    [Pte.with_writable e w] would do, with no [int64] boxed.
+    @raise Invalid_argument unless [0 <= index < 512]. *)
+
 val write_run :
   t -> pfn:Addr.pfn -> index:int -> count:int -> first:int64 -> step:int64 -> unit
 (** [write_run t ~pfn ~index ~count ~first ~step] stores [first + k * step]

@@ -5,27 +5,26 @@
    access; an unmapped page inside a VMA takes the platform's full
    page-fault path (this is where RunC / HVM / PVM / CKI differ). *)
 
-(* A copy-on-write page from a warm clone: the PTE (and [pages]) still
-   reference the template's [shared] frame read-only; [own] is this
-   mm's pre-reserved private frame, materialized on first write. *)
-type cow_entry = { shared : Hw.Addr.pfn; own : Hw.Addr.pfn }
-
+(* Every per-page fact lives in a [Page_map] keyed by vpn; the tables
+   that only record membership bind 0. *)
 type t = {
   platform : Platform.t;
   aspace : Platform.aspace;
   vmas : Vma.t;
-  pages : Hw.Addr.pfn Hw.Int_tbl.t;  (** resident pages, by vpn *)
-  cow : cow_entry Hw.Int_tbl.t;  (** un-broken CoW pages *)
-  frozen : unit Hw.Int_tbl.t;
+  pages : Page_map.t;  (** resident pages: vpn -> frame *)
+  cow : Page_map.t;
+      (** un-broken CoW pages of a warm clone: vpn -> this mm's
+          pre-reserved private frame, materialized on first write; the
+          PTE (and [pages]) still reference the template's shared frame
+          read-only *)
+  frozen : Page_map.t;
       (** template pages whose frames live clones share read-only: a
           write is a fault, mirroring the hardware PTE downgrade *)
-  mutable wp : unit Hw.Int_tbl.t;
+  wp : Page_map.t;
       (** pages write-protected by the dirty-tracking epoch: the PTE
           was downgraded read-only; the first write takes a fault that
-          re-arms it writable and logs the page as dirty; made afresh
-          for each epoch, sized for the resident set, so filing the
-          epoch's pages never rehashes it *)
-  dirty : unit Hw.Int_tbl.t;  (** dirty log of the current epoch *)
+          re-arms it writable and logs the page as dirty *)
+  dirty : Page_map.t;  (** dirty log of the current epoch *)
   mutable tracking : bool;
   mutable release_shared : Hw.Addr.pfn -> unit;
       (** drop one reference on a template frame (set by the clone) *)
@@ -33,7 +32,6 @@ type t = {
   brk_base : Hw.Addr.va;
   mutable mmap_cursor : Hw.Addr.va;
   mutable faults : int;
-  mutable resident : int;
 }
 
 let user_mmap_base = 0x7000_0000_0000
@@ -47,18 +45,17 @@ let create platform =
       platform;
       aspace;
       vmas = Vma.create ();
-      pages = Hw.Int_tbl.create 1024;
-      cow = Hw.Int_tbl.create 16;
-      frozen = Hw.Int_tbl.create 16;
-      wp = Hw.Int_tbl.create 16;
-      dirty = Hw.Int_tbl.create 16;
+      pages = Page_map.create ();
+      cow = Page_map.create ();
+      frozen = Page_map.create ();
+      wp = Page_map.create ();
+      dirty = Page_map.create ();
       tracking = false;
       release_shared = ignore;
       brk = user_brk_base;
       brk_base = user_brk_base;
       mmap_cursor = user_mmap_base;
       faults = 0;
-      resident = 0;
     }
   in
   (* A default stack area. *)
@@ -76,43 +73,46 @@ let restore platform ~aspace ~brk ~mmap_cursor =
     platform;
     aspace;
     vmas = Vma.create ();
-    pages = Hw.Int_tbl.create 1024;
-    cow = Hw.Int_tbl.create 16;
-    frozen = Hw.Int_tbl.create 16;
-    wp = Hw.Int_tbl.create 16;
-    dirty = Hw.Int_tbl.create 16;
+    pages = Page_map.create ();
+    cow = Page_map.create ();
+    frozen = Page_map.create ();
+    wp = Page_map.create ();
+    dirty = Page_map.create ();
     tracking = false;
     release_shared = ignore;
     brk;
     brk_base = user_brk_base;
     mmap_cursor;
     faults = 0;
-    resident = 0;
   }
 
+(* Frames go back in ascending vpn order; an un-broken CoW page gives
+   back its reference on the template's frame and frees its reserve. *)
 let destroy t =
-  Hw.Int_tbl.iter
-    (fun vpn pfn ->
-      match Hw.Int_tbl.find_opt t.cow vpn with
-      | Some { shared; own } ->
-          t.release_shared shared;
-          t.platform.Platform.free_frame own
-      | None -> t.platform.Platform.free_frame pfn)
-    t.pages;
-  Hw.Int_tbl.reset t.pages;
-  Hw.Int_tbl.reset t.cow;
+  Page_map.iter t.pages (fun vpn pfn ->
+      let own = Page_map.find t.cow vpn in
+      if own >= 0 then begin
+        t.release_shared pfn;
+        t.platform.Platform.free_frame own
+      end
+      else t.platform.Platform.free_frame pfn);
+  Page_map.clear t.pages;
+  Page_map.clear t.cow;
   t.platform.Platform.as_destroy t.aspace
 
 let aspace t = t.aspace
 let fault_count t = t.faults
-let resident_pages t = t.resident
+let resident_pages t = Page_map.length t.pages
 let brk_now t = t.brk
 let mmap_cursor_now t = t.mmap_cursor
-let cow_count t = Hw.Int_tbl.length t.cow
-let is_cow t vpn = Hw.Int_tbl.mem t.cow vpn
+let cow_count t = Page_map.length t.cow
+let is_cow t vpn = Page_map.mem t.cow vpn
 
-let iter_pages t f =
-  Array.iter (fun vpn -> f vpn (Hw.Int_tbl.find t.pages vpn)) (Hw.Int_tbl.sorted_keys t.pages)
+let map_leaves t =
+  Page_map.leaves t.pages + Page_map.leaves t.cow + Page_map.leaves t.frozen + Page_map.leaves t.wp
+  + Page_map.leaves t.dirty
+
+let iter_pages t f = Page_map.iter t.pages f
 
 let iter_vmas t f = Vma.iter t.vmas f
 
@@ -120,19 +120,16 @@ let add_vma t ~start ~stop ~prot ~backing = ignore (Vma.add t.vmas ~start ~stop 
 
 (* Register a page as resident without touching the page tables — used
    by snapshot restore, where the leaf PTEs were imported wholesale. *)
-let adopt_page t ~vpn ~pfn =
-  Hw.Int_tbl.replace t.pages vpn pfn;
-  t.resident <- t.resident + 1
-
-let mark_cow t ~vpn ~shared ~own = Hw.Int_tbl.replace t.cow vpn { shared; own }
+let adopt_page t ~vpn ~pfn = Page_map.replace t.pages vpn pfn
+let mark_cow t ~vpn ~own = Page_map.replace t.cow vpn own
 let set_release_shared t f = t.release_shared <- f
 
 (* Template freeze: the hardware PTE was downgraded read-only through
    the KSM; record it here so the model faults on a write too, instead
    of silently "succeeding" into a frame that live clones share. *)
-let freeze_page t ~vpn = Hw.Int_tbl.replace t.frozen vpn ()
-let is_frozen t vpn = Hw.Int_tbl.mem t.frozen vpn
-let frozen_count t = Hw.Int_tbl.length t.frozen
+let freeze_page t ~vpn = Page_map.replace t.frozen vpn 0
+let is_frozen t vpn = Page_map.mem t.frozen vpn
+let frozen_count t = Page_map.length t.frozen
 
 (* --- Dirty-page tracking (live-migration pre-copy) -------------------
    Write-protect-and-log, reusing the CoW write-fault shape: every
@@ -151,11 +148,7 @@ let frozen_count t = Hw.Int_tbl.length t.frozen
    table once per run instead of once per page. *)
 
 let tracking t = t.tracking
-let dirty_count t = Hw.Int_tbl.length t.dirty
-
-(* Membership in a table that is empty outside warm clones and
-   templates, asked without hashing when it is. *)
-let has tbl vpn = Hw.Int_tbl.length tbl > 0 && Hw.Int_tbl.mem tbl vpn
+let dirty_count t = Page_map.length t.dirty
 
 (* The VMA covering [va], reusing [last] (the previous page's) while it
    covers [va]: ascending pages find each area once. *)
@@ -208,29 +201,29 @@ let write_protect t ~shootdown vpns =
       match area_at t last (Hw.Addr.va_of_vpn vpn) with
       | Some area
         when area.Vma.prot.Vma.write
-             && Hw.Int_tbl.mem t.pages vpn
-             && (not (has t.cow vpn))
-             && not (has t.frozen vpn) ->
+             && Page_map.mem t.pages vpn
+             && (not (Page_map.mem t.cow vpn))
+             && not (Page_map.mem t.frozen vpn) ->
           Some false
       | _ -> None)
     ~shootdown:(fun va ->
       shootdown va;
-      Hw.Int_tbl.replace t.wp (Hw.Addr.vpn_of_va va) ())
+      Page_map.replace t.wp (Hw.Addr.vpn_of_va va) 0)
 
 let dirty_track_start t ~shootdown =
   if t.tracking then invalid_arg "Mm.dirty_track_start: already tracking";
   t.tracking <- true;
-  Hw.Int_tbl.reset t.dirty;
-  t.wp <- Hw.Int_tbl.create (Hw.Int_tbl.length t.pages);
-  write_protect t ~shootdown (Hw.Int_tbl.sorted_keys t.pages)
+  Page_map.clear t.dirty;
+  Page_map.clear t.wp;
+  write_protect t ~shootdown (Page_map.keys t.pages)
 
 (* End one pre-copy round: harvest the dirty log and re-arm write
    protection on exactly those pages, so the next round only sees new
    writes. *)
 let dirty_track_round t ~shootdown =
   if not t.tracking then invalid_arg "Mm.dirty_track_round: not tracking";
-  let dirty = Hw.Int_tbl.sorted_keys t.dirty in
-  Hw.Int_tbl.reset t.dirty;
+  let dirty = Page_map.keys t.dirty in
+  Page_map.clear t.dirty;
   let harvested = Array.to_list dirty in
   ignore (write_protect t ~shootdown dirty);
   harvested
@@ -244,17 +237,17 @@ let dirty_track_finish t =
   t.tracking <- false;
   let last = ref None in
   ignore
-    (protect_runs t (Hw.Int_tbl.sorted_keys t.wp)
+    (protect_runs t (Page_map.keys t.wp)
        ~target:(fun vpn ->
-         if not (Hw.Int_tbl.mem t.pages vpn) then None
+         if not (Page_map.mem t.pages vpn) then None
          else
            match area_at t last (Hw.Addr.va_of_vpn vpn) with
            | Some area -> Some area.Vma.prot.Vma.write
            | None -> None)
        ~shootdown:ignore);
-  t.wp <- Hw.Int_tbl.create 16;
-  let dirty = Array.to_list (Hw.Int_tbl.sorted_keys t.dirty) in
-  Hw.Int_tbl.reset t.dirty;
+  Page_map.clear t.wp;
+  let dirty = Array.to_list (Page_map.keys t.dirty) in
+  Page_map.clear t.dirty;
   dirty
 
 (* mmap: reserve [pages] pages; returns the base va.  No frames are
@@ -273,24 +266,24 @@ exception Segfault of Hw.Addr.va
    template's frame into the pre-reserved private one and swings the
    PTE — the only divergence cost a warm clone ever pays. *)
 let cow_break t vpn =
-  match Hw.Int_tbl.find_opt t.cow vpn with
-  | None -> ()
-  | Some { shared; own } -> (
-      let va = Hw.Addr.va_of_vpn vpn in
-      match Vma.find t.vmas va with
-      | None -> raise (Segfault va)
-      | Some area ->
-          t.faults <- t.faults + 1;
-          let p = t.platform in
-          p.Platform.fault_round_trip ();
-          Hw.Clock.charge p.Platform.clock p.Platform.fault_service;
-          Hw.Clock.charge p.Platform.clock Hw.Cost.cow_break_copy;
-          p.Platform.pte_install t.aspace ~va ~pfn:own ~writable:area.Vma.prot.Vma.write
-            ~user:true;
-          Hw.Int_tbl.replace t.pages vpn own;
-          Hw.Int_tbl.remove t.cow vpn;
-          if t.tracking then Hw.Int_tbl.replace t.dirty vpn ();
-          t.release_shared shared)
+  let own = Page_map.find t.cow vpn in
+  if own >= 0 then begin
+    let va = Hw.Addr.va_of_vpn vpn in
+    match Vma.find t.vmas va with
+    | None -> raise (Segfault va)
+    | Some area ->
+        t.faults <- t.faults + 1;
+        let p = t.platform in
+        p.Platform.fault_round_trip ();
+        Hw.Clock.charge p.Platform.clock p.Platform.fault_service;
+        Hw.Clock.charge p.Platform.clock Hw.Cost.cow_break_copy;
+        p.Platform.pte_install t.aspace ~va ~pfn:own ~writable:area.Vma.prot.Vma.write ~user:true;
+        let shared = Page_map.find t.pages vpn in
+        Page_map.replace t.pages vpn own;
+        Page_map.remove t.cow vpn;
+        if t.tracking then Page_map.replace t.dirty vpn 0;
+        t.release_shared shared
+  end
 
 (* Write fault on a page the tracking epoch protected: re-arm the PTE
    writable and log the page — one fault per page per round. *)
@@ -300,29 +293,29 @@ let wp_break t vpn =
   p.Platform.fault_round_trip ();
   Hw.Clock.charge p.Platform.clock p.Platform.fault_service;
   p.Platform.pte_protect t.aspace ~vpns:[| vpn |] ~writable:true ~shootdown:ignore;
-  Hw.Int_tbl.remove t.wp vpn;
-  Hw.Int_tbl.replace t.dirty vpn ()
+  Page_map.remove t.wp vpn;
+  Page_map.replace t.dirty vpn 0
 
 let munmap t ~start ~pages =
   let stop = start + (pages * Hw.Addr.page_size) in
   let _removed = Vma.remove t.vmas ~start ~stop in
   for vpn = Hw.Addr.vpn_of_va start to Hw.Addr.vpn_of_va (stop - 1) do
-    match Hw.Int_tbl.find_opt t.pages vpn with
-    | None -> ()
-    | Some pfn -> (
-        Hw.Int_tbl.remove t.pages vpn;
-        Hw.Int_tbl.remove t.wp vpn;
-        Hw.Int_tbl.remove t.dirty vpn;
-        t.resident <- t.resident - 1;
-        t.platform.Platform.pte_remove t.aspace ~va:(Hw.Addr.va_of_vpn vpn);
-        match Hw.Int_tbl.find_opt t.cow vpn with
-        | Some { shared; own } ->
-            (* Un-broken CoW page: the PTE referenced the template's
-               frame; give that reference back and free our reserve. *)
-            Hw.Int_tbl.remove t.cow vpn;
-            t.release_shared shared;
-            t.platform.Platform.free_frame own
-        | None -> t.platform.Platform.free_frame pfn)
+    let pfn = Page_map.find t.pages vpn in
+    if pfn >= 0 then begin
+      Page_map.remove t.pages vpn;
+      Page_map.remove t.wp vpn;
+      Page_map.remove t.dirty vpn;
+      t.platform.Platform.pte_remove t.aspace ~va:(Hw.Addr.va_of_vpn vpn);
+      let own = Page_map.find t.cow vpn in
+      if own >= 0 then begin
+        (* Un-broken CoW page: the PTE referenced the template's
+           frame; give that reference back and free our reserve. *)
+        Page_map.remove t.cow vpn;
+        t.release_shared pfn;
+        t.platform.Platform.free_frame own
+      end
+      else t.platform.Platform.free_frame pfn
+    end
   done
 
 let mprotect t ~start ~pages ~prot =
@@ -331,20 +324,20 @@ let mprotect t ~start ~pages ~prot =
      is shared read-only with live clones. *)
   if prot.Vma.write then
     for vpn = Hw.Addr.vpn_of_va start to Hw.Addr.vpn_of_va (stop - 1) do
-      if Hw.Int_tbl.mem t.frozen vpn then raise (Segfault (Hw.Addr.va_of_vpn vpn))
+      if Page_map.mem t.frozen vpn then raise (Segfault (Hw.Addr.va_of_vpn vpn))
     done;
   ignore (Vma.protect t.vmas ~start ~stop ~prot);
   (* Update PTEs of resident pages in the range.  Making a CoW page
      writable must break the share first — the template's frame can
      never be reachable through a writable PTE. *)
   for vpn = Hw.Addr.vpn_of_va start to Hw.Addr.vpn_of_va (stop - 1) do
-    if Hw.Int_tbl.mem t.pages vpn then begin
-      if prot.Vma.write && Hw.Int_tbl.mem t.cow vpn then cow_break t vpn;
+    if Page_map.mem t.pages vpn then begin
+      if prot.Vma.write && Page_map.mem t.cow vpn then cow_break t vpn;
       (* mprotect overrides the epoch's write protection: treat a page
          re-opened for writing as dirty rather than lose the log. *)
-      if Hw.Int_tbl.mem t.wp vpn then begin
-        Hw.Int_tbl.remove t.wp vpn;
-        if t.tracking && prot.Vma.write then Hw.Int_tbl.replace t.dirty vpn ()
+      if Page_map.mem t.wp vpn then begin
+        Page_map.remove t.wp vpn;
+        if t.tracking && prot.Vma.write then Page_map.replace t.dirty vpn 0
       end;
       t.platform.Platform.pte_protect t.aspace ~vpns:[| vpn |] ~writable:prot.Vma.write
         ~shootdown:ignore
@@ -373,9 +366,8 @@ let handle_fault t va ~write =
       let pfn = p.Platform.alloc_frame () in
       p.Platform.pte_install t.aspace ~va:(Hw.Addr.page_align_down va) ~pfn
         ~writable:area.Vma.prot.Vma.write ~user:true;
-      Hw.Int_tbl.replace t.pages (Hw.Addr.vpn_of_va va) pfn;
-      if t.tracking then Hw.Int_tbl.replace t.dirty (Hw.Addr.vpn_of_va va) ();
-      t.resident <- t.resident + 1
+      Page_map.replace t.pages (Hw.Addr.vpn_of_va va) pfn;
+      if t.tracking then Page_map.replace t.dirty (Hw.Addr.vpn_of_va va) 0
 
 (* Access the page containing [va], demand-faulting if needed.  A
    write to a frozen template page faults: the hardware PTE was
@@ -383,13 +375,11 @@ let handle_fault t va ~write =
    shared with live clones. *)
 let touch t va ~write =
   let vpn = Hw.Addr.vpn_of_va va in
-  match Hw.Int_tbl.find_opt t.pages vpn with
-  | Some _ ->
-      if write then
-        if Hw.Int_tbl.mem t.frozen vpn then raise (Segfault va)
-        else if Hw.Int_tbl.mem t.cow vpn then cow_break t vpn
-        else if Hw.Int_tbl.mem t.wp vpn then wp_break t vpn
-  | None -> handle_fault t va ~write
+  if not (Page_map.mem t.pages vpn) then handle_fault t va ~write
+  else if write then
+    if Page_map.mem t.frozen vpn then raise (Segfault va)
+    else if Page_map.mem t.cow vpn then cow_break t vpn
+    else if Page_map.mem t.wp vpn then wp_break t vpn
 
 (* Touch every page of [start, start + pages).  Returns faults taken. *)
 let touch_range t ~start ~pages ~write =
@@ -419,6 +409,5 @@ let fork t =
           t.platform.Platform.pte_install child.aspace ~va:(Hw.Addr.va_of_vpn vpn) ~pfn:pfn'
             ~writable:a.Vma.prot.Vma.write ~user:true
       | None -> ());
-      Hw.Int_tbl.replace child.pages vpn pfn';
-      child.resident <- child.resident + 1);
+      Page_map.replace child.pages vpn pfn');
   child

@@ -31,9 +31,13 @@ val brk_now : t -> Hw.Addr.va
 val mmap_cursor_now : t -> Hw.Addr.va
 
 val iter_pages : t -> (Hw.Addr.vpn -> Hw.Addr.pfn -> unit) -> unit
-(** Iterate resident pages in ascending vpn order (the keys are sorted
-    once, as an int array), so a capture lists them without sorting.
-    [f] must not unmap a page that is still to come. *)
+(** Iterate resident pages in ascending vpn order: a walk of the
+    resident-page {!Page_map}, leaf by leaf, with no sort, so a capture
+    lists them in order.  [f] must not map or unmap a page of this mm. *)
+
+val map_leaves : t -> int
+(** Leaves held by the mm's five per-page maps (resident, CoW, frozen,
+    write-protected, dirty); for tests and statistics. *)
 
 val iter_vmas : t -> (Vma.area -> unit) -> unit
 
@@ -46,11 +50,13 @@ val adopt_page : t -> vpn:Hw.Addr.vpn -> pfn:Hw.Addr.pfn -> unit
 
 (** {2 Copy-on-write (warm clones)} *)
 
-val mark_cow : t -> vpn:Hw.Addr.vpn -> shared:Hw.Addr.pfn -> own:Hw.Addr.pfn -> unit
+val mark_cow : t -> vpn:Hw.Addr.vpn -> own:Hw.Addr.pfn -> unit
 (** Mark a resident page as CoW: its PTE references the template's
-    [shared] frame read-only; [own] is this mm's pre-reserved private
-    frame, materialized by the first write ({!touch} with [write:true],
-    or an {!mprotect} to writable). *)
+    frame read-only, and that shared frame is the one the page is
+    resident on ({!adopt_page}); [own] is this mm's pre-reserved
+    private frame, materialized by the first write ({!touch} with
+    [write:true], or an {!mprotect} to writable), when the shared
+    frame's reference is dropped. *)
 
 val set_release_shared : t -> (Hw.Addr.pfn -> unit) -> unit
 (** How to drop one reference on a template frame (set by the clone). *)
@@ -86,7 +92,7 @@ val dirty_track_start : t -> shootdown:(Hw.Addr.va -> unit) -> int
     @raise Invalid_argument if already tracking. *)
 
 val dirty_track_round : t -> shootdown:(Hw.Addr.va -> unit) -> Hw.Addr.vpn list
-(** Harvest the dirty log (sorted), re-protect exactly those pages and
+(** Harvest the dirty log (ascending), re-protect exactly those pages and
     clear the log — one pre-copy round boundary. *)
 
 val dirty_track_finish : t -> Hw.Addr.vpn list

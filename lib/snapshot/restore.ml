@@ -231,7 +231,7 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
           match shared_target target with
           | Some orig ->
               Kernel_model.Mm.adopt_page mm ~vpn ~pfn:orig;
-              Kernel_model.Mm.mark_cow mm ~vpn ~shared:orig ~own:(reloc target)
+              Kernel_model.Mm.mark_cow mm ~vpn ~own:(reloc target)
           | None -> Kernel_model.Mm.adopt_page mm ~vpn ~pfn:(reloc target))
         tk.Image.tk_pages;
       if share <> None then

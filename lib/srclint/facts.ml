@@ -29,7 +29,16 @@ let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
    contents or frame metadata and are the operations the CKI security
    argument says only the TCB may reach. *)
 let write_sinks =
-  [ "write_entry"; "write_run"; "write_bytes"; "clear_table"; "set_kind"; "set_owner"; "set_shared_ro" ]
+  [
+    "write_entry";
+    "write_run";
+    "write_bytes";
+    "clear_table";
+    "set_entry_writable";
+    "set_kind";
+    "set_owner";
+    "set_shared_ro";
+  ]
 
 let sink_module = "Phys_mem"
 

@@ -472,19 +472,32 @@ let prop_map_then_walk =
           acc && Hw.Pte.pfn (Hw.Page_table.walk pt va).Hw.Page_table.pte = pfn)
         tbl true)
 
-(* [Int_tbl.sorted_keys] is every key once, ascending, whatever the
-   keys: runs of neighbours (page numbers), spread and negative
-   values, and tables from empty to a few thousand keys. *)
-let prop_sorted_keys =
-  QCheck.Test.make ~name:"sorted_keys = sorted distinct keys" ~count:300
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 3000) (int_range (-1000) 1000))
-        (list_of_size Gen.(int_range 0 20) int))
-    (fun (near, far) ->
-      let t = Hw.Int_tbl.create 16 in
-      List.iter (fun k -> Hw.Int_tbl.replace t k ()) (near @ far);
-      Array.to_list (Hw.Int_tbl.sorted_keys t) = List.sort_uniq compare (near @ far))
+(* [set_entry_writable] is [read_entry], then [write_entry] of
+   [Pte.with_writable] when the entry is present, reporting the state
+   it found; the neighbours stay as they were, and a slot-less frame
+   reads [Absent] and gains no slot. *)
+let prop_set_entry_writable =
+  QCheck.Test.make ~name:"set_entry_writable = read, with_writable, write" ~count:500
+    QCheck.(quad int64 (int_range 0 511) bool (option int64))
+    (fun (e, index, w, neighbour) ->
+      let mem = Hw.Phys_mem.create ~frames:8 in
+      let alloc () = Hw.Phys_mem.alloc mem ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table 1) in
+      let pfn = alloc () and bare = alloc () in
+      let near = if index = 511 then 510 else index + 1 in
+      Option.iter (Hw.Phys_mem.write_entry mem ~pfn ~index:near) neighbour;
+      Hw.Phys_mem.write_entry mem ~pfn ~index e;
+      let slots = Hw.Phys_mem.table_slots mem in
+      let want, after =
+        if not (Hw.Pte.is_present e) then (Hw.Phys_mem.Absent, e)
+        else
+          ( (if Hw.Pte.is_writable e then Hw.Phys_mem.Writable else Hw.Phys_mem.Read_only),
+            Hw.Pte.with_writable e w )
+      in
+      Hw.Phys_mem.set_entry_writable mem ~pfn ~index w = want
+      && Int64.equal (Hw.Phys_mem.read_entry mem ~pfn ~index) after
+      && Int64.equal (Hw.Phys_mem.read_entry mem ~pfn ~index:near) (Option.value neighbour ~default:0L)
+      && Hw.Phys_mem.set_entry_writable mem ~pfn:bare ~index w = Hw.Phys_mem.Absent
+      && Hw.Phys_mem.table_slots mem = slots)
 
 let suite =
   [
@@ -515,6 +528,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_page_copy;
         QCheck_alcotest.to_alcotest prop_iter_entries_model;
         QCheck_alcotest.to_alcotest prop_write_run;
+        QCheck_alcotest.to_alcotest prop_set_entry_writable;
         test_case "write_run bounds" `Quick test_write_run_bounds;
         test_case "untouched frames cost nothing" `Quick test_phys_untouched_cost;
         test_case "writers never reach another machine" `Quick test_phys_writers_stay_local;
@@ -529,5 +543,4 @@ let suite =
         test_case "count mappings" `Quick test_count_mappings;
         QCheck_alcotest.to_alcotest prop_map_then_walk;
       ] );
-    ("hw/int_tbl", [ QCheck_alcotest.to_alcotest prop_sorted_keys ]);
   ]

@@ -251,6 +251,139 @@ let test_mm_iter_pages_ascending () =
   ascending "after munmap" mm;
   ascending "forked child" (Kernel_model.Mm.fork mm)
 
+(* 1,000 lmbench page-fault cycles (mmap 64 pages, touch them, munmap)
+   at advancing addresses, inside a dirty-tracking epoch and after it:
+   the per-page maps end up holding only the leaves of the live pages
+   (resident, and write-protected while the epoch lasts). *)
+let test_mm_cycles_free_leaves () =
+  let p = bare_platform () in
+  let mm = Kernel_model.Mm.create p in
+  let prot = Kernel_model.Vma.prot_rw in
+  let live = Kernel_model.Mm.mmap mm ~pages:3 ~prot ~backing:Kernel_model.Vma.Anon in
+  ignore (Kernel_model.Mm.touch_range mm ~start:live ~pages:3 ~write:true);
+  let cycles () =
+    let first = Kernel_model.Mm.mmap_cursor_now mm in
+    for _ = 1 to 1000 do
+      let base = Kernel_model.Mm.mmap mm ~pages:64 ~prot ~backing:Kernel_model.Vma.Anon in
+      check_int "all 64 pages fault" 64
+        (Kernel_model.Mm.touch_range mm ~start:base ~pages:64 ~write:true);
+      Kernel_model.Mm.munmap mm ~start:base ~pages:64
+    done;
+    check_int "addresses advanced" (1000 * 64 * 4096)
+      (Kernel_model.Mm.mmap_cursor_now mm - first);
+    check_int "only the live pages resident" 3 (Kernel_model.Mm.resident_pages mm)
+  in
+  let live_leaves () =
+    let leaves = ref [] in
+    Kernel_model.Mm.iter_pages mm (fun vpn _ ->
+        let l = vpn / Kernel_model.Page_map.leaf_size in
+        if not (List.mem l !leaves) then leaves := l :: !leaves);
+    List.length !leaves
+  in
+  check_int "3 pages tracked" 3 (Kernel_model.Mm.dirty_track_start mm ~shootdown:ignore);
+  cycles ();
+  check_int "tracking: resident and write-protected leaves" (2 * live_leaves ())
+    (Kernel_model.Mm.map_leaves mm);
+  check_bool "the cycles' pages left the log" true (Kernel_model.Mm.dirty_track_finish mm = []);
+  cycles ();
+  check_int "resident leaves only" (live_leaves ()) (Kernel_model.Mm.map_leaves mm)
+
+(* ----------------------------- Page_map --------------------------- *)
+
+module Int_map = Map.Make (Int)
+
+type page_map_op = Replace of int * int | Remove of int | Clear
+
+(* Keys bunch at leaf and L1-table edges (0, 511/512) and near the top
+   of the user range, beside keys spread over a wider range; values
+   include 0.  Replaces outnumber removes, so maps reach thousands of
+   keys across many leaves and also empty leaves again. *)
+let page_map_op =
+  let open QCheck.Gen in
+  let key =
+    oneof
+      [
+        int_range 0 40;
+        map (fun d -> 512 + d) (int_range (-40) 40);
+        map (fun d -> 0x7_ffff_fff0 + d) (int_range (-600) 15);
+        int_range 0 100_000;
+      ]
+  in
+  let value = oneof [ return 0; int_range 0 1_000_000 ] in
+  frequency
+    [
+      (60, map2 (fun k v -> Replace (k, v)) key value);
+      (30, map (fun k -> Remove k) key);
+      (1, return Clear);
+    ]
+
+let show_page_map_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+(* [Page_map] against [Map.Make (Int)]: after every op, [find], [mem]
+   and [length] agree on the op's key; at the end, [iter] and [keys]
+   give the model's bindings in ascending order (every key once, as a
+   sort of the keys would), and the map holds exactly the leaves its
+   keys fall in. *)
+let prop_page_map_model =
+  QCheck.Test.make ~name:"page_map = Map model, ascending" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_page_map_op ops))
+        Gen.(list_size (int_range 0 3000) page_map_op))
+    (fun ops ->
+      let m = Kernel_model.Page_map.create () in
+      let agree model k =
+        let want = Option.value (Int_map.find_opt k model) ~default:(-1) in
+        Kernel_model.Page_map.find m k = want
+        && Kernel_model.Page_map.mem m k = (want >= 0)
+        && Kernel_model.Page_map.length m = Int_map.cardinal model
+      in
+      let model =
+        List.fold_left
+          (fun model op ->
+            let model, k =
+              match op with
+              | Replace (k, v) ->
+                  Kernel_model.Page_map.replace m k v;
+                  (Int_map.add k v model, k)
+              | Remove k ->
+                  Kernel_model.Page_map.remove m k;
+                  (Int_map.remove k model, k)
+              | Clear ->
+                  Kernel_model.Page_map.clear m;
+                  (Int_map.empty, 0)
+            in
+            if not (agree model k) then QCheck.Test.fail_reportf "after %s" (show_page_map_op op);
+            model)
+          Int_map.empty ops
+      in
+      let seen = ref [] in
+      Kernel_model.Page_map.iter m (fun k v -> seen := (k, v) :: !seen);
+      let leaves =
+        Int_map.fold
+          (fun k _ acc ->
+            let leaf = k / Kernel_model.Page_map.leaf_size in
+            if List.mem leaf acc then acc else leaf :: acc)
+          model []
+      in
+      List.rev !seen = Int_map.bindings model
+      && Array.to_list (Kernel_model.Page_map.keys m) = List.map fst (Int_map.bindings model)
+      && Kernel_model.Page_map.leaves m = List.length leaves)
+
+let test_page_map_bad_args () =
+  let m = Kernel_model.Page_map.create () in
+  check_raises "negative vpn" (Invalid_argument "Page_map.replace") (fun () ->
+      Kernel_model.Page_map.replace m (-1) 0);
+  check_raises "negative value" (Invalid_argument "Page_map.replace") (fun () ->
+      Kernel_model.Page_map.replace m 0 (-1));
+  check_int "negative vpn absent" (-1) (Kernel_model.Page_map.find m (-1));
+  Kernel_model.Page_map.remove m (-1);
+  check_int "still empty" 0 (Kernel_model.Page_map.length m);
+  check_int "no leaf" 0 (Kernel_model.Page_map.leaves m)
+
 (* ------------------------------ Tmpfs ----------------------------- *)
 
 let mk_fs () = Kernel_model.Tmpfs.create (Hw.Clock.create ())
@@ -698,6 +831,12 @@ let suite =
         test_case "brk" `Quick test_mm_brk;
         test_case "fork copies" `Quick test_mm_fork_copies;
         test_case "iter_pages ascending" `Quick test_mm_iter_pages_ascending;
+        test_case "map/unmap cycles free their leaves" `Quick test_mm_cycles_free_leaves;
+      ] );
+    ( "kernel/page_map",
+      [
+        QCheck_alcotest.to_alcotest prop_page_map_model;
+        test_case "negative keys and values" `Quick test_page_map_bad_args;
       ] );
     ( "kernel/tmpfs",
       [
