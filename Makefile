@@ -85,10 +85,12 @@ fmt:
 	fi
 
 # The pre-PR gate: formatting (when available), the full test suite,
-# then the example/demo scenarios under the invariant scanner.
+# the example/demo scenarios under the invariant scanner, the model
+# checker against its seeded mutants, then the artifact schema.
 ci: build fmt
 	dune runtest
 	$(MAKE) check
+	$(MAKE) mutants
 	$(MAKE) validate-bench
 
 examples: build

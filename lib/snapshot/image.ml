@@ -13,7 +13,10 @@
    FNV-1a-64 checksum of the payload, then the payload.  Encoding is a
    pure function of the logical container state (all unordered
    collections are sorted), so capture∘restore∘capture is
-   byte-identical — the property the tests pin. *)
+   byte-identical — the property the tests pin.  The image comes from
+   outside the trusted base, so one codec table below spells every
+   record for both directions, and decode takes only the text encode
+   writes. *)
 
 type fref = Seg of { seg : int; off : int } | Aux of int
 
@@ -113,111 +116,8 @@ let fnv1a64 s =
   !h
 
 (* ------------------------------------------------------------------ *)
-(* Encoding                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let hex_of_string s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let string_of_hex h =
-  if String.length h mod 2 <> 0 then invalid_arg "string_of_hex";
-  String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-
-let fref_str = function
-  | Seg { seg; off } -> Printf.sprintf "S%d.%d" seg off
-  | Aux i -> Printf.sprintf "A%d" i
-
-let aux_kind_str = function
-  | Pt l -> "pt" ^ string_of_int l
-  | Ksm_code -> "ksm_code"
-  | Ksm_data -> "ksm_data"
-  | Kernel_code -> "kernel_code"
-
-let backing_str = function
-  | Kernel_model.Vma.Anon -> "anon"
-  | Kernel_model.Vma.File { inode; offset } -> Printf.sprintf "file:%d:%d" inode offset
-  | Kernel_model.Vma.Stack -> "stack"
-  | Kernel_model.Vma.Heap -> "heap"
-
-let bool01 b = if b then "1" else "0"
-
-let payload (t : t) =
-  let b = Buffer.create (64 * 1024) in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  let c = t.cfg in
-  line "cfg %s %s %s %s %s %s %d %d" (bool01 c.Cki.Config.opt2) (bool01 c.Cki.Config.opt3)
-    (bool01 c.Cki.Config.hugepages) (bool01 c.Cki.Config.pti_in_gates)
-    (bool01 c.Cki.Config.emulate_pvm_syscall) (bool01 c.Cki.Config.design_pku) c.Cki.Config.vcpus
-    c.Cki.Config.segment_frames;
-  line "segments %d%s" (Array.length t.segments)
-    (Array.fold_left (fun acc n -> acc ^ " " ^ string_of_int n) "" t.segments);
-  line "aux %d" (Array.length t.aux);
-  Array.iteri (fun i k -> line "k %d %s" i (aux_kind_str k)) t.aux;
-  line "ptps %d" (List.length t.ptps);
-  List.iter (fun (r, lvl) -> line "p %s %d" (fref_str r) lvl) t.ptps;
-  line "kernel_root %s" (fref_str t.kernel_root);
-  line "template %d" (List.length t.template);
-  List.iter (fun (slot, bits, r) -> line "s %d %Lx %s" slot bits (fref_str r)) t.template;
-  line "roots %d" (List.length t.roots);
-  List.iter
-    (fun r ->
-      line "r %s %d%s" (fref_str r.r_frame) (Array.length r.r_copies)
-        (Array.fold_left (fun acc c -> acc ^ " " ^ fref_str c) "" r.r_copies))
-    t.roots;
-  line "tables %d" (List.length t.tables);
-  List.iter
-    (fun tb ->
-      line "t %s %d %d %d" (fref_str tb.t_frame) tb.t_level tb.t_va (List.length tb.t_entries);
-      List.iter
-        (fun e -> line "e %d %Lx %s" e.e_index e.e_bits (fref_str e.e_target))
-        tb.t_entries)
-    t.tables;
-  line "pervcpu %d" (Array.length t.pervcpu);
-  Array.iter
-    (fun a ->
-      line "v %s %d%s" (fref_str a.a_l3) (Array.length a.a_frames)
-        (Array.fold_left (fun acc f -> acc ^ " " ^ fref_str f) "" a.a_frames))
-    t.pervcpu;
-  line "cpus %d" (Array.length t.cpus);
-  Array.iter
-    (fun c ->
-      line "c %s %d %s %d %d %s" (bool01 c.c_kernel) c.c_pkrs (bool01 c.c_if) c.c_gs c.c_kgs
-        (fref_str c.c_cr3))
-    t.cpus;
-  line "kernel %d %d" t.next_pid t.next_as;
-  line "buddy %d" (List.length t.buddy_blocks);
-  List.iter (fun (off, order) -> line "b %d %d" off order) t.buddy_blocks;
-  line "aspaces %d" (List.length t.aspaces);
-  List.iter (fun (id, r) -> line "a %d %s" id (fref_str r)) t.aspaces;
-  line "tasks %d" (List.length t.tasks);
-  List.iter
-    (fun tk ->
-      line "task %d %d %d %d %d %d %d %d %d" tk.tk_pid tk.tk_parent tk.tk_next_fd tk.tk_aspace
-        tk.tk_brk tk.tk_cursor (List.length tk.tk_vmas) (List.length tk.tk_pages)
-        (List.length tk.tk_fds);
-      List.iter
-        (fun v ->
-          let r, w, x = v.v_prot in
-          line "m %d %d %s%s%s %s" v.v_start v.v_stop (bool01 r) (bool01 w) (bool01 x)
-            (backing_str v.v_backing))
-        tk.tk_vmas;
-      List.iter (fun (vpn, r) -> line "g %d %s" vpn (fref_str r)) tk.tk_pages;
-      List.iter (fun f -> line "f %d %d %s" f.f_fd f.f_pos (hex_of_string f.f_path)) tk.tk_fds)
-    t.tasks;
-  line "dirs %d" (List.length t.dirs);
-  List.iter (fun d -> line "d %s" (hex_of_string d)) t.dirs;
-  line "files %d" (List.length t.files);
-  List.iter (fun (p, data) -> line "F %s %s" (hex_of_string p) (hex_of_string data)) t.files;
-  Buffer.contents b
-
-let encode t =
-  let p = payload t in
-  Printf.sprintf "%s v%d\nchecksum %016Lx\n%s" magic version (fnv1a64 p) p
-
-(* ------------------------------------------------------------------ *)
-(* Decoding                                                            *)
+(* The codec: each record of the format is described once, and that   *)
+(* description both prints it and reads it back                        *)
 (* ------------------------------------------------------------------ *)
 
 type decode_error =
@@ -236,271 +136,287 @@ let show_decode_error = function
 
 exception Bad of decode_error
 
-let fref_of_str s =
-  try
-    if s = "" then raise (Bad (Malformed "empty frame ref"))
-    else if s.[0] = 'A' then Aux (int_of_string (String.sub s 1 (String.length s - 1)))
-    else if s.[0] = 'S' then
-      match String.split_on_char '.' (String.sub s 1 (String.length s - 1)) with
-      | [ seg; off ] -> Seg { seg = int_of_string seg; off = int_of_string off }
-      | _ -> raise (Bad (Malformed ("frame ref " ^ s)))
-    else raise (Bad (Malformed ("frame ref " ^ s)))
-  with Failure _ -> raise (Bad (Malformed ("frame ref " ^ s)))
+(* A word of a line that its field cannot read. *)
+exception Reject
 
-let aux_kind_of_str = function
-  | "pt1" -> Pt 1
-  | "pt2" -> Pt 2
-  | "pt3" -> Pt 3
-  | "pt4" -> Pt 4
-  | "ksm_code" -> Ksm_code
-  | "ksm_data" -> Ksm_data
-  | "kernel_code" -> Kernel_code
-  | s -> raise (Bad (Malformed ("aux kind " ^ s)))
+(* One codec type serves both levels of the format: a field prints to
+   and reads from the words of a line, a record to and from the lines
+   of the payload.  [get] returns the tokens it left.  ['k] differs
+   from ['r] only while a [record] is being built. *)
+type ('r, 'k) c = { put : 'r -> string list; get : string list -> 'k * string list }
 
-let backing_of_str s =
-  match String.split_on_char ':' s with
-  | [ "anon" ] -> Kernel_model.Vma.Anon
-  | [ "stack" ] -> Kernel_model.Vma.Stack
-  | [ "heap" ] -> Kernel_model.Vma.Heap
-  | [ "file"; inode; offset ] -> (
-      try Kernel_model.Vma.File { inode = int_of_string inode; offset = int_of_string offset }
-      with Failure _ -> raise (Bad (Malformed ("backing " ^ s))))
-  | _ -> raise (Bad (Malformed ("backing " ^ s)))
+(* A field of one word.  [read] need only be right on what [show]
+   writes: [line] refuses every line that does not print back to
+   itself, so leading zeros, signs and stray digits never get in. *)
+let word show read =
+  {
+    put = (fun v -> [ show v ]);
+    get =
+      (function
+      | w :: ws -> ( match read w with Some v -> (v, ws) | None -> raise Reject)
+      | [] -> raise Reject);
+  }
 
-let decode s =
-  let lines = String.split_on_char '\n' s in
-  let cursor = ref lines in
-  let next () =
-    match !cursor with
-    | [] -> raise (Bad Truncated)
-    | [ "" ] -> raise (Bad Truncated) (* trailing newline remainder *)
-    | l :: rest ->
-        cursor := rest;
-        l
+let int = word string_of_int int_of_string_opt
+
+(* A count.  A negative one must be refused by its own line: [rep]
+   would read on to the end of the payload. *)
+let nat = word string_of_int (fun w -> match int_of_string_opt w with Some n when n >= 0 -> Some n | _ -> None)
+let of_cases show cases = word show (fun w -> List.find_opt (fun v -> show v = w) cases)
+let bool01 = of_cases (fun b -> if b then "1" else "0") [ false; true ]
+let hex64 = word (Printf.sprintf "%Lx") (fun w -> Int64.of_string_opt ("0x" ^ w))
+
+let fref =
+  word
+    (function Seg { seg; off } -> Printf.sprintf "S%d.%d" seg off | Aux i -> Printf.sprintf "A%d" i)
+    (fun w ->
+      match Scanf.sscanf_opt w "A%d%!" (fun i -> Aux i) with
+      | None -> Scanf.sscanf_opt w "S%d.%d%!" (fun seg off -> Seg { seg; off })
+      | r -> r)
+
+let aux_kind =
+  of_cases
+    (function
+      | Pt l -> "pt" ^ string_of_int l
+      | Ksm_code -> "ksm_code"
+      | Ksm_data -> "ksm_data"
+      | Kernel_code -> "kernel_code")
+    [ Pt 1; Pt 2; Pt 3; Pt 4; Ksm_code; Ksm_data; Kernel_code ]
+
+let backing =
+  let show = function
+    | Kernel_model.Vma.Anon -> "anon"
+    | Kernel_model.Vma.File { inode; offset } -> Printf.sprintf "file:%d:%d" inode offset
+    | Kernel_model.Vma.Stack -> "stack"
+    | Kernel_model.Vma.Heap -> "heap"
   in
-  let words l = String.split_on_char ' ' l in
-  let ints_exn l =
-    try List.map int_of_string l
-    with Failure _ -> raise (Bad (Malformed (String.concat " " l)))
-  in
-  let expect tag l =
-    match words l with
-    | w :: rest when w = tag -> rest
-    | _ -> raise (Bad (Malformed ("expected " ^ tag ^ ", got: " ^ l)))
-  in
-  let counted tag =
-    match expect tag (next ()) with
-    | n :: rest -> (
-        (try int_of_string n with Failure _ -> raise (Bad (Malformed tag))), rest)
-    | [] -> raise (Bad (Malformed tag))
-  in
-  let repeat n f = List.init n (fun _ -> f ()) in
-  let b01 = function
-    | "1" -> true
-    | "0" -> false
-    | s -> raise (Bad (Malformed ("bool " ^ s)))
-  in
-  let hex64 s = try Int64.of_string ("0x" ^ s) with Failure _ -> raise (Bad (Malformed ("hex " ^ s))) in
-  try
-    (* Header *)
-    (match words (next ()) with
-    | [ m; v ] when m = magic -> (
-        match int_of_string_opt (String.sub v 1 (String.length v - 1)) with
-        | Some n when v.[0] = 'v' -> if n <> version then raise (Bad (Bad_version n))
-        | _ -> raise (Bad Bad_magic))
-    | _ -> raise (Bad Bad_magic));
-    let claimed =
-      match expect "checksum" (next ()) with
-      | [ h ] -> hex64 h
-      | _ -> raise (Bad (Malformed "checksum"))
-    in
-    let p = String.concat "\n" !cursor in
-    if not (Int64.equal (fnv1a64 p) claimed) then raise (Bad Bad_checksum);
-    (* Payload *)
-    let cfg =
-      match expect "cfg" (next ()) with
-      | [ o2; o3; hp; pti; pvm; pku; vcpus; segf ] ->
-          {
-            Cki.Config.opt2 = b01 o2;
-            opt3 = b01 o3;
-            hugepages = b01 hp;
-            pti_in_gates = b01 pti;
-            emulate_pvm_syscall = b01 pvm;
-            design_pku = b01 pku;
-            vcpus = int_of_string vcpus;
-            segment_frames = int_of_string segf;
-          }
-      | _ -> raise (Bad (Malformed "cfg"))
-    in
-    let nseg, rest = counted "segments" in
-    let segments = Array.of_list (ints_exn rest) in
-    if Array.length segments <> nseg then raise (Bad (Malformed "segments"));
-    let naux, _ = counted "aux" in
-    let aux =
-      Array.of_list
-        (repeat naux (fun () ->
-             match expect "k" (next ()) with
-             | [ _i; k ] -> aux_kind_of_str k
-             | _ -> raise (Bad (Malformed "aux entry"))))
-    in
-    let nptp, _ = counted "ptps" in
-    let ptps =
-      repeat nptp (fun () ->
-          match expect "p" (next ()) with
-          | [ r; lvl ] -> (fref_of_str r, int_of_string lvl)
-          | _ -> raise (Bad (Malformed "ptp")))
-    in
-    let kernel_root =
-      match expect "kernel_root" (next ()) with
-      | [ r ] -> fref_of_str r
-      | _ -> raise (Bad (Malformed "kernel_root"))
-    in
-    let ntpl, _ = counted "template" in
-    let template =
-      repeat ntpl (fun () ->
-          match expect "s" (next ()) with
-          | [ slot; bits; r ] -> (int_of_string slot, hex64 bits, fref_of_str r)
-          | _ -> raise (Bad (Malformed "template slot")))
-    in
-    let nroots, _ = counted "roots" in
-    let roots =
-      repeat nroots (fun () ->
-          match expect "r" (next ()) with
-          | frame :: n :: copies ->
-              if int_of_string n <> List.length copies then
-                raise (Bad (Malformed "root copy count"));
-              { r_frame = fref_of_str frame; r_copies = Array.of_list (List.map fref_of_str copies) }
-          | _ -> raise (Bad (Malformed "root")))
-    in
-    let ntables, _ = counted "tables" in
-    let tables =
-      repeat ntables (fun () ->
-          match expect "t" (next ()) with
-          | [ frame; lvl; va; n ] ->
-              let n = int_of_string n in
-              let entries =
-                repeat n (fun () ->
-                    match expect "e" (next ()) with
-                    | [ idx; bits; target ] ->
-                        { e_index = int_of_string idx; e_bits = hex64 bits; e_target = fref_of_str target }
-                    | _ -> raise (Bad (Malformed "entry")))
-              in
-              {
-                t_frame = fref_of_str frame;
-                t_level = int_of_string lvl;
-                t_va = int_of_string va;
-                t_entries = entries;
-              }
-          | _ -> raise (Bad (Malformed "table")))
-    in
-    let nvcpu, _ = counted "pervcpu" in
-    let pervcpu =
-      Array.of_list
-        (repeat nvcpu (fun () ->
-             match expect "v" (next ()) with
-             | l3 :: n :: frames ->
-                 if int_of_string n <> List.length frames then
-                   raise (Bad (Malformed "pervcpu frame count"));
-                 { a_l3 = fref_of_str l3; a_frames = Array.of_list (List.map fref_of_str frames) }
-             | _ -> raise (Bad (Malformed "pervcpu"))))
-    in
-    let ncpu, _ = counted "cpus" in
-    let cpus =
-      Array.of_list
-        (repeat ncpu (fun () ->
-             match expect "c" (next ()) with
-             | [ k; pkrs; ifl; gs; kgs; cr3 ] ->
-                 {
-                   c_kernel = b01 k;
-                   c_pkrs = int_of_string pkrs;
-                   c_if = b01 ifl;
-                   c_gs = int_of_string gs;
-                   c_kgs = int_of_string kgs;
-                   c_cr3 = fref_of_str cr3;
-                 }
-             | _ -> raise (Bad (Malformed "cpu"))))
-    in
-    let next_pid, next_as =
-      match ints_exn (expect "kernel" (next ())) with
-      | [ np; na ] -> (np, na)
-      | _ -> raise (Bad (Malformed "kernel"))
-    in
-    let nblocks, _ = counted "buddy" in
-    let buddy_blocks =
-      repeat nblocks (fun () ->
-          match ints_exn (expect "b" (next ())) with
-          | [ off; order ] -> (off, order)
-          | _ -> raise (Bad (Malformed "buddy block")))
-    in
-    let nas, _ = counted "aspaces" in
-    let aspaces =
-      repeat nas (fun () ->
-          match expect "a" (next ()) with
-          | [ id; r ] -> (int_of_string id, fref_of_str r)
-          | _ -> raise (Bad (Malformed "aspace")))
-    in
-    let ntasks, _ = counted "tasks" in
-    let tasks =
-      repeat ntasks (fun () ->
-          match ints_exn (expect "task" (next ())) with
-          | [ pid; parent; next_fd; aspace; brk; cursor; nvmas; npages; nfds ] ->
-              let vmas =
-                repeat nvmas (fun () ->
-                    match expect "m" (next ()) with
-                    | [ start; stop; rwx; backing ] when String.length rwx = 3 ->
-                        {
-                          v_start = int_of_string start;
-                          v_stop = int_of_string stop;
-                          v_prot =
-                            ( b01 (String.make 1 rwx.[0]),
-                              b01 (String.make 1 rwx.[1]),
-                              b01 (String.make 1 rwx.[2]) );
-                          v_backing = backing_of_str backing;
-                        }
-                    | _ -> raise (Bad (Malformed "vma")))
-              in
-              let pages =
-                repeat npages (fun () ->
-                    match expect "g" (next ()) with
-                    | [ vpn; r ] -> (int_of_string vpn, fref_of_str r)
-                    | _ -> raise (Bad (Malformed "page")))
-              in
-              let fds =
-                repeat nfds (fun () ->
-                    match expect "f" (next ()) with
-                    | [ fd; pos; path ] ->
-                        { f_fd = int_of_string fd; f_pos = int_of_string pos; f_path = string_of_hex path }
-                    | _ -> raise (Bad (Malformed "fd")))
-              in
-              {
-                tk_pid = pid;
-                tk_parent = parent;
-                tk_next_fd = next_fd;
-                tk_aspace = aspace;
-                tk_brk = brk;
-                tk_cursor = cursor;
-                tk_vmas = vmas;
-                tk_pages = pages;
-                tk_fds = fds;
-              }
-          | _ -> raise (Bad (Malformed "task")))
-    in
-    let ndirs, _ = counted "dirs" in
-    let dirs =
-      repeat ndirs (fun () ->
-          match expect "d" (next ()) with
-          | [ p ] -> string_of_hex p
-          | _ -> raise (Bad (Malformed "dir")))
-    in
-    let nfiles, _ = counted "files" in
-    let files =
-      repeat nfiles (fun () ->
-          match expect "F" (next ()) with
-          | [ p; data ] -> (string_of_hex p, string_of_hex data)
-          | [ p ] -> (string_of_hex p, "")
-          | _ -> raise (Bad (Malformed "file")))
-    in
-    Ok
+  word show (fun w ->
+      match List.find_opt (fun b -> show b = w) Kernel_model.Vma.[ Anon; Stack; Heap ] with
+      | None ->
+          Scanf.sscanf_opt w "file:%d:%d%!" (fun inode offset -> Kernel_model.Vma.File { inode; offset })
+      | b -> b)
+
+let rwx =
+  word
+    (fun (r, w, x) -> String.concat "" (List.concat_map bool01.put [ r; w; x ]))
+    (fun s -> Scanf.sscanf_opt s "%c%c%c%!" (fun r w x -> (r = '1', w = '1', x = '1')))
+
+let hex_string =
+  word
+    (fun s -> String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i]))))
+    (fun h ->
+      let byte i = Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)) in
+      try Some (String.init (String.length h / 2) byte) with Failure _ -> None)
+
+(* A record built field by field: [record k |+ (c1, proj1) |+ ...]
+   prints [proj1 r], ... in turn and reads them back into [k]. *)
+let record k = { put = (fun _ -> []); get = (fun s -> (k, s)) }
+
+let ( |+ ) b (c, proj) =
+  {
+    put = (fun r -> b.put r @ c.put (proj r));
+    get =
+      (fun s ->
+        let k, s = b.get s in
+        let v, s = c.get s in
+        (k v, s));
+  }
+
+let pair a b = record (fun x y -> (x, y)) |+ (a, fst) |+ (b, snd)
+
+let map f g c =
+  {
+    put = (fun v -> c.put (g v));
+    get =
+      (fun s ->
+        let v, s = c.get s in
+        (f v, s));
+  }
+
+let array c = map Array.of_list Array.to_list c
+
+(* [head] is read first and decides how the rest is read: a count
+   says how many items follow it.  [back] recovers [head]'s value from
+   the whole. *)
+let dep head body back =
+  {
+    put =
+      (fun r ->
+        let h = back r in
+        head.put h @ (body h).put r);
+    get =
+      (fun s ->
+        let h, s = head.get s in
+        (body h).get s);
+  }
+
+(* [n] items, the [i]th described by [item i]. *)
+let rep n item =
+  {
+    put = (fun xs -> List.concat (List.mapi (fun i x -> (item i).put x) xs));
+    get =
+      (fun s ->
+        let rec go i s acc =
+          if i = n then (List.rev acc, s)
+          else
+            let x, s = (item i).get s in
+            go (i + 1) s (x :: acc)
+        in
+        go 0 s []);
+  }
+
+let list count item = dep count (fun n -> rep n (fun _ -> item)) List.length
+
+(* The word [i], then [c]: a position the line states and the value
+   does not carry; the print-back check holds it to [i]. *)
+let at i c =
+  {
+    put = (fun v -> string_of_int i :: c.put v);
+    get = (function _ :: ws -> c.get ws | [] -> raise Reject);
+  }
+
+(* A line quoted in an error; file contents make long ones. *)
+let clip l = if String.length l > 48 then String.sub l 0 48 ^ "..." else l
+
+(* One line: [tag], then [f]'s words.  A line is accepted only if it
+   prints back to itself, so decode takes exactly the text encode
+   writes; a refusal names the record. *)
+let line tag f =
+  let print v = String.concat " " (tag :: f.put v) in
+  {
+    put = (fun v -> [ print v ]);
+    get =
+      (function
+      | [] | [ "" ] (* what follows the final newline *) -> raise (Bad Truncated)
+      | l :: ls -> (
+          match f.get (List.tl (String.split_on_char ' ' l)) with
+          | v, _ when print v = l -> (v, ls)
+          | _ | (exception Reject) -> raise (Bad (Malformed (tag ^ " record: " ^ clip l)))));
+  }
+
+let counted tag item = list (line tag nat) item
+
+(* ------------------------------------------------------------------ *)
+(* The format: DESIGN.md §7.1's grammar, each record spelled once       *)
+(* ------------------------------------------------------------------ *)
+
+let config =
+  record (fun opt2 opt3 hugepages pti_in_gates emulate_pvm_syscall design_pku vcpus segment_frames ->
+      {
+        Cki.Config.opt2;
+        opt3;
+        hugepages;
+        pti_in_gates;
+        emulate_pvm_syscall;
+        design_pku;
+        vcpus;
+        segment_frames;
+      })
+  |+ (bool01, fun c -> c.Cki.Config.opt2)
+  |+ (bool01, fun c -> c.Cki.Config.opt3)
+  |+ (bool01, fun c -> c.Cki.Config.hugepages)
+  |+ (bool01, fun c -> c.Cki.Config.pti_in_gates)
+  |+ (bool01, fun c -> c.Cki.Config.emulate_pvm_syscall)
+  |+ (bool01, fun c -> c.Cki.Config.design_pku)
+  |+ (int, fun c -> c.Cki.Config.vcpus)
+  |+ (int, fun c -> c.Cki.Config.segment_frames)
+
+let frames = array (list nat fref)
+
+let root =
+  line "r"
+    (record (fun r_frame r_copies -> { r_frame; r_copies })
+    |+ (fref, fun r -> r.r_frame)
+    |+ (frames, fun r -> r.r_copies))
+
+let entry =
+  line "e"
+    (record (fun e_index e_bits e_target -> { e_index; e_bits; e_target })
+    |+ (int, fun e -> e.e_index)
+    |+ (hex64, fun e -> e.e_bits)
+    |+ (fref, fun e -> e.e_target))
+
+(* A table line ends in the number of entry lines below it. *)
+let table =
+  dep
+    (line "t"
+       (record (fun t_frame t_level t_va n -> ({ t_frame; t_level; t_va; t_entries = [] }, n))
+       |+ (fref, fun (tb, _) -> tb.t_frame)
+       |+ (int, fun (tb, _) -> tb.t_level)
+       |+ (int, fun (tb, _) -> tb.t_va)
+       |+ (nat, snd)))
+    (fun (tb, n) ->
+      map (fun t_entries -> { tb with t_entries }) (fun tb -> tb.t_entries) (rep n (fun _ -> entry)))
+    (fun tb -> (tb, List.length tb.t_entries))
+
+let vcpu_area =
+  line "v"
+    (record (fun a_l3 a_frames -> { a_l3; a_frames })
+    |+ (fref, fun a -> a.a_l3)
+    |+ (frames, fun a -> a.a_frames))
+
+let cpu =
+  line "c"
+    (record (fun c_kernel c_pkrs c_if c_gs c_kgs c_cr3 -> { c_kernel; c_pkrs; c_if; c_gs; c_kgs; c_cr3 })
+    |+ (bool01, fun c -> c.c_kernel)
+    |+ (int, fun c -> c.c_pkrs)
+    |+ (bool01, fun c -> c.c_if)
+    |+ (int, fun c -> c.c_gs)
+    |+ (int, fun c -> c.c_kgs)
+    |+ (fref, fun c -> c.c_cr3))
+
+let vma =
+  line "m"
+    (record (fun v_start v_stop v_prot v_backing -> { v_start; v_stop; v_prot; v_backing })
+    |+ (int, fun v -> v.v_start)
+    |+ (int, fun v -> v.v_stop)
+    |+ (rwx, fun v -> v.v_prot)
+    |+ (backing, fun v -> v.v_backing))
+
+let fd =
+  line "f"
+    (record (fun f_fd f_pos f_path -> { f_fd; f_pos; f_path })
+    |+ (int, fun f -> f.f_fd)
+    |+ (int, fun f -> f.f_pos)
+    |+ (hex_string, fun f -> f.f_path))
+
+(* A task line ends in the numbers of its vma, page and fd lines. *)
+let task =
+  dep
+    (line "task"
+       (record (fun tk_pid tk_parent tk_next_fd tk_aspace tk_brk tk_cursor nv np nf ->
+            ( {
+                tk_pid;
+                tk_parent;
+                tk_next_fd;
+                tk_aspace;
+                tk_brk;
+                tk_cursor;
+                tk_vmas = [];
+                tk_pages = [];
+                tk_fds = [];
+              },
+              (nv, np, nf) ))
+       |+ (int, fun (tk, _) -> tk.tk_pid)
+       |+ (int, fun (tk, _) -> tk.tk_parent)
+       |+ (int, fun (tk, _) -> tk.tk_next_fd)
+       |+ (int, fun (tk, _) -> tk.tk_aspace)
+       |+ (int, fun (tk, _) -> tk.tk_brk)
+       |+ (int, fun (tk, _) -> tk.tk_cursor)
+       |+ (nat, fun (_, (n, _, _)) -> n)
+       |+ (nat, fun (_, (_, n, _)) -> n)
+       |+ (nat, fun (_, (_, _, n)) -> n)))
+    (fun (tk, (nv, np, nf)) ->
+      record (fun tk_vmas tk_pages tk_fds -> { tk with tk_vmas; tk_pages; tk_fds })
+      |+ (rep nv (fun _ -> vma), fun tk -> tk.tk_vmas)
+      |+ (rep np (fun _ -> line "g" (pair int fref)), fun tk -> tk.tk_pages)
+      |+ (rep nf (fun _ -> fd), fun tk -> tk.tk_fds))
+    (fun tk -> (tk, (List.length tk.tk_vmas, List.length tk.tk_pages, List.length tk.tk_fds)))
+
+let image =
+  record
+    (fun cfg segments aux ptps kernel_root template roots tables pervcpu cpus (next_pid, next_as)
+         buddy_blocks aspaces tasks dirs files ->
       {
         cfg;
         segments;
@@ -519,11 +435,58 @@ let decode s =
         tasks;
         dirs;
         files;
-      }
-  with
-  | Bad e -> Error e
-  | Failure _ -> Error (Malformed "number")
-  | Invalid_argument _ -> Error (Malformed "field")
+      })
+  |+ (line "cfg" config, fun t -> t.cfg)
+  |+ (line "segments" (array (list nat int)), fun t -> t.segments)
+  |+ ( array (dep (line "aux" nat) (fun n -> rep n (fun i -> line "k" (at i aux_kind))) List.length),
+       fun t -> t.aux )
+  |+ (counted "ptps" (line "p" (pair fref int)), fun t -> t.ptps)
+  |+ (line "kernel_root" fref, fun t -> t.kernel_root)
+  |+ ( counted "template"
+         (line "s"
+            (record (fun slot bits r -> (slot, bits, r))
+            |+ (int, fun (slot, _, _) -> slot)
+            |+ (hex64, fun (_, bits, _) -> bits)
+            |+ (fref, fun (_, _, r) -> r))),
+       fun t -> t.template )
+  |+ (counted "roots" root, fun t -> t.roots)
+  |+ (counted "tables" table, fun t -> t.tables)
+  |+ (array (counted "pervcpu" vcpu_area), fun t -> t.pervcpu)
+  |+ (array (counted "cpus" cpu), fun t -> t.cpus)
+  |+ (line "kernel" (pair int int), fun t -> (t.next_pid, t.next_as))
+  |+ (counted "buddy" (line "b" (pair int int)), fun t -> t.buddy_blocks)
+  |+ (counted "aspaces" (line "a" (pair int fref)), fun t -> t.aspaces)
+  |+ (counted "tasks" task, fun t -> t.tasks)
+  |+ (counted "dirs" (line "d" hex_string), fun t -> t.dirs)
+  |+ (counted "files" (line "F" (pair hex_string hex_string)), fun t -> t.files)
+
+let header = Printf.sprintf "%s v%d" magic version
+let checksum = line "checksum" (word (Printf.sprintf "%016Lx") (fun w -> Int64.of_string_opt ("0x" ^ w)))
+
+let encode t =
+  let p = String.concat "\n" (image.put t @ [ "" ]) in
+  String.concat "\n" ((header :: checksum.put (fnv1a64 p)) @ [ p ])
+
+(* The payload after the checksum line must be whole lines, and the
+   files record its last. *)
+let decode s =
+  match String.split_on_char '\n' s with
+  | [ "" ] -> Error Truncated
+  | first :: _ when first <> header -> (
+      match Scanf.sscanf_opt first "%s v%u%!" (fun m n -> (m, n)) with
+      | Some (m, n) when m = magic && n <> version -> Error (Bad_version n)
+      | _ -> Error Bad_magic)
+  | _ :: sum :: payload -> (
+      try
+        let claimed, _ = checksum.get [ sum ] in
+        if not (Int64.equal (fnv1a64 (String.concat "\n" payload)) claimed) then
+          raise (Bad Bad_checksum);
+        match image.get payload with
+        | t, [ "" ] -> Ok t
+        | _, [] -> Error Truncated
+        | _, l :: _ -> Error (Malformed ("line after the files record: " ^ clip l))
+      with Bad e -> Error e)
+  | _ -> Error Truncated
 
 let write_file path t =
   let oc = open_out path in

@@ -99,9 +99,6 @@ type t = {
   files : (string * string) list;  (** tmpfs regular files with contents *)
 }
 
-val version : int
-val magic : string
-
 val strip_pfn : int64 -> int64
 (** Zero a PTE's frame field (bits 12..50), keeping every other bit. *)
 
@@ -123,7 +120,10 @@ type decode_error =
 val show_decode_error : decode_error -> string
 
 val decode : string -> (t, decode_error) result
-(** Verifies magic, version and checksum before parsing; never raises. *)
+(** Verifies magic, version and checksum before parsing; never raises.
+    It accepts only the text {!encode} writes: every image it returns
+    re-encodes to the same bytes.  A refused record is named in the
+    [Malformed] message ([<tag> record: <line>]). *)
 
 val write_file : string -> t -> unit
 val read_file : string -> (t, decode_error) result
