@@ -3,7 +3,7 @@
    Every other bench in this directory measures *simulated* time; this
    one measures the simulator itself: host ns/op for each engine hot
    path, compared across runs through the checked-in artifact history
-   rather than against in-process replicas.  The four [*_words]
+   rather than against in-process replicas.  The five [*_words]
    sections count heap words allocated by a fixed piece of work; each
    gives the same value on every invocation, so they are filed under
    the [heap] clock, which [compare] fails on a rise.
@@ -27,8 +27,9 @@
      boot and the latency statistics included;
    - the container cycle: restore a captured 64 MiB container, scan it
      with [Analysis.check_machine], destroy it -- the table walks over
-     its 16,384-leaf direct map that a migration pays on the target.
-     Gate: every restored copy is analysis-clean;
+     its 16,384-leaf direct map that a migration pays on the target --
+     in host ns and heap words per cycle.  Gate: every restored copy is
+     analysis-clean;
    - one dirty-tracking epoch over a 4,096-page heap: every page
      write-protected with its per-vCPU shootdown, then restored, in
      host ns and heap words per epoch;
@@ -275,7 +276,8 @@ let bench_serve () =
   [ m; Artifact.heap ~n:requests "serve_major_words" "words/op" (words /. float_of_int requests) ]
 
 (* One op: restore the image, scan the copy, destroy it.  Returns the
-   metric and the findings summed over every copy. *)
+   two metrics and the findings summed over every copy.  The heap words
+   are counted by [words_of], so they are deterministic. *)
 let bench_container_cycle ~ops =
   let host = Cki.Host.create (Hw.Machine.create ~mem_mib:256 ()) in
   let c = Cki.Container.create host in
@@ -285,17 +287,18 @@ let bench_container_cycle ~ops =
     | Error e -> failwith ("engine bench: capture: " ^ Snapshot.Capture.show_error e)
   in
   let findings = ref 0 in
-  let m =
-    time "container_cycle_64m" ~ops (fun () ->
-        for _ = 1 to ops do
-          match Snapshot.Restore.restore ~verify:false host image with
-          | Ok copy ->
-              findings := !findings + List.length (Analysis.check_machine ~containers:[ copy ]);
-              Cki.Container.destroy copy
-          | Error e -> failwith ("engine bench: restore: " ^ Snapshot.Restore.show_error e)
-        done)
+  let m, words =
+    words_of (fun () ->
+        time "container_cycle_64m" ~ops (fun () ->
+            for _ = 1 to ops do
+              match Snapshot.Restore.restore ~verify:false host image with
+              | Ok copy ->
+                  findings := !findings + List.length (Analysis.check_machine ~containers:[ copy ]);
+                  Cki.Container.destroy copy
+              | Error e -> failwith ("engine bench: restore: " ^ Snapshot.Restore.show_error e)
+            done))
   in
-  (m, !findings)
+  (m, Artifact.heap ~n:ops "container_cycle_64m_words" "words/op" (words /. float_of_int ops), !findings)
 
 (* One dirty-tracking epoch over a 4,096-page [Chaos.boot_app] heap:
    [Mm.dirty_track_start] write-protects every resident page through
@@ -363,14 +366,14 @@ let run () =
   let primitives = bench_primitives () in
   let virtio_copy = bench_virtio_copy ~ops:20_000 in
   let serve = bench_serve () in
-  let cycle, cycle_findings = bench_container_cycle ~ops:100 in
+  let cycle, cycle_words, cycle_findings = bench_container_cycle ~ops:100 in
   let dirty_track = bench_dirty_track ~ops:60 in
   let migrate = bench_migrate ~ops:60 in
   {
     Artifact.bench = "engine";
     metrics =
       ((alloc :: arena :: machine) @ [ translate; probe; clock ])
-      @ primitives @ (virtio_copy :: serve) @ (cycle :: dirty_track) @ migrate;
+      @ primitives @ (virtio_copy :: serve) @ (cycle :: cycle_words :: dirty_track) @ migrate;
     gates =
       [
         Artifact.gate "restored 64 MiB copies analysis-clean" (cycle_findings = 0)

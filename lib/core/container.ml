@@ -269,31 +269,26 @@ let destroy t =
       (Printf.sprintf "Container.destroy: container %d is a frozen template with live clones" id);
   (* 1. Release CoW references on foreign shared frames. *)
   let visited = Hw.Int_tbl.create 256 in
-  let rec walk lvl pfn =
-    if not (Hw.Int_tbl.mem visited pfn) then begin
-      Hw.Int_tbl.replace visited pfn ();
-      Hw.Phys_mem.iter_entries mem ~pfn (fun idx e ->
-          let direct = lvl = Hw.Addr.levels && idx = Layout.l4_direct in
-          if Hw.Pte.is_present e && not direct then begin
-            let target = Hw.Pte.pfn e in
-            let leaf = lvl = 1 || (lvl = 2 && Hw.Pte.is_huge e) in
-            if leaf then begin
-              let foreign =
-                match Hw.Phys_mem.owner mem target with
-                | Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k -> k <> id
-                | _ -> false
-              in
-              if foreign && Hw.Phys_mem.is_shared_ro mem target then
-                Hw.Phys_mem.decr_ref mem target
-            end
-            else walk (lvl - 1) target
-          end)
+  let enter ~level:_ ~table ~va:_ =
+    (not (Hw.Int_tbl.mem visited table)) && (Hw.Int_tbl.replace visited table (); true)
+  in
+  let release ~level ~table:_ ~va:_ ~index:_ e =
+    if Hw.Pte.is_leaf ~level e then begin
+      let target = Hw.Pte.pfn e in
+      let foreign =
+        match Hw.Phys_mem.owner mem target with
+        | Hw.Phys_mem.Container k | Hw.Phys_mem.Ksm k -> k <> id
+        | _ -> false
+      in
+      if foreign && Hw.Phys_mem.is_shared_ro mem target then Hw.Phys_mem.decr_ref mem target
     end
   in
+  let walk = Hw.Page_table.iter_tables mem ~skip_slot:Layout.l4_direct ~enter ~entry:release () in
+  let walk root = walk ~level:Hw.Addr.levels ~table:root ~va:0 in
   List.iter
     (fun (root, copies) ->
-      walk Hw.Addr.levels root;
-      Array.iter (fun copy -> walk Hw.Addr.levels copy) copies)
+      walk root;
+      Array.iter walk copies)
     (Ksm.roots t.ksm);
   (* 2 + 3. Reclaim the segments, then let the KSM sweep stragglers
      (KSM state, page tables, kernel image) — stripping a template's

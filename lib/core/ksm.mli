@@ -105,9 +105,6 @@ val undeclare_ptp : t -> pfn:Hw.Addr.pfn -> (unit, error) result
     a live root or a PTP a table still links ({!guest_map} records each
     inline-declared PTP's one parent entry; a restore re-derives them). *)
 
-val check_leaf : t -> va:Hw.Addr.va -> pfn:Hw.Addr.pfn -> flags:Hw.Pte.flags -> (unit, error) result
-(** Validate a prospective leaf mapping (exposed for tests). *)
-
 val guest_map :
   t ->
   root:Hw.Addr.pfn ->

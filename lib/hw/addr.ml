@@ -46,6 +46,8 @@ let index_at_level ~lvl va =
   if lvl < 1 || lvl > levels then invalid_arg "Addr.index_at_level";
   (va lsr (page_shift + (9 * (lvl - 1)))) land (entries_per_table - 1)
 
+let span ~lvl = 1 lsl (page_shift + (9 * (lvl - 1)))
+
 (* Number of 4 KiB pages needed to back [bytes]. *)
 let pages_of_bytes bytes = (bytes + page_size - 1) / page_size
 

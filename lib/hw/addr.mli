@@ -54,6 +54,10 @@ val index_at_level : lvl:int -> va -> int
 (** Page-table index of [va] at level [lvl] (4 = top / PML4, 1 = leaf).
     @raise Invalid_argument if [lvl] is outside 1..4. *)
 
+val span : lvl:int -> int
+(** Bytes of address space one entry at level [lvl] covers: 4 KiB at
+    1, 2 MiB at 2, 1 GiB at 3, 512 GiB at 4. *)
+
 val pages_of_bytes : int -> int
 (** Number of 4 KiB pages needed to back a byte count. *)
 

@@ -171,11 +171,7 @@ let access t (pt : Page_table.t) ~va ~(access_kind : Pks.access) ?(exec = false)
     match check_pte t ~va ~access:access_kind ~exec pte with
     | Some f -> Error f
     | None ->
-        let base = Addr.pa_of_pfn (Pte.pfn pte) in
-        let pa =
-          if level = 2 then base lor (va land ((1 lsl 21) - 1)) else base lor Addr.page_offset va
-        in
-        Ok pa
+        Ok (Addr.pa_of_pfn (Pte.pfn pte) lor (va land (Addr.span ~lvl:level - 1)))
   in
   match Tlb.lookup t.tlb ~pcid:t.pcid va with
   | Some e ->

@@ -58,10 +58,6 @@ val exec_priv : t -> Priv.t -> (unit, fault) result
 
 val exec_priv_exn : t -> Priv.t -> unit
 
-val check_pte : t -> va:Addr.va -> access:Pks.access -> exec:bool -> Pte.t -> fault option
-(** Check one leaf PTE against the CPU's mode and protection-key
-    rights. *)
-
 val access :
   t ->
   Page_table.t ->

@@ -44,10 +44,7 @@ let translate t gpa =
   | exception Page_table.Translation_fault _ ->
       t.violations <- t.violations + 1;
       raise (Ept_violation { gpa })
-  | w ->
-      if w.Page_table.leaf_level = 2 then
-        Addr.pa_of_pfn (Pte.pfn w.pte) lor (gpa land ((1 lsl 21) - 1))
-      else Addr.pa_of_pfn (Pte.pfn w.pte) lor Addr.page_offset gpa
+  | w -> Addr.pa_of_pfn (Pte.pfn w.pte) lor (gpa land (Addr.span ~lvl:w.Page_table.leaf_level - 1))
 
 let is_mapped t gpa = Page_table.is_mapped t.pt gpa
 let violations t = t.violations

@@ -20,76 +20,88 @@ let create mem ~owner =
 let of_root mem root = { mem; root }
 let root t = t.root
 
-(* Read the entry for [va] at [lvl] given the table frame at that level. *)
-let entry_at t ~table_pfn ~lvl va =
-  Phys_mem.read_entry t.mem ~pfn:table_pfn ~index:(Addr.index_at_level ~lvl va)
-
 let write_at t ~table_pfn ~lvl va e =
   Phys_mem.write_entry t.mem ~pfn:table_pfn ~index:(Addr.index_at_level ~lvl va) e
+
+(* The one descent: from [table] at [level] toward [va], stopping at
+   level [stop], at an absent entry or at a leaf. *)
+let rec descend mem ~stop ~level ~table va =
+  let e = Phys_mem.read_entry mem ~pfn:table ~index:(Addr.index_at_level ~lvl:level va) in
+  if level = stop || (not (Pte.is_present e)) || Pte.is_leaf ~level e then (level, table, e)
+  else descend mem ~stop ~level:(level - 1) ~table:(Pte.pfn e) va
+
+(* The one traversal: enter a table, report its present entries, then
+   follow its links, found by a second pass.  [at] holds the level
+   being visited ([at.(0)]) and each level's table and base address,
+   so the passes are closures made once per traversal. *)
+let iter_tables mem ?(skip_slot = -1) ~enter ?entry () =
+  let at = Array.make ((2 * Addr.levels) + 1) 0 in
+  let rec go level table va =
+    if enter ~level ~table ~va then begin
+      at.(0) <- level;
+      at.(level) <- table;
+      at.(Addr.levels + level) <- va;
+      (match entry with Some _ -> Phys_mem.iter_entries mem ~pfn:table report | None -> ());
+      if level > 1 then Phys_mem.iter_entries mem ~pfn:table follow
+    end
+  and report index e =
+    let level = at.(0) in
+    match entry with
+    | Some f when Pte.is_present e && not (level = Addr.levels && index = skip_slot) ->
+        f ~level ~table:at.(level) ~va:(at.(Addr.levels + level) + (index * Addr.span ~lvl:level)) ~index e
+    | _ -> ()
+  and follow index e =
+    let level = at.(0) in
+    if Pte.is_present e && (not (Pte.is_leaf ~level e)) && not (level = Addr.levels && index = skip_slot) then begin
+      go (level - 1) (Pte.pfn e) (at.(Addr.levels + level) + (index * Addr.span ~lvl:level));
+      at.(0) <- level
+    end
+  in
+  fun ~level ~table ~va -> go level table va
 
 type walk_result = {
   pte : Pte.t;  (** the leaf entry *)
   leaf_level : int;  (** 1 for 4 KiB mappings, 2 for 2 MiB huge pages *)
   refs : int;  (** memory references performed by the walk *)
-  trail : (int * Addr.pfn) list;  (** (level, table frame) visited, top first *)
 }
 
-(* Walk without side effects.  Raises [Translation_fault] when an
-   intermediate or leaf entry is not present. *)
-let walk t va =
-  let rec go lvl table_pfn refs trail =
-    let e = entry_at t ~table_pfn ~lvl va in
-    let refs = refs + 1 in
-    let trail = (lvl, table_pfn) :: trail in
-    if not (Pte.is_present e) then raise (Translation_fault { va; level = lvl })
-    else if lvl = 1 then { pte = e; leaf_level = 1; refs; trail = List.rev trail }
-    else if lvl = 2 && Pte.is_huge e then { pte = e; leaf_level = 2; refs; trail = List.rev trail }
-    else go (lvl - 1) (Pte.pfn e) refs trail
-  in
-  go Addr.levels t.root 0 []
+(* [va]'s leaf: its level, table and entry. *)
+let leaf t va =
+  let ((level, _, e) as stop) = descend t.mem ~stop:1 ~level:Addr.levels ~table:t.root va in
+  if Pte.is_present e then stop else raise (Translation_fault { va; level })
 
-(* Trail-free leaf walk for the hot paths ([translate]/[unmap]/
-   [update]): same traversal as [walk] but returns only the leaf entry
-   and its containing table, allocating nothing. *)
-let rec walk_leaf t va lvl table_pfn =
-  let e = entry_at t ~table_pfn ~lvl va in
-  if not (Pte.is_present e) then raise (Translation_fault { va; level = lvl })
-  else if lvl = 1 || (lvl = 2 && Pte.is_huge e) then (e, lvl, table_pfn)
-  else walk_leaf t va (lvl - 1) (Pte.pfn e)
+(* One reference per level read, the stop level's included. *)
+let walk t va =
+  let level, _, pte = leaf t va in
+  { pte; leaf_level = level; refs = Addr.levels - level + 1 }
 
 let translate t va =
-  let pte, leaf_level, _ = walk_leaf t va Addr.levels t.root in
-  if leaf_level = 2 then Addr.pa_of_pfn (Pte.pfn pte) lor (va land ((1 lsl 21) - 1))
-  else Addr.pa_of_pfn (Pte.pfn pte) lor Addr.page_offset va
+  let level, _, pte = leaf t va in
+  Addr.pa_of_pfn (Pte.pfn pte) lor (va land (Addr.span ~lvl:level - 1))
 
 let is_mapped t va =
-  match walk_leaf t va Addr.levels t.root with
-  | _ -> true
-  | exception Translation_fault _ -> false
+  let _, _, e = descend t.mem ~stop:1 ~level:Addr.levels ~table:t.root va in
+  Pte.is_present e
 
-(* Ensure intermediate tables exist down to [down_to] (2 for huge-page
-   leaves, 1 otherwise); returns the table frame at that level.
+(* Descend to [va]'s entry at level [down_to] (2 for huge-page leaves,
+   1 otherwise), linking a table from [alloc_table] wherever one is
+   absent; returns that table and the entry found there.
    [alloc_table] lets the caller control ownership/kind of new PTPs and
    observe their creation (the KSM declares them). *)
 let ensure_tables t ~alloc_table ~down_to va =
-  let rec go lvl table_pfn =
-    if lvl = down_to then table_pfn
-    else
-      let e = entry_at t ~table_pfn ~lvl va in
-      if Pte.is_present e then begin
-        if lvl = 2 && Pte.is_huge e then invalid_arg "Page_table: splitting huge mappings unsupported";
-        go (lvl - 1) (Pte.pfn e)
-      end
-      else begin
-        let new_pfn = alloc_table ~level:(lvl - 1) in
+  let rec link_from level table =
+    match descend t.mem ~stop:down_to ~level ~table va with
+    | level, table, e when level = down_to -> (table, e)
+    | _, _, e when Pte.is_present e -> invalid_arg "Page_table: splitting huge mappings unsupported"
+    | level, table, _ ->
+        let new_pfn = alloc_table ~level:(level - 1) in
         Phys_mem.clear_table t.mem new_pfn;
         let link = Pte.make ~pfn:new_pfn ~flags:{ Pte.default_flags with writable = true; user = true } in
-        write_at t ~table_pfn ~lvl va link;
+        write_at t ~table_pfn:table ~lvl:level va link;
         Phys_mem.incr_ref t.mem new_pfn;
-        go (lvl - 1) new_pfn
-      end
+        link_from (level - 1) new_pfn
   in
-  go Addr.levels t.root
+  link_from Addr.levels t.root
 
 let default_alloc_table mem ~owner ~level =
   Phys_mem.alloc mem ~owner ~kind:(Phys_mem.Page_table level)
@@ -97,46 +109,36 @@ let default_alloc_table mem ~owner ~level =
 (* Map the 4 KiB page at [va] to [pfn]. *)
 let map t ?(alloc_table = fun ~level -> default_alloc_table t.mem ~owner:(Phys_mem.owner t.mem t.root) ~level) ~va ~pfn ~flags () =
   if flags.Pte.huge then invalid_arg "Page_table.map: use map_huge for 2 MiB mappings";
-  let leaf_table = ensure_tables t ~alloc_table ~down_to:1 va in
-  let old = entry_at t ~table_pfn:leaf_table ~lvl:1 va in
+  let leaf_table, old = ensure_tables t ~alloc_table ~down_to:1 va in
   write_at t ~table_pfn:leaf_table ~lvl:1 va (Pte.make ~pfn ~flags);
   old
 
 (* Map the 2 MiB-aligned region at [va] with a level-2 huge leaf. *)
 let map_huge t ?(alloc_table = fun ~level -> default_alloc_table t.mem ~owner:(Phys_mem.owner t.mem t.root) ~level) ~va ~pfn ~flags () =
-  if va land ((1 lsl 21) - 1) <> 0 then invalid_arg "Page_table.map_huge: va not 2 MiB aligned";
-  let l2 = ensure_tables t ~alloc_table ~down_to:2 va in
-  let old = entry_at t ~table_pfn:l2 ~lvl:2 va in
+  if va land (Addr.span ~lvl:2 - 1) <> 0 then invalid_arg "Page_table.map_huge: va not 2 MiB aligned";
+  let l2, old = ensure_tables t ~alloc_table ~down_to:2 va in
   write_at t ~table_pfn:l2 ~lvl:2 va (Pte.make ~pfn ~flags:{ flags with Pte.huge = true });
   old
 
 let unmap t va =
-  match walk_leaf t va Addr.levels t.root with
-  | exception Translation_fault _ -> Pte.empty
-  | pte, lvl, table_pfn ->
+  match descend t.mem ~stop:1 ~level:Addr.levels ~table:t.root va with
+  | lvl, table_pfn, pte when Pte.is_present pte ->
       write_at t ~table_pfn ~lvl va Pte.empty;
       pte
+  | _ -> Pte.empty
 
 (* Update the leaf PTE for [va] in place via [f]; the page must be mapped. *)
 let update t va f =
-  let pte, lvl, table_pfn = walk_leaf t va Addr.levels t.root in
+  let lvl, table_pfn, pte = leaf t va in
   write_at t ~table_pfn ~lvl va (f pte)
 
 let set_accessed_dirty t va ~write =
   update t va (fun e -> if write then Pte.mark_dirty (Pte.mark_accessed e) else Pte.mark_accessed e)
 
-(* Fold over all present leaf mappings. *)
 let fold_leaves t f init =
-  let rec go lvl table_pfn va_base acc =
-    let acc = ref acc in
-    Phys_mem.iter_entries t.mem ~pfn:table_pfn (fun i e ->
-        if Pte.is_present e then begin
-          let va = va_base lor (i lsl (Addr.page_shift + (9 * (lvl - 1)))) in
-          if lvl = 1 || (lvl = 2 && Pte.is_huge e) then acc := f !acc ~va ~pte:e ~level:lvl
-          else acc := go (lvl - 1) (Pte.pfn e) va !acc
-        end);
-    !acc
-  in
-  go Addr.levels t.root 0 init
-
-let count_mappings t = fold_leaves t (fun n ~va:_ ~pte:_ ~level:_ -> n + 1) 0
+  let acc = ref init in
+  iter_tables t.mem
+    ~enter:(fun ~level:_ ~table:_ ~va:_ -> true)
+    ~entry:(fun ~level ~table:_ ~va ~index:_ pte -> if Pte.is_leaf ~level pte then acc := f !acc ~va ~pte ~level)
+    () ~level:Addr.levels ~table:t.root ~va:0;
+  !acc

@@ -39,6 +39,7 @@ let is_accessed e = test e b_accessed
 let is_dirty e = test e b_dirty
 let is_huge e = test e b_huge
 let is_nx e = test e b_nx
+let is_leaf ~level e = level = 1 || (level = 2 && is_huge e)
 
 let pfn_mask = Int64.shift_left (Int64.sub (Int64.shift_left 1L 39) 1L) 12
 let pfn e = Int64.to_int (Int64.shift_right_logical (Int64.logand e pfn_mask) 12)

@@ -20,6 +20,10 @@ val is_dirty : t -> bool
 val is_huge : t -> bool
 val is_nx : t -> bool
 
+val is_leaf : level:int -> t -> bool
+(** Does an entry at [level] map memory rather than link a table: every
+    level-1 entry, and a huge one at level 2.  Presence is not asked. *)
+
 val pfn : t -> Addr.pfn
 (** Target frame number. *)
 

@@ -29,8 +29,6 @@ let show_error = function
 
 exception Fail of error
 
-let span lvl = 1 lsl (Hw.Addr.page_shift + (9 * (lvl - 1)))
-
 (* [share]: (template segment bases, template aux frames) — present in
    clone mode, where the template lives on the same machine. *)
 let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (image : Image.t) =
@@ -107,10 +105,8 @@ let rebuild ?(env = Virt.Env.Bare_metal) ~verify ~share (host : Cki.Host.t) (ima
         let entries =
           List.map
             (fun (e : Image.entry) ->
-              let leaf =
-                t.Image.t_level = 1 || (t.Image.t_level = 2 && Hw.Pte.is_huge e.Image.e_bits)
-              in
-              let va = t.Image.t_va + (e.Image.e_index * span t.Image.t_level) in
+              let leaf = Hw.Pte.is_leaf ~level:t.Image.t_level e.Image.e_bits in
+              let va = t.Image.t_va + (e.Image.e_index * Hw.Addr.span ~lvl:t.Image.t_level) in
               match (if leaf && Cki.Layout.in_user va then shared_target e.Image.e_target else None) with
               | Some orig ->
                   (* Share the template's frame read-only; the first

@@ -448,12 +448,13 @@ let test_accessed_dirty () =
 
 let test_count_mappings () =
   let _, pt = mk_pt () in
+  let count () = Hw.Page_table.fold_leaves pt (fun n ~va:_ ~pte:_ ~level:_ -> n + 1) 0 in
   for i = 0 to 9 do
     ignore (Hw.Page_table.map pt ~va:(0x10000 + (i * 4096)) ~pfn:i ~flags:Hw.Pte.default_flags ())
   done;
-  check_int "count" 10 (Hw.Page_table.count_mappings pt);
+  check_int "count" 10 (count ());
   ignore (Hw.Page_table.unmap pt 0x10000);
-  check_int "count after unmap" 9 (Hw.Page_table.count_mappings pt)
+  check_int "count after unmap" 9 (count ())
 
 let prop_map_then_walk =
   QCheck.Test.make ~name:"random map set: walk agrees with mapping" ~count:50
@@ -471,6 +472,136 @@ let prop_map_then_walk =
         (fun va pfn acc ->
           acc && Hw.Pte.pfn (Hw.Page_table.walk pt va).Hw.Page_table.pte = pfn)
         tbl true)
+
+(* Random map/map_huge/unmap sequences over a small address grid (3 L4
+   slots x 2 x 2 x 3 pages, so tables are shared and huge leaves land
+   over 4 KiB ones) against a model: [descend] must stop where the
+   model says, and [iter_tables] must enter every live table
+   [alloc_table] handed out exactly once, at its level and first
+   address; a huge leaf orphans the L1 table it replaces. *)
+type pt_op = Map4k of int | Map2m of int | Unmap of int
+
+let grid_va i =
+  let l1 = i mod 3 and l2 = i / 3 mod 2 and l3 = i / 6 mod 2 and l4 = i / 12 mod 3 in
+  (l4 lsl 39) lor (l3 lsl 30) lor (l2 lsl 21) lor (l1 lsl 12)
+
+let prop_walkers_model =
+  let op =
+    QCheck.Gen.(
+      map2
+        (fun k i -> match k with 0 | 1 -> Map4k i | 2 -> Map2m i | _ -> Unmap i)
+        (int_bound 3) (int_bound 35))
+  in
+  let print = function
+    | Map4k i -> Printf.sprintf "map %d" i
+    | Map2m i -> Printf.sprintf "map_huge %d" i
+    | Unmap i -> Printf.sprintf "unmap %d" i
+  in
+  QCheck.Test.make ~name:"descend and iter_tables agree with a mapping model" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_bound 40) op))
+    (fun ops ->
+      let m, pt = mk_pt () in
+      let root = Hw.Page_table.root pt in
+      let base lvl va = va land lnot (Hw.Addr.span ~lvl:(lvl + 1) - 1) in
+      (* frame -> (level, first va) of every live table; 4 KiB and huge leaves *)
+      let tables = Hashtbl.create 16 and small = Hashtbl.create 16 and huge = Hashtbl.create 16 in
+      Hashtbl.replace tables root (4, 0);
+      let alloc va ~level =
+        let pfn = Hw.Phys_mem.alloc m ~owner:Hw.Phys_mem.Host ~kind:(Hw.Phys_mem.Page_table level) in
+        Hashtbl.replace tables pfn (level, base level va);
+        pfn
+      in
+      let flags = Hw.Pte.default_flags in
+      List.iteri
+        (fun n op ->
+          match op with
+          | Map4k i ->
+              let va = grid_va i in
+              if Hashtbl.mem huge (base 1 va) then
+                (match Hw.Page_table.map pt ~alloc_table:(alloc va) ~va ~pfn:n ~flags () with
+                | _ -> failwith "map under a huge leaf"
+                | exception Invalid_argument _ -> ())
+              else begin
+                ignore (Hw.Page_table.map pt ~alloc_table:(alloc va) ~va ~pfn:n ~flags ());
+                Hashtbl.replace small va n
+              end
+          | Map2m i ->
+              let va = base 1 (grid_va i) in
+              ignore (Hw.Page_table.map_huge pt ~alloc_table:(alloc va) ~va ~pfn:(n * 512) ~flags ());
+              Hashtbl.filter_map_inplace
+                (fun _ (l, b) -> if l = 1 && b = va then None else Some (l, b))
+                tables;
+              Hashtbl.filter_map_inplace (fun v p -> if base 1 v = va then None else Some p) small;
+              Hashtbl.replace huge va (n * 512)
+          | Unmap i ->
+              let va = grid_va i in
+              ignore (Hw.Page_table.unmap pt va);
+              Hashtbl.remove small va;
+              Hashtbl.remove huge (base 1 va))
+        ops;
+      let descends_right i =
+        let va = grid_va i in
+        let level, table, e = Hw.Page_table.descend m ~stop:1 ~level:4 ~table:root va in
+        Hashtbl.find_opt tables table = Some (level, base level va)
+        &&
+        match (Hashtbl.find_opt small va, Hashtbl.find_opt huge (base 1 va)) with
+        | Some pfn, _ -> level = 1 && Hw.Pte.is_present e && Hw.Pte.pfn e = pfn
+        | None, Some pfn -> level = 2 && Hw.Pte.is_huge e && Hw.Pte.pfn e = pfn
+        | None, None -> not (Hw.Pte.is_present e)
+      in
+      let entered ?skip_slot () =
+        let seen = Hashtbl.create 16 in
+        Hw.Page_table.iter_tables m ?skip_slot
+          ~enter:(fun ~level ~table ~va ->
+            Hashtbl.add seen table (level, va);
+            true)
+          ~entry:(fun ~level ~table:_ ~va:_ ~index _ ->
+            if level = 4 && Some index = skip_slot then failwith "skipped slot reported")
+          () ~level:4 ~table:root ~va:0;
+        seen
+      in
+      let same_as seen keep =
+        Hashtbl.length seen = Hashtbl.fold (fun _ lb n -> if keep lb then n + 1 else n) tables 0
+        && Hashtbl.fold (fun pfn lb ok -> ok && ((not (keep lb)) || Hashtbl.find_all seen pfn = [ lb ])) tables true
+      in
+      List.for_all descends_right (List.init 36 Fun.id)
+      && same_as (entered ()) (fun _ -> true)
+      && same_as (entered ~skip_slot:1 ()) (fun (l, b) -> l = 4 || b lsr 39 <> 1))
+
+(* One subtree linked from two roots, at different L4 slots: one
+   traversal over both roots enters it once when its visited set is
+   keyed by frame, and at both places when keyed by (level, va). *)
+let test_iter_tables_shared_subtree () =
+  let m, a = mk_pt () in
+  let b = Hw.Page_table.create m ~owner:Hw.Phys_mem.Host in
+  ignore (Hw.Page_table.map a ~va:0x5000 ~pfn:7 ~flags:Hw.Pte.default_flags ());
+  Hw.Phys_mem.write_entry m ~pfn:(Hw.Page_table.root b) ~index:1
+    (Hw.Phys_mem.read_entry m ~pfn:(Hw.Page_table.root a) ~index:0);
+  let count key =
+    let visited = Hashtbl.create 8 and l1_visits = ref 0 and leaves = ref [] in
+    let walk =
+      Hw.Page_table.iter_tables m
+        ~enter:(fun ~level ~table ~va ->
+          let k = key ~level ~table ~va in
+          (not (Hashtbl.mem visited k))
+          && begin
+               Hashtbl.replace visited k ();
+               if level = 1 then incr l1_visits;
+               true
+             end)
+        ~entry:(fun ~level ~table:_ ~va ~index:_ _ -> if level = 1 then leaves := va :: !leaves)
+        ()
+    in
+    walk ~level:4 ~table:(Hw.Page_table.root a) ~va:0;
+    walk ~level:4 ~table:(Hw.Page_table.root b) ~va:0;
+    (!l1_visits, List.rev !leaves)
+  in
+  let once, at_a = count (fun ~level:_ ~table ~va:_ -> (table, 0, 0)) in
+  check_int "frame-keyed: the shared L1 once" 1 once;
+  check (list int) "frame-keyed: its leaf at the first place" [ 0x5000 ] at_a;
+  let twice, at_both = count (fun ~level ~table ~va -> (table, level, va)) in
+  check_int "place-keyed: the shared L1 at both places" 2 twice;
+  check (list int) "place-keyed: its leaf at both places" [ 0x5000; (1 lsl 39) lor 0x5000 ] at_both
 
 (* [set_entry_writable] is [read_entry], then [write_entry] of
    [Pte.with_writable] when the entry is present, reporting the state
@@ -542,5 +673,7 @@ let suite =
         test_case "accessed/dirty" `Quick test_accessed_dirty;
         test_case "count mappings" `Quick test_count_mappings;
         QCheck_alcotest.to_alcotest prop_map_then_walk;
+        QCheck_alcotest.to_alcotest prop_walkers_model;
+        test_case "iter_tables: a subtree under two roots" `Quick test_iter_tables_shared_subtree;
       ] );
   ]
