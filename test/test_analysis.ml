@@ -308,6 +308,40 @@ let test_stale_tlb () =
   Hw.Cpu.exec_priv_exn cpu (Hw.Priv.Invlpg va);
   check_bool "invlpg resolves it" false (has "stale-tlb" (scan c))
 
+(* A cr3 that is no declared root is rewalked only by the stale-TLB
+   rule, so that walk must check every table on the path: a cached
+   translation derived only through a data frame linked as the L3
+   table is stale. *)
+let test_stale_tlb_through_data_frame () =
+  let c = mk () in
+  let mem = mem_of c in
+  let ksm = Cki.Container.ksm c in
+  let va = 0x4000_0000 in
+  let pfn = map_user c ~va in
+  let cpu = Cki.Container.cpu c 0 in
+  let pt = Hw.Page_table.of_root mem cpu.Hw.Cpu.cr3 in
+  (match Hw.Cpu.access cpu pt ~va ~access_kind:Hw.Pks.Read () with
+  | Ok _ -> ()
+  | Error f -> fail (Hw.Cpu.show_fault f));
+  (match Cki.Ksm.guest_unmap ksm ~root:(Cki.Ksm.kernel_root ksm) ~va with
+  | Ok () -> ()
+  | Error e -> fail (Cki.Ksm.show_error e));
+  let frame kind = Hw.Phys_mem.alloc mem ~owner:Hw.Phys_mem.Host ~kind in
+  let root = frame (Hw.Phys_mem.Page_table 4) and l3 = frame Hw.Phys_mem.Data in
+  let l2 = frame (Hw.Phys_mem.Page_table 2) and l1 = frame (Hw.Phys_mem.Page_table 1) in
+  let link ~lvl table target flags =
+    Hw.Phys_mem.write_entry mem ~pfn:table ~index:(Hw.Addr.index_at_level ~lvl va)
+      (Hw.Pte.make ~pfn:target ~flags:{ Hw.Pte.default_flags with writable = true; user = true; nx = flags })
+  in
+  link ~lvl:4 root l3 false;
+  link ~lvl:3 l3 l2 false;
+  link ~lvl:2 l2 l1 false;
+  link ~lvl:1 l1 pfn true;
+  cpu.Hw.Cpu.cr3 <- root;
+  fires "translation derived through a data frame" "stale-tlb" (scan c);
+  Hw.Phys_mem.set_kind mem l3 (Hw.Phys_mem.Page_table 3);
+  check_bool "the same path through tables derives it" false (has "stale-tlb" (scan c))
+
 (* ------------------------------------------------------------------ *)
 (* The direct map by runs against the per-leaf walk                   *)
 (* ------------------------------------------------------------------ *)
@@ -796,6 +830,7 @@ let suite =
         test_case "stale TLB after unmap" `Quick test_stale_tlb;
         test_case "direct map clean by both walks" `Quick test_direct_map_clean;
         QCheck_alcotest.to_alcotest prop_direct_map_by_runs;
+        test_case "stale TLB through a data frame" `Quick test_stale_tlb_through_data_frame;
       ] );
     ( "analysis-lint",
       [

@@ -806,6 +806,34 @@ let test_demo_scenarios_lint_gates () =
   let image = sample "snapshot" snapshot in
   sample "restore" (restore image)
 
+(* A table is charged once all its entries are read.  A foreign entry
+   in the kernel root, the first table captured, stops the capture
+   before any table is done: none is charged.  Taken away, the capture
+   charges every table of the image. *)
+let test_failed_capture_charges_read_tables () =
+  let host = mk_host () in
+  let c = boot_ready host in
+  let machine = Cki.Host.machine host in
+  let mem = Hw.Machine.mem machine and clock = Hw.Machine.clock machine in
+  let charged () = Hw.Clock.occurrences clock "snapshot_capture_table" in
+  let kroot = Cki.Ksm.kernel_root (Cki.Container.ksm c) in
+  let slot =
+    let rec free i = if Hw.Pte.is_present (Hw.Phys_mem.read_entry mem ~pfn:kroot ~index:i) then free (i + 1) else i in
+    free 0
+  in
+  let foreign = Hw.Phys_mem.alloc mem ~owner:Hw.Phys_mem.Host ~kind:Hw.Phys_mem.Data in
+  Hw.Phys_mem.write_entry mem ~pfn:kroot ~index:slot (Hw.Pte.make ~pfn:foreign ~flags:Hw.Pte.default_flags);
+  let before = charged () in
+  (match Snapshot.Capture.capture c with
+  | Error (Snapshot.Capture.Foreign_frame pfn) -> check int "the foreign frame is named" foreign pfn
+  | Error e -> fail ("wrong capture error: " ^ Snapshot.Capture.show_error e)
+  | Ok _ -> fail "capture through a foreign frame succeeded");
+  check int "no table charged" before (charged ());
+  Hw.Phys_mem.write_entry mem ~pfn:kroot ~index:slot Hw.Pte.empty;
+  Hw.Phys_mem.free mem foreign;
+  let image = capture_exn c in
+  check int "every table charged" (before + List.length image.Snapshot.Image.tables) (charged ())
+
 let suite =
   [
     ( "snapshot",
@@ -834,5 +862,7 @@ let suite =
         test_case "decode refuses text encode never writes" `Quick test_decode_only_canonical;
         test_case "a malformed record is named" `Quick test_malformed_names_record;
         QCheck_alcotest.to_alcotest prop_decode_canonical;
+        test_case "a failed capture charges only the tables it read" `Quick
+          test_failed_capture_charges_read_tables;
       ] );
   ]
